@@ -25,7 +25,7 @@ from __future__ import annotations
 from repro.eval.metrics import evaluate_predictions
 from repro.eval.protocol import remove_random_edges
 from repro.gas.cluster import TYPE_I, cluster_of
-from repro.gas.partition import GreedyVertexCut
+from repro.runtime.partition import GreedyVertexCut
 from repro.graph.datasets import load_dataset
 from repro.snaple import SnapleConfig, SnapleLinkPredictor
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.bsp.engine import BspEngine, BspRunResult
-from repro.bsp.partition import VertexPartitioner
+from repro.runtime.partition import VertexPartitioner
 from repro.bsp.vertex import BspVertexProgram, ComputeContext
 from repro.gas.cluster import ClusterConfig, TYPE_II, cluster_of
 from repro.graph.digraph import DiGraph

@@ -10,7 +10,7 @@ models can be compared on identical graphs and clusters.
 """
 
 from repro.bsp.engine import BspEngine, BspRunResult
-from repro.bsp.partition import (
+from repro.runtime.partition import (
     BlockVertexPartitioner,
     HashVertexPartitioner,
     VertexPartition,

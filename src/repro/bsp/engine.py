@@ -2,7 +2,7 @@
 
 The engine executes a :class:`~repro.bsp.vertex.BspVertexProgram` as a
 sequence of supersteps on a graph whose vertices are distributed over a
-simulated cluster with an edge-cut (see :mod:`repro.bsp.partition`).  For
+simulated cluster with an edge-cut (see :mod:`repro.runtime.partition`).  For
 every superstep it performs the real computation (results are exact) while
 accounting the work, the network traffic and the memory footprint that an
 equivalent Giraph/Pregel run would incur:
@@ -36,7 +36,11 @@ from repro.gas.cost_model import CostModel
 from repro.gas.memory import MemoryTracker
 from repro.gas.metrics import RunMetrics, StepMetrics
 from repro.gas.vertex_program import payload_size_bytes
-from repro.bsp.partition import VertexPartition, VertexPartitioner, partition_vertices
+from repro.runtime.partition import (
+    VertexPartition,
+    VertexPartitioner,
+    partition_vertices,
+)
 from repro.bsp.vertex import BspVertexProgram, ComputeContext
 from repro.graph.digraph import DiGraph
 
@@ -55,9 +59,9 @@ def _state_bytes(state: Mapping[str, Any]) -> int:
 class BspRunResult:
     """Outcome of running a BSP program: final vertex states plus metrics.
 
-    ``vertex_state`` is a list of per-vertex mappings: plain dicts on the
-    legacy dict-state path, :class:`~repro.runtime.state.VertexRow` column
-    views when the program declared a state schema.
+    ``vertex_state`` is a list of per-vertex mappings: plain dicts for
+    programs without a state schema, :class:`~repro.runtime.state.VertexRow`
+    column views when the program declared one.
     """
 
     vertex_state: Sequence[Mapping[str, Any]]
@@ -135,23 +139,18 @@ class BspEngine:
     def state_store(self):
         """The columnar :class:`~repro.runtime.state.StateStore`, or ``None``.
 
-        Populated by :meth:`run` when the program declares a state schema
-        and ``SNAPLE_DICT_STATE`` is not set.
+        Populated by :meth:`run` when the program declares a state schema.
         """
         return self._store
 
     def _init_state(self, program: BspVertexProgram,
                     num_vertices: int) -> MutableSequence[Any]:
         """Vertex state on the columnar plane when the program declares it."""
-        from repro.runtime.state import (
-            StateStore,
-            common_state_schema,
-            dict_state_forced,
-        )
+        from repro.runtime.state import StateStore, common_state_schema
 
         self._store = None
         schema = common_state_schema((program,))
-        if schema is None or dict_state_forced():
+        if schema is None:
             return [program.initial_state(u) for u in range(num_vertices)]
         self._store = StateStore(num_vertices, schema)
         state = self._store.rows()

@@ -30,7 +30,7 @@ from repro.eval.metrics import evaluate_predictions
 from repro.eval.report import TextTable
 from repro.eval.runner import ExperimentRunner
 from repro.gas.cluster import TYPE_I, cluster_of
-from repro.gas.partition import GreedyVertexCut
+from repro.runtime.partition import GreedyVertexCut
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
 

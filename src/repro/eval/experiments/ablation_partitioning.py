@@ -23,7 +23,7 @@ from repro.eval.metrics import evaluate_predictions
 from repro.eval.report import TextTable
 from repro.eval.runner import ExperimentRunner
 from repro.gas.cluster import TYPE_I, cluster_of
-from repro.gas.partition import (
+from repro.runtime.partition import (
     GreedyVertexCut,
     HdrfVertexCut,
     Partitioner,

@@ -19,7 +19,7 @@ from repro.gas.cost_model import CostBreakdown, CostModel
 from repro.gas.engine import GasEngine, GasRunResult
 from repro.gas.memory import MemoryTracker
 from repro.gas.metrics import RunMetrics, StepMetrics
-from repro.gas.partition import (
+from repro.runtime.partition import (
     GraphPartition,
     GreedyVertexCut,
     HdrfVertexCut,

@@ -2,10 +2,10 @@
 
 The engine executes a sequence of :class:`~repro.gas.vertex_program.VertexProgram`
 super-steps on a graph that has been partitioned over a simulated cluster with
-a vertex-cut (see :mod:`repro.gas.partition`).  For every step it performs the
-real computation (so results are exact) while accounting the work, the
-network traffic and the memory footprint that the equivalent GraphLab run
-would incur:
+a vertex-cut (see :mod:`repro.runtime.partition`).  For every step it
+performs the real computation (so results are exact) while accounting the
+work, the network traffic and the memory footprint that the equivalent
+GraphLab run would incur:
 
 * gathers execute on the machine that owns the edge (the mirror), and —
   exactly as in PowerGraph — each mirror pre-aggregates its local gathers
@@ -33,7 +33,11 @@ from repro.gas.cluster import ClusterConfig, TYPE_II, cluster_of
 from repro.gas.cost_model import CostModel
 from repro.gas.memory import MemoryTracker
 from repro.gas.metrics import RunMetrics, StepMetrics
-from repro.gas.partition import GraphPartition, Partitioner, partition_graph
+from repro.runtime.partition import (
+    GraphPartition,
+    Partitioner,
+    partition_graph,
+)
 from repro.gas.vertex_program import EdgeDirection, VertexProgram, payload_size_bytes
 from repro.graph.digraph import DiGraph
 
@@ -45,7 +49,7 @@ def _data_bytes(u_data: Mapping[str, Any]) -> int:
 
     :meth:`repro.runtime.state.VertexRow.nbytes` reproduces exactly what
     :func:`payload_size_bytes` charges for the equivalent dict, so the
-    simulated-cluster numbers are identical on both state paths.
+    simulated-cluster numbers do not depend on the state layout.
     """
     nbytes = getattr(u_data, "nbytes", None)
     if callable(nbytes):
@@ -57,9 +61,9 @@ def _data_bytes(u_data: Mapping[str, Any]) -> int:
 class GasRunResult:
     """Outcome of running a GAS program: final vertex data plus metrics.
 
-    ``vertex_data`` is a list of per-vertex mappings: plain dicts on the
-    legacy dict-state path, :class:`~repro.runtime.state.VertexRow` column
-    views when the program declared a state schema (the default for SNAPLE).
+    ``vertex_data`` is a list of per-vertex mappings: plain dicts for
+    programs without a state schema, :class:`~repro.runtime.state.VertexRow`
+    column views when the program declared one (as SNAPLE's steps do).
     """
 
     vertex_data: Sequence[Mapping[str, Any]]
@@ -156,21 +160,17 @@ class GasEngine:
         """The columnar :class:`~repro.runtime.state.StateStore`, or ``None``.
 
         Populated by :meth:`run` when every step declares the same state
-        schema and ``SNAPLE_DICT_STATE`` is not set.
+        schema.
         """
         return self._store
 
     def _init_state(self, steps: list[VertexProgram]) -> None:
         """Switch to the columnar state plane when the programs declare it."""
-        from repro.runtime.state import (
-            StateStore,
-            common_state_schema,
-            dict_state_forced,
-        )
+        from repro.runtime.state import StateStore, common_state_schema
 
         self._store = None
         schema = common_state_schema(steps)
-        if schema is None or dict_state_forced():
+        if schema is None:
             if not isinstance(self._vertex_data, list):
                 self._vertex_data = [{} for _ in range(self.graph.num_vertices)]
             return

@@ -5,11 +5,11 @@ where a worker process dying mid-superstep is the common case, not the
 exception.  This module gives :class:`~repro.runtime.parallel.ParallelExecutor`
 a durable superstep boundary: at a configurable cadence the coordinator
 snapshots everything the next superstep needs — the vertex state (the
-columnar :class:`~repro.runtime.state.StateStore` content or the legacy
-per-vertex dicts), the pending :class:`~repro.runtime.state.MessageBlock`
-inboxes, the collected candidate scores, and the deterministic accounting
-counters — and on a crash the run resumes from the last snapshot with
-**bit-identical** final predictions versus an uninterrupted run.
+columnar :class:`~repro.runtime.state.StateStore` content), the pending
+:class:`~repro.runtime.state.MessageBlock` inboxes, the collected candidate
+scores, and the deterministic accounting counters — and on a crash the run
+resumes from the last snapshot with **bit-identical** final predictions
+versus an uninterrupted run.
 
 Bit-identical resume is possible because every random draw in the parallel
 engines comes from a per-vertex stream derived from ``(seed, step, vertex)``
@@ -26,7 +26,7 @@ root (``NNNNNN`` = the next superstep to execute on resume)::
     <checkpoint_root>/
         step-000001/
             manifest.json     # format version, fingerprint, shard checksums
-            state.bin         # vertex state (StateSlice arrays or dicts)
+            state.bin         # vertex state (StateSlice arrays)
             messages.bin      # pending MessageBlock / inboxes, active flags
             runmeta.bin       # collected scores + accounting counters
         step-000002/
@@ -87,10 +87,10 @@ class CheckpointData:
     """Everything a parallel run needs to restart at a superstep boundary.
 
     ``superstep`` is the *next* superstep to execute; ``state`` /
-    ``messages`` / ``active`` / ``aggregated`` hold the flavour-specific
-    loop state (columnar :class:`~repro.runtime.state.StateSlice` and
-    :class:`~repro.runtime.state.MessageBlock` arrays, or the legacy dicts),
-    ``scores`` the candidate score maps collected so far, and
+    ``messages`` / ``active`` / ``aggregated`` hold the loop state (columnar
+    :class:`~repro.runtime.state.StateSlice` and
+    :class:`~repro.runtime.state.MessageBlock` arrays), ``scores`` the
+    candidate score maps collected so far, and
     ``accounting`` the deterministic per-partition counters (gathers,
     applies, shipped bytes) plus the timing accumulated before the snapshot.
     ``fingerprint`` pins the graph/config/worker identity the snapshot is

@@ -18,7 +18,7 @@ import time
 from repro.errors import ConfigurationError
 from repro.gas.cluster import ClusterConfig, TYPE_II, cluster_of
 from repro.gas.engine import GasEngine
-from repro.gas.partition import Partitioner
+from repro.runtime.partition import Partitioner
 from repro.graph.digraph import DiGraph
 from repro.graph.sampling import truncate_neighborhood
 from repro.runtime.backend import BackendCapabilities, ExecutionBackend
@@ -30,7 +30,6 @@ from repro.runtime.parallel import (
     validate_workers,
 )
 from repro.runtime.report import RunReport
-from repro.runtime.state import dict_state_forced
 from repro.snaple.bsp_program import SnapleBspPredictor
 from repro.snaple.config import SnapleConfig
 from repro.snaple.kernel import VectorizedKernel, kernel_supports
@@ -106,16 +105,17 @@ def _parallel_report(backend_name: str,
     wall-clock parallelism, not the analytical cluster model.  The totals
     are derived from the per-partition reports so they cannot drift.
 
-    ``extra`` records the state plane: whether the run used columnar state
-    (``state_columnar``), the peak live column payload and the coordinator
-    routing time, with per-superstep breakdowns.  Fault tolerance rides
-    along: ``worker_restarts`` (always), ``checkpoints_written`` /
-    ``checkpoint_bytes`` / ``checkpoint_seconds`` when snapshots were
-    persisted, and ``resumed_from_superstep`` when the run resumed (``0``
-    marks a from-scratch replay after a crash without a usable checkpoint).
+    ``extra`` records the state plane (``state_columnar`` is always 1: the
+    executor keeps vertex state in columns), the peak live column payload
+    and the coordinator routing time, with per-superstep breakdowns.  Fault
+    tolerance rides along: ``worker_restarts`` (always),
+    ``checkpoints_written`` / ``checkpoint_bytes`` / ``checkpoint_seconds``
+    when snapshots were persisted, and ``resumed_from_superstep`` when the
+    run resumed (``0`` marks a from-scratch replay after a crash without a
+    usable checkpoint).
     """
     extra: dict[str, float] = {
-        "state_columnar": 1.0 if outcome.state_plane_bytes else 0.0,
+        "state_columnar": 1.0,
         "worker_restarts": float(outcome.worker_restarts),
     }
     if outcome.checkpoints_written:
@@ -528,10 +528,8 @@ class BspBackend(ExecutionBackend):
         metrics = result.bsp_result.metrics
         predictions = {u: result.predictions.get(u, []) for u in targets}
         # The SNAPLE BSP program always declares a state schema, so the
-        # serial engine runs columnar unless the escape hatch forces dicts.
-        extra: dict[str, float] = {
-            "state_columnar": 0.0 if dict_state_forced() else 1.0,
-        }
+        # serial engine always runs columnar.
+        extra: dict[str, float] = {"state_columnar": 1.0}
         if metrics.peak_state_plane_bytes:
             extra["state_plane_peak_bytes"] = float(
                 metrics.peak_state_plane_bytes

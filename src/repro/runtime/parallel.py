@@ -21,17 +21,14 @@ the same superstep.  SNAPLE's Algorithm 2 satisfies this by construction
 (each step only reads keys written by earlier steps), which is why serial
 and parallel runs produce identical predictions.
 
-By default the data crossing process boundaries is columnar: vertex state
-lives in a coordinator-side :class:`~repro.runtime.state.StateStore`,
-boundary state ships as :class:`~repro.runtime.state.StateSlice` arrays,
-and BSP messages route as sender-sorted
-:class:`~repro.runtime.state.MessageBlock` arrays sliced per partition with
-:func:`np.searchsorted` — a handful of flat buffers per (step, partition)
-instead of pickled per-vertex dicts and message-object lists.  The legacy
-dict path remains behind ``SNAPLE_DICT_STATE=1`` (and is also used by the
-GAS flavour when the scoring configuration falls outside the vectorized
-kernel or ``SNAPLE_PARALLEL_SCALAR=1`` is set); results are bit-identical
-on both paths for every worker count.
+The data crossing process boundaries is columnar: vertex state lives in a
+coordinator-side :class:`~repro.runtime.state.StateStore`, boundary state
+ships as :class:`~repro.runtime.state.StateSlice` arrays, and BSP messages
+route as sender-sorted :class:`~repro.runtime.state.MessageBlock` arrays
+sliced per partition with :func:`np.searchsorted` — a handful of flat
+buffers per (step, partition).  Each kind has one coordinator loop; a GAS
+scoring configuration outside the vectorized kernel runs the scalar step
+programs inside the same worker task, over the same shipped columns.
 
 Fault tolerance
 ---------------
@@ -66,12 +63,13 @@ Results are bit-identical for any worker count and any partitioner because
   accumulation order does not depend on which partition a sender lives on.
 
 Ownership comes from the same partitioners the simulated engines use: the
-GAS path masters vertices through :func:`repro.gas.partition.partition_graph`
-(a vertex-cut ``GraphPartition``; each partition's masters go to one worker
-process) and the BSP path through
-:func:`repro.bsp.partition.partition_vertices` (an edge-cut).  A locality
-aware partitioner (e.g. :class:`~repro.gas.partition.GreedyVertexCut`)
-therefore reduces the boundary state shipped between supersteps.
+GAS path masters vertices through
+:func:`repro.runtime.partition.partition_graph` (a vertex-cut
+``GraphPartition``; each partition's masters go to one worker process) and
+the BSP path through :func:`repro.runtime.partition.partition_vertices` (an
+edge-cut).  A locality aware partitioner (e.g.
+:class:`~repro.runtime.partition.GreedyVertexCut`) therefore reduces the
+boundary state shipped between supersteps.
 
 Worker processes use an explicit ``forkserver`` start method (``spawn``
 where forkserver is unavailable), never plain ``fork``: forking a threaded
@@ -86,6 +84,7 @@ import multiprocessing
 import os
 import threading
 import time
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
@@ -101,7 +100,7 @@ from repro.errors import (
     EngineError,
     WorkerCrashError,
 )
-from repro.gas.vertex_program import EdgeDirection, VertexProgram, payload_size_bytes
+from repro.gas.vertex_program import EdgeDirection, VertexProgram
 from repro.graph.digraph import DiGraph
 from repro.runtime.checkpoint import (
     CheckpointData,
@@ -121,6 +120,7 @@ from repro.runtime.ooc import (
     ooc_enabled,
     spool_graph,
 )
+from repro.runtime.partition import partition_graph, partition_vertices
 from repro.runtime.shm import (
     ShmColumnAllocator,
     ShmGraphHandle,
@@ -139,8 +139,6 @@ from repro.runtime.state import (
     MessageBlock,
     StateSlice,
     StateStore,
-    dict_state_forced,
-    env_flag,
     gather_slices,
 )
 from repro.snaple.config import SnapleConfig
@@ -163,6 +161,11 @@ MAX_WORKERS = 64
 
 #: Default number of pool respawn + resume attempts after a worker crash.
 DEFAULT_MAX_RESTARTS = 2
+
+#: The state layout named in checkpoint fingerprints.  Columnar is the only
+#: layout; recording it lets a snapshot of any other layout be rejected by
+#: name instead of failing on restore.
+_STATE_FLAVOUR = "columnar"
 
 
 def validate_workers(workers: Any) -> int:
@@ -206,9 +209,8 @@ class ParallelRunOutcome:
     """Merged result of one shared-nothing parallel run.
 
     ``routing_seconds`` and ``state_plane_bytes`` carry one entry per
-    superstep on the columnar state-plane path (coordinator time spent
-    slicing/merging state and routing message blocks, and the live columnar
-    payload after the step); both stay empty on the legacy dict path.
+    superstep (coordinator time spent slicing/merging state and
+    routing message blocks, and the live columnar payload after the step).
 
     ``checkpoints_written`` / ``checkpoint_bytes`` / ``checkpoint_seconds``
     account the snapshots persisted during the run; ``worker_restarts``
@@ -255,7 +257,7 @@ class ParallelRunOutcome:
 
 @dataclass
 class _Accounting:
-    """The per-run counters every execution flavour accumulates.
+    """The per-run counters both execution kinds accumulate.
 
     Everything except the timing fields is deterministic, which is what lets
     a checkpointed resume reproduce the uninterrupted run's accounting
@@ -317,8 +319,7 @@ _WORKER_FAULT: FaultSpec | None = None
 #: an explicit forkserver/spawn start method, workers would otherwise
 #: inherit the forkserver's (stale) environment rather than the settings in
 #: effect when the pool was created.
-_WORKER_ENV_FLAGS = ("SNAPLE_DICT_STATE", "SNAPLE_PARALLEL_SCALAR",
-                     "SNAPLE_NO_SHM", "SNAPLE_OOC", "SNAPLE_OOC_DIR")
+_WORKER_ENV_FLAGS = ("SNAPLE_NO_SHM", "SNAPLE_OOC", "SNAPLE_OOC_DIR")
 
 
 def _worker_env_snapshot() -> dict[str, str]:
@@ -461,8 +462,11 @@ def _gather_neighbors(graph: DiGraph, vertex: int,
 
 
 def _run_gas_step(step: VertexProgram, graph: DiGraph, active: list[int],
-                  data: dict[int, dict[str, Any]]) -> tuple[int, int]:
-    """Run one GAS superstep over ``active`` against the snapshot ``data``."""
+                  data: Mapping[int, Mapping[str, Any]]) -> int:
+    """Run one GAS superstep over ``active`` against the snapshot ``data``.
+
+    Returns the number of gather invocations.
+    """
     if step.scatter_direction is not EdgeDirection.NONE:
         raise EngineError(
             "the shared-nothing parallel executor does not support scatter "
@@ -485,69 +489,58 @@ def _run_gas_step(step: VertexProgram, graph: DiGraph, active: list[int],
                 gathered = value
                 has_value = True
         step.apply(u, u_data, gathered if has_value else None)
-    return gathers, len(active)
+    return gathers
 
 
-def _gas_step_task(task: tuple[int, int, list[int], dict[int, dict[str, Any]]]):
-    """One (partition, superstep) unit of GAS work, run in a worker process.
+def _scalar_gas_step(graph: DiGraph, config: SnapleConfig, step_index: int,
+                     active: np.ndarray, payload: Any) -> tuple[tuple, int]:
+    """One GAS step through the scalar step program, columns in and out.
 
-    ``task`` is ``(partition, step_index, active owned vertices, snapshot
-    slice)``; the result carries the updated owned vertex data, the step's
-    side-channel scores (if any), invocation counts, and the compute time.
-
-    When the scoring configuration is inside the vectorized design space
-    (see :func:`repro.snaple.kernel.kernel_supports`) the partition's work
-    runs through the CSR-native kernel instead of the per-vertex scalar
-    loop — bit-identical results (the kernel replicates the gather fold
-    order and the per-vertex RNG draws), so serial engines, ``workers=1``
-    and ``workers=N`` all still agree exactly.  Set
-    ``SNAPLE_PARALLEL_SCALAR=1`` to force the scalar step implementations.
+    Serves scoring configurations outside the vectorized kernel (custom
+    callables).  The shipped slices merge into a full-size store whose row
+    views the program reads and writes as the serial engine's do; the
+    results leave as the same arrays the kernel branch returns, so the
+    coordinator cannot tell the two apart.
     """
-    from repro.snaple import kernel
-    from repro.snaple.program import build_snaple_steps
+    from repro.snaple.program import build_snaple_steps, snaple_state_schema
 
-    partition, step_index, active, data = task
-    maybe_crash(_WORKER_FAULT, step_index, partition)
-    graph, config = _worker_state()
-    start = time.perf_counter()
-    use_kernel = (
-        kernel.kernel_supports(config)
-        and not env_flag("SNAPLE_PARALLEL_SCALAR")
-    )
-    kept_scores = None
-    if use_kernel:
-        if step_index == 0:
-            gathers, applies = kernel.gas_sample_step(graph, config, active, data)
-        elif step_index == 1:
-            gathers, applies = kernel.gas_similarity_step(graph, config, active, data)
-        else:
-            step_scores, gathers, applies = kernel.gas_recommendation_step(
-                graph, config, active, data
-            )
-            kept_scores = step_scores or None
-    else:
-        # Steps are rebuilt per task: with per-vertex RNG they carry no
-        # state across vertices, so a fresh instance keeps workers stateless
-        # and the outcome independent of which tasks land on which process.
-        step = build_snaple_steps(config, graph, per_vertex_rng=True)[step_index]
-        gathers, applies = _run_gas_step(step, graph, active, data)
-        scores = getattr(step, "collected_scores", None)
-        kept_scores = (
-            {u: scores[u] for u in active if u in scores} if scores else None
-        )
-    updates = {u: data[u] for u in active}
-    return updates, kept_scores, gathers, applies, time.perf_counter() - start
+    store = StateStore(graph.num_vertices, snaple_state_schema())
+    for state_slice in payload if isinstance(payload, tuple) else (payload,):
+        if state_slice is not None:
+            store.merge(state_slice)
+    # Steps are rebuilt per task: with per-vertex RNG they carry no state
+    # across vertices, so a fresh instance keeps workers stateless and the
+    # outcome independent of which tasks land on which process.
+    step = build_snaple_steps(config, graph, per_vertex_rng=True)[step_index]
+    vertices = active.tolist()
+    gathers = _run_gas_step(step, graph, vertices, store.rows_mapping())
+    name = ("gamma", "sims", "predicted")[step_index]
+    _rows, counts, ids, vals = store.extract(active, (name,)).field_rows(name)
+    if step_index == 0:
+        return (counts, ids), gathers
+    if step_index == 1:
+        return (counts, ids, vals), gathers
+    maps = [step.collected_scores[u] for u in vertices]
+    score_counts = np.asarray([len(scores) for scores in maps], dtype=np.int64)
+    candidates = np.asarray([z for scores in maps for z in scores],
+                            dtype=np.int64)
+    values = np.asarray([s for scores in maps for s in scores.values()],
+                        dtype=np.float64)
+    return (counts, ids, score_counts, candidates, values), gathers
 
 
 def _gas_step_task_columnar(task):
-    """One (partition, superstep) unit of columnar GAS work.
+    """One (partition, superstep) unit of GAS work, run in a worker process.
 
     ``task`` is ``(partition, step_index, active owned vertices (array),
     payload)`` where the payload is the
     :class:`~repro.runtime.state.StateSlice` (or pair of slices) the step
     reads.  Everything crossing the process boundary — in both directions —
-    is a handful of flat arrays; the vectorized kernel consumes the slices
-    without per-vertex marshalling.
+    is a handful of flat arrays.  When the scoring configuration is inside
+    the vectorized design space (:func:`repro.snaple.kernel.kernel_supports`)
+    the kernel consumes the slices without per-vertex marshalling; it
+    replicates the scalar gather fold order and per-vertex RNG draws, so
+    both branches, serial engines and every worker count agree exactly.
     """
     from repro.snaple import kernel
 
@@ -557,7 +550,10 @@ def _gas_step_task_columnar(task):
     start = time.perf_counter()
     payload = _materialize_payload(payload)
     num_vertices = graph.num_vertices
-    if step_index == 0:
+    if not kernel.kernel_supports(config):
+        result, gathers = _scalar_gas_step(graph, config, step_index, active,
+                                           payload)
+    elif step_index == 0:
         counts, flat, gathers = kernel.gas_sample_step_columnar(
             graph, config, active
         )
@@ -585,18 +581,40 @@ def _gas_step_task_columnar(task):
     return result, gathers, int(active.size), time.perf_counter() - start
 
 
-def _bsp_compute_loop(graph, config, superstep: int, compute_list: list[int],
-                      state_of, inboxes: dict[int, list[Any]],
-                      aggregated: dict[str, Any]):
-    """Run the SNAPLE program over ``compute_list`` against a state snapshot.
+def _bsp_step_task_columnar(task):
+    """One (partition, superstep) unit of BSP work, run in a worker process.
 
-    Shared by the dict and columnar worker tasks, which differ only in how
-    vertex state and messages are (de)materialized: ``state_of`` maps a
-    vertex id to its mutable state mapping.  Returns ``(program, sent,
-    halted, contributions, messages_processed)``.
+    ``task`` is ``(partition, superstep, state slice, vertices to compute
+    (array), inbox MessageBlock, aggregated values)``.  The vertex programs
+    run unchanged against :class:`~repro.runtime.state.VertexRow` views over
+    a partition-local store (sized to the partition, with vertex ids
+    remapped to local row indices); state and messages cross the process
+    boundary as raw arrays.  Sent messages leave as one block so the
+    coordinator can deliver them in a globally deterministic (sender-sorted)
+    order.
     """
     from repro.bsp.vertex import ComputeContext
-    from repro.snaple.bsp_program import SnapleBspProgram
+    from repro.snaple.bsp_program import (
+        SnapleBspProgram,
+        decode_snaple_inboxes,
+        encode_snaple_messages,
+        snaple_bsp_state_schema,
+    )
+
+    partition, superstep, state_slice, compute, inbox_block, aggregated = task
+    maybe_crash(_WORKER_FAULT, superstep, partition)
+    graph, config = _worker_state()
+    start = time.perf_counter()
+    state_slice, inbox_block = _materialize_payload((state_slice, inbox_block))
+    num_local = int(compute.size)
+    local_rows = np.arange(num_local, dtype=np.int64)
+    # ``extract`` emits rows in ascending id order and ``compute`` is
+    # ascending, so the slice maps 1:1 onto local rows 0..n-1.
+    store = StateStore(num_local, snaple_bsp_state_schema())
+    state_slice.rows = local_rows
+    store.merge(state_slice)
+    compute_list = compute.tolist()
+    inboxes = decode_snaple_inboxes(inbox_block)
 
     program = SnapleBspProgram(config, per_vertex_rng=True)
     aggregator_fns = program.aggregators()
@@ -621,10 +639,7 @@ def _bsp_compute_loop(graph, config, superstep: int, compute_list: list[int],
             raise EngineError(f"message sent to non-existent vertex {target}")
         sent.append((source, target, value))
 
-    def halt(vertex: int) -> None:
-        halted.append(vertex)
-
-    for u in compute_list:
+    for local, u in enumerate(compute_list):
         messages = inboxes.get(u, [])
         messages_processed += len(messages)
         context = ComputeContext(
@@ -634,78 +649,11 @@ def _bsp_compute_loop(graph, config, superstep: int, compute_list: list[int],
             vertex=u,
             out_neighbors=graph.out_neighbors(u).tolist(),
             send=send,
-            halt=halt,
+            halt=halted.append,
             aggregate=contribute,
             aggregated_values=aggregated,
         )
-        program.compute(state_of(u), messages, context)
-    return program, sent, halted, contributions, messages_processed
-
-
-def _bsp_step_task(task):
-    """One (partition, superstep) unit of BSP work, run in a worker process.
-
-    ``task`` is ``(partition, superstep, owned states, vertices to compute,
-    inboxes, aggregated values)``.  Messages are returned as ``(sender,
-    target, value)`` triples so the coordinator can deliver them in a
-    globally deterministic (sender-sorted) order.
-    """
-    partition, superstep, states, compute_list, inboxes, aggregated = task
-    maybe_crash(_WORKER_FAULT, superstep, partition)
-    graph, config = _worker_state()
-    start = time.perf_counter()
-    program, sent, halted, contributions, messages_processed = (
-        _bsp_compute_loop(graph, config, superstep, compute_list,
-                          states.__getitem__, inboxes, aggregated)
-    )
-    updates = {u: states[u] for u in compute_list}
-    kept_scores = {
-        u: program.collected_scores[u]
-        for u in compute_list
-        if u in program.collected_scores
-    }
-    elapsed = time.perf_counter() - start
-    return (updates, sent, halted, kept_scores or None, contributions,
-            messages_processed, len(compute_list), elapsed)
-
-
-def _bsp_step_task_columnar(task):
-    """One (partition, superstep) unit of columnar BSP work.
-
-    ``task`` is ``(partition, superstep, state slice, vertices to compute
-    (array), inbox MessageBlock, aggregated values)``.  The vertex programs
-    run unchanged against :class:`~repro.runtime.state.VertexRow` views over
-    a partition-local store (sized to the partition, with vertex ids
-    remapped to local row indices); state and messages cross the process
-    boundary as raw arrays instead of pickled dicts and message-tuple lists.
-    """
-    from repro.snaple.bsp_program import (
-        decode_snaple_inboxes,
-        encode_snaple_messages,
-        snaple_bsp_state_schema,
-    )
-
-    partition, superstep, state_slice, compute, inbox_block, aggregated = task
-    maybe_crash(_WORKER_FAULT, superstep, partition)
-    graph, config = _worker_state()
-    start = time.perf_counter()
-    state_slice, inbox_block = _materialize_payload((state_slice, inbox_block))
-    num_local = int(compute.size)
-    local_rows = np.arange(num_local, dtype=np.int64)
-    # ``extract`` emits rows in ascending id order and ``compute`` is
-    # ascending, so the slice maps 1:1 onto local rows 0..n-1.
-    store = StateStore(num_local, snaple_bsp_state_schema())
-    state_slice.rows = local_rows
-    store.merge(state_slice)
-    compute_list = compute.tolist()
-    local_of = {u: i for i, u in enumerate(compute_list)}
-    inboxes = decode_snaple_inboxes(inbox_block)
-
-    program, sent, halted, contributions, messages_processed = (
-        _bsp_compute_loop(graph, config, superstep, compute_list,
-                          lambda u: store.row(local_of[u]), inboxes,
-                          aggregated)
-    )
+        program.compute(store.row(local), messages, context)
 
     updates = store.extract(local_rows, store.schema.names())
     updates.rows = compute
@@ -853,9 +801,9 @@ class ParallelExecutor:
         the four-superstep BSP port.
     partitioner:
         Optional placement strategy: a
-        :class:`~repro.gas.partition.Partitioner` (vertex-cut; masters
+        :class:`~repro.runtime.partition.Partitioner` (vertex-cut; masters
         become owners) for ``kind="gas"`` or a
-        :class:`~repro.bsp.partition.VertexPartitioner` (edge-cut) for
+        :class:`~repro.runtime.partition.VertexPartitioner` (edge-cut) for
         ``kind="bsp"``.  Placement only affects how much boundary state is
         shipped, never the predictions.
     seed:
@@ -942,12 +890,13 @@ class ParallelExecutor:
         self._fault = fault
         self._ckpt_stats = CheckpointStats()
         self._vertices_digest = "all"  # stamped per run() from its vertices
-        self._owner = self._assign_owners(partitioner,
-                                          self._config.seed if seed is None else seed)
+        owner = self._assign_owners(
+            partitioner, self._config.seed if seed is None else seed
+        )
         self._owned: list[list[int]] = [[] for _ in range(self._workers)]
         for u in range(graph.num_vertices):
-            self._owned[self._owner[u]].append(u)
-        self._owner_array = np.asarray(self._owner, dtype=np.int64)
+            self._owned[owner[u]].append(u)
+        self._owner_array = np.asarray(owner, dtype=np.int64)
         self._owned_arrays = [np.asarray(owned, dtype=np.int64)
                               for owned in self._owned]
         if pool is not None and not isinstance(pool, WorkerPoolLease):
@@ -956,21 +905,17 @@ class ParallelExecutor:
             )
         self._pool_lease = pool
         # State plane (shm segments or memmap spool files), alive only
-        # inside run() (see _use_shm / _use_ooc).
+        # inside run() (see _transport).
         self._registry: ShmRegistry | None = None
         self._graph_handle: ShmGraphHandle | MemmapGraphHandle | None = None
 
     def _assign_owners(self, partitioner: Any, seed: int) -> list[int]:
         """One owning partition per vertex, from the engine's own partitioner."""
         if self._kind == "gas":
-            from repro.gas.partition import partition_graph
-
             placement = partition_graph(
                 self._graph, self._workers, partitioner=partitioner, seed=seed
             )
             return [int(m) for m in placement.vertex_master]
-        from repro.bsp.partition import partition_vertices
-
         placement = partition_vertices(
             self._graph, self._workers, partitioner=partitioner, seed=seed
         )
@@ -1025,43 +970,20 @@ class ParallelExecutor:
                 f"{self._worker_timeout}s; treating its workers as hung"
             ) from exc
 
-    def _flavour(self) -> str:
-        """Which state representation this run executes (``dict``/``columnar``)."""
-        if self._kind == "gas":
-            return "columnar" if self._use_columnar_gas() else "dict"
-        return "dict" if dict_state_forced() else "columnar"
+    @staticmethod
+    def _transport() -> str:
+        """Which plane this run ships arrays over: ``ooc``/``shm``/``pickle``.
 
-    def _use_shm(self) -> bool:
-        """Whether this run hosts the graph and state columns in shared memory.
-
-        Requires the columnar flavour (shm is a transport for column
-        buffers), no ``SNAPLE_NO_SHM=1`` escape hatch, and a platform that
-        can actually create segments.  The flavour — and therefore the
-        checkpoint fingerprint — is unchanged by shm: checkpoints written
-        with it resume without it and vice versa.
+        ``SNAPLE_OOC=1`` selects on-disk spool files (it takes precedence
+        over shm and needs no shared-memory support); otherwise shared
+        memory is used unless ``SNAPLE_NO_SHM=1`` is set or the platform
+        cannot create segments.  The transport is not part of the
+        checkpoint fingerprint: checkpoints resume across the in-RAM, shm
+        and memmap tiers in any direction.
         """
-        return (
-            self._flavour() == "columnar"
-            and not shm_disabled()
-            and shm_available()
-        )
-
-    def _use_ooc(self) -> bool:
-        """Whether this run hosts graph + state columns in on-disk files.
-
-        ``SNAPLE_OOC=1`` selects the out-of-core plane (it takes precedence
-        over shm and needs no shared-memory support); like shm it is a
-        transport for column buffers, so it requires the columnar flavour.
-        The checkpoint fingerprint is unchanged — checkpoints resume across
-        the in-RAM, shm and memmap tiers in any direction.
-        """
-        return self._flavour() == "columnar" and ooc_enabled()
-
-    def _transport(self) -> str:
-        """Which plane this run ships arrays over: ``ooc``/``shm``/``pickle``."""
-        if self._use_ooc():
+        if ooc_enabled():
             return "ooc"
-        if self._use_shm():
+        if not shm_disabled() and shm_available():
             return "shm"
         return "pickle"
 
@@ -1085,7 +1007,7 @@ class ParallelExecutor:
     def _fingerprint(self) -> dict[str, Any]:
         return checkpoint_fingerprint(
             self._graph, self._config, kind=self._kind,
-            flavour=self._flavour(), workers=self._workers,
+            flavour=_STATE_FLAVOUR, workers=self._workers,
             vertices=self._vertices_digest,
         )
 
@@ -1133,7 +1055,7 @@ class ParallelExecutor:
         start = time.perf_counter()
         data = CheckpointData(
             kind=self._kind,
-            flavour=self._flavour(),
+            flavour=_STATE_FLAVOUR,
             superstep=next_step,
             workers=self._workers,
             fingerprint=self._fingerprint(),
@@ -1163,15 +1085,11 @@ class ParallelExecutor:
         full active set with restricted targets because message passing
         needs every neighborhood in flight.
 
-        State plane vs. dict path: by default vertex state lives in a
-        columnar :class:`~repro.runtime.state.StateStore` and supersteps
-        exchange :class:`~repro.runtime.state.StateSlice` /
-        :class:`~repro.runtime.state.MessageBlock` arrays (the GAS flavour
-        additionally requires the scoring configuration to be inside the
-        vectorized kernel's design space).  ``SNAPLE_DICT_STATE=1`` — and,
-        for GAS, ``SNAPLE_PARALLEL_SCALAR=1`` or an unsupported
-        configuration — falls back to the legacy dict path.  Results are
-        bit-identical either way.
+        Vertex state lives in a columnar
+        :class:`~repro.runtime.state.StateStore` and supersteps exchange
+        :class:`~repro.runtime.state.StateSlice` /
+        :class:`~repro.runtime.state.MessageBlock` arrays, for every scoring
+        configuration.
 
         Fault handling: a worker death or watchdog timeout discards the
         pool, respawns it, and replays from the newest valid checkpoint
@@ -1189,6 +1107,7 @@ class ParallelExecutor:
             self._validate_resume(resume)
             resumed_from = resume.superstep
         restarts = 0
+        run_loop = self._run_gas if self._kind == "gas" else self._run_bsp
         transport = self._transport()
         # Fault-injected runs bypass the lease: crash tests must exercise
         # the full self-managed pool + plane lifecycle.
@@ -1221,7 +1140,7 @@ class ParallelExecutor:
                     pool = self._make_pool()
                 crashed = False
                 try:
-                    outcome = self._dispatch(pool, vertices, targets, resume)
+                    outcome = run_loop(pool, vertices, targets, resume)
                     break
                 except WorkerCrashError:
                     crashed = True
@@ -1267,105 +1186,12 @@ class ParallelExecutor:
         outcome.checkpoint_seconds = self._ckpt_stats.seconds
         return outcome
 
-    def _dispatch(self, pool, vertices, targets,
-                  resume: CheckpointData | None) -> ParallelRunOutcome:
-        if self._kind == "gas":
-            if self._use_columnar_gas():
-                return self._run_gas_columnar(pool, vertices, targets, resume)
-            return self._run_gas(pool, vertices, targets, resume)
-        if dict_state_forced():
-            return self._run_bsp(pool, vertices, targets, resume)
-        return self._run_bsp_columnar(pool, vertices, targets, resume)
-
-    def _use_columnar_gas(self) -> bool:
-        """Columnar GAS needs the vectorized kernel and no escape hatches."""
-        from repro.snaple.kernel import kernel_supports
-
-        return (
-            not dict_state_forced()
-            and not env_flag("SNAPLE_PARALLEL_SCALAR")
-            and kernel_supports(self._config)
-        )
-
     # ------------------------------------------------------------------
     # GAS coordination
     # ------------------------------------------------------------------
-    def _run_gas(self, pool, vertices: list[int] | None,
-                 targets: list[int] | None,
-                 resume: CheckpointData | None) -> ParallelRunOutcome:
-        from repro.snaple.program import build_snaple_steps
-
-        graph, config = self._graph, self._config
-        active = list(graph.vertices()) if vertices is None else list(vertices)
-        if targets is None:
-            targets = active
-        active_set = set(active)
-        active_owned = [
-            [u for u in owned if u in active_set] for owned in self._owned
-        ]
-        data: dict[int, dict[str, Any]] = {u: {} for u in range(graph.num_vertices)}
-        scores: dict[int, dict[int, float]] = {}
-        acct = _Accounting.fresh(self._workers)
-        start_step = 0
-        if resume is not None:
-            start_step = resume.superstep
-            data = resume.state
-            scores = resume.scores
-            acct = _Accounting.from_payload(resume.accounting, self._workers)
-        # A coordinator-side copy of the steps provides the metadata (gather
-        # directions, step count); the computation itself runs in workers.
-        steps = build_snaple_steps(config, graph, per_vertex_rng=True)
-
-        for step_index in range(start_step, len(steps)):
-            step = steps[step_index]
-            step_start = time.perf_counter()
-            tasks = []
-            for w in range(self._workers):
-                needed = self._boundary(w, active_owned[w], step.gather_direction)
-                data_slice = {u: data[u] for u in active_owned[w]}
-                boundary_bytes = 0
-                for v in needed:
-                    data_slice[v] = data[v]
-                    boundary_bytes += payload_size_bytes(data[v])
-                acct.shipped[w] += boundary_bytes
-                tasks.append((w, step_index, active_owned[w], data_slice))
-            results = self._map(pool, _gas_step_task, tasks)
-            slowest = 0.0
-            for w, (updates, step_scores, n_gather, n_apply, elapsed) in enumerate(results):
-                data.update(updates)
-                if step_scores:
-                    scores.update(step_scores)
-                acct.gathers[w] += n_gather
-                acct.applies[w] += n_apply
-                acct.compute_seconds[w] += elapsed
-                slowest = max(slowest, elapsed)
-            acct.sync_overhead += max(
-                0.0, (time.perf_counter() - step_start) - slowest
-            )
-            if self._checkpoint_due(step_index + 1, len(steps)):
-                self._write_checkpoint(step_index + 1, state=data,
-                                       scores=scores, acct=acct)
-
-        predictions = {u: list(data[u].get("predicted", [])) for u in targets}
-        scores = {u: dict(scores.get(u, {})) for u in targets}
-        return self._merge_outcome(predictions, scores, len(steps), acct, data)
-
-    def _boundary(self, worker: int, active: list[int],
-                  direction: EdgeDirection) -> list[int]:
-        """Vertices whose data partition ``worker`` reads but does not own."""
-        needed: set[int] = set()
-        for u in active:
-            for v in _gather_neighbors(self._graph, u, direction):
-                if self._owner[v] != worker:
-                    needed.add(v)
-        return sorted(needed)
-
-    # ------------------------------------------------------------------
-    # Columnar GAS coordination (the state-plane path)
-    # ------------------------------------------------------------------
-    def _boundary_columnar(self, worker: int, active: np.ndarray,
-                           indptr: np.ndarray, indices: np.ndarray,
-                           degrees: np.ndarray) -> np.ndarray:
+    def _boundary(self, worker: int, active: np.ndarray,
+                  indptr: np.ndarray, indices: np.ndarray,
+                  degrees: np.ndarray) -> np.ndarray:
         """Vectorized out-edge boundary: remote vertices the gathers read."""
         if active.size == 0:
             return np.empty(0, dtype=np.int64)
@@ -1381,23 +1207,21 @@ class ParallelExecutor:
         Computed from the live column's lengths so the pickled-slice and
         shared-memory transports account *identically* — ``shipped`` is the
         logical boundary payload, part of the deterministic accounting the
-        parity and resume suites compare bit-for-bit across flavours.
+        parity and resume suites compare bit-for-bit across transports.
         """
         column = store._column(name)
         per_element = 8 if column._vals is None else 16
         return per_element * int(column.lengths[rows[~own_mask]].sum())
 
-    def _run_gas_columnar(self, pool, vertices: list[int] | None,
-                          targets: list[int] | None,
-                          resume: CheckpointData | None) -> ParallelRunOutcome:
+    def _run_gas(self, pool, vertices: list[int] | None,
+                 targets: list[int] | None,
+                 resume: CheckpointData | None) -> ParallelRunOutcome:
         """Algorithm 2's three GAS steps over the columnar state plane.
 
         The coordinator keeps one :class:`~repro.runtime.state.StateStore`;
         per (step, partition) it ships the owned+boundary column slices the
         step reads and bulk-merges the returned column rows.  Nothing that
-        crosses a process boundary is a per-vertex Python object, and the
-        kernel consumes the slices without dict marshalling — this is what
-        ``benchmarks/bench_state_plane.py`` measures against the dict path.
+        crosses a process boundary is a per-vertex Python object.
         """
         from repro.snaple.kernel import LazyScores
         from repro.snaple.program import snaple_state_schema
@@ -1444,7 +1268,7 @@ class ParallelExecutor:
                 if step_index == 0:
                     payload: Any = None
                 else:
-                    boundary = self._boundary_columnar(
+                    boundary = self._boundary(
                         w, owned_active, indptr, indices, degrees
                     )
                     rows = np.concatenate([owned_active, boundary])
@@ -1571,114 +1395,13 @@ class ParallelExecutor:
     def _run_bsp(self, pool, vertices: list[int] | None,
                  targets: list[int] | None,
                  resume: CheckpointData | None) -> ParallelRunOutcome:
-        from repro.snaple.bsp_program import SnapleBspProgram
-
-        graph, config = self._graph, self._config
-        program = SnapleBspProgram(config, per_vertex_rng=True)
-        aggregator_fns = program.aggregators()
-        num_vertices = graph.num_vertices
-        state: dict[int, dict[str, Any]] = {
-            u: program.initial_state(u) for u in range(num_vertices)
-        }
-        active = [False] * num_vertices
-        for u in (range(num_vertices) if vertices is None else vertices):
-            active[u] = True
-        inbox: dict[int, list[Any]] = {}
-        aggregated: dict[str, Any] = {}
-        scores: dict[int, dict[int, float]] = {}
-        acct = _Accounting.fresh(self._workers)
-        superstep = 0
-        if resume is not None:
-            superstep = resume.superstep
-            state = resume.state
-            active = resume.active
-            inbox = resume.messages
-            aggregated = resume.aggregated
-            scores = resume.scores
-            acct = _Accounting.from_payload(resume.accounting, self._workers)
-
-        while superstep < program.max_supersteps:
-            if not any(active) and not inbox:
-                break
-            step_start = time.perf_counter()
-            tasks = []
-            compute_lists = []
-            for w in range(self._workers):
-                compute_list = [
-                    u for u in self._owned[w] if active[u] or inbox.get(u)
-                ]
-                compute_lists.append(compute_list)
-                tasks.append((
-                    w,
-                    superstep,
-                    {u: state[u] for u in compute_list},
-                    compute_list,
-                    {u: inbox[u] for u in compute_list if u in inbox},
-                    aggregated,
-                ))
-            results = self._map(pool, _bsp_step_task, tasks)
-            slowest = 0.0
-            all_messages: list[tuple[int, int, Any]] = []
-            contributions: dict[str, Any] = {}
-            for w, result in enumerate(results):
-                (updates, sent, halted, step_scores, worker_contrib,
-                 n_messages, n_computed, elapsed) = result
-                state.update(updates)
-                if step_scores:
-                    scores.update(step_scores)
-                for u in compute_lists[w]:
-                    active[u] = True
-                for u in halted:
-                    active[u] = False
-                all_messages.extend(sent)
-                for name, value in worker_contrib.items():
-                    if name in contributions:
-                        contributions[name] = aggregator_fns[name](
-                            contributions[name], value
-                        )
-                    else:
-                        contributions[name] = value
-                acct.gathers[w] += n_messages
-                acct.applies[w] += n_computed
-                acct.compute_seconds[w] += elapsed
-                slowest = max(slowest, elapsed)
-            # Deliver sender-sorted so floating-point accumulation order in
-            # the receivers is independent of the partitioning (the sort is
-            # stable, preserving each sender's emission order).
-            all_messages.sort(key=lambda message: message[0])
-            inbox = {}
-            for sender, target, value in all_messages:
-                inbox.setdefault(target, []).append(value)
-                if self._owner[sender] != self._owner[target]:
-                    acct.shipped[self._owner[target]] += payload_size_bytes(value)
-            for target in inbox:
-                active[target] = True
-            aggregated = contributions
-            superstep += 1
-            acct.sync_overhead += max(
-                0.0, (time.perf_counter() - step_start) - slowest
-            )
-            if self._checkpoint_due(superstep, None):
-                self._write_checkpoint(superstep, state=state, scores=scores,
-                                       acct=acct, messages=inbox,
-                                       active=active, aggregated=aggregated)
-
-        if targets is None:
-            targets = list(graph.vertices()) if vertices is None else list(vertices)
-        predictions = {u: list(state[u].get("predicted", [])) for u in targets}
-        scores = {u: dict(scores.get(u, {})) for u in targets}
-        return self._merge_outcome(predictions, scores, superstep, acct, state)
-
-    def _run_bsp_columnar(self, pool, vertices: list[int] | None,
-                          targets: list[int] | None,
-                          resume: CheckpointData | None) -> ParallelRunOutcome:
         """The four-superstep BSP port over the columnar state plane.
 
         State ships as :class:`~repro.runtime.state.StateSlice` arrays and
         messages as :class:`~repro.runtime.state.MessageBlock` arrays; the
         blocks are stable-sorted by sender before delivery and split per
         partition with one :func:`np.searchsorted` pass, reproducing the
-        dict path's delivery (and float accumulation) order exactly.
+        serial engine's delivery (and float accumulation) order exactly.
         """
         from repro.snaple.bsp_program import (
             MESSAGE_BASE_BYTES,
@@ -1815,7 +1538,7 @@ class ParallelExecutor:
             merged = MessageBlock.concat(blocks)
             if merged.num_messages:
                 # Deliver sender-sorted (stable) so the float accumulation
-                # order in the receivers matches the dict path exactly.
+                # order in the receivers does not depend on the partitioning.
                 merged = merged.sorted_by_sender()
                 sizes = merged.payload_bytes(MESSAGE_BASE_BYTES)
                 cross = owner[merged.sender] != owner[merged.receiver]

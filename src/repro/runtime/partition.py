@@ -1,13 +1,12 @@
 """Graph partitioning shared by every execution layer.
 
 Both simulated engines and the shared-nothing parallel executor need a
-placement of the graph on machines/workers, and the two historical modules
-(``repro.gas.partition`` — PowerGraph's *vertex-cut*, assigning edges and
-replicating vertices; ``repro.bsp.partition`` — Pregel's *edge-cut*,
-assigning vertices with their out-edges) duplicated the strategy interface,
-the assignment validation and the balance metrics.  This module is the
-single home for all of it; the historical modules remain as thin re-export
-shims so existing imports keep working.
+placement of the graph on machines/workers: PowerGraph's *vertex-cut* for
+GAS (assigning edges and replicating vertices) and Pregel's *edge-cut* for
+BSP (assigning vertices with their out-edges).  This module is the single
+home of both, sharing the strategy interface, the assignment validation and
+the balance metrics; the :mod:`repro.gas` and :mod:`repro.bsp` packages
+re-export the names their engines use.
 
 Vertex-cut strategies (GAS):
 

@@ -35,9 +35,9 @@ registry could not, as a last-resort backstop.
 Escape hatches
 --------------
 ``SNAPLE_NO_SHM=1`` disables shared memory (the executor falls back to
-pickled slices), and ``SNAPLE_DICT_STATE=1`` — the legacy dict-state path —
-implies it.  Platforms without POSIX/System-V shared memory are detected at
-runtime and fall back silently.  Results are bit-identical on every path.
+pickled slices).  Platforms without POSIX/System-V shared memory are
+detected at runtime and fall back silently.  Results are bit-identical on
+every transport.
 
 Checkpoint interplay: :meth:`~repro.runtime.state.StateStore.snapshot`
 always *copies* rows out of the columns (its extracts are index gathers),
@@ -113,8 +113,7 @@ def shm_available() -> bool:
 def shm_disabled() -> bool:
     """Whether ``SNAPLE_NO_SHM=1`` forces the pickled-slice transport.
 
-    The escape hatch mirrors ``SNAPLE_DICT_STATE`` (which also implies it):
-    results are bit-identical either way, only the transport differs.
+    Results are bit-identical either way, only the transport differs.
     """
     return env_flag("SNAPLE_NO_SHM")
 

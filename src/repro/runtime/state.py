@@ -21,16 +21,13 @@ layer with a structure-of-arrays design:
   over the store so scalar vertex programs keep their historical
   ``state["field"]`` read/write protocol while the data lives in columns.
 
-Compatibility contract
-----------------------
-The state plane is a drop-in replacement for the dict path: results are
-bit-identical (the parity suites assert this for every backend × worker
-count) and the simulated-cluster accounting is unchanged —
+Accounting contract
+-------------------
+The simulated-cluster accounting is layout-independent:
 :meth:`VertexRow.nbytes` reproduces exactly what
-:func:`repro.gas.vertex_program.payload_size_bytes` would charge for the
-equivalent dict.  Setting ``SNAPLE_DICT_STATE=1`` forces every engine back
-onto the legacy dict path (kept for one release; see
-:func:`dict_state_forced`).
+:func:`repro.gas.vertex_program.payload_size_bytes` charges for the
+equivalent dict, so programs that declare a schema and programs that keep
+per-vertex dicts (those declaring none) are charged alike.
 """
 
 from __future__ import annotations
@@ -56,7 +53,6 @@ __all__ = [
     "StateRows",
     "MessageBlock",
     "MessageBlockBuilder",
-    "dict_state_forced",
     "env_flag",
     "common_state_schema",
     "gather_slices",
@@ -68,17 +64,6 @@ def env_flag(name: str) -> bool:
     """A boolean environment flag: set and not one of ``'' / 0 / false / no``."""
     value = os.environ.get(name, "")
     return value.strip().lower() not in ("", "0", "false", "no")
-
-
-def dict_state_forced() -> bool:
-    """Whether ``SNAPLE_DICT_STATE=1`` forces the legacy dict-state path.
-
-    The escape hatch keeps the historical per-vertex-dict execution path
-    alive for one release; the parity suite runs both paths and asserts
-    bit-identical results.  ``SNAPLE_DICT_STATE=0`` (or ``false``/``no``)
-    explicitly selects the columnar default.
-    """
-    return env_flag("SNAPLE_DICT_STATE")
 
 
 def gather_slices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

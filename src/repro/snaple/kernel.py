@@ -98,9 +98,6 @@ __all__ = [
     "combine_and_rank",
     "LazyScores",
     "VectorizedKernel",
-    "gas_sample_step",
-    "gas_similarity_step",
-    "gas_recommendation_step",
     "combine_and_rank_columnar",
     "columns_to_neighborhood_csr",
     "columns_to_kept",
@@ -358,9 +355,10 @@ def build_truncated_neighborhoods(
     Randomness comes from one shared stream consumed in ascending vertex
     order, exactly like the ``local`` reference backend, and only vertices
     whose degree exceeds ``thrΓ`` consume draws — matching the scalar path
-    draw for draw.  (The parallel GAS tasks use :func:`gas_sample_step`
-    instead, which replicates the per-vertex-stream draw pattern of the
-    scalar gather and keeps duplicate neighbors in the vertex data.)
+    draw for draw.  (The parallel GAS tasks use
+    :func:`gas_sample_step_columnar` instead, which replicates the
+    per-vertex-stream draw pattern of the scalar gather and keeps duplicate
+    neighbors in the vertex data.)
 
     ``vertices`` restricts the computed rows (others stay empty).
     """
@@ -537,11 +535,6 @@ class KeptNeighbors:
     indptr: np.ndarray
     ids: np.ndarray
     sims: np.ndarray
-
-    def sims_dict(self, u: int) -> dict[int, float]:
-        start, end = self.indptr[u], self.indptr[u + 1]
-        return dict(zip(self.ids[start:end].tolist(),
-                        self.sims[start:end].tolist()))
 
 
 def _smallest_k_by(primary: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
@@ -977,116 +970,6 @@ class VectorizedKernel:
 
 
 # ----------------------------------------------------------------------
-# Vectorized per-partition GAS supersteps (shared-nothing executor)
-# ----------------------------------------------------------------------
-def _csr_from_vertex_data(num_vertices: int, data: dict[int, dict[str, Any]],
-                          key: str) -> NeighborhoodCSR:
-    """A :class:`NeighborhoodCSR` over the sorted-list values in a snapshot."""
-    counts = np.zeros(num_vertices, dtype=np.int64)
-    for u, vertex_data in data.items():
-        values = vertex_data.get(key)
-        if values:
-            counts[u] = len(values)
-    flat_parts = [data[u][key] for u in sorted(data) if data[u].get(key)]
-    flat = (np.asarray([v for part in flat_parts for v in part],
-                       dtype=np.int64)
-            if flat_parts else np.empty(0, dtype=np.int64))
-    return NeighborhoodCSR.from_rows(num_vertices, counts, flat)
-
-
-def _kept_from_vertex_data(num_vertices: int,
-                           data: dict[int, dict[str, Any]]) -> KeptNeighbors:
-    """The snapshot ``sims`` dicts as a :class:`KeptNeighbors` (order kept)."""
-    counts = np.zeros(num_vertices, dtype=np.int64)
-    ids_parts: list[list[int]] = []
-    sims_parts: list[list[float]] = []
-    for u in sorted(data):
-        sims = data[u].get("sims")
-        if sims:
-            counts[u] = len(sims)
-            ids_parts.append(list(sims.keys()))
-            sims_parts.append(list(sims.values()))
-    if ids_parts:
-        ids = np.asarray([v for part in ids_parts for v in part],
-                         dtype=np.int64)
-        values = np.asarray([s for part in sims_parts for s in part],
-                            dtype=np.float64)
-    else:
-        ids = np.empty(0, dtype=np.int64)
-        values = np.empty(0, dtype=np.float64)
-    return KeptNeighbors(indptr=_indptr_from_counts(counts), ids=ids,
-                         sims=values)
-
-
-def gas_sample_step(graph: DiGraph, config: SnapleConfig, active: list[int],
-                    data: dict[int, dict[str, Any]]) -> tuple[int, int]:
-    """Vectorized replacement for the ``sample-neighborhood`` partition task.
-
-    Draw-for-draw identical to :class:`~repro.snaple.program.NeighborhoodSampleStep`
-    under per-vertex RNG: Bernoulli draws happen only for vertices over the
-    threshold, and exact truncation reservoir-samples the *full* neighborhood
-    from the same stream afterwards.  Duplicate neighbors (parallel edges)
-    are preserved, as the scalar gather preserves them.
-    """
-    from repro.snaple.program import vertex_rng
-
-    threshold = config.truncation_threshold
-    gathers = 0
-    for u in active:
-        neighbors = graph.out_neighbors(u).tolist()
-        degree = len(neighbors)
-        gathers += degree
-        rng = None
-        if not math.isinf(threshold) and degree > threshold:
-            rng = vertex_rng(config.seed, 0, u)
-            sample = bernoulli_truncate(neighbors, threshold, rng=rng)
-        else:
-            sample = neighbors
-        if config.exact_truncation:
-            if rng is None:
-                rng = vertex_rng(config.seed, 0, u)
-            sample = reservoir_sample(neighbors, threshold, rng=rng)
-        data[u]["gamma"] = sorted(sample)
-    return gathers, len(active)
-
-
-def gas_similarity_step(graph: DiGraph, config: SnapleConfig,
-                        active: list[int],
-                        data: dict[int, dict[str, Any]]) -> tuple[int, int]:
-    """Vectorized replacement for the ``estimate-similarities`` task."""
-    gamma = _csr_from_vertex_data(graph.num_vertices, data, "gamma")
-    rows = np.asarray(active, dtype=np.int64)
-    edges = edge_similarities(graph, gamma, config, rows=rows)
-    kept = select_klocal(edges, config, rng_mode="per_vertex", rows=rows)
-    gathers = 0
-    for u in active:
-        data[u]["sims"] = kept.sims_dict(u)
-        gathers += graph.out_degree(u)
-    return gathers, len(active)
-
-
-def gas_recommendation_step(
-    graph: DiGraph, config: SnapleConfig, active: list[int],
-    data: dict[int, dict[str, Any]],
-) -> tuple[dict[int, dict[int, float]], int, int]:
-    """Vectorized replacement for the ``compute-recommendations`` task.
-
-    Follows the GAS gather's fold order (raw CSR adjacency, kept neighbors
-    filtered) so the emitted scores are bit-identical to the scalar step.
-    """
-    gamma = _csr_from_vertex_data(graph.num_vertices, data, "gamma")
-    kept = _kept_from_vertex_data(graph.num_vertices, data)
-    predictions, scores = combine_and_rank(
-        graph, gamma, kept, config, list(active), neighbor_order="csr",
-    )
-    gathers = 0
-    for u in active:
-        data[u]["predicted"] = predictions[u]
-        gathers += graph.out_degree(u)
-    return scores, gathers, len(active)
-
-
-# ----------------------------------------------------------------------
 # Columnar per-partition GAS supersteps (state-plane executor)
 # ----------------------------------------------------------------------
 def columns_to_neighborhood_csr(num_vertices: int, rows: np.ndarray,
@@ -1158,8 +1041,9 @@ def gas_sample_step_columnar(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Columnar ``sample-neighborhood`` partition task: arrays in, arrays out.
 
-    Draw-for-draw identical to :func:`gas_sample_step` (per-vertex RNG
-    streams; Bernoulli draws only for vertices over the threshold; exact
+    Draw-for-draw identical to
+    :class:`~repro.snaple.program.NeighborhoodSampleStep` under per-vertex
+    RNG (Bernoulli draws only for vertices over the threshold; exact
     truncation reservoir-samples the full neighborhood from the same
     stream).  Returns ``(counts, flat, gathers)`` aligned with ``active`` —
     under-threshold rows are copied from the CSR adjacency in bulk, only

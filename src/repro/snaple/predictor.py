@@ -9,21 +9,16 @@ returns a normalized :class:`~repro.runtime.report.RunReport`::
                                                  cluster=cluster_of(TYPE_I, 8))
 
 :meth:`SnapleLinkPredictor.predict_iter` streams per-vertex results for large
-vertex sets.  The historical :meth:`predict_local` / :meth:`predict_gas`
-methods remain as thin deprecation shims returning the legacy
-:class:`PredictionResult`.
+vertex sets.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.gas.cluster import ClusterConfig
 from repro.gas.engine import GasRunResult
-from repro.gas.partition import Partitioner
 from repro.graph.digraph import DiGraph
 from repro.snaple.config import SnapleConfig
 
@@ -34,10 +29,10 @@ __all__ = ["PredictionResult", "SnapleLinkPredictor"]
 class PredictionResult:
     """Predictions for every vertex plus execution accounting.
 
-    Legacy result type kept for the :meth:`SnapleLinkPredictor.predict_local`
-    and :meth:`SnapleLinkPredictor.predict_gas` shims; new code should use
-    :class:`~repro.runtime.report.RunReport` via
-    :meth:`SnapleLinkPredictor.predict`.
+    A plain record with the same :meth:`predicted_edges` /
+    :meth:`top_prediction` helpers as
+    :class:`~repro.runtime.report.RunReport`, which is what
+    :meth:`SnapleLinkPredictor.predict` returns.
     """
 
     predictions: dict[int, list[int]]
@@ -137,15 +132,13 @@ class SnapleLinkPredictor:
             (``"local"`` by default; see
             :func:`repro.runtime.available_backends`).
         mode:
-            With ``backend`` given (or defaulted), a backend-specific
-            execution mode passed through as the ``mode`` option — the
-            ``local`` backend accepts ``"vectorized"`` (default, the CSR
-            array kernel of :mod:`repro.snaple.kernel`) and ``"reference"``
-            (the scalar implementation kept for cross-checking).
-
-            Calling ``predict(mode=<backend name>)`` *without* ``backend``
-            is the deprecated pre-registry alias: it dispatches to that
-            backend and returns the legacy :class:`PredictionResult`.
+            A backend-specific execution mode passed through as the
+            ``mode`` option — the ``local`` backend accepts
+            ``"vectorized"`` (default, the CSR array kernel of
+            :mod:`repro.snaple.kernel`) and ``"reference"`` (the scalar
+            implementation kept for cross-checking).  A mode the backend
+            does not know, a backend name included, raises
+            :class:`~repro.errors.ConfigurationError`.
         vertices:
             Restrict prediction to these vertices (all by default).
         workers:
@@ -175,7 +168,7 @@ class SnapleLinkPredictor:
         repro.runtime.report.RunReport
             Predictions, candidate scores, and normalized accounting.
         """
-        from repro.runtime import available_backends, get_backend
+        from repro.runtime import get_backend
 
         if workers is not None:
             options["workers"] = workers
@@ -189,24 +182,6 @@ class SnapleLinkPredictor:
             options["checkpoint_every"] = checkpoint_every
         if resume_from is not None:
             options["resume_from"] = resume_from
-        if mode is not None and backend is None and mode in available_backends():
-            warnings.warn(
-                "predict(mode=<backend name>) is deprecated; use "
-                "predict(backend=...), which returns a RunReport instead of "
-                "a PredictionResult",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            report = self.predict(graph, backend=mode, vertices=vertices,
-                                  **options)
-            return PredictionResult(
-                predictions=report.predictions,
-                scores=report.scores,
-                config=self._config,
-                wall_clock_seconds=report.wall_clock_seconds,
-                simulated_seconds=report.simulated_seconds,
-                gas_result=report.native if mode == "gas" else None,
-            )
         if mode is not None:
             # An execution mode for the (possibly defaulted) backend, e.g.
             # mode="vectorized" / mode="reference" on the local backend.
@@ -245,65 +220,3 @@ class SnapleLinkPredictor:
         else:
             report = engine.run(vertices=targets)
             yield from report.vertex_predictions(targets)
-
-    # ------------------------------------------------------------------
-    # Deprecation shims for the pre-registry calling conventions
-    # ------------------------------------------------------------------
-    def predict_gas(
-        self,
-        graph: DiGraph,
-        *,
-        cluster: ClusterConfig | None = None,
-        partitioner: Partitioner | None = None,
-        enforce_memory: bool = True,
-        vertices: list[int] | None = None,
-    ) -> PredictionResult:
-        """Deprecated: use ``predict(graph, backend="gas", ...)``.
-
-        Raises :class:`~repro.errors.ResourceExhaustedError` when the chosen
-        cluster cannot hold the program's vertex data (only relevant for the
-        naive baseline or deliberately tiny clusters).
-        """
-        warnings.warn(
-            "predict_gas is deprecated; use predict(graph, backend='gas', ...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        report = self.predict(
-            graph,
-            backend="gas",
-            vertices=vertices,
-            cluster=cluster,
-            partitioner=partitioner,
-            enforce_memory=enforce_memory,
-        )
-        return PredictionResult(
-            predictions=report.predictions,
-            scores=report.scores,
-            config=self._config,
-            wall_clock_seconds=report.wall_clock_seconds,
-            simulated_seconds=report.simulated_seconds,
-            gas_result=report.native,
-        )
-
-    def predict_local(
-        self,
-        graph: DiGraph,
-        *,
-        vertices: list[int] | None = None,
-    ) -> PredictionResult:
-        """Deprecated: use ``predict(graph, backend="local", ...)``."""
-        warnings.warn(
-            "predict_local is deprecated; use predict(graph, backend='local', ...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        report = self.predict(graph, backend="local", vertices=vertices)
-        return PredictionResult(
-            predictions=report.predictions,
-            scores=report.scores,
-            config=self._config,
-            wall_clock_seconds=report.wall_clock_seconds,
-            simulated_seconds=None,
-            gas_result=None,
-        )

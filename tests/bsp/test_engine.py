@@ -7,7 +7,7 @@ from typing import Any
 import pytest
 
 from repro.bsp.engine import BspEngine
-from repro.bsp.partition import BlockVertexPartitioner
+from repro.runtime.partition import BlockVertexPartitioner
 from repro.bsp.programs import OutDegreeProgram, PageRankProgram
 from repro.bsp.vertex import BspVertexProgram, ComputeContext, SumCombiner
 from repro.errors import EngineError, ResourceExhaustedError

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bsp.partition import (
+from repro.runtime.partition import (
     BlockVertexPartitioner,
     HashVertexPartitioner,
     VertexPartition,

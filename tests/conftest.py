@@ -13,6 +13,7 @@ from repro.graph import generators
 from repro.graph.builder import GraphBuilder
 from repro.graph.digraph import DiGraph
 from repro.runtime.checkpoint import FaultSpec, list_checkpoint_dirs
+from repro.snaple.config import SnapleConfig
 
 # Property-test settings are registered centrally: examples that spawn real
 # worker processes are slow by nature, so the suite-wide profile disables
@@ -120,6 +121,74 @@ def random_graph():
         return cache[key]
 
     return make
+
+
+# ----------------------------------------------------------------------
+# The scalar reference every parallel grid compares against
+# ----------------------------------------------------------------------
+def half_jaccard(left, right):
+    """A custom similarity outside the vectorized kernel's registry."""
+    union = len(left | right)
+    return 0.5 * len(left & right) / union if union else 0.0
+
+
+def unsupported_kernel_config() -> SnapleConfig:
+    """A configuration the vectorized kernel cannot run (custom callable)."""
+    from repro.snaple.aggregators import get_aggregator
+    from repro.snaple.combinators import get_combinator
+    from repro.snaple.scoring import ScoreConfig
+
+    custom = ScoreConfig(
+        name="custom",
+        similarity_name="jaccard",
+        combinator=get_combinator("linear"),
+        aggregator=get_aggregator("Sum"),
+        similarity=half_jaccard,  # not the registry callable
+    )
+    return SnapleConfig(score=custom, k_local=8, seed=5)
+
+
+def truncating_config() -> SnapleConfig:
+    """Truncation and klocal sampling both fire on the parity graph."""
+    return SnapleConfig.paper_default(seed=9, k_local=6,
+                                      truncation_threshold=5)
+
+
+def scalar_reference(graph: DiGraph, config: SnapleConfig, kind: str
+                     ) -> tuple[dict[int, list[int]], dict[int, dict]]:
+    """``(predictions, scores)`` of the serial scalar engine for ``kind``.
+
+    Serial :class:`~repro.gas.engine.GasEngine` over Algorithm 2's steps, or
+    serial :class:`~repro.bsp.engine.BspEngine` over the BSP port, both with
+    the per-vertex RNG streams ``workers=N`` uses — so every parallel run,
+    on any worker count, transport or resume point, must equal it exactly.
+    """
+    from repro.bsp.engine import BspEngine
+    from repro.gas.engine import GasEngine
+    from repro.snaple.bsp_program import SnapleBspProgram
+    from repro.snaple.program import build_snaple_steps
+
+    if kind == "gas":
+        steps = build_snaple_steps(config, graph, per_vertex_rng=True)
+        state = GasEngine(graph=graph).run(steps).vertex_data
+        collected = steps[-1].collected_scores
+    elif kind == "bsp":
+        program = SnapleBspProgram(config, per_vertex_rng=True)
+        state = BspEngine(graph=graph).run(program).vertex_state
+        collected = program.collected_scores
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    predictions = {u: list(state[u].get("predicted", []))
+                   for u in graph.vertices()}
+    scores = {u: dict(collected.get(u, {})) for u in graph.vertices()}
+    return predictions, scores
+
+
+def assert_matches_reference(report, reference) -> None:
+    """A run's predictions and scores equal ``scalar_reference`` exactly."""
+    predictions, scores = reference
+    assert report.predictions == predictions
+    assert dict(report.scores) == scores
 
 
 class FaultInjector:

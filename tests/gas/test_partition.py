@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import PartitionError
-from repro.gas.partition import (
+from repro.runtime.partition import (
     GreedyVertexCut,
     Partitioner,
     RandomVertexCut,

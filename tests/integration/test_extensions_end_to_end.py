@@ -16,7 +16,7 @@ import pytest
 from repro.eval.metrics import evaluate_predictions
 from repro.eval.protocol import remove_random_edges
 from repro.gas.cluster import TYPE_I, cluster_of
-from repro.gas.partition import HdrfVertexCut
+from repro.runtime.partition import HdrfVertexCut
 from repro.graph.attributes import generate_profiles
 from repro.graph.datasets import load_dataset
 from repro.snaple import (

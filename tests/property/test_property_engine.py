@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.gas.cluster import TYPE_I, cluster_of
 from repro.gas.engine import GasEngine
-from repro.gas.partition import partition_graph
+from repro.runtime.partition import partition_graph
 from repro.gas.vertex_program import VertexProgram
 from repro.graph.generators import powerlaw_cluster
 from repro.snaple.config import SnapleConfig

@@ -7,7 +7,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bsp.partition import (
+from repro.runtime.partition import (
     BlockVertexPartitioner,
     HashVertexPartitioner,
     partition_vertices,

@@ -2,10 +2,11 @@
 
 The acceptance bar of the fault-tolerance layer, asserted here:
 
-* killing worker N at *every* superstep K, across {gas, bsp} × {dict,
-  columnar} × {1, 4 workers}, yields a recovered run whose predictions,
-  candidate scores (bit-exact floats) and deterministic accounting counters
-  are identical to an uninterrupted run;
+* killing worker N at *every* superstep K, across {gas, bsp} × {1, 4
+  workers}, yields a recovered run whose predictions, candidate scores
+  (bit-exact floats) and deterministic accounting counters are identical to
+  an uninterrupted run — for custom-callable configurations too, whose GAS
+  workers run the scalar step programs on the same columnar plane;
 * a corrupted checkpoint shard or truncated manifest is detected (SHA-256 /
   manifest validation) and surfaces as a clean
   :class:`~repro.errors.CheckpointError`, never as silently wrong results;
@@ -32,8 +33,14 @@ from repro.runtime.checkpoint import (
     save_checkpoint,
 )
 from repro.runtime.parallel import ParallelExecutor
+from repro.runtime.shm import shm_available
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
+from tests.conftest import (
+    assert_matches_reference,
+    scalar_reference,
+    unsupported_kernel_config,
+)
 
 
 def grid_graph(random_graph):
@@ -44,23 +51,13 @@ def grid_config() -> SnapleConfig:
     return SnapleConfig.paper_default(seed=3, k_local=6)
 
 
-@pytest.fixture(params=["columnar", "dict"])
-def state_flavour(request, monkeypatch):
-    """Run the test under both state planes (PR 4's escape hatch)."""
-    if request.param == "dict":
-        monkeypatch.setenv("SNAPLE_DICT_STATE", "1")
-    else:
-        monkeypatch.delenv("SNAPLE_DICT_STATE", raising=False)
-    return request.param
+#: Uninterrupted baselines, computed once per (kind, workers) cell of the
+#: grid — every kill-at-K case compares against the same baseline.
+_BASELINES: dict[tuple[str, int], object] = {}
 
 
-#: Uninterrupted baselines, computed once per (kind, workers, flavour) cell
-#: of the grid — every kill-at-K case compares against the same baseline.
-_BASELINES: dict[tuple[str, int, str], object] = {}
-
-
-def baseline_report(graph, kind: str, workers: int, flavour: str):
-    key = (kind, workers, flavour)
+def baseline_report(graph, kind: str, workers: int):
+    key = (kind, workers)
     if key not in _BASELINES:
         predictor = SnapleLinkPredictor(grid_config())
         _BASELINES[key] = predictor.predict(graph, backend=kind,
@@ -90,10 +87,10 @@ class TestKillWorkerResumeParity:
     @pytest.mark.parametrize("kind,superstep",
                              [("gas", k) for k in range(3)]
                              + [("bsp", k) for k in range(4)])
-    def test_kill_at_superstep(self, kind, superstep, workers, state_flavour,
+    def test_kill_at_superstep(self, kind, superstep, workers,
                                fault_injector, tmp_path, random_graph):
         graph = grid_graph(random_graph)
-        baseline = baseline_report(graph, kind, workers, state_flavour)
+        baseline = baseline_report(graph, kind, workers)
         fault = fault_injector.kill_worker(superstep, partition=workers - 1)
         predictor = SnapleLinkPredictor(grid_config())
         recovered = predictor.predict(
@@ -106,10 +103,31 @@ class TestKillWorkerResumeParity:
         assert recovered.extra["resumed_from_superstep"] == float(superstep)
         assert_bit_identical(baseline, recovered)
 
+    @pytest.mark.skipif(not shm_available(),
+                        reason="platform lacks POSIX shared memory")
+    def test_custom_config_recovers_on_the_columnar_plane(
+            self, fault_injector, tmp_path, random_graph):
+        # A configuration outside the vectorized kernel runs the scalar step
+        # programs inside the columnar GAS task; a crash mid-run must still
+        # resume bit-identically, on the shared-memory plane.
+        graph = grid_graph(random_graph)
+        config = unsupported_kernel_config()
+        fault = fault_injector.kill_worker(1, partition=3)
+        predictor = SnapleLinkPredictor(config)
+        recovered = predictor.predict(
+            graph, backend="gas", workers=4,
+            checkpoint_dir=tmp_path / "ckpt", fault=fault,
+        )
+        assert recovered.extra["worker_restarts"] == 1.0
+        assert recovered.extra["resumed_from_superstep"] == 1.0
+        assert recovered.extra["shm_enabled"] == 1.0
+        assert_matches_reference(recovered,
+                                 scalar_reference(graph, config, "gas"))
+
     def test_crash_without_checkpoints_replays_from_scratch(
             self, fault_injector, random_graph):
         graph = grid_graph(random_graph)
-        baseline = baseline_report(graph, "gas", 2, "columnar")
+        baseline = baseline_report(graph, "gas", 2)
         fault = fault_injector.kill_worker(2, partition=0)
         predictor = SnapleLinkPredictor(grid_config())
         recovered = predictor.predict(graph, backend="gas", workers=2,
@@ -130,10 +148,10 @@ class TestKillWorkerResumeParity:
 
     def test_partitioner_choice_survives_recovery(self, fault_injector,
                                                   tmp_path, random_graph):
-        from repro.gas.partition import GreedyVertexCut
+        from repro.runtime.partition import GreedyVertexCut
 
         graph = grid_graph(random_graph)
-        baseline = baseline_report(graph, "gas", 2, "columnar")
+        baseline = baseline_report(graph, "gas", 2)
         fault = fault_injector.kill_worker(1, partition=1)
         predictor = SnapleLinkPredictor(grid_config())
         recovered = predictor.predict(
@@ -149,10 +167,10 @@ class TestExplicitResume:
     """An interrupted run restores from resume_from, bit-identically."""
 
     @pytest.mark.parametrize("kind", ["gas", "bsp"])
-    def test_crash_then_resume(self, kind, state_flavour, fault_injector,
-                               tmp_path, random_graph):
+    def test_crash_then_resume(self, kind, fault_injector, tmp_path,
+                               random_graph):
         graph = grid_graph(random_graph)
-        baseline = baseline_report(graph, kind, 2, state_flavour)
+        baseline = baseline_report(graph, kind, 2)
         checkpoint_dir = tmp_path / "ckpt"
         fault = fault_injector.kill_worker(2, partition=0)
         predictor = SnapleLinkPredictor(grid_config())
@@ -167,7 +185,7 @@ class TestExplicitResume:
 
     def test_resume_from_specific_step_dir(self, tmp_path, random_graph):
         graph = grid_graph(random_graph)
-        baseline = baseline_report(graph, "gas", 2, "columnar")
+        baseline = baseline_report(graph, "gas", 2)
         checkpoint_dir = tmp_path / "ckpt"
         predictor = SnapleLinkPredictor(grid_config())
         predictor.predict(graph, backend="gas", workers=2,
@@ -183,7 +201,7 @@ class TestExplicitResume:
         # A crash in a resumed run without a checkpoint_dir must retry from
         # the explicitly supplied checkpoint, not replay from scratch.
         graph = grid_graph(random_graph)
-        baseline = baseline_report(graph, "bsp", 2, "columnar")
+        baseline = baseline_report(graph, "bsp", 2)
         checkpoint_dir = tmp_path / "ckpt"
         first_fault = fault_injector.kill_worker(2, partition=0)
         predictor = SnapleLinkPredictor(grid_config())
@@ -263,7 +281,7 @@ class TestCorruptionDetection:
         # Auto-recovery (unlike explicit resume) may skip a corrupt newest
         # checkpoint: determinism makes any older snapshot equally correct.
         graph = grid_graph(random_graph)
-        baseline = baseline_report(graph, "gas", 2, "columnar")
+        baseline = baseline_report(graph, "gas", 2)
         checkpoint_dir = tmp_path / "ckpt"
         predictor = SnapleLinkPredictor(grid_config())
         predictor.predict(graph, backend="gas", workers=2,
@@ -315,10 +333,17 @@ class TestResumeValidation:
             predictor.predict(other_graph, backend="gas", workers=2,
                               resume_from=checkpoint_dir)
 
-    def test_wrong_flavour_rejected(self, tmp_path, random_graph,
-                                    monkeypatch):
+    def test_wrong_flavour_rejected(self, tmp_path, random_graph):
+        # A snapshot of another state layout (the fingerprint names it) is
+        # refused by name rather than restored into the columnar store.
+        import json
+
         graph, checkpoint_dir = self.write_checkpoint(tmp_path, random_graph)
-        monkeypatch.setenv("SNAPLE_DICT_STATE", "1")
+        for step_dir in list_checkpoint_dirs(checkpoint_dir):
+            manifest_path = step_dir / "manifest.json"
+            manifest = json.loads(manifest_path.read_text())
+            manifest["fingerprint"]["flavour"] = "dict"
+            manifest_path.write_text(json.dumps(manifest))
         predictor = SnapleLinkPredictor(grid_config())
         with pytest.raises(CheckpointError, match="flavour"):
             predictor.predict(graph, backend="gas", workers=2,
@@ -448,7 +473,7 @@ class TestCheckpointModule:
     def synthetic(self, superstep: int = 1) -> CheckpointData:
         return CheckpointData(
             kind="gas",
-            flavour="dict",
+            flavour="columnar",
             superstep=superstep,
             workers=2,
             fingerprint={"num_vertices": 4, "seed": 7},

@@ -20,7 +20,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.gas.cluster import TYPE_I, cluster_of
-from repro.gas.partition import GreedyVertexCut
+from repro.runtime.partition import GreedyVertexCut
 from repro.runtime import available_backends, backend_capabilities, get_backend
 from repro.runtime.report import RunReport
 from repro.snaple.config import SnapleConfig

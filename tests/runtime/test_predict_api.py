@@ -1,4 +1,4 @@
-"""The unified ``predict``/``predict_iter`` surface and the deprecation shims."""
+"""The unified ``predict``/``predict_iter`` surface and the result helpers."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ import math
 
 import pytest
 
+from repro.baselines.gas_baseline import GasBaselinePredictor
 from repro.errors import ConfigurationError
-from repro.gas.cluster import TYPE_I, cluster_of
 from repro.runtime.report import VertexPrediction
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import PredictionResult, SnapleLinkPredictor
@@ -38,24 +38,14 @@ class TestPredictDispatch:
         assert "'local'" in message
         assert "'cluster'" in message
 
-    def test_mode_alias_is_deprecated_and_keeps_legacy_return_type(
-            self, small_social_graph):
-        predictor = SnapleLinkPredictor(SnapleConfig(k_local=5))
-        with pytest.warns(DeprecationWarning, match="mode"):
-            result = predictor.predict(small_social_graph, mode="local")
-        assert isinstance(result, PredictionResult)
-        assert result.predictions
-        with pytest.warns(DeprecationWarning):
-            gas = predictor.predict(small_social_graph, mode="gas")
-        assert isinstance(gas, PredictionResult)
-        assert gas.gas_result is not None
-
+    @pytest.mark.parametrize("mode", ["spark", "gas"])
     def test_mode_that_is_no_backend_is_treated_as_execution_mode(
-            self, small_social_graph):
-        # Not a backend name -> passed to the default (local) backend as its
-        # execution mode, which rejects unknown values.
+            self, small_social_graph, mode):
+        # Passed to the default (local) backend as its execution mode, which
+        # rejects unknown values — a backend name ("gas") included: mode
+        # never selects a backend.
         with pytest.raises(ConfigurationError, match="mode"):
-            SnapleLinkPredictor().predict(small_social_graph, mode="spark")
+            SnapleLinkPredictor().predict(small_social_graph, mode=mode)
 
     def test_mode_selects_local_kernel(self, small_social_graph):
         predictor = SnapleLinkPredictor(SnapleConfig(k_local=5))
@@ -120,38 +110,33 @@ class TestPredictIter:
         assert record.top == expected
 
 
-class TestDeprecationShims:
-    def test_predict_local_warns_and_matches_new_api(self, small_social_graph,
-                                                     parity_config):
-        predictor = SnapleLinkPredictor(parity_config)
-        with pytest.warns(DeprecationWarning, match="predict_local"):
-            legacy = predictor.predict_local(small_social_graph)
-        assert isinstance(legacy, PredictionResult)
-        report = predictor.predict(small_social_graph, backend="local")
-        assert legacy.predictions == report.predictions
-        assert legacy.scores == report.scores
-        assert legacy.simulated_seconds is None
-        assert legacy.gas_result is None
+class TestResultHelpers:
+    def test_baseline_result_predicted_edges(self, small_social_graph):
+        result = GasBaselinePredictor(k=3).predict_gas(small_social_graph,
+                                                       enforce_memory=False)
+        edges = result.predicted_edges()
+        assert edges == {(u, z) for u, targets in result.predictions.items()
+                         for z in targets}
+        assert any(edges)
 
-    def test_predict_gas_warns_and_keeps_accounting(self, small_social_graph,
-                                                    parity_config):
-        predictor = SnapleLinkPredictor(parity_config)
-        cluster = cluster_of(TYPE_I, 4)
-        with pytest.warns(DeprecationWarning, match="predict_gas"):
-            legacy = predictor.predict_gas(small_social_graph, cluster=cluster)
-        assert isinstance(legacy, PredictionResult)
-        assert legacy.simulated_seconds > 0
-        assert legacy.gas_result is not None
-        assert legacy.gas_result.metrics.total_network_bytes > 0
-        report = predictor.predict(small_social_graph, backend="gas",
-                                   cluster=cluster)
-        assert legacy.predictions == report.predictions
+    def test_prediction_result_helpers_match_run_report(self,
+                                                        small_social_graph,
+                                                        parity_config):
+        # Callers of the removed predict_local/predict_gas shims now get a
+        # RunReport with the same helpers PredictionResult carries.
+        report = SnapleLinkPredictor(parity_config).predict(
+            small_social_graph, backend="local"
+        )
+        result = PredictionResult(
+            predictions=report.predictions, scores=dict(report.scores),
+            config=parity_config,
+            wall_clock_seconds=report.wall_clock_seconds,
+        )
+        assert result.predicted_edges() == report.predicted_edges()
+        for u in small_social_graph.vertices():
+            assert result.top_prediction(u) == report.top_prediction(u)
+        assert result.top_prediction(-1) is None
 
-    def test_shim_results_keep_helper_methods(self, small_social_graph,
-                                              parity_config):
-        with pytest.warns(DeprecationWarning):
-            legacy = SnapleLinkPredictor(parity_config).predict_local(
-                small_social_graph
-            )
-        edges = legacy.predicted_edges()
-        assert all(isinstance(edge, tuple) for edge in edges)
+    def test_shims_are_gone(self):
+        for name in ("predict_local", "predict_gas"):
+            assert not hasattr(SnapleLinkPredictor, name)

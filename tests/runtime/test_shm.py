@@ -8,9 +8,9 @@ Three guarantees are pinned here:
 * **lifecycle** — every segment the coordinator creates is unlinked again,
   whether the run succeeds, a worker crashes, or the run resumes from a
   checkpoint; ``list_segments()`` doubles as the CI leak check;
-* **parity** — predictions, scores and deterministic accounting are
-  bit-identical across the three state planes (dict, columnar-pickled,
-  columnar-shm) and across worker counts;
+* **parity** — predictions and scores equal the serial scalar reference,
+  and deterministic accounting is identical, on both transports (pickled
+  slices, shm descriptors) and across worker counts;
 * **economy** — the bytes actually crossing the pipe shrink when the
   transport switches from pickled slices to descriptors.
 """
@@ -42,6 +42,7 @@ from repro.runtime.state import (
 )
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
+from tests.conftest import assert_matches_reference, scalar_reference
 
 pytestmark = pytest.mark.skipif(
     not shm_available(), reason="platform lacks POSIX shared memory"
@@ -398,53 +399,44 @@ class TestRunLifecycle:
 
 
 # ----------------------------------------------------------------------
-# Three-plane parity grid
+# Transport parity grid
 # ----------------------------------------------------------------------
-@pytest.fixture(params=["dict", "columnar", "shm"])
-def state_plane(request, monkeypatch):
-    """dict / columnar-pickled / columnar-shm, via the two escape hatches."""
-    monkeypatch.delenv("SNAPLE_DICT_STATE", raising=False)
-    monkeypatch.delenv("SNAPLE_NO_SHM", raising=False)
-    if request.param == "dict":
-        monkeypatch.setenv("SNAPLE_DICT_STATE", "1")
-    elif request.param == "columnar":
+@pytest.fixture(params=["pickled", "shm"])
+def transport(request, monkeypatch):
+    """Columnar state over pickled slices or shared-memory descriptors."""
+    if request.param == "pickled":
         monkeypatch.setenv("SNAPLE_NO_SHM", "1")
+    else:
+        monkeypatch.delenv("SNAPLE_NO_SHM", raising=False)
     return request.param
 
 
-class TestStatePlaneParityGrid:
-    """{dict, columnar, shm} × {gas, bsp} × {1, 4 workers}: one answer."""
+class TestTransportParityGrid:
+    """{pickled, shm} × {gas, bsp} × {1, 4 workers} == scalar reference."""
 
-    _reference: dict[tuple[str, int], object] = {}
+    _references: dict[str, tuple] = {}
+    _accounting: dict[tuple[str, int], list] = {}
 
     @pytest.mark.parametrize("backend", ["gas", "bsp"])
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_grid_cell_matches_reference(self, backend, workers, state_plane,
+    def test_grid_cell_matches_reference(self, backend, workers, transport,
                                          random_graph):
         graph = parity_graph(random_graph)
-        with SnapleLinkPredictor(parity_config()) as predictor:
+        config = parity_config()
+        if backend not in self._references:
+            self._references[backend] = scalar_reference(graph, config,
+                                                         backend)
+        with SnapleLinkPredictor(config) as predictor:
             run = predictor.predict(graph, backend=backend, workers=workers)
-        key = (backend, workers)
-        reference = self._reference.setdefault(
-            key, {"predictions": run.predictions,
-                  "scores": dict(run.scores),
-                  "supersteps": run.supersteps}
-        )
-        assert run.predictions == reference["predictions"]
-        assert dict(run.scores) == reference["scores"]
-        assert run.supersteps == reference["supersteps"]
-        # shipped_bytes accounting is columnar-specific (the dict plane
-        # charges pickled payload sizes); within the columnar family the
-        # shm and pickled transports must agree exactly.
-        if state_plane != "dict":
-            accounting = [
-                (p.gather_invocations, p.apply_invocations, p.shipped_bytes)
-                for p in run.partition_reports
-            ]
-            columnar_key = ("columnar",) + key
-            columnar_ref = self._reference.setdefault(columnar_key,
-                                                      accounting)
-            assert accounting == columnar_ref
-        if workers > 1 and state_plane == "shm":
-            assert run.extra["shm_enabled"] == 1.0
+        assert_matches_reference(run, self._references[backend])
+        # Deterministic accounting, shipped boundary bytes included, is
+        # transport-independent: both transports must agree exactly.
+        accounting = [
+            (p.gather_invocations, p.apply_invocations, p.shipped_bytes)
+            for p in run.partition_reports
+        ]
+        expected = self._accounting.setdefault((backend, workers), accounting)
+        assert accounting == expected
+        if workers > 1:
+            assert run.extra["shm_enabled"] == float(transport == "shm")
         assert_no_leaked_segments()

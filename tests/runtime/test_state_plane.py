@@ -1,11 +1,10 @@
-"""The columnar state plane: store/block units plus dict-path parity.
+"""The columnar state plane: store/block units plus parallel parity.
 
-Covers the acceptance grid of the state-plane refactor: predictions and
-candidate scores must be bit-identical across {dict, columnar} × {gas, bsp}
-× {serial, workers=1, workers=4}, the ``SNAPLE_DICT_STATE=1`` escape hatch
-must actually flip the path, and the accounting (``payload_size_bytes``
-parity of :meth:`VertexRow.nbytes`, message-block payload bytes) must match
-the historical dict numbers exactly.
+Predictions and candidate scores of every ``workers=N`` run must equal the
+serial scalar reference exactly, for {kernel-supported, custom-callable}
+configurations × {gas, bsp} × {1, 4} workers; and the accounting
+(``payload_size_bytes`` parity of :meth:`VertexRow.nbytes`, message-block
+payload bytes) must match the per-vertex dict charges exactly.
 """
 
 from __future__ import annotations
@@ -21,15 +20,20 @@ from repro.runtime.state import (
     StateSchema,
     StateStore,
     common_state_schema,
-    dict_state_forced,
 )
+from repro.runtime.shm import shm_available
 from repro.snaple.bsp_program import (
     MESSAGE_BASE_BYTES,
     decode_snaple_inboxes,
     encode_snaple_messages,
 )
-from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
+from tests.conftest import (
+    assert_matches_reference,
+    scalar_reference,
+    truncating_config,
+    unsupported_kernel_config,
+)
 
 
 def snaple_like_schema() -> StateSchema:
@@ -206,7 +210,7 @@ class TestMessageBlock:
 
 
 # ----------------------------------------------------------------------
-# Dict-path parity: {dict, columnar} × {gas, bsp} × {serial, 1, 4 workers}
+# Parallel parity: {truncating, custom} × {gas, bsp} × {1, 4} workers
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module", name="parity_graph")
 def parity_graph_fixture(random_graph):
@@ -214,164 +218,74 @@ def parity_graph_fixture(random_graph):
     return random_graph(150, 3, 0.3, seed=11)
 
 
-def half_jaccard(left, right):
-    """A custom similarity outside the vectorized kernel's registry."""
-    union = len(left | right)
-    return 0.5 * len(left & right) / union if union else 0.0
+CONFIGS = {
+    "truncating": truncating_config,
+    # Outside the vectorized kernel: GAS workers run the scalar step
+    # programs over the shipped columns instead of the kernel.
+    "custom": unsupported_kernel_config,
+}
+
+_REFERENCES: dict[tuple[str, str], tuple] = {}
 
 
-def unsupported_kernel_config() -> SnapleConfig:
-    """A configuration the vectorized kernel cannot run (custom callable)."""
-    from repro.snaple.aggregators import get_aggregator
-    from repro.snaple.combinators import get_combinator
-    from repro.snaple.scoring import ScoreConfig
-
-    custom = ScoreConfig(
-        name="custom",
-        similarity_name="jaccard",
-        combinator=get_combinator("linear"),
-        aggregator=get_aggregator("Sum"),
-        similarity=half_jaccard,  # not the registry callable
-    )
-    return SnapleConfig(score=custom, k_local=8, seed=5)
-
-
-def truncating_config():
-    """Truncation and sampling both fire on this graph's degrees."""
-    return SnapleConfig.paper_default(seed=9, k_local=6,
-                                      truncation_threshold=5)
-
-
-def predict(graph, config, backend, workers, monkeypatch, *, dict_state):
-    if dict_state:
-        monkeypatch.setenv("SNAPLE_DICT_STATE", "1")
-    else:
-        monkeypatch.delenv("SNAPLE_DICT_STATE", raising=False)
-    options = {} if workers is None else {"workers": workers}
-    return SnapleLinkPredictor(config).predict(graph, backend=backend,
-                                               **options)
-
-
-class TestDictColumnarParity:
+class TestScalarReferenceParity:
+    @pytest.mark.parametrize("config_name", sorted(CONFIGS))
     @pytest.mark.parametrize("backend", ["gas", "bsp"])
-    @pytest.mark.parametrize("workers", [None, 1, 4])
-    def test_bit_identical_predictions_and_scores(self, backend, workers,
-                                                  monkeypatch, parity_graph):
-        graph = parity_graph
-        config = truncating_config()
-        columnar = predict(graph, config, backend, workers, monkeypatch,
-                           dict_state=False)
-        legacy = predict(graph, config, backend, workers, monkeypatch,
-                         dict_state=True)
-        assert columnar.predictions == legacy.predictions
-        assert columnar.scores == legacy.scores
-        assert columnar.supersteps == legacy.supersteps
-
-    @pytest.mark.parametrize("backend", ["gas", "bsp"])
-    def test_parity_with_unsupported_kernel_config(self, backend, monkeypatch,
-                                                   parity_graph):
-        """Configs outside the vectorized kernel still agree across paths.
-
-        The columnar GAS executor requires the kernel, so it falls back to
-        the dict path for such configurations; the BSP executor runs them
-        columnar.  Either way the answers must be identical.
-        """
-        graph = parity_graph
-        config = unsupported_kernel_config()
-        columnar = predict(graph, config, backend, 4, monkeypatch,
-                           dict_state=False)
-        legacy = predict(graph, config, backend, 4, monkeypatch,
-                         dict_state=True)
-        assert columnar.predictions == legacy.predictions
-        assert columnar.scores == legacy.scores
-
-    def test_simulated_accounting_identical_across_paths(self, monkeypatch,
-                                                         parity_graph):
-        """Network/memory/simulated-time numbers must not drift either."""
-        from repro.gas.cluster import TYPE_I, cluster_of
-
-        graph = parity_graph
-        config = truncating_config()
-        for backend in ("gas", "bsp"):
-            predictor = SnapleLinkPredictor(config)
-            monkeypatch.setenv("SNAPLE_DICT_STATE", "1")
-            legacy = predictor.predict(graph, backend=backend,
-                                       cluster=cluster_of(TYPE_I, 4))
-            monkeypatch.delenv("SNAPLE_DICT_STATE")
-            columnar = predictor.predict(graph, backend=backend,
-                                         cluster=cluster_of(TYPE_I, 4))
-            assert columnar.network_bytes == legacy.network_bytes
-            assert columnar.peak_memory_bytes == legacy.peak_memory_bytes
-            assert columnar.simulated_seconds == legacy.simulated_seconds
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_parallel_run_equals_scalar_reference(self, config_name, backend,
+                                                  workers, parity_graph):
+        config = CONFIGS[config_name]()
+        key = (config_name, backend)
+        if key not in _REFERENCES:
+            _REFERENCES[key] = scalar_reference(parity_graph, config, backend)
+        with SnapleLinkPredictor(config) as predictor:
+            report = predictor.predict(parity_graph, backend=backend,
+                                       workers=workers)
+        assert_matches_reference(report, _REFERENCES[key])
+        assert report.extra["state_columnar"] == 1.0
+        if workers > 1 and shm_available():
+            assert report.extra["shm_enabled"] == 1.0
 
 
-class TestEscapeHatch:
-    def test_reports_record_which_state_path_ran(self, monkeypatch,
-                                                 parity_graph):
-        graph = parity_graph
-        config = truncating_config()
-        predictor = SnapleLinkPredictor(config)
-        monkeypatch.delenv("SNAPLE_DICT_STATE", raising=False)
-        assert not dict_state_forced()
-        for options in ({}, {"workers": 2}):
-            report = predictor.predict(graph, backend="gas", **options)
-            assert report.extra["state_columnar"] == 1.0
-            assert report.extra["state_plane_peak_bytes"] > 0
-        monkeypatch.setenv("SNAPLE_DICT_STATE", "1")
-        assert dict_state_forced()
-        for options in ({}, {"workers": 2}):
-            report = predictor.predict(graph, backend="gas", **options)
-            assert report.extra["state_columnar"] == 0.0
+class TestStatePlaneReporting:
+    def test_reports_record_the_columnar_plane(self, parity_graph):
+        with SnapleLinkPredictor(truncating_config()) as predictor:
+            for options in ({}, {"workers": 2}):
+                report = predictor.predict(parity_graph, backend="gas",
+                                           **options)
+                assert report.extra["state_columnar"] == 1.0
+                assert report.extra["state_plane_peak_bytes"] > 0
 
-    def test_engine_exposes_state_store_only_on_columnar_path(self, monkeypatch,
-                                                              parity_graph):
+    def test_engine_uses_a_store_only_for_declared_schemas(self,
+                                                           parity_graph):
+        from repro.baselines.gas_baseline import (
+            DirectScoringStep,
+            NeighborhoodPropagationStep,
+        )
         from repro.gas.engine import GasEngine
         from repro.snaple.program import build_snaple_steps
+        from repro.snaple.similarity import jaccard
 
         graph = parity_graph
-        config = truncating_config()
-        monkeypatch.delenv("SNAPLE_DICT_STATE", raising=False)
         engine = GasEngine(graph=graph)
-        engine.run(build_snaple_steps(config, graph))
+        engine.run(build_snaple_steps(truncating_config(), graph))
         assert engine.state_store is not None
         assert engine.state_store.nbytes() > 0
         assert engine.memory.state_plane_peak_bytes > 0
 
-        monkeypatch.setenv("SNAPLE_DICT_STATE", "1")
-        engine = GasEngine(graph=graph)
-        engine.run(build_snaple_steps(config, graph))
+        # Programs that declare no schema (the baselines) keep dicts.
+        engine = GasEngine(graph=graph, enforce_memory=False)
+        engine.run([NeighborhoodPropagationStep(graph),
+                    DirectScoringStep(5, jaccard)])
         assert engine.state_store is None
 
-    def test_parallel_reports_routing_overhead_per_superstep(self, monkeypatch,
+    def test_parallel_reports_routing_overhead_per_superstep(self,
                                                              parity_graph):
-        monkeypatch.delenv("SNAPLE_DICT_STATE", raising=False)
-        graph = parity_graph
         report = SnapleLinkPredictor(truncating_config()).predict(
-            graph, backend="bsp", workers=2
+            parity_graph, backend="bsp", workers=2
         )
         supersteps = report.supersteps
         assert report.extra["routing_seconds"] >= 0.0
         for index in range(supersteps):
             assert f"routing_seconds_step{index}" in report.extra
             assert f"state_plane_bytes_step{index}" in report.extra
-
-
-# ----------------------------------------------------------------------
-# Partition consolidation (satellite): shims re-export one implementation
-# ----------------------------------------------------------------------
-class TestPartitionConsolidation:
-    def test_gas_shim_reexports_runtime_partition(self):
-        import repro.gas.partition as gas_partition
-        import repro.runtime.partition as runtime_partition
-
-        assert gas_partition.partition_graph is runtime_partition.partition_graph
-        assert gas_partition.GraphPartition is runtime_partition.GraphPartition
-        assert gas_partition.HdrfVertexCut is runtime_partition.HdrfVertexCut
-
-    def test_bsp_shim_reexports_runtime_partition(self):
-        import repro.bsp.partition as bsp_partition
-        import repro.runtime.partition as runtime_partition
-
-        assert bsp_partition.partition_vertices is runtime_partition.partition_vertices
-        assert bsp_partition.VertexPartition is runtime_partition.VertexPartition
-        assert bsp_partition.HashVertexPartitioner is runtime_partition.HashVertexPartitioner

@@ -3,8 +3,7 @@
 The acceptance contract of the serving subsystem: at any point in an edge
 stream the service's predictions *and scores* are bit-identical to a cold
 batch ``predict`` over the merged graph — for the parallel ``gas`` and
-``bsp`` backends (the per-vertex-RNG paths) on both the columnar and the
-legacy dict state planes (``SNAPLE_DICT_STATE=1``).
+``bsp`` backends (the per-vertex-RNG paths).
 """
 
 from __future__ import annotations
@@ -71,14 +70,7 @@ def streamed_service(random_graph):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 @pytest.mark.parametrize("backend", ["gas", "bsp"])
-@pytest.mark.parametrize("dict_state", [False, True],
-                         ids=["columnar", "dict-state"])
-def test_stream_matches_cold_batch(streamed_service, monkeypatch, name,
-                                   backend, dict_state):
-    if dict_state:
-        monkeypatch.setenv("SNAPLE_DICT_STATE", "1")
-    else:
-        monkeypatch.delenv("SNAPLE_DICT_STATE", raising=False)
+def test_stream_matches_cold_batch(streamed_service, name, backend):
     service, merged = streamed_service[name]
     report = SnapleLinkPredictor(CONFIGS[name]).predict(
         merged, backend=backend, workers=1

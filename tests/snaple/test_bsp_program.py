@@ -6,11 +6,11 @@ import math
 
 import pytest
 
-from repro.bsp.partition import BlockVertexPartitioner
+from repro.runtime.partition import BlockVertexPartitioner
 from repro.eval.metrics import evaluate_predictions
 from repro.eval.protocol import remove_random_edges
 from repro.gas.cluster import TYPE_II, cluster_of
-from repro.gas.partition import GreedyVertexCut
+from repro.runtime.partition import GreedyVertexCut
 from repro.snaple.bsp_program import SnapleBspPredictor, SnapleBspProgram
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
