@@ -1,9 +1,11 @@
 """Hypothesis properties of the shared-nothing parallel execution layer.
 
-Two properties pin down what makes parallel execution trustworthy:
+Three properties pin down what makes parallel execution trustworthy:
 
 * **determinism** — for a fixed seed, running the same parallel
   configuration twice produces bit-identical predictions and scores;
+* **one reference** — every parallel run equals the serial scalar engine
+  (``tests.conftest.scalar_reference``) in predictions and scores;
 * **partition independence** — the number of partitions/workers (and the
   partitioner placing them) never changes the predictions, only the
   accounting.
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from repro.graph.generators import powerlaw_cluster
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
+from tests.conftest import assert_matches_reference, scalar_reference
 
 graphs = st.builds(
     powerlaw_cluster,
@@ -55,6 +58,20 @@ class TestParallelDeterminism:
         assert first.predictions == second.predictions
         assert first.scores == second.scores
         assert first.supersteps == second.supersteps
+
+
+class TestScalarReference:
+    @settings(max_examples=5, deadline=None)
+    @given(graph=graphs, config=configs,
+           backend=st.sampled_from(["gas", "bsp"]),
+           workers=st.sampled_from([1, 4]))
+    def test_parallel_run_equals_serial_scalar_engine(self, graph, config,
+                                                      backend, workers):
+        with SnapleLinkPredictor(config) as predictor:
+            report = predictor.predict(graph, backend=backend,
+                                       workers=workers)
+        assert_matches_reference(report,
+                                 scalar_reference(graph, config, backend))
 
 
 class TestPartitionIndependence:

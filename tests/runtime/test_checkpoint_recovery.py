@@ -51,15 +51,22 @@ def grid_config() -> SnapleConfig:
     return SnapleConfig.paper_default(seed=3, k_local=6)
 
 
-#: Uninterrupted baselines, computed once per (kind, workers) cell of the
-#: grid — every kill-at-K case compares against the same baseline.
-_BASELINES: dict[tuple[str, int], object] = {}
+#: The crash grid's configurations: one the vectorized kernel runs, and a
+#: custom callable whose GAS workers run the scalar step programs.
+GRID_CONFIGS = {
+    "paper": grid_config,
+    "custom": unsupported_kernel_config,
+}
+
+#: Uninterrupted baselines, computed once per (config, kind, workers) cell
+#: of the grid — every kill-at-K case compares against the same baseline.
+_BASELINES: dict[tuple[str, str, int], object] = {}
 
 
-def baseline_report(graph, kind: str, workers: int):
-    key = (kind, workers)
+def baseline_report(graph, kind: str, workers: int, config_name="paper"):
+    key = (config_name, kind, workers)
     if key not in _BASELINES:
-        predictor = SnapleLinkPredictor(grid_config())
+        predictor = SnapleLinkPredictor(GRID_CONFIGS[config_name]())
         _BASELINES[key] = predictor.predict(graph, backend=kind,
                                             workers=workers)
     return _BASELINES[key]
@@ -87,12 +94,13 @@ class TestKillWorkerResumeParity:
     @pytest.mark.parametrize("kind,superstep",
                              [("gas", k) for k in range(3)]
                              + [("bsp", k) for k in range(4)])
-    def test_kill_at_superstep(self, kind, superstep, workers,
+    @pytest.mark.parametrize("config_name", sorted(GRID_CONFIGS))
+    def test_kill_at_superstep(self, config_name, kind, superstep, workers,
                                fault_injector, tmp_path, random_graph):
         graph = grid_graph(random_graph)
-        baseline = baseline_report(graph, kind, workers)
+        baseline = baseline_report(graph, kind, workers, config_name)
         fault = fault_injector.kill_worker(superstep, partition=workers - 1)
-        predictor = SnapleLinkPredictor(grid_config())
+        predictor = SnapleLinkPredictor(GRID_CONFIGS[config_name]())
         recovered = predictor.predict(
             graph, backend=kind, workers=workers,
             checkpoint_dir=tmp_path / "ckpt", fault=fault,
@@ -167,13 +175,14 @@ class TestExplicitResume:
     """An interrupted run restores from resume_from, bit-identically."""
 
     @pytest.mark.parametrize("kind", ["gas", "bsp"])
-    def test_crash_then_resume(self, kind, fault_injector, tmp_path,
-                               random_graph):
+    @pytest.mark.parametrize("config_name", sorted(GRID_CONFIGS))
+    def test_crash_then_resume(self, config_name, kind, fault_injector,
+                               tmp_path, random_graph):
         graph = grid_graph(random_graph)
-        baseline = baseline_report(graph, kind, 2)
+        baseline = baseline_report(graph, kind, 2, config_name)
         checkpoint_dir = tmp_path / "ckpt"
         fault = fault_injector.kill_worker(2, partition=0)
-        predictor = SnapleLinkPredictor(grid_config())
+        predictor = SnapleLinkPredictor(GRID_CONFIGS[config_name]())
         with pytest.raises(WorkerCrashError):
             predictor.predict(graph, backend=kind, workers=2,
                               checkpoint_dir=checkpoint_dir,

@@ -10,7 +10,8 @@ Three guarantees are pinned here:
   checkpoint; ``list_segments()`` doubles as the CI leak check;
 * **parity** — predictions and scores equal the serial scalar reference,
   and deterministic accounting is identical, on both transports (pickled
-  slices, shm descriptors) and across worker counts;
+  slices, shm descriptors) and across worker counts, for kernel-supported
+  and custom-callable configurations alike;
 * **economy** — the bytes actually crossing the pipe shrink when the
   transport switches from pickled slices to descriptors.
 """
@@ -42,7 +43,11 @@ from repro.runtime.state import (
 )
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
-from tests.conftest import assert_matches_reference, scalar_reference
+from tests.conftest import (
+    assert_matches_reference,
+    scalar_reference,
+    unsupported_kernel_config,
+)
 
 pytestmark = pytest.mark.skipif(
     not shm_available(), reason="platform lacks POSIX shared memory"
@@ -411,31 +416,42 @@ def transport(request, monkeypatch):
     return request.param
 
 
-class TestTransportParityGrid:
-    """{pickled, shm} × {gas, bsp} × {1, 4 workers} == scalar reference."""
+#: A configuration the vectorized kernel runs, and a custom callable whose
+#: GAS workers run the scalar step programs over the same shipped columns.
+GRID_CONFIGS = {
+    "paper": parity_config,
+    "custom": unsupported_kernel_config,
+}
 
-    _references: dict[str, tuple] = {}
-    _accounting: dict[tuple[str, int], list] = {}
+
+class TestTransportParityGrid:
+    """{paper, custom} × {pickled, shm} × {gas, bsp} × {1, 4 workers}
+    == scalar reference."""
+
+    _references: dict[tuple[str, str], tuple] = {}
+    _accounting: dict[tuple[str, str, int], list] = {}
 
     @pytest.mark.parametrize("backend", ["gas", "bsp"])
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_grid_cell_matches_reference(self, backend, workers, transport,
-                                         random_graph):
+    @pytest.mark.parametrize("config_name", sorted(GRID_CONFIGS))
+    def test_grid_cell_matches_reference(self, config_name, backend, workers,
+                                         transport, random_graph):
         graph = parity_graph(random_graph)
-        config = parity_config()
-        if backend not in self._references:
-            self._references[backend] = scalar_reference(graph, config,
-                                                         backend)
+        config = GRID_CONFIGS[config_name]()
+        key = (config_name, backend)
+        if key not in self._references:
+            self._references[key] = scalar_reference(graph, config, backend)
         with SnapleLinkPredictor(config) as predictor:
             run = predictor.predict(graph, backend=backend, workers=workers)
-        assert_matches_reference(run, self._references[backend])
+        assert_matches_reference(run, self._references[key])
         # Deterministic accounting, shipped boundary bytes included, is
         # transport-independent: both transports must agree exactly.
         accounting = [
             (p.gather_invocations, p.apply_invocations, p.shipped_bytes)
             for p in run.partition_reports
         ]
-        expected = self._accounting.setdefault((backend, workers), accounting)
+        expected = self._accounting.setdefault((config_name, backend, workers),
+                                               accounting)
         assert accounting == expected
         if workers > 1:
             assert run.extra["shm_enabled"] == float(transport == "shm")

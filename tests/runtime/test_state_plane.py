@@ -279,6 +279,25 @@ class TestStatePlaneReporting:
                     DirectScoringStep(5, jaccard)])
         assert engine.state_store is None
 
+    def test_gas_package_exports_runtime_partition(self):
+        import repro.gas as gas
+        import repro.runtime.partition as runtime_partition
+
+        for name in ("GraphPartition", "Partitioner", "RandomVertexCut",
+                     "GreedyVertexCut", "HdrfVertexCut", "partition_graph"):
+            assert name in gas.__all__
+            assert getattr(gas, name) is getattr(runtime_partition, name)
+
+    def test_bsp_package_exports_runtime_partition(self):
+        import repro.bsp as bsp
+        import repro.runtime.partition as runtime_partition
+
+        for name in ("VertexPartition", "VertexPartitioner",
+                     "HashVertexPartitioner", "BlockVertexPartitioner",
+                     "partition_vertices"):
+            assert name in bsp.__all__
+            assert getattr(bsp, name) is getattr(runtime_partition, name)
+
     def test_parallel_reports_routing_overhead_per_superstep(self,
                                                              parity_graph):
         report = SnapleLinkPredictor(truncating_config()).predict(

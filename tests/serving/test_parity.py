@@ -3,7 +3,7 @@
 The acceptance contract of the serving subsystem: at any point in an edge
 stream the service's predictions *and scores* are bit-identical to a cold
 batch ``predict`` over the merged graph — for the parallel ``gas`` and
-``bsp`` backends (the per-vertex-RNG paths).
+``bsp`` backends (the per-vertex-RNG paths), on one worker or four.
 """
 
 from __future__ import annotations
@@ -70,11 +70,11 @@ def streamed_service(random_graph):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 @pytest.mark.parametrize("backend", ["gas", "bsp"])
-def test_stream_matches_cold_batch(streamed_service, name, backend):
+@pytest.mark.parametrize("workers", [1, 4])
+def test_stream_matches_cold_batch(streamed_service, name, backend, workers):
     service, merged = streamed_service[name]
-    report = SnapleLinkPredictor(CONFIGS[name]).predict(
-        merged, backend=backend, workers=1
-    )
+    with SnapleLinkPredictor(CONFIGS[name]) as predictor:
+        report = predictor.predict(merged, backend=backend, workers=workers)
     served = service.report()
     assert served.predictions == report.predictions
     for u in range(merged.num_vertices):
