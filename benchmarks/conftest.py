@@ -99,7 +99,7 @@ def save_json(results_dir):
     """Callable that persists a machine-readable payload to ``results/<name>.json``.
 
     This is how the repo records its perf trajectory: benchmarks write a
-    JSON record (e.g. ``BENCH_parallel.json``) that later sessions can diff
+    JSON record (e.g. ``BENCH_checkpoint.json``) that later runs can diff
     against instead of eyeballing rendered tables.
     """
 

@@ -717,8 +717,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.graph_format is not None:
         if args.workers is None:
             parser.error("--graph-format requires --workers")
-        # The executor reads the flag from the environment (and mirrors it
-        # into every worker), so the CLI only has to set it here.
+        # The coordinator reads the flag from the environment when it picks
+        # the segment plane, so the CLI only has to set it here.
         if args.graph_format == "memmap":
             os.environ["SNAPLE_OOC"] = "1"
         else:

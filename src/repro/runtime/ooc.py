@@ -1,10 +1,15 @@
-"""Out-of-core state plane: file-backed segments for parallel execution.
+"""Spool-file segments, and the choice of segment plane.
 
-The shared-memory plane (:mod:`repro.runtime.shm`) bounds the *transport*
-cost of shared-nothing execution but not its *memory* cost: every CSR array
-and every state column still occupies RAM-backed ``/dev/shm`` segments, so
-peak RSS grows linearly with the graph.  This module swaps the segment
-substrate from POSIX shared memory to plain files mapped with ``mmap``:
+Every ``workers=N`` run and every sharded service hosts its graph and state
+on one of two planes, chosen by :func:`segment_plane` and nowhere else:
+
+* **shm** — POSIX shared memory (:mod:`repro.runtime.shm`), when the
+  platform can create segments and ``SNAPLE_OOC`` is unset;
+* **spool** — plain files mapped with ``mmap`` (this module), everywhere
+  else: with ``SNAPLE_OOC=1`` (or ``snaple --graph-format memmap``) to
+  bound peak RSS, and on platforms without shared memory.
+
+On the spool plane:
 
 * the graph ships as a :class:`MemmapGraphHandle` — the path of an on-disk
   container (:mod:`repro.graph.storage`) each worker maps read-only in
@@ -25,21 +30,21 @@ under pressure: peak RSS stays bounded while the on-disk working set grows
 needs no flushing — coordinator writes and worker reads meet in the same
 page cache on one host.
 
-Everything else is inherited verbatim: :class:`MemmapRegistry` reuses the
-shm registry's packing, release and accounting logic because
+Everything else is shared with the shm plane: :class:`MemmapRegistry`
+reuses the shm registry's packing, release and accounting logic because
 :class:`FileSegment` duck-types ``multiprocessing.shared_memory``'s
 segment object (``name``/``buf``/``size``/``close``/``unlink`` plus the
 ``_buf``/``_mmap`` attributes the BufferError disarm path pokes), and
-:class:`MemmapColumnAllocator` *is* the shm column allocator over a
-different registry.  Results are bit-identical across the in-RAM, shm and
-memmap tiers — the parity suite asserts it — and checkpoints carry the
-``columnar`` flavour on all three, so resume works across tiers in both
-directions.
+:class:`~repro.runtime.shm.ShmColumnAllocator` allocates state columns
+over either registry.  Results and deterministic accounting are
+bit-identical on both planes — the parity grid asserts it — and
+checkpoints carry the ``columnar`` flavour on both, so resume works across
+planes in both directions.
 
-Enable with ``SNAPLE_OOC=1`` (or ``snaple --graph-format memmap``).  The
-spool directory is removed on registry close (``finally``-driven, like the
-shm plane); there is no resource-tracker backstop for plain files, so the
-CI job additionally asserts no ``snaple-ooc-*`` directories survive a run.
+The spool directory is removed on registry close (``finally``-driven, like
+the shm plane); there is no resource-tracker backstop for plain files, so
+the leak tests and CI additionally assert no ``snaple-ooc-*`` directory
+survives a run.
 """
 
 from __future__ import annotations
@@ -51,18 +56,18 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.runtime.shm import ShmColumnAllocator, ShmRegistry
+from repro.runtime.shm import ShmRegistry, shm_available
 from repro.runtime.state import env_flag
 
 __all__ = [
     "SPOOL_PREFIX",
     "FileSegment",
-    "MemmapColumnAllocator",
     "MemmapGraphHandle",
     "MemmapRegistry",
     "attach_file_segment",
     "list_spool_dirs",
     "ooc_enabled",
+    "segment_plane",
     "spool_graph",
 ]
 
@@ -72,8 +77,22 @@ SPOOL_PREFIX = "snaple-ooc-"
 
 
 def ooc_enabled() -> bool:
-    """Whether ``SNAPLE_OOC=1`` selects the out-of-core state plane."""
+    """Whether ``SNAPLE_OOC=1`` selects the spool plane."""
     return env_flag("SNAPLE_OOC")
+
+
+def segment_plane() -> type[ShmRegistry]:
+    """The registry class a run or service hosts its segments with.
+
+    :class:`~repro.runtime.shm.ShmRegistry` when the platform can create
+    shared-memory segments and ``SNAPLE_OOC`` is unset, otherwise
+    :class:`MemmapRegistry`.  This is the only place the plane is chosen.
+    Results are bit-identical on both, so the choice is not part of any
+    checkpoint fingerprint.
+    """
+    if shm_available() and not ooc_enabled():
+        return ShmRegistry
+    return MemmapRegistry
 
 
 def _spool_parent() -> str:
@@ -199,19 +218,9 @@ class MemmapRegistry(ShmRegistry):
         super().close()
         shutil.rmtree(self._spool_dir, ignore_errors=True)
 
-
-class MemmapColumnAllocator(ShmColumnAllocator):
-    """StateStore columns in spool files instead of shared memory.
-
-    The allocator logic is inherited untouched: ``empty``/``free``/
-    ``describe`` only speak to the registry and the segment's ``buf``/
-    ``name``, both of which :class:`FileSegment` provides.  Descriptors
-    produced by :meth:`describe` therefore carry file paths, which the
-    worker-side attachment cache maps read-only.
-    """
-
-    def __init__(self, registry: MemmapRegistry) -> None:
-        super().__init__(registry)
+    def host_graph(self, graph) -> "MemmapGraphHandle":
+        """Host ``graph`` on this plane: as an on-disk container."""
+        return spool_graph(self, graph)
 
 
 @dataclass(frozen=True)
@@ -228,7 +237,7 @@ class MemmapGraphHandle:
     num_vertices: int
     num_edges: int
 
-    def load(self):
+    def attach(self):
         """Map the container as a read-only graph (worker side)."""
         from repro.graph.storage import load_graph_memmap
 

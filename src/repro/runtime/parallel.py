@@ -21,14 +21,19 @@ the same superstep.  SNAPLE's Algorithm 2 satisfies this by construction
 (each step only reads keys written by earlier steps), which is why serial
 and parallel runs produce identical predictions.
 
-The data crossing process boundaries is columnar: vertex state lives in a
-coordinator-side :class:`~repro.runtime.state.StateStore`, boundary state
-ships as :class:`~repro.runtime.state.StateSlice` arrays, and BSP messages
-route as sender-sorted :class:`~repro.runtime.state.MessageBlock` arrays
-sliced per partition with :func:`np.searchsorted` — a handful of flat
-buffers per (step, partition).  Each kind has one coordinator loop; a GAS
-scoring configuration outside the vectorized kernel runs the scalar step
-programs inside the same worker task, over the same shipped columns.
+Graph and state live on one segment plane per run — POSIX shared memory,
+or spool files where there is none (:func:`repro.runtime.ooc.segment_plane`
+chooses).  Vertex state is a coordinator-side
+:class:`~repro.runtime.state.StateStore` whose columns are segments; a task
+receives only descriptors: a :class:`~repro.runtime.shm.ShmSliceHandle`
+(column handles plus the rows it reads) per state field group, and for BSP
+a :class:`~repro.runtime.shm.ShmMessageRange` over the superstep's
+sender-sorted inbox block, packed once and cut per partition with
+:func:`np.searchsorted`.  Workers gather those rows out of the mapped
+segments and return their updates as flat arrays.  Each kind has one
+coordinator loop; a GAS scoring configuration outside the vectorized kernel
+runs the scalar step programs inside the same worker task, over the same
+columns.
 
 Fault tolerance
 ---------------
@@ -113,13 +118,7 @@ from repro.runtime.checkpoint import (
     save_checkpoint,
     vertices_digest,
 )
-from repro.runtime.ooc import (
-    MemmapColumnAllocator,
-    MemmapGraphHandle,
-    MemmapRegistry,
-    ooc_enabled,
-    spool_graph,
-)
+from repro.runtime.ooc import MemmapGraphHandle, segment_plane
 from repro.runtime.partition import partition_graph, partition_vertices
 from repro.runtime.shm import (
     ShmColumnAllocator,
@@ -127,20 +126,11 @@ from repro.runtime.shm import (
     ShmMessageRange,
     ShmRegistry,
     ShmSliceHandle,
-    attach_graph,
     attachment_cache,
     message_block_handle,
-    share_graph,
-    shm_available,
-    shm_disabled,
     state_slice_handle,
 )
-from repro.runtime.state import (
-    MessageBlock,
-    StateSlice,
-    StateStore,
-    gather_slices,
-)
+from repro.runtime.state import MessageBlock, StateStore, gather_slices
 from repro.snaple.config import SnapleConfig
 
 __all__ = [
@@ -220,14 +210,13 @@ class ParallelRunOutcome:
 
     ``shm_enabled`` records whether the run hosted graph + state columns in
     shared memory and ``ooc_enabled`` whether they lived in on-disk spool
-    files instead (``SNAPLE_OOC=1``; at most one of the two is set);
+    files instead (exactly one of the two is set);
     ``transport_bytes`` carries the bytes that actually crossed the process
-    boundary per executed superstep (descriptors + row indices on the
-    shm/memmap paths, the slice/message arrays themselves on the
-    pickled path).  Unlike the deterministic ``shipped``/``exchanged``
-    accounting — which is transport-independent by design — transport bytes
-    are a measurement of the wire, so they are *not* checkpointed: a
-    resumed run reports entries only for the supersteps it replayed.
+    boundary per executed superstep (descriptors + row indices).  Unlike the
+    deterministic ``shipped``/``exchanged`` accounting — which is
+    plane-independent by design — transport bytes are a measurement of the
+    wire, so they are *not* checkpointed: a resumed run reports entries only
+    for the supersteps it replayed.
     """
 
     predictions: dict[int, list[int]]
@@ -315,20 +304,6 @@ _WORKER_GRAPH: DiGraph | None = None
 _WORKER_CONFIG: SnapleConfig | None = None
 _WORKER_FAULT: FaultSpec | None = None
 
-#: Environment flags mirrored from the coordinator into every worker.  With
-#: an explicit forkserver/spawn start method, workers would otherwise
-#: inherit the forkserver's (stale) environment rather than the settings in
-#: effect when the pool was created.
-_WORKER_ENV_FLAGS = ("SNAPLE_NO_SHM", "SNAPLE_OOC", "SNAPLE_OOC_DIR")
-
-
-def _worker_env_snapshot() -> dict[str, str]:
-    return {
-        name: os.environ[name]
-        for name in _WORKER_ENV_FLAGS
-        if name in os.environ
-    }
-
 
 def _watch_parent() -> None:
     """Hard-exit this worker the moment the coordinator process dies.
@@ -348,32 +323,19 @@ def _watch_parent() -> None:
     os._exit(3)
 
 
-def _init_worker(graph: DiGraph | ShmGraphHandle | MemmapGraphHandle,
+def _init_worker(graph: ShmGraphHandle | MemmapGraphHandle,
                  config: SnapleConfig,
-                 fault: FaultSpec | None = None,
-                 env: dict[str, str] | None = None) -> None:
-    """Pool initializer: install the graph, config and flags once per process.
+                 fault: FaultSpec | None = None) -> None:
+    """Pool initializer: install the graph, config and fault spec once.
 
-    On the shared-memory path the coordinator passes a
-    :class:`~repro.runtime.shm.ShmGraphHandle` instead of the graph itself:
-    the worker maps the coordinator's CSR segment once (read-only views,
-    pinned for the process lifetime) rather than unpickling an edge-array
-    copy per pool spawn.  On the out-of-core path the graph arrives as a
-    :class:`~repro.runtime.ooc.MemmapGraphHandle` — the path of an on-disk
-    container the worker maps read-only in O(1).
+    The graph arrives as the handle of the coordinator's graph plane — a
+    shared-memory segment or an on-disk container — which the worker maps
+    once as read-only views, pinned for the process lifetime.
     """
     global _WORKER_GRAPH, _WORKER_CONFIG, _WORKER_FAULT
-    if isinstance(graph, ShmGraphHandle):
-        graph = attach_graph(graph, attachment_cache())
-    elif isinstance(graph, MemmapGraphHandle):
-        graph = graph.load()
-    _WORKER_GRAPH = graph
+    _WORKER_GRAPH = graph.attach()
     _WORKER_CONFIG = config
     _WORKER_FAULT = fault
-    for name in _WORKER_ENV_FLAGS:
-        os.environ.pop(name, None)
-    if env:
-        os.environ.update(env)
     threading.Thread(target=_watch_parent, name="snaple-parent-watchdog",
                      daemon=True).start()
 
@@ -393,14 +355,14 @@ def _collect_segments(payload: Any, names: set[str]) -> None:
 
 
 def _materialize_payload(payload: Any) -> Any:
-    """Resolve shared-memory descriptors in a task payload into arrays.
+    """Resolve the descriptors in a task payload into arrays.
 
-    Plain payloads (``None``, :class:`StateSlice`, :class:`MessageBlock`,
-    tuples thereof) pass through untouched, so the worker task bodies are
-    identical on the pickled and shared-memory transports — which is what
-    keeps the two bit-identical.  Before materializing, attachments to
-    segments the payload no longer references are dropped (state columns
-    migrate to fresh segments when they grow).
+    A payload is ``None``, a :class:`~repro.runtime.shm.ShmSliceHandle`, a
+    :class:`~repro.runtime.shm.ShmMessageRange` or a tuple of these; each
+    handle becomes the :class:`~repro.runtime.state.StateSlice` /
+    :class:`~repro.runtime.state.MessageBlock` it describes.  Before
+    materializing, attachments to segments the payload no longer references
+    are dropped (state columns migrate to fresh segments when they grow).
     """
     names: set[str] = set()
     _collect_segments(payload, names)
@@ -422,30 +384,15 @@ def _resolve_payload(payload: Any, cache) -> Any:
 def _transport_nbytes(payload: Any) -> int:
     """Bytes a task payload actually ships across the process boundary.
 
-    On the shared-memory path this is descriptors plus row indices; on the
-    pickled path it is the arrays themselves (array body bytes — pickle
-    framing overhead is ignored on both sides).  The per-superstep totals
-    surface as ``transport_bytes`` in the run report so the two transports
-    can be compared directly.
+    Row indices plus the fixed-size range of a message handle; the segment
+    names are ignored, as is pickle framing.  The per-superstep totals
+    surface as ``transport_bytes`` in the run report.
     """
     if payload is None:
         return 0
     if isinstance(payload, tuple):
         return sum(_transport_nbytes(part) for part in payload)
-    if isinstance(payload, (ShmSliceHandle, ShmMessageRange)):
-        return payload.transport_nbytes()
-    if isinstance(payload, StateSlice):
-        total = int(payload.rows.nbytes)
-        for counts, ids, vals, present in payload.ragged.values():
-            total += int(counts.nbytes) + int(ids.nbytes) + int(present.nbytes)
-            if vals is not None:
-                total += int(vals.nbytes)
-        for values, present in payload.scalars.values():
-            total += int(values.nbytes) + int(present.nbytes)
-        return total
-    if isinstance(payload, MessageBlock):
-        return payload.nbytes()
-    return 0
+    return payload.transport_nbytes()
 
 
 def _gather_neighbors(graph: DiGraph, vertex: int,
@@ -533,14 +480,14 @@ def _gas_step_task_columnar(task):
     """One (partition, superstep) unit of GAS work, run in a worker process.
 
     ``task`` is ``(partition, step_index, active owned vertices (array),
-    payload)`` where the payload is the
-    :class:`~repro.runtime.state.StateSlice` (or pair of slices) the step
-    reads.  Everything crossing the process boundary — in both directions —
-    is a handful of flat arrays.  When the scoring configuration is inside
-    the vectorized design space (:func:`repro.snaple.kernel.kernel_supports`)
-    the kernel consumes the slices without per-vertex marshalling; it
-    replicates the scalar gather fold order and per-vertex RNG draws, so
-    both branches, serial engines and every worker count agree exactly.
+    payload)`` where the payload is the slice handle (or pair of handles)
+    of the state the step reads, ``None`` for the first step.  Results
+    return as a handful of flat arrays.  When the scoring configuration is
+    inside the vectorized design space
+    (:func:`repro.snaple.kernel.kernel_supports`) the kernel consumes the
+    materialized slices without per-vertex marshalling; it replicates the
+    scalar gather fold order and per-vertex RNG draws, so both branches,
+    serial engines and every worker count agree exactly.
     """
     from repro.snaple import kernel
 
@@ -584,14 +531,14 @@ def _gas_step_task_columnar(task):
 def _bsp_step_task_columnar(task):
     """One (partition, superstep) unit of BSP work, run in a worker process.
 
-    ``task`` is ``(partition, superstep, state slice, vertices to compute
-    (array), inbox MessageBlock, aggregated values)``.  The vertex programs
-    run unchanged against :class:`~repro.runtime.state.VertexRow` views over
-    a partition-local store (sized to the partition, with vertex ids
-    remapped to local row indices); state and messages cross the process
-    boundary as raw arrays.  Sent messages leave as one block so the
-    coordinator can deliver them in a globally deterministic (sender-sorted)
-    order.
+    ``task`` is ``(partition, superstep, state slice handle, vertices to
+    compute (array), inbox range handle or None, aggregated values)``.  The
+    vertex programs run unchanged against
+    :class:`~repro.runtime.state.VertexRow` views over a partition-local
+    store (sized to the partition, with vertex ids remapped to local row
+    indices).  Updates and sent messages return as raw arrays; sent messages
+    leave as one block so the coordinator can deliver them in a globally
+    deterministic (sender-sorted) order.
     """
     from repro.bsp.vertex import ComputeContext
     from repro.snaple.bsp_program import (
@@ -614,7 +561,7 @@ def _bsp_step_task_columnar(task):
     state_slice.rows = local_rows
     store.merge(state_slice)
     compute_list = compute.tolist()
-    inboxes = decode_snaple_inboxes(inbox_block)
+    inboxes = {} if inbox_block is None else decode_snaple_inboxes(inbox_block)
 
     program = SnapleBspProgram(config, per_vertex_rng=True)
     aggregator_fns = program.aggregators()
@@ -674,7 +621,7 @@ def _bsp_step_task_columnar(task):
 _FORKSERVER_PRELOADED = False
 
 
-def _pool_context():
+def pool_context():
     """An explicit spawn-family start method: forkserver, or spawn fallback.
 
     Plain ``fork`` is deliberately not used: forking a threaded parent
@@ -683,7 +630,8 @@ def _pool_context():
     ``forkserver`` keeps fork's cheap per-worker startup by forking from a
     clean, single-threaded server process; preloading this module there
     (pulling in numpy and the engine packages once) keeps repeated pool
-    creation fast.
+    creation fast.  The sharded serving plane spawns its shards through the
+    same helper, so the preload bookkeeping lives in one place.
     """
     global _FORKSERVER_PRELOADED
     if "forkserver" in multiprocessing.get_all_start_methods():
@@ -695,26 +643,28 @@ def _pool_context():
     return multiprocessing.get_context("spawn")
 
 
-def pool_context():
-    """Public alias of the executor's start-method choice.
-
-    Other process fan-outs (the sharded serving plane) must make the same
-    forkserver-or-spawn decision for the same thread-safety reasons; sharing
-    the helper keeps the preload bookkeeping in one place.
-    """
-    return _pool_context()
+def _spawn_pool(workers: int, graph: ShmGraphHandle | MemmapGraphHandle,
+                config: SnapleConfig,
+                fault: FaultSpec | None) -> ProcessPoolExecutor:
+    """A worker pool whose processes attach ``graph`` once at startup."""
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=pool_context(),
+        initializer=_init_worker,
+        initargs=(graph, config, fault),
+    )
 
 
 class WorkerPoolLease:
     """A worker pool (plus its graph plane) reused across parallel runs.
 
     Spawning a pool is the fixed cost of every ``workers=N`` run: N process
-    creations, a graph transport (shm packing, container spooling, or an
-    edge-array pickle per worker), and the workers' first-import warmup.
+    creations, hosting the graph on the segment plane (shm packing or
+    container spooling), and the workers' first-import warmup.
     A lease amortizes that cost: the first run materializes the pool and
     the graph plane, and later runs with the *same* (graph, config,
-    workers, transport, env-flags) key reuse both — ``spawns`` counts how
-    often the expensive path actually ran.  :class:`ParallelExecutor`
+    workers, plane) key reuse both — ``spawns`` counts how often the
+    expensive path actually ran.  :class:`ParallelExecutor`
     acquires the lease when given one (``pool=``), bypassing it for
     fault-injected runs, and invalidates it when a worker crashes so
     recovery always replays on a fresh self-managed pool.
@@ -728,33 +678,20 @@ class WorkerPoolLease:
     def __init__(self) -> None:
         self._pool: ProcessPoolExecutor | None = None
         self._registry: ShmRegistry | None = None
-        self._graph_handle: ShmGraphHandle | MemmapGraphHandle | None = None
         self._key: tuple | None = None
         #: How many times a pool was actually spawned (cache misses).
         self.spawns = 0
 
     def acquire(self, *, graph: DiGraph, config: SnapleConfig, workers: int,
-                transport: str, env: dict[str, str]) -> ProcessPoolExecutor:
+                plane: type[ShmRegistry]) -> ProcessPoolExecutor:
         """The pool for this run key, spawning or respawning as needed."""
-        key = (id(graph), id(config), workers, transport,
-               tuple(sorted(env.items())))
+        key = (id(graph), id(config), workers, plane)
         if self._pool is not None and self._key == key:
             return self._pool
         self.invalidate()
-        if transport == "shm":
-            self._registry = ShmRegistry()
-            self._graph_handle = share_graph(self._registry, graph)
-        elif transport == "ooc":
-            self._registry = MemmapRegistry()
-            self._graph_handle = spool_graph(self._registry, graph)
-        graph_arg = self._graph_handle if self._graph_handle is not None \
-            else graph
-        self._pool = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=_pool_context(),
-            initializer=_init_worker,
-            initargs=(graph_arg, config, None, env),
-        )
+        self._registry = plane()
+        self._pool = _spawn_pool(workers, self._registry.host_graph(graph),
+                                 config, None)
         self._key = key
         self.spawns += 1
         return self._pool
@@ -763,7 +700,6 @@ class WorkerPoolLease:
         """Discard the pool and its graph plane (``kill`` after a crash)."""
         pool, self._pool = self._pool, None
         registry, self._registry = self._registry, None
-        self._graph_handle = None
         self._key = None
         if pool is not None:
             ParallelExecutor._shutdown_pool(pool, kill=kill)
@@ -904,8 +840,8 @@ class ParallelExecutor:
                 f"pool must be a WorkerPoolLease, got {pool!r}"
             )
         self._pool_lease = pool
-        # State plane (shm segments or memmap spool files), alive only
-        # inside run() (see _transport).
+        # The run's segment plane (shm segments or spool files), alive only
+        # inside run().
         self._registry: ShmRegistry | None = None
         self._graph_handle: ShmGraphHandle | MemmapGraphHandle | None = None
 
@@ -924,19 +860,6 @@ class ParallelExecutor:
     # ------------------------------------------------------------------
     # Pool lifecycle and fault handling
     # ------------------------------------------------------------------
-    def _make_pool(self) -> ProcessPoolExecutor:
-        graph_arg: DiGraph | ShmGraphHandle | MemmapGraphHandle = (
-            self._graph_handle if self._graph_handle is not None
-            else self._graph
-        )
-        return ProcessPoolExecutor(
-            max_workers=self._workers,
-            mp_context=_pool_context(),
-            initializer=_init_worker,
-            initargs=(graph_arg, self._config, self._fault,
-                      _worker_env_snapshot()),
-        )
-
     @staticmethod
     def _shutdown_pool(pool: ProcessPoolExecutor, *, kill: bool) -> None:
         """Terminate-safe teardown: never leaves worker processes behind.
@@ -969,40 +892,6 @@ class ParallelExecutor:
                 f"a parallel superstep exceeded worker_timeout="
                 f"{self._worker_timeout}s; treating its workers as hung"
             ) from exc
-
-    @staticmethod
-    def _transport() -> str:
-        """Which plane this run ships arrays over: ``ooc``/``shm``/``pickle``.
-
-        ``SNAPLE_OOC=1`` selects on-disk spool files (it takes precedence
-        over shm and needs no shared-memory support); otherwise shared
-        memory is used unless ``SNAPLE_NO_SHM=1`` is set or the platform
-        cannot create segments.  The transport is not part of the
-        checkpoint fingerprint: checkpoints resume across the in-RAM, shm
-        and memmap tiers in any direction.
-        """
-        if ooc_enabled():
-            return "ooc"
-        if not shm_disabled() and shm_available():
-            return "shm"
-        return "pickle"
-
-    def _share_graph_plane(
-            self, transport: str) -> "ShmGraphHandle | MemmapGraphHandle | None":
-        """Host the graph on the run's own plane (``self._registry``)."""
-        if transport == "shm":
-            return share_graph(self._registry, self._graph)
-        if transport == "ooc":
-            return spool_graph(self._registry, self._graph)
-        return None
-
-    def _column_allocator(self):
-        """The StateStore allocator matching the live plane (or ``None``)."""
-        if self._registry is None:
-            return None
-        if isinstance(self._registry, MemmapRegistry):
-            return MemmapColumnAllocator(self._registry)
-        return ShmColumnAllocator(self._registry)
 
     def _fingerprint(self) -> dict[str, Any]:
         return checkpoint_fingerprint(
@@ -1085,11 +974,11 @@ class ParallelExecutor:
         full active set with restricted targets because message passing
         needs every neighborhood in flight.
 
-        Vertex state lives in a columnar
-        :class:`~repro.runtime.state.StateStore` and supersteps exchange
-        :class:`~repro.runtime.state.StateSlice` /
-        :class:`~repro.runtime.state.MessageBlock` arrays, for every scoring
-        configuration.
+        Graph, state columns and message blocks live on the segment plane
+        :func:`~repro.runtime.ooc.segment_plane` picks, for every scoring
+        configuration; tasks receive descriptors into it.  The plane is not
+        part of the checkpoint fingerprint: checkpoints resume across planes
+        in either direction.
 
         Fault handling: a worker death or watchdog timeout discards the
         pool, respawns it, and replays from the newest valid checkpoint
@@ -1108,23 +997,18 @@ class ParallelExecutor:
             resumed_from = resume.superstep
         restarts = 0
         run_loop = self._run_gas if self._kind == "gas" else self._run_bsp
-        transport = self._transport()
+        plane = segment_plane()
         # Fault-injected runs bypass the lease: crash tests must exercise
         # the full self-managed pool + plane lifecycle.
         lease = (self._pool_lease
                  if self._pool_lease is not None and self._fault is None
                  else None)
         try:
-            if transport == "ooc":
-                # One registry per run owns every spool file; like the shm
-                # plane it survives pool respawns after crashes.
-                self._registry = MemmapRegistry()
-            elif transport == "shm":
-                # One registry per run owns every segment; the graph is
-                # packed once and survives pool respawns after crashes.
-                self._registry = ShmRegistry()
+            # One registry per run owns every segment; the graph is hosted
+            # once and survives pool respawns after crashes.
+            self._registry = plane()
             if lease is None:
-                self._graph_handle = self._share_graph_plane(transport)
+                self._graph_handle = self._registry.host_graph(self._graph)
             while True:
                 leased = lease is not None
                 if leased:
@@ -1133,11 +1017,11 @@ class ParallelExecutor:
                     # and message blocks.
                     pool = lease.acquire(
                         graph=self._graph, config=self._config,
-                        workers=self._workers, transport=transport,
-                        env=_worker_env_snapshot(),
+                        workers=self._workers, plane=plane,
                     )
                 else:
-                    pool = self._make_pool()
+                    pool = _spawn_pool(self._workers, self._graph_handle,
+                                       self._config, self._fault)
                 crashed = False
                 try:
                     outcome = run_loop(pool, vertices, targets, resume)
@@ -1153,8 +1037,9 @@ class ParallelExecutor:
                         lease = None
                     if restarts > self._max_restarts:
                         raise
-                    if self._graph_handle is None and self._registry is not None:
-                        self._graph_handle = self._share_graph_plane(transport)
+                    if self._graph_handle is None:
+                        self._graph_handle = self._registry.host_graph(
+                            self._graph)
                     resume = None
                     if self._checkpoint_dir is not None:
                         resume = latest_valid_checkpoint(self._checkpoint_dir)
@@ -1179,6 +1064,8 @@ class ParallelExecutor:
             if registry is not None:
                 registry.close()
         outcome.wall_clock_seconds = time.perf_counter() - start
+        outcome.shm_enabled = plane is ShmRegistry
+        outcome.ooc_enabled = not outcome.shm_enabled
         outcome.worker_restarts = restarts
         outcome.resumed_from = resumed_from
         outcome.checkpoints_written = self._ckpt_stats.written
@@ -1204,10 +1091,10 @@ class ParallelExecutor:
                         own_mask: np.ndarray) -> int:
         """Payload bytes of the boundary (not owned) rows of one field.
 
-        Computed from the live column's lengths so the pickled-slice and
-        shared-memory transports account *identically* — ``shipped`` is the
-        logical boundary payload, part of the deterministic accounting the
-        parity and resume suites compare bit-for-bit across transports.
+        Computed from the live column's lengths so both segment planes
+        account *identically* — ``shipped`` is the logical boundary payload,
+        part of the deterministic accounting the parity and resume suites
+        compare bit-for-bit across planes.
         """
         column = store._column(name)
         per_element = 8 if column._vals is None else 16
@@ -1218,10 +1105,11 @@ class ParallelExecutor:
                  resume: CheckpointData | None) -> ParallelRunOutcome:
         """Algorithm 2's three GAS steps over the columnar state plane.
 
-        The coordinator keeps one :class:`~repro.runtime.state.StateStore`;
-        per (step, partition) it ships the owned+boundary column slices the
-        step reads and bulk-merges the returned column rows.  Nothing that
-        crosses a process boundary is a per-vertex Python object.
+        The coordinator keeps one segment-backed
+        :class:`~repro.runtime.state.StateStore`; per (step, partition) it
+        ships handles to the owned+boundary rows the step reads and
+        bulk-merges the returned column rows.  Nothing that crosses a
+        process boundary is a per-vertex Python object.
         """
         from repro.snaple.kernel import LazyScores
         from repro.snaple.program import snaple_state_schema
@@ -1236,12 +1124,8 @@ class ParallelExecutor:
             np.asarray([u for u in owned if u in active_set], dtype=np.int64)
             for owned in self._owned
         ]
-        use_plane = self._registry is not None
-        use_ooc = isinstance(self._registry, MemmapRegistry)
-        store = StateStore(
-            num_vertices, snaple_state_schema(),
-            allocator=self._column_allocator(),
-        )
+        store = StateStore(num_vertices, snaple_state_schema(),
+                           allocator=ShmColumnAllocator(self._registry))
         transport: list[int] = []
         acct = _Accounting.fresh(self._workers)
         start_step = 0
@@ -1275,31 +1159,21 @@ class ParallelExecutor:
                     rows.sort()
                     own_mask = owner[rows] == w
                     if step_index == 1:
-                        payload = (
-                            state_slice_handle(store, rows, ("gamma",))
-                            if use_plane else store.extract(rows, ("gamma",))
-                        )
+                        payload = state_slice_handle(store, rows, ("gamma",))
                         acct.shipped[w] += self._boundary_bytes(
                             store, "gamma", rows, own_mask
                         )
                     else:
                         # The recommendation step probes only the targets'
                         # own Γ̂ but reads every neighbor's kept map.
-                        if use_plane:
-                            gamma_slice: Any = state_slice_handle(
-                                store, owned_active, ("gamma",)
-                            )
-                            sims_slice: Any = state_slice_handle(
-                                store, rows, ("sims",)
-                            )
-                        else:
-                            gamma_slice = store.extract(owned_active,
-                                                        ("gamma",))
-                            sims_slice = store.extract(rows, ("sims",))
+                        payload = (
+                            state_slice_handle(store, owned_active,
+                                               ("gamma",)),
+                            state_slice_handle(store, rows, ("sims",)),
+                        )
                         acct.shipped[w] += self._boundary_bytes(
                             store, "sims", rows, own_mask
                         )
-                        payload = (gamma_slice, sims_slice)
                 step_transport += _transport_nbytes(payload)
                 tasks.append((w, step_index, owned_active, payload))
             route_seconds += time.perf_counter() - step_start
@@ -1384,8 +1258,6 @@ class ParallelExecutor:
 
         outcome = self._merge_outcome(predictions, scores, num_steps, acct,
                                       store.rows_mapping())
-        outcome.shm_enabled = use_plane and not use_ooc
-        outcome.ooc_enabled = use_ooc
         outcome.transport_bytes = transport
         return outcome
 
@@ -1397,9 +1269,10 @@ class ParallelExecutor:
                  resume: CheckpointData | None) -> ParallelRunOutcome:
         """The four-superstep BSP port over the columnar state plane.
 
-        State ships as :class:`~repro.runtime.state.StateSlice` arrays and
-        messages as :class:`~repro.runtime.state.MessageBlock` arrays; the
-        blocks are stable-sorted by sender before delivery and split per
+        State ships as slice handles into the segment-backed store and
+        messages as ranges of one packed
+        :class:`~repro.runtime.state.MessageBlock` segment per superstep; the
+        blocks are stable-sorted by sender before delivery and cut per
         partition with one :func:`np.searchsorted` pass, reproducing the
         serial engine's delivery (and float accumulation) order exactly.
         """
@@ -1415,12 +1288,8 @@ class ParallelExecutor:
         aggregator_fns = program.aggregators()
         num_vertices = graph.num_vertices
         schema = snaple_bsp_state_schema()
-        use_plane = self._registry is not None
-        use_ooc = isinstance(self._registry, MemmapRegistry)
-        store = StateStore(
-            num_vertices, schema,
-            allocator=self._column_allocator(),
-        )
+        store = StateStore(num_vertices, schema,
+                           allocator=ShmColumnAllocator(self._registry))
         field_names = schema.names()
         transport: list[int] = []
         active = np.zeros(num_vertices, dtype=bool)
@@ -1459,41 +1328,34 @@ class ParallelExecutor:
             step_transport = 0
             inbox_segment: str | None = None
             has_message = np.zeros(num_vertices, dtype=bool)
+            inbox_parts: list[ShmMessageRange | None] = [None] * workers
             if inbox.num_messages:
                 has_message[np.unique(inbox.receiver)] = True
+                # Stable owner sort + one searchsorted pass keeps each
+                # partition's messages sender-sorted; the ordered block is
+                # packed into one per-superstep segment and each partition
+                # receives only its [start, end) range over it.
                 keys = owner[inbox.receiver]
-                if use_plane:
-                    # Same routing as split_by — stable owner sort + one
-                    # searchsorted pass — but the ordered block is packed
-                    # into one per-superstep segment and each partition
-                    # receives only its [start, end) range over it.
-                    order = np.argsort(keys, kind="stable")
-                    ordered = inbox.take(order)
-                    bounds = np.searchsorted(
-                        keys[order], np.arange(workers + 1, dtype=np.int64)
-                    )
-                    block_handle = message_block_handle(self._registry,
-                                                        ordered)
-                    inbox_segment = block_handle.segment
-                    inbox_parts: list[Any] = [
-                        ShmMessageRange(ordered.kinds, block_handle,
-                                        int(bounds[w]), int(bounds[w + 1]))
-                        for w in range(workers)
-                    ]
-                else:
-                    inbox_parts = inbox.split_by(keys, workers)
-            else:
-                inbox_parts = [MessageBlock.empty(MESSAGE_KINDS)] * workers
+                order = np.argsort(keys, kind="stable")
+                ordered = inbox.take(order)
+                bounds = np.searchsorted(
+                    keys[order], np.arange(workers + 1, dtype=np.int64)
+                )
+                block_handle = message_block_handle(self._registry, ordered)
+                inbox_segment = block_handle.segment
+                inbox_parts = [
+                    ShmMessageRange(ordered.kinds, block_handle,
+                                    int(bounds[w]), int(bounds[w + 1]))
+                    for w in range(workers)
+                ]
             tasks = []
             compute_lists = []
             for w in range(workers):
                 owned = self._owned_arrays[w]
                 compute_w = owned[active[owned] | has_message[owned]]
                 compute_lists.append(compute_w)
-                state_payload = (
-                    state_slice_handle(store, compute_w, field_names)
-                    if use_plane else store.extract(compute_w, field_names)
-                )
+                state_payload = state_slice_handle(store, compute_w,
+                                                   field_names)
                 step_transport += _transport_nbytes(state_payload)
                 step_transport += _transport_nbytes(inbox_parts[w])
                 tasks.append((
@@ -1574,8 +1436,6 @@ class ParallelExecutor:
         scores = {u: dict(scores.get(u, {})) for u in targets}
         outcome = self._merge_outcome(predictions, scores, superstep, acct,
                                       store.rows_mapping())
-        outcome.shm_enabled = use_plane and not use_ooc
-        outcome.ooc_enabled = use_ooc
         outcome.transport_bytes = transport
         return outcome
 

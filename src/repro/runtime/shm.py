@@ -1,25 +1,25 @@
-"""Shared-memory state plane: zero-copy segments for parallel execution.
+"""Segment plane: zero-copy segments for parallel execution and serving.
 
-The shared-nothing executor (:mod:`repro.runtime.parallel`) historically
-*pickled* everything that crossed a process boundary: the graph once per
-worker at pool spawn, and per superstep the
-:class:`~repro.runtime.state.StateSlice` column extracts and
-:class:`~repro.runtime.state.MessageBlock` arrays each partition reads.  On
-the 10k-vertex benchmark graph that serialization tax is most of the sync
-overhead — workers=4 used to run at ~x0.5 *versus serial*.
-
-This module removes the tax with POSIX shared memory
-(:mod:`multiprocessing.shared_memory`):
+Every ``workers=N`` run (:mod:`repro.runtime.parallel`) and every sharded
+service (:mod:`repro.serving.sharded`) hosts its graph and state on one
+segment plane.  This module is the plane's machinery and its POSIX shared
+memory substrate (:mod:`multiprocessing.shared_memory`):
 
 * the CSR adjacency of the graph and the columnar
-  :class:`~repro.runtime.state.StateStore` columns live in shared segments
-  created by the coordinator and mapped once by every worker;
+  :class:`~repro.runtime.state.StateStore` columns live in segments created
+  by the coordinator and mapped once by every worker;
 * what crosses the process boundary per superstep is only *descriptors* —
   ``(segment, dtype, length)`` handles plus the boundary row-index arrays —
-  instead of the column payloads themselves;
-* workers gather the rows they need directly out of the mapped columns,
-  producing exactly the same :class:`~repro.runtime.state.StateSlice`
-  arrays the pickled path would have shipped, so results stay bit-identical.
+  never the column payloads themselves;
+* workers gather the rows they need directly out of the mapped columns into
+  the same :class:`~repro.runtime.state.StateSlice` /
+  :class:`~repro.runtime.state.MessageBlock` arrays
+  :meth:`~repro.runtime.state.StateStore.extract` would build.
+
+The other substrate is spool files (:mod:`repro.runtime.ooc`), whose
+registry, segments and graph handle duck-type the ones here, so the
+descriptors, the allocator and the attachment cache serve both.
+:func:`repro.runtime.ooc.segment_plane` chooses between them.
 
 Lifecycle and crash safety
 --------------------------
@@ -31,13 +31,6 @@ carries the :data:`SEGMENT_PREFIX` so tests — and the CI leak check — can
 assert ``/dev/shm`` is clean after success, crash and resume alike.  If the
 coordinator itself dies, Python's ``resource_tracker`` unlinks whatever the
 registry could not, as a last-resort backstop.
-
-Escape hatches
---------------
-``SNAPLE_NO_SHM=1`` disables shared memory (the executor falls back to
-pickled slices).  Platforms without POSIX/System-V shared memory are
-detected at runtime and fall back silently.  Results are bit-identical on
-every transport.
 
 Checkpoint interplay: :meth:`~repro.runtime.state.StateStore.snapshot`
 always *copies* rows out of the columns (its extracts are index gathers),
@@ -62,7 +55,6 @@ from repro.runtime.state import (
     StateStore,
     _RaggedColumn,
     _ScalarColumn,
-    env_flag,
     gather_slices,
 )
 
@@ -82,7 +74,6 @@ __all__ = [
     "message_block_handle",
     "share_graph",
     "shm_available",
-    "shm_disabled",
     "state_slice_handle",
 ]
 
@@ -108,14 +99,6 @@ def shm_available() -> bool:
         except (OSError, ValueError, ImportError):
             _available = False
     return _available
-
-
-def shm_disabled() -> bool:
-    """Whether ``SNAPLE_NO_SHM=1`` forces the pickled-slice transport.
-
-    Results are bit-identical either way, only the transport differs.
-    """
-    return env_flag("SNAPLE_NO_SHM")
 
 
 def list_segments() -> list[str]:
@@ -254,6 +237,10 @@ class ShmRegistry:
                                      spec.offset)
         return BlockHandle(segment.name, specs)
 
+    def host_graph(self, graph: Any) -> "ShmGraphHandle":
+        """Host ``graph`` on this plane: its CSR arrays packed in a segment."""
+        return share_graph(self, graph)
+
 
 def _align(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
@@ -364,7 +351,8 @@ def attachment_cache() -> AttachmentCache:
 class ShmColumnAllocator:
     """A :class:`~repro.runtime.state.StateStore` allocator over a registry.
 
-    Every column buffer becomes one shared segment; buffers that grow get a
+    Every column buffer becomes one segment of the registry's plane (shared
+    memory or a spool file); buffers that grow get a
     fresh segment and the old one is unlinked immediately (workers drop
     stale attachments at their next task).  :meth:`describe` turns a live
     buffer into the picklable :class:`ArrayHandle` the coordinator ships
@@ -410,6 +398,10 @@ class ShmGraphHandle:
     num_vertices: int
     num_edges: int
     block: BlockHandle
+
+    def attach(self) -> Any:
+        """The graph as views over the segment (worker side)."""
+        return attach_graph(self, attachment_cache())
 
 
 _GRAPH_ARRAYS = (
@@ -480,7 +472,7 @@ class ShmSliceHandle:
     The only array payload shipped is ``rows`` — the owned+boundary vertex
     ids the task reads.  ``materialize`` gathers those rows out of the
     mapped columns in the worker, producing arrays element-identical to
-    what :meth:`StateStore.extract` would have pickled.
+    what :meth:`StateStore.extract` returns in the coordinator.
     """
 
     num_vertices: int
@@ -524,7 +516,7 @@ class ShmSliceHandle:
 
 def state_slice_handle(store: StateStore, rows: np.ndarray,
                        fields: tuple[str, ...]) -> ShmSliceHandle:
-    """Descriptors for ``fields`` × ``rows`` of an shm-backed store.
+    """Descriptors for ``fields`` × ``rows`` of a segment-backed store.
 
     The equivalent of :meth:`StateStore.extract`, except no column data is
     copied or pickled — only the (sorted) row-index array ships.
@@ -532,8 +524,8 @@ def state_slice_handle(store: StateStore, rows: np.ndarray,
     allocator = store.allocator
     if not isinstance(allocator, ShmColumnAllocator):
         raise EngineError(
-            "state_slice_handle needs a StateStore allocated in shared "
-            "memory (ShmColumnAllocator)"
+            "state_slice_handle needs a StateStore allocated on a segment "
+            "plane (ShmColumnAllocator)"
         )
     rows = np.sort(np.asarray(rows, dtype=np.int64))
     handle = ShmSliceHandle(num_vertices=store.num_vertices, rows=rows)

@@ -14,7 +14,7 @@ layer with a structure-of-arrays design:
   CSR-shaped bulk access for the vectorized kernel.
 * :class:`MessageBlock` — a batch of messages as parallel ``sender`` /
   ``receiver`` / payload arrays instead of a list of message objects.
-  Blocks concatenate, sort by sender, and split per partition with a few
+  Blocks concatenate, sort by sender, and reorder by partition with a few
   array operations, which is what lets the shared-nothing executor route
   supersteps' traffic as raw arrays.
 * :class:`VertexRow` — a per-vertex :class:`~collections.abc.Mapping` view
@@ -218,12 +218,12 @@ class ArrayAllocator:
     def describe(self, array: np.ndarray, length: int | None = None):
         """Turn a live buffer into a picklable by-reference descriptor.
 
-        The descriptor seam of the zero-copy transports: allocators whose
-        buffers other processes can attach to — shared-memory segments
-        (:class:`~repro.runtime.shm.ShmColumnAllocator`) and on-disk spool
-        files (:class:`~repro.runtime.ooc.MemmapColumnAllocator`) — return
-        an :class:`~repro.runtime.shm.ArrayHandle` here.  The process-
-        private default cannot ship buffers by reference.
+        The descriptor seam of the segment plane: an allocator whose buffers
+        other processes can attach to — shared-memory segments or on-disk
+        spool files (:class:`~repro.runtime.shm.ShmColumnAllocator` over
+        either registry) — returns an
+        :class:`~repro.runtime.shm.ArrayHandle` here.  The process-private
+        default cannot ship buffers by reference.
         """
         raise EngineError(
             "process-private column buffers cannot be shipped by reference; "
@@ -418,7 +418,7 @@ class _RaggedColumn:
 
 
 # ----------------------------------------------------------------------
-# Slices (the unit shipped between coordinator and workers)
+# Slices (the unit exchanged between coordinator and workers)
 # ----------------------------------------------------------------------
 @dataclass
 class StateSlice:
@@ -426,8 +426,9 @@ class StateSlice:
 
     ``ragged`` maps a field name to ``(counts, ids, vals, present)`` arrays
     aligned with ``rows``; ``scalars`` maps a name to ``(values, present)``.
-    Slices are what the shared-nothing executor ships instead of pickled
-    per-vertex dicts — a handful of flat arrays regardless of vertex count.
+    Workers materialize slices out of the segment plane and return their
+    updates as slices, checkpoints persist them — a handful of flat arrays
+    regardless of vertex count.
     """
 
     num_vertices: int
@@ -787,9 +788,9 @@ class MessageBlock:
     Every message has a sender, a receiver, a *kind* (an index into the
     block's ``kinds`` tuple — the program's wire format, e.g. SNAPLE's
     ``register`` / ``gamma`` / ``sims``), a ragged ``int64`` id payload and
-    a ragged ``float64`` value payload.  Blocks replace the per-message
-    tuples the executor used to pickle: concatenation, sender sorting and
-    per-partition splitting are all O(n) array operations.
+    a ragged ``float64`` value payload.  Blocks replace per-message tuples:
+    concatenation, sender sorting and reordering by partition are all O(n)
+    array operations.
     """
 
     kinds: tuple[str, ...]
@@ -888,31 +889,6 @@ class MessageBlock:
         if self.num_messages == 0:
             return self
         return self.take(np.argsort(self.sender, kind="stable"))
-
-    def split_by(self, keys: np.ndarray, num_parts: int) -> list["MessageBlock"]:
-        """Split into ``num_parts`` sub-blocks by a per-message key.
-
-        A stable key sort followed by one :func:`np.searchsorted` per
-        boundary; the relative message order inside each part is preserved,
-        so splitting a sender-sorted block yields sender-sorted parts.
-        """
-        if self.num_messages == 0:
-            return [self for _ in range(num_parts)]
-        keys = np.asarray(keys, dtype=np.int64)
-        order = np.argsort(keys, kind="stable")
-        ordered = self.take(order)
-        boundaries = np.searchsorted(keys[order],
-                                     np.arange(num_parts + 1, dtype=np.int64))
-        return [ordered.take(np.arange(boundaries[p], boundaries[p + 1],
-                                       dtype=np.int64))
-                for p in range(num_parts)]
-
-    def nbytes(self) -> int:
-        """Allocated bytes of the backing arrays."""
-        return sum(int(array.nbytes) for array in (
-            self.sender, self.receiver, self.kind, self.ids_indptr, self.ids,
-            self.vals_indptr, self.vals,
-        ))
 
 
 class MessageBlockBuilder:

@@ -28,25 +28,25 @@ count.
 
 Transport and batching
 ----------------------
-The base CSR graph crosses the process boundary once, as a shared-memory
-segment (:func:`repro.runtime.shm.share_graph` / ``attach_graph`` — shards
-hold zero-copy read-only views), with an edge-array pickle fallback when shm
-is unavailable.  Requests flow through per-shard bounded queues; the
-dispatcher coalesces consecutive ``top_k`` submissions into one batch
-message per shard, amortizing queue IPC, and flushes pending batches before
-any update fan-out so every shard observes the submission order (FIFO per
-shard queue ⇒ read-your-writes).  An update's future resolves only after
-*all* shards acknowledged it.
+The base CSR graph crosses the process boundary once, as a handle on the
+segment plane :func:`repro.runtime.ooc.segment_plane` picks — a
+shared-memory segment, or an on-disk container where there is no shared
+memory — and shards hold zero-copy read-only views of it.  Requests flow
+through per-shard bounded queues; the dispatcher coalesces consecutive
+``top_k`` submissions into one batch message per shard, amortizing queue
+IPC, and flushes pending batches before any update fan-out so every shard
+observes the submission order (FIFO per shard queue ⇒ read-your-writes).
+An update's future resolves only after *all* shards acknowledged it.
 
 Every pipeline stage — dispatch queue, shard queue, rescore, reply — records
 queue-length and wait/service samples (:mod:`repro.serving.stages`), which
-:class:`~repro.serving.loadgen.LoadGenerator` turns into the operational-law
-bottleneck table in ``BENCH_serving.json``.
+:class:`~repro.serving.loadgen.LoadGenerator` turns into a per-stage
+operational-law bottleneck table.
 
-Crash and leak safety: the parent owns the :class:`ShmRegistry`, so
-``close()`` unlinks the graph segment even after a SIGKILLed shard; the
-collector detects dead shards and fails every pending future with
-:class:`~repro.errors.ServingError` instead of hanging.
+Crash and leak safety: the parent owns the plane's registry, so ``close()``
+unlinks the graph segment (or removes the spool directory) even after a
+SIGKILLed shard; the collector detects dead shards and fails every pending
+future with :class:`~repro.errors.ServingError` instead of hanging.
 """
 
 from __future__ import annotations
@@ -68,8 +68,9 @@ from repro.errors import (
     VertexNotFoundError,
 )
 from repro.graph.digraph import DiGraph
-from repro.runtime import shm as shm_module
+from repro.runtime.ooc import MemmapGraphHandle, segment_plane
 from repro.runtime.parallel import pool_context
+from repro.runtime.shm import ShmGraphHandle, ShmRegistry
 from repro.runtime.partition import partition_vertices
 from repro.serving.index import IncrementalIndex
 from repro.serving.service import (
@@ -150,16 +151,6 @@ class ShardedServiceStats:
     pending: int
 
 
-def _materialize_graph(payload: tuple) -> Any:
-    """Rebuild the base graph inside a shard from its transport payload."""
-    kind = payload[0]
-    if kind == "shm":
-        return shm_module.attach_graph(payload[1],
-                                       shm_module.attachment_cache())
-    _, num_vertices, src, dst = payload
-    return DiGraph(num_vertices, src, dst)
-
-
 def _describe(exc: BaseException) -> str:
     """Exceptions cross the process boundary as strings — some repo
     exception types take multiple constructor arguments and would break
@@ -167,8 +158,10 @@ def _describe(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _shard_main(shard_id: int, graph_payload: tuple, config: SnapleConfig,
-                shard_map: ShardMap, compact_every: int | None,
+def _shard_main(shard_id: int,
+                graph_handle: ShmGraphHandle | MemmapGraphHandle,
+                config: SnapleConfig, shard_map: ShardMap,
+                compact_every: int | None,
                 request_queue, response_queue) -> None:
     """One shard process: cold-build, then serve its request queue forever.
 
@@ -176,7 +169,7 @@ def _shard_main(shard_id: int, graph_payload: tuple, config: SnapleConfig,
     comparable across processes — so cross-process queue waits are real.
     """
     try:
-        graph = _materialize_graph(graph_payload)
+        graph = graph_handle.attach()
         index = IncrementalIndex(graph, config,
                                  target_filter=shard_map.target_filter(shard_id))
         query_stage = StageRecorder("shard_queue")
@@ -322,7 +315,7 @@ class ShardedPredictorService:
         self._compactions = 0
         self._stage_dispatch = StageRecorder("dispatch")
         self._stage_reply = StageRecorder("reply")
-        self._registry: shm_module.ShmRegistry | None = None
+        self._registry: ShmRegistry | None = None
         self._processes: list = []
         self._request_queues: list = []
         self._response_queue = None
@@ -361,27 +354,20 @@ class ShardedPredictorService:
 
     def start(self, *, ready_timeout: float = 300.0
               ) -> "ShardedPredictorService":
-        """Share the graph, spawn the shards, wait for every cold build."""
+        """Host the graph, spawn the shards, wait for every cold build."""
         if self._started:
             raise ServingError("service already started")
         self._started = True
-        use_shm = shm_module.shm_available() and not shm_module.shm_disabled()
-        if use_shm:
-            self._registry = shm_module.ShmRegistry()
-            graph_payload: tuple = (
-                "shm", shm_module.share_graph(self._registry, self._graph)
-            )
-        else:
-            src, dst = self._graph.edge_arrays()
-            graph_payload = ("arrays", self._graph.num_vertices, src, dst)
         try:
+            self._registry = segment_plane()()
+            graph_handle = self._registry.host_graph(self._graph)
             ctx = pool_context()
             self._response_queue = ctx.Queue()
             for shard_id in range(self._num_shards):
                 request_queue = ctx.Queue(maxsize=self._serving.queue_bound)
                 process = ctx.Process(
                     target=_shard_main,
-                    args=(shard_id, graph_payload, self._config,
+                    args=(shard_id, graph_handle, self._config,
                           self._shard_map, self._serving.compact_every,
                           request_queue, self._response_queue),
                     name=f"snaple-shard-{shard_id}",
@@ -418,8 +404,8 @@ class ShardedPredictorService:
         return self
 
     def close(self) -> None:
-        """Stop shards, join helpers, fail stragglers, unlink shm
-        (idempotent; runs fully even after a shard crash)."""
+        """Stop shards, join helpers, fail stragglers, release the graph
+        plane (idempotent; runs fully even after a shard crash)."""
         if self._closed:
             return
         self._closed = True

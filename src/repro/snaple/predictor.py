@@ -67,7 +67,7 @@ class SnapleLinkPredictor:
     -----
     ``workers=N`` runs hold a reusable worker-pool lease on the predictor:
     repeated :meth:`predict` calls with the same graph, configuration and
-    environment reuse the spawned pool and its graph transport instead of
+    segment plane reuse the spawned pool and its hosted graph instead of
     paying the spawn cost per call (``pool_spawns`` counts the actual
     spawns).  The lease owns processes and shared segments/spool files —
     call :meth:`close` when done, or use the predictor as a context

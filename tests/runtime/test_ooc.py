@@ -1,16 +1,17 @@
-"""Lifecycle and parity tests for the out-of-core (memmap) state plane.
+"""Lifecycle and fallback tests for the spool-file segment plane.
 
-:mod:`repro.runtime.ooc` swaps the parallel executor's segment substrate
-from POSIX shared memory to file-backed mappings so peak RSS stays bounded
-on graphs larger than RAM.  Pinned here:
+:mod:`repro.runtime.ooc` hosts the parallel executor's segments in
+file-backed mappings instead of POSIX shared memory — to bound peak RSS
+(``SNAPLE_OOC=1``) and on platforms without shared memory.  Pinned here:
 
 * **lifecycle** — every spool directory a run creates is removed again
   (success, crash, or resume), and predictors release their pool lease on
   ``close()``;
-* **parity** — predictions, scores and accounting are bit-identical across
-  the in-RAM, shm and memmap tiers, across backends and worker counts;
+* **fallback** — with no shared memory, ``workers=N`` runs and sharded
+  services land on spool files and still equal the scalar reference
+  (the {shm, spool} parity grid itself lives in ``test_shm.py``);
 * **portability** — checkpoints carry the same ``columnar`` flavour on
-  every tier, so a run checkpointed under one tier resumes under another.
+  both planes, so a run checkpointed under one resumes under the other.
 """
 
 from __future__ import annotations
@@ -21,15 +22,21 @@ import pytest
 from repro.errors import EngineError, WorkerCrashError
 from repro.runtime.ooc import (
     FileSegment,
-    MemmapColumnAllocator,
     MemmapGraphHandle,
     MemmapRegistry,
     list_spool_dirs,
     ooc_enabled,
+    segment_plane,
     spool_graph,
 )
 from repro.runtime.parallel import WorkerPoolLease
-from repro.runtime.shm import AttachmentCache, state_slice_handle
+from repro.runtime.shm import (
+    AttachmentCache,
+    ShmColumnAllocator,
+    ShmRegistry,
+    list_segments,
+    state_slice_handle,
+)
 from repro.runtime.state import (
     FieldKind,
     StateField,
@@ -40,6 +47,7 @@ from repro.graph.digraph import CSR_ARRAY_NAMES
 from repro.graph.storage import load_graph_memmap, save_graph_memmap
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
+from tests.conftest import assert_matches_reference, scalar_reference
 
 
 def parity_graph(random_graph):
@@ -155,12 +163,12 @@ class TestMemmapRegistry:
                 del view
             cache.retain(set())
 
-    def test_column_allocator_descriptors_carry_paths(self):
+    def test_allocator_descriptors_carry_spool_paths(self):
         cache = AttachmentCache()
         with MemmapRegistry() as registry:
             schema = StateSchema([StateField("gamma", FieldKind.INT_LIST)])
             store = StateStore(8, schema,
-                               allocator=MemmapColumnAllocator(registry))
+                               allocator=ShmColumnAllocator(registry))
             store.set_rows("gamma", np.array([2]), np.array([3]),
                            np.array([5, 6, 7], dtype=np.int64))
             rows = np.array([1, 2], dtype=np.int64)
@@ -194,7 +202,7 @@ class TestSpoolGraph:
             assert handle.num_vertices == graph.num_vertices
             assert handle.num_edges == graph.num_edges
             assert handle.path.startswith(str(registry.spool_dir))
-            loaded = handle.load()
+            loaded = handle.attach()
             for name in CSR_ARRAY_NAMES:
                 np.testing.assert_array_equal(
                     loaded.csr_arrays()[name], graph.csr_arrays()[name])
@@ -233,21 +241,6 @@ class TestOutOfCoreParity:
             }
         return self._reference[key]
 
-    @pytest.mark.parametrize("backend", ["gas", "bsp"])
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_memmap_tier_matches_in_ram(self, backend, workers, ooc_env,
-                                        random_graph):
-        graph = parity_graph(random_graph)
-        reference = self._reference_run(backend, workers, random_graph)
-        with SnapleLinkPredictor(parity_config()) as predictor:
-            run = predictor.predict(graph, backend=backend, workers=workers)
-            assert run.predictions == reference["predictions"]
-            assert dict(run.scores) == reference["scores"]
-            if workers > 1:
-                assert run.extra["ooc_enabled"] == 1.0
-                assert run.extra["shm_enabled"] == 0.0
-        assert_no_leaked_spools()
-
     def test_container_backed_graph_runs_parallel(self, tmp_path, ooc_env,
                                                   random_graph):
         graph = parity_graph(random_graph)
@@ -277,6 +270,53 @@ class TestOutOfCoreParity:
             predictor.predict(graph, backend="gas", workers=2,
                               max_restarts=0, fault=fault)
         predictor.close()
+        assert_no_leaked_spools()
+
+
+class TestSegmentPlane:
+    @pytest.mark.parametrize(
+        ("shm", "ooc", "expected"),
+        [
+            (True, False, ShmRegistry),
+            (True, True, MemmapRegistry),
+            (False, False, MemmapRegistry),
+            (False, True, MemmapRegistry),
+        ],
+        ids=["shm", "shm-ooc", "no-shm", "no-shm-ooc"],
+    )
+    def test_chooser(self, shm, ooc, expected, monkeypatch):
+        """Shared memory only when the platform has it and SNAPLE_OOC is
+        unset; spool files in every other case."""
+        monkeypatch.setattr("repro.runtime.ooc.shm_available", lambda: shm)
+        if ooc:
+            monkeypatch.setenv("SNAPLE_OOC", "1")
+        else:
+            monkeypatch.delenv("SNAPLE_OOC", raising=False)
+        assert segment_plane() is expected
+
+
+@pytest.fixture
+def no_shm(monkeypatch):
+    """A platform without POSIX shared memory, as the plane chooser sees it."""
+    monkeypatch.setattr("repro.runtime.ooc.shm_available", lambda: False)
+    monkeypatch.delenv("SNAPLE_OOC", raising=False)
+    before = list_segments()
+    yield
+    assert list_segments() == before
+
+
+class TestNoShmPlatform:
+    @pytest.mark.parametrize("backend", ["gas", "bsp"])
+    def test_workers_fall_back_to_spool_files(self, backend, no_shm,
+                                              random_graph):
+        graph = parity_graph(random_graph)
+        config = parity_config()
+        with SnapleLinkPredictor(config) as predictor:
+            run = predictor.predict(graph, backend=backend, workers=2)
+        assert_matches_reference(run, scalar_reference(graph, config,
+                                                       backend))
+        assert run.extra["ooc_enabled"] == 1.0
+        assert run.extra["shm_enabled"] == 0.0
         assert_no_leaked_spools()
 
 

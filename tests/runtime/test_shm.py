@@ -1,19 +1,17 @@
-"""Lifecycle and parity tests for the shared-memory state plane.
+"""Lifecycle and parity tests for the segment plane.
 
-The zero-copy transport (:mod:`repro.runtime.shm`) maps the CSR graph and
-the columnar state columns into ``multiprocessing.shared_memory`` segments
-so parallel supersteps exchange descriptors instead of pickled arrays.
-Three guarantees are pinned here:
+The segment plane (:mod:`repro.runtime.shm`) maps the CSR graph and the
+columnar state columns into ``multiprocessing.shared_memory`` segments — or
+spool files (:mod:`repro.runtime.ooc`) — so parallel supersteps exchange
+descriptors, never arrays.  Two guarantees are pinned here:
 
 * **lifecycle** — every segment the coordinator creates is unlinked again,
   whether the run succeeds, a worker crashes, or the run resumes from a
   checkpoint; ``list_segments()`` doubles as the CI leak check;
 * **parity** — predictions and scores equal the serial scalar reference,
-  and deterministic accounting is identical, on both transports (pickled
-  slices, shm descriptors) and across worker counts, for kernel-supported
-  and custom-callable configurations alike;
-* **economy** — the bytes actually crossing the pipe shrink when the
-  transport switches from pickled slices to descriptors.
+  and deterministic accounting is identical, on both planes (shm, spool)
+  and across worker counts, for kernel-supported and custom-callable
+  configurations alike.
 """
 
 from __future__ import annotations
@@ -22,11 +20,16 @@ import numpy as np
 import pytest
 
 from repro.errors import EngineError, WorkerCrashError
+from repro.graph.digraph import CSR_ARRAY_NAMES, DiGraph
+from repro.runtime.ooc import MemmapGraphHandle, MemmapRegistry, list_spool_dirs
+from repro.runtime.parallel import ParallelExecutor
 from repro.runtime.shm import (
     AttachmentCache,
     ShmColumnAllocator,
+    ShmGraphHandle,
     ShmMessageRange,
     ShmRegistry,
+    ShmSliceHandle,
     attach_graph,
     list_segments,
     message_block_handle,
@@ -36,9 +39,11 @@ from repro.runtime.shm import (
 )
 from repro.runtime.state import (
     FieldKind,
+    MessageBlock,
     MessageBlockBuilder,
     StateField,
     StateSchema,
+    StateSlice,
     StateStore,
 )
 from repro.snaple.config import SnapleConfig
@@ -191,6 +196,34 @@ class TestGraphSharing:
             cache._pinned.clear()
             del attached
             cache.retain(set())
+
+    @pytest.mark.parametrize(
+        ("plane", "handle_type"),
+        [(ShmRegistry, ShmGraphHandle), (MemmapRegistry, MemmapGraphHandle)],
+        ids=["shm", "spool"],
+    )
+    def test_host_graph_then_attach_round_trips(self, plane, handle_type,
+                                                monkeypatch, tmp_path,
+                                                random_graph):
+        """``registry.host_graph`` and ``handle.attach`` are the whole
+        graph-hosting seam, on either plane."""
+        monkeypatch.setenv("SNAPLE_OOC_DIR", str(tmp_path))
+        cache = AttachmentCache()
+        monkeypatch.setattr("repro.runtime.shm._worker_cache", cache)
+        graph = parity_graph(random_graph)
+        with plane() as registry:
+            handle = registry.host_graph(graph)
+            assert type(handle) is handle_type
+            attached = handle.attach()
+            assert attached.num_vertices == graph.num_vertices
+            assert attached.num_edges == graph.num_edges
+            for name in CSR_ARRAY_NAMES:
+                np.testing.assert_array_equal(attached.csr_arrays()[name],
+                                              graph.csr_arrays()[name])
+            cache._pinned.clear()
+            del attached
+            cache.retain(set())
+        assert list_spool_dirs() == []
 
 
 # ----------------------------------------------------------------------
@@ -372,48 +405,20 @@ class TestRunLifecycle:
         predictor.close()
         assert_no_leaked_segments()
 
-    def test_no_shm_escape_hatch(self, monkeypatch, random_graph):
-        graph = parity_graph(random_graph)
-        predictor = SnapleLinkPredictor(parity_config())
-        with_shm = predictor.predict(graph, backend="gas", workers=2)
-        monkeypatch.setenv("SNAPLE_NO_SHM", "1")
-        without = predictor.predict(graph, backend="gas", workers=2)
-        assert with_shm.extra["shm_enabled"] == 1.0
-        assert without.extra["shm_enabled"] == 0.0
-        assert without.predictions == with_shm.predictions
-        assert dict(without.scores) == dict(with_shm.scores)
-        predictor.close()
-        assert_no_leaked_segments()
-
-    @pytest.mark.parametrize("backend", ["gas", "bsp"])
-    def test_descriptor_transport_ships_fewer_bytes(self, backend,
-                                                    monkeypatch,
-                                                    random_graph):
-        graph = parity_graph(random_graph)
-        predictor = SnapleLinkPredictor(parity_config())
-        shm_run = predictor.predict(graph, backend=backend, workers=2)
-        monkeypatch.setenv("SNAPLE_NO_SHM", "1")
-        pickled = predictor.predict(graph, backend=backend, workers=2)
-        assert shm_run.extra["transport_bytes"] < \
-            pickled.extra["transport_bytes"]
-        # The accounting metric (shipped boundary bytes) is
-        # transport-independent: both runs must agree exactly.
-        for left, right in zip(shm_run.partition_reports,
-                               pickled.partition_reports):
-            assert left.shipped_bytes == right.shipped_bytes
-
 
 # ----------------------------------------------------------------------
-# Transport parity grid
+# Plane parity grid
 # ----------------------------------------------------------------------
-@pytest.fixture(params=["pickled", "shm"])
-def transport(request, monkeypatch):
-    """Columnar state over pickled slices or shared-memory descriptors."""
-    if request.param == "pickled":
-        monkeypatch.setenv("SNAPLE_NO_SHM", "1")
+@pytest.fixture(params=["shm", "spool"])
+def transport(request, monkeypatch, tmp_path):
+    """Columnar state on shared-memory segments or spool files."""
+    monkeypatch.setenv("SNAPLE_OOC_DIR", str(tmp_path))
+    if request.param == "spool":
+        monkeypatch.setenv("SNAPLE_OOC", "1")
     else:
-        monkeypatch.delenv("SNAPLE_NO_SHM", raising=False)
-    return request.param
+        monkeypatch.delenv("SNAPLE_OOC", raising=False)
+    yield request.param
+    assert list_spool_dirs() == []
 
 
 #: A configuration the vectorized kernel runs, and a custom callable whose
@@ -425,7 +430,7 @@ GRID_CONFIGS = {
 
 
 class TestTransportParityGrid:
-    """{paper, custom} × {pickled, shm} × {gas, bsp} × {1, 4 workers}
+    """{paper, custom} × {shm, spool} × {gas, bsp} × {1, 4 workers}
     == scalar reference."""
 
     _references: dict[tuple[str, str], tuple] = {}
@@ -445,14 +450,64 @@ class TestTransportParityGrid:
             run = predictor.predict(graph, backend=backend, workers=workers)
         assert_matches_reference(run, self._references[key])
         # Deterministic accounting, shipped boundary bytes included, is
-        # transport-independent: both transports must agree exactly.
+        # plane-independent, and both planes ship the same descriptors:
+        # they must agree exactly.
         accounting = [
             (p.gather_invocations, p.apply_invocations, p.shipped_bytes)
             for p in run.partition_reports
-        ]
+        ] + [run.extra["transport_bytes"]]
         expected = self._accounting.setdefault((config_name, backend, workers),
                                                accounting)
         assert accounting == expected
-        if workers > 1:
-            assert run.extra["shm_enabled"] == float(transport == "shm")
+        assert run.extra["shm_enabled"] == float(transport == "shm")
+        assert run.extra["ooc_enabled"] == float(transport == "spool")
+        assert_no_leaked_segments()
+
+
+def _assert_descriptor(payload) -> None:
+    if isinstance(payload, tuple):
+        for part in payload:
+            _assert_descriptor(part)
+    else:
+        assert payload is None or isinstance(
+            payload, (ShmSliceHandle, ShmMessageRange)), type(payload)
+
+
+class TestTaskPayloads:
+    """Only descriptors cross the process boundary: every task's state and
+    inbox payload is ``None``, a ``ShmSliceHandle``, a ``ShmMessageRange``
+    or a tuple of these, on either plane."""
+
+    #: Task-tuple positions of the payloads: GAS ``(w, step, owned,
+    #: state)``, BSP ``(w, superstep, state, compute, inbox, aggregated)``.
+    PAYLOAD_SLOTS = {"gas": (3,), "bsp": (2, 4)}
+
+    @pytest.mark.parametrize("backend", ["gas", "bsp"])
+    def test_payloads_are_descriptors(self, backend, transport, monkeypatch,
+                                      random_graph):
+        shipped = []
+        original = ParallelExecutor._map
+
+        def recording_map(self, pool, fn, tasks):
+            shipped.extend(tasks)
+            return original(self, pool, fn, tasks)
+
+        monkeypatch.setattr(ParallelExecutor, "_map", recording_map)
+        graph = parity_graph(random_graph)
+        with SnapleLinkPredictor(parity_config()) as predictor:
+            predictor.predict(graph, backend=backend, workers=2)
+        assert shipped
+        seen = set()
+        for task in shipped:
+            for slot in self.PAYLOAD_SLOTS[backend]:
+                _assert_descriptor(task[slot])
+                parts = task[slot] if isinstance(task[slot], tuple) \
+                    else (task[slot],)
+                seen.update(type(part) for part in parts)
+            for part in task:
+                assert not isinstance(part,
+                                      (StateSlice, MessageBlock, DiGraph))
+        assert ShmSliceHandle in seen
+        if backend == "bsp":
+            assert ShmMessageRange in seen
         assert_no_leaked_segments()

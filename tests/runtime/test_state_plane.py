@@ -190,15 +190,6 @@ class TestMessageBlock:
         expected = [payload_size_bytes(value) for _s, _t, value in SAMPLE_MESSAGES]
         assert block.payload_bytes(MESSAGE_BASE_BYTES).tolist() == expected
 
-    def test_split_by_preserves_relative_order(self):
-        block = encode_snaple_messages(SAMPLE_MESSAGES).sorted_by_sender()
-        owner = np.array([0, 1, 0, 1, 0], dtype=np.int64)  # per vertex
-        parts = block.split_by(owner[block.receiver], 2)
-        assert sum(part.num_messages for part in parts) == block.num_messages
-        for w, part in enumerate(parts):
-            assert (owner[part.receiver] == w).all()
-            assert part.sender.tolist() == sorted(part.sender.tolist())
-
     def test_concat_and_empty(self):
         left = encode_snaple_messages(SAMPLE_MESSAGES[:2])
         right = encode_snaple_messages(SAMPLE_MESSAGES[2:])

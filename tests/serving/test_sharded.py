@@ -22,6 +22,7 @@ from repro.errors import (
     VertexNotFoundError,
 )
 from repro.graph.digraph import DiGraph
+from repro.runtime.ooc import list_spool_dirs
 from repro.runtime.partition import partition_vertices
 from repro.serving import (
     PredictorService,
@@ -266,6 +267,33 @@ class TestCrashSafety:
             service.ingest([(0, 7)])
             service.top_k(0)
         assert _shm_entries() == before
+
+
+class TestNoShmPlatform:
+    def test_falls_back_to_spool_files(self, monkeypatch, tmp_path,
+                                       random_graph):
+        """Without shared memory the graph plane is a spool file, and the
+        service still answers exactly like the threaded one."""
+        monkeypatch.setattr("repro.runtime.ooc.shm_available", lambda: False)
+        monkeypatch.delenv("SNAPLE_OOC", raising=False)
+        monkeypatch.setenv("SNAPLE_OOC_DIR", str(tmp_path))
+        graph = random_graph(60, 3, 0.3, seed=41)
+        stream = _stream(graph, 3, seed=43)
+        before = _shm_entries()
+        with PredictorService(graph, CONFIG, serving=SERVING) as single, \
+                ShardedPredictorService(graph, CONFIG, shards=2,
+                                        serving=SERVING) as sharded:
+            assert len(list_spool_dirs()) == 1
+            assert _shm_entries() == before
+            for edge in stream:
+                single.ingest([edge])
+                sharded.ingest([edge])
+            for u in range(graph.num_vertices):
+                answer, reference = sharded.top_k(u), single.top_k(u)
+                assert answer.predicted == reference.predicted
+                assert answer.scores == reference.scores
+        assert _shm_entries() == before
+        assert list_spool_dirs() == []
 
 
 class TestShardMap:
