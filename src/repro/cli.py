@@ -201,17 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         "size and seed the graph",
     )
     serving.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "serve from N shard processes behind a batching dispatcher "
-            "(shared-memory graph plane, bit-identical answers) instead of "
-            "the single-process worker-thread service"
-        ),
-    )
-    serving.add_argument(
         "--queue-bound",
         type=int,
         default=None,
@@ -358,7 +347,6 @@ def _run_serve(args: argparse.Namespace,
         LoadGenerator,
         PredictorService,
         ServingConfig,
-        ShardedPredictorService,
     )
     from repro.snaple.config import SnapleConfig
 
@@ -378,8 +366,6 @@ def _run_serve(args: argparse.Namespace,
         compact_every=(args.compact_every
                        if args.compact_every is not None else 1024),
     )
-    if args.shards is not None and args.shards < 1:
-        parser.error("--shards must be >= 1")
     num_vertices = max(60, int(round(1000 * args.scale)))
     graph = powerlaw_cluster(num_vertices, 4, 0.4, seed=args.seed)
     config = SnapleConfig.paper_default(seed=args.seed)
@@ -397,14 +383,8 @@ def _run_serve(args: argparse.Namespace,
         }
 
     load_payload: dict[str, Any] | None = None
-    if args.shards is not None:
-        service_handle: Any = ShardedPredictorService(
-            graph, config, shards=args.shards, serving=serving_config
-        )
-    else:
-        service_handle = PredictorService(graph, config,
-                                          serving=serving_config)
-    with service_handle as service:
+    with PredictorService(graph, config,
+                          serving=serving_config) as service:
         if args.vertex is not None:
             events.append(top_k_event(service, args.vertex))
         for source, target in args.ingest or []:
@@ -450,7 +430,7 @@ def _run_serve(args: argparse.Namespace,
             )
             load_payload = LoadGenerator(service, load_config).run().to_dict()
         stats = service.stats()
-        report = (service.report() if args.shards is None else None)
+        report = service.report()
 
     if args.json:
         payload = {
@@ -458,7 +438,6 @@ def _run_serve(args: argparse.Namespace,
             "scale": args.scale,
             "seed": args.seed,
             "serving": dataclasses.asdict(serving_config),
-            "shards": args.shards,
             "graph": {
                 "num_vertices": graph.num_vertices,
                 "num_edges": graph.num_edges,
@@ -466,17 +445,14 @@ def _run_serve(args: argparse.Namespace,
             "events": events,
             "load": load_payload,
             "stats": dataclasses.asdict(stats),
+            "extra": report.extra,
+            "uptime_seconds": report.wall_clock_seconds,
         }
-        if report is not None:
-            payload["extra"] = report.extra
-            payload["uptime_seconds"] = report.wall_clock_seconds
         print(json.dumps(payload, indent=2, default=_json_default))
         return 0
-    plane = (f"shards={args.shards}" if args.shards is not None
-             else f"workers={serving_config.workers}")
     lines = [
         f"Online serving: |V|={graph.num_vertices:,} "
-        f"|E|={graph.num_edges:,}, {plane}, "
+        f"|E|={graph.num_edges:,}, workers={serving_config.workers}, "
         f"queue bound={serving_config.queue_bound}, "
         f"compact every={serving_config.compact_every}",
     ]
@@ -507,23 +483,14 @@ def _run_serve(args: argparse.Namespace,
             f"p50 {load_payload['stable_p50_ms']:.3f} ms, "
             f"p99 {load_payload['stable_p99_ms']:.3f} ms"
         )
-    if args.shards is not None:
-        lines.append(
-            f"  stats: served={stats.requests_served} "
-            f"ingested={stats.edges_ingested} "
-            f"batches={stats.batches_dispatched} "
-            f"(mean size {stats.mean_batch_size:.1f}) "
-            f"compactions={stats.compactions} shards={stats.shards}"
-        )
-    else:
-        lines.append(
-            f"  stats: served={stats.requests_served} "
-            f"ingested={stats.edges_ingested} "
-            f"rescored={stats.dirty_vertices_rescored} "
-            f"cache {stats.cache_hits}/"
-            f"{stats.cache_hits + stats.cache_misses} "
-            f"compactions={stats.compactions}"
-        )
+    lines.append(
+        f"  stats: served={stats.requests_served} "
+        f"ingested={stats.edges_ingested} "
+        f"rescored={stats.dirty_vertices_rescored} "
+        f"cache {stats.cache_hits}/"
+        f"{stats.cache_hits + stats.cache_misses} "
+        f"compactions={stats.compactions}"
+    )
     print("\n".join(lines))
     return 0
 
@@ -665,7 +632,6 @@ def _run_suite_command(argv: Sequence[str]) -> int:
 
 #: Serve-only flags rejected for batch experiments (dest, rendered flag).
 _SERVE_ONLY_FLAGS = (
-    ("shards", "--shards"),
     ("queue_bound", "--queue-bound"),
     ("compact_every", "--compact-every"),
     ("vertex", "--vertex"),

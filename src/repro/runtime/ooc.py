@@ -1,7 +1,7 @@
 """Spool-file segments, and the choice of segment plane.
 
-Every ``workers=N`` run and every sharded service hosts its graph and state
-on one of two planes, chosen by :func:`segment_plane` and nowhere else:
+Every ``workers=N`` run hosts its graph and state on one of two planes,
+chosen by :func:`segment_plane` and nowhere else:
 
 * **shm** — POSIX shared memory (:mod:`repro.runtime.shm`), when the
   platform can create segments and ``SNAPLE_OOC`` is unset;

@@ -138,7 +138,6 @@ __all__ = [
     "ParallelRunOutcome",
     "ParallelExecutor",
     "WorkerPoolLease",
-    "pool_context",
     "run_parallel_gas",
     "run_parallel_bsp",
     "validate_workers",
@@ -621,7 +620,7 @@ def _bsp_step_task_columnar(task):
 _FORKSERVER_PRELOADED = False
 
 
-def pool_context():
+def _pool_context():
     """An explicit spawn-family start method: forkserver, or spawn fallback.
 
     Plain ``fork`` is deliberately not used: forking a threaded parent
@@ -630,8 +629,7 @@ def pool_context():
     ``forkserver`` keeps fork's cheap per-worker startup by forking from a
     clean, single-threaded server process; preloading this module there
     (pulling in numpy and the engine packages once) keeps repeated pool
-    creation fast.  The sharded serving plane spawns its shards through the
-    same helper, so the preload bookkeeping lives in one place.
+    creation fast.
     """
     global _FORKSERVER_PRELOADED
     if "forkserver" in multiprocessing.get_all_start_methods():
@@ -649,7 +647,7 @@ def _spawn_pool(workers: int, graph: ShmGraphHandle | MemmapGraphHandle,
     """A worker pool whose processes attach ``graph`` once at startup."""
     return ProcessPoolExecutor(
         max_workers=workers,
-        mp_context=pool_context(),
+        mp_context=_pool_context(),
         initializer=_init_worker,
         initargs=(graph, config, fault),
     )

@@ -1,9 +1,8 @@
-"""Segment plane: zero-copy segments for parallel execution and serving.
+"""Segment plane: zero-copy segments for parallel execution.
 
-Every ``workers=N`` run (:mod:`repro.runtime.parallel`) and every sharded
-service (:mod:`repro.serving.sharded`) hosts its graph and state on one
-segment plane.  This module is the plane's machinery and its POSIX shared
-memory substrate (:mod:`multiprocessing.shared_memory`):
+Every ``workers=N`` run (:mod:`repro.runtime.parallel`) hosts its graph and
+state on one segment plane.  This module is the plane's machinery and its
+POSIX shared memory substrate (:mod:`multiprocessing.shared_memory`):
 
 * the CSR adjacency of the graph and the columnar
   :class:`~repro.runtime.state.StateStore` columns live in segments created

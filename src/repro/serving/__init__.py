@@ -5,18 +5,15 @@ package is the bridge to a long-lived system: a mutable edge overlay over
 the immutable CSR graph (:mod:`~repro.serving.delta`), an incrementally
 maintained SNAPLE index that rescores only dirty regions
 (:mod:`~repro.serving.index`), a request/worker service in the
-Queueing-middleware shape (:mod:`~repro.serving.service`), its sharded
-multi-process counterpart — shm-backed shard workers behind a batching
-dispatcher (:mod:`~repro.serving.sharded`) — per-stage queue/service-time
-instrumentation with operational-law bottleneck analysis
+Queueing-middleware shape (:mod:`~repro.serving.service`), per-stage
+queue/service-time instrumentation with operational-law bottleneck analysis
 (:mod:`~repro.serving.stages`), and a closed-loop load generator with
 windowed instrumentation (:mod:`~repro.serving.loadgen`).
 
 Parity contract: at any point in an edge stream (additions *and* removals),
-both services' answers are bit-identical (predictions *and* scores) to a
+the service's answers are bit-identical (predictions *and* scores) to a
 cold batch ``predict(backend="gas"/"bsp", workers=N)`` on the merged graph —
-the per-vertex RNG discipline makes dirty-region recomputation exact, for
-any shard count.
+the per-vertex RNG discipline makes dirty-region recomputation exact.
 """
 
 from repro.serving.delta import GraphDelta
@@ -39,14 +36,8 @@ from repro.serving.service import (
     ServingConfig,
     TopKResult,
 )
-from repro.serving.sharded import (
-    ShardedPredictorService,
-    ShardedServiceStats,
-    ShardMap,
-)
 from repro.serving.stages import (
     StageRecorder,
-    merge_snapshots,
     operational_analysis,
 )
 
@@ -63,12 +54,8 @@ __all__ = [
     "RemovalResult",
     "ServiceStats",
     "ServingConfig",
-    "ShardMap",
-    "ShardedPredictorService",
-    "ShardedServiceStats",
     "StageRecorder",
     "TopKResult",
     "WindowStats",
-    "merge_snapshots",
     "operational_analysis",
 ]

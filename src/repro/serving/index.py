@@ -170,23 +170,13 @@ class IncrementalIndex:
     GAS fold order), so the maintained predictions and scores are
     bit-identical to a cold batch ``predict(backend="gas"/"bsp", workers=N)``
     on the current merged graph.
-
-    ``target_filter`` restricts *phase 3b only* (the ranked-score refresh) to
-    a subset of vertices — the sharding hook.  Phases 1 and 2 (Γ̂ and kept
-    similarities) always run over the full dirty sets because phase 3b of an
-    owned target reads its neighbors' Γ̂/kept rows, which may not be owned.
-    Per-vertex RNG makes each target's phase-3b computation independent, so
-    a filtered index's rows for owned vertices are bit-identical to an
-    unfiltered index's rows for the same vertices.
     """
 
     def __init__(self, graph: DiGraph | GraphDelta, config: SnapleConfig,
-                 *, use_pair_cache: bool = True,
-                 target_filter=None) -> None:
+                 *, use_pair_cache: bool = True) -> None:
         self._graph = (graph if isinstance(graph, GraphDelta)
                        else GraphDelta(graph))
         self._config = config
-        self._target_filter = target_filter
         self.pair_cache = PairSimilarityCache() if use_pair_cache else None
         self.rescored_total = 0
         self.refreshes = 0
@@ -198,8 +188,7 @@ class IncrementalIndex:
         self._score_vals: list[np.ndarray] = []
         self._grow_to(self._graph.num_vertices)
         everything = np.arange(self._graph.num_vertices, dtype=np.int64)
-        self._refresh(everything, everything,
-                      self._filter_targets(everything))
+        self._refresh(everything, everything, everything)
 
     # ------------------------------------------------------------------
     # Read surface
@@ -288,7 +277,7 @@ class IncrementalIndex:
                        ) -> AppliedUpdate:
         gamma_dirty = np.unique(sources)
         sims_dirty = self._reverse_closure(gamma_dirty)
-        targets = self._filter_targets(self._reverse_closure(sims_dirty))
+        targets = self._reverse_closure(sims_dirty)
         self._refresh(gamma_dirty, sims_dirty, targets)
         self.rescored_total += int(targets.size)
         return AppliedUpdate(added=added or [], gamma_dirty=gamma_dirty,
@@ -311,12 +300,6 @@ class IncrementalIndex:
             self._pred_rows.append([])
             self._score_ids.append(np.empty(0, dtype=np.int64))
             self._score_vals.append(np.empty(0, dtype=np.float64))
-
-    def _filter_targets(self, targets: np.ndarray) -> np.ndarray:
-        """Apply the shard ``target_filter`` (identity when unsharded)."""
-        if self._target_filter is None:
-            return targets
-        return np.asarray(self._target_filter(targets), dtype=np.int64)
 
     def _reverse_closure(self, vertices: np.ndarray) -> np.ndarray:
         """``vertices`` plus their in-neighbors on the merged graph, sorted."""

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.serving.service import PredictorService
+from repro.serving.service import PredictorService, validate_k
 from repro.serving.stages import operational_analysis
 
 __all__ = ["LoadConfig", "LoadGenerator", "LoadResult", "WindowStats"]
@@ -67,6 +67,7 @@ class LoadConfig:
                 f"stable cut is empty: warmup {self.warmup_windows} + "
                 f"cooldown {self.cooldown_windows} >= windows {self.windows}"
             )
+        validate_k(self.k)
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,7 @@ class LoadResult:
     total_queries: int = 0
     total_ingests: int = 0
     #: Raw per-stage queue/service-time snapshots, when the service exposes
-    #: ``stage_stats()`` (both serving planes do).
+    #: ``stage_stats()`` (:class:`PredictorService` does).
     stages: dict | None = None
     #: Operational-law table over the run: per-stage utilization, Little's
     #: law fit, and the bottleneck stage (see repro.serving.stages).

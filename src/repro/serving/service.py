@@ -40,6 +40,15 @@ __all__ = ["IngestResult", "PredictorService", "RemovalResult",
 _SHUTDOWN = object()
 
 
+def validate_k(k) -> None:
+    """Reject a top-k cut that is neither ``None`` nor a positive ``int``."""
+    if k is not None and (isinstance(k, bool) or not isinstance(k, int)
+                          or k < 1):
+        raise ConfigurationError(
+            f"k must be a positive integer or None, got {k!r}"
+        )
+
+
 @dataclass(frozen=True)
 class ServingConfig:
     """Service shape: worker count, queue bound, compaction cadence.
@@ -51,7 +60,6 @@ class ServingConfig:
     workers: int = 2
     queue_bound: int = 64
     compact_every: int | None = 1024
-    result_cache: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -273,6 +281,7 @@ class PredictorService:
     def submit_top_k(self, vertex: int, k: int | None = None, *,
                      timeout: float | None = None) -> Future:
         """Enqueue a top-k query; resolves to a :class:`TopKResult`."""
+        validate_k(k)
         return self._submit("top_k", (int(vertex), k), timeout)
 
     def submit_ingest(self, edges: Iterable[tuple[int, int]], *,
@@ -290,13 +299,17 @@ class PredictorService:
 
     def top_k(self, vertex: int, k: int | None = None,
               timeout: float | None = None) -> TopKResult:
-        """Blocking convenience over :meth:`submit_top_k`."""
-        return self.submit_top_k(vertex, k).result(timeout)
+        """Blocking convenience over :meth:`submit_top_k`.
+
+        Like every blocking call, ``timeout`` bounds the enqueue and then,
+        separately, the wait for the answer.
+        """
+        return self.submit_top_k(vertex, k, timeout=timeout).result(timeout)
 
     def ingest(self, edges: Iterable[tuple[int, int]],
                timeout: float | None = None) -> IngestResult:
         """Blocking convenience over :meth:`submit_ingest`."""
-        return self.submit_ingest(edges).result(timeout)
+        return self.submit_ingest(edges, timeout=timeout).result(timeout)
 
     def ingest_edge(self, u: int, v: int,
                     timeout: float | None = None) -> IngestResult:
@@ -305,7 +318,7 @@ class PredictorService:
     def remove(self, edges: Iterable[tuple[int, int]],
                timeout: float | None = None) -> RemovalResult:
         """Blocking convenience over :meth:`submit_remove`."""
-        return self.submit_remove(edges).result(timeout)
+        return self.submit_remove(edges, timeout=timeout).result(timeout)
 
     # ------------------------------------------------------------------
     # Workers
@@ -343,8 +356,7 @@ class PredictorService:
     def _handle_top_k(self, vertex: int, k: int | None) -> TopKResult:
         with self._lock.read():
             index = self._index
-            cached = (self._result_cache.get(vertex)
-                      if self._serving.result_cache else None)
+            cached = self._result_cache.get(vertex)
             if cached is None:
                 predicted = index.predictions(vertex)  # raises for bad vertex
                 scores = index.prediction_scores(vertex)
@@ -352,8 +364,7 @@ class PredictorService:
                                     scores=scores, from_cache=False)
                 with self._counters_lock:
                     self._cache_misses += 1
-                    if self._serving.result_cache:
-                        self._result_cache[vertex] = result
+                    self._result_cache[vertex] = result
             else:
                 result = TopKResult(vertex=vertex,
                                     predicted=list(cached.predicted),

@@ -1,20 +1,15 @@
 """Per-stage queue/service-time instrumentation and operational-law analysis.
 
-The serving plane is a pipeline: requests wait in a dispatch queue, then in a
-per-shard queue, get rescored/answered by a worker, and the reply travels
-back.  To find the bottleneck we need, per stage, the arrival rate λ, the
-mean time in stage W, the observed queue length L, and the busy fraction of
-its servers — the inputs of the operational laws (utilization law
+The service is a set of stages: a request waits in the job queue, then a
+worker answers a query or rescores an ingest.  To find the bottleneck we
+need, per stage, the arrival rate λ, the mean time in stage W, the observed
+queue length L, and the busy fraction of its servers — the inputs of the operational laws (utilization law
 ``U = λ·S/m``, Little's law ``L = λ·W``).  :class:`StageRecorder` collects
 exactly those samples with O(1) amortized cost and a bounded footprint;
 :func:`operational_analysis` turns a set of snapshots plus a wall-clock
 window into the per-stage utilization/latency table and names the bottleneck
 (the stage with the highest utilization — the one that saturates first as
 offered load grows).
-
-Snapshots are plain dicts of floats/lists so they pickle across the shard
-process boundary; :func:`merge_snapshots` folds the per-shard copies of the
-same stage into one.
 """
 
 from __future__ import annotations
@@ -23,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "StageRecorder",
-    "merge_snapshots",
     "operational_analysis",
 ]
 
@@ -36,10 +30,9 @@ _MAX_SAMPLES = 4096
 class StageRecorder:
     """Collects wait/service-time and queue-depth samples for one stage.
 
-    ``servers`` is the stage's parallelism (worker threads or shard
-    processes); it divides busy time in the utilization law.  Recorders are
-    not thread-safe by design — each worker owns its own recorder and the
-    coordinator merges snapshots.
+    ``servers`` is the stage's parallelism (worker threads); it divides busy
+    time in the utilization law.  Recorders are not thread-safe by design —
+    the service records under its own counters lock.
     """
 
     __slots__ = ("name", "servers", "count", "wait_total", "service_total",
@@ -105,37 +98,6 @@ class StageRecorder:
         self._depth.clear()
         self._stride = 1
         self._pending = 0
-
-
-def merge_snapshots(snapshots: list[dict]) -> dict:
-    """Fold several snapshots of the *same logical stage* into one.
-
-    Totals add; ``servers`` adds too (four shard processes are four servers
-    of the shard stage); sample lists concatenate.
-    """
-    if not snapshots:
-        raise ValueError("merge_snapshots needs at least one snapshot")
-    merged = {
-        "name": snapshots[0]["name"],
-        "servers": 0,
-        "count": 0,
-        "wait_total": 0.0,
-        "service_total": 0.0,
-        "busy_seconds": 0.0,
-        "wait_samples": [],
-        "service_samples": [],
-        "depth_samples": [],
-    }
-    for snap in snapshots:
-        merged["servers"] += snap["servers"]
-        merged["count"] += snap["count"]
-        merged["wait_total"] += snap["wait_total"]
-        merged["service_total"] += snap["service_total"]
-        merged["busy_seconds"] += snap["busy_seconds"]
-        merged["wait_samples"].extend(snap["wait_samples"])
-        merged["service_samples"].extend(snap["service_samples"])
-        merged["depth_samples"].extend(snap["depth_samples"])
-    return merged
 
 
 def _percentiles_ms(samples: list[float]) -> dict:

@@ -7,9 +7,9 @@ file-backed mappings instead of POSIX shared memory — to bound peak RSS
 * **lifecycle** — every spool directory a run creates is removed again
   (success, crash, or resume), and predictors release their pool lease on
   ``close()``;
-* **fallback** — with no shared memory, ``workers=N`` runs and sharded
-  services land on spool files and still equal the scalar reference
-  (the {shm, spool} parity grid itself lives in ``test_shm.py``);
+* **fallback** — with no shared memory, ``workers=N`` runs land on spool
+  files and still equal the scalar reference (the {shm, spool} parity grid
+  itself lives in ``test_shm.py``);
 * **portability** — checkpoints carry the same ``columnar`` flavour on
   both planes, so a run checkpointed under one resumes under the other.
 """

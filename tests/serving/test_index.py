@@ -192,33 +192,6 @@ class TestRemovals:
         assert update.num_rescored < index.num_vertices
 
 
-class TestTargetFilter:
-    def test_filtered_indexes_tile_the_unfiltered_one(self, random_graph,
-                                                      config):
-        """Phase 3b restricted to disjoint covering slices reproduces the
-        unfiltered index exactly on each slice — the sharding invariant."""
-        base = random_graph(70, 3, 0.3, seed=12)
-        stream = _absent_edges(base, 6, seed=13)
-        full = IncrementalIndex(base, config)
-        halves = [
-            IncrementalIndex(
-                base, config,
-                target_filter=lambda t, parity=parity:
-                    t[np.asarray(t) % 2 == parity],
-            )
-            for parity in (0, 1)
-        ]
-        updates = [full.apply_edges(stream)]
-        half_rescored = 0
-        for half in halves:
-            half_rescored += half.apply_edges(stream).num_rescored
-        assert half_rescored == updates[0].num_rescored
-        for u in range(full.num_vertices):
-            owner = halves[u % 2]
-            assert owner.predictions(u) == full.predictions(u)
-            assert owner.scores(u) == full.scores(u)
-
-
 class TestPairCache:
     def test_hits_accumulate_and_invalidate(self, random_graph, config):
         base = random_graph(90, 3, 0.3, seed=7)

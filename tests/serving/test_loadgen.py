@@ -26,6 +26,9 @@ class TestLoadConfigValidation:
         {"cooldown_windows": -1},
         # Stable cut empty: warmup + cooldown consume every window.
         {"windows": 3, "warmup_windows": 2, "cooldown_windows": 1},
+        {"k": 0},
+        {"k": 2.5},
+        {"k": True},
     ])
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):

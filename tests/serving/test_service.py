@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.errors import ConfigurationError, ServingError
 from repro.serving import (
     IncrementalIndex,
@@ -28,6 +34,22 @@ def _absent_edge(graph, seed=0):
         v = int(rng.integers(graph.num_vertices))
         if u != v and not graph.has_edge(u, v):
             return u, v
+
+
+def test_import_leaves_the_parallel_executor_unloaded():
+    """Serving runs in threads: importing it must not pull in the process
+    pool executor (and with it the checkpoint and segment-plane modules)."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    probe = ("import sys, repro.serving; "
+             "print('repro.runtime.parallel' in sys.modules)")
+    completed = subprocess.run([sys.executable, "-c", probe], env=env,
+                               capture_output=True, text=True, timeout=60,
+                               check=True)
+    assert completed.stdout.strip() == "False"
 
 
 class TestConfigValidation:
@@ -96,6 +118,16 @@ class TestQueries:
             assert sliced.predicted == full.predicted[:1]
             assert sliced.scores == full.scores[:1]
 
+    @pytest.mark.parametrize("k", [0, -1, 2.5, True])
+    def test_invalid_k_rejected_before_enqueue(self, small_social_graph,
+                                               config, k):
+        with PredictorService(small_social_graph, config) as service:
+            with pytest.raises(ConfigurationError):
+                service.top_k(0, k=k)
+            with pytest.raises(ConfigurationError):
+                service.submit_top_k(0, k=k)
+            assert service.stats().requests_served == 0
+
     def test_unknown_vertex_surfaces_through_future(self, small_social_graph,
                                                     config):
         from repro.errors import VertexNotFoundError
@@ -114,14 +146,6 @@ class TestQueries:
             stats = service.stats()
             assert stats.cache_hits == 1
             assert stats.cache_misses == 1
-
-    def test_result_cache_can_be_disabled(self, small_social_graph, config):
-        serving = ServingConfig(result_cache=False)
-        with PredictorService(small_social_graph, config,
-                              serving=serving) as service:
-            service.top_k(7)
-            assert not service.top_k(7).from_cache
-            assert service.stats().cache_hits == 0
 
 
 class TestIngest:
@@ -186,38 +210,66 @@ class TestIngest:
             assert service.stats().delta_edges < 2
 
 
+@contextlib.contextmanager
+def _saturated(service):
+    """Hold the write lock so the single worker blocks and the one queue
+    slot fills; yields the two futures that got in."""
+    release = threading.Event()
+    entered = threading.Event()
+
+    def hold_write():
+        with service._lock.write():
+            entered.set()
+            release.wait()
+
+    holder = threading.Thread(target=hold_write)
+    holder.start()
+    try:
+        assert entered.wait(5)
+        # The single worker picks this up and blocks on the read side of
+        # the lock...
+        blocked = service.submit_top_k(0)
+        # ...this one fills the only queue slot.
+        queued = service.submit_top_k(1)
+        yield blocked, queued
+    finally:
+        release.set()
+        holder.join()
+    assert blocked.result(5).vertex == 0
+    assert queued.result(5).vertex == 1
+
+
 class TestQueueBound:
     def test_full_queue_times_out_with_serving_error(self, small_social_graph,
                                                      config):
         serving = ServingConfig(workers=1, queue_bound=1)
         with PredictorService(small_social_graph, config,
                               serving=serving) as service:
-            release = threading.Event()
-            entered = threading.Event()
-
-            def hold_write():
-                with service._lock.write():
-                    entered.set()
-                    release.wait()
-
-            holder = threading.Thread(target=hold_write)
-            holder.start()
-            try:
-                assert entered.wait(5)
-                # The single worker picks this up and blocks on the read
-                # side of the lock...
-                blocked = service.submit_top_k(0)
-                # ...this one fills the only queue slot...
-                queued = service.submit_top_k(1)
-                # ...so the next submission cannot enqueue within the
-                # timeout and must surface the bound as a ServingError.
+            with _saturated(service):
+                # The next submission cannot enqueue within the timeout
+                # and must surface the bound as a ServingError.
                 with pytest.raises(ServingError):
                     service.submit_top_k(2, timeout=0.05)
-            finally:
-                release.set()
-                holder.join()
-            assert blocked.result(5).vertex == 0
-            assert queued.result(5).vertex == 1
+
+    @pytest.mark.parametrize("call", [
+        lambda service: service.top_k(2, timeout=0.05),
+        lambda service: service.ingest([(2, 3)], timeout=0.05),
+        lambda service: service.ingest_edge(2, 3, timeout=0.05),
+        lambda service: service.remove([(2, 3)], timeout=0.05),
+    ], ids=["top_k", "ingest", "ingest_edge", "remove"])
+    def test_blocking_call_honours_timeout_on_enqueue(self,
+                                                      small_social_graph,
+                                                      config, call):
+        serving = ServingConfig(workers=1, queue_bound=1)
+        with PredictorService(small_social_graph, config,
+                              serving=serving) as service:
+            with _saturated(service):
+                # The blocking call must give up on a full queue within
+                # its timeout instead of waiting forever for a slot.
+                with pytest.raises(ServingError):
+                    call(service)
+            # Nothing was enqueued: the timed-out update never applied.
+            assert service.stats().edges_ingested == 0
 
 
 class TestConcurrency:

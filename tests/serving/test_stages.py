@@ -1,14 +1,10 @@
-"""Stage instrumentation: bounded sampling, merging, operational laws."""
+"""Stage instrumentation: bounded sampling and operational laws."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.serving.stages import (
-    StageRecorder,
-    merge_snapshots,
-    operational_analysis,
-)
+from repro.serving.stages import StageRecorder, operational_analysis
 
 
 class TestStageRecorder:
@@ -53,28 +49,6 @@ class TestStageRecorder:
         assert snap["wait_total"] == 0.0
         assert snap["wait_samples"] == []
         assert snap["depth_samples"] == []
-
-
-class TestMergeSnapshots:
-    def test_merge_adds_servers_and_concatenates(self):
-        a = StageRecorder("shard_queue")
-        b = StageRecorder("shard_queue")
-        a.record(0.1, 0.2)
-        b.record(0.3, 0.4)
-        b.record(0.5, 0.6)
-        b.sample_depth(2)
-        merged = merge_snapshots([a.snapshot(), b.snapshot()])
-        assert merged["name"] == "shard_queue"
-        # Four shard processes are four servers of the one logical stage.
-        assert merged["servers"] == 2
-        assert merged["count"] == 3
-        assert merged["wait_total"] == pytest.approx(0.9)
-        assert sorted(merged["wait_samples"]) == [0.1, 0.3, 0.5]
-        assert merged["depth_samples"] == [2]
-
-    def test_merge_rejects_empty(self):
-        with pytest.raises(ValueError):
-            merge_snapshots([])
 
 
 class TestOperationalAnalysis:
