@@ -1,13 +1,13 @@
 """Benchmark: checkpointing overhead and crash-recovery cost, recorded to JSON.
 
-Runs the same SNAPLE configuration on the ``gas`` and ``bsp`` backends with
-2 worker processes three ways — no checkpointing, checkpointing every
-superstep, and a run that loses a worker mid-superstep and recovers from its
-checkpoints — verifies all three are prediction-identical (a fault-tolerance
-layer that changed the answer would be worse than useless), and writes the
-overhead split (checkpoint seconds/bytes, recovery wall clock) to
-``results/BENCH_checkpoint.json`` so future sessions can diff the cost of
-durability.
+Runs one SNAPLE configuration on the ``gas`` backend (the only backend with
+a ``workers=N`` path) with 2 worker processes three ways — no
+checkpointing, checkpointing every superstep, and a run that loses a worker
+mid-superstep and recovers from its checkpoints — verifies all three are
+prediction-identical (a fault-tolerance layer that changed the answer would
+be worse than useless), and writes the overhead split (checkpoint
+seconds/bytes, recovery wall clock) to ``results/BENCH_checkpoint.json`` so
+future sessions can diff the cost of durability.
 
 Environment knobs for CI:
 
@@ -50,55 +50,54 @@ def test_bench_checkpoint_overhead(save_json, save_result, tmp_path,
     config = SnapleConfig.paper_default(seed=BENCH_SEED, k_local=10)
     predictor = SnapleLinkPredictor(config)
 
-    rows = []
-    for backend in ("gas", "bsp"):
-        plain_seconds, plain = _timed_predict(
-            predictor, graph, iterations, backend=backend, workers=WORKERS
-        )
-        checkpoint_dir = tmp_path / f"ckpt-{backend}"
-        checkpointed_seconds = float("inf")
-        checkpointed = None
-        for iteration in range(iterations):
-            run_dir = checkpoint_dir / f"iter-{iteration}"
-            start = time.perf_counter()
-            checkpointed = predictor.predict(
-                graph, backend=backend, workers=WORKERS,
-                checkpoint_dir=run_dir,
-            )
-            checkpointed_seconds = min(checkpointed_seconds,
-                                       time.perf_counter() - start)
-        # Durability must never change the answer.
-        assert checkpointed.predictions == plain.predictions
-        assert checkpointed.extra["checkpoints_written"] > 0
-        assert checkpointed.extra["checkpoint_bytes"] > 0
-
-        # One crash mid-run: kill a worker at superstep 1, let the executor
-        # respawn the pool and resume from the newest checkpoint.
-        recovery_dir = checkpoint_dir / "recovery"
-        token = checkpoint_dir / "fault-token"
+    backend = "gas"
+    plain_seconds, plain = _timed_predict(
+        predictor, graph, iterations, backend=backend, workers=WORKERS
+    )
+    checkpoint_dir = tmp_path / f"ckpt-{backend}"
+    checkpointed_seconds = float("inf")
+    checkpointed = None
+    for iteration in range(iterations):
+        run_dir = checkpoint_dir / f"iter-{iteration}"
         start = time.perf_counter()
-        recovered = predictor.predict(
+        checkpointed = predictor.predict(
             graph, backend=backend, workers=WORKERS,
-            checkpoint_dir=recovery_dir,
-            fault=FaultSpec(superstep=1, partition=0, token_path=str(token)),
+            checkpoint_dir=run_dir,
         )
-        recovery_seconds = time.perf_counter() - start
-        assert recovered.extra["worker_restarts"] == 1.0
-        assert recovered.predictions == plain.predictions
+        checkpointed_seconds = min(checkpointed_seconds,
+                                   time.perf_counter() - start)
+    # Durability must never change the answer.
+    assert checkpointed.predictions == plain.predictions
+    assert checkpointed.extra["checkpoints_written"] > 0
+    assert checkpointed.extra["checkpoint_bytes"] > 0
 
-        rows.append({
-            "backend": backend,
-            "plain_wall_clock_seconds": plain_seconds,
-            "checkpointed_wall_clock_seconds": checkpointed_seconds,
-            "checkpoint_seconds": checkpointed.extra["checkpoint_seconds"],
-            "checkpoint_bytes": checkpointed.extra["checkpoint_bytes"],
-            "checkpoints_written": checkpointed.extra["checkpoints_written"],
-            "overhead_ratio": (checkpointed_seconds / plain_seconds
-                               if plain_seconds else None),
-            "crash_recovery_wall_clock_seconds": recovery_seconds,
-            "recovery_vs_plain_ratio": (recovery_seconds / plain_seconds
-                                        if plain_seconds else None),
-        })
+    # One crash mid-run: kill a worker at superstep 1, let the executor
+    # respawn the pool and resume from the newest checkpoint.
+    recovery_dir = checkpoint_dir / "recovery"
+    token = checkpoint_dir / "fault-token"
+    start = time.perf_counter()
+    recovered = predictor.predict(
+        graph, backend=backend, workers=WORKERS,
+        checkpoint_dir=recovery_dir,
+        fault=FaultSpec(superstep=1, partition=0, token_path=str(token)),
+    )
+    recovery_seconds = time.perf_counter() - start
+    assert recovered.extra["worker_restarts"] == 1.0
+    assert recovered.predictions == plain.predictions
+
+    rows = [{
+        "backend": backend,
+        "plain_wall_clock_seconds": plain_seconds,
+        "checkpointed_wall_clock_seconds": checkpointed_seconds,
+        "checkpoint_seconds": checkpointed.extra["checkpoint_seconds"],
+        "checkpoint_bytes": checkpointed.extra["checkpoint_bytes"],
+        "checkpoints_written": checkpointed.extra["checkpoints_written"],
+        "overhead_ratio": (checkpointed_seconds / plain_seconds
+                           if plain_seconds else None),
+        "crash_recovery_wall_clock_seconds": recovery_seconds,
+        "recovery_vs_plain_ratio": (recovery_seconds / plain_seconds
+                                    if plain_seconds else None),
+    }]
 
     payload = {
         "benchmark": "checkpoint_overhead",

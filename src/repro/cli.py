@@ -133,7 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "execute graph partitions in N shared-nothing worker processes "
             "instead of the simulated cluster (only experiments taking a "
-            "'workers' parameter, e.g. ablation-engines)"
+            "'workers' parameter, e.g. ablation-engines, which then runs "
+            "its GAS engines only; --engine bsp is simulated-only)"
         ),
     )
     parser.add_argument(
@@ -714,7 +715,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"--mode is not supported by experiment {args.experiment!r}"
             )
         kwargs["mode"] = args.mode
-    result = experiment(**kwargs)
+    try:
+        result = experiment(**kwargs)
+    except ConfigurationError as error:
+        parser.error(str(error))
     if args.json:
         payload = {
             "experiment": args.experiment,

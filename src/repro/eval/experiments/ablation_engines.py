@@ -16,6 +16,9 @@ to check: all three produce the same recall (the algorithm is unchanged), the
 greedy vertex-cut GAS run ships the fewest bytes, and the BSP port's traffic
 sits in the same order of magnitude as random-vertex-cut GAS — i.e. the GAS
 formulation's advantage materializes through the partitioner, not for free.
+
+With ``workers=N`` the two GAS rows run in real worker processes instead;
+the BSP row exists only on the simulated cluster.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from repro.eval.metrics import evaluate_predictions
 from repro.eval.report import TextTable
 from repro.eval.runner import ExperimentRunner
 from repro.gas.cluster import TYPE_I, cluster_of
+from repro.runtime import backend_capabilities
 from repro.runtime.partition import GreedyVertexCut
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
@@ -122,7 +126,7 @@ def run_ablation_engines(
     datasets: tuple[str, ...] = ("livejournal",),
     num_machines: int = 8,
     k_local: float = 20,
-    engines: tuple[str, ...] = ("gas", "gas-greedy", "bsp"),
+    engines: tuple[str, ...] | None = None,
     workers: int | None = None,
     checkpoint_dir: str | None = None,
     checkpoint_every: int | None = None,
@@ -130,17 +134,20 @@ def run_ablation_engines(
 ) -> AblationEnginesResult:
     """Run the same SNAPLE configuration on the selected execution engines.
 
-    ``engines`` selects from :data:`ENGINE_SPECS` (all three by default);
-    unknown names raise :class:`~repro.errors.ConfigurationError`.
+    ``engines`` selects from :data:`ENGINE_SPECS` (by default all three, or
+    both GAS specs under ``workers``); unknown names raise
+    :class:`~repro.errors.ConfigurationError`.
 
-    ``workers`` switches every engine from the simulated ``num_machines``
+    ``workers`` switches the GAS engines from the simulated ``num_machines``
     cluster to real shared-nothing parallelism (see
     :mod:`repro.runtime.parallel`): partitions execute in that many worker
     processes, the network column reports the state actually shipped between
     partitions, and the time column reports wall-clock seconds instead of
     simulated cluster time.  The partitioner of each spec (e.g. the greedy
     vertex-cut) then controls partition locality rather than simulated
-    placement.
+    placement.  The BSP engine is simulated only, so naming ``bsp``
+    together with ``workers`` raises
+    :class:`~repro.errors.ConfigurationError`.
 
     ``checkpoint_dir`` (requires ``workers``) persists superstep-boundary
     checkpoints for every run, each under its own
@@ -150,11 +157,22 @@ def run_ablation_engines(
     before executing — the CLI's ``--resume`` after an interrupted
     invocation.  Results are bit-identical with and without resume.
     """
+    if engines is None:
+        engines = tuple(
+            name for name, (_, backend, _) in ENGINE_SPECS.items()
+            if workers is None or backend_capabilities(backend).parallel
+        )
     for engine in engines:
         if engine not in ENGINE_SPECS:
             raise ConfigurationError(
                 f"unknown engine {engine!r}; available engines: "
                 f"{', '.join(sorted(ENGINE_SPECS))}"
+            )
+        backend = ENGINE_SPECS[engine][1]
+        if workers is not None and not backend_capabilities(backend).parallel:
+            raise ConfigurationError(
+                f"engine {engine!r} is simulated only and cannot run with "
+                "workers=N; select a GAS engine or drop workers"
             )
     if checkpoint_dir is not None and workers is None:
         raise ConfigurationError(

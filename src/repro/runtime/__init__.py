@@ -4,9 +4,8 @@ One scoring framework, many engines: this package defines the
 :class:`~repro.runtime.backend.ExecutionBackend` protocol, the string-keyed
 backend registry, the normalized :class:`~repro.runtime.report.RunReport`
 accounting shared by every engine, and the columnar state plane
-(:mod:`repro.runtime.state`) the engines keep their vertex state and route
-their messages through.  The first registry lookup registers the six
-built-in backends:
+(:mod:`repro.runtime.state`) the engines keep their vertex state in.  The
+first registry lookup registers the six built-in backends:
 
 ========================  =====================================================
 ``local``                 single-process scoring (vectorized CSR kernel)
@@ -86,12 +85,10 @@ __all__ = [
     "ParallelRunOutcome",
     "PartitionReport",
     "run_parallel_gas",
-    "run_parallel_bsp",
     "StateStore",
     "StateSchema",
     "StateField",
     "FieldKind",
-    "MessageBlock",
     "CheckpointData",
     "FaultSpec",
     "save_checkpoint",
@@ -114,12 +111,10 @@ _LAZY_EXPORTS = {
     "ParallelRunOutcome": "repro.runtime.parallel",
     "PartitionReport": "repro.runtime.parallel",
     "run_parallel_gas": "repro.runtime.parallel",
-    "run_parallel_bsp": "repro.runtime.parallel",
     "StateStore": "repro.runtime.state",
     "StateSchema": "repro.runtime.state",
     "StateField": "repro.runtime.state",
     "FieldKind": "repro.runtime.state",
-    "MessageBlock": "repro.runtime.state",
     "CheckpointData": "repro.runtime.checkpoint",
     "FaultSpec": "repro.runtime.checkpoint",
     "save_checkpoint": "repro.runtime.checkpoint",

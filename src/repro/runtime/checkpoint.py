@@ -3,16 +3,15 @@
 SNAPLE's pitch is link prediction on commodity graph-processing clusters,
 where a worker process dying mid-superstep is the common case, not the
 exception.  This module gives :class:`~repro.runtime.parallel.ParallelExecutor`
-a durable superstep boundary: at a configurable cadence the coordinator
-snapshots everything the next superstep needs — the vertex state (the
-columnar :class:`~repro.runtime.state.StateStore` content), the pending
-:class:`~repro.runtime.state.MessageBlock` inboxes, the collected candidate
-scores, and the deterministic accounting counters — and on a crash the run
-resumes from the last snapshot with **bit-identical** final predictions
-versus an uninterrupted run.
+(the ``gas`` backend with ``workers=N``) a durable superstep boundary: at a
+configurable cadence the coordinator snapshots everything the next
+superstep needs — the vertex state (the columnar
+:class:`~repro.runtime.state.StateStore` content) and the deterministic
+accounting counters — and on a crash the run resumes from the last snapshot
+with **bit-identical** final predictions versus an uninterrupted run.
 
 Bit-identical resume is possible because every random draw in the parallel
-engines comes from a per-vertex stream derived from ``(seed, step, vertex)``
+executor comes from a per-vertex stream derived from ``(seed, step, vertex)``
 (:func:`repro.snaple.program.vertex_rng`): the RNG has no mutable cursor to
 snapshot — re-executing a superstep replays exactly the same draws.  The
 manifest still records the seed and the stream scheme so a resume against a
@@ -27,8 +26,7 @@ root (``NNNNNN`` = the next superstep to execute on resume)::
         step-000001/
             manifest.json     # format version, fingerprint, shard checksums
             state.bin         # vertex state (StateSlice arrays)
-            messages.bin      # pending MessageBlock / inboxes, active flags
-            runmeta.bin       # collected scores + accounting counters
+            runmeta.bin       # accounting counters
         step-000002/
             ...
         LATEST                # last fully committed step number
@@ -71,8 +69,9 @@ __all__ = [
     "vertices_digest",
 ]
 
-#: Bumped whenever the shard payload layout changes incompatibly.
-CHECKPOINT_FORMAT_VERSION = 1
+#: Bumped whenever the shard payload layout changes incompatibly; snapshots of
+#: any other version are refused by name.
+CHECKPOINT_FORMAT_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 LATEST_NAME = "LATEST"
@@ -86,27 +85,18 @@ _STEP_PREFIX = "step-"
 class CheckpointData:
     """Everything a parallel run needs to restart at a superstep boundary.
 
-    ``superstep`` is the *next* superstep to execute; ``state`` /
-    ``messages`` / ``active`` / ``aggregated`` hold the loop state (columnar
-    :class:`~repro.runtime.state.StateSlice` and
-    :class:`~repro.runtime.state.MessageBlock` arrays), ``scores`` the
-    candidate score maps collected so far, and
+    ``superstep`` is the *next* superstep to execute; ``state`` holds the
+    vertex state (a columnar :class:`~repro.runtime.state.StateSlice`) and
     ``accounting`` the deterministic per-partition counters (gathers,
     applies, shipped bytes) plus the timing accumulated before the snapshot.
     ``fingerprint`` pins the graph/config/worker identity the snapshot is
     valid for; ``rng`` records the seed and the per-vertex stream scheme.
     """
 
-    kind: str
-    flavour: str
     superstep: int
     workers: int
     fingerprint: dict[str, Any]
     state: Any
-    messages: Any = None
-    scores: Any = field(default_factory=dict)
-    active: Any = None
-    aggregated: dict[str, Any] = field(default_factory=dict)
     accounting: dict[str, Any] = field(default_factory=dict)
     rng: dict[str, Any] = field(default_factory=dict)
 
@@ -133,23 +123,20 @@ def vertices_digest(vertices) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def checkpoint_fingerprint(graph, config, *, kind: str, flavour: str,
-                           workers: int, vertices: str = "all") -> dict[str, Any]:
+def checkpoint_fingerprint(graph, config, *, workers: int,
+                           vertices: str = "all") -> dict[str, Any]:
     """The identity a checkpoint is valid for.
 
     A resume is accepted only when the fingerprint matches exactly: the same
-    graph shape, scoring configuration, execution kind, state flavour,
-    worker count and active vertex subset (as a :func:`vertices_digest`).
-    Anything else could silently change the partitioning, the RNG streams,
-    or the state layout.
+    graph shape, scoring configuration, worker count and active vertex
+    subset (as a :func:`vertices_digest`).  Anything else could silently
+    change the partitioning or the RNG streams.
     """
     return {
         "num_vertices": int(graph.num_vertices),
         "num_edges": int(graph.num_edges),
         "config": config.describe(),
         "seed": int(config.seed),
-        "kind": kind,
-        "flavour": flavour,
         "workers": int(workers),
         "vertices": vertices,
     }
@@ -198,21 +185,16 @@ _HASH_CHUNK_BYTES = 4 * 1024 * 1024
 
 
 def _shard_payloads(data: CheckpointData) -> dict[str, dict[str, Any]]:
-    """The three shard files a checkpoint is split across.
+    """The two shard files a checkpoint is split across.
 
-    Splitting state, messages and run metadata keeps each shard
-    independently verifiable — the fault-injection suite corrupts them one
-    at a time — and keeps the (large) state shard rewrite-free when only
-    metadata would change.
+    Splitting state and run metadata keeps each shard independently
+    verifiable — the fault-injection suite corrupts them one at a time —
+    and keeps the (large) state shard rewrite-free when only metadata would
+    change.
     """
     return {
         "state.bin": {"state": data.state},
-        "messages.bin": {
-            "messages": data.messages,
-            "active": data.active,
-            "aggregated": data.aggregated,
-        },
-        "runmeta.bin": {"scores": data.scores, "accounting": data.accounting},
+        "runmeta.bin": {"accounting": data.accounting},
     }
 
 
@@ -246,8 +228,6 @@ def save_checkpoint(root: str | Path, data: CheckpointData) -> int:
             total += sink.nbytes
         manifest = {
             "format_version": CHECKPOINT_FORMAT_VERSION,
-            "kind": data.kind,
-            "flavour": data.flavour,
             "superstep": data.superstep,
             "workers": data.workers,
             "fingerprint": data.fingerprint,
@@ -385,19 +365,12 @@ def load_checkpoint(step_dir: str | Path) -> CheckpointData:
         for name, expected in manifest["shards"].items()
     }
     state_shard = shards.get("state.bin", {})
-    messages_shard = shards.get("messages.bin", {})
     runmeta_shard = shards.get("runmeta.bin", {})
     return CheckpointData(
-        kind=manifest.get("kind", ""),
-        flavour=manifest.get("flavour", ""),
         superstep=int(manifest.get("superstep", 0)),
         workers=int(manifest.get("workers", 0)),
         fingerprint=dict(manifest.get("fingerprint", {})),
         state=state_shard.get("state"),
-        messages=messages_shard.get("messages"),
-        scores=runmeta_shard.get("scores", {}),
-        active=messages_shard.get("active"),
-        aggregated=dict(messages_shard.get("aggregated") or {}),
         accounting=dict(runmeta_shard.get("accounting") or {}),
         rng=dict(manifest.get("rng", {})),
     )

@@ -25,7 +25,6 @@ from repro.runtime.backend import BackendCapabilities, ExecutionBackend
 from repro.runtime.parallel import (
     ParallelRunOutcome,
     PartitionReport,
-    run_parallel_bsp,
     run_parallel_gas,
     validate_workers,
 )
@@ -455,37 +454,20 @@ class BspBackend(ExecutionBackend):
     neighborhoods in flight); a ``vertices`` restriction only filters the
     returned predictions.
 
-    With ``workers=N`` the four supersteps execute shared-nothing across
-    ``N`` worker processes (edge-cut vertex ownership), with messages routed
-    between partitions at every superstep barrier.
+    The backend exists for the simulated comparison of message traffic
+    against the GAS engine's mirror traffic; it has no ``workers=N`` path
+    (real parallel execution of the same algorithm is ``gas`` with
+    ``workers=N``).
     """
 
     name = "bsp"
 
     def __init__(self, cluster: ClusterConfig | None = None,
-                 partitioner=None, enforce_memory: bool = True,
-                 workers: int | None = None,
-                 checkpoint_dir=None, checkpoint_every: int | None = None,
-                 resume_from=None, worker_timeout: float | None = None,
-                 max_restarts: int | None = None, fault=None,
-                 pool=None) -> None:
+                 partitioner=None, enforce_memory: bool = True) -> None:
         super().__init__()
-        _reject_cluster_with_workers(cluster, workers)
         self._cluster = cluster
         self._partitioner = partitioner
         self._enforce_memory = enforce_memory
-        self._workers = None if workers is None else validate_workers(workers)
-        _reject_pool_without_workers(pool, self._workers)
-        self._pool = pool
-        self._fault_tolerance = _fault_tolerance_options(
-            self._workers,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every,
-            resume_from=resume_from,
-            worker_timeout=worker_timeout,
-            max_restarts=max_restarts,
-            fault=fault,
-        )
 
     def capabilities(self) -> BackendCapabilities:
         return BackendCapabilities(
@@ -495,29 +477,12 @@ class BspBackend(ExecutionBackend):
             distributed=True,
             vertex_subset=False,
             incremental=False,
-            parallel=True,
-            options=("cluster", "partitioner", "enforce_memory", "workers",
-                     "checkpoint_dir", "checkpoint_every", "resume_from",
-                     "worker_timeout", "max_restarts", "fault", "pool"),
+            options=("cluster", "partitioner", "enforce_memory"),
         )
 
     def run(self, vertices: list[int] | None = None) -> RunReport:
         graph, config = self._require_prepared()
         targets = self._target_vertices(vertices)
-        if self._workers is not None:
-            # The BSP program needs every vertex in flight; compute all,
-            # restrict only the reported targets, as the serial path does.
-            outcome = run_parallel_bsp(
-                graph,
-                config,
-                workers=self._workers,
-                partitioner=self._partitioner,
-                vertices=None,
-                targets=targets,
-                pool=self._pool,
-                **self._fault_tolerance,
-            )
-            return _parallel_report(self.name, outcome)
         predictor = SnapleBspPredictor(config)
         result = predictor.predict(
             graph,

@@ -1,39 +1,35 @@
 """Shared-nothing parallel execution of SNAPLE across graph partitions.
 
-Every engine in :mod:`repro.runtime` historically executed its supersteps in
-a single Python process — the GAS/BSP cluster model only *simulated*
-distribution.  This module makes the partitions real: the graph is split
-into ``workers`` partitions, each partition is mapped to a worker process of
-a process pool, and the coordinator exchanges gather/scatter state (GAS) or
-vertex messages (BSP) between supersteps, merging the per-partition vertex
-state and accounting back into one
-:class:`~repro.runtime.report.RunReport`.
+The simulated GAS engine only *models* distribution in one Python process.
+This module makes the partitions real: the graph is split into ``workers``
+partitions, each partition is mapped to a worker process of a process pool,
+and the coordinator exchanges gather state between Algorithm 2's three GAS
+steps, merging the per-partition vertex state and accounting back into one
+:class:`~repro.runtime.report.RunReport`.  It is the execution path of
+``backend="gas", workers=N``; the BSP port stays a simulated engine.
 
 Execution model
 ---------------
 Workers are stateless between supersteps: for every superstep the
 coordinator ships each partition the snapshot slice it needs (its own
-vertices plus the boundary vertices its gathers read, or its inbox
-messages), the worker runs the vertex program over its owned vertices, and
-the coordinator merges the returned updates.  This gives *superstep-snapshot*
-semantics: a vertex program must not read vertex-data fields written during
-the same superstep.  SNAPLE's Algorithm 2 satisfies this by construction
-(each step only reads keys written by earlier steps), which is why serial
-and parallel runs produce identical predictions.
+vertices plus the boundary vertices its gathers read), the worker runs the
+step over its owned vertices, and the coordinator merges the returned
+updates.  This gives *superstep-snapshot* semantics: a vertex program must
+not read vertex-data fields written during the same superstep.  SNAPLE's
+Algorithm 2 satisfies this by construction (each step only reads keys
+written by earlier steps), which is why serial and parallel runs produce
+identical predictions.
 
 Graph and state live on one segment plane per run — POSIX shared memory,
 or spool files where there is none (:func:`repro.runtime.ooc.segment_plane`
 chooses).  Vertex state is a coordinator-side
 :class:`~repro.runtime.state.StateStore` whose columns are segments; a task
 receives only descriptors: a :class:`~repro.runtime.shm.ShmSliceHandle`
-(column handles plus the rows it reads) per state field group, and for BSP
-a :class:`~repro.runtime.shm.ShmMessageRange` over the superstep's
-sender-sorted inbox block, packed once and cut per partition with
-:func:`np.searchsorted`.  Workers gather those rows out of the mapped
-segments and return their updates as flat arrays.  Each kind has one
-coordinator loop; a GAS scoring configuration outside the vectorized kernel
-runs the scalar step programs inside the same worker task, over the same
-columns.
+(column handles plus the rows it reads) per state field group.  Workers
+gather those rows out of the mapped segments and return their updates as
+flat arrays.  There is one coordinator loop; a scoring configuration
+outside the vectorized kernel runs the scalar step programs inside the same
+worker task, over the same columns.
 
 Fault tolerance
 ---------------
@@ -63,16 +59,12 @@ Results are bit-identical for any worker count and any partitioner because
   ``(seed, step, vertex)`` (see :func:`repro.snaple.program.vertex_rng`),
   never from a shared sequential stream;
 * gathers combine in edge (CSR) order per vertex, exactly as the serial
-  engine does on a single simulated machine;
-* BSP inboxes are sorted by sender id before delivery, so floating-point
-  accumulation order does not depend on which partition a sender lives on.
+  engine does on a single simulated machine.
 
-Ownership comes from the same partitioners the simulated engines use: the
-GAS path masters vertices through
-:func:`repro.runtime.partition.partition_graph` (a vertex-cut
-``GraphPartition``; each partition's masters go to one worker process) and
-the BSP path through :func:`repro.runtime.partition.partition_vertices` (an
-edge-cut).  A locality aware partitioner (e.g.
+Ownership comes from the partitioner the simulated GAS engine uses:
+:func:`repro.runtime.partition.partition_graph` masters every vertex (a
+vertex-cut ``GraphPartition``; each partition's masters go to one worker
+process).  A locality aware partitioner (e.g.
 :class:`~repro.runtime.partition.GreedyVertexCut`) therefore reduces the
 boundary state shipped between supersteps.
 
@@ -119,18 +111,16 @@ from repro.runtime.checkpoint import (
     vertices_digest,
 )
 from repro.runtime.ooc import MemmapGraphHandle, segment_plane
-from repro.runtime.partition import partition_graph, partition_vertices
+from repro.runtime.partition import partition_graph
 from repro.runtime.shm import (
     ShmColumnAllocator,
     ShmGraphHandle,
-    ShmMessageRange,
     ShmRegistry,
     ShmSliceHandle,
     attachment_cache,
-    message_block_handle,
     state_slice_handle,
 )
-from repro.runtime.state import MessageBlock, StateStore, gather_slices
+from repro.runtime.state import StateStore, gather_slices
 from repro.snaple.config import SnapleConfig
 
 __all__ = [
@@ -139,7 +129,6 @@ __all__ = [
     "ParallelExecutor",
     "WorkerPoolLease",
     "run_parallel_gas",
-    "run_parallel_bsp",
     "validate_workers",
 ]
 
@@ -151,10 +140,8 @@ MAX_WORKERS = 64
 #: Default number of pool respawn + resume attempts after a worker crash.
 DEFAULT_MAX_RESTARTS = 2
 
-#: The state layout named in checkpoint fingerprints.  Columnar is the only
-#: layout; recording it lets a snapshot of any other layout be rejected by
-#: name instead of failing on restore.
-_STATE_FLAVOUR = "columnar"
+#: Algorithm 2's GAS steps: sample, similarity, recommendation.
+_NUM_STEPS = 3
 
 
 def validate_workers(workers: Any) -> int:
@@ -198,8 +185,8 @@ class ParallelRunOutcome:
     """Merged result of one shared-nothing parallel run.
 
     ``routing_seconds`` and ``state_plane_bytes`` carry one entry per
-    superstep (coordinator time spent slicing/merging state and
-    routing message blocks, and the live columnar payload after the step).
+    superstep (coordinator time spent slicing and merging state, and the
+    live columnar payload after the step).
 
     ``checkpoints_written`` / ``checkpoint_bytes`` / ``checkpoint_seconds``
     account the snapshots persisted during the run; ``worker_restarts``
@@ -245,7 +232,7 @@ class ParallelRunOutcome:
 
 @dataclass
 class _Accounting:
-    """The per-run counters both execution kinds accumulate.
+    """The per-run counters a parallel run accumulates.
 
     Everything except the timing fields is deterministic, which is what lets
     a checkpointed resume reproduce the uninterrupted run's accounting
@@ -349,17 +336,16 @@ def _collect_segments(payload: Any, names: set[str]) -> None:
     if isinstance(payload, tuple):
         for part in payload:
             _collect_segments(part, names)
-    elif isinstance(payload, (ShmSliceHandle, ShmMessageRange)):
+    elif isinstance(payload, ShmSliceHandle):
         names |= payload.segments()
 
 
 def _materialize_payload(payload: Any) -> Any:
     """Resolve the descriptors in a task payload into arrays.
 
-    A payload is ``None``, a :class:`~repro.runtime.shm.ShmSliceHandle`, a
-    :class:`~repro.runtime.shm.ShmMessageRange` or a tuple of these; each
-    handle becomes the :class:`~repro.runtime.state.StateSlice` /
-    :class:`~repro.runtime.state.MessageBlock` it describes.  Before
+    A payload is ``None``, a :class:`~repro.runtime.shm.ShmSliceHandle` or a
+    tuple of these; each handle becomes the
+    :class:`~repro.runtime.state.StateSlice` it describes.  Before
     materializing, attachments to segments the payload no longer references
     are dropped (state columns migrate to fresh segments when they grow).
     """
@@ -375,7 +361,7 @@ def _materialize_payload(payload: Any) -> Any:
 def _resolve_payload(payload: Any, cache) -> Any:
     if isinstance(payload, tuple):
         return tuple(_resolve_payload(part, cache) for part in payload)
-    if isinstance(payload, (ShmSliceHandle, ShmMessageRange)):
+    if isinstance(payload, ShmSliceHandle):
         return payload.materialize(cache)
     return payload
 
@@ -383,9 +369,9 @@ def _resolve_payload(payload: Any, cache) -> Any:
 def _transport_nbytes(payload: Any) -> int:
     """Bytes a task payload actually ships across the process boundary.
 
-    Row indices plus the fixed-size range of a message handle; the segment
-    names are ignored, as is pickle framing.  The per-superstep totals
-    surface as ``transport_bytes`` in the run report.
+    The row indices; the segment names are ignored, as is pickle framing.
+    The per-superstep totals surface as ``transport_bytes`` in the run
+    report.
     """
     if payload is None:
         return 0
@@ -527,93 +513,6 @@ def _gas_step_task_columnar(task):
     return result, gathers, int(active.size), time.perf_counter() - start
 
 
-def _bsp_step_task_columnar(task):
-    """One (partition, superstep) unit of BSP work, run in a worker process.
-
-    ``task`` is ``(partition, superstep, state slice handle, vertices to
-    compute (array), inbox range handle or None, aggregated values)``.  The
-    vertex programs run unchanged against
-    :class:`~repro.runtime.state.VertexRow` views over a partition-local
-    store (sized to the partition, with vertex ids remapped to local row
-    indices).  Updates and sent messages return as raw arrays; sent messages
-    leave as one block so the coordinator can deliver them in a globally
-    deterministic (sender-sorted) order.
-    """
-    from repro.bsp.vertex import ComputeContext
-    from repro.snaple.bsp_program import (
-        SnapleBspProgram,
-        decode_snaple_inboxes,
-        encode_snaple_messages,
-        snaple_bsp_state_schema,
-    )
-
-    partition, superstep, state_slice, compute, inbox_block, aggregated = task
-    maybe_crash(_WORKER_FAULT, superstep, partition)
-    graph, config = _worker_state()
-    start = time.perf_counter()
-    state_slice, inbox_block = _materialize_payload((state_slice, inbox_block))
-    num_local = int(compute.size)
-    local_rows = np.arange(num_local, dtype=np.int64)
-    # ``extract`` emits rows in ascending id order and ``compute`` is
-    # ascending, so the slice maps 1:1 onto local rows 0..n-1.
-    store = StateStore(num_local, snaple_bsp_state_schema())
-    state_slice.rows = local_rows
-    store.merge(state_slice)
-    compute_list = compute.tolist()
-    inboxes = {} if inbox_block is None else decode_snaple_inboxes(inbox_block)
-
-    program = SnapleBspProgram(config, per_vertex_rng=True)
-    aggregator_fns = program.aggregators()
-    sent: list[tuple[int, int, Any]] = []
-    halted: list[int] = []
-    contributions: dict[str, Any] = {}
-    messages_processed = 0
-
-    def contribute(name: str, value: Any) -> None:
-        if name not in aggregator_fns:
-            raise EngineError(
-                f"program {program.name!r} aggregated to undeclared "
-                f"aggregator {name!r}"
-            )
-        if name in contributions:
-            contributions[name] = aggregator_fns[name](contributions[name], value)
-        else:
-            contributions[name] = value
-
-    def send(source: int, target: int, value: Any) -> None:
-        if not 0 <= target < graph.num_vertices:
-            raise EngineError(f"message sent to non-existent vertex {target}")
-        sent.append((source, target, value))
-
-    for local, u in enumerate(compute_list):
-        messages = inboxes.get(u, [])
-        messages_processed += len(messages)
-        context = ComputeContext(
-            superstep=superstep,
-            num_vertices=graph.num_vertices,
-            num_edges=graph.num_edges,
-            vertex=u,
-            out_neighbors=graph.out_neighbors(u).tolist(),
-            send=send,
-            halt=halted.append,
-            aggregate=contribute,
-            aggregated_values=aggregated,
-        )
-        program.compute(store.row(local), messages, context)
-
-    updates = store.extract(local_rows, store.schema.names())
-    updates.rows = compute
-    outbox = encode_snaple_messages(sent)
-    kept_scores = {
-        u: program.collected_scores[u]
-        for u in compute_list
-        if u in program.collected_scores
-    }
-    elapsed = time.perf_counter() - start
-    return (updates, outbox, halted, kept_scores or None, contributions,
-            messages_processed, len(compute_list), elapsed)
-
-
 # ----------------------------------------------------------------------
 # Coordinator
 # ----------------------------------------------------------------------
@@ -662,7 +561,9 @@ class WorkerPoolLease:
     A lease amortizes that cost: the first run materializes the pool and
     the graph plane, and later runs with the *same* (graph, config,
     workers, plane) key reuse both — ``spawns`` counts how often the
-    expensive path actually ran.  :class:`ParallelExecutor`
+    expensive path actually ran.  The lease holds the keyed graph and
+    config and matches them by identity, so a new graph allocated where a
+    dropped one lived never inherits its workers.  :class:`ParallelExecutor`
     acquires the lease when given one (``pool=``), bypassing it for
     fault-injected runs, and invalidates it when a worker crashes so
     recovery always replays on a fresh self-managed pool.
@@ -683,14 +584,15 @@ class WorkerPoolLease:
     def acquire(self, *, graph: DiGraph, config: SnapleConfig, workers: int,
                 plane: type[ShmRegistry]) -> ProcessPoolExecutor:
         """The pool for this run key, spawning or respawning as needed."""
-        key = (id(graph), id(config), workers, plane)
-        if self._pool is not None and self._key == key:
+        held = self._key
+        if (self._pool is not None and held is not None and held[0] is graph
+                and held[1] is config and held[2:] == (workers, plane)):
             return self._pool
         self.invalidate()
         self._registry = plane()
         self._pool = _spawn_pool(workers, self._registry.host_graph(graph),
                                  config, None)
-        self._key = key
+        self._key = (graph, config, workers, plane)
         self.spawns += 1
         return self._pool
 
@@ -730,15 +632,10 @@ class ParallelExecutor:
         The input graph and SNAPLE configuration.
     workers:
         Number of partitions / worker processes (1..``MAX_WORKERS``).
-    kind:
-        ``"gas"`` to execute Algorithm 2's three GAS steps, ``"bsp"`` for
-        the four-superstep BSP port.
     partitioner:
         Optional placement strategy: a
         :class:`~repro.runtime.partition.Partitioner` (vertex-cut; masters
-        become owners) for ``kind="gas"`` or a
-        :class:`~repro.runtime.partition.VertexPartitioner` (edge-cut) for
-        ``kind="bsp"``.  Placement only affects how much boundary state is
+        become owners).  Placement only affects how much boundary state is
         shipped, never the predictions.
     seed:
         Partitioner seed; defaults to the configuration's seed.
@@ -769,7 +666,7 @@ class ParallelExecutor:
     """
 
     def __init__(self, graph: DiGraph, config: SnapleConfig | None = None, *,
-                 workers: int, kind: str, partitioner: Any = None,
+                 workers: int, partitioner: Any = None,
                  seed: int | None = None,
                  checkpoint_dir: str | Path | None = None,
                  checkpoint_every: int | None = None,
@@ -778,12 +675,9 @@ class ParallelExecutor:
                  worker_timeout: float | None = None,
                  fault: FaultSpec | None = None,
                  pool: "WorkerPoolLease | None" = None) -> None:
-        if kind not in ("gas", "bsp"):
-            raise ConfigurationError(f"unknown parallel execution kind {kind!r}")
         self._graph = graph
         self._config = config if config is not None else SnapleConfig()
         self._workers = validate_workers(workers)
-        self._kind = kind
         if checkpoint_every is not None:
             if (isinstance(checkpoint_every, bool)
                     or not isinstance(checkpoint_every, int)
@@ -824,15 +718,15 @@ class ParallelExecutor:
         self._fault = fault
         self._ckpt_stats = CheckpointStats()
         self._vertices_digest = "all"  # stamped per run() from its vertices
-        owner = self._assign_owners(
-            partitioner, self._config.seed if seed is None else seed
-        )
+        # Each partition's vertex-cut masters are the vertices it owns.
+        owner = [int(m) for m in partition_graph(
+            graph, self._workers, partitioner=partitioner,
+            seed=self._config.seed if seed is None else seed,
+        ).vertex_master]
         self._owned: list[list[int]] = [[] for _ in range(self._workers)]
         for u in range(graph.num_vertices):
             self._owned[owner[u]].append(u)
         self._owner_array = np.asarray(owner, dtype=np.int64)
-        self._owned_arrays = [np.asarray(owned, dtype=np.int64)
-                              for owned in self._owned]
         if pool is not None and not isinstance(pool, WorkerPoolLease):
             raise ConfigurationError(
                 f"pool must be a WorkerPoolLease, got {pool!r}"
@@ -842,18 +736,6 @@ class ParallelExecutor:
         # inside run().
         self._registry: ShmRegistry | None = None
         self._graph_handle: ShmGraphHandle | MemmapGraphHandle | None = None
-
-    def _assign_owners(self, partitioner: Any, seed: int) -> list[int]:
-        """One owning partition per vertex, from the engine's own partitioner."""
-        if self._kind == "gas":
-            placement = partition_graph(
-                self._graph, self._workers, partitioner=partitioner, seed=seed
-            )
-            return [int(m) for m in placement.vertex_master]
-        placement = partition_vertices(
-            self._graph, self._workers, partitioner=partitioner, seed=seed
-        )
-        return [int(m) for m in placement.vertex_machine]
 
     # ------------------------------------------------------------------
     # Pool lifecycle and fault handling
@@ -893,8 +775,7 @@ class ParallelExecutor:
 
     def _fingerprint(self) -> dict[str, Any]:
         return checkpoint_fingerprint(
-            self._graph, self._config, kind=self._kind,
-            flavour=_STATE_FLAVOUR, workers=self._workers,
+            self._graph, self._config, workers=self._workers,
             vertices=self._vertices_digest,
         )
 
@@ -914,43 +795,30 @@ class ParallelExecutor:
                 f"checkpoint is not resumable by this run ({detail})"
             )
 
-    def _checkpoint_due(self, next_step: int, num_steps: int | None) -> bool:
+    def _checkpoint_due(self, next_step: int) -> bool:
         """Whether the boundary after superstep ``next_step - 1`` persists.
 
-        A checkpoint is never written after a run's known final superstep
-        (``num_steps``): for GAS the merged prediction arrays of the final
-        step live outside the vertex state, so such a snapshot could not be
-        resumed into a complete result.  BSP passes ``num_steps=None`` (its
-        superstep count is dynamic) — its predictions are always
-        reconstructable from the snapshotted state.
+        A checkpoint is never written after the final superstep: the merged
+        prediction arrays of the final step live outside the vertex state,
+        so such a snapshot could not be resumed into a complete result.
 
         Call sites gate on this *before* materializing the snapshot payload
         (``store.snapshot()`` copies every state column), so runs without a
         ``checkpoint_dir`` pay nothing on the hot path.
         """
-        if self._checkpoint_dir is None:
-            return False
-        if num_steps is not None and next_step >= num_steps:
+        if self._checkpoint_dir is None or next_step >= _NUM_STEPS:
             return False
         return next_step % self._checkpoint_every == 0
 
     def _write_checkpoint(self, next_step: int, *,
-                          state: Any, scores: Any, acct: _Accounting,
-                          messages: Any = None, active: Any = None,
-                          aggregated: dict[str, Any] | None = None) -> None:
+                          state: Any, acct: _Accounting) -> None:
         """Persist the loop state at a due superstep boundary."""
         start = time.perf_counter()
         data = CheckpointData(
-            kind=self._kind,
-            flavour=_STATE_FLAVOUR,
             superstep=next_step,
             workers=self._workers,
             fingerprint=self._fingerprint(),
             state=state,
-            messages=messages,
-            scores=scores,
-            active=active,
-            aggregated=dict(aggregated or {}),
             accounting=acct.to_payload(),
             rng={
                 "seed": int(self._config.seed),
@@ -962,17 +830,13 @@ class ParallelExecutor:
         self._ckpt_stats.seconds += time.perf_counter() - start
 
     # ------------------------------------------------------------------
-    def run(self, vertices: list[int] | None = None, *,
-            targets: list[int] | None = None) -> ParallelRunOutcome:
+    def run(self, vertices: list[int] | None = None) -> ParallelRunOutcome:
         """Execute the program and merge per-partition results.
 
-        ``vertices`` restricts the computation's active set (all by
-        default); ``targets`` restricts which vertices appear in the merged
-        predictions/scores (defaults to ``vertices``).  The BSP path uses a
-        full active set with restricted targets because message passing
-        needs every neighborhood in flight.
+        ``vertices`` restricts the computation's active set and the merged
+        predictions/scores (all vertices by default).
 
-        Graph, state columns and message blocks live on the segment plane
+        Graph and state columns live on the segment plane
         :func:`~repro.runtime.ooc.segment_plane` picks, for every scoring
         configuration; tasks receive descriptors into it.  The plane is not
         part of the checkpoint fingerprint: checkpoints resume across planes
@@ -994,7 +858,6 @@ class ParallelExecutor:
             self._validate_resume(resume)
             resumed_from = resume.superstep
         restarts = 0
-        run_loop = self._run_gas if self._kind == "gas" else self._run_bsp
         plane = segment_plane()
         # Fault-injected runs bypass the lease: crash tests must exercise
         # the full self-managed pool + plane lifecycle.
@@ -1011,8 +874,7 @@ class ParallelExecutor:
                 leased = lease is not None
                 if leased:
                     # The lease hosts the graph plane (its own registry) and
-                    # the pool; this run's registry only holds state columns
-                    # and message blocks.
+                    # the pool; this run's registry only holds state columns.
                     pool = lease.acquire(
                         graph=self._graph, config=self._config,
                         workers=self._workers, plane=plane,
@@ -1022,7 +884,7 @@ class ParallelExecutor:
                                        self._config, self._fault)
                 crashed = False
                 try:
-                    outcome = run_loop(pool, vertices, targets, resume)
+                    outcome = self._run_gas(pool, vertices, resume)
                     break
                 except WorkerCrashError:
                     crashed = True
@@ -1099,7 +961,6 @@ class ParallelExecutor:
         return per_element * int(column.lengths[rows[~own_mask]].sum())
 
     def _run_gas(self, pool, vertices: list[int] | None,
-                 targets: list[int] | None,
                  resume: CheckpointData | None) -> ParallelRunOutcome:
         """Algorithm 2's three GAS steps over the columnar state plane.
 
@@ -1114,10 +975,8 @@ class ParallelExecutor:
 
         graph = self._graph
         num_vertices = graph.num_vertices
-        active = list(graph.vertices()) if vertices is None else list(vertices)
-        if targets is None:
-            targets = active
-        active_set = set(active)
+        targets = list(graph.vertices()) if vertices is None else list(vertices)
+        active_set = set(targets)
         active_owned = [
             np.asarray([u for u in owned if u in active_set], dtype=np.int64)
             for owned in self._owned
@@ -1139,8 +998,7 @@ class ParallelExecutor:
         prediction_parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         score_parts: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
 
-        num_steps = 3
-        for step_index in range(start_step, num_steps):
+        for step_index in range(start_step, _NUM_STEPS):
             step_start = time.perf_counter()
             route_seconds = 0.0
             step_transport = 0
@@ -1207,11 +1065,9 @@ class ParallelExecutor:
             acct.sync_overhead += max(
                 0.0, (time.perf_counter() - step_start) - slowest
             )
-            # GAS columnar scores exist only after the (never-checkpointed)
-            # final step, so snapshots carry an empty score map.
-            if self._checkpoint_due(step_index + 1, num_steps):
+            if self._checkpoint_due(step_index + 1):
                 self._write_checkpoint(step_index + 1, state=store.snapshot(),
-                                       scores={}, acct=acct)
+                                       acct=acct)
 
         predictions_all: dict[int, list[int]] = {}
         for rows, counts, flat in prediction_parts:
@@ -1254,192 +1110,14 @@ class ParallelExecutor:
         else:
             scores = {u: {} for u in targets}
 
-        outcome = self._merge_outcome(predictions, scores, num_steps, acct,
+        outcome = self._merge_outcome(predictions, scores, acct,
                                       store.rows_mapping())
         outcome.transport_bytes = transport
         return outcome
 
     # ------------------------------------------------------------------
-    # BSP coordination
-    # ------------------------------------------------------------------
-    def _run_bsp(self, pool, vertices: list[int] | None,
-                 targets: list[int] | None,
-                 resume: CheckpointData | None) -> ParallelRunOutcome:
-        """The four-superstep BSP port over the columnar state plane.
-
-        State ships as slice handles into the segment-backed store and
-        messages as ranges of one packed
-        :class:`~repro.runtime.state.MessageBlock` segment per superstep; the
-        blocks are stable-sorted by sender before delivery and cut per
-        partition with one :func:`np.searchsorted` pass, reproducing the
-        serial engine's delivery (and float accumulation) order exactly.
-        """
-        from repro.snaple.bsp_program import (
-            MESSAGE_BASE_BYTES,
-            MESSAGE_KINDS,
-            SnapleBspProgram,
-            snaple_bsp_state_schema,
-        )
-
-        graph, config = self._graph, self._config
-        program = SnapleBspProgram(config, per_vertex_rng=True)
-        aggregator_fns = program.aggregators()
-        num_vertices = graph.num_vertices
-        schema = snaple_bsp_state_schema()
-        store = StateStore(num_vertices, schema,
-                           allocator=ShmColumnAllocator(self._registry))
-        field_names = schema.names()
-        transport: list[int] = []
-        active = np.zeros(num_vertices, dtype=bool)
-        inbox = MessageBlock.empty(MESSAGE_KINDS)
-        aggregated: dict[str, Any] = {}
-        scores: dict[int, dict[int, float]] = {}
-        acct = _Accounting.fresh(self._workers)
-        superstep = 0
-        if resume is not None:
-            superstep = resume.superstep
-            store.merge(resume.state)
-            active = resume.active
-            inbox = resume.messages
-            aggregated = resume.aggregated
-            scores = resume.scores
-            acct = _Accounting.from_payload(resume.accounting, self._workers)
-        else:
-            for u in range(num_vertices):
-                initial = program.initial_state(u)
-                if initial:
-                    row = store.row(u)
-                    for key, value in initial.items():
-                        row[key] = value
-            initial_active = (range(num_vertices) if vertices is None
-                              else list(vertices))
-            if len(initial_active):
-                active[np.asarray(initial_active, dtype=np.int64)] = True
-        owner = self._owner_array
-        workers = self._workers
-
-        while superstep < program.max_supersteps:
-            if not active.any() and inbox.num_messages == 0:
-                break
-            step_start = time.perf_counter()
-            route_seconds = 0.0
-            step_transport = 0
-            inbox_segment: str | None = None
-            has_message = np.zeros(num_vertices, dtype=bool)
-            inbox_parts: list[ShmMessageRange | None] = [None] * workers
-            if inbox.num_messages:
-                has_message[np.unique(inbox.receiver)] = True
-                # Stable owner sort + one searchsorted pass keeps each
-                # partition's messages sender-sorted; the ordered block is
-                # packed into one per-superstep segment and each partition
-                # receives only its [start, end) range over it.
-                keys = owner[inbox.receiver]
-                order = np.argsort(keys, kind="stable")
-                ordered = inbox.take(order)
-                bounds = np.searchsorted(
-                    keys[order], np.arange(workers + 1, dtype=np.int64)
-                )
-                block_handle = message_block_handle(self._registry, ordered)
-                inbox_segment = block_handle.segment
-                inbox_parts = [
-                    ShmMessageRange(ordered.kinds, block_handle,
-                                    int(bounds[w]), int(bounds[w + 1]))
-                    for w in range(workers)
-                ]
-            tasks = []
-            compute_lists = []
-            for w in range(workers):
-                owned = self._owned_arrays[w]
-                compute_w = owned[active[owned] | has_message[owned]]
-                compute_lists.append(compute_w)
-                state_payload = state_slice_handle(store, compute_w,
-                                                   field_names)
-                step_transport += _transport_nbytes(state_payload)
-                step_transport += _transport_nbytes(inbox_parts[w])
-                tasks.append((
-                    w,
-                    superstep,
-                    state_payload,
-                    compute_w,
-                    inbox_parts[w],
-                    aggregated,
-                ))
-            route_seconds += time.perf_counter() - step_start
-            results = self._map(pool, _bsp_step_task_columnar, tasks)
-            if inbox_segment is not None:
-                # The superstep is over (results fully materialized), so the
-                # per-superstep message segment can be unlinked immediately.
-                self._registry.release(inbox_segment)
-            merge_start = time.perf_counter()
-            slowest = 0.0
-            blocks: list[MessageBlock] = []
-            contributions: dict[str, Any] = {}
-            for w, result in enumerate(results):
-                (updates, outbox, halted, step_scores, worker_contrib,
-                 n_messages, n_computed, elapsed) = result
-                store.merge(updates)
-                if step_scores:
-                    scores.update(step_scores)
-                active[compute_lists[w]] = True
-                if halted:
-                    active[np.asarray(halted, dtype=np.int64)] = False
-                blocks.append(outbox)
-                for name, value in worker_contrib.items():
-                    if name in contributions:
-                        contributions[name] = aggregator_fns[name](
-                            contributions[name], value
-                        )
-                    else:
-                        contributions[name] = value
-                acct.gathers[w] += n_messages
-                acct.applies[w] += n_computed
-                acct.compute_seconds[w] += elapsed
-                slowest = max(slowest, elapsed)
-            merged = MessageBlock.concat(blocks)
-            if merged.num_messages:
-                # Deliver sender-sorted (stable) so the float accumulation
-                # order in the receivers does not depend on the partitioning.
-                merged = merged.sorted_by_sender()
-                sizes = merged.payload_bytes(MESSAGE_BASE_BYTES)
-                cross = owner[merged.sender] != owner[merged.receiver]
-                if cross.any():
-                    per_partition = np.bincount(
-                        owner[merged.receiver][cross],
-                        weights=sizes[cross], minlength=workers,
-                    )
-                    for w in range(workers):
-                        acct.shipped[w] += int(per_partition[w])
-                active[np.unique(merged.receiver)] = True
-            inbox = merged
-            aggregated = contributions
-            superstep += 1
-            route_seconds += time.perf_counter() - merge_start
-            acct.routing.append(route_seconds)
-            acct.plane.append(store.nbytes())
-            transport.append(step_transport)
-            acct.sync_overhead += max(
-                0.0, (time.perf_counter() - step_start) - slowest
-            )
-            if self._checkpoint_due(superstep, None):
-                self._write_checkpoint(superstep, state=store.snapshot(),
-                                       scores=scores, acct=acct,
-                                       messages=inbox, active=active,
-                                       aggregated=aggregated)
-
-        if targets is None:
-            targets = (list(graph.vertices()) if vertices is None
-                       else list(vertices))
-        rows = store.rows()
-        predictions = {u: list(rows[u].get("predicted", [])) for u in targets}
-        scores = {u: dict(scores.get(u, {})) for u in targets}
-        outcome = self._merge_outcome(predictions, scores, superstep, acct,
-                                      store.rows_mapping())
-        outcome.transport_bytes = transport
-        return outcome
-
-    # ------------------------------------------------------------------
-    def _merge_outcome(self, predictions, scores, supersteps,
-                       acct: _Accounting, vertex_data) -> ParallelRunOutcome:
+    def _merge_outcome(self, predictions, scores, acct: _Accounting,
+                       vertex_data) -> ParallelRunOutcome:
         """Build per-partition reports and derive the merged totals from them."""
         partitions = []
         for w in range(self._workers):
@@ -1462,7 +1140,7 @@ class ParallelExecutor:
             predictions=predictions,
             scores=scores,
             workers=self._workers,
-            supersteps=supersteps,
+            supersteps=_NUM_STEPS,
             partitions=partitions,
             wall_clock_seconds=0.0,  # stamped by run()
             sync_overhead_seconds=acct.sync_overhead,
@@ -1479,7 +1157,6 @@ class ParallelExecutor:
 def run_parallel_gas(graph: DiGraph, config: SnapleConfig | None = None, *,
                      workers: int, partitioner: Any = None,
                      vertices: list[int] | None = None,
-                     targets: list[int] | None = None,
                      seed: int | None = None,
                      pool: WorkerPoolLease | None = None,
                      **fault_tolerance: Any) -> ParallelRunOutcome:
@@ -1491,26 +1168,7 @@ def run_parallel_gas(graph: DiGraph, config: SnapleConfig | None = None, *,
     :class:`ParallelExecutor`; ``pool`` optionally reuses a
     :class:`WorkerPoolLease` across runs.
     """
-    executor = ParallelExecutor(graph, config, workers=workers, kind="gas",
+    executor = ParallelExecutor(graph, config, workers=workers,
                                 partitioner=partitioner, seed=seed,
                                 pool=pool, **fault_tolerance)
-    return executor.run(vertices=vertices, targets=targets)
-
-
-def run_parallel_bsp(graph: DiGraph, config: SnapleConfig | None = None, *,
-                     workers: int, partitioner: Any = None,
-                     vertices: list[int] | None = None,
-                     targets: list[int] | None = None,
-                     seed: int | None = None,
-                     pool: WorkerPoolLease | None = None,
-                     **fault_tolerance: Any) -> ParallelRunOutcome:
-    """Run the four-superstep BSP port with partitions in parallel processes.
-
-    ``fault_tolerance`` forwards the checkpoint/recovery options to
-    :class:`ParallelExecutor` as in :func:`run_parallel_gas`; ``pool``
-    optionally reuses a :class:`WorkerPoolLease` across runs.
-    """
-    executor = ParallelExecutor(graph, config, workers=workers, kind="bsp",
-                                partitioner=partitioner, seed=seed,
-                                pool=pool, **fault_tolerance)
-    return executor.run(vertices=vertices, targets=targets)
+    return executor.run(vertices=vertices)

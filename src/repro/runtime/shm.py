@@ -11,8 +11,7 @@ POSIX shared memory substrate (:mod:`multiprocessing.shared_memory`):
   ``(segment, dtype, length)`` handles plus the boundary row-index arrays —
   never the column payloads themselves;
 * workers gather the rows they need directly out of the mapped columns into
-  the same :class:`~repro.runtime.state.StateSlice` /
-  :class:`~repro.runtime.state.MessageBlock` arrays
+  the same :class:`~repro.runtime.state.StateSlice` arrays
   :meth:`~repro.runtime.state.StateStore.extract` would build.
 
 The other substrate is spool files (:mod:`repro.runtime.ooc`), whose
@@ -49,11 +48,9 @@ import numpy as np
 
 from repro.errors import EngineError
 from repro.runtime.state import (
-    MessageBlock,
     StateSlice,
     StateStore,
     _RaggedColumn,
-    _ScalarColumn,
     gather_slices,
 )
 
@@ -64,13 +61,11 @@ __all__ = [
     "BlockHandle",
     "ShmColumnAllocator",
     "ShmGraphHandle",
-    "ShmMessageRange",
     "ShmRegistry",
     "ShmSliceHandle",
     "attach_graph",
     "attachment_cache",
     "list_segments",
-    "message_block_handle",
     "share_graph",
     "shm_available",
     "state_slice_handle",
@@ -159,7 +154,7 @@ class ShmRegistry:
         return segment
 
     def release(self, name: str) -> None:
-        """Unlink one segment now (e.g. a superstep's message block)."""
+        """Unlink one segment now (e.g. a column buffer that grew)."""
         segment = self._segments.pop(name, None)
         if segment is None:
             return
@@ -478,8 +473,6 @@ class ShmSliceHandle:
     rows: np.ndarray
     ragged: dict[str, tuple[ArrayHandle, ArrayHandle, ArrayHandle,
                             ArrayHandle | None]] = field(default_factory=dict)
-    scalars: dict[str, tuple[ArrayHandle, ArrayHandle]] = field(
-        default_factory=dict)
 
     def segments(self) -> set[str]:
         names: set[str] = set()
@@ -487,8 +480,6 @@ class ShmSliceHandle:
             names.update((starts.segment, lengths.segment, ids.segment))
             if vals is not None:
                 names.add(vals.segment)
-        for values, present in self.scalars.values():
-            names.update((values.segment, present.segment))
         return names
 
     def transport_nbytes(self) -> int:
@@ -507,9 +498,6 @@ class ShmSliceHandle:
             vals = (cache.view(h_vals)[positions]
                     if h_vals is not None else None)
             out.ragged[name] = (counts, ids, vals, present)
-        for name, (h_values, h_present) in self.scalars.items():
-            out.scalars[name] = (cache.view(h_values)[rows],
-                                 cache.view(h_present)[rows])
         return out
 
 
@@ -517,8 +505,9 @@ def state_slice_handle(store: StateStore, rows: np.ndarray,
                        fields: tuple[str, ...]) -> ShmSliceHandle:
     """Descriptors for ``fields`` × ``rows`` of a segment-backed store.
 
-    The equivalent of :meth:`StateStore.extract`, except no column data is
-    copied or pickled — only the (sorted) row-index array ships.
+    The equivalent of :meth:`StateStore.extract` for ragged fields (every
+    field the executor ships), except no column data is copied or pickled —
+    only the (sorted) row-index array ships.
     """
     allocator = store.allocator
     if not isinstance(allocator, ShmColumnAllocator):
@@ -530,76 +519,16 @@ def state_slice_handle(store: StateStore, rows: np.ndarray,
     handle = ShmSliceHandle(num_vertices=store.num_vertices, rows=rows)
     for name in fields:
         column = store._columns[name]
-        if isinstance(column, _ScalarColumn):
-            handle.scalars[name] = (
-                allocator.describe(column.values),
-                allocator.describe(column.present),
+        if not isinstance(column, _RaggedColumn):
+            raise EngineError(
+                f"field {name!r} is not a ragged column; only ragged fields "
+                "ship by descriptor"
             )
-        elif isinstance(column, _RaggedColumn):
-            handle.ragged[name] = (
-                allocator.describe(column.starts),
-                allocator.describe(column.lengths),
-                allocator.describe(column._ids, length=column._used),
-                (allocator.describe(column._vals, length=column._used)
-                 if column._vals is not None else None),
-            )
-        else:  # pragma: no cover - schema guarantees the two kinds
-            raise EngineError(f"unknown column type for field {name!r}")
-    return handle
-
-
-# ----------------------------------------------------------------------
-# Message-block handles (BSP inbox routing)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ShmMessageRange:
-    """One partition's contiguous message range of a packed block.
-
-    The coordinator packs the (receiver-owner-ordered) inbox block into a
-    single per-superstep segment; each partition receives only its
-    ``[start, end)`` range over that block — two integers instead of the
-    message payload.
-    """
-
-    kinds: tuple[str, ...]
-    block: BlockHandle
-    start: int
-    end: int
-
-    def segments(self) -> set[str]:
-        return {self.block.segment}
-
-    def transport_nbytes(self) -> int:
-        return 16
-
-    def materialize(self, cache: AttachmentCache) -> MessageBlock:
-        specs = self.block.specs
-        a, b = self.start, self.end
-        ids_indptr = cache.view(specs["ids_indptr"])
-        vals_indptr = cache.view(specs["vals_indptr"])
-        ids_lo, ids_hi = int(ids_indptr[a]), int(ids_indptr[b])
-        vals_lo, vals_hi = int(vals_indptr[a]), int(vals_indptr[b])
-        return MessageBlock(
-            kinds=self.kinds,
-            sender=cache.view(specs["sender"])[a:b].copy(),
-            receiver=cache.view(specs["receiver"])[a:b].copy(),
-            kind=cache.view(specs["kind"])[a:b].copy(),
-            ids_indptr=ids_indptr[a:b + 1] - ids_lo,
-            ids=cache.view(specs["ids"])[ids_lo:ids_hi].copy(),
-            vals_indptr=vals_indptr[a:b + 1] - vals_lo,
-            vals=cache.view(specs["vals"])[vals_lo:vals_hi].copy(),
+        handle.ragged[name] = (
+            allocator.describe(column.starts),
+            allocator.describe(column.lengths),
+            allocator.describe(column._ids, length=column._used),
+            (allocator.describe(column._vals, length=column._used)
+             if column._vals is not None else None),
         )
-
-
-def message_block_handle(registry: ShmRegistry,
-                         block: MessageBlock) -> BlockHandle:
-    """Pack a message block's arrays into one per-superstep segment."""
-    return registry.share_arrays({
-        "sender": block.sender,
-        "receiver": block.receiver,
-        "kind": block.kind,
-        "ids_indptr": block.ids_indptr,
-        "ids": block.ids,
-        "vals_indptr": block.vals_indptr,
-        "vals": block.vals,
-    })
+    return handle

@@ -1,10 +1,9 @@
-"""Columnar state plane: array-backed vertex state and message routing.
+"""Columnar state plane: array-backed vertex state.
 
 The engines historically kept per-vertex state as one Python ``dict`` per
-vertex and shuttled per-message objects between supersteps.  On anything
-beyond toy graphs the engine layer then spends most of its time building,
-copying and pickling those dicts — not computing.  This module replaces that
-layer with a structure-of-arrays design:
+vertex.  On anything beyond toy graphs the engine layer then spends most of
+its time building, copying and pickling those dicts — not computing.  This
+module replaces that layer with a structure-of-arrays design:
 
 * :class:`StateStore` — vertex state as one NumPy-backed *column* per field,
   with the set of fields declared up front by the vertex program through a
@@ -12,11 +11,6 @@ layer with a structure-of-arrays design:
   fields (neighborhood samples, similarity maps) are ragged columns (flat
   value buffer + per-vertex offsets) that expose zero-copy row views and
   CSR-shaped bulk access for the vectorized kernel.
-* :class:`MessageBlock` — a batch of messages as parallel ``sender`` /
-  ``receiver`` / payload arrays instead of a list of message objects.
-  Blocks concatenate, sort by sender, and reorder by partition with a few
-  array operations, which is what lets the shared-nothing executor route
-  supersteps' traffic as raw arrays.
 * :class:`VertexRow` — a per-vertex :class:`~collections.abc.Mapping` view
   over the store so scalar vertex programs keep their historical
   ``state["field"]`` read/write protocol while the data lives in columns.
@@ -51,8 +45,6 @@ __all__ = [
     "StateSlice",
     "VertexRow",
     "StateRows",
-    "MessageBlock",
-    "MessageBlockBuilder",
     "env_flag",
     "common_state_schema",
     "gather_slices",
@@ -426,9 +418,8 @@ class StateSlice:
 
     ``ragged`` maps a field name to ``(counts, ids, vals, present)`` arrays
     aligned with ``rows``; ``scalars`` maps a name to ``(values, present)``.
-    Workers materialize slices out of the segment plane and return their
-    updates as slices, checkpoints persist them — a handful of flat arrays
-    regardless of vertex count.
+    Workers materialize slices out of the segment plane and checkpoints
+    persist them — a handful of flat arrays regardless of vertex count.
     """
 
     num_vertices: int
@@ -777,165 +768,3 @@ class _RowsMapping(Mapping):
     def __len__(self) -> int:
         return self._store.num_vertices
 
-
-# ----------------------------------------------------------------------
-# Message blocks
-# ----------------------------------------------------------------------
-@dataclass
-class MessageBlock:
-    """A batch of vertex-to-vertex messages as parallel arrays.
-
-    Every message has a sender, a receiver, a *kind* (an index into the
-    block's ``kinds`` tuple — the program's wire format, e.g. SNAPLE's
-    ``register`` / ``gamma`` / ``sims``), a ragged ``int64`` id payload and
-    a ragged ``float64`` value payload.  Blocks replace per-message tuples:
-    concatenation, sender sorting and reordering by partition are all O(n)
-    array operations.
-    """
-
-    kinds: tuple[str, ...]
-    sender: np.ndarray
-    receiver: np.ndarray
-    kind: np.ndarray
-    ids_indptr: np.ndarray
-    ids: np.ndarray
-    vals_indptr: np.ndarray
-    vals: np.ndarray
-
-    # -- constructors --------------------------------------------------
-    @classmethod
-    def empty(cls, kinds: tuple[str, ...] = ()) -> "MessageBlock":
-        return cls(
-            kinds=tuple(kinds),
-            sender=np.empty(0, dtype=np.int64),
-            receiver=np.empty(0, dtype=np.int64),
-            kind=np.empty(0, dtype=np.int16),
-            ids_indptr=np.zeros(1, dtype=np.int64),
-            ids=np.empty(0, dtype=np.int64),
-            vals_indptr=np.zeros(1, dtype=np.int64),
-            vals=np.empty(0, dtype=np.float64),
-        )
-
-    @classmethod
-    def concat(cls, blocks: Sequence["MessageBlock"]) -> "MessageBlock":
-        blocks = [b for b in blocks if b.num_messages]
-        if not blocks:
-            return cls.empty()
-        kinds = blocks[0].kinds
-        for block in blocks:
-            if block.kinds != kinds:
-                raise EngineError("cannot concatenate blocks of different kinds")
-        ids_counts = np.concatenate([np.diff(b.ids_indptr) for b in blocks])
-        vals_counts = np.concatenate([np.diff(b.vals_indptr) for b in blocks])
-        return cls(
-            kinds=kinds,
-            sender=np.concatenate([b.sender for b in blocks]),
-            receiver=np.concatenate([b.receiver for b in blocks]),
-            kind=np.concatenate([b.kind for b in blocks]),
-            ids_indptr=_indptr_from_counts(ids_counts),
-            ids=np.concatenate([b.ids for b in blocks]),
-            vals_indptr=_indptr_from_counts(vals_counts),
-            vals=np.concatenate([b.vals for b in blocks]),
-        )
-
-    # -- basics --------------------------------------------------------
-    @property
-    def num_messages(self) -> int:
-        return int(self.sender.size)
-
-    def ids_counts(self) -> np.ndarray:
-        return np.diff(self.ids_indptr)
-
-    def vals_counts(self) -> np.ndarray:
-        return np.diff(self.vals_indptr)
-
-    def payload_bytes(self, base_bytes: Sequence[int]) -> np.ndarray:
-        """Per-message payload sizes: ``base_bytes[kind] + 8·(ids + vals)``.
-
-        ``base_bytes`` carries each kind's fixed overhead so the accounting
-        reproduces exactly what ``payload_size_bytes`` charged for the
-        historical tuples.
-        """
-        base = np.asarray(base_bytes, dtype=np.int64)
-        return base[self.kind] + 8 * (self.ids_counts() + self.vals_counts())
-
-    def message_ids(self, index: int) -> np.ndarray:
-        return self.ids[self.ids_indptr[index]:self.ids_indptr[index + 1]]
-
-    def message_vals(self, index: int) -> np.ndarray:
-        return self.vals[self.vals_indptr[index]:self.vals_indptr[index + 1]]
-
-    # -- reordering / routing ------------------------------------------
-    def take(self, indices: np.ndarray) -> "MessageBlock":
-        """A new block holding the selected messages, in ``indices`` order."""
-        indices = np.asarray(indices, dtype=np.int64)
-        ids_counts = self.ids_counts()[indices]
-        vals_counts = self.vals_counts()[indices]
-        return MessageBlock(
-            kinds=self.kinds,
-            sender=self.sender[indices],
-            receiver=self.receiver[indices],
-            kind=self.kind[indices],
-            ids_indptr=_indptr_from_counts(ids_counts),
-            ids=self.ids[gather_slices(self.ids_indptr[:-1][indices],
-                                       ids_counts)],
-            vals_indptr=_indptr_from_counts(vals_counts),
-            vals=self.vals[gather_slices(self.vals_indptr[:-1][indices],
-                                         vals_counts)],
-        )
-
-    def sorted_by_sender(self) -> "MessageBlock":
-        """Stable sender sort — each sender's emission order is preserved."""
-        if self.num_messages == 0:
-            return self
-        return self.take(np.argsort(self.sender, kind="stable"))
-
-
-class MessageBlockBuilder:
-    """Accumulates messages and finalizes them into a :class:`MessageBlock`."""
-
-    __slots__ = ("_kinds", "_kind_index", "_sender", "_receiver", "_kind",
-                 "_ids", "_ids_counts", "_vals", "_vals_counts")
-
-    def __init__(self, kinds: Sequence[str]) -> None:
-        self._kinds = tuple(kinds)
-        self._kind_index = {name: i for i, name in enumerate(self._kinds)}
-        self._sender: list[int] = []
-        self._receiver: list[int] = []
-        self._kind: list[int] = []
-        self._ids: list[int] = []
-        self._ids_counts: list[int] = []
-        self._vals: list[float] = []
-        self._vals_counts: list[int] = []
-
-    def append(self, sender: int, receiver: int, kind: str,
-               ids: Iterable[int] = (), vals: Iterable[float] = ()) -> None:
-        self._sender.append(sender)
-        self._receiver.append(receiver)
-        self._kind.append(self._kind_index[kind])
-        before = len(self._ids)
-        self._ids.extend(ids)
-        self._ids_counts.append(len(self._ids) - before)
-        before = len(self._vals)
-        self._vals.extend(vals)
-        self._vals_counts.append(len(self._vals) - before)
-
-    def __len__(self) -> int:
-        return len(self._sender)
-
-    def build(self) -> MessageBlock:
-        n = len(self._sender)
-        return MessageBlock(
-            kinds=self._kinds,
-            sender=np.asarray(self._sender, dtype=np.int64),
-            receiver=np.asarray(self._receiver, dtype=np.int64),
-            kind=np.asarray(self._kind, dtype=np.int16),
-            ids_indptr=_indptr_from_counts(
-                np.asarray(self._ids_counts, dtype=np.int64)
-                if n else np.empty(0, dtype=np.int64)),
-            ids=np.asarray(self._ids, dtype=np.int64),
-            vals_indptr=_indptr_from_counts(
-                np.asarray(self._vals_counts, dtype=np.int64)
-                if n else np.empty(0, dtype=np.int64)),
-            vals=np.asarray(self._vals, dtype=np.float64),
-        )

@@ -12,7 +12,7 @@ windowed instrumentation (:mod:`~repro.serving.loadgen`).
 
 Parity contract: at any point in an edge stream (additions *and* removals),
 the service's answers are bit-identical (predictions *and* scores) to a
-cold batch ``predict(backend="gas"/"bsp", workers=N)`` on the merged graph —
+cold batch ``predict(backend="gas", workers=N)`` on the merged graph —
 the per-vertex RNG discipline makes dirty-region recomputation exact.
 """
 

@@ -22,7 +22,7 @@ k-hop dirty set — through the same vectorized kernel calls a batch run uses
 (``gas_sample_step_columnar`` / ``edge_similarities`` / ``select_klocal`` /
 ``combine_and_rank_columnar`` with ``rng_mode="per_vertex"`` and GAS fold
 order), which is why the result is bit-identical to a cold batch ``predict``
-on the final graph with the parallel ``gas``/``bsp`` backends.
+on the final graph with the parallel ``gas`` backend.
 
 :class:`PairSimilarityCache` persists the expensive unordered-pair
 intersections across refreshes through the ``pair_cache`` hook of
@@ -168,8 +168,8 @@ class IncrementalIndex:
     exact under streamed edge additions and deletions by rescoring only the
     dirty closure.  All randomness is per-vertex (``rng_mode="per_vertex"``,
     GAS fold order), so the maintained predictions and scores are
-    bit-identical to a cold batch ``predict(backend="gas"/"bsp", workers=N)``
-    on the current merged graph.
+    bit-identical to a cold batch ``predict(backend="gas", workers=N)`` on
+    the current merged graph.
     """
 
     def __init__(self, graph: DiGraph | GraphDelta, config: SnapleConfig,

@@ -36,7 +36,7 @@ from repro.gas.cluster import ClusterConfig, TYPE_II, cluster_of
 from repro.graph.digraph import DiGraph
 from repro.graph.sampling import truncate_neighborhood
 from repro.snaple.config import SnapleConfig
-from repro.snaple.program import top_k_predictions, vertex_rng
+from repro.snaple.program import top_k_predictions
 from repro.snaple.similarity import NeighborhoodSetCache
 
 __all__ = [
@@ -44,10 +44,6 @@ __all__ = [
     "BspPredictionResult",
     "SnapleBspPredictor",
     "snaple_bsp_state_schema",
-    "MESSAGE_KINDS",
-    "MESSAGE_BASE_BYTES",
-    "encode_snaple_messages",
-    "decode_snaple_inboxes",
 ]
 
 _STATE_SCHEMA = None
@@ -68,69 +64,6 @@ def snaple_bsp_state_schema():
     return _STATE_SCHEMA
 
 
-#: Wire format of the program's messages (kind index into this tuple).
-MESSAGE_KINDS = ("register", "gamma", "sims")
-
-#: Fixed per-kind overhead so array-routed accounting matches what
-#: ``payload_size_bytes`` charged for the historical tuples:
-#: ``("register", u)`` = 8 + 8, ``("gamma", u, [...])`` = 5 + 8 + 8·len,
-#: ``("sims", u, {...})`` = 4 + 8 + 16·len.
-MESSAGE_BASE_BYTES = (16, 13, 12)
-
-
-def encode_snaple_messages(sent: list[tuple[int, int, Any]]):
-    """Encode ``(sender, target, payload tuple)`` triples as a MessageBlock.
-
-    The emission order is preserved, which together with the executor's
-    stable sender sort keeps the per-receiver delivery order — and therefore
-    the float accumulation order — identical to the object path.
-    """
-    from repro.runtime.state import MessageBlockBuilder
-
-    builder = MessageBlockBuilder(MESSAGE_KINDS)
-    for sender, target, value in sent:
-        kind = value[0]
-        if kind == "register":
-            builder.append(sender, target, kind)
-        elif kind == "gamma":
-            builder.append(sender, target, kind, ids=value[2])
-        else:
-            sims = value[2]
-            builder.append(sender, target, kind,
-                           ids=sims.keys(), vals=sims.values())
-    return builder.build()
-
-
-def decode_snaple_inboxes(block) -> dict[int, list[Any]]:
-    """Rebuild per-receiver message-tuple lists from a routed block.
-
-    The block's row order is the delivery order (sender-sorted, stable), so
-    appending row by row reproduces the historical inbox lists exactly.
-    """
-    inboxes: dict[int, list[Any]] = {}
-    receivers = block.receiver.tolist()
-    senders = block.sender.tolist()
-    kinds = block.kind.tolist()
-    ids_indptr = block.ids_indptr.tolist()
-    ids = block.ids.tolist()
-    vals = block.vals.tolist()
-    vals_indptr = block.vals_indptr.tolist()
-    for index, receiver in enumerate(receivers):
-        kind = kinds[index]
-        sender = senders[index]
-        if kind == 0:
-            message: Any = ("register", sender)
-        elif kind == 1:
-            message = ("gamma", sender,
-                       ids[ids_indptr[index]:ids_indptr[index + 1]])
-        else:
-            row_ids = ids[ids_indptr[index]:ids_indptr[index + 1]]
-            row_vals = vals[vals_indptr[index]:vals_indptr[index + 1]]
-            message = ("sims", sender, dict(zip(row_ids, row_vals)))
-        inboxes.setdefault(receiver, []).append(message)
-    return inboxes
-
-
 class SnapleBspProgram(BspVertexProgram):
     """The four-superstep BSP formulation of SNAPLE's Algorithm 2.
 
@@ -147,10 +80,8 @@ class SnapleBspProgram(BspVertexProgram):
     def state_schema(self):
         return snaple_bsp_state_schema()
 
-    def __init__(self, config: SnapleConfig,
-                 *, per_vertex_rng: bool = False) -> None:
+    def __init__(self, config: SnapleConfig) -> None:
         self._config = config
-        self._per_vertex_rng = per_vertex_rng
         self._rng_truncate = random.Random(config.seed)
         self._rng_sample = random.Random(config.seed + 1)
         #: Candidate scores per vertex, for inspection by the predictor.
@@ -158,17 +89,6 @@ class SnapleBspProgram(BspVertexProgram):
         #: Frozenset cache for the shipped neighborhoods: each ``gamma`` is
         #: compared against every in-neighbor's, so build its set once.
         self._sets = NeighborhoodSetCache()
-
-    def _truncate_rng(self, vertex: int) -> random.Random:
-        """Per-vertex truncation stream when order independence is required."""
-        if self._per_vertex_rng:
-            return vertex_rng(self._config.seed, 0, vertex)
-        return self._rng_truncate
-
-    def _sample_rng(self, vertex: int) -> random.Random:
-        if self._per_vertex_rng:
-            return vertex_rng(self._config.seed, 1, vertex)
-        return self._rng_sample
 
     # ------------------------------------------------------------------
     def initial_state(self, vertex: int) -> dict[str, Any]:
@@ -204,7 +124,7 @@ class SnapleBspProgram(BspVertexProgram):
             neighbors = truncate_neighborhood(
                 neighbors,
                 threshold,
-                rng=self._truncate_rng(context.vertex),
+                rng=self._rng_truncate,
                 exact=self._config.exact_truncation,
             )
         state["gamma"] = sorted(neighbors)
@@ -239,7 +159,7 @@ class SnapleBspProgram(BspVertexProgram):
             else:
                 selection[v] = score.selection_similarity(gamma_u, gamma_v)
         kept = self._config.sampler.select(
-            selection, self._config.k_local, rng=self._sample_rng(context.vertex)
+            selection, self._config.k_local, rng=self._rng_sample
         )
         sims = {v: path_similarity[v] for v in kept}
         state["sims"] = sims

@@ -145,9 +145,10 @@ class SnapleLinkPredictor:
             Execute graph partitions in this many shared-nothing worker
             processes (see :mod:`repro.runtime.parallel`).  Only backends
             advertising :attr:`~repro.runtime.BackendCapabilities.parallel`
-            (``gas``, ``bsp``) accept it; other backends raise
-            :class:`~repro.errors.ConfigurationError`.  Predictions are
-            identical for every worker count.
+            accept it — among the built-ins that is ``gas`` alone; every
+            other backend, ``bsp`` included, raises
+            :class:`~repro.errors.ConfigurationError` before any graph
+            work.  Predictions are identical for every worker count.
         checkpoint_dir, checkpoint_every, resume_from:
             Fault tolerance for ``workers=N`` runs (see
             :mod:`repro.runtime.checkpoint`): persist the loop state to

@@ -154,34 +154,38 @@ def truncating_config() -> SnapleConfig:
                                       truncation_threshold=5)
 
 
-def scalar_reference(graph: DiGraph, config: SnapleConfig, kind: str
+def scalar_reference(graph: DiGraph, config: SnapleConfig
                      ) -> tuple[dict[int, list[int]], dict[int, dict]]:
-    """``(predictions, scores)`` of the serial scalar engine for ``kind``.
+    """``(predictions, scores)`` of the serial scalar GAS engine.
 
-    Serial :class:`~repro.gas.engine.GasEngine` over Algorithm 2's steps, or
-    serial :class:`~repro.bsp.engine.BspEngine` over the BSP port, both with
-    the per-vertex RNG streams ``workers=N`` uses — so every parallel run,
-    on any worker count, transport or resume point, must equal it exactly.
+    Serial :class:`~repro.gas.engine.GasEngine` over Algorithm 2's steps,
+    with the per-vertex RNG streams ``workers=N`` uses — so every parallel
+    run, on any worker count, partitioner, transport or resume point, must
+    equal it exactly.
     """
-    from repro.bsp.engine import BspEngine
     from repro.gas.engine import GasEngine
-    from repro.snaple.bsp_program import SnapleBspProgram
     from repro.snaple.program import build_snaple_steps
 
-    if kind == "gas":
-        steps = build_snaple_steps(config, graph, per_vertex_rng=True)
-        state = GasEngine(graph=graph).run(steps).vertex_data
-        collected = steps[-1].collected_scores
-    elif kind == "bsp":
-        program = SnapleBspProgram(config, per_vertex_rng=True)
-        state = BspEngine(graph=graph).run(program).vertex_state
-        collected = program.collected_scores
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    steps = build_snaple_steps(config, graph, per_vertex_rng=True)
+    state = GasEngine(graph=graph).run(steps).vertex_data
+    collected = steps[-1].collected_scores
     predictions = {u: list(state[u].get("predicted", []))
                    for u in graph.vertices()}
     scores = {u: dict(collected.get(u, {})) for u in graph.vertices()}
     return predictions, scores
+
+
+#: The placements every parallel grid crosses: PowerGraph's random
+#: vertex-cut (the default) and the greedy vertex-cut.  Placement changes
+#: shipped bytes and checkpoint accounting, never the answer.
+PARTITIONERS = ("random", "greedy")
+
+
+def partitioner_option(name: str) -> dict:
+    """The ``predict`` options that select the partitioner ``name``."""
+    from repro.runtime.partition import GreedyVertexCut
+
+    return {"random": {}, "greedy": {"partitioner": GreedyVertexCut()}}[name]
 
 
 def assert_matches_reference(report, reference) -> None:

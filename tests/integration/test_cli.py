@@ -64,6 +64,13 @@ class TestEngineAndJsonFlags:
         assert "GAS (random cut)" in captured.out
         assert "BSP (hash cut)" not in captured.out
 
+    def test_bsp_engine_with_workers_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["ablation_engines", "--engine", "bsp", "--workers", "2",
+                  "--scale", "0.1"])
+        assert raised.value.code == 2
+        assert "'bsp' is simulated only" in capsys.readouterr().err
+
     def test_engine_flag_rejected_for_other_experiments(self, capsys):
         with pytest.raises(SystemExit):
             main(["figure9", "--engine", "gas", "--scale", "0.2"])

@@ -6,12 +6,12 @@ execution kinds and crash points, a run that loses a worker mid-superstep
 and recovers from its checkpoints produces bit-identical predictions,
 candidate scores and deterministic accounting counters versus an
 uninterrupted run — the per-vertex ``(seed, step, vertex)`` RNG streams make
-the replayed supersteps exact.
+the replayed supersteps exact — under either vertex-cut.
 
 Each example spins up real worker pools twice, so the graphs stay small and
 the example counts low; the fixed-grid suite in
 ``tests/runtime/test_checkpoint_recovery.py`` covers the full
-{gas, bsp} × {dict, columnar} × {1, 4 workers} matrix.
+{paper, custom} × {random, greedy} × {1, 4 workers} matrix.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from repro.graph.generators import powerlaw_cluster
 from repro.runtime.checkpoint import FaultSpec
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
+from tests.conftest import PARTITIONERS, partitioner_option
 
 graphs = st.builds(
     powerlaw_cluster,
@@ -56,20 +57,21 @@ def one_shot_fault(scratch: Path, superstep: int, partition: int) -> FaultSpec:
 class TestCrashAtAnySuperstep:
     @settings(max_examples=6, deadline=None)
     @given(graph=graphs, config=configs,
-           kind=st.sampled_from(["gas", "bsp"]),
-           crash_step=st.integers(min_value=0, max_value=3),
+           partitioner=st.sampled_from(PARTITIONERS),
+           crash_step=st.integers(min_value=0, max_value=2),
            partition=st.integers(min_value=0, max_value=1))
-    def test_recovered_run_is_bit_identical(self, graph, config, kind,
+    def test_recovered_run_is_bit_identical(self, graph, config, partitioner,
                                             crash_step, partition):
-        crash_step %= 3 if kind == "gas" else 4
         predictor = SnapleLinkPredictor(config)
-        baseline = predictor.predict(graph, backend=kind, workers=2)
+        baseline = predictor.predict(graph, backend="gas", workers=2,
+                                     **partitioner_option(partitioner))
         with tempfile.TemporaryDirectory() as scratch:
             scratch = Path(scratch)
             fault = one_shot_fault(scratch, crash_step, partition)
             recovered = predictor.predict(
-                graph, backend=kind, workers=2,
+                graph, backend="gas", workers=2,
                 checkpoint_dir=scratch / "ckpt", fault=fault,
+                **partitioner_option(partitioner),
             )
         assert recovered.extra["worker_restarts"] == 1.0
         assert recovered.predictions == baseline.predictions

@@ -7,7 +7,7 @@ Three properties pin down what makes parallel execution trustworthy:
 * **one reference** — every parallel run equals the serial scalar engine
   (``tests.conftest.scalar_reference``) in predictions and scores;
 * **partition independence** — the number of partitions/workers (and the
-  partitioner placing them) never changes the predictions, only the
+  vertex-cut placing them) never changes the predictions, only the
   accounting.
 
 Each example spins up real worker processes, so the graphs stay small and
@@ -24,7 +24,12 @@ from hypothesis import strategies as st
 from repro.graph.generators import powerlaw_cluster
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
-from tests.conftest import assert_matches_reference, scalar_reference
+from tests.conftest import (
+    PARTITIONERS,
+    assert_matches_reference,
+    partitioner_option,
+    scalar_reference,
+)
 
 graphs = st.builds(
     powerlaw_cluster,
@@ -49,12 +54,15 @@ configs = st.builds(
 class TestParallelDeterminism:
     @settings(max_examples=5, deadline=None)
     @given(graph=graphs, config=configs,
-           backend=st.sampled_from(["gas", "bsp"]),
+           partitioner=st.sampled_from(PARTITIONERS),
            workers=st.integers(min_value=1, max_value=3))
-    def test_fixed_seed_is_deterministic(self, graph, config, backend, workers):
+    def test_fixed_seed_is_deterministic(self, graph, config, partitioner,
+                                         workers):
         predictor = SnapleLinkPredictor(config)
-        first = predictor.predict(graph, backend=backend, workers=workers)
-        second = predictor.predict(graph, backend=backend, workers=workers)
+        first = predictor.predict(graph, backend="gas", workers=workers,
+                                  **partitioner_option(partitioner))
+        second = predictor.predict(graph, backend="gas", workers=workers,
+                                   **partitioner_option(partitioner))
         assert first.predictions == second.predictions
         assert first.scores == second.scores
         assert first.supersteps == second.supersteps
@@ -63,27 +71,28 @@ class TestParallelDeterminism:
 class TestScalarReference:
     @settings(max_examples=5, deadline=None)
     @given(graph=graphs, config=configs,
-           backend=st.sampled_from(["gas", "bsp"]),
+           partitioner=st.sampled_from(PARTITIONERS),
            workers=st.sampled_from([1, 4]))
     def test_parallel_run_equals_serial_scalar_engine(self, graph, config,
-                                                      backend, workers):
+                                                      partitioner, workers):
         with SnapleLinkPredictor(config) as predictor:
-            report = predictor.predict(graph, backend=backend,
-                                       workers=workers)
-        assert_matches_reference(report,
-                                 scalar_reference(graph, config, backend))
+            report = predictor.predict(graph, backend="gas",
+                                       workers=workers,
+                                       **partitioner_option(partitioner))
+        assert_matches_reference(report, scalar_reference(graph, config))
 
 
 class TestPartitionIndependence:
     @settings(max_examples=5, deadline=None)
     @given(graph=graphs, config=configs,
-           backend=st.sampled_from(["gas", "bsp"]),
+           partitioner=st.sampled_from(PARTITIONERS),
            workers=st.integers(min_value=2, max_value=4))
     def test_worker_count_never_changes_predictions(self, graph, config,
-                                                    backend, workers):
+                                                    partitioner, workers):
         predictor = SnapleLinkPredictor(config)
-        single = predictor.predict(graph, backend=backend, workers=1)
-        many = predictor.predict(graph, backend=backend, workers=workers)
+        single = predictor.predict(graph, backend="gas", workers=1)
+        many = predictor.predict(graph, backend="gas", workers=workers,
+                                 **partitioner_option(partitioner))
         assert single.predictions == many.predictions
         assert single.scores == many.scores
         assert single.supersteps == many.supersteps

@@ -128,7 +128,7 @@ def test_incremental_matches_local_engine_without_rng(data, graph, config):
     # The scalar local engine folds scores in a different order than the
     # vectorized kernel, so this cross-check is exact on predictions and
     # ULP-tolerant on scores (the *bit-exact* contract is against the
-    # parallel gas/bsp backends, asserted above and in tests/serving).
+    # parallel gas backend, asserted above and in tests/serving).
     for u in range(merged.num_vertices):
         expected = dict(report.scores[u])
         actual = index.scores(u)

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.gas.cluster import TYPE_I, cluster_of
 from repro.runtime import get_backend
 from repro.snaple.config import SnapleConfig
@@ -151,6 +152,41 @@ class TestVertexSubsets:
         restricted = predictor.predict(small_social_graph, backend="bsp",
                                        vertices=subset)
         assert sorted(restricted.predictions) == subset
+
+
+class TestBspIsSimulatedOnly:
+    """The BSP backend keeps its three simulated-cluster options; the
+    parallel-executor options it used to take are rejected up front."""
+
+    def test_options_and_capabilities(self):
+        capabilities = get_backend("bsp").capabilities()
+        assert capabilities.options == (
+            "cluster", "partitioner", "enforce_memory",
+        )
+        assert capabilities.parallel is False
+
+    @pytest.mark.parametrize("option,value", [
+        ("workers", 2),
+        ("checkpoint_dir", "ckpt"),
+        ("checkpoint_every", 1),
+        ("resume_from", "ckpt"),
+        ("worker_timeout", 5.0),
+        ("max_restarts", 1),
+        ("fault", object()),
+        ("pool", object()),
+    ])
+    def test_retired_option_raises(self, option, value):
+        with pytest.raises(ConfigurationError,
+                           match=f"'bsp' does not support option '{option}'"):
+            get_backend("bsp", **{option: value})
+
+    def test_predict_with_workers_fails_before_graph_work(self):
+        # ``graph=None`` would break the first thing that touched it: the
+        # error must come from option validation, not from the engine.
+        with SnapleLinkPredictor() as predictor:
+            with pytest.raises(ConfigurationError, match="workers"):
+                predictor.predict(None, backend="bsp", workers=2)
+            assert predictor.pool_spawns == 0
 
 
 class TestDirectBackendUse:

@@ -2,16 +2,18 @@
 
 The acceptance bar of the fault-tolerance layer, asserted here:
 
-* killing worker N at *every* superstep K, across {gas, bsp} × {1, 4
-  workers}, yields a recovered run whose predictions, candidate scores
-  (bit-exact floats) and deterministic accounting counters are identical to
-  an uninterrupted run — for custom-callable configurations too, whose GAS
-  workers run the scalar step programs on the same columnar plane;
+* killing worker N at *every* superstep K, across {random, greedy}
+  vertex-cuts × {1, 4 workers}, yields a recovered run whose predictions,
+  candidate scores (bit-exact floats) and deterministic accounting counters
+  are identical to an uninterrupted run with the same placement — for
+  custom-callable configurations too, whose workers run the scalar step
+  programs on the same columnar plane;
 * a corrupted checkpoint shard or truncated manifest is detected (SHA-256 /
   manifest validation) and surfaces as a clean
   :class:`~repro.errors.CheckpointError`, never as silently wrong results;
 * explicit ``resume_from`` restores an interrupted run and refuses
-  incompatible checkpoints (wrong workers/config/flavour).
+  incompatible checkpoints (wrong workers/config/graph, or a snapshot
+  written by an older checkpoint format).
 
 Worker kills go through the :class:`tests.conftest.FaultInjector` fixture,
 whose one-shot token-file faults stay deterministic across pool respawns.
@@ -25,6 +27,7 @@ import pytest
 from repro.errors import CheckpointError, ConfigurationError, WorkerCrashError
 from repro.runtime import get_backend
 from repro.runtime.checkpoint import (
+    CHECKPOINT_FORMAT_VERSION,
     CheckpointData,
     latest_valid_checkpoint,
     list_checkpoint_dirs,
@@ -37,7 +40,9 @@ from repro.runtime.shm import shm_available
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
 from tests.conftest import (
+    PARTITIONERS,
     assert_matches_reference,
+    partitioner_option,
     scalar_reference,
     unsupported_kernel_config,
 )
@@ -58,17 +63,20 @@ GRID_CONFIGS = {
     "custom": unsupported_kernel_config,
 }
 
-#: Uninterrupted baselines, computed once per (config, kind, workers) cell
-#: of the grid — every kill-at-K case compares against the same baseline.
+#: Uninterrupted baselines, computed once per (config, partitioner, workers)
+#: cell of the grid — every kill-at-K case compares against the same
+#: baseline.
 _BASELINES: dict[tuple[str, str, int], object] = {}
 
 
-def baseline_report(graph, kind: str, workers: int, config_name="paper"):
-    key = (config_name, kind, workers)
+def baseline_report(graph, workers: int, config_name="paper",
+                    partitioner="random"):
+    key = (config_name, partitioner, workers)
     if key not in _BASELINES:
-        predictor = SnapleLinkPredictor(GRID_CONFIGS[config_name]())
-        _BASELINES[key] = predictor.predict(graph, backend=kind,
-                                            workers=workers)
+        with SnapleLinkPredictor(GRID_CONFIGS[config_name]()) as predictor:
+            _BASELINES[key] = predictor.predict(
+                graph, backend="gas", workers=workers,
+                **partitioner_option(partitioner))
     return _BASELINES[key]
 
 
@@ -91,19 +99,20 @@ class TestKillWorkerResumeParity:
     """Crash at any superstep ⇒ the recovered run is bit-identical."""
 
     @pytest.mark.parametrize("workers", [1, 4])
-    @pytest.mark.parametrize("kind,superstep",
-                             [("gas", k) for k in range(3)]
-                             + [("bsp", k) for k in range(4)])
+    @pytest.mark.parametrize("superstep", range(3))
+    @pytest.mark.parametrize("partitioner", PARTITIONERS)
     @pytest.mark.parametrize("config_name", sorted(GRID_CONFIGS))
-    def test_kill_at_superstep(self, config_name, kind, superstep, workers,
-                               fault_injector, tmp_path, random_graph):
+    def test_kill_at_superstep(self, config_name, partitioner, superstep,
+                               workers, fault_injector, tmp_path,
+                               random_graph):
         graph = grid_graph(random_graph)
-        baseline = baseline_report(graph, kind, workers, config_name)
+        baseline = baseline_report(graph, workers, config_name, partitioner)
         fault = fault_injector.kill_worker(superstep, partition=workers - 1)
         predictor = SnapleLinkPredictor(GRID_CONFIGS[config_name]())
         recovered = predictor.predict(
-            graph, backend=kind, workers=workers,
+            graph, backend="gas", workers=workers,
             checkpoint_dir=tmp_path / "ckpt", fault=fault,
+            **partitioner_option(partitioner),
         )
         assert recovered.extra["worker_restarts"] == 1.0
         # The resume point is the newest checkpoint before the crash (0 when
@@ -129,13 +138,12 @@ class TestKillWorkerResumeParity:
         assert recovered.extra["worker_restarts"] == 1.0
         assert recovered.extra["resumed_from_superstep"] == 1.0
         assert recovered.extra["shm_enabled"] == 1.0
-        assert_matches_reference(recovered,
-                                 scalar_reference(graph, config, "gas"))
+        assert_matches_reference(recovered, scalar_reference(graph, config))
 
     def test_crash_without_checkpoints_replays_from_scratch(
             self, fault_injector, random_graph):
         graph = grid_graph(random_graph)
-        baseline = baseline_report(graph, "gas", 2)
+        baseline = baseline_report(graph, 2)
         fault = fault_injector.kill_worker(2, partition=0)
         predictor = SnapleLinkPredictor(grid_config())
         recovered = predictor.predict(graph, backend="gas", workers=2,
@@ -156,15 +164,16 @@ class TestKillWorkerResumeParity:
 
     def test_partitioner_choice_survives_recovery(self, fault_injector,
                                                   tmp_path, random_graph):
-        from repro.runtime.partition import GreedyVertexCut
-
+        # A greedy-cut run recovers to the random-cut run's answer: placement
+        # only moves shipped bytes.
         graph = grid_graph(random_graph)
-        baseline = baseline_report(graph, "gas", 2)
+        baseline = baseline_report(graph, 2)
         fault = fault_injector.kill_worker(1, partition=1)
         predictor = SnapleLinkPredictor(grid_config())
         recovered = predictor.predict(
-            graph, backend="gas", workers=2, partitioner=GreedyVertexCut(),
+            graph, backend="gas", workers=2,
             checkpoint_dir=tmp_path / "ckpt", fault=fault,
+            **partitioner_option("greedy"),
         )
         assert recovered.extra["worker_restarts"] == 1.0
         assert recovered.predictions == baseline.predictions
@@ -174,27 +183,29 @@ class TestKillWorkerResumeParity:
 class TestExplicitResume:
     """An interrupted run restores from resume_from, bit-identically."""
 
-    @pytest.mark.parametrize("kind", ["gas", "bsp"])
+    @pytest.mark.parametrize("partitioner", PARTITIONERS)
     @pytest.mark.parametrize("config_name", sorted(GRID_CONFIGS))
-    def test_crash_then_resume(self, config_name, kind, fault_injector,
-                               tmp_path, random_graph):
+    def test_crash_then_resume(self, config_name, partitioner,
+                               fault_injector, tmp_path, random_graph):
         graph = grid_graph(random_graph)
-        baseline = baseline_report(graph, kind, 2, config_name)
+        baseline = baseline_report(graph, 2, config_name, partitioner)
         checkpoint_dir = tmp_path / "ckpt"
         fault = fault_injector.kill_worker(2, partition=0)
         predictor = SnapleLinkPredictor(GRID_CONFIGS[config_name]())
         with pytest.raises(WorkerCrashError):
-            predictor.predict(graph, backend=kind, workers=2,
+            predictor.predict(graph, backend="gas", workers=2,
                               checkpoint_dir=checkpoint_dir,
-                              max_restarts=0, fault=fault)
-        resumed = predictor.predict(graph, backend=kind, workers=2,
-                                    resume_from=checkpoint_dir)
+                              max_restarts=0, fault=fault,
+                              **partitioner_option(partitioner))
+        resumed = predictor.predict(graph, backend="gas", workers=2,
+                                    resume_from=checkpoint_dir,
+                                    **partitioner_option(partitioner))
         assert resumed.extra["resumed_from_superstep"] == 2.0
         assert_bit_identical(baseline, resumed)
 
     def test_resume_from_specific_step_dir(self, tmp_path, random_graph):
         graph = grid_graph(random_graph)
-        baseline = baseline_report(graph, "gas", 2)
+        baseline = baseline_report(graph, 2)
         checkpoint_dir = tmp_path / "ckpt"
         predictor = SnapleLinkPredictor(grid_config())
         predictor.predict(graph, backend="gas", workers=2,
@@ -210,59 +221,57 @@ class TestExplicitResume:
         # A crash in a resumed run without a checkpoint_dir must retry from
         # the explicitly supplied checkpoint, not replay from scratch.
         graph = grid_graph(random_graph)
-        baseline = baseline_report(graph, "bsp", 2)
+        baseline = baseline_report(graph, 2)
         checkpoint_dir = tmp_path / "ckpt"
-        first_fault = fault_injector.kill_worker(2, partition=0)
+        first_fault = fault_injector.kill_worker(1, partition=0)
         predictor = SnapleLinkPredictor(grid_config())
         with pytest.raises(WorkerCrashError):
-            predictor.predict(graph, backend="bsp", workers=2,
+            predictor.predict(graph, backend="gas", workers=2,
                               checkpoint_dir=checkpoint_dir,
                               max_restarts=0, fault=first_fault)
-        second_fault = fault_injector.kill_worker(3, partition=1)
-        recovered = predictor.predict(graph, backend="bsp", workers=2,
+        second_fault = fault_injector.kill_worker(2, partition=1)
+        recovered = predictor.predict(graph, backend="gas", workers=2,
                                       resume_from=checkpoint_dir,
                                       fault=second_fault)
         assert recovered.extra["worker_restarts"] == 1.0
-        assert recovered.extra["resumed_from_superstep"] == 2.0
+        assert recovered.extra["resumed_from_superstep"] == 1.0
         assert_bit_identical(baseline, recovered)
 
-    def test_resume_after_completed_bsp_run_reproduces_predictions(
+    def test_resume_after_completed_run_replays_only_the_final_step(
             self, tmp_path, random_graph):
-        # BSP checkpoints can postdate the final superstep (its count is
-        # dynamic); resuming such a snapshot must reproduce the predictions
-        # from the restored state without executing anything.
+        # A completed run's newest snapshot precedes the final step (which
+        # is never checkpointed); resuming it recomputes that step alone.
         graph = grid_graph(random_graph)
         checkpoint_dir = tmp_path / "ckpt"
         predictor = SnapleLinkPredictor(grid_config())
-        completed = predictor.predict(graph, backend="bsp", workers=2,
+        completed = predictor.predict(graph, backend="gas", workers=2,
                                       checkpoint_dir=checkpoint_dir)
-        resumed = predictor.predict(graph, backend="bsp", workers=2,
+        resumed = predictor.predict(graph, backend="gas", workers=2,
                                     resume_from=checkpoint_dir)
-        assert resumed.predictions == completed.predictions
-        assert resumed.supersteps == completed.supersteps
+        assert resumed.extra["resumed_from_superstep"] == 2.0
+        assert_bit_identical(completed, resumed)
 
 
 class TestCorruptionDetection:
     """Corruption must raise CheckpointError, never return bad results."""
 
-    def checkpointed_run(self, tmp_path, random_graph, kind="gas"):
+    def checkpointed_run(self, tmp_path, random_graph):
         graph = grid_graph(random_graph)
         checkpoint_dir = tmp_path / "ckpt"
         predictor = SnapleLinkPredictor(grid_config())
-        predictor.predict(graph, backend=kind, workers=2,
+        predictor.predict(graph, backend="gas", workers=2,
                           checkpoint_dir=checkpoint_dir)
         return graph, checkpoint_dir, predictor
 
-    @pytest.mark.parametrize("shard",
-                             ["state.bin", "messages.bin", "runmeta.bin"])
+    @pytest.mark.parametrize("shard", ["state.bin", "runmeta.bin"])
     def test_corrupted_shard_fails_checksum(self, shard, fault_injector,
                                             tmp_path, random_graph):
         graph, checkpoint_dir, predictor = self.checkpointed_run(
-            tmp_path, random_graph, kind="bsp"
+            tmp_path, random_graph
         )
         fault_injector.corrupt_shard(checkpoint_dir, shard=shard)
         with pytest.raises(CheckpointError, match="checksum"):
-            predictor.predict(graph, backend="bsp", workers=2,
+            predictor.predict(graph, backend="gas", workers=2,
                               resume_from=checkpoint_dir)
 
     def test_truncated_manifest_detected(self, fault_injector, tmp_path,
@@ -290,7 +299,7 @@ class TestCorruptionDetection:
         # Auto-recovery (unlike explicit resume) may skip a corrupt newest
         # checkpoint: determinism makes any older snapshot equally correct.
         graph = grid_graph(random_graph)
-        baseline = baseline_report(graph, "gas", 2)
+        baseline = baseline_report(graph, 2)
         checkpoint_dir = tmp_path / "ckpt"
         predictor = SnapleLinkPredictor(grid_config())
         predictor.predict(graph, backend="gas", workers=2,
@@ -342,19 +351,21 @@ class TestResumeValidation:
             predictor.predict(other_graph, backend="gas", workers=2,
                               resume_from=checkpoint_dir)
 
-    def test_wrong_flavour_rejected(self, tmp_path, random_graph):
-        # A snapshot of another state layout (the fingerprint names it) is
-        # refused by name rather than restored into the columnar store.
+    def test_version_one_checkpoint_rejected(self, tmp_path, random_graph):
+        # Version-1 snapshots (with a messages.bin shard and kind/flavour
+        # fields) are refused by the version check, naming both versions.
         import json
 
         graph, checkpoint_dir = self.write_checkpoint(tmp_path, random_graph)
         for step_dir in list_checkpoint_dirs(checkpoint_dir):
             manifest_path = step_dir / "manifest.json"
             manifest = json.loads(manifest_path.read_text())
-            manifest["fingerprint"]["flavour"] = "dict"
+            manifest["format_version"] = 1
             manifest_path.write_text(json.dumps(manifest))
         predictor = SnapleLinkPredictor(grid_config())
-        with pytest.raises(CheckpointError, match="flavour"):
+        with pytest.raises(CheckpointError,
+                           match="format version 1; this build reads "
+                                 f"version {CHECKPOINT_FORMAT_VERSION}"):
             predictor.predict(graph, backend="gas", workers=2,
                               resume_from=checkpoint_dir)
 
@@ -392,10 +403,9 @@ class TestResumeValidation:
 class TestOptionValidation:
     """Checkpoint options are validated where every other option is."""
 
-    @pytest.mark.parametrize("backend", ["gas", "bsp"])
-    def test_checkpointing_requires_workers(self, backend, tmp_path):
+    def test_checkpointing_requires_workers(self, tmp_path):
         with pytest.raises(ConfigurationError, match="workers"):
-            get_backend(backend, checkpoint_dir=tmp_path)
+            get_backend("gas", checkpoint_dir=tmp_path)
 
     def test_non_parallel_backend_rejects_checkpointing(self, tmp_path):
         with pytest.raises(ConfigurationError, match="checkpoint_dir"):
@@ -404,7 +414,7 @@ class TestOptionValidation:
     def test_checkpoint_every_requires_dir(self, random_graph):
         graph = grid_graph(random_graph)
         with pytest.raises(ConfigurationError, match="checkpoint_dir"):
-            ParallelExecutor(graph, grid_config(), workers=2, kind="gas",
+            ParallelExecutor(graph, grid_config(), workers=2,
                              checkpoint_every=2)
 
     @pytest.mark.parametrize("value", [0, -1, 1.5, True, "2"])
@@ -412,7 +422,7 @@ class TestOptionValidation:
                                                random_graph):
         graph = grid_graph(random_graph)
         with pytest.raises(ConfigurationError, match="checkpoint_every"):
-            ParallelExecutor(graph, grid_config(), workers=2, kind="gas",
+            ParallelExecutor(graph, grid_config(), workers=2,
                              checkpoint_dir=tmp_path,
                              checkpoint_every=value)
 
@@ -420,14 +430,14 @@ class TestOptionValidation:
     def test_invalid_max_restarts_rejected(self, value, random_graph):
         graph = grid_graph(random_graph)
         with pytest.raises(ConfigurationError, match="max_restarts"):
-            ParallelExecutor(graph, grid_config(), workers=2, kind="gas",
+            ParallelExecutor(graph, grid_config(), workers=2,
                              max_restarts=value)
 
     @pytest.mark.parametrize("value", [0, -2.0, True])
     def test_invalid_worker_timeout_rejected(self, value, random_graph):
         graph = grid_graph(random_graph)
         with pytest.raises(ConfigurationError, match="worker_timeout"):
-            ParallelExecutor(graph, grid_config(), workers=2, kind="gas",
+            ParallelExecutor(graph, grid_config(), workers=2,
                              worker_timeout=value)
 
 
@@ -457,21 +467,15 @@ class TestCheckpointCadence:
                           checkpoint_every=2)
         assert [path.name for path in
                 list_checkpoint_dirs(tmp_path / "gas")] == ["step-000002"]
-        report = predictor.predict(graph, backend="bsp", workers=2,
-                                   checkpoint_dir=tmp_path / "bsp",
-                                   checkpoint_every=2)
-        names = [path.name for path in list_checkpoint_dirs(tmp_path / "bsp")]
-        assert names == ["step-000002", "step-000004"]
-        assert report.supersteps == 4
 
     def test_checkpoint_accounting_in_run_report(self, tmp_path,
                                                  random_graph):
         graph = grid_graph(random_graph)
         predictor = SnapleLinkPredictor(grid_config())
-        report = predictor.predict(graph, backend="bsp", workers=2,
+        report = predictor.predict(graph, backend="gas", workers=2,
                                    checkpoint_dir=tmp_path / "ckpt")
         payload = report.to_dict()
-        assert payload["extra"]["checkpoints_written"] == 4.0
+        assert payload["extra"]["checkpoints_written"] == 2.0
         assert payload["extra"]["checkpoint_bytes"] > 0.0
         assert payload["extra"]["worker_restarts"] == 0.0
 
@@ -481,16 +485,10 @@ class TestCheckpointModule:
 
     def synthetic(self, superstep: int = 1) -> CheckpointData:
         return CheckpointData(
-            kind="gas",
-            flavour="columnar",
             superstep=superstep,
             workers=2,
             fingerprint={"num_vertices": 4, "seed": 7},
             state={0: {"gamma": [1, 2]}, 1: {"gamma": []}},
-            messages={3: [("register", 0)]},
-            scores={0: {2: 0.5}},
-            active=[True, False],
-            aggregated={"count": 3},
             accounting={"gathers": [1, 2], "applies": [3, 4],
                         "shipped": [0, 0], "compute_seconds": [0.0, 0.0]},
             rng={"seed": 7},
@@ -501,30 +499,29 @@ class TestCheckpointModule:
         nbytes = save_checkpoint(tmp_path, data)
         assert nbytes > 0
         loaded = load_checkpoint(tmp_path / "step-000001")
-        assert loaded.kind == data.kind
-        assert loaded.flavour == data.flavour
-        assert loaded.superstep == data.superstep
-        assert loaded.workers == data.workers
-        assert loaded.fingerprint == data.fingerprint
-        assert loaded.state == data.state
-        assert loaded.messages == data.messages
-        assert loaded.scores == data.scores
-        assert loaded.active == data.active
-        assert loaded.aggregated == data.aggregated
-        assert loaded.accounting == data.accounting
-        assert loaded.rng == data.rng
+        assert loaded == data
+
+    def test_step_dir_holds_two_shards_and_a_manifest(self, tmp_path):
+        import json
+
+        save_checkpoint(tmp_path, self.synthetic())
+        step_dir = tmp_path / "step-000001"
+        assert sorted(path.name for path in step_dir.iterdir()) == [
+            "manifest.json", "runmeta.bin", "state.bin",
+        ]
+        manifest = json.loads((step_dir / "manifest.json").read_text())
+        assert manifest["format_version"] == CHECKPOINT_FORMAT_VERSION
+        assert not {"kind", "flavour"} & set(manifest)
 
     def test_numpy_payloads_roundtrip(self, tmp_path):
         data = self.synthetic()
         data.state = {"ids": np.arange(5, dtype=np.int64),
                       "vals": np.linspace(0.0, 1.0, 5)}
-        data.active = np.array([True, False, True])
         save_checkpoint(tmp_path, data)
         loaded = load_checkpoint(tmp_path / "step-000001")
         np.testing.assert_array_equal(loaded.state["ids"], data.state["ids"])
         np.testing.assert_array_equal(loaded.state["vals"],
                                       data.state["vals"])
-        np.testing.assert_array_equal(loaded.active, data.active)
 
     def test_resolve_prefers_newest_step(self, tmp_path):
         save_checkpoint(tmp_path, self.synthetic(superstep=1))
@@ -548,9 +545,10 @@ class TestCheckpointModule:
     def test_overwrite_same_superstep(self, tmp_path):
         save_checkpoint(tmp_path, self.synthetic())
         replacement = self.synthetic()
-        replacement.scores = {9: {1: 2.0}}
+        replacement.state = {9: {"gamma": [1]}}
         save_checkpoint(tmp_path, replacement)
-        assert load_checkpoint(tmp_path / "step-000001").scores == {9: {1: 2.0}}
+        assert load_checkpoint(tmp_path / "step-000001").state == {
+            9: {"gamma": [1]}}
 
     def test_no_temporary_litter(self, tmp_path):
         save_checkpoint(tmp_path, self.synthetic())

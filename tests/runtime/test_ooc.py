@@ -10,8 +10,8 @@ file-backed mappings instead of POSIX shared memory — to bound peak RSS
 * **fallback** — with no shared memory, ``workers=N`` runs land on spool
   files and still equal the scalar reference (the {shm, spool} parity grid
   itself lives in ``test_shm.py``);
-* **portability** — checkpoints carry the same ``columnar`` flavour on
-  both planes, so a run checkpointed under one resumes under the other.
+* **portability** — checkpoints name no plane, so a run checkpointed under
+  one resumes under the other.
 """
 
 from __future__ import annotations
@@ -47,7 +47,12 @@ from repro.graph.digraph import CSR_ARRAY_NAMES
 from repro.graph.storage import load_graph_memmap, save_graph_memmap
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
-from tests.conftest import assert_matches_reference, scalar_reference
+from tests.conftest import (
+    PARTITIONERS,
+    assert_matches_reference,
+    partitioner_option,
+    scalar_reference,
+)
 
 
 def parity_graph(random_graph):
@@ -257,7 +262,7 @@ class TestOutOfCoreParity:
                                            random_graph):
         graph = parity_graph(random_graph)
         with SnapleLinkPredictor(parity_config()) as predictor:
-            run = predictor.predict(graph, backend="bsp", workers=2)
+            run = predictor.predict(graph, backend="gas", workers=2)
         assert run.extra["ooc_enabled"] == 1.0
         assert run.extra["shm_enabled"] == 0.0
 
@@ -306,15 +311,15 @@ def no_shm(monkeypatch):
 
 
 class TestNoShmPlatform:
-    @pytest.mark.parametrize("backend", ["gas", "bsp"])
-    def test_workers_fall_back_to_spool_files(self, backend, no_shm,
+    @pytest.mark.parametrize("partitioner", PARTITIONERS)
+    def test_workers_fall_back_to_spool_files(self, partitioner, no_shm,
                                               random_graph):
         graph = parity_graph(random_graph)
         config = parity_config()
         with SnapleLinkPredictor(config) as predictor:
-            run = predictor.predict(graph, backend=backend, workers=2)
-        assert_matches_reference(run, scalar_reference(graph, config,
-                                                       backend))
+            run = predictor.predict(graph, backend="gas", workers=2,
+                                    **partitioner_option(partitioner))
+        assert_matches_reference(run, scalar_reference(graph, config))
         assert run.extra["ooc_enabled"] == 1.0
         assert run.extra["shm_enabled"] == 0.0
         assert_no_leaked_spools()
@@ -327,7 +332,7 @@ class TestCrossTierResume:
                            fault_injector, tmp_path, random_graph):
         graph = parity_graph(random_graph)
         predictor = SnapleLinkPredictor(parity_config())
-        baseline = predictor.predict(graph, backend="bsp", workers=2)
+        baseline = predictor.predict(graph, backend="gas", workers=2)
         predictor.close()
         checkpoint_dir = tmp_path / "ckpt"
 
@@ -335,7 +340,7 @@ class TestCrossTierResume:
             monkeypatch.setenv(name, value)
         fault = fault_injector.kill_worker(2, partition=0)
         with pytest.raises(WorkerCrashError):
-            predictor.predict(graph, backend="bsp", workers=2,
+            predictor.predict(graph, backend="gas", workers=2,
                               checkpoint_dir=checkpoint_dir,
                               max_restarts=0, fault=fault)
         predictor.close()
@@ -344,7 +349,7 @@ class TestCrossTierResume:
 
         for name, value in resume_env.items():
             monkeypatch.setenv(name, value)
-        resumed = predictor.predict(graph, backend="bsp", workers=2,
+        resumed = predictor.predict(graph, backend="gas", workers=2,
                                     resume_from=checkpoint_dir)
         predictor.close()
         assert resumed.predictions == baseline.predictions
@@ -378,6 +383,28 @@ class TestWorkerPoolLease:
             second = predictor.predict(graph, backend="gas", workers=2)
             assert predictor.pool_spawns == 1
             assert first.predictions == second.predictions
+
+    @pytest.mark.parametrize("env", [{}, {"SNAPLE_OOC": "1"}],
+                             ids=["shm", "ooc"])
+    def test_new_graph_at_a_freed_address_respawns_pool(self, env,
+                                                        monkeypatch):
+        # A graph allocated where a dropped one lived shares its id(); the
+        # lease must still see a different graph and host it afresh.
+        from repro.graph.generators import powerlaw_cluster
+
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        config = parity_config()
+        with SnapleLinkPredictor(config) as predictor:
+            for seed in range(6):
+                graph = powerlaw_cluster(300, 3, 0.3, seed=seed)
+                run = predictor.predict(graph, backend="gas", workers=2)
+                with SnapleLinkPredictor(config) as fresh:
+                    expected = fresh.predict(graph, backend="gas", workers=2)
+                assert run.predictions == expected.predictions
+                assert dict(run.scores) == dict(expected.scores)
+                del graph, run, expected
+            assert predictor.pool_spawns == 6
 
     def test_env_change_respawns_pool(self, monkeypatch, random_graph):
         graph = parity_graph(random_graph)
@@ -425,7 +452,7 @@ class TestWorkerPoolLease:
 
         graph = parity_graph(random_graph)
         with pytest.raises(ConfigurationError, match="pool"):
-            ParallelExecutor(graph, parity_config(), workers=2, kind="gas",
+            ParallelExecutor(graph, parity_config(), workers=2,
                              pool=object())
 
     def test_pool_option_requires_workers(self, random_graph):

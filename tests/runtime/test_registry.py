@@ -52,6 +52,15 @@ class TestBuiltinRegistry:
                          "cassovary", "random_walk_ppr", "topological"):
             assert expected in names
 
+    def test_every_package_export_resolves(self):
+        # The package's exports are lazy: a name left in __all__ after its
+        # definition is deleted only fails when someone imports it.
+        import repro.runtime as runtime
+
+        for name in runtime.__all__:
+            assert getattr(runtime, name) is not None, name
+        assert not {"run_parallel_bsp", "MessageBlock"} & set(runtime.__all__)
+
     def test_available_backends_is_sorted(self):
         names = available_backends()
         assert list(names) == sorted(names)

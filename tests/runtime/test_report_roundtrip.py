@@ -117,13 +117,14 @@ class TestParallelReportRoundtrip:
         assert "resumed_from_superstep" not in restored["extra"]
 
     def test_resumed_report_fields(self, graph, predictor, tmp_path):
-        first = predictor.predict(graph, backend="bsp", workers=2,
+        first = predictor.predict(graph, backend="gas", workers=2,
                                   checkpoint_dir=tmp_path / "ckpt")
-        resumed = predictor.predict(graph, backend="bsp", workers=2,
+        resumed = predictor.predict(graph, backend="gas", workers=2,
                                     resume_from=tmp_path / "ckpt")
         restored = roundtrip(resumed.to_dict())
+        # The newest snapshot precedes the (never-checkpointed) final step.
         assert restored["extra"]["resumed_from_superstep"] == float(
-            first.supersteps
+            first.supersteps - 1
         )
         assert restored["predictions"] == {
             str(u): targets for u, targets in first.predictions.items()

@@ -10,8 +10,8 @@ descriptors, never arrays.  Two guarantees are pinned here:
   checkpoint; ``list_segments()`` doubles as the CI leak check;
 * **parity** — predictions and scores equal the serial scalar reference,
   and deterministic accounting is identical, on both planes (shm, spool)
-  and across worker counts, for kernel-supported and custom-callable
-  configurations alike.
+  and across worker counts and partitioners, for kernel-supported and
+  custom-callable configurations alike.
 """
 
 from __future__ import annotations
@@ -27,20 +27,16 @@ from repro.runtime.shm import (
     AttachmentCache,
     ShmColumnAllocator,
     ShmGraphHandle,
-    ShmMessageRange,
     ShmRegistry,
     ShmSliceHandle,
     attach_graph,
     list_segments,
-    message_block_handle,
     share_graph,
     shm_available,
     state_slice_handle,
 )
 from repro.runtime.state import (
     FieldKind,
-    MessageBlock,
-    MessageBlockBuilder,
     StateField,
     StateSchema,
     StateSlice,
@@ -49,7 +45,9 @@ from repro.runtime.state import (
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
 from tests.conftest import (
+    PARTITIONERS,
     assert_matches_reference,
+    partitioner_option,
     scalar_reference,
     unsupported_kernel_config,
 )
@@ -317,43 +315,31 @@ class TestShmStateStore:
             del store
         assert_no_leaked_segments()
 
-
-class TestMessageBlockHandle:
-    def test_range_materializes_exact_slices(self):
-        cache = AttachmentCache()
-        kinds = ("register", "gamma", "sims")
-        rng = np.random.default_rng(3)
-        builder = MessageBlockBuilder(kinds)
-        for sender in range(30):
-            size = int(rng.integers(1, 6))
-            ids = np.sort(rng.choice(90, size=size, replace=False))
-            builder.append(sender, (sender * 7) % 12, "gamma",
-                           ids=ids.tolist(), vals=rng.random(size).tolist())
-        block = builder.build()
+    def test_slice_handle_refuses_scalar_fields(self):
+        # Only ragged fields ship by descriptor: no schema the executor
+        # runs has a scalar field, so a scalar request is an error.
+        schema = StateSchema([
+            StateField("gamma", FieldKind.INT_LIST),
+            StateField("rank", FieldKind.SCALAR),
+        ])
         with ShmRegistry() as registry:
-            handle = message_block_handle(registry, block)
-            cuts = [0, 17, block.num_messages]
-            for lo, hi in zip(cuts, cuts[1:]):
-                sub = ShmMessageRange(kinds, handle, lo, hi).materialize(cache)
-                expected = block.take(np.arange(lo, hi, dtype=np.int64))
-                for name in ("sender", "receiver", "kind", "ids_indptr",
-                             "ids", "vals_indptr", "vals"):
-                    np.testing.assert_array_equal(
-                        getattr(sub, name), getattr(expected, name)
-                    )
-                assert sub.kinds == expected.kinds
-            cache.retain(set())
+            store = StateStore(8, schema,
+                               allocator=ShmColumnAllocator(registry))
+            handle = state_slice_handle(store, np.arange(4), ("gamma",))
+            assert set(handle.ragged) == {"gamma"}
+            with pytest.raises(EngineError, match="'rank'"):
+                state_slice_handle(store, np.arange(4), ("rank",))
+            del store
 
 
 # ----------------------------------------------------------------------
 # End-to-end lifecycle through the parallel executor
 # ----------------------------------------------------------------------
 class TestRunLifecycle:
-    @pytest.mark.parametrize("backend", ["gas", "bsp"])
-    def test_no_segments_after_successful_run(self, backend, random_graph):
+    def test_no_segments_after_successful_run(self, random_graph):
         graph = parity_graph(random_graph)
         with SnapleLinkPredictor(parity_config()) as predictor:
-            report = predictor.predict(graph, backend=backend, workers=2)
+            report = predictor.predict(graph, backend="gas", workers=2)
             assert report.extra.get("shm_enabled") == 1.0
             assert report.extra.get("transport_bytes", 0.0) > 0.0
         # Closing the predictor releases the pool lease and its graph plane.
@@ -389,16 +375,16 @@ class TestRunLifecycle:
                                                  tmp_path, random_graph):
         graph = parity_graph(random_graph)
         predictor = SnapleLinkPredictor(parity_config())
-        baseline = predictor.predict(graph, backend="bsp", workers=2)
+        baseline = predictor.predict(graph, backend="gas", workers=2)
         checkpoint_dir = tmp_path / "ckpt"
         fault = fault_injector.kill_worker(2, partition=0)
         with pytest.raises(WorkerCrashError):
-            predictor.predict(graph, backend="bsp", workers=2,
+            predictor.predict(graph, backend="gas", workers=2,
                               checkpoint_dir=checkpoint_dir,
                               max_restarts=0, fault=fault)
         predictor.close()
         assert_no_leaked_segments()
-        resumed = predictor.predict(graph, backend="bsp", workers=2,
+        resumed = predictor.predict(graph, backend="gas", workers=2,
                                     resume_from=checkpoint_dir)
         assert resumed.predictions == baseline.predictions
         assert dict(resumed.scores) == dict(baseline.scores)
@@ -430,25 +416,25 @@ GRID_CONFIGS = {
 
 
 class TestTransportParityGrid:
-    """{paper, custom} × {shm, spool} × {gas, bsp} × {1, 4 workers}
+    """{paper, custom} × {shm, spool} × {random, greedy cut} × {1, 4 workers}
     == scalar reference."""
 
-    _references: dict[tuple[str, str], tuple] = {}
+    _references: dict[str, tuple] = {}
     _accounting: dict[tuple[str, str, int], list] = {}
 
-    @pytest.mark.parametrize("backend", ["gas", "bsp"])
+    @pytest.mark.parametrize("partitioner", PARTITIONERS)
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("config_name", sorted(GRID_CONFIGS))
-    def test_grid_cell_matches_reference(self, config_name, backend, workers,
-                                         transport, random_graph):
+    def test_grid_cell_matches_reference(self, config_name, partitioner,
+                                         workers, transport, random_graph):
         graph = parity_graph(random_graph)
         config = GRID_CONFIGS[config_name]()
-        key = (config_name, backend)
-        if key not in self._references:
-            self._references[key] = scalar_reference(graph, config, backend)
+        if config_name not in self._references:
+            self._references[config_name] = scalar_reference(graph, config)
         with SnapleLinkPredictor(config) as predictor:
-            run = predictor.predict(graph, backend=backend, workers=workers)
-        assert_matches_reference(run, self._references[key])
+            run = predictor.predict(graph, backend="gas", workers=workers,
+                                    **partitioner_option(partitioner))
+        assert_matches_reference(run, self._references[config_name])
         # Deterministic accounting, shipped boundary bytes included, is
         # plane-independent, and both planes ship the same descriptors:
         # they must agree exactly.
@@ -456,8 +442,8 @@ class TestTransportParityGrid:
             (p.gather_invocations, p.apply_invocations, p.shipped_bytes)
             for p in run.partition_reports
         ] + [run.extra["transport_bytes"]]
-        expected = self._accounting.setdefault((config_name, backend, workers),
-                                               accounting)
+        expected = self._accounting.setdefault(
+            (config_name, partitioner, workers), accounting)
         assert accounting == expected
         assert run.extra["shm_enabled"] == float(transport == "shm")
         assert run.extra["ooc_enabled"] == float(transport == "spool")
@@ -469,22 +455,18 @@ def _assert_descriptor(payload) -> None:
         for part in payload:
             _assert_descriptor(part)
     else:
-        assert payload is None or isinstance(
-            payload, (ShmSliceHandle, ShmMessageRange)), type(payload)
+        assert payload is None or isinstance(payload, ShmSliceHandle), \
+            type(payload)
 
 
 class TestTaskPayloads:
-    """Only descriptors cross the process boundary: every task's state and
-    inbox payload is ``None``, a ``ShmSliceHandle``, a ``ShmMessageRange``
-    or a tuple of these, on either plane."""
+    """Only descriptors cross the process boundary: every task's state
+    payload is ``None``, a ``ShmSliceHandle`` or a tuple of these, on
+    either plane."""
 
-    #: Task-tuple positions of the payloads: GAS ``(w, step, owned,
-    #: state)``, BSP ``(w, superstep, state, compute, inbox, aggregated)``.
-    PAYLOAD_SLOTS = {"gas": (3,), "bsp": (2, 4)}
-
-    @pytest.mark.parametrize("backend", ["gas", "bsp"])
-    def test_payloads_are_descriptors(self, backend, transport, monkeypatch,
-                                      random_graph):
+    @pytest.mark.parametrize("partitioner", PARTITIONERS)
+    def test_payloads_are_descriptors(self, partitioner, transport,
+                                      monkeypatch, random_graph):
         shipped = []
         original = ParallelExecutor._map
 
@@ -495,19 +477,17 @@ class TestTaskPayloads:
         monkeypatch.setattr(ParallelExecutor, "_map", recording_map)
         graph = parity_graph(random_graph)
         with SnapleLinkPredictor(parity_config()) as predictor:
-            predictor.predict(graph, backend=backend, workers=2)
+            predictor.predict(graph, backend="gas", workers=2,
+                              **partitioner_option(partitioner))
         assert shipped
         seen = set()
         for task in shipped:
-            for slot in self.PAYLOAD_SLOTS[backend]:
-                _assert_descriptor(task[slot])
-                parts = task[slot] if isinstance(task[slot], tuple) \
-                    else (task[slot],)
-                seen.update(type(part) for part in parts)
+            # A task is ``(partition, step, owned vertices, state payload)``.
+            payload = task[3]
+            _assert_descriptor(payload)
+            parts = payload if isinstance(payload, tuple) else (payload,)
+            seen.update(type(part) for part in parts)
             for part in task:
-                assert not isinstance(part,
-                                      (StateSlice, MessageBlock, DiGraph))
+                assert not isinstance(part, (StateSlice, DiGraph))
         assert ShmSliceHandle in seen
-        if backend == "bsp":
-            assert ShmMessageRange in seen
         assert_no_leaked_segments()

@@ -1,10 +1,10 @@
-"""The columnar state plane: store/block units plus parallel parity.
+"""The columnar state plane: store units plus parallel parity.
 
 Predictions and candidate scores of every ``workers=N`` run must equal the
-serial scalar reference exactly, for {kernel-supported, custom-callable}
-configurations × {gas, bsp} × {1, 4} workers; and the accounting
-(``payload_size_bytes`` parity of :meth:`VertexRow.nbytes`, message-block
-payload bytes) must match the per-vertex dict charges exactly.
+serial scalar reference exactly, for {truncating, custom-callable}
+configurations × {random, greedy} vertex-cuts × {1, 4} workers; and the
+accounting (``payload_size_bytes`` parity of :meth:`VertexRow.nbytes`) must
+match the per-vertex dict charges exactly.
 """
 
 from __future__ import annotations
@@ -15,21 +15,17 @@ import pytest
 from repro.gas.vertex_program import payload_size_bytes
 from repro.runtime.state import (
     FieldKind,
-    MessageBlock,
     StateField,
     StateSchema,
     StateStore,
     common_state_schema,
 )
 from repro.runtime.shm import shm_available
-from repro.snaple.bsp_program import (
-    MESSAGE_BASE_BYTES,
-    decode_snaple_inboxes,
-    encode_snaple_messages,
-)
 from repro.snaple.predictor import SnapleLinkPredictor
 from tests.conftest import (
+    PARTITIONERS,
     assert_matches_reference,
+    partitioner_option,
     scalar_reference,
     truncating_config,
     unsupported_kernel_config,
@@ -162,46 +158,7 @@ class TestStateStore:
 
 
 # ----------------------------------------------------------------------
-# MessageBlock
-# ----------------------------------------------------------------------
-SAMPLE_MESSAGES = [
-    (4, 1, ("register", 4)),
-    (2, 1, ("gamma", 2, [5, 6, 7])),
-    (2, 3, ("sims", 2, {9: 0.5, 1: 0.25})),
-    (0, 1, ("register", 0)),
-    (4, 3, ("gamma", 4, [])),
-]
-
-
-class TestMessageBlock:
-    def test_encode_route_decode_roundtrip(self):
-        block = encode_snaple_messages(SAMPLE_MESSAGES).sorted_by_sender()
-        inboxes = decode_snaple_inboxes(block)
-        # Sender-sorted, each sender's emission order preserved.
-        assert inboxes[1] == [("register", 0), ("gamma", 2, [5, 6, 7]),
-                              ("register", 4)]
-        assert inboxes[3] == [("sims", 2, {9: 0.5, 1: 0.25}),
-                              ("gamma", 4, [])]
-        # Decoded sims dicts preserve insertion order.
-        assert list(inboxes[3][0][2].items()) == [(9, 0.5), (1, 0.25)]
-
-    def test_payload_bytes_match_dict_accounting(self):
-        block = encode_snaple_messages(SAMPLE_MESSAGES)
-        expected = [payload_size_bytes(value) for _s, _t, value in SAMPLE_MESSAGES]
-        assert block.payload_bytes(MESSAGE_BASE_BYTES).tolist() == expected
-
-    def test_concat_and_empty(self):
-        left = encode_snaple_messages(SAMPLE_MESSAGES[:2])
-        right = encode_snaple_messages(SAMPLE_MESSAGES[2:])
-        merged = MessageBlock.concat([left, MessageBlock.empty(), right])
-        assert merged.num_messages == len(SAMPLE_MESSAGES)
-        decoded = decode_snaple_inboxes(merged)
-        assert sum(len(v) for v in decoded.values()) == len(SAMPLE_MESSAGES)
-        assert MessageBlock.concat([]).num_messages == 0
-
-
-# ----------------------------------------------------------------------
-# Parallel parity: {truncating, custom} × {gas, bsp} × {1, 4} workers
+# Parallel parity: {truncating, custom} × {random, greedy} × {1, 4} workers
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module", name="parity_graph")
 def parity_graph_fixture(random_graph):
@@ -216,23 +173,24 @@ CONFIGS = {
     "custom": unsupported_kernel_config,
 }
 
-_REFERENCES: dict[tuple[str, str], tuple] = {}
+_REFERENCES: dict[str, tuple] = {}
 
 
 class TestScalarReferenceParity:
     @pytest.mark.parametrize("config_name", sorted(CONFIGS))
-    @pytest.mark.parametrize("backend", ["gas", "bsp"])
+    @pytest.mark.parametrize("partitioner", PARTITIONERS)
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_parallel_run_equals_scalar_reference(self, config_name, backend,
-                                                  workers, parity_graph):
+    def test_parallel_run_equals_scalar_reference(self, config_name,
+                                                  partitioner, workers,
+                                                  parity_graph):
         config = CONFIGS[config_name]()
-        key = (config_name, backend)
-        if key not in _REFERENCES:
-            _REFERENCES[key] = scalar_reference(parity_graph, config, backend)
+        if config_name not in _REFERENCES:
+            _REFERENCES[config_name] = scalar_reference(parity_graph, config)
         with SnapleLinkPredictor(config) as predictor:
-            report = predictor.predict(parity_graph, backend=backend,
-                                       workers=workers)
-        assert_matches_reference(report, _REFERENCES[key])
+            report = predictor.predict(parity_graph, backend="gas",
+                                       workers=workers,
+                                       **partitioner_option(partitioner))
+        assert_matches_reference(report, _REFERENCES[config_name])
         assert report.extra["state_columnar"] == 1.0
         if workers > 1 and shm_available():
             assert report.extra["shm_enabled"] == 1.0
@@ -291,9 +249,9 @@ class TestStatePlaneReporting:
 
     def test_parallel_reports_routing_overhead_per_superstep(self,
                                                              parity_graph):
-        report = SnapleLinkPredictor(truncating_config()).predict(
-            parity_graph, backend="bsp", workers=2
-        )
+        with SnapleLinkPredictor(truncating_config()) as predictor:
+            report = predictor.predict(parity_graph, backend="gas",
+                                       workers=2)
         supersteps = report.supersteps
         assert report.extra["routing_seconds"] >= 0.0
         for index in range(supersteps):

@@ -2,8 +2,8 @@
 
 The acceptance contract of the serving subsystem: at any point in an edge
 stream the service's predictions *and scores* are bit-identical to a cold
-batch ``predict`` over the merged graph — for the parallel ``gas`` and
-``bsp`` backends (the per-vertex-RNG paths), on one worker or four.
+batch ``predict`` over the merged graph — for the parallel ``gas`` backend
+(the per-vertex-RNG path), on one worker or four, under either vertex-cut.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from repro.graph.digraph import DiGraph
 from repro.serving import PredictorService, ServingConfig
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
+from tests.conftest import PARTITIONERS, partitioner_option
 
 #: A plain configuration (no truncation on these degrees) and a config where
 #: truncation and klocal sampling are active — the RNG-bearing phases.
@@ -69,12 +70,14 @@ def streamed_service(random_graph):
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-@pytest.mark.parametrize("backend", ["gas", "bsp"])
+@pytest.mark.parametrize("partitioner", PARTITIONERS)
 @pytest.mark.parametrize("workers", [1, 4])
-def test_stream_matches_cold_batch(streamed_service, name, backend, workers):
+def test_stream_matches_cold_batch(streamed_service, name, partitioner,
+                                   workers):
     service, merged = streamed_service[name]
     with SnapleLinkPredictor(CONFIGS[name]) as predictor:
-        report = predictor.predict(merged, backend=backend, workers=workers)
+        report = predictor.predict(merged, backend="gas", workers=workers,
+                                   **partitioner_option(partitioner))
     served = service.report()
     assert served.predictions == report.predictions
     for u in range(merged.num_vertices):
