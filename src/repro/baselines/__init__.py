@@ -1,10 +1,5 @@
 """Baselines: naive GAS 2-hop prediction, Cassovary-like walks, classic scores."""
 
-from repro.baselines.bsp_baseline import (
-    BspBaselinePredictor,
-    BspBaselineProgram,
-    BspBaselineResult,
-)
 from repro.baselines.cassovary import InMemoryGraph, WalkStats
 from repro.baselines.gas_baseline import (
     BaselinePredictionResult,
@@ -23,9 +18,6 @@ from repro.baselines.topological import (
 
 __all__ = [
     "GasBaselinePredictor",
-    "BspBaselinePredictor",
-    "BspBaselineProgram",
-    "BspBaselineResult",
     "BaselinePredictionResult",
     "InMemoryGraph",
     "WalkStats",

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import time
 from collections import defaultdict
-from collections.abc import Mapping, MutableSequence, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -47,24 +46,14 @@ from repro.graph.digraph import DiGraph
 __all__ = ["BspEngine", "BspRunResult"]
 
 
-def _state_bytes(state: Mapping[str, Any]) -> int:
-    """Accounting bytes of one vertex's state, dict or columnar row alike."""
-    nbytes = getattr(state, "nbytes", None)
-    if callable(nbytes):
-        return nbytes()
-    return payload_size_bytes(state)
-
-
 @dataclass
 class BspRunResult:
     """Outcome of running a BSP program: final vertex states plus metrics.
 
-    ``vertex_state`` is a list of per-vertex mappings: plain dicts for
-    programs without a state schema, :class:`~repro.runtime.state.VertexRow`
-    column views when the program declared one.
+    ``vertex_state`` holds one plain dict per vertex, indexed by vertex id.
     """
 
-    vertex_state: Sequence[Mapping[str, Any]]
+    vertex_state: list[dict[str, Any]]
     metrics: RunMetrics
     partition: VertexPartition
     cluster: ClusterConfig
@@ -79,8 +68,8 @@ class BspRunResult:
     def wall_clock_seconds(self) -> float:
         return self.metrics.wall_clock_seconds
 
-    def state_of(self, vertex: int) -> Mapping[str, Any]:
-        """Vertex state mapping of ``vertex`` after the run."""
+    def state_of(self, vertex: int) -> dict[str, Any]:
+        """Vertex state of ``vertex`` after the run."""
         return self.vertex_state[vertex]
 
 
@@ -120,7 +109,6 @@ class BspEngine:
         self._cost_model = CostModel(self.cluster)
         self._memory = MemoryTracker(self.cluster, enforce=self.enforce_memory)
         self._metrics = RunMetrics()
-        self._store = None
 
     # ------------------------------------------------------------------
     # Public API
@@ -135,33 +123,6 @@ class BspEngine:
         """Memory tracker for the simulated cluster."""
         return self._memory
 
-    @property
-    def state_store(self):
-        """The columnar :class:`~repro.runtime.state.StateStore`, or ``None``.
-
-        Populated by :meth:`run` when the program declares a state schema.
-        """
-        return self._store
-
-    def _init_state(self, program: BspVertexProgram,
-                    num_vertices: int) -> MutableSequence[Any]:
-        """Vertex state on the columnar plane when the program declares it."""
-        from repro.runtime.state import StateStore, common_state_schema
-
-        self._store = None
-        schema = common_state_schema((program,))
-        if schema is None:
-            return [program.initial_state(u) for u in range(num_vertices)]
-        self._store = StateStore(num_vertices, schema)
-        state = self._store.rows()
-        for u in range(num_vertices):
-            initial = program.initial_state(u)
-            if initial:
-                row = state[u]
-                for key, value in initial.items():
-                    row[key] = value
-        return state
-
     def run(self, program: BspVertexProgram,
             *, vertices: list[int] | None = None) -> BspRunResult:
         """Execute ``program`` until it halts (or hits ``max_supersteps``).
@@ -173,8 +134,8 @@ class BspEngine:
             raise EngineError("max_supersteps must be at least 1")
         start = time.perf_counter()
         num_vertices = self.graph.num_vertices
-        state = self._init_state(program, num_vertices)
-        state_bytes = [_state_bytes(s) for s in state]
+        state = [program.initial_state(u) for u in range(num_vertices)]
+        state_bytes = [payload_size_bytes(s) for s in state]
         machines = self._partition.vertex_machine
         for u in range(num_vertices):
             self._memory.charge(int(machines[u]), state_bytes[u])
@@ -298,7 +259,7 @@ class BspEngine:
             step.compute_units_per_machine[u_machine] += program.compute_cost(
                 state[u], len(messages)
             )
-            new_bytes = _state_bytes(state[u])
+            new_bytes = payload_size_bytes(state[u])
             delta = new_bytes - state_bytes[u]
             state_bytes[u] = new_bytes
             if delta > 0:
@@ -335,9 +296,6 @@ class BspEngine:
 
         for machine in range(num_machines):
             step.vertex_data_bytes_per_machine[machine] = self._memory.usage_bytes(machine)
-        if self._store is not None:
-            step.state_plane_bytes = self._store.nbytes()
-            self._memory.observe_state_plane(step.state_plane_bytes)
         step.wall_clock_seconds = time.perf_counter() - step_start
         self._metrics.add_step(step)
 

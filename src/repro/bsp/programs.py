@@ -28,13 +28,6 @@ __all__ = [
 ]
 
 
-def _scalar_schema(name: str, dtype: str):
-    """A one-scalar-field state schema (built lazily; see module cycle note)."""
-    from repro.runtime.state import FieldKind, StateField, StateSchema
-
-    return StateSchema((StateField(name, FieldKind.SCALAR, dtype),))
-
-
 class PageRankProgram(BspVertexProgram):
     """Power-iteration PageRank with a sum combiner.
 
@@ -46,9 +39,6 @@ class PageRankProgram(BspVertexProgram):
 
     name = "pagerank"
     combiner = SumCombiner()
-
-    def state_schema(self):
-        return _scalar_schema("rank", "float64")
 
     def __init__(self, *, damping: float = 0.85, num_iterations: int = 10) -> None:
         self._damping = damping
@@ -94,9 +84,6 @@ class ConnectedComponentsProgram(BspVertexProgram):
     combiner = MinCombiner()
     max_supersteps = 100
 
-    def state_schema(self):
-        return _scalar_schema("component", "int64")
-
     def initial_state(self, vertex: int) -> dict[str, Any]:
         return {"component": vertex}
 
@@ -120,9 +107,6 @@ class ShortestPathsProgram(BspVertexProgram):
     name = "shortest-paths"
     combiner = MinCombiner()
     max_supersteps = 200
-
-    def state_schema(self):
-        return _scalar_schema("distance", "float64")
 
     def __init__(self, source: int) -> None:
         self._source = source
@@ -150,9 +134,6 @@ class OutDegreeProgram(BspVertexProgram):
 
     name = "out-degree"
     max_supersteps = 1
-
-    def state_schema(self):
-        return _scalar_schema("degree", "int64")
 
     def initial_state(self, vertex: int) -> dict[str, Any]:
         return {"degree": 0}

@@ -19,10 +19,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
-from typing import TYPE_CHECKING, Any
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
-    from repro.runtime.state import StateSchema
+from typing import Any
 
 __all__ = [
     "BspVertexProgram",
@@ -174,6 +171,11 @@ class BspVertexProgram(ABC):
     re-activated whenever it receives a message.  The run terminates when all
     vertices are halted and no messages are in flight, or after
     ``max_supersteps``.
+
+    Each vertex's state is the plain ``dict`` :meth:`initial_state` returns;
+    ``compute`` updates it in place, and the engine charges its
+    :func:`~repro.gas.vertex_program.payload_size_bytes` to the owning
+    machine's memory.
     """
 
     #: Human-readable program name used in run metrics.
@@ -184,17 +186,6 @@ class BspVertexProgram(ABC):
 
     #: Optional combiner merging messages to the same destination per machine.
     combiner: MessageCombiner | None = None
-
-    def state_schema(self) -> "StateSchema | None":
-        """The typed state fields this program reads and writes.
-
-        Programs declaring a :class:`~repro.runtime.state.StateSchema` run
-        on the columnar state plane: the engine keeps vertex state in a
-        :class:`~repro.runtime.state.StateStore` and passes dict-compatible
-        :class:`~repro.runtime.state.VertexRow` views to :meth:`compute`.
-        Returning ``None`` (the default) keeps the legacy dict state.
-        """
-        return None
 
     def aggregators(self) -> dict[str, Callable[[Any, Any], Any]]:
         """Named global reductions available through the compute context."""

@@ -24,7 +24,6 @@ them into simulated cluster times used by the scalability experiments.
 from __future__ import annotations
 
 import time
-from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -44,29 +43,15 @@ from repro.graph.digraph import DiGraph
 __all__ = ["GasEngine", "GasRunResult"]
 
 
-def _data_bytes(u_data: Mapping[str, Any]) -> int:
-    """Accounting bytes of one vertex's data, dict or columnar row alike.
-
-    :meth:`repro.runtime.state.VertexRow.nbytes` reproduces exactly what
-    :func:`payload_size_bytes` charges for the equivalent dict, so the
-    simulated-cluster numbers do not depend on the state layout.
-    """
-    nbytes = getattr(u_data, "nbytes", None)
-    if callable(nbytes):
-        return nbytes()
-    return payload_size_bytes(u_data)
-
-
 @dataclass
 class GasRunResult:
     """Outcome of running a GAS program: final vertex data plus metrics.
 
-    ``vertex_data`` is a list of per-vertex mappings: plain dicts for
-    programs without a state schema, :class:`~repro.runtime.state.VertexRow`
-    column views when the program declared one (as SNAPLE's steps do).
+    ``vertex_data`` holds one plain dict (``Du``) per vertex, indexed by
+    vertex id.
     """
 
-    vertex_data: Sequence[Mapping[str, Any]]
+    vertex_data: list[dict[str, Any]]
     metrics: RunMetrics
     partition: GraphPartition
     cluster: ClusterConfig
@@ -79,8 +64,8 @@ class GasRunResult:
     def wall_clock_seconds(self) -> float:
         return self.metrics.wall_clock_seconds
 
-    def data_of(self, vertex: int) -> Mapping[str, Any]:
-        """Vertex data mapping of ``vertex`` after the run."""
+    def data_of(self, vertex: int) -> dict[str, Any]:
+        """Vertex data of ``vertex`` after the run."""
         return self.vertex_data[vertex]
 
 
@@ -129,10 +114,9 @@ class GasEngine:
         ]
         self._cost_model = CostModel(self.cluster)
         self._memory = MemoryTracker(self.cluster, enforce=self.enforce_memory)
-        self._vertex_data: Sequence[Mapping[str, Any]] = [
+        self._vertex_data: list[dict[str, Any]] = [
             {} for _ in range(self.graph.num_vertices)
         ]
-        self._store = None
         self._vertex_data_bytes = [0] * self.graph.num_vertices
         self._edge_data: dict[tuple[int, int], dict[str, Any]] = {}
         self._metrics = RunMetrics()
@@ -151,45 +135,26 @@ class GasEngine:
         return self._memory
 
     @property
-    def vertex_data(self) -> Sequence[Mapping[str, Any]]:
+    def vertex_data(self) -> list[dict[str, Any]]:
         """Mutable vertex data (``Du``) for every vertex."""
         return self._vertex_data
-
-    @property
-    def state_store(self):
-        """The columnar :class:`~repro.runtime.state.StateStore`, or ``None``.
-
-        Populated by :meth:`run` when every step declares the same state
-        schema.
-        """
-        return self._store
-
-    def _init_state(self, steps: list[VertexProgram]) -> None:
-        """Switch to the columnar state plane when the programs declare it."""
-        from repro.runtime.state import StateStore, common_state_schema
-
-        self._store = None
-        schema = common_state_schema(steps)
-        if schema is None:
-            if not isinstance(self._vertex_data, list):
-                self._vertex_data = [{} for _ in range(self.graph.num_vertices)]
-            return
-        self._store = StateStore(self.graph.num_vertices, schema)
-        self._vertex_data = self._store.rows()
 
     def run(self, steps: list[VertexProgram],
             *, vertices: list[int] | None = None) -> GasRunResult:
         """Execute the given super-steps in order and return the result.
 
-        ``vertices`` restricts the set of active vertices (all by default).
+        ``vertices`` restricts the *last* step to those vertices (all by
+        default).  Earlier steps always run over every vertex: the last
+        step gathers its neighbours' data, which must exist whether or not
+        the neighbours are targets themselves.
         """
         if not steps:
             raise EngineError("at least one GAS step is required")
-        self._init_state(steps)
         start = time.perf_counter()
-        active = list(self.graph.vertices()) if vertices is None else list(vertices)
-        for step in steps:
-            self._run_step(step, active)
+        everyone = list(self.graph.vertices())
+        targets = everyone if vertices is None else list(vertices)
+        for index, step in enumerate(steps):
+            self._run_step(step, targets if index == len(steps) - 1 else everyone)
         self._metrics.wall_clock_seconds = time.perf_counter() - start
         self._metrics.simulated_seconds = self._cost_model.run_cost(self._metrics)
         return GasRunResult(
@@ -274,7 +239,7 @@ class GasEngine:
             previous_bytes = self._vertex_data_bytes[u]
             program.apply(u, u_data, gathered if has_value else None)
             step.apply_invocations += 1
-            new_bytes = _data_bytes(u_data)
+            new_bytes = payload_size_bytes(u_data)
             self._vertex_data_bytes[u] = new_bytes
             delta = new_bytes - previous_bytes
             replicas = self._partition.vertex_replicas[u]
@@ -294,8 +259,5 @@ class GasEngine:
                     program.scatter(u, v, u_data, edge_data)
         for machine in range(self.cluster.num_machines):
             step.vertex_data_bytes_per_machine[machine] = self._memory.usage_bytes(machine)
-        if self._store is not None:
-            step.state_plane_bytes = self._store.nbytes()
-            self._memory.observe_state_plane(step.state_plane_bytes)
         step.wall_clock_seconds = time.perf_counter() - step_start
         self._metrics.add_step(step)

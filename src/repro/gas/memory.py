@@ -28,13 +28,11 @@ class MemoryTracker:
     enforce: bool = True
     _per_machine_bytes: list[int] = field(default_factory=list)
     _peak_bytes: list[int] = field(default_factory=list)
-    _state_plane_peak_bytes: int = 0
 
     def __post_init__(self) -> None:
         machines = self.cluster.num_machines
         self._per_machine_bytes = [0] * machines
         self._peak_bytes = [0] * machines
-        self._state_plane_peak_bytes = 0
 
     @property
     def capacity_bytes(self) -> float:
@@ -90,19 +88,3 @@ class MemoryTracker:
     def total_peak_bytes(self) -> int:
         """Sum of per-machine peaks (upper bound on the cluster footprint)."""
         return sum(self._peak_bytes)
-
-    # -- columnar state plane ------------------------------------------
-    def observe_state_plane(self, num_bytes: int) -> None:
-        """Record the columnar state plane's current live payload size.
-
-        The state plane is host memory of the real process (one column per
-        field), not simulated per-machine vertex data, so it is tracked as
-        a separate peak rather than charged against machine capacities.
-        """
-        if num_bytes > self._state_plane_peak_bytes:
-            self._state_plane_peak_bytes = num_bytes
-
-    @property
-    def state_plane_peak_bytes(self) -> int:
-        """Peak live payload bytes of the columnar state plane (0 = dict path)."""
-        return self._state_plane_peak_bytes

@@ -27,12 +27,6 @@ class StepMetrics:
     apply_invocations: int = 0
     vertex_data_bytes_per_machine: list[int] = field(default_factory=list)
     wall_clock_seconds: float = 0.0
-    #: Live payload bytes of the columnar state plane after this step
-    #: (0 on the legacy dict-state path, which has no columnar footprint).
-    state_plane_bytes: int = 0
-    #: Coordinator time spent slicing/merging state and routing message
-    #: blocks for this step (only populated by the shared-nothing executor).
-    routing_seconds: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.compute_units_per_machine:
@@ -87,18 +81,6 @@ class RunMetrics:
     @property
     def total_gather_invocations(self) -> int:
         return sum(step.gather_invocations for step in self.steps)
-
-    @property
-    def peak_state_plane_bytes(self) -> int:
-        """Largest columnar state-plane footprint observed across steps."""
-        if not self.steps:
-            return 0
-        return max(step.state_plane_bytes for step in self.steps)
-
-    @property
-    def total_routing_seconds(self) -> float:
-        """Total coordinator time spent on state slicing / message routing."""
-        return sum(step.routing_seconds for step in self.steps)
 
     def describe(self) -> str:
         """Human-readable multi-line summary of the run."""

@@ -20,10 +20,7 @@ from __future__ import annotations
 import sys
 from abc import ABC, abstractmethod
 from enum import Enum
-from typing import TYPE_CHECKING, Any
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
-    from repro.runtime.state import StateSchema
+from typing import Any
 
 __all__ = [
     "EdgeDirection",
@@ -83,6 +80,11 @@ class VertexProgram(ABC):
     Subclasses override the phases they need.  ``gather_direction`` controls
     which incident edges the engine enumerates during the gather phase
     (SNAPLE gathers over out-edges; other programs may gather over in-edges).
+
+    Each vertex's data ``Du`` is a plain ``dict`` that the engine keeps
+    between steps; ``apply`` writes it in place, and the engine charges
+    :func:`payload_size_bytes` of the whole dict to every replica's memory
+    and to the replica sync.
     """
 
     #: Human-readable step name used in engine metrics.
@@ -90,19 +92,6 @@ class VertexProgram(ABC):
 
     gather_direction: EdgeDirection = EdgeDirection.OUT
     scatter_direction: EdgeDirection = EdgeDirection.NONE
-
-    def state_schema(self) -> "StateSchema | None":
-        """The typed state fields this program reads and writes.
-
-        Programs that declare a :class:`~repro.runtime.state.StateSchema`
-        run on the columnar state plane: the engine keeps their vertex data
-        in a :class:`~repro.runtime.state.StateStore` (one NumPy column per
-        field) and passes :class:`~repro.runtime.state.VertexRow` views —
-        dict-compatible, so ``gather``/``apply`` code is unchanged — instead
-        of per-vertex dicts.  Returning ``None`` (the default) keeps the
-        legacy dict state.
-        """
-        return None
 
     @abstractmethod
     def gather(self, u: int, v: int, u_data: dict[str, Any],

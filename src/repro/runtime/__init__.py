@@ -4,8 +4,8 @@ One scoring framework, many engines: this package defines the
 :class:`~repro.runtime.backend.ExecutionBackend` protocol, the string-keyed
 backend registry, the normalized :class:`~repro.runtime.report.RunReport`
 accounting shared by every engine, and the columnar state plane
-(:mod:`repro.runtime.state`) the engines keep their vertex state in.  The
-first registry lookup registers the six built-in backends:
+(:mod:`repro.runtime.state`) the ``workers=N`` executor keeps its vertex
+state in.  The first registry lookup registers the six built-in backends:
 
 ========================  =====================================================
 ``local``                 single-process scoring (vectorized CSR kernel)
@@ -27,9 +27,9 @@ but backends can also be driven directly::
 
 The heavy submodules (the engine adapters, the baselines, the parallel
 executor) are imported lazily via :pep:`562` so that foundation modules such
-as :mod:`repro.runtime.state` and :mod:`repro.runtime.partition` can be
-imported from anywhere — including from the engine packages themselves —
-without creating an import cycle through this package.
+as :mod:`repro.runtime.partition` can be imported from anywhere — including
+from the engine packages themselves — without creating an import cycle
+through this package.
 """
 
 from importlib import import_module

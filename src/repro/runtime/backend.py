@@ -12,10 +12,11 @@ runner, streamed prediction, the CLI) can adapt without isinstance checks.
 from __future__ import annotations
 
 import abc
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar
 
-from repro.errors import EngineError
+from repro.errors import ConfigurationError, EngineError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.graph.digraph import DiGraph
@@ -122,7 +123,21 @@ class ExecutionBackend(abc.ABC):
         return self._graph, self._config
 
     def _target_vertices(self, vertices: list[int] | None) -> list[int]:
+        """``vertices`` as a list of ints (every vertex for ``None``).
+
+        Bools, non-integers and ids outside ``[0, |V|)`` raise
+        :class:`~repro.errors.ConfigurationError` before any graph work.
+        """
         graph, _ = self._require_prepared()
         if vertices is None:
             return list(graph.vertices())
-        return list(vertices)
+        targets = []
+        for u in vertices:
+            if (isinstance(u, bool) or not isinstance(u, numbers.Integral)
+                    or not 0 <= u < graph.num_vertices):
+                raise ConfigurationError(
+                    f"vertices must be integer ids in [0, "
+                    f"{graph.num_vertices}), got {u!r}"
+                )
+            targets.append(int(u))
+        return targets

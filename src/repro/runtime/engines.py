@@ -104,17 +104,16 @@ def _parallel_report(backend_name: str,
     wall-clock parallelism, not the analytical cluster model.  The totals
     are derived from the per-partition reports so they cannot drift.
 
-    ``extra`` records the state plane (``state_columnar`` is always 1: the
-    executor keeps vertex state in columns), the peak live column payload
-    and the coordinator routing time, with per-superstep breakdowns.  Fault
-    tolerance rides along: ``worker_restarts`` (always),
+    ``extra`` records the executor's state plane — the peak live column
+    payload (``state_plane_peak_bytes``) and the coordinator routing time,
+    with per-superstep breakdowns — and the segment plane and transport
+    bytes.  Fault tolerance rides along: ``worker_restarts`` (always),
     ``checkpoints_written`` / ``checkpoint_bytes`` / ``checkpoint_seconds``
     when snapshots were persisted, and ``resumed_from_superstep`` when the
     run resumed (``0`` marks a from-scratch replay after a crash without a
     usable checkpoint).
     """
     extra: dict[str, float] = {
-        "state_columnar": 1.0,
         "worker_restarts": float(outcome.worker_restarts),
     }
     if outcome.checkpoints_written:
@@ -149,24 +148,6 @@ def _parallel_report(backend_name: str,
         partition_reports=list(outcome.partitions),
         native=outcome,
     )
-
-
-def _engine_state_extras(engine) -> dict[str, float]:
-    """State-plane accounting of a serial simulated-engine run.
-
-    ``state_columnar`` records which state path ran; on the columnar path
-    the peak live column payload (also tracked by the engine's
-    :class:`~repro.gas.memory.MemoryTracker`) and per-step sizes ride along.
-    """
-    store = engine.state_store
-    extra: dict[str, float] = {
-        "state_columnar": 1.0 if store is not None else 0.0,
-    }
-    if store is not None:
-        extra["state_plane_peak_bytes"] = float(
-            engine.memory.state_plane_peak_bytes
-        )
-    return extra
 
 
 #: Execution modes of the ``local`` backend.
@@ -350,6 +331,11 @@ class GasBackend(ExecutionBackend):
     ``N`` worker processes through :mod:`repro.runtime.parallel`, and the
     report carries per-partition accounting instead of simulated cluster
     time.  Predictions are identical for every worker count.
+
+    ``vertices`` restricts only the recommendation step: the sampling and
+    similarity steps always cover the whole graph, because a target's
+    recommendations read its neighbours' Γ̂ and kept maps.  A subset run
+    therefore returns exactly the full run's answers for those vertices.
     """
 
     name = "gas"
@@ -403,7 +389,7 @@ class GasBackend(ExecutionBackend):
                 config,
                 workers=self._workers,
                 partitioner=self._partitioner,
-                vertices=vertices,
+                vertices=None if vertices is None else targets,
                 pool=self._pool,
                 **self._fault_tolerance,
             )
@@ -419,7 +405,7 @@ class GasBackend(ExecutionBackend):
         steps = build_snaple_steps(config, graph)
         recommendation_step = steps[-1]
         start = time.perf_counter()
-        run = engine.run(steps, vertices=vertices)
+        run = engine.run(steps, vertices=targets)
         wall = time.perf_counter() - start
         predictions: dict[int, list[int]] = {}
         scores: dict[int, dict[int, float]] = {}
@@ -442,7 +428,6 @@ class GasBackend(ExecutionBackend):
                 predictions, metrics.total_gather_invocations,
                 sum(step.apply_invocations for step in metrics.steps), wall,
             )],
-            extra=_engine_state_extras(engine),
             native=run,
         )
 
@@ -492,13 +477,6 @@ class BspBackend(ExecutionBackend):
         )
         metrics = result.bsp_result.metrics
         predictions = {u: result.predictions.get(u, []) for u in targets}
-        # The SNAPLE BSP program always declares a state schema, so the
-        # serial engine always runs columnar.
-        extra: dict[str, float] = {"state_columnar": 1.0}
-        if metrics.peak_state_plane_bytes:
-            extra["state_plane_peak_bytes"] = float(
-                metrics.peak_state_plane_bytes
-            )
         return RunReport(
             backend=self.name,
             predictions=predictions,
@@ -514,6 +492,5 @@ class BspBackend(ExecutionBackend):
                 sum(step.apply_invocations for step in metrics.steps),
                 result.wall_clock_seconds,
             )],
-            extra=extra,
             native=result.bsp_result,
         )

@@ -77,10 +77,12 @@ runs — broken, hung or healthy — through a kill-then-shutdown path.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 import threading
 import time
+from collections import defaultdict
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -213,7 +215,6 @@ class ParallelRunOutcome:
     wall_clock_seconds: float
     sync_overhead_seconds: float
     exchanged_bytes: int
-    vertex_data: Any = field(default_factory=dict, repr=False)
     routing_seconds: list[float] = field(default_factory=list)
     state_plane_bytes: list[int] = field(default_factory=list)
     checkpoints_written: int = 0
@@ -424,33 +425,65 @@ def _run_gas_step(step: VertexProgram, graph: DiGraph, active: list[int],
     return gathers
 
 
+def _slice_dicts(payload: Any) -> defaultdict[int, dict[str, Any]]:
+    """Per-vertex data dicts decoded from the shipped slices.
+
+    A field is present in a vertex's dict exactly when its row is present
+    in the slice, so the step programs read what the serial engine's dicts
+    would hold.
+    """
+    data: defaultdict[int, dict[str, Any]] = defaultdict(dict)
+    for state_slice in payload if isinstance(payload, tuple) else (payload,):
+        if state_slice is None:
+            continue
+        rows = state_slice.rows.tolist()
+        for name, (counts, ids, vals, present) in state_slice.ragged.items():
+            ids = ids.tolist()
+            vals = None if vals is None else vals.tolist()
+            position = 0
+            for u, count, here in zip(rows, counts.tolist(), present.tolist()):
+                end = position + count
+                if here:
+                    data[u][name] = (
+                        ids[position:end] if vals is None
+                        else dict(zip(ids[position:end], vals[position:end]))
+                    )
+                position = end
+    return data
+
+
 def _scalar_gas_step(graph: DiGraph, config: SnapleConfig, step_index: int,
                      active: np.ndarray, payload: Any) -> tuple[tuple, int]:
     """One GAS step through the scalar step program, columns in and out.
 
     Serves scoring configurations outside the vectorized kernel (custom
-    callables).  The shipped slices merge into a full-size store whose row
-    views the program reads and writes as the serial engine's do; the
-    results leave as the same arrays the kernel branch returns, so the
-    coordinator cannot tell the two apart.
+    callables).  The shipped slices decode into per-vertex dicts that the
+    program reads and writes as the serial engine's; the field the step
+    writes is encoded back into the same arrays the kernel branch returns,
+    so the coordinator cannot tell the two apart.
     """
-    from repro.snaple.program import build_snaple_steps, snaple_state_schema
+    from repro.snaple.program import build_snaple_steps
 
-    store = StateStore(graph.num_vertices, snaple_state_schema())
-    for state_slice in payload if isinstance(payload, tuple) else (payload,):
-        if state_slice is not None:
-            store.merge(state_slice)
+    data = _slice_dicts(payload)
     # Steps are rebuilt per task: with per-vertex RNG they carry no state
     # across vertices, so a fresh instance keeps workers stateless and the
     # outcome independent of which tasks land on which process.
     step = build_snaple_steps(config, graph, per_vertex_rng=True)[step_index]
     vertices = active.tolist()
-    gathers = _run_gas_step(step, graph, vertices, store.rows_mapping())
-    name = ("gamma", "sims", "predicted")[step_index]
-    _rows, counts, ids, vals = store.extract(active, (name,)).field_rows(name)
+    gathers = _run_gas_step(step, graph, vertices, data)
+    written = [data[u][("gamma", "sims", "predicted")[step_index]]
+               for u in vertices]
+    counts = np.fromiter(map(len, written), dtype=np.int64,
+                         count=len(written))
+    ids = np.fromiter(itertools.chain.from_iterable(written), dtype=np.int64,
+                      count=int(counts.sum()))
     if step_index == 0:
         return (counts, ids), gathers
     if step_index == 1:
+        vals = np.fromiter(
+            itertools.chain.from_iterable(row.values() for row in written),
+            dtype=np.float64, count=ids.size,
+        )
         return (counts, ids, vals), gathers
     maps = [step.collected_scores[u] for u in vertices]
     score_counts = np.asarray([len(scores) for scores in maps], dtype=np.int64)
@@ -833,8 +866,10 @@ class ParallelExecutor:
     def run(self, vertices: list[int] | None = None) -> ParallelRunOutcome:
         """Execute the program and merge per-partition results.
 
-        ``vertices`` restricts the computation's active set and the merged
-        predictions/scores (all vertices by default).
+        ``vertices`` restricts the recommendation step and the merged
+        predictions/scores (all vertices by default); the sampling and
+        similarity steps always run over every owned vertex, because the
+        recommendations read the neighbours' state.
 
         Graph and state columns live on the segment plane
         :func:`~repro.runtime.ooc.segment_plane` picks, for every scoring
@@ -936,15 +971,22 @@ class ParallelExecutor:
     # ------------------------------------------------------------------
     # GAS coordination
     # ------------------------------------------------------------------
-    def _boundary(self, worker: int, active: np.ndarray,
-                  indptr: np.ndarray, indices: np.ndarray,
-                  degrees: np.ndarray) -> np.ndarray:
-        """Vectorized out-edge boundary: remote vertices the gathers read."""
+    @staticmethod
+    def _boundary(active: np.ndarray, indptr: np.ndarray,
+                  indices: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+        """Vectorized out-edge boundary: the vertices the gathers read
+        besides ``active`` itself.
+
+        On a full run ``active`` is everything a worker owns, so these are
+        its remote neighbours; a vertex subset adds the owned neighbours
+        outside the subset.
+        """
         if active.size == 0:
             return np.empty(0, dtype=np.int64)
         neighbors = indices[gather_slices(indptr[active], degrees[active])]
-        remote = neighbors[self._owner_array[neighbors] != worker]
-        return np.unique(remote)
+        in_task = np.zeros(degrees.size, dtype=bool)
+        in_task[active] = True
+        return np.unique(neighbors[~in_task[neighbors]])
 
     @staticmethod
     def _boundary_bytes(store: StateStore, name: str, rows: np.ndarray,
@@ -977,7 +1019,8 @@ class ParallelExecutor:
         num_vertices = graph.num_vertices
         targets = list(graph.vertices()) if vertices is None else list(vertices)
         active_set = set(targets)
-        active_owned = [
+        all_owned = [np.asarray(owned, dtype=np.int64) for owned in self._owned]
+        target_owned = [
             np.asarray([u for u in owned if u in active_set], dtype=np.int64)
             for owned in self._owned
         ]
@@ -1002,15 +1045,16 @@ class ParallelExecutor:
             step_start = time.perf_counter()
             route_seconds = 0.0
             step_transport = 0
+            active_owned = (target_owned if step_index == _NUM_STEPS - 1
+                            else all_owned)
             tasks = []
             for w in range(workers):
                 owned_active = active_owned[w]
                 if step_index == 0:
                     payload: Any = None
                 else:
-                    boundary = self._boundary(
-                        w, owned_active, indptr, indices, degrees
-                    )
+                    boundary = self._boundary(owned_active, indptr, indices,
+                                              degrees)
                     rows = np.concatenate([owned_active, boundary])
                     rows.sort()
                     own_mask = owner[rows] == w
@@ -1110,14 +1154,13 @@ class ParallelExecutor:
         else:
             scores = {u: {} for u in targets}
 
-        outcome = self._merge_outcome(predictions, scores, acct,
-                                      store.rows_mapping())
+        outcome = self._merge_outcome(predictions, scores, acct)
         outcome.transport_bytes = transport
         return outcome
 
     # ------------------------------------------------------------------
-    def _merge_outcome(self, predictions, scores, acct: _Accounting,
-                       vertex_data) -> ParallelRunOutcome:
+    def _merge_outcome(self, predictions, scores,
+                       acct: _Accounting) -> ParallelRunOutcome:
         """Build per-partition reports and derive the merged totals from them."""
         partitions = []
         for w in range(self._workers):
@@ -1145,7 +1188,6 @@ class ParallelExecutor:
             wall_clock_seconds=0.0,  # stamped by run()
             sync_overhead_seconds=acct.sync_overhead,
             exchanged_bytes=sum(acct.shipped),
-            vertex_data=vertex_data,
             routing_seconds=list(acct.routing),
             state_plane_bytes=list(acct.plane),
         )

@@ -39,17 +39,24 @@ class RunReport:
 
     ``simulated_seconds``, ``network_bytes``, ``peak_memory_bytes`` and
     ``supersteps`` are ``None`` for backends that do not simulate a cluster
-    (e.g. ``local``); ``extra`` carries backend-specific counters (such as
-    the random-walk backends' ``walk_steps``, the state plane's
-    ``state_columnar`` / ``state_plane_peak_bytes``, and — on checkpointed
-    parallel runs — ``checkpoints_written`` / ``checkpoint_bytes`` /
-    ``checkpoint_seconds``, ``worker_restarts`` and
-    ``resumed_from_superstep``, and — on the online ``serving`` backend —
-    ``requests_served``, ``edges_ingested``, ``dirty_vertices_rescored``,
-    ``cache_hits`` / ``cache_misses``, ``pair_cache_hits`` /
-    ``pair_cache_misses``, ``compactions`` and ``delta_edges``) and
-    ``native`` keeps the backend's own
-    result object for callers that need engine internals.
+    (e.g. ``local``); ``native`` keeps the backend's own result object for
+    callers that need engine internals.  ``extra`` carries backend-specific
+    counters:
+
+    * the ``local`` backend's ``prepare_seconds`` / ``kernel_vectorized``
+      and the random-walk backends' ``walk_steps``;
+    * on ``workers=N`` runs, the state plane's ``state_plane_peak_bytes`` /
+      ``state_plane_bytes_step*``, ``routing_seconds``, the segment plane
+      and transport bytes, ``worker_restarts``, and on checkpointed runs
+      ``checkpoints_written`` / ``checkpoint_bytes`` /
+      ``checkpoint_seconds`` and ``resumed_from_superstep``;
+    * on the online ``serving`` backend, ``requests_served``,
+      ``edges_ingested``, ``dirty_vertices_rescored``, ``cache_hits`` /
+      ``cache_misses``, ``pair_cache_hits`` / ``pair_cache_misses``,
+      ``compactions`` and ``delta_edges``.
+
+    The serial simulated engines (``gas`` without ``workers``, ``bsp``)
+    carry no ``extra`` keys.
 
     ``scores`` is a mapping from vertex to its candidate score map.  Most
     backends return a plain dict; the vectorized ``local`` mode returns a

@@ -47,12 +47,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import EngineError
-from repro.runtime.state import (
-    StateSlice,
-    StateStore,
-    _RaggedColumn,
-    gather_slices,
-)
+from repro.runtime.state import StateSlice, StateStore, gather_slices
 
 __all__ = [
     "SEGMENT_PREFIX",
@@ -505,9 +500,8 @@ def state_slice_handle(store: StateStore, rows: np.ndarray,
                        fields: tuple[str, ...]) -> ShmSliceHandle:
     """Descriptors for ``fields`` × ``rows`` of a segment-backed store.
 
-    The equivalent of :meth:`StateStore.extract` for ragged fields (every
-    field the executor ships), except no column data is copied or pickled —
-    only the (sorted) row-index array ships.
+    The equivalent of :meth:`StateStore.extract`, except no column data is
+    copied or pickled — only the (sorted) row-index array ships.
     """
     allocator = store.allocator
     if not isinstance(allocator, ShmColumnAllocator):
@@ -518,12 +512,7 @@ def state_slice_handle(store: StateStore, rows: np.ndarray,
     rows = np.sort(np.asarray(rows, dtype=np.int64))
     handle = ShmSliceHandle(num_vertices=store.num_vertices, rows=rows)
     for name in fields:
-        column = store._columns[name]
-        if not isinstance(column, _RaggedColumn):
-            raise EngineError(
-                f"field {name!r} is not a ragged column; only ragged fields "
-                "ship by descriptor"
-            )
+        column = store._column(name)
         handle.ragged[name] = (
             allocator.describe(column.starts),
             allocator.describe(column.lengths),

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.serving.service import PredictorService, validate_k
+from repro.serving.service import PredictorService, validate_ints, validate_k
 from repro.serving.stages import operational_analysis
 
 __all__ = ["LoadConfig", "LoadGenerator", "LoadResult", "WindowStats"]
@@ -43,6 +43,9 @@ class LoadConfig:
     k: int | None = None
 
     def __post_init__(self) -> None:
+        validate_ints(clients=self.clients, windows=self.windows,
+                      warmup_windows=self.warmup_windows,
+                      cooldown_windows=self.cooldown_windows)
         if self.clients < 1:
             raise ConfigurationError(
                 f"load clients must be >= 1, got {self.clients}"

@@ -40,6 +40,15 @@ __all__ = ["IngestResult", "PredictorService", "RemovalResult",
 _SHUTDOWN = object()
 
 
+def validate_ints(**values) -> None:
+    """Reject any value that is not an ``int`` (bools included)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigurationError(
+                f"{name} must be an integer, got {value!r}"
+            )
+
+
 def validate_k(k) -> None:
     """Reject a top-k cut that is neither ``None`` nor a positive ``int``."""
     if k is not None and (isinstance(k, bool) or not isinstance(k, int)
@@ -62,6 +71,9 @@ class ServingConfig:
     compact_every: int | None = 1024
 
     def __post_init__(self) -> None:
+        validate_ints(workers=self.workers, queue_bound=self.queue_bound)
+        if self.compact_every is not None:
+            validate_ints(compact_every=self.compact_every)
         if self.workers < 1:
             raise ConfigurationError(
                 f"serving workers must be >= 1, got {self.workers}"

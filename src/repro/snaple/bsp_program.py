@@ -43,25 +43,7 @@ __all__ = [
     "SnapleBspProgram",
     "BspPredictionResult",
     "SnapleBspPredictor",
-    "snaple_bsp_state_schema",
 ]
-
-_STATE_SCHEMA = None
-
-
-def snaple_bsp_state_schema():
-    """The columnar state schema of the four-superstep SNAPLE BSP program."""
-    global _STATE_SCHEMA
-    if _STATE_SCHEMA is None:
-        from repro.runtime.state import FieldKind, StateField, StateSchema
-
-        _STATE_SCHEMA = StateSchema((
-            StateField("gamma", FieldKind.INT_LIST),
-            StateField("in_neighbors", FieldKind.INT_LIST),
-            StateField("sims", FieldKind.INT_FLOAT_MAP),
-            StateField("predicted", FieldKind.INT_LIST),
-        ))
-    return _STATE_SCHEMA
 
 
 class SnapleBspProgram(BspVertexProgram):
@@ -76,9 +58,6 @@ class SnapleBspProgram(BspVertexProgram):
 
     name = "snaple-bsp"
     max_supersteps = 4
-
-    def state_schema(self):
-        return snaple_bsp_state_schema()
 
     def __init__(self, config: SnapleConfig) -> None:
         self._config = config

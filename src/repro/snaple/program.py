@@ -64,13 +64,12 @@ _STATE_SCHEMA = None
 
 
 def snaple_state_schema():
-    """The columnar state schema shared by all three SNAPLE GAS steps.
+    """The columnar state schema of the three SNAPLE GAS steps.
 
-    Declaring it lets the engines keep the vertex data in a
-    :class:`~repro.runtime.state.StateStore` (one NumPy column per field)
-    and lets the vectorized kernel read the columns without per-vertex
-    marshalling.  Built lazily to avoid importing :mod:`repro.runtime`
-    at module-import time.
+    The ``workers=N`` executor keeps the steps' vertex data in a
+    :class:`~repro.runtime.state.StateStore` of this schema, which the
+    vectorized kernel reads without per-vertex marshalling.  Built lazily to
+    avoid importing :mod:`repro.runtime` at module-import time.
     """
     global _STATE_SCHEMA
     if _STATE_SCHEMA is None:
@@ -127,9 +126,6 @@ class NeighborhoodSampleStep(VertexProgram):
     name = "sample-neighborhood"
     gather_direction = EdgeDirection.OUT
 
-    def state_schema(self):
-        return snaple_state_schema()
-
     def __init__(self, config: SnapleConfig, graph: DiGraph,
                  *, per_vertex_rng: bool = False) -> None:
         self._config = config
@@ -185,9 +181,6 @@ class SimilarityStep(VertexProgram):
     name = "estimate-similarities"
     gather_direction = EdgeDirection.OUT
 
-    def state_schema(self):
-        return snaple_state_schema()
-
     def __init__(self, config: SnapleConfig,
                  *, per_vertex_rng: bool = False) -> None:
         self._config = config
@@ -237,9 +230,6 @@ class RecommendationStep(VertexProgram):
 
     name = "compute-recommendations"
     gather_direction = EdgeDirection.OUT
-
-    def state_schema(self):
-        return snaple_state_schema()
 
     def __init__(self, config: SnapleConfig) -> None:
         self._config = config

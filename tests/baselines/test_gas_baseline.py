@@ -54,6 +54,20 @@ class TestBaselineCorrectness:
         )
         assert set(result.predictions) == {1, 2}
 
+    def test_vertex_subset_equals_full_run(self, small_social_graph):
+        # The scoring step reads the propagated neighbourhoods of the
+        # subset's neighbours, so propagation covers every vertex.
+        subset = [1, 2, 3]
+        full = GasBaselinePredictor().predict_gas(small_social_graph,
+                                                  enforce_memory=False)
+        restricted = GasBaselinePredictor().predict_gas(
+            small_social_graph, vertices=subset, enforce_memory=False
+        )
+        assert restricted.predictions == {
+            u: full.predictions[u] for u in subset
+        }
+        assert restricted.scores == {u: full.scores[u] for u in subset}
+
 
 class TestBaselineCost:
     def test_baseline_moves_more_data_than_snaple(self, medium_social_graph):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 
 from repro.bsp.engine import BspEngine
@@ -12,7 +14,40 @@ from repro.bsp.programs import (
 )
 from repro.gas.cluster import TYPE_II, cluster_of
 from repro.graph.digraph import DiGraph
-from repro.graph.traversal import bfs_distances, weakly_connected_components
+
+
+def bfs_distances(graph: DiGraph, source: int) -> dict[int, int]:
+    """Hop distance from ``source`` to every vertex it reaches."""
+    distances = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in graph.out_neighbors(u).tolist():
+            if v not in distances:
+                distances[v] = distances[u] + 1
+                queue.append(v)
+    return distances
+
+
+def weakly_connected_components(graph: DiGraph) -> list[set[int]]:
+    """Vertex sets connected when edge directions are ignored."""
+    seen: set[int] = set()
+    components = []
+    for root in graph.vertices():
+        if root in seen:
+            continue
+        component = {root}
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v in (graph.out_neighbors(u).tolist()
+                      + graph.in_neighbors(u).tolist()):
+                if v not in component:
+                    component.add(v)
+                    queue.append(v)
+        seen |= component
+        components.append(component)
+    return components
 
 
 class TestPageRank:

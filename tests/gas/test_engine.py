@@ -105,6 +105,31 @@ class TestEngineCorrectness:
         assert "degree" in result.data_of(0)
         assert "degree" not in result.data_of(10)
 
+    def test_restriction_applies_to_the_last_step_only(self,
+                                                       small_social_graph):
+        class SumNeighborDegrees(VertexProgram):
+            name = "sum-neighbor-degrees"
+
+            def gather(self, u, v, u_data, v_data):
+                return v_data["degree"]
+
+            def sum(self, left, right):
+                return left + right
+
+            def apply(self, u, u_data, gathered):
+                u_data["neighbor_degrees"] = gathered or 0
+
+        graph = small_social_graph
+        full = GasEngine(graph=graph).run(
+            [DegreeCountProgram(), SumNeighborDegrees()])
+        restricted = GasEngine(graph=graph).run(
+            [DegreeCountProgram(), SumNeighborDegrees()], vertices=[0, 1])
+        assert all("degree" in data for data in restricted.vertex_data)
+        assert [u for u, data in enumerate(restricted.vertex_data)
+                if "neighbor_degrees" in data] == [0, 1]
+        for u in (0, 1):
+            assert restricted.data_of(u) == full.data_of(u)
+
     def test_scatter_updates_edge_data(self, triangle_graph):
         engine = GasEngine(graph=triangle_graph)
         engine.run([ScatterMarkProgram()])

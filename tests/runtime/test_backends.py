@@ -11,6 +11,7 @@ from repro.gas.cluster import TYPE_I, cluster_of
 from repro.runtime import get_backend
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
+from tests.conftest import truncating_config, unsupported_kernel_config
 
 
 @pytest.fixture
@@ -123,6 +124,20 @@ class TestRunReportNormalization:
         json.dumps(with_scores)
 
 
+#: Every SNAPLE backend that takes a vertex subset, parallel GAS included.
+SUBSET_BACKENDS = [("local", {}), ("gas", {}), ("gas", {"workers": 2}),
+                   ("bsp", {})]
+SUBSET_IDS = ["local", "gas", "gas-workers2", "bsp"]
+
+#: Subset configurations: the paper default, truncation and klocal sampling
+#: firing, and a custom callable (scalar step programs inside the workers).
+SUBSET_CONFIGS = {
+    "paper": lambda: SnapleConfig.paper_default(seed=1),
+    "truncating": truncating_config,
+    "custom": unsupported_kernel_config,
+}
+
+
 class TestVertexSubsets:
     def test_local_vertex_subset_matches_full_run(self, small_social_graph,
                                                   parity_config):
@@ -135,15 +150,37 @@ class TestVertexSubsets:
         for u in subset:
             assert restricted.predictions[u] == full.predictions[u]
 
-    def test_gas_vertex_subset_restricts_predictions(self, small_social_graph,
-                                                     parity_config):
-        # The GAS engine restricts *all* program steps to the active set, so
-        # a subset run is a smaller computation, not a filtered full run.
-        predictor = SnapleLinkPredictor(parity_config)
-        subset = [0, 1, 2, 3, 4]
-        restricted = predictor.predict(small_social_graph, backend="gas",
-                                       vertices=subset)
-        assert sorted(restricted.predictions) == subset
+    @pytest.mark.parametrize("config_name", sorted(SUBSET_CONFIGS))
+    @pytest.mark.parametrize("backend,options", SUBSET_BACKENDS,
+                             ids=SUBSET_IDS)
+    def test_vertex_subset_equals_full_run(self, backend, options,
+                                           config_name, random_graph):
+        # Step 3 of a subset run reads the neighbours' Γ̂ and kept maps, so
+        # every backend must compute those for the whole graph.
+        graph = random_graph(200, 3, 0.3, seed=1)
+        subset = [1, 2, 3]
+        with SnapleLinkPredictor(SUBSET_CONFIGS[config_name]()) as predictor:
+            full = predictor.predict(graph, backend=backend, **options)
+            restricted = predictor.predict(graph, backend=backend,
+                                           vertices=subset, **options)
+        assert restricted.predictions == {
+            u: full.predictions[u] for u in subset
+        }
+        assert {u: dict(restricted.scores[u]) for u in subset} == {
+            u: dict(full.scores[u]) for u in subset
+        }
+
+    @pytest.mark.parametrize("bad", [-1, 200, True, 1.5, "3"])
+    @pytest.mark.parametrize("backend,options", SUBSET_BACKENDS,
+                             ids=SUBSET_IDS)
+    def test_bad_vertex_ids_rejected(self, backend, options, bad,
+                                     random_graph):
+        graph = random_graph(200, 3, 0.3, seed=1)
+        config = SnapleConfig.paper_default(seed=1)
+        with SnapleLinkPredictor(config) as predictor:
+            with pytest.raises(ConfigurationError, match="vertices must be"):
+                predictor.predict(graph, backend=backend, vertices=[0, bad],
+                                  **options)
 
     def test_bsp_vertex_subset_filters_output(self, small_social_graph,
                                               parity_config):

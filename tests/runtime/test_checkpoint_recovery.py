@@ -370,8 +370,8 @@ class TestResumeValidation:
                               resume_from=checkpoint_dir)
 
     def test_different_vertex_subset_rejected(self, tmp_path, random_graph):
-        # Snapshots only cover the run's active vertices; resuming with a
-        # different subset would replay against partial state.
+        # The fingerprint pins the run's vertex subset: a snapshot resumes
+        # only the run that wrote it.
         graph = grid_graph(random_graph)
         checkpoint_dir = tmp_path / "ckpt"
         predictor = SnapleLinkPredictor(grid_config())
@@ -391,6 +391,29 @@ class TestResumeValidation:
         baseline = predictor.predict(graph, backend="gas", workers=2,
                                      vertices=list(range(40)))
         assert_bit_identical(baseline, resumed)
+
+    def test_resumed_subset_run_equals_full_run(self, fault_injector,
+                                                tmp_path, random_graph):
+        # The snapshot before the recommendation step holds every vertex's
+        # Γ̂ and kept map, so a resumed subset run answers like a full run.
+        graph = grid_graph(random_graph)
+        full = baseline_report(graph, 2)
+        subset = [3, 17, 42, 60]
+        checkpoint_dir = tmp_path / "ckpt"
+        predictor = SnapleLinkPredictor(grid_config())
+        with pytest.raises(WorkerCrashError):
+            predictor.predict(graph, backend="gas", workers=2,
+                              vertices=subset, checkpoint_dir=checkpoint_dir,
+                              max_restarts=0,
+                              fault=fault_injector.kill_worker(2, partition=1))
+        resumed = predictor.predict(graph, backend="gas", workers=2,
+                                    vertices=subset,
+                                    resume_from=checkpoint_dir)
+        assert resumed.extra["resumed_from_superstep"] == 2.0
+        assert resumed.predictions == {u: full.predictions[u] for u in subset}
+        assert {u: dict(resumed.scores[u]) for u in subset} == {
+            u: dict(full.scores[u]) for u in subset
+        }
 
     def test_resume_from_empty_directory_raises(self, tmp_path, random_graph):
         graph = grid_graph(random_graph)

@@ -76,11 +76,11 @@ class TestSerialReportRoundtrip:
             for candidate, score in dict(report.scores[some_vertex]).items()
         }
 
-    def test_serial_gas_carries_state_plane_extras(self, graph, predictor):
+    def test_serial_gas_report_has_no_state_plane_extras(self, graph,
+                                                         predictor):
         report = predictor.predict(graph, backend="gas")
         restored = roundtrip(report.to_dict())
-        assert restored["extra"]["state_columnar"] == 1.0
-        assert restored["extra"]["state_plane_peak_bytes"] > 0.0
+        assert restored["extra"] == {}
         assert restored["simulated_seconds"] > 0.0
 
 
@@ -99,8 +99,7 @@ class TestParallelReportRoundtrip:
                 "num_predicted_edges", "gather_invocations",
                 "apply_invocations", "compute_seconds", "shipped_bytes",
             }
-        # PR 4's per-superstep state-plane accounting.
-        assert restored["extra"]["state_columnar"] == 1.0
+        # The executor's per-superstep state-plane accounting.
         assert restored["extra"]["state_plane_peak_bytes"] > 0.0
         for step in range(restored["supersteps"]):
             assert f"state_plane_bytes_step{step}" in restored["extra"]

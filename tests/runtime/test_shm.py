@@ -315,22 +315,6 @@ class TestShmStateStore:
             del store
         assert_no_leaked_segments()
 
-    def test_slice_handle_refuses_scalar_fields(self):
-        # Only ragged fields ship by descriptor: no schema the executor
-        # runs has a scalar field, so a scalar request is an error.
-        schema = StateSchema([
-            StateField("gamma", FieldKind.INT_LIST),
-            StateField("rank", FieldKind.SCALAR),
-        ])
-        with ShmRegistry() as registry:
-            store = StateStore(8, schema,
-                               allocator=ShmColumnAllocator(registry))
-            handle = state_slice_handle(store, np.arange(4), ("gamma",))
-            assert set(handle.ragged) == {"gamma"}
-            with pytest.raises(EngineError, match="'rank'"):
-                state_slice_handle(store, np.arange(4), ("rank",))
-            del store
-
 
 # ----------------------------------------------------------------------
 # End-to-end lifecycle through the parallel executor

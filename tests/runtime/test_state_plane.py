@@ -2,9 +2,8 @@
 
 Predictions and candidate scores of every ``workers=N`` run must equal the
 serial scalar reference exactly, for {truncating, custom-callable}
-configurations × {random, greedy} vertex-cuts × {1, 4} workers; and the
-accounting (``payload_size_bytes`` parity of :meth:`VertexRow.nbytes`) must
-match the per-vertex dict charges exactly.
+configurations × {random, greedy} vertex-cuts × {1, 4} workers.  The serial
+simulated engines keep plain per-vertex dicts and no state plane.
 """
 
 from __future__ import annotations
@@ -12,13 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.gas.vertex_program import payload_size_bytes
 from repro.runtime.state import (
     FieldKind,
     StateField,
     StateSchema,
     StateStore,
-    common_state_schema,
 )
 from repro.runtime.shm import shm_available
 from repro.snaple.predictor import SnapleLinkPredictor
@@ -37,63 +34,42 @@ def snaple_like_schema() -> StateSchema:
         StateField("gamma", FieldKind.INT_LIST),
         StateField("sims", FieldKind.INT_FLOAT_MAP),
         StateField("predicted", FieldKind.INT_LIST),
-        StateField("rank", FieldKind.SCALAR, "float64"),
     ))
 
 
+def rows_of(store: StateStore, rows, name: str) -> dict:
+    """``{vertex: value}`` of the present rows of one field, decoded."""
+    state_slice = store.extract(np.asarray(rows), (name,))
+    counts, ids, vals, present = state_slice.ragged[name]
+    out = {}
+    position = 0
+    for u, count, here in zip(state_slice.rows.tolist(), counts.tolist(),
+                              present.tolist()):
+        if here:
+            row_ids = ids[position:position + count].tolist()
+            out[u] = (row_ids if vals is None else dict(
+                zip(row_ids, vals[position:position + count].tolist())))
+        position += count
+    return out
+
+
 # ----------------------------------------------------------------------
-# StateStore / VertexRow
+# StateStore
 # ----------------------------------------------------------------------
 class TestStateStore:
-    def test_row_roundtrip_preserves_values_and_order(self):
-        store = StateStore(4, snaple_like_schema())
-        row = store.row(1)
-        row["gamma"] = [3, 1, 1, 2]
-        row["sims"] = {7: 0.5, 2: 0.25, 9: 1.0}  # insertion order matters
-        row["rank"] = 0.125
-        assert row["gamma"] == [3, 1, 1, 2]
-        assert list(row["sims"].items()) == [(7, 0.5), (2, 0.25), (9, 1.0)]
-        assert row["rank"] == 0.125
-        # Reads return the assigned object itself (cache), like a dict.
-        assert row["gamma"] is row["gamma"]
-
-    def test_row_mapping_protocol_matches_dict(self):
-        store = StateStore(3, snaple_like_schema())
-        row = store.row(0)
-        assert dict(row) == {}
-        assert row.get("gamma", "missing") == "missing"
-        assert "gamma" not in row
-        assert "scores" not in row  # undeclared fields read as absent
-        row["gamma"] = []
-        row["sims"] = {1: 2.0}
-        assert "gamma" in row and row["gamma"] == []
-        assert set(row) == {"gamma", "sims"}
-        assert len(row) == 2
-        assert row == {"gamma": [], "sims": {1: 2.0}}
-        assert {"gamma": [], "sims": {1: 2.0}} == dict(row.items())
-
     def test_setting_undeclared_field_raises(self):
         store = StateStore(2, snaple_like_schema())
-        with pytest.raises(KeyError):
-            store.row(0)["scores"] = {1: 2.0}
-
-    def test_nbytes_matches_payload_size_bytes_of_dict_twin(self):
-        store = StateStore(2, snaple_like_schema())
-        row = store.row(0)
-        twin = {}
-        row["gamma"] = twin["gamma"] = [5, 6, 7]
-        row["sims"] = twin["sims"] = {1: 0.5, 2: 0.75}
-        row["predicted"] = twin["predicted"] = []
-        row["rank"] = twin["rank"] = 3.5
-        assert row.nbytes() == payload_size_bytes(twin)
-        assert store.row(1).nbytes() == payload_size_bytes({})
+        with pytest.raises(KeyError, match="'scores'"):
+            store.set_rows("scores", np.array([0]), np.array([1]),
+                           np.array([1]), np.array([2.0]))
 
     def test_rewriting_a_row_updates_live_bytes(self):
         store = StateStore(2, snaple_like_schema())
-        row = store.row(0)
-        row["gamma"] = list(range(10))
+        store.set_rows("gamma", np.array([0]), np.array([10]),
+                       np.arange(10, dtype=np.int64))
         before = store.nbytes()
-        row["gamma"] = [1]
+        store.set_rows("gamma", np.array([0]), np.array([1]),
+                       np.array([1], dtype=np.int64))
         assert store.nbytes() == before - 9 * 8
 
     def test_bulk_set_rows_and_csr_roundtrip(self):
@@ -107,54 +83,49 @@ class TestStateStore:
         assert csr_vals is None
         assert csr_counts.tolist() == [0, 2, 0, 0, 3]
         assert csr_flat.tolist() == [10, 11, 20, 21, 22]
-        assert store.row(1)["gamma"] == [10, 11]
-        assert store.row(3)["gamma"] == []  # present but empty
-        assert "gamma" in store.row(3)
-        assert "gamma" not in store.row(0)
+        # Row 3 is present but empty; rows 0 and 2 were never written.
+        assert rows_of(store, range(5), "gamma") == {
+            1: [10, 11], 3: [], 4: [20, 21, 22],
+        }
 
     def test_extract_merge_roundtrip_preserves_presence(self):
         schema = snaple_like_schema()
         source = StateStore(6, schema)
-        source.row(1)["gamma"] = [4, 5]
-        source.row(2)["sims"] = {3: 1.5}
-        source.row(4)["rank"] = 2.0
-        state_slice = source.extract(
-            np.array([1, 2, 3, 4]), ("gamma", "sims", "rank")
-        )
+        source.set_rows("gamma", np.array([1]), np.array([2]),
+                        np.array([4, 5], dtype=np.int64))
+        # Insertion order of a kept map survives the round trip.
+        source.set_rows("sims", np.array([2]), np.array([3]),
+                        np.array([7, 2, 9], dtype=np.int64),
+                        np.array([0.5, 0.25, 1.0]))
+        state_slice = source.extract(np.array([1, 2, 3, 4]),
+                                     ("gamma", "sims"))
         destination = StateStore(6, schema)
         destination.merge(state_slice)
-        assert destination.row(1) == source.row(1)
-        assert destination.row(2) == source.row(2)
-        assert destination.row(3) == {}
-        assert destination.row(4) == {"rank": 2.0}
-        assert "gamma" not in destination.row(3)
+        assert rows_of(destination, range(6), "gamma") == {1: [4, 5]}
+        sims = rows_of(destination, range(6), "sims")
+        assert list(sims[2].items()) == [(7, 0.5), (2, 0.25), (9, 1.0)]
+        assert set(sims) == {2}
+        assert destination.nbytes() == source.nbytes() == 2 * 8 + 3 * 16
 
-    def test_common_state_schema_requires_agreement(self):
-        schema = snaple_like_schema()
 
-        class Declares:
-            def state_schema(self):
-                return schema
+    def test_slices_decode_into_the_serial_engines_dicts(self):
+        from repro.runtime.parallel import _slice_dicts
 
-        class DeclaresOther:
-            def state_schema(self):
-                return StateSchema((StateField("x", FieldKind.SCALAR),))
-
-        class DeclaresNothing:
-            pass
-
-        assert common_state_schema([Declares(), Declares()]) == schema
-        assert common_state_schema([Declares(), DeclaresOther()]) is None
-        assert common_state_schema([Declares(), DeclaresNothing()]) is None
-
-    def test_rows_sequence_and_mapping_views(self):
-        store = StateStore(3, snaple_like_schema())
-        rows = store.rows()
-        assert len(rows) == 3
-        rows[1]["gamma"] = [7]
-        mapping = store.rows_mapping()
-        assert len(mapping) == 3
-        assert mapping[1]["gamma"] == [7]
+        store = StateStore(5, snaple_like_schema())
+        store.set_rows("gamma", np.array([0, 2]), np.array([2, 0]),
+                       np.array([3, 1], dtype=np.int64))
+        store.set_rows("sims", np.array([2]), np.array([2]),
+                       np.array([4, 0], dtype=np.int64),
+                       np.array([0.75, 0.5]))
+        rows = np.array([0, 1, 2])
+        data = _slice_dicts((store.extract(rows, ("gamma",)),
+                             store.extract(rows, ("sims",)), None))
+        # Absent rows stay absent; present-but-empty rows decode to [].
+        assert dict(data) == {
+            0: {"gamma": [3, 1]},
+            2: {"gamma": [], "sims": {4: 0.75, 0: 0.5}},
+        }
+        assert list(data[2]["sims"]) == [4, 0]
 
 
 # ----------------------------------------------------------------------
@@ -191,7 +162,6 @@ class TestScalarReferenceParity:
                                        workers=workers,
                                        **partitioner_option(partitioner))
         assert_matches_reference(report, _REFERENCES[config_name])
-        assert report.extra["state_columnar"] == 1.0
         if workers > 1 and shm_available():
             assert report.extra["shm_enabled"] == 1.0
 
@@ -199,34 +169,27 @@ class TestScalarReferenceParity:
 class TestStatePlaneReporting:
     def test_reports_record_the_columnar_plane(self, parity_graph):
         with SnapleLinkPredictor(truncating_config()) as predictor:
-            for options in ({}, {"workers": 2}):
-                report = predictor.predict(parity_graph, backend="gas",
-                                           **options)
-                assert report.extra["state_columnar"] == 1.0
-                assert report.extra["state_plane_peak_bytes"] > 0
+            serial = predictor.predict(parity_graph, backend="gas")
+            parallel = predictor.predict(parity_graph, backend="gas",
+                                         workers=2)
+        assert serial.extra == {}
+        assert parallel.extra["state_plane_peak_bytes"] > 0
 
-    def test_engine_uses_a_store_only_for_declared_schemas(self,
-                                                           parity_graph):
-        from repro.baselines.gas_baseline import (
-            DirectScoringStep,
-            NeighborhoodPropagationStep,
-        )
+    def test_serial_engines_keep_plain_dicts(self, parity_graph):
+        from repro.bsp.engine import BspEngine
         from repro.gas.engine import GasEngine
+        from repro.snaple.bsp_program import SnapleBspProgram
         from repro.snaple.program import build_snaple_steps
-        from repro.snaple.similarity import jaccard
 
+        config = truncating_config()
         graph = parity_graph
-        engine = GasEngine(graph=graph)
-        engine.run(build_snaple_steps(truncating_config(), graph))
-        assert engine.state_store is not None
-        assert engine.state_store.nbytes() > 0
-        assert engine.memory.state_plane_peak_bytes > 0
-
-        # Programs that declare no schema (the baselines) keep dicts.
-        engine = GasEngine(graph=graph, enforce_memory=False)
-        engine.run([NeighborhoodPropagationStep(graph),
-                    DirectScoringStep(5, jaccard)])
-        assert engine.state_store is None
+        gas = GasEngine(graph=graph).run(build_snaple_steps(config, graph))
+        bsp = BspEngine(graph=graph).run(SnapleBspProgram(config))
+        for states in (gas.vertex_data, bsp.vertex_state):
+            assert type(states) is list
+            assert len(states) == graph.num_vertices
+            assert all(type(state) is dict for state in states)
+        assert set(gas.data_of(0)) == {"gamma", "sims", "predicted"}
 
     def test_gas_package_exports_runtime_partition(self):
         import repro.gas as gas

@@ -19,6 +19,7 @@ from repro.serving import (
     PredictorService,
     ServingConfig,
 )
+from repro.serving.loadgen import LoadConfig
 from repro.snaple.config import SnapleConfig
 
 
@@ -62,6 +63,23 @@ class TestConfigValidation:
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             ServingConfig(**kwargs)
+
+    @pytest.mark.parametrize("config_class,kwargs", [
+        (ServingConfig, {"workers": 1.5}),
+        (ServingConfig, {"workers": True}),
+        (ServingConfig, {"queue_bound": 2.5}),
+        (ServingConfig, {"compact_every": 1.5}),
+        (LoadConfig, {"clients": 2.0}),
+        (LoadConfig, {"clients": True}),
+        (LoadConfig, {"windows": 3.5}),
+        (LoadConfig, {"warmup_windows": 0.5}),
+        (LoadConfig, {"cooldown_windows": False}),
+    ])
+    def test_non_integer_config_rejected(self, config_class, kwargs):
+        name = next(iter(kwargs))
+        with pytest.raises(ConfigurationError,
+                           match=f"{name} must be an integer"):
+            config_class(**kwargs)
 
     def test_compaction_can_be_disabled(self):
         assert ServingConfig(compact_every=None).compact_every is None
