@@ -1,19 +1,18 @@
-"""Engine comparison: the same SNAPLE run on the GAS and BSP/Pregel substrates.
+"""Engine comparison: the same SNAPLE run on two GAS vertex-cuts.
 
-The paper implements SNAPLE on GraphLab's gather-apply-scatter model and
-names porting it to BSP engines (Giraph, Bagel) as future work.  This example
-runs the identical configuration through three execution backends from the
-:mod:`repro.runtime` registry on the same simulated 8-machine cluster and
-compares what each one costs:
+The paper implements SNAPLE on GraphLab's gather-apply-scatter model, where
+the cost of a run is decided by how the graph is cut across machines.  This
+example runs the identical configuration through the ``gas`` backend of the
+:mod:`repro.runtime` registry on the same simulated 8-machine cluster under
+two placements and compares what each one costs:
 
-* the ``gas`` backend with PowerGraph's random vertex-cut,
-* the ``gas`` backend with the greedy (replication-minimizing) vertex-cut,
-* the ``bsp`` backend (hash edge-cut, explicit messages).
+* PowerGraph's random vertex-cut,
+* the greedy (replication-minimizing) vertex-cut.
 
-All three produce exactly the same predictions — only the data flow differs.
+Both produce exactly the same predictions — only the data flow differs.
 The normalized :class:`~repro.runtime.report.RunReport` makes the comparison
-one loop: every backend reports network bytes and simulated seconds under
-the same names.
+one loop: every run reports network bytes and simulated seconds under the
+same names.
 
 Run it with::
 
@@ -46,8 +45,6 @@ def main() -> None:
         ("GAS, greedy vertex-cut",
          predictor.predict(split.train_graph, backend="gas", cluster=cluster,
                            partitioner=GreedyVertexCut())),
-        ("BSP (Pregel), hash edge-cut",
-         predictor.predict(split.train_graph, backend="bsp", cluster=cluster)),
     ]
 
     print(f"{'execution path':<30} {'recall':>7} {'network MiB':>12} {'sim time':>9}")
@@ -57,16 +54,14 @@ def main() -> None:
         print(f"{name:<30} {recall:>7.3f} {network:>12.2f} "
               f"{report.simulated_seconds:>8.3f}s")
 
-    gas_random, gas_greedy, bsp = (report for _, report in runs)
-    assert gas_random.predictions == gas_greedy.predictions == bsp.predictions
-    print("\nall three backends return identical predictions; only the data "
-          "flow (and therefore the simulated cost) differs.")
+    gas_random, gas_greedy = (report for _, report in runs)
+    assert gas_random.predictions == gas_greedy.predictions
+    print("\nboth cuts return identical predictions; only the data flow (and "
+          "therefore the simulated cost) differs.")
     print("replication factor (random cut): "
           f"{gas_random.native.partition.replication_factor():.2f}")
     print("replication factor (greedy cut): "
           f"{gas_greedy.native.partition.replication_factor():.2f}")
-    print("cut edge fraction (BSP hash):    "
-          f"{bsp.native.partition.cut_fraction(split.train_graph):.2f}")
 
 
 if __name__ == "__main__":

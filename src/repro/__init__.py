@@ -6,7 +6,6 @@ the most commonly used entry points; see the subpackages for the full surface:
 
 * :mod:`repro.graph` — compact directed graphs, generators, dataset analogs;
 * :mod:`repro.gas` — the simulated gather-apply-scatter engine and cluster model;
-* :mod:`repro.bsp` — the simulated BSP/Pregel engine;
 * :mod:`repro.snaple` — the SNAPLE scoring framework and link predictor;
 * :mod:`repro.baselines` — the naive GAS baseline and the random-walk PPR baseline;
 * :mod:`repro.runtime` — the pluggable execution-backend registry and RunReport;
@@ -35,7 +34,6 @@ from repro.runtime import (
     register_backend,
 )
 from repro.snaple import (
-    PredictionResult,
     SnapleConfig,
     SnapleLinkPredictor,
     paper_score_names,
@@ -62,7 +60,6 @@ __all__ = [
     "dataset_names",
     "SnapleConfig",
     "SnapleLinkPredictor",
-    "PredictionResult",
     "score_config",
     "paper_score_names",
     "ReproError",

@@ -133,8 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "execute graph partitions in N shared-nothing worker processes "
             "instead of the simulated cluster (only experiments taking a "
-            "'workers' parameter, e.g. ablation-engines, which then runs "
-            "its GAS engines only; --engine bsp is simulated-only)"
+            "'workers' parameter, e.g. ablation-engines)"
         ),
     )
     parser.add_argument(
@@ -185,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "execution mode for local-backend scoring: 'vectorized' runs "
-            "the CSR array kernel (default), 'reference' the scalar "
-            "implementation (only experiments taking a 'mode' parameter, "
+            "the kernel's array branches (default), 'reference' its scalar "
+            "ones (only experiments taking a 'mode' parameter, "
             "e.g. figure6-figure10, ablation-alpha)"
         ),
     )

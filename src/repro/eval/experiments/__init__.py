@@ -43,7 +43,8 @@ __all__ = [
 #: Experiment registry keyed by the paper's table/figure identifier.  The
 #: ``ablation-*`` entries are reproductions of design choices the paper
 #: states but does not plot (α = 0.9, K = 2) plus the extensions this
-#: repository adds (partitioning, BSP port, content-aware scoring).
+#: repository adds (partitioning, vertex-cuts, path length, content-aware
+#: scoring).
 EXPERIMENTS = {
     "table5": run_table5,
     "figure5": run_figure5,

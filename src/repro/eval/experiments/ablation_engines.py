@@ -1,24 +1,18 @@
-"""Ablation: GAS versus BSP/Pregel execution of the same SNAPLE configuration.
+"""Ablation: the same SNAPLE configuration on two GAS vertex-cuts.
 
-Section 7 of the paper lists porting SNAPLE to BSP engines (Giraph, Bagel) as
-future work.  This ablation runs the identical SNAPLE configuration through
-three execution paths on the same cluster and graph, all resolved through the
-:mod:`repro.runtime` backend registry:
+This ablation runs the identical SNAPLE configuration through the GAS
+engine under two placements of the same cluster and graph, both resolved
+through the :mod:`repro.runtime` backend registry:
 
-* ``gas`` — the simulated GAS engine with PowerGraph's random vertex-cut,
-* ``gas-greedy`` — the simulated GAS engine with the oblivious greedy
-  vertex-cut,
-* ``bsp`` — the simulated BSP/Pregel engine (hash edge-cut, explicit
-  messages),
+* ``gas`` — PowerGraph's random vertex-cut,
+* ``gas-greedy`` — the oblivious greedy vertex-cut,
 
 and reports network traffic, simulated time and recall for each.  The shape
-to check: all three produce the same recall (the algorithm is unchanged), the
-greedy vertex-cut GAS run ships the fewest bytes, and the BSP port's traffic
-sits in the same order of magnitude as random-vertex-cut GAS — i.e. the GAS
-formulation's advantage materializes through the partitioner, not for free.
+to check: both produce the same recall (the algorithm is unchanged) and the
+greedy vertex-cut ships fewer bytes — the GAS formulation's traffic
+advantage materializes through the partitioner, not for free.
 
-With ``workers=N`` the two GAS rows run in real worker processes instead;
-the BSP row exists only on the simulated cluster.
+With ``workers=N`` both rows run in real worker processes instead.
 """
 
 from __future__ import annotations
@@ -33,7 +27,6 @@ from repro.eval.metrics import evaluate_predictions
 from repro.eval.report import TextTable
 from repro.eval.runner import ExperimentRunner
 from repro.gas.cluster import TYPE_I, cluster_of
-from repro.runtime import backend_capabilities
 from repro.runtime.partition import GreedyVertexCut
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
@@ -56,7 +49,6 @@ def _greedy_partitioner_options() -> dict[str, Any]:
 ENGINE_SPECS: dict[str, tuple[str, str, Callable[[], dict[str, Any]]]] = {
     "gas": ("GAS (random cut)", "gas", dict),
     "gas-greedy": ("GAS (greedy cut)", "gas", _greedy_partitioner_options),
-    "bsp": ("BSP (hash cut)", "bsp", dict),
 }
 
 
@@ -101,7 +93,7 @@ class AblationEnginesResult:
         else:
             flavour = f"{self.num_machines} type-I machines"
         table = TextTable(
-            title=f"Ablation — GAS vs BSP execution of SNAPLE ({flavour})",
+            title=f"Ablation — GAS vertex-cuts for SNAPLE ({flavour})",
             columns=[
                 "dataset", "engine", "network MiB", "sim time (s)",
                 "recall", "steps",
@@ -134,9 +126,8 @@ def run_ablation_engines(
 ) -> AblationEnginesResult:
     """Run the same SNAPLE configuration on the selected execution engines.
 
-    ``engines`` selects from :data:`ENGINE_SPECS` (by default all three, or
-    both GAS specs under ``workers``); unknown names raise
-    :class:`~repro.errors.ConfigurationError`.
+    ``engines`` selects from :data:`ENGINE_SPECS` (by default both);
+    unknown names raise :class:`~repro.errors.ConfigurationError`.
 
     ``workers`` switches the GAS engines from the simulated ``num_machines``
     cluster to real shared-nothing parallelism (see
@@ -145,9 +136,7 @@ def run_ablation_engines(
     partitions, and the time column reports wall-clock seconds instead of
     simulated cluster time.  The partitioner of each spec (e.g. the greedy
     vertex-cut) then controls partition locality rather than simulated
-    placement.  The BSP engine is simulated only, so naming ``bsp``
-    together with ``workers`` raises
-    :class:`~repro.errors.ConfigurationError`.
+    placement.
 
     ``checkpoint_dir`` (requires ``workers``) persists superstep-boundary
     checkpoints for every run, each under its own
@@ -158,21 +147,12 @@ def run_ablation_engines(
     invocation.  Results are bit-identical with and without resume.
     """
     if engines is None:
-        engines = tuple(
-            name for name, (_, backend, _) in ENGINE_SPECS.items()
-            if workers is None or backend_capabilities(backend).parallel
-        )
+        engines = tuple(ENGINE_SPECS)
     for engine in engines:
         if engine not in ENGINE_SPECS:
             raise ConfigurationError(
                 f"unknown engine {engine!r}; available engines: "
                 f"{', '.join(sorted(ENGINE_SPECS))}"
-            )
-        backend = ENGINE_SPECS[engine][1]
-        if workers is not None and not backend_capabilities(backend).parallel:
-            raise ConfigurationError(
-                f"engine {engine!r} is simulated only and cannot run with "
-                "workers=N; select a GAS engine or drop workers"
             )
     if checkpoint_dir is not None and workers is None:
         raise ConfigurationError(

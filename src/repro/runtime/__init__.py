@@ -5,12 +5,11 @@ One scoring framework, many engines: this package defines the
 backend registry, the normalized :class:`~repro.runtime.report.RunReport`
 accounting shared by every engine, and the columnar state plane
 (:mod:`repro.runtime.state`) the ``workers=N`` executor keeps its vertex
-state in.  The first registry lookup registers the six built-in backends:
+state in.  The first registry lookup registers the five built-in backends:
 
 ========================  =====================================================
 ``local``                 single-process scoring (vectorized CSR kernel)
 ``gas``                   simulated distributed GAS engine (vertex-cut)
-``bsp``                   simulated BSP/Pregel engine (edge-cut, messages)
 ``cassovary``             random-walk PPR competitor, simulated-time accounting
 ``random_walk_ppr``       random-walk PPR, wall-clock accounting
 ``topological``           classic 2-hop topological scores
@@ -22,7 +21,7 @@ Typical use goes through :meth:`repro.snaple.predictor.SnapleLinkPredictor.predi
 
 but backends can also be driven directly::
 
-    backend = get_backend("bsp", cluster=cluster_of(TYPE_I, 8))
+    backend = get_backend("gas", cluster=cluster_of(TYPE_I, 8))
     report = backend.predict(graph, config)
 
 The heavy submodules (the engine adapters, the baselines, the parallel
@@ -77,7 +76,6 @@ __all__ = [
     "LocalBackend",
     "LOCAL_MODES",
     "GasBackend",
-    "BspBackend",
     "CassovaryBackend",
     "RandomWalkPprBackend",
     "TopologicalBackend",
@@ -103,7 +101,6 @@ _LAZY_EXPORTS = {
     "LocalBackend": "repro.runtime.engines",
     "LOCAL_MODES": "repro.runtime.engines",
     "GasBackend": "repro.runtime.engines",
-    "BspBackend": "repro.runtime.engines",
     "CassovaryBackend": "repro.runtime.baselines",
     "RandomWalkPprBackend": "repro.runtime.baselines",
     "TopologicalBackend": "repro.runtime.baselines",

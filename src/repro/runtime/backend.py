@@ -1,7 +1,7 @@
 """The :class:`ExecutionBackend` protocol every engine adapter implements.
 
 The SNAPLE paper's central claim is that one scoring framework runs unchanged
-across graph-processing engines (GAS, BSP/Pregel, single-machine competitors).
+across graph-processing engines (GAS, single-machine competitors).
 This module is that claim as an API: a backend *prepares* once for a (graph,
 config) pair and then *runs* over a vertex set, returning the normalized
 :class:`~repro.runtime.report.RunReport`.  Backends advertise what they can do
@@ -23,7 +23,28 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.runtime.report import RunReport
     from repro.snaple.config import SnapleConfig
 
-__all__ = ["BackendCapabilities", "ExecutionBackend"]
+__all__ = ["BackendCapabilities", "ExecutionBackend", "target_vertices"]
+
+
+def target_vertices(graph: DiGraph, vertices) -> list[int]:
+    """``vertices`` as a list of ints (every vertex of ``graph`` for ``None``).
+
+    Bools, non-integers and ids outside ``[0, |V|)`` raise
+    :class:`~repro.errors.ConfigurationError`, so callers check before any
+    graph work.
+    """
+    if vertices is None:
+        return list(graph.vertices())
+    targets = []
+    for u in vertices:
+        if (isinstance(u, bool) or not isinstance(u, numbers.Integral)
+                or not 0 <= u < graph.num_vertices):
+            raise ConfigurationError(
+                f"vertices must be integer ids in [0, "
+                f"{graph.num_vertices}), got {u!r}"
+            )
+        targets.append(int(u))
+    return targets
 
 
 @dataclass(frozen=True)
@@ -123,21 +144,6 @@ class ExecutionBackend(abc.ABC):
         return self._graph, self._config
 
     def _target_vertices(self, vertices: list[int] | None) -> list[int]:
-        """``vertices`` as a list of ints (every vertex for ``None``).
-
-        Bools, non-integers and ids outside ``[0, |V|)`` raise
-        :class:`~repro.errors.ConfigurationError` before any graph work.
-        """
+        """The checked target list of :func:`target_vertices`."""
         graph, _ = self._require_prepared()
-        if vertices is None:
-            return list(graph.vertices())
-        targets = []
-        for u in vertices:
-            if (isinstance(u, bool) or not isinstance(u, numbers.Integral)
-                    or not 0 <= u < graph.num_vertices):
-                raise ConfigurationError(
-                    f"vertices must be integer ids in [0, "
-                    f"{graph.num_vertices}), got {u!r}"
-                )
-            targets.append(int(u))
-        return targets
+        return target_vertices(graph, vertices)

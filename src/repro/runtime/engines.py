@@ -1,18 +1,16 @@
-"""Backend adapters for the three SNAPLE execution paths (local, GAS, BSP).
+"""Backend adapters for the two SNAPLE execution paths (local, GAS).
 
-The local backend owns the single-process implementation of Algorithm 2 —
-a vectorized CSR kernel by default (:mod:`repro.snaple.kernel`), with the
-scalar reference implementation kept behind ``mode="reference"``; the GAS
-and BSP backends drive the simulated distributed engines.  All three
-produce identical predictions for the same configuration and seed whenever no
-probabilistic truncation is involved — the cross-backend parity tests rely on
-this.
+The local backend runs the single-process Algorithm 2 of
+:mod:`repro.snaple.kernel` — its vectorized branches by default, the scalar
+ones behind ``mode="reference"``; the GAS backend drives the simulated
+distributed engine (or, with ``workers=N``, real worker processes).  Both
+produce identical predictions for the same configuration and seed whenever
+no probabilistic truncation is involved — the cross-backend parity tests
+rely on this.
 """
 
 from __future__ import annotations
 
-import math
-import random
 import time
 
 from repro.errors import ConfigurationError
@@ -20,7 +18,6 @@ from repro.gas.cluster import ClusterConfig, TYPE_II, cluster_of
 from repro.gas.engine import GasEngine
 from repro.runtime.partition import Partitioner
 from repro.graph.digraph import DiGraph
-from repro.graph.sampling import truncate_neighborhood
 from repro.runtime.backend import BackendCapabilities, ExecutionBackend
 from repro.runtime.parallel import (
     ParallelRunOutcome,
@@ -29,12 +26,18 @@ from repro.runtime.parallel import (
     validate_workers,
 )
 from repro.runtime.report import RunReport
-from repro.snaple.bsp_program import SnapleBspPredictor
 from repro.snaple.config import SnapleConfig
-from repro.snaple.kernel import VectorizedKernel, kernel_supports
-from repro.snaple.program import build_snaple_steps, top_k_predictions
+from repro.snaple.kernel import (
+    build_truncated_neighborhoods,
+    combine_and_rank,
+    edge_similarities,
+    fold_paths,
+    kernel_supports,
+    select_klocal,
+)
+from repro.snaple.program import build_snaple_steps
 
-__all__ = ["LocalBackend", "GasBackend", "BspBackend", "LOCAL_MODES"]
+__all__ = ["LocalBackend", "GasBackend", "LOCAL_MODES"]
 
 
 def _reject_cluster_with_workers(cluster: ClusterConfig | None,
@@ -157,19 +160,19 @@ LOCAL_MODES = ("vectorized", "reference")
 class LocalBackend(ExecutionBackend):
     """Single-process SNAPLE scoring without engine book-keeping.
 
-    ``prepare`` runs the graph-global phases once (truncated neighborhoods
-    and ``klocal`` selection for every vertex); ``run`` only performs the
-    per-vertex path combination, so streaming over vertex batches costs no
-    repeated global work.
+    ``prepare`` runs the graph-global phases once (truncated neighborhoods,
+    edge similarities and ``klocal`` selection for every vertex); ``run``
+    only performs the per-target path combination, so streaming over vertex
+    batches costs no repeated global work.
 
-    ``mode`` selects the implementation: ``"vectorized"`` (the default) runs
-    the CSR-native array kernel of :mod:`repro.snaple.kernel`;
-    ``"reference"`` keeps the scalar dict/loop implementation for
-    cross-checking and for configurations outside the vectorized design
-    space (to which the vectorized mode silently falls back — the report's
-    ``extra["kernel_vectorized"]`` flag records which path actually ran).
-    Both modes produce identical predictions and scores for the same
-    configuration and seed.
+    ``mode`` selects the branches of :mod:`repro.snaple.kernel`:
+    ``"vectorized"`` (the default) runs its array branches whenever
+    :func:`~repro.snaple.kernel.kernel_supports` the configuration and
+    silently falls back to the scalar ones otherwise; ``"reference"``
+    always runs the scalar per-edge similarity loop and the scalar path
+    fold, for cross-checking.  The report's ``extra["kernel_vectorized"]``
+    flag records which branches ran.  Both modes produce identical
+    predictions and scores for the same configuration and seed.
     """
 
     name = "local"
@@ -182,9 +185,9 @@ class LocalBackend(ExecutionBackend):
                 f"{', '.join(LOCAL_MODES)}"
             )
         self._mode = mode
-        self._kernel = None
-        self._gamma: list[list[int]] = []
-        self._sims: list[dict[int, float]] = []
+        self._vectorized = False
+        self._gamma = None
+        self._kept = None
         self._prepare_seconds = 0.0
         self._prepare_billed = False
 
@@ -206,60 +209,15 @@ class LocalBackend(ExecutionBackend):
         config = self._config
         assert config is not None
         start = time.perf_counter()
-        self._kernel = None
-        if self._mode == "vectorized" and kernel_supports(config):
-            self._kernel = VectorizedKernel(graph, config)
-        else:
-            self._prepare_reference(graph, config)
+        self._vectorized = (self._mode == "vectorized"
+                            and kernel_supports(config))
+        self._gamma = build_truncated_neighborhoods(graph, config)
+        edges = edge_similarities(graph, self._gamma, config,
+                                  vectorized=self._vectorized)
+        self._kept = select_klocal(edges, config)
         self._prepare_seconds = time.perf_counter() - start
         self._prepare_billed = False
         return self
-
-    def _prepare_reference(self, graph: DiGraph, config: SnapleConfig) -> None:
-        rng_truncate = random.Random(config.seed)
-        rng_sample = random.Random(config.seed + 1)
-
-        # Phase 1: truncated neighborhoods for every vertex (targets need the
-        # neighborhoods of their neighbors too, so compute them globally).
-        gamma: list[list[int]] = []
-        for u in graph.vertices():
-            neighbors = graph.out_neighbors(u).tolist()
-            if (
-                not math.isinf(config.truncation_threshold)
-                and len(neighbors) > config.truncation_threshold
-            ):
-                neighbors = truncate_neighborhood(
-                    neighbors,
-                    config.truncation_threshold,
-                    rng=rng_truncate,
-                    exact=config.exact_truncation,
-                )
-            gamma.append(sorted(neighbors))
-
-        # Phase 2: raw similarities and klocal selection for every vertex.
-        # The selection ranks neighbors by the set similarity of equation
-        # (11) (Jaccard by default), while the kept values are the score's
-        # own raw similarity, which phase 3 combines along paths.  The
-        # neighborhood sets are built once per vertex, not once per edge.
-        similarity = config.score.similarity
-        selection_similarity = config.score.selection_similarity
-        gamma_sets = [frozenset(neighborhood) for neighborhood in gamma]
-        sampler = config.sampler
-        sims: list[dict[int, float]] = []
-        for u in graph.vertices():
-            neighbors = graph.out_neighbors(u).tolist()
-            set_u = gamma_sets[u]
-            selection = {
-                v: selection_similarity(set_u, gamma_sets[v]) for v in neighbors
-            }
-            kept = sampler.select(selection, config.k_local, rng=rng_sample)
-            if selection_similarity is similarity:
-                sims.append(kept)
-            else:
-                sims.append({v: similarity(set_u, gamma_sets[v]) for v in kept})
-
-        self._gamma = gamma
-        self._sims = sims
 
     def run(self, vertices: list[int] | None = None) -> RunReport:
         """Score ``vertices`` and report timings.
@@ -270,14 +228,18 @@ class LocalBackend(ExecutionBackend):
         from ``predict_iter`` never double-counts it); every report carries
         it separately as ``extra["prepare_seconds"]``.
         """
-        _, config = self._require_prepared()
+        graph, config = self._require_prepared()
         targets = self._target_vertices(vertices)
 
         start = time.perf_counter()
-        if self._kernel is not None:
-            predictions, scores = self._kernel.run(targets)
+        if self._vectorized:
+            predictions, scores = combine_and_rank(
+                graph, self._gamma, self._kept, config, targets,
+                neighbor_order="sampler", materialize_scores=False,
+            )
         else:
-            predictions, scores = self._run_reference(targets, config)
+            predictions, scores, _ = fold_paths(self._gamma, self._kept,
+                                                config, targets)
         wall = time.perf_counter() - start
         if not self._prepare_billed:
             wall += self._prepare_seconds
@@ -289,38 +251,9 @@ class LocalBackend(ExecutionBackend):
             wall_clock_seconds=wall,
             extra={
                 "prepare_seconds": self._prepare_seconds,
-                "kernel_vectorized": 1.0 if self._kernel is not None else 0.0,
+                "kernel_vectorized": 1.0 if self._vectorized else 0.0,
             },
         )
-
-    def _run_reference(self, targets: list[int], config: SnapleConfig):
-        """Phase 3 of the scalar reference: dict-based path accumulation."""
-        gamma, sims = self._gamma, self._sims
-        combinator = config.score.combinator
-        aggregator = config.score.aggregator
-        predictions: dict[int, list[int]] = {}
-        scores: dict[int, dict[int, float]] = {}
-        for u in targets:
-            gamma_u = set(gamma[u])
-            accumulated: dict[int, tuple[float, int]] = {}
-            for v, sim_uv in sims[u].items():
-                for z, sim_vz in sims[v].items():
-                    if z == u or z in gamma_u:
-                        continue
-                    path_similarity = combinator.combine(sim_uv, sim_vz)
-                    if z in accumulated:
-                        value, count = accumulated[z]
-                        accumulated[z] = (aggregator.pre(value, path_similarity),
-                                          count + 1)
-                    else:
-                        accumulated[z] = (path_similarity, 1)
-            final = {
-                z: aggregator.post(value, count)
-                for z, (value, count) in accumulated.items()
-            }
-            scores[u] = final
-            predictions[u] = top_k_predictions(final, config.k)
-        return predictions, scores
 
 
 class GasBackend(ExecutionBackend):
@@ -429,68 +362,4 @@ class GasBackend(ExecutionBackend):
                 sum(step.apply_invocations for step in metrics.steps), wall,
             )],
             native=run,
-        )
-
-
-class BspBackend(ExecutionBackend):
-    """Algorithm 2 ported to the simulated BSP/Pregel engine.
-
-    The BSP program always computes every vertex (message passing needs all
-    neighborhoods in flight); a ``vertices`` restriction only filters the
-    returned predictions.
-
-    The backend exists for the simulated comparison of message traffic
-    against the GAS engine's mirror traffic; it has no ``workers=N`` path
-    (real parallel execution of the same algorithm is ``gas`` with
-    ``workers=N``).
-    """
-
-    name = "bsp"
-
-    def __init__(self, cluster: ClusterConfig | None = None,
-                 partitioner=None, enforce_memory: bool = True) -> None:
-        super().__init__()
-        self._cluster = cluster
-        self._partitioner = partitioner
-        self._enforce_memory = enforce_memory
-
-    def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(
-            name=self.name,
-            description="simulated BSP/Pregel engine (edge-cut, explicit messages)",
-            simulated=True,
-            distributed=True,
-            vertex_subset=False,
-            incremental=False,
-            options=("cluster", "partitioner", "enforce_memory"),
-        )
-
-    def run(self, vertices: list[int] | None = None) -> RunReport:
-        graph, config = self._require_prepared()
-        targets = self._target_vertices(vertices)
-        predictor = SnapleBspPredictor(config)
-        result = predictor.predict(
-            graph,
-            cluster=self._cluster,
-            partitioner=self._partitioner,
-            enforce_memory=self._enforce_memory,
-        )
-        metrics = result.bsp_result.metrics
-        predictions = {u: result.predictions.get(u, []) for u in targets}
-        return RunReport(
-            backend=self.name,
-            predictions=predictions,
-            scores={u: result.scores.get(u, {}) for u in targets},
-            wall_clock_seconds=result.wall_clock_seconds,
-            simulated_seconds=result.simulated_seconds,
-            network_bytes=metrics.total_network_bytes,
-            peak_memory_bytes=metrics.peak_machine_memory_bytes,
-            supersteps=result.bsp_result.supersteps,
-            per_partition_seconds=[result.wall_clock_seconds],
-            partition_reports=[_serial_partition_report(
-                predictions, metrics.total_gather_invocations,
-                sum(step.apply_invocations for step in metrics.steps),
-                result.wall_clock_seconds,
-            )],
-            native=result.bsp_result,
         )

@@ -6,7 +6,7 @@ partitions, each partition is mapped to a worker process of a process pool,
 and the coordinator exchanges gather state between Algorithm 2's three GAS
 steps, merging the per-partition vertex state and accounting back into one
 :class:`~repro.runtime.report.RunReport`.  It is the execution path of
-``backend="gas", workers=N``; the BSP port stays a simulated engine.
+``backend="gas", workers=N``.
 
 Execution model
 ---------------

@@ -1,12 +1,13 @@
 """Graph partitioning shared by every execution layer.
 
-Both simulated engines and the shared-nothing parallel executor need a
-placement of the graph on machines/workers: PowerGraph's *vertex-cut* for
-GAS (assigning edges and replicating vertices) and Pregel's *edge-cut* for
-BSP (assigning vertices with their out-edges).  This module is the single
-home of both, sharing the strategy interface, the assignment validation and
-the balance metrics; the :mod:`repro.gas` and :mod:`repro.bsp` packages
-re-export the names their engines use.
+The simulated GAS engine and the shared-nothing parallel executor need a
+placement of the graph on machines/workers: PowerGraph's *vertex-cut*
+(assigning edges and replicating vertices).  Pregel's *edge-cut* (assigning
+vertices with their out-edges) lives beside it as a placement primitive —
+the repository benchmark times it as its vertex-partitioning layer.  This
+module is the single home of both, sharing the strategy interface, the
+assignment validation and the balance metrics; :mod:`repro.gas` re-exports
+the names its engine uses.
 
 Vertex-cut strategies (GAS):
 
@@ -20,7 +21,7 @@ Vertex-cut strategies (GAS):
   power-law graphs this concentrates replication on the few hubs and lowers
   the replication factor further, which the partitioning ablation measures.
 
-Edge-cut strategies (BSP):
+Edge-cut strategies:
 
 * :class:`HashVertexPartitioner` — Pregel's default: hash the vertex id;
 * :class:`BlockVertexPartitioner` — contiguous ranges of vertex ids, which
@@ -345,7 +346,7 @@ class _SingleMachine(Partitioner):
 
 
 # ======================================================================
-# Edge-cut placement (BSP / Pregel)
+# Edge-cut placement (Pregel)
 # ======================================================================
 @dataclass
 class VertexPartition:

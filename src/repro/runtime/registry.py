@@ -4,7 +4,7 @@ Originally this module registered only *execution backends*; it now hosts a
 per-family namespace for every pluggable component of the reproduction:
 
 ==============  ======================================================
-``engine``      execution backends (``local``, ``gas``, ``bsp``, ...)
+``engine``      execution backends (``local``, ``gas``, ...)
 ``similarity``  raw vertex similarities (:mod:`repro.snaple.similarity`)
 ``aggregator``  path aggregators ``⊕`` (:mod:`repro.snaple.aggregators`)
 ``combinator``  path combinators ``⊗`` (:mod:`repro.snaple.combinators`)
@@ -423,9 +423,9 @@ def _load_engines() -> None:
         RandomWalkPprBackend,
         TopologicalBackend,
     )
-    from repro.runtime.engines import BspBackend, GasBackend, LocalBackend
+    from repro.runtime.engines import GasBackend, LocalBackend
 
-    for backend_cls in (LocalBackend, GasBackend, BspBackend,
+    for backend_cls in (LocalBackend, GasBackend,
                         CassovaryBackend, RandomWalkPprBackend,
                         TopologicalBackend):
         register_component("engine", backend_cls.name, backend_cls,

@@ -1,10 +1,9 @@
 """Unified run accounting shared by every execution backend.
 
 Each engine in this reproduction historically returned its own result type
-(:class:`~repro.snaple.predictor.PredictionResult`,
-:class:`~repro.snaple.bsp_program.BspPredictionResult`,
-:class:`~repro.baselines.random_walk_ppr.RandomWalkPredictionResult`, ...)
-with subtly different accounting fields.  :class:`RunReport` normalizes them:
+(:class:`~repro.baselines.random_walk_ppr.RandomWalkPredictionResult`,
+:class:`~repro.snaple.khop.KHopPredictionResult`, ...) with subtly
+different accounting fields.  :class:`RunReport` normalizes them:
 every backend reports predictions, candidate scores, wall-clock time, and —
 when the backend simulates a cluster — simulated seconds, network traffic,
 peak memory, and the number of (super)steps, all under the same names.
@@ -55,8 +54,8 @@ class RunReport:
       ``cache_misses``, ``pair_cache_hits`` / ``pair_cache_misses``,
       ``compactions`` and ``delta_edges``.
 
-    The serial simulated engines (``gas`` without ``workers``, ``bsp``)
-    carry no ``extra`` keys.
+    The serial simulated engine (``gas`` without ``workers``) carries no
+    ``extra`` keys.
 
     ``scores`` is a mapping from vertex to its candidate score map.  Most
     backends return a plain dict; the vectorized ``local`` mode returns a

@@ -11,9 +11,8 @@ from an :class:`ArrayAllocator`, which is how the segment plane
 (:mod:`repro.runtime.shm`) hosts them in shared memory or spool files;
 :class:`StateSlice` is the unit tasks read and checkpoints persist.
 
-The simulated serial engines (:mod:`repro.gas.engine`,
-:mod:`repro.bsp.engine`) do not use this module: they keep plain per-vertex
-dicts.
+The simulated serial engine (:mod:`repro.gas.engine`) does not use this
+module: it keeps plain per-vertex dicts.
 
 Accounting contract
 -------------------

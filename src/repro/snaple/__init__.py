@@ -19,24 +19,15 @@ from repro.snaple.combinators import (
     SumCombinator,
     get_combinator,
 )
-from repro.snaple.bsp_program import (
-    BspPredictionResult,
-    SnapleBspPredictor,
-    SnapleBspProgram,
-)
 from repro.snaple.config import SnapleConfig
 from repro.snaple.content import (
     ContentAwareLinkPredictor,
     ContentConfig,
     ContentPredictionResult,
 )
-from repro.snaple.kernel import (
-    LazyScores,
-    VectorizedKernel,
-    kernel_supports,
-)
+from repro.snaple.kernel import LazyScores, kernel_supports
 from repro.snaple.khop import KHopLinkPredictor, KHopPredictionResult
-from repro.snaple.predictor import PredictionResult, SnapleLinkPredictor
+from repro.snaple.predictor import SnapleLinkPredictor
 from repro.snaple.program import (
     NeighborhoodSampleStep,
     RecommendationStep,
@@ -71,10 +62,6 @@ from repro.snaple.similarity import (
 __all__ = [
     "SnapleConfig",
     "SnapleLinkPredictor",
-    "PredictionResult",
-    "SnapleBspPredictor",
-    "SnapleBspProgram",
-    "BspPredictionResult",
     "KHopLinkPredictor",
     "KHopPredictionResult",
     "ContentAwareLinkPredictor",
@@ -112,7 +99,6 @@ __all__ = [
     "get_similarity",
     "jaccard",
     "NeighborhoodSetCache",
-    "VectorizedKernel",
     "LazyScores",
     "kernel_supports",
     "build_snaple_steps",

@@ -16,14 +16,12 @@ implements that extension on top of the vertex profiles of
 
 Because the hybrid similarity only ever reads the profiles of the two
 endpoints of an *existing* edge, the extension keeps SNAPLE's locality: no
-profile is ever shipped along 2-hop paths, so the GAS/BSP data-flow analysis
+profile is ever shipped along 2-hop paths, so the GAS data-flow analysis
 of the topological scores carries over unchanged.
 """
 
 from __future__ import annotations
 
-import math
-import random
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -31,9 +29,14 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigurationError
 from repro.graph.attributes import VertexProfiles, profile_cosine, profile_jaccard, profile_overlap
 from repro.graph.digraph import DiGraph
-from repro.graph.sampling import truncate_neighborhood
+from repro.runtime.backend import target_vertices
 from repro.snaple.config import SnapleConfig
-from repro.snaple.program import top_k_predictions
+from repro.snaple.kernel import (
+    build_truncated_neighborhoods,
+    edge_similarities,
+    fold_paths,
+    select_klocal,
+)
 
 __all__ = [
     "ProfileSimilarityFn",
@@ -120,11 +123,13 @@ class ContentPredictionResult:
 class ContentAwareLinkPredictor:
     """SNAPLE scoring with a hybrid topology + content raw similarity.
 
-    The pipeline is identical to Algorithm 2 executed locally: truncate
-    neighborhoods, compute raw similarities of adjacent vertices, keep the
-    ``klocal`` best, combine along 2-hop paths and aggregate per candidate.
-    Only the raw similarity changes — it blends the configured topological
-    similarity with the profile similarity of the edge's two endpoints.
+    The pipeline is the kernel's Algorithm 2 (:mod:`repro.snaple.kernel`):
+    truncate neighborhoods, compute raw similarities of adjacent vertices,
+    keep the ``klocal`` best, combine along 2-hop paths and aggregate per
+    candidate.  Only the raw similarity changes — its scalar per-edge loop
+    blends the configured topological similarity (and the selection
+    similarity of equation (11), when it differs) with the profile
+    similarity of the edge's two endpoints.
     """
 
     def __init__(self, config: ContentConfig | None = None) -> None:
@@ -141,7 +146,12 @@ class ContentAwareLinkPredictor:
         *,
         vertices: list[int] | None = None,
     ) -> ContentPredictionResult:
-        """Run content-aware SNAPLE scoring on ``graph`` with ``profiles``."""
+        """Run content-aware SNAPLE scoring on ``graph`` with ``profiles``.
+
+        Ids in ``vertices`` outside ``[0, |V|)``, bools and non-integers
+        raise :class:`~repro.errors.ConfigurationError` before any graph
+        work.
+        """
         if profiles.num_vertices < graph.num_vertices:
             raise ConfigurationError(
                 f"profiles cover {profiles.num_vertices} vertices but the "
@@ -149,96 +159,25 @@ class ContentAwareLinkPredictor:
             )
         config = self._config
         snaple = config.snaple
+        targets = target_vertices(graph, vertices)
         start = time.perf_counter()
-        rng_truncate = random.Random(snaple.seed)
-        rng_sample = random.Random(snaple.seed + 1)
-        target_vertices = list(graph.vertices()) if vertices is None else list(vertices)
-
-        gamma = self._truncated_neighborhoods(graph, rng_truncate)
         profile_similarity = get_profile_similarity(config.profile_similarity_name)
         weight = config.content_weight
-        topological = snaple.score.similarity
-        selection_similarity = snaple.score.selection_similarity
 
-        def hybrid(u: int, v: int) -> float:
-            topo = topological(gamma[u], gamma[v])
+        def hybrid(u: int, v: int, topo: float) -> float:
             if weight == 0.0:
                 return topo
             content = profile_similarity(profiles.of(u), profiles.of(v))
             return (1.0 - weight) * topo + weight * content
 
-        # Step 2: raw (hybrid) similarities and klocal selection.  Selection
-        # uses the same hybrid value when the score's own similarity drives
-        # selection (the Jaccard rows); otherwise the selection similarity of
-        # equation (11) is blended with content in the same way.
-        sampler = snaple.sampler
-        sims: list[dict[int, float]] = []
-        for u in graph.vertices():
-            neighbors = graph.out_neighbors(u).tolist()
-            path_values = {v: hybrid(u, v) for v in neighbors}
-            if selection_similarity is topological:
-                selection = path_values
-            else:
-                selection = {}
-                for v in neighbors:
-                    topo = selection_similarity(gamma[u], gamma[v])
-                    if weight == 0.0:
-                        selection[v] = topo
-                    else:
-                        content = profile_similarity(profiles.of(u), profiles.of(v))
-                        selection[v] = (1.0 - weight) * topo + weight * content
-            kept = sampler.select(selection, snaple.k_local, rng=rng_sample)
-            sims.append({v: path_values[v] for v in kept})
-
-        # Step 3: path combination + aggregation + top-k (unchanged).
-        combinator = snaple.score.combinator
-        aggregator = snaple.score.aggregator
-        predictions: dict[int, list[int]] = {}
-        scores: dict[int, dict[int, float]] = {}
-        for u in target_vertices:
-            gamma_u = set(gamma[u])
-            accumulated: dict[int, tuple[float, int]] = {}
-            for v, sim_uv in sims[u].items():
-                for z, sim_vz in sims[v].items():
-                    if z == u or z in gamma_u:
-                        continue
-                    value = combinator.combine(sim_uv, sim_vz)
-                    if z in accumulated:
-                        current, count = accumulated[z]
-                        accumulated[z] = (aggregator.pre(current, value), count + 1)
-                    else:
-                        accumulated[z] = (value, 1)
-            final = {
-                z: aggregator.post(value, count)
-                for z, (value, count) in accumulated.items()
-            }
-            scores[u] = final
-            predictions[u] = top_k_predictions(final, snaple.k)
-
-        wall = time.perf_counter() - start
+        gamma = build_truncated_neighborhoods(graph, snaple)
+        edges = edge_similarities(graph, gamma, snaple, blend=hybrid)
+        predictions, scores, _ = fold_paths(
+            gamma, select_klocal(edges, snaple), snaple, targets
+        )
         return ContentPredictionResult(
             predictions=predictions,
             scores=scores,
             config=config,
-            wall_clock_seconds=wall,
+            wall_clock_seconds=time.perf_counter() - start,
         )
-
-    # ------------------------------------------------------------------
-    def _truncated_neighborhoods(self, graph: DiGraph,
-                                 rng: random.Random) -> list[list[int]]:
-        snaple = self._config.snaple
-        gamma: list[list[int]] = []
-        for u in graph.vertices():
-            neighbors = graph.out_neighbors(u).tolist()
-            if (
-                not math.isinf(snaple.truncation_threshold)
-                and len(neighbors) > snaple.truncation_threshold
-            ):
-                neighbors = truncate_neighborhood(
-                    neighbors,
-                    snaple.truncation_threshold,
-                    rng=rng,
-                    exact=snaple.exact_truncation,
-                )
-            gamma.append(sorted(neighbors))
-        return gamma

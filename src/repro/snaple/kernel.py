@@ -1,34 +1,36 @@
-"""Vectorized SNAPLE scoring kernel: CSR-native Algorithm 2.
+"""SNAPLE's Algorithm 2, written once: CSR-native phases 1–3.
 
-The reference execution paths (the ``local`` backend's scalar loops, the
-simulated GAS engine, the shared-nothing parallel tasks) evaluate Algorithm 2
-one vertex and one neighbor at a time: every ``sim(u, v)`` call rebuilds two
-Python sets, every path combination is a dict operation, and every ranking is
-a sort.  This module re-expresses the three phases as array programs over the
-graph's CSR adjacency:
+Every single-process caller — the ``local`` backend in both modes, the
+K-hop and the content-aware predictors — runs the same three phases over
+the graph's CSR adjacency:
 
 1. :func:`build_truncated_neighborhoods` materializes every truncated
-   neighborhood ``Γ̂(u)`` once as a CSR ``(indptr, indices)`` pair, consuming
-   randomness exactly as the scalar path it mirrors (the sequential stream of
-   the ``local`` reference, or the per-vertex streams of the parallel GAS
-   steps) so results stay bit-identical;
+   neighborhood ``Γ̂(u)`` once as a CSR ``(indptr, indices)`` pair, drawing
+   from one sequential stream in ascending vertex order (the parallel GAS
+   tasks use :func:`gas_sample_step_columnar`, which replays the per-vertex
+   streams of the GAS gather instead);
 2. :func:`edge_similarities` computes the raw similarity of *all* edges in
    one pass.  Every similarity in :data:`repro.snaple.similarity.SIMILARITIES`
-   is a function of ``(|Γ̂u ∩ Γ̂v|, |Γ̂u|, |Γ̂v|)``, so the kernel reduces the
-   whole table to one batched sorted-array intersection (a galloping binary
-   search of the smaller neighborhood into the global key array), cached per
-   *unordered* vertex pair so ``sim(u, v)`` is never intersected twice;
-3. :func:`select_klocal` and :func:`combine_and_rank` fuse the ``klocal``
-   selection, 2-hop path combination, aggregation, and top-``k`` ranking into
-   array operations, using ``np.argpartition`` (plus an exact tie repair on
-   the boundary value) instead of full sorts.
+   is a function of ``(|Γ̂u ∩ Γ̂v|, |Γ̂u|, |Γ̂v|)``, so the vectorized branch
+   reduces the whole table to one batched sorted-array intersection (a
+   galloping binary search of the smaller neighborhood into the global key
+   array), cached per *unordered* vertex pair so ``sim(u, v)`` is never
+   intersected twice; custom similarity callables and per-edge blends (the
+   content hybrid) take the scalar per-edge loop instead;
+3. :func:`select_klocal` keeps ``klocal`` neighbors per vertex, then
+   :func:`combine_and_rank` fuses the 2-hop path combination, aggregation,
+   and top-``k`` ranking into array operations (``np.argpartition`` plus an
+   exact tie repair instead of full sorts), while :func:`fold_paths` is the
+   scalar fold over the same kept neighbors — any combinator or aggregator,
+   and paths longer than two hops.
 
 Bit-parity contract
 -------------------
-The kernel reproduces the scalar paths *bit-exactly*, not just approximately:
+The vectorized branches reproduce the scalar ones *bit-exactly*, not just
+approximately:
 
 * float-fold order is preserved — path contributions are aggregated
-  left-to-right in the same arrival order the scalar dict merges use (a
+  left-to-right in the same arrival order the scalar fold uses (a
   vectorized "rounds" reduction; ``np.add.reduceat`` is avoided because it
   switches to pairwise summation for long runs);
 * ``np.log`` may differ from ``math.log`` in the last bit (NumPy ships SIMD
@@ -39,14 +41,14 @@ The kernel reproduces the scalar paths *bit-exactly*, not just approximately:
   ``np.float_power`` (libm ``pow``, like the scalar ``**``) because the
   ``**`` ufunc's SIMD pow differs in the last bit.
 
-Scores can still differ from the reference in the last ulp on exotic
-platforms whose ``pow`` is not correctly rounded; the parity suite therefore
-asserts predictions exactly and scores within ``REL_TOL``.
+Scores can still differ in the last ulp on exotic platforms whose ``pow``
+is not correctly rounded; the parity suite therefore asserts predictions
+exactly and scores within ``REL_TOL``.
 
-Configurations outside the vectorizable design space (a similarity,
-combinator, aggregator, or sampler not in the registries below — e.g. a
-user-registered callable) are reported by :func:`kernel_supports`; callers
-fall back to the scalar reference path for them.
+:func:`kernel_supports` reports whether a whole configuration (similarity,
+combinator, aggregator, sampler) is in the vectorized design space; the
+``local`` backend runs the scalar branches for everything else, and for
+``mode="reference"``.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from typing import Any
 
@@ -96,8 +98,8 @@ __all__ = [
     "edge_similarities",
     "select_klocal",
     "combine_and_rank",
+    "fold_paths",
     "LazyScores",
-    "VectorizedKernel",
     "combine_and_rank_columnar",
     "columns_to_neighborhood_csr",
     "columns_to_kept",
@@ -233,6 +235,16 @@ def _aggregator_post(aggregator, accumulated: np.ndarray,
     raise TypeError(f"aggregator {aggregator!r} has no vectorized form")
 
 
+def _similarities_supported(score) -> bool:
+    """Whether both raw similarities of ``score`` are stock registry entries."""
+    return all(
+        name in _VECTORIZED_SIMILARITIES and SIMILARITIES.get(name) is fn
+        for fn, name in ((score.similarity, score.similarity_name),
+                         (score.selection_similarity,
+                          score.selection_similarity_name))
+    )
+
+
 def kernel_supports(config: SnapleConfig) -> bool:
     """Whether the whole scoring configuration has a vectorized form.
 
@@ -241,12 +253,9 @@ def kernel_supports(config: SnapleConfig) -> bool:
     something else, so only the stock registry entries qualify.
     """
     score = config.score
-    for fn, name in ((score.similarity, score.similarity_name),
-                     (score.selection_similarity, score.selection_similarity_name)):
-        if name not in _VECTORIZED_SIMILARITIES or SIMILARITIES.get(name) is not fn:
-            return False
     return (
-        type(score.combinator) in _COMBINATOR_TYPES
+        _similarities_supported(score)
+        and type(score.combinator) in _COMBINATOR_TYPES
         and type(score.aggregator) in _AGGREGATOR_UFUNCS
         and type(config.sampler) in _SAMPLER_TYPES
     )
@@ -350,12 +359,13 @@ def build_truncated_neighborhoods(
     *,
     vertices: list[int] | None = None,
 ) -> NeighborhoodCSR:
-    """Phase 1: every ``Γ̂(u)`` in one CSR, with scalar-path RNG parity.
+    """Phase 1: every ``Γ̂(u)`` in one CSR, for every configuration.
 
-    Randomness comes from one shared stream consumed in ascending vertex
-    order, exactly like the ``local`` reference backend, and only vertices
-    whose degree exceeds ``thrΓ`` consume draws — matching the scalar path
-    draw for draw.  (The parallel GAS tasks use
+    Randomness comes from one shared stream seeded ``seed`` and consumed in
+    ascending vertex order, and only vertices whose degree exceeds ``thrΓ``
+    consume draws — replaying
+    :func:`~repro.graph.sampling.truncate_neighborhood` draw for draw, as
+    the serial GAS engine's sequential stream does.  (The parallel GAS tasks use
     :func:`gas_sample_step_columnar` instead, which replicates the
     per-vertex-stream draw pattern of the scalar gather and keeps duplicate
     neighbors in the vertex data.)
@@ -448,12 +458,16 @@ def _pairwise_intersections(gamma: NeighborhoodCSR, left: np.ndarray,
 def edge_similarities(graph: DiGraph, gamma: NeighborhoodCSR,
                       config: SnapleConfig, *,
                       rows: np.ndarray | None = None,
-                      pair_cache: Any | None = None) -> EdgeSimilarities:
+                      pair_cache: Any | None = None,
+                      vectorized: bool = True,
+                      blend: Callable[[int, int, float], float] | None = None,
+                      ) -> EdgeSimilarities:
     """Phase 2: path + selection similarities for every edge in one pass.
 
-    The intersection — the only expensive part, shared by every similarity in
-    the table — is computed once per *unordered* vertex pair (the
-    edge-symmetric cache) and broadcast back to the directed edges.
+    Stock similarities take the vectorized branch: the intersection — the
+    only expensive part, shared by every similarity in the table — is
+    computed once per *unordered* vertex pair (the edge-symmetric cache) and
+    broadcast back to the directed edges.
 
     ``pair_cache`` optionally persists those per-pair intersections across
     calls.  It must provide ``lookup(low, high) -> (inter, known)`` — the
@@ -463,6 +477,11 @@ def edge_similarities(graph: DiGraph, gamma: NeighborhoodCSR,
     :class:`~repro.serving.index.PairSimilarityCache` implements the
     protocol with per-vertex invalidation; batch callers pass ``None`` and
     keep the one-shot behaviour.
+
+    Custom similarity callables, ``vectorized=False`` (the ``local``
+    backend's reference mode) and a ``blend`` take the scalar per-edge loop
+    of :func:`_scalar_edge_values`.  ``blend(u, v, value)`` post-processes
+    both raw similarities of edge ``u -> v`` (the content-aware hybrid).
     """
     num_vertices = graph.num_vertices
     indptr, indices = graph.csr_out_adjacency()
@@ -476,6 +495,28 @@ def edge_similarities(graph: DiGraph, gamma: NeighborhoodCSR,
     flat = indices[_gather_slices(indptr[rows], degrees[rows])]
     counts, flat, row_id = _dedup_sorted_rows(counts, flat)
 
+    score = config.score
+    if vectorized and blend is None and _similarities_supported(score):
+        path_sim, selection_sim = _vectorized_edge_values(
+            gamma, score, row_id, flat, pair_cache
+        )
+    else:
+        path_sim, selection_sim = _scalar_edge_values(
+            gamma, score, row_id, flat, blend
+        )
+    return EdgeSimilarities(
+        indptr=_indptr_from_counts(counts),
+        neighbor=flat,
+        path_sim=path_sim,
+        selection_sim=selection_sim,
+    )
+
+
+def _vectorized_edge_values(gamma: NeighborhoodCSR, score, row_id: np.ndarray,
+                            flat: np.ndarray, pair_cache: Any | None
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """``(path_sim, selection_sim)`` of the edges ``row_id[i] -> flat[i]``."""
+    num_vertices = gamma.num_vertices
     inter = np.zeros(flat.size, dtype=np.int64)
     if flat.size:
         low = np.minimum(row_id, flat)
@@ -502,20 +543,47 @@ def edge_similarities(graph: DiGraph, gamma: NeighborhoodCSR,
 
     size_u = gamma.sizes[row_id] if flat.size else np.zeros(0, dtype=np.int64)
     size_v = gamma.sizes[flat] if flat.size else np.zeros(0, dtype=np.int64)
-    score = config.score
     selection_fn = _VECTORIZED_SIMILARITIES[score.selection_similarity_name]
     selection_sim = selection_fn(inter, size_u, size_v)
     if score.selection_similarity is score.similarity:
-        path_sim = selection_sim
-    else:
-        path_fn = _VECTORIZED_SIMILARITIES[score.similarity_name]
-        path_sim = path_fn(inter, size_u, size_v)
-    return EdgeSimilarities(
-        indptr=_indptr_from_counts(counts),
-        neighbor=flat,
-        path_sim=path_sim,
-        selection_sim=selection_sim,
-    )
+        return selection_sim, selection_sim
+    path_fn = _VECTORIZED_SIMILARITIES[score.similarity_name]
+    return path_fn(inter, size_u, size_v), selection_sim
+
+
+def _scalar_edge_values(gamma: NeighborhoodCSR, score, row_id: np.ndarray,
+                        flat: np.ndarray,
+                        blend: Callable[[int, int, float], float] | None
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """The per-edge loop behind :func:`edge_similarities`' scalar branch.
+
+    Every similarity callable receives the two truncated neighborhoods as
+    frozensets, built once per vertex.
+    """
+    similarity = score.similarity
+    selection_similarity = score.selection_similarity
+    sets: dict[int, frozenset] = {}
+
+    def neighborhood(u: int) -> frozenset:
+        found = sets.get(u)
+        if found is None:
+            found = sets[u] = frozenset(gamma.row(u).tolist())
+        return found
+
+    path_sim = np.empty(flat.size, dtype=np.float64)
+    selection_sim = np.empty(flat.size, dtype=np.float64)
+    for i, (u, v) in enumerate(zip(row_id.tolist(), flat.tolist())):
+        set_u, set_v = neighborhood(u), neighborhood(v)
+        path = similarity(set_u, set_v)
+        if blend is not None:
+            path = blend(u, v, path)
+        path_sim[i] = path
+        if selection_similarity is similarity:
+            selection_sim[i] = path
+            continue
+        selection = selection_similarity(set_u, set_v)
+        selection_sim[i] = selection if blend is None else blend(u, v, selection)
+    return path_sim, selection_sim
 
 
 # ----------------------------------------------------------------------
@@ -525,11 +593,12 @@ def edge_similarities(graph: DiGraph, gamma: NeighborhoodCSR,
 class KeptNeighbors:
     """The ``klocal``-selected neighbors per vertex, in *selection order*.
 
-    The row order matches the insertion order of the scalar ``sims`` dicts
-    (``Γmax``: similarity descending, id ascending; ``Γmin``: ascending;
-    unsampled rows: neighbor id ascending) because the scalar reference
-    iterates those dicts when accumulating paths — preserving it keeps the
-    float fold order, and therefore the scores, bit-identical.
+    The row order is the order ``sampler.select`` returns (``Γmax``:
+    similarity descending, id ascending; ``Γmin``: ascending; unsampled
+    rows: neighbor id ascending).  :func:`fold_paths` and
+    ``combine_and_rank(neighbor_order="sampler")`` both walk the rows in
+    this order, which keeps their float fold orders, and therefore the
+    scores, bit-identical.
     """
 
     indptr: np.ndarray
@@ -559,10 +628,11 @@ def select_klocal(edges: EdgeSimilarities, config: SnapleConfig, *,
     """Phase 3a: keep ``klocal`` neighbors per vertex, scalar-order parity.
 
     ``Γmax``/``Γmin`` rows larger than ``klocal`` go through the
-    ``argpartition`` fast path; ``Γrnd`` rows delegate to the sampler itself
-    so the random draws match the scalar engines draw-for-draw (sequential
-    stream seeded ``seed + 1``, or the vertex's own stream, matching
-    ``rng_mode``).
+    ``argpartition`` fast path; ``Γrnd`` rows larger than ``klocal`` delegate
+    to the sampler itself so the random draws match the scalar engines
+    draw-for-draw (sequential stream seeded ``seed + 1``, or the vertex's own
+    stream, matching ``rng_mode``).  Any other sampling policy sees *every*
+    row, in ascending vertex order, through its own ``select``.
     """
     from repro.snaple.program import vertex_rng
 
@@ -571,19 +641,22 @@ def select_klocal(edges: EdgeSimilarities, config: SnapleConfig, *,
     num_vertices = counts.size
     if rows is None:
         rows = np.arange(num_vertices, dtype=np.int64)
-    if math.isinf(k_local):
-        oversized = np.empty(0, dtype=np.int64)
+    sampler = config.sampler
+    custom = type(sampler) not in _SAMPLER_TYPES
+    if custom:
+        selected = rows
+    elif math.isinf(k_local):
+        selected = np.empty(0, dtype=np.int64)
     else:
-        oversized = rows[counts[rows] > k_local]
+        selected = rows[counts[rows] > k_local]
 
     kept_counts = counts.copy()
-    sampler = config.sampler
     sequential = rng_mode == "sequential"
     if sequential:
         shared_rng = random.Random(config.seed + 1)
     replaced: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     budget = int(k_local) if not math.isinf(k_local) else 0
-    for u in oversized.tolist():
+    for u in selected.tolist():
         start, end = int(edges.indptr[u]), int(edges.indptr[u + 1])
         ids = edges.neighbor[start:end]
         selection = edges.selection_sim[start:end]
@@ -592,7 +665,7 @@ def select_klocal(edges: EdgeSimilarities, config: SnapleConfig, *,
             chosen = _smallest_k_by(-selection, ids, budget)
         elif type(sampler) is BottomSimilaritySampler:
             chosen = _smallest_k_by(selection, ids, budget)
-        else:  # Γrnd: replay the sampler itself for draw-exact parity
+        else:  # replay the sampler itself for draw-exact parity
             rng = shared_rng if sequential else vertex_rng(config.seed, 1, u)
             kept = sampler.select(
                 dict(zip(ids.tolist(), selection.tolist())), k_local, rng=rng
@@ -608,7 +681,7 @@ def select_klocal(edges: EdgeSimilarities, config: SnapleConfig, *,
     new_indptr = _indptr_from_counts(kept_counts)
     ids_out = np.empty(int(kept_counts.sum()), dtype=np.int64)
     sims_out = np.empty(ids_out.size, dtype=np.float64)
-    untouched = rows[counts[rows] <= k_local]
+    untouched = rows[:0] if custom else rows[counts[rows] <= k_local]
     src = _gather_slices(edges.indptr[untouched], counts[untouched])
     dst = _gather_slices(new_indptr[untouched], counts[untouched])
     ids_out[dst] = edges.neighbor[src]
@@ -942,31 +1015,73 @@ def combine_and_rank(
     return predictions, scores
 
 
-# ----------------------------------------------------------------------
-# The local-backend kernel object
-# ----------------------------------------------------------------------
-class VectorizedKernel:
-    """Prepared state for the ``local`` backend's ``mode="vectorized"``.
+def fold_paths(
+    gamma: NeighborhoodCSR,
+    kept: KeptNeighbors,
+    config: SnapleConfig,
+    targets: list[int],
+    *,
+    hops: int = 2,
+) -> tuple[dict[int, list[int]], dict[int, dict[int, float]], dict[int, int]]:
+    """Phase 3, scalar: fold every kept-neighbor path of each target.
 
-    ``prepare`` runs the graph-global phases (1, 2, 3a) once; ``run`` only
-    executes the fused per-target phase, so streaming over vertex batches
-    costs no repeated global work — the same contract as the reference path.
+    With ``hops=2`` this is Algorithm 2's path loop verbatim: each path
+    ``u -> v -> z`` through kept neighbors contributes ``sim(u, v) ⊗
+    sim(v, z)`` unless ``z == u`` or ``z ∈ Γ̂(u)``.  With ``hops > 2`` the
+    paths are the *simple* paths of length 2 .. ``hops`` (no vertex
+    repeats), the combinator folded left along the path (the paper's
+    footnote 2).  Contributions are aggregated with ``⊕pre`` in arrival
+    order (kept neighbors in selection order), then ``⊕post`` and top-``k``.
+
+    Returns ``(predictions, scores, paths_per_length)``, the last counting
+    the contributing paths per length.
     """
+    from repro.snaple.program import top_k_predictions
 
-    def __init__(self, graph: DiGraph, config: SnapleConfig) -> None:
-        self._graph = graph
-        self._config = config
-        self._gamma = build_truncated_neighborhoods(graph, config)
-        edges = edge_similarities(graph, self._gamma, config)
-        self._kept = select_klocal(edges, config)
+    combinator = config.score.combinator
+    aggregator = config.score.aggregator
+    simple = hops > 2
+    rows: dict[int, list[tuple[int, float]]] = {}
 
-    def run(self, targets: list[int]
-            ) -> tuple[dict[int, list[int]], Mapping]:
-        """Predictions (eager) and score maps (a :class:`LazyScores` view)."""
-        return combine_and_rank(
-            self._graph, self._gamma, self._kept, self._config, targets,
-            neighbor_order="sampler", materialize_scores=False,
-        )
+    def kept_of(v: int) -> list[tuple[int, float]]:
+        row = rows.get(v)
+        if row is None:
+            start, end = kept.indptr[v], kept.indptr[v + 1]
+            row = rows[v] = list(zip(kept.ids[start:end].tolist(),
+                                     kept.sims[start:end].tolist()))
+        return row
+
+    paths_per_length = dict.fromkeys(range(2, hops + 1), 0)
+    predictions: dict[int, list[int]] = {}
+    scores: dict[int, dict[int, float]] = {}
+    for u in targets:
+        known = set(gamma.row(u).tolist())
+        accumulated: dict[int, tuple[float, int]] = {}
+
+        def visit(vertex: int, on_path: frozenset, partial: float,
+                  length: int) -> None:
+            for z, sim_edge in kept_of(vertex):
+                if z in on_path:
+                    continue
+                value = combinator.combine(partial, sim_edge) if length else sim_edge
+                if length and z != u and z not in known:
+                    paths_per_length[length + 1] += 1
+                    if z in accumulated:
+                        current, count = accumulated[z]
+                        accumulated[z] = (aggregator.pre(current, value),
+                                          count + 1)
+                    else:
+                        accumulated[z] = (value, 1)
+                if length + 1 < hops:
+                    visit(z, on_path | {z} if simple else on_path, value,
+                          length + 1)
+
+        visit(u, frozenset({u}) if simple else frozenset(), 0.0, 0)
+        final = {z: aggregator.post(value, count)
+                 for z, (value, count) in accumulated.items()}
+        scores[u] = final
+        predictions[u] = top_k_predictions(final, config.k)
+    return predictions, scores, paths_per_length
 
 
 # ----------------------------------------------------------------------

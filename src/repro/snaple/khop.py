@@ -4,29 +4,35 @@ The paper restricts path-combination to 2-hop paths but notes (footnote 2,
 Section 3.1) that the approach extends to longer paths by recursively
 applying the combinator ``⊗`` along the path — a fold over the raw
 similarities of its edges.  This module implements that extension: candidates
-are vertices reachable through simple paths of length 2 up to ``num_hops``
-built from each vertex's ``klocal`` kept neighbors, each path contributes the
+are vertices reachable through paths of length 2 up to ``num_hops`` (simple
+ones beyond two hops) built from each vertex's ``klocal`` kept neighbors,
+each path contributes the
 fold of its edge similarities, and the aggregator ``⊕`` reduces all paths
 reaching the same candidate.
 
-With ``num_hops = 2`` the predictor is exactly the paper's Algorithm 2 (the
-test suite asserts prediction equality with
-:class:`~repro.snaple.predictor.SnapleLinkPredictor`), so the K-hop ablation
-isolates the effect of longer paths alone.
+Phases 1 and 2 and the path fold are the kernel's own
+(:mod:`repro.snaple.kernel`); ``num_hops`` is the fold's ``hops``.  With
+``num_hops = 2`` the predictor therefore is exactly the paper's Algorithm 2
+(the test suite asserts equality with
+:class:`~repro.snaple.predictor.SnapleLinkPredictor`, self-loops included),
+so the K-hop ablation isolates the effect of longer paths alone.
 """
 
 from __future__ import annotations
 
-import math
-import random
 import time
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraph
-from repro.graph.sampling import truncate_neighborhood
+from repro.runtime.backend import target_vertices
 from repro.snaple.config import SnapleConfig
-from repro.snaple.program import top_k_predictions
+from repro.snaple.kernel import (
+    build_truncated_neighborhoods,
+    edge_similarities,
+    fold_paths,
+    select_klocal,
+)
 
 __all__ = ["KHopPredictionResult", "KHopLinkPredictor"]
 
@@ -85,109 +91,25 @@ class KHopLinkPredictor:
 
     def predict(self, graph: DiGraph, *,
                 vertices: list[int] | None = None) -> KHopPredictionResult:
-        """Score candidates over simple paths of length 2 .. ``num_hops``."""
+        """Score candidates over paths of length 2 .. ``num_hops``.
+
+        Ids in ``vertices`` outside ``[0, |V|)``, bools and non-integers
+        raise :class:`~repro.errors.ConfigurationError` before any graph
+        work.
+        """
         config = self._config
+        targets = target_vertices(graph, vertices)
         start = time.perf_counter()
-        rng_truncate = random.Random(config.seed)
-        rng_sample = random.Random(config.seed + 1)
-        target_vertices = list(graph.vertices()) if vertices is None else list(vertices)
-
-        gamma = self._truncated_neighborhoods(graph, rng_truncate)
-        sims = self._kept_similarities(graph, gamma, rng_sample)
-
-        combinator = config.score.combinator
-        aggregator = config.score.aggregator
-        predictions: dict[int, list[int]] = {}
-        scores: dict[int, dict[int, float]] = {}
-        paths_per_length: dict[int, int] = {
-            length: 0 for length in range(2, self._num_hops + 1)
-        }
-
-        for u in target_vertices:
-            gamma_u = set(gamma[u])
-            accumulated: dict[int, tuple[float, int]] = {}
-
-            def visit(vertex: int, on_path: set[int], partial: float,
-                      length: int, *, _u: int = u,
-                      _gamma_u: set[int] = gamma_u,
-                      _accumulated: dict[int, tuple[float, int]] = accumulated) -> None:
-                """Extend the current path by one kept edge of ``vertex``."""
-                for nxt, sim_edge in sims[vertex].items():
-                    if nxt in on_path or nxt == _u:
-                        continue
-                    value = (
-                        combinator.combine(partial, sim_edge)
-                        if length >= 1
-                        else sim_edge
-                    )
-                    next_length = length + 1
-                    if next_length >= 2 and nxt not in _gamma_u:
-                        paths_per_length[next_length] += 1
-                        if nxt in _accumulated:
-                            current, count = _accumulated[nxt]
-                            _accumulated[nxt] = (
-                                aggregator.pre(current, value), count + 1
-                            )
-                        else:
-                            _accumulated[nxt] = (value, 1)
-                    if next_length < self._num_hops:
-                        visit(nxt, on_path | {nxt}, value, next_length)
-
-            visit(u, {u}, 0.0, 0)
-            final = {
-                z: aggregator.post(value, count)
-                for z, (value, count) in accumulated.items()
-            }
-            scores[u] = final
-            predictions[u] = top_k_predictions(final, config.k)
-
-        wall = time.perf_counter() - start
+        gamma = build_truncated_neighborhoods(graph, config)
+        kept = select_klocal(edge_similarities(graph, gamma, config), config)
+        predictions, scores, paths_per_length = fold_paths(
+            gamma, kept, config, targets, hops=self._num_hops
+        )
         return KHopPredictionResult(
             predictions=predictions,
             scores=scores,
             config=config,
             num_hops=self._num_hops,
-            wall_clock_seconds=wall,
+            wall_clock_seconds=time.perf_counter() - start,
             paths_per_length=paths_per_length,
         )
-
-    # ------------------------------------------------------------------
-    # Shared with the 2-hop predictor (steps 1 and 2 of Algorithm 2)
-    # ------------------------------------------------------------------
-    def _truncated_neighborhoods(self, graph: DiGraph,
-                                 rng: random.Random) -> list[list[int]]:
-        config = self._config
-        gamma: list[list[int]] = []
-        for u in graph.vertices():
-            neighbors = graph.out_neighbors(u).tolist()
-            if (
-                not math.isinf(config.truncation_threshold)
-                and len(neighbors) > config.truncation_threshold
-            ):
-                neighbors = truncate_neighborhood(
-                    neighbors,
-                    config.truncation_threshold,
-                    rng=rng,
-                    exact=config.exact_truncation,
-                )
-            gamma.append(sorted(neighbors))
-        return gamma
-
-    def _kept_similarities(self, graph: DiGraph, gamma: list[list[int]],
-                           rng: random.Random) -> list[dict[int, float]]:
-        config = self._config
-        similarity = config.score.similarity
-        selection_similarity = config.score.selection_similarity
-        sampler = config.sampler
-        sims: list[dict[int, float]] = []
-        for u in graph.vertices():
-            neighbors = graph.out_neighbors(u).tolist()
-            selection = {
-                v: selection_similarity(gamma[u], gamma[v]) for v in neighbors
-            }
-            kept = sampler.select(selection, config.k_local, rng=rng)
-            if selection_similarity is similarity:
-                sims.append(kept)
-            else:
-                sims.append({v: similarity(gamma[u], gamma[v]) for v in kept})
-        return sims

@@ -2,7 +2,7 @@
 
 :meth:`SnapleLinkPredictor.predict` is the single entry point: it dispatches
 to any engine registered in the :mod:`repro.runtime` backend registry
-(``local``, ``gas``, ``bsp``, the baselines, and any third-party backend) and
+(``local``, ``gas``, the baselines, and any third-party backend) and
 returns a normalized :class:`~repro.runtime.report.RunReport`::
 
     report = SnapleLinkPredictor(config).predict(graph, backend="gas",
@@ -15,43 +15,12 @@ vertex sets.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.gas.engine import GasRunResult
 from repro.graph.digraph import DiGraph
 from repro.snaple.config import SnapleConfig
 
-__all__ = ["PredictionResult", "SnapleLinkPredictor"]
-
-
-@dataclass
-class PredictionResult:
-    """Predictions for every vertex plus execution accounting.
-
-    A plain record with the same :meth:`predicted_edges` /
-    :meth:`top_prediction` helpers as
-    :class:`~repro.runtime.report.RunReport`, which is what
-    :meth:`SnapleLinkPredictor.predict` returns.
-    """
-
-    predictions: dict[int, list[int]]
-    scores: dict[int, dict[int, float]]
-    config: SnapleConfig
-    wall_clock_seconds: float
-    simulated_seconds: float | None = None
-    gas_result: GasRunResult | None = field(default=None, repr=False)
-
-    def predicted_edges(self) -> set[tuple[int, int]]:
-        """All predicted edges as ``(source, predicted target)`` pairs."""
-        return {
-            (u, z) for u, targets in self.predictions.items() for z in targets
-        }
-
-    def top_prediction(self, vertex: int) -> int | None:
-        """Best-scored prediction for ``vertex`` (``None`` when empty)."""
-        targets = self.predictions.get(vertex, [])
-        return targets[0] if targets else None
+__all__ = ["SnapleLinkPredictor"]
 
 
 class SnapleLinkPredictor:
@@ -146,7 +115,7 @@ class SnapleLinkPredictor:
             processes (see :mod:`repro.runtime.parallel`).  Only backends
             advertising :attr:`~repro.runtime.BackendCapabilities.parallel`
             accept it — among the built-ins that is ``gas`` alone; every
-            other backend, ``bsp`` included, raises
+            other backend raises
             :class:`~repro.errors.ConfigurationError` before any graph
             work.  Predictions are identical for every worker count.
         checkpoint_dir, checkpoint_every, resume_from:

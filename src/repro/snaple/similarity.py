@@ -7,11 +7,11 @@ similarity with ``1/|Γ(v)|``, and the *counter* score, which fixes it to 1.
 Several alternative set similarities are provided for experimentation.
 
 Every similarity accepts any collection of vertex ids.  Passing a
-``set``/``frozenset`` skips the per-call set construction — the scalar
-engines hold their truncated neighborhoods as lists, so the hot loops either
-pre-build frozensets once per run (the ``local`` reference backend) or share
-a :class:`NeighborhoodSetCache` keyed by vertex (the GAS/BSP vertex
-programs, where one neighborhood is compared against many others).
+``set``/``frozenset`` skips the per-call set construction — the kernel's
+scalar per-edge loop builds one frozenset per vertex, and the GAS vertex
+programs (whose vertex data holds neighborhoods as lists) share a
+:class:`NeighborhoodSetCache` keyed by vertex, since one neighborhood is
+compared against many others.
 
 Contract note for *custom* similarity callables plugged into a
 :class:`~repro.snaple.scoring.ScoreConfig`: the engines may hand them either
@@ -60,7 +60,7 @@ def as_neighbor_set(neighbors: Collection[int]) -> Collection[int]:
 class NeighborhoodSetCache:
     """Bounded LRU cache of neighborhood frozensets, keyed by vertex id.
 
-    The scalar GAS/BSP gathers compare each vertex's truncated neighborhood
+    The scalar GAS gathers compare each vertex's truncated neighborhood
     against every neighbor's, rebuilding the same sets over and over.  A
     vertex program holds one cache per run (neighborhoods are fixed once
     step 1 writes them) and calls :meth:`get` instead of ``set(...)``.

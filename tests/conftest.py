@@ -85,7 +85,7 @@ def random_graph():
     """Session-cached factory for the seeded random graphs the suites share.
 
     Replaces the per-suite graph builders that used to live in tests/gas,
-    tests/bsp, tests/snaple and tests/runtime: the same ``(model,
+    tests/snaple and tests/runtime: the same ``(model,
     parameters, seed)`` tuple now builds one :class:`DiGraph` per session
     and hands the immutable instance to every caller.
 

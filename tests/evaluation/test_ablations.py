@@ -98,18 +98,15 @@ class TestAblationEngines:
     def test_greedy_gas_ships_fewest_bytes(self, result):
         greedy = result.row("livejournal", "GAS (greedy cut)")
         random_cut = result.row("livejournal", "GAS (random cut)")
-        bsp = result.row("livejournal", "BSP (hash cut)")
         assert greedy.network_mebibytes < random_cut.network_mebibytes
-        assert greedy.network_mebibytes < bsp.network_mebibytes
 
-    def test_bsp_runs_four_supersteps_gas_runs_three(self, result):
-        assert result.row("livejournal", "BSP (hash cut)").supersteps == 4
-        assert result.row("livejournal", "GAS (random cut)").supersteps == 3
+    def test_gas_runs_three_supersteps(self, result):
+        assert [row.supersteps for row in result.rows] == [3, 3]
 
     def test_render_contains_all_engines(self, result):
         rendered = result.render()
         assert "GAS (greedy cut)" in rendered
-        assert "BSP (hash cut)" in rendered
+        assert "GAS (random cut)" in rendered
 
     def test_engines_parameter_restricts_rows(self):
         result = run_ablation_engines(scale=SCALE, seed=SEED,
@@ -122,7 +119,7 @@ class TestAblationEngines:
         with pytest.raises(ConfigurationError, match="unknown engine"):
             run_ablation_engines(scale=SCALE, seed=SEED, engines=("spark",))
 
-    def test_workers_run_only_the_gas_engines(self):
+    def test_workers_run_both_gas_engines(self):
         result = run_ablation_engines(scale=SCALE, seed=SEED, workers=2)
         assert [row.engine for row in result.rows] == [
             "GAS (random cut)", "GAS (greedy cut)",
@@ -130,13 +127,6 @@ class TestAblationEngines:
         # Placement moves shipped bytes, never the answer.
         assert len({row.recall for row in result.rows}) == 1
         assert result.to_dict()["workers"] == 2
-
-    def test_bsp_with_workers_rejected(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="'bsp' is simulated"):
-            run_ablation_engines(scale=SCALE, seed=SEED, engines=("bsp",),
-                                 workers=2)
 
     def test_to_dict_round_trips_through_json(self, result):
         import json

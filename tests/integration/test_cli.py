@@ -46,7 +46,7 @@ class TestMain:
     def test_list_mentions_execution_backends(self, capsys):
         main(["list"])
         captured = capsys.readouterr()
-        for backend in ("local", "gas", "bsp", "cassovary",
+        for backend in ("local", "gas", "cassovary",
                         "random_walk_ppr", "topological"):
             assert backend in captured.out
 
@@ -62,14 +62,13 @@ class TestEngineAndJsonFlags:
         captured = capsys.readouterr()
         assert exit_code == 0
         assert "GAS (random cut)" in captured.out
-        assert "BSP (hash cut)" not in captured.out
+        assert "GAS (greedy cut)" not in captured.out
 
-    def test_bsp_engine_with_workers_is_a_usage_error(self, capsys):
+    def test_retired_bsp_engine_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as raised:
-            main(["ablation_engines", "--engine", "bsp", "--workers", "2",
-                  "--scale", "0.1"])
+            main(["ablation_engines", "--engine", "bsp", "--scale", "0.1"])
         assert raised.value.code == 2
-        assert "'bsp' is simulated only" in capsys.readouterr().err
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_engine_flag_rejected_for_other_experiments(self, capsys):
         with pytest.raises(SystemExit):

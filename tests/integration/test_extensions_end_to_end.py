@@ -3,7 +3,7 @@
 These tests exercise the full pipeline a downstream user of the extensions
 would run — dataset analog, edge-removal protocol, predictor, metrics — and
 pin the cross-implementation guarantees the library documents: every
-execution path of the same configuration (local, GAS, BSP, K-hop at K = 2,
+execution path of the same configuration (local, GAS, K-hop at K = 2,
 content-aware at weight 0) returns identical predictions.
 """
 
@@ -23,7 +23,6 @@ from repro.snaple import (
     ContentAwareLinkPredictor,
     ContentConfig,
     KHopLinkPredictor,
-    SnapleBspPredictor,
     SnapleConfig,
     SnapleLinkPredictor,
 )
@@ -57,12 +56,6 @@ class TestAllExecutionPathsAgree:
         )
         assert gas.predictions == local_result.predictions
 
-    def test_bsp_matches_local(self, split, config, local_result):
-        bsp = SnapleBspPredictor(config).predict(
-            split.train_graph, cluster=cluster_of(TYPE_I, 4)
-        )
-        assert bsp.predictions == local_result.predictions
-
     def test_two_hop_khop_matches_local(self, split, config, local_result):
         khop = KHopLinkPredictor(config, num_hops=2).predict(split.train_graph)
         assert khop.predictions == local_result.predictions
@@ -94,15 +87,3 @@ class TestExtensionInteroperability:
         quality = evaluate_predictions(content.predictions, split)
         assert 0.0 < quality.recall <= 1.0
         assert quality.precision <= 1.0
-
-    def test_bsp_accounting_feeds_the_same_metrics_schema(self, split, config):
-        """BSP runs report through the same RunMetrics schema as GAS runs, so
-        the experiment runner and cost model treat both uniformly."""
-        bsp = SnapleBspPredictor(config).predict(
-            split.train_graph, cluster=cluster_of(TYPE_I, 4)
-        )
-        metrics = bsp.bsp_result.metrics
-        assert metrics.total_compute_units > 0
-        assert metrics.total_network_bytes > 0
-        assert metrics.simulated_seconds > 0
-        assert len(metrics.steps) == bsp.bsp_result.supersteps

@@ -3,7 +3,25 @@
 These tests run the actual experiment pipeline on reduced-scale synthetic
 dataset analogs and assert the qualitative relationships the paper reports
 (who wins, in which direction a knob moves recall or time), not the absolute
-numbers.  The claim numbering follows DESIGN.md §5.
+numbers.  The claims, numbered as the test classes below:
+
+1. SNAPLE beats the GAS baseline (Table 5): higher recall, less simulated
+   time, and the baseline ships several times more data.
+2. ``klocal`` sampling is the big lever (Table 5): a large speedup for a
+   small recall loss, and more speedup than ``thrΓ`` truncation alone.
+3. Scalability (Figure 5): time grows with the graph, shrinks with more
+   cores, and grows with ``klocal``.
+4. The truncation threshold (Figure 6): recall saturates once ``thrΓ``
+   covers most vertices' neighborhoods.
+5. The sampling policy (Figure 7): ``Γmax`` beats ``Γrnd`` and ``Γmin`` at
+   small ``klocal``.
+6. Aggregators (Figure 8): the Sum family improves with ``klocal`` and
+   beats the Geom family.
+7. Protocol sensitivity (Figures 9 and 10): recall rises with ``k`` and
+   falls with the number of removed edges per vertex.
+8. Single-machine comparison (Table 6, Figure 11): SNAPLE reaches at least
+   80% of the random-walk PPR competitor's recall in less time, and walks
+   deeper than three hops barely help the competitor.
 """
 
 from __future__ import annotations

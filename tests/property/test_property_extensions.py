@@ -1,4 +1,4 @@
-"""Hypothesis property tests for the BSP substrate and the SNAPLE extensions."""
+"""Hypothesis property tests for edge-cut partitioning and the SNAPLE extensions."""
 
 from __future__ import annotations
 
@@ -54,7 +54,7 @@ similarities = st.floats(min_value=0.0, max_value=1.0,
 
 
 # ----------------------------------------------------------------------
-# BSP vertex partitioning
+# Edge-cut vertex partitioning
 # ----------------------------------------------------------------------
 class TestVertexPartitionProperties:
     @given(graph_params, st.integers(min_value=1, max_value=12),

@@ -27,12 +27,6 @@ class TestCrossBackendParity:
         gas = predictor.predict(small_social_graph, backend="gas")
         assert local.predictions == gas.predictions
 
-    def test_local_and_bsp_agree(self, small_social_graph, parity_config):
-        predictor = SnapleLinkPredictor(parity_config)
-        local = predictor.predict(small_social_graph, backend="local")
-        bsp = predictor.predict(small_social_graph, backend="bsp")
-        assert local.predictions == bsp.predictions
-
     def test_gas_agreement_across_cluster_sizes(self, small_social_graph,
                                                 parity_config):
         predictor = SnapleLinkPredictor(parity_config)
@@ -67,15 +61,6 @@ class TestRunReportNormalization:
         assert report.supersteps == 3
         assert report.time_seconds == report.simulated_seconds
         assert report.native is not None
-
-    def test_bsp_report_fields(self, small_social_graph, parity_config):
-        report = SnapleLinkPredictor(parity_config).predict(
-            small_social_graph, backend="bsp", cluster=cluster_of(TYPE_I, 4)
-        )
-        assert report.backend == "bsp"
-        assert report.simulated_seconds > 0
-        assert report.network_bytes > 0
-        assert report.supersteps == 4
 
     def test_cassovary_reports_simulated_time(self, small_social_graph):
         report = SnapleLinkPredictor().predict(
@@ -125,9 +110,8 @@ class TestRunReportNormalization:
 
 
 #: Every SNAPLE backend that takes a vertex subset, parallel GAS included.
-SUBSET_BACKENDS = [("local", {}), ("gas", {}), ("gas", {"workers": 2}),
-                   ("bsp", {})]
-SUBSET_IDS = ["local", "gas", "gas-workers2", "bsp"]
+SUBSET_BACKENDS = [("local", {}), ("gas", {}), ("gas", {"workers": 2})]
+SUBSET_IDS = ["local", "gas", "gas-workers2"]
 
 #: Subset configurations: the paper default, truncation and klocal sampling
 #: firing, and a custom callable (scalar step programs inside the workers).
@@ -181,50 +165,6 @@ class TestVertexSubsets:
             with pytest.raises(ConfigurationError, match="vertices must be"):
                 predictor.predict(graph, backend=backend, vertices=[0, bad],
                                   **options)
-
-    def test_bsp_vertex_subset_filters_output(self, small_social_graph,
-                                              parity_config):
-        predictor = SnapleLinkPredictor(parity_config)
-        subset = [3, 7, 11]
-        restricted = predictor.predict(small_social_graph, backend="bsp",
-                                       vertices=subset)
-        assert sorted(restricted.predictions) == subset
-
-
-class TestBspIsSimulatedOnly:
-    """The BSP backend keeps its three simulated-cluster options; the
-    parallel-executor options it used to take are rejected up front."""
-
-    def test_options_and_capabilities(self):
-        capabilities = get_backend("bsp").capabilities()
-        assert capabilities.options == (
-            "cluster", "partitioner", "enforce_memory",
-        )
-        assert capabilities.parallel is False
-
-    @pytest.mark.parametrize("option,value", [
-        ("workers", 2),
-        ("checkpoint_dir", "ckpt"),
-        ("checkpoint_every", 1),
-        ("resume_from", "ckpt"),
-        ("worker_timeout", 5.0),
-        ("max_restarts", 1),
-        ("fault", object()),
-        ("pool", object()),
-    ])
-    def test_retired_option_raises(self, option, value):
-        with pytest.raises(ConfigurationError,
-                           match=f"'bsp' does not support option '{option}'"):
-            get_backend("bsp", **{option: value})
-
-    def test_predict_with_workers_fails_before_graph_work(self):
-        # ``graph=None`` would break the first thing that touched it: the
-        # error must come from option validation, not from the engine.
-        with SnapleLinkPredictor() as predictor:
-            with pytest.raises(ConfigurationError, match="workers"):
-                predictor.predict(None, backend="bsp", workers=2)
-            assert predictor.pool_spawns == 0
-
 
 class TestDirectBackendUse:
     def test_backend_predict_convenience(self, small_social_graph,

@@ -182,7 +182,7 @@ class TestPartitionAccounting:
             partition.num_vertices for partition in run.partition_reports
         ) == graph.num_vertices
 
-    @pytest.mark.parametrize("backend", ["gas", "bsp"])
+    @pytest.mark.parametrize("backend", ["gas"])
     def test_serial_accounting_sums(self, backend, small_graph):
         graph = small_graph
         predictor = SnapleLinkPredictor(SnapleConfig.paper_default(seed=3))

@@ -1,4 +1,4 @@
-"""Tests for the edge-cut vertex partitioning of the BSP substrate."""
+"""Tests for the edge-cut vertex partitioning in repro.runtime.partition."""
 
 from __future__ import annotations
 

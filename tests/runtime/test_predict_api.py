@@ -6,11 +6,12 @@ import math
 
 import pytest
 
+import repro
 from repro.baselines.gas_baseline import GasBaselinePredictor
 from repro.errors import ConfigurationError
 from repro.runtime.report import VertexPrediction
 from repro.snaple.config import SnapleConfig
-from repro.snaple.predictor import PredictionResult, SnapleLinkPredictor
+from repro.snaple.predictor import SnapleLinkPredictor
 
 
 @pytest.fixture
@@ -119,24 +120,7 @@ class TestResultHelpers:
                          for z in targets}
         assert any(edges)
 
-    def test_prediction_result_helpers_match_run_report(self,
-                                                        small_social_graph,
-                                                        parity_config):
-        # Callers of the removed predict_local/predict_gas shims now get a
-        # RunReport with the same helpers PredictionResult carries.
-        report = SnapleLinkPredictor(parity_config).predict(
-            small_social_graph, backend="local"
-        )
-        result = PredictionResult(
-            predictions=report.predictions, scores=dict(report.scores),
-            config=parity_config,
-            wall_clock_seconds=report.wall_clock_seconds,
-        )
-        assert result.predicted_edges() == report.predicted_edges()
-        for u in small_social_graph.vertices():
-            assert result.top_prediction(u) == report.top_prediction(u)
-        assert result.top_prediction(-1) is None
-
     def test_shims_are_gone(self):
         for name in ("predict_local", "predict_gas"):
             assert not hasattr(SnapleLinkPredictor, name)
+        assert not hasattr(repro, "PredictionResult")

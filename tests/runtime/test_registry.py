@@ -48,9 +48,10 @@ class _DummyBackend(ExecutionBackend):
 class TestBuiltinRegistry:
     def test_builtin_backends_are_registered(self):
         names = available_backends()
-        for expected in ("local", "gas", "bsp",
+        for expected in ("local", "gas",
                          "cassovary", "random_walk_ppr", "topological"):
             assert expected in names
+        assert "bsp" not in names
 
     def test_every_package_export_resolves(self):
         # The package's exports are lazy: a name left in __all__ after its

@@ -1,10 +1,10 @@
-"""Pinned accounting of the serial simulated engines.
+"""Pinned accounting of the serial simulated engine.
 
 The simulated-cluster numbers are reproduction outputs: the engines charge
 each vertex's data ``Du`` by
 :func:`~repro.gas.vertex_program.payload_size_bytes`, and the cost model
-turns the charges into simulated seconds.  A change to how the engines
-store or charge vertex state must leave these values bit-identical.
+turns the charges into simulated seconds.  A change to how the engine
+stores or charges vertex state must leave these values bit-identical.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ def predictions_digest(predictions: dict[int, list[int]]) -> str:
     ).hexdigest()
 
 
-#: One digest for both engines: truncation draws the same sequential stream.
+#: One digest for the serial engine and both ``local`` modes: truncation
+#: draws the same sequential stream.
 DIGEST = "dedcacb9c9649c6bc39296c22130d319fe825652acdb148c36c78142dab3ab80"
 
 #: (backend, machines) -> (simulated_seconds as float.hex(), network_bytes,
@@ -33,8 +34,6 @@ DIGEST = "dedcacb9c9649c6bc39296c22130d319fe825652acdb148c36c78142dab3ab80"
 PINNED = {
     ("gas", 1): ("0x1.153b1e726a391p-4", 0, 39968, 3),
     ("gas", 4): ("0x1.9f52e80460b7dp-3", 576792, 37898, 3),
-    ("bsp", 1): ("0x1.91da0b321b946p-5", 0, 272656, 4),
-    ("bsp", 4): ("0x1.6ea50d6b228dcp-3", 574648, 75434, 4),
 }
 
 
@@ -51,4 +50,13 @@ def test_serial_accounting_is_pinned(backend, machines, random_graph):
     assert report.network_bytes == network
     assert report.peak_memory_bytes == peak
     assert report.supersteps == supersteps
+    assert predictions_digest(report.predictions) == DIGEST
+
+
+@pytest.mark.parametrize("mode", ["vectorized", "reference"])
+def test_local_modes_reproduce_the_serial_digest(mode, random_graph):
+    graph = random_graph(200, 3, 0.3, seed=1)
+    report = SnapleLinkPredictor(SnapleConfig.paper_default(seed=1)).predict(
+        graph, backend="local", mode=mode
+    )
     assert predictions_digest(report.predictions) == DIGEST

@@ -175,20 +175,16 @@ class TestStatePlaneReporting:
         assert serial.extra == {}
         assert parallel.extra["state_plane_peak_bytes"] > 0
 
-    def test_serial_engines_keep_plain_dicts(self, parity_graph):
-        from repro.bsp.engine import BspEngine
+    def test_serial_engine_keeps_plain_dicts(self, parity_graph):
         from repro.gas.engine import GasEngine
-        from repro.snaple.bsp_program import SnapleBspProgram
         from repro.snaple.program import build_snaple_steps
 
         config = truncating_config()
         graph = parity_graph
         gas = GasEngine(graph=graph).run(build_snaple_steps(config, graph))
-        bsp = BspEngine(graph=graph).run(SnapleBspProgram(config))
-        for states in (gas.vertex_data, bsp.vertex_state):
-            assert type(states) is list
-            assert len(states) == graph.num_vertices
-            assert all(type(state) is dict for state in states)
+        assert type(gas.vertex_data) is list
+        assert len(gas.vertex_data) == graph.num_vertices
+        assert all(type(state) is dict for state in gas.vertex_data)
         assert set(gas.data_of(0)) == {"gamma", "sims", "predicted"}
 
     def test_gas_package_exports_runtime_partition(self):
@@ -199,16 +195,6 @@ class TestStatePlaneReporting:
                      "GreedyVertexCut", "HdrfVertexCut", "partition_graph"):
             assert name in gas.__all__
             assert getattr(gas, name) is getattr(runtime_partition, name)
-
-    def test_bsp_package_exports_runtime_partition(self):
-        import repro.bsp as bsp
-        import repro.runtime.partition as runtime_partition
-
-        for name in ("VertexPartition", "VertexPartitioner",
-                     "HashVertexPartitioner", "BlockVertexPartitioner",
-                     "partition_vertices"):
-            assert name in bsp.__all__
-            assert getattr(bsp, name) is getattr(runtime_partition, name)
 
     def test_parallel_reports_routing_overhead_per_superstep(self,
                                                              parity_graph):

@@ -89,6 +89,17 @@ class TestContentAwarePrediction:
         with pytest.raises(ConfigurationError):
             ContentAwareLinkPredictor().predict(small_social_graph, profiles)
 
+    @pytest.mark.parametrize("bad", [-1, None, True, 1.5, "3"],
+                             ids=["negative", "num_vertices", "bool", "float",
+                                  "str"])
+    def test_bad_vertex_ids_rejected(self, bad, small_social_graph):
+        if bad is None:
+            bad = small_social_graph.num_vertices
+        profiles = generate_profiles(small_social_graph, seed=3)
+        with pytest.raises(ConfigurationError, match="vertices must be"):
+            ContentAwareLinkPredictor().predict(small_social_graph, profiles,
+                                                vertices=[0, bad])
+
     def test_predictions_exclude_existing_neighbors(self, small_social_graph):
         profiles = generate_profiles(small_social_graph, seed=4)
         result = ContentAwareLinkPredictor(

@@ -7,6 +7,11 @@ and without probabilistic truncation, on full runs and vertex subsets.
 Predictions are asserted exactly; scores are asserted exactly too (the
 kernel preserves the reference float fold order), with ``REL_TOL`` as the
 documented fallback for platforms whose ``pow`` is not correctly rounded.
+
+``mode="reference"`` shares phase 1 (truncation) and the ``klocal``
+selection with the vectorized mode, so those two are checked a second time
+against the serial ``gas`` engine, whose vertex programs
+(:mod:`repro.snaple.program`) truncate and select in their own code.
 """
 
 from __future__ import annotations
@@ -20,11 +25,12 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.graph.generators import erdos_renyi
 from repro.runtime import get_backend
+from repro.snaple import kernel
 from repro.snaple.aggregators import get_aggregator
 from repro.snaple.combinators import get_combinator
 from repro.snaple.config import SnapleConfig
 from repro.snaple.kernel import REL_TOL, LazyScores, kernel_supports
-from repro.snaple.sampler import get_sampler
+from repro.snaple.sampler import TopSimilaritySampler, get_sampler
 from repro.snaple.scoring import PAPER_SCORES, ScoreConfig
 from repro.snaple.similarity import SIMILARITIES
 
@@ -139,6 +145,125 @@ class TestKernelParityAcrossDesignSpace:
         assert_scores_match(vectorized.scores, reference.scores)
         assert vectorized.predictions  # non-degenerate
         assert any(vectorized.predictions.values())
+
+
+#: (thrΓ, klocal) rows of the independent-oracle grid.
+ORACLE_LIMITS = [(8, 5), (math.inf, math.inf), (12, 3)]
+
+#: The two oracle graphs: clustered power-law and G(n, p).
+ORACLE_GRAPHS = {
+    "powerlaw": lambda build: build(120, 3, 0.3, seed=11),
+    "erdos_renyi": lambda build: build(100, model="erdos_renyi",
+                                       edge_probability=0.06, seed=2),
+}
+
+
+class TestIndependentOracle:
+    """Vectorized ``local`` against the serial ``gas`` engine.
+
+    Both draw truncation from one sequential stream seeded ``seed`` and the
+    ``Γrnd`` selection from one seeded ``seed + 1``, consumed in ascending
+    vertex order, so predictions must match exactly.  The two fold the path
+    contributions in different orders (selection order vs. CSR order), so
+    scores match within ``REL_TOL``.
+    """
+
+    @pytest.mark.parametrize("graph_name", sorted(ORACLE_GRAPHS))
+    @pytest.mark.parametrize("threshold,k_local", ORACLE_LIMITS,
+                             ids=["thr8-klocal5", "unbounded", "thr12-klocal3"])
+    @pytest.mark.parametrize("sampler_name", ["max", "min", "rnd"])
+    @pytest.mark.parametrize("score_name", sorted(PAPER_SCORES))
+    def test_vectorized_local_matches_serial_gas(self, score_name,
+                                                 sampler_name, threshold,
+                                                 k_local, graph_name,
+                                                 random_graph):
+        graph = ORACLE_GRAPHS[graph_name](random_graph)
+        config = SnapleConfig(
+            k=5,
+            score=PAPER_SCORES[score_name],
+            truncation_threshold=threshold,
+            k_local=k_local,
+            sampler=get_sampler(sampler_name),
+            seed=3,
+        )
+        local = run_mode(graph, config, "vectorized")
+        assert local.extra["kernel_vectorized"] == 1.0
+        gas = get_backend("gas").prepare(graph, config).run()
+        assert local.predictions == gas.predictions
+        assert_scores_match(local.scores, gas.scores)
+
+
+class TestReferenceModeIsScalar:
+    def test_reference_mode_never_runs_the_array_branches(self, random_graph,
+                                                          monkeypatch):
+        graph = random_graph(150, 3, 0.3, seed=11)
+        config = SnapleConfig.paper_default(seed=3, k_local=6)
+        expected = run_mode(graph, config, "vectorized")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("reference mode ran a vectorized branch")
+
+        monkeypatch.setattr(kernel, "_vectorized_edge_values", forbidden)
+        monkeypatch.setattr(kernel, "_combine_core", forbidden)
+        reference = run_mode(graph, config, "reference")
+        assert reference.extra["kernel_vectorized"] == 0.0
+        assert reference.predictions == expected.predictions
+        assert_scores_match(expected.scores, reference.scores)
+
+
+class RecordingSampler(TopSimilaritySampler):
+    """``Γmax`` behind a type outside the kernel's sampler registry."""
+
+    def __init__(self) -> None:
+        self.rows: list[dict[int, float]] = []
+
+    def select(self, similarities, k_local, *, rng):
+        self.rows.append(dict(similarities))
+        return super().select(similarities, k_local, rng=rng)
+
+
+class TestCustomSampler:
+    def test_select_sees_every_row_in_vertex_order(self, random_graph):
+        graph = random_graph(80, 3, 0.3, seed=4)
+        sampler = RecordingSampler()
+        config = SnapleConfig(k=4, k_local=3, sampler=sampler, seed=2)
+        assert not kernel_supports(config)
+        gamma = kernel.build_truncated_neighborhoods(graph, config)
+        edges = kernel.edge_similarities(graph, gamma, config)
+        kept = kernel.select_klocal(edges, config)
+        assert [list(row) for row in sampler.rows] == [
+            sorted(set(graph.out_neighbors(u).tolist()))
+            for u in graph.vertices()
+        ]
+        stock = SnapleConfig(k=4, k_local=3, sampler=get_sampler("max"),
+                             seed=2)
+        expected = kernel.select_klocal(edges, stock)
+        assert kept.indptr.tolist() == expected.indptr.tolist()
+        assert kept.ids.tolist() == expected.ids.tolist()
+        assert kept.sims.tolist() == expected.sims.tolist()
+
+
+class TestMembershipFallback:
+    """Above ``_BITMAP_LIMIT_BITS`` a :class:`NeighborhoodCSR` answers
+    membership by binary search over its sorted keys, not a pair bitmap."""
+
+    @pytest.mark.parametrize("case", ["full", "subset", "truncating"])
+    def test_binary_search_matches_the_bitmap(self, case, random_graph,
+                                              monkeypatch):
+        graph = random_graph(150, 3, 0.3, seed=11)
+        if case == "truncating":
+            config = SnapleConfig.paper_default(seed=9, k_local=6,
+                                                truncation_threshold=5)
+        else:
+            config = SnapleConfig.paper_default(seed=3, k_local=10)
+        vertices = list(range(0, 150, 4)) if case == "subset" else None
+        with_bitmap = run_mode(graph, config, "vectorized", vertices)
+        monkeypatch.setattr(kernel, "_BITMAP_LIMIT_BITS", 0)
+        gamma = kernel.build_truncated_neighborhoods(graph, config)
+        assert gamma._pair_bitmap() is None
+        searched = run_mode(graph, config, "vectorized", vertices)
+        assert searched.predictions == with_bitmap.predictions
+        assert searched.scores == with_bitmap.scores
 
 
 class TestKernelParityProperty:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -13,6 +14,20 @@ from repro.graph.digraph import DiGraph
 from repro.snaple.config import SnapleConfig
 from repro.snaple.khop import KHopLinkPredictor
 from repro.snaple.predictor import SnapleLinkPredictor
+
+
+def _self_loop_graph() -> DiGraph:
+    """120 vertices, 900 random edges, a self-loop on every third vertex."""
+    rng = np.random.default_rng(25)
+    sources = rng.integers(0, 120, size=900)
+    targets = rng.integers(0, 120, size=900)
+    loops = np.arange(0, 120, 3)
+    return DiGraph(120, np.concatenate([sources, loops]),
+                   np.concatenate([targets, loops]))
+
+
+#: Ids ``vertices=`` must reject; ``None`` stands for ``|V|``.
+BAD_VERTEX_IDS = [-1, None, True, 1.5, "3"]
 
 
 def _config(**overrides) -> SnapleConfig:
@@ -66,6 +81,28 @@ class TestTwoHopEquivalence:
         standard = SnapleLinkPredictor(config).predict(small_social_graph)
         khop = KHopLinkPredictor(config, num_hops=2).predict(small_social_graph)
         assert khop.predictions == standard.predictions
+
+    def test_equivalence_on_a_graph_with_self_loops(self):
+        # A self-loop u -> u makes u its own kept neighbor: Algorithm 2
+        # walks u -> u -> z like any other path.
+        graph = _self_loop_graph()
+        config = _config(k_local=4, truncation_threshold=10)
+        standard = SnapleLinkPredictor(config).predict(graph)
+        khop = KHopLinkPredictor(config, num_hops=2).predict(graph)
+        assert khop.predictions == standard.predictions
+        assert khop.scores == standard.scores
+
+
+class TestVertexValidation:
+    @pytest.mark.parametrize("bad", BAD_VERTEX_IDS,
+                             ids=["negative", "num_vertices", "bool", "float",
+                                  "str"])
+    def test_bad_vertex_ids_rejected(self, bad, small_social_graph):
+        if bad is None:
+            bad = small_social_graph.num_vertices
+        predictor = KHopLinkPredictor(_config(k_local=5), num_hops=3)
+        with pytest.raises(ConfigurationError, match="vertices must be"):
+            predictor.predict(small_social_graph, vertices=[0, bad])
 
 
 class TestLongerPaths:
