@@ -45,6 +45,7 @@ __all__ = [
     "env_flag",
     "gather_slices",
     "indptr_from_counts",
+    "splice_rows",
 ]
 
 
@@ -74,6 +75,45 @@ def indptr_from_counts(counts: np.ndarray) -> np.ndarray:
     indptr = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return indptr
+
+
+def splice_rows(indptr: np.ndarray, payloads: Sequence[np.ndarray],
+                rows: np.ndarray, new_counts: np.ndarray,
+                new_payloads: Sequence[np.ndarray], num_rows: int
+                ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Replace whole rows of a CSR structure, keeping every other row.
+
+    ``rows`` is ascending and duplicate-free; ``new_payloads[i]``
+    concatenates the replacement rows of ``payloads[i]`` in that order, with
+    ``new_counts`` elements each.  ``num_rows`` may exceed the old row
+    count (growth): rows past the old end start empty.  Returns fresh
+    ``(indptr, payloads)`` arrays and leaves the inputs untouched, except
+    that replacing every row returns ``new_payloads`` as they are (the cold
+    build of a structure is this call on an empty one).
+    """
+    if rows.size == num_rows:
+        return indptr_from_counts(new_counts), tuple(new_payloads)
+    old_rows = indptr.size - 1
+    counts = np.zeros(num_rows, dtype=np.int64)
+    counts[:old_rows] = np.diff(indptr)
+    counts[rows] = new_counts
+    out_indptr = indptr_from_counts(counts)
+    # Untouched rows form one run before each replaced row plus a tail run;
+    # each run is one slice copy, so the cost is O(rows) calls and one pass
+    # of memcpy over the payload.
+    run_starts = np.minimum(np.concatenate(([0], rows + 1)), old_rows)
+    run_ends = np.minimum(np.append(rows, old_rows), old_rows)
+    runs = list(zip(indptr[run_starts].tolist(), indptr[run_ends].tolist(),
+                    out_indptr[np.concatenate(([0], rows + 1))].tolist()))
+    fresh = gather_slices(out_indptr[rows], new_counts)
+    out = []
+    for payload, new in zip(payloads, new_payloads):
+        merged = np.empty(int(out_indptr[-1]), dtype=payload.dtype)
+        for start, end, at in runs:
+            merged[at:at + end - start] = payload[start:end]
+        merged[fresh] = new
+        out.append(merged)
+    return out_indptr, tuple(out)
 
 
 # ----------------------------------------------------------------------

@@ -40,11 +40,21 @@ import numpy as np
 
 from repro.errors import GraphError, VertexNotFoundError
 from repro.graph.digraph import DiGraph
-from repro.runtime.state import gather_slices, indptr_from_counts
+from repro.runtime.state import splice_rows
 
 __all__ = ["GraphDelta"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
+
+
+def _endpoints(u: int, v: int) -> tuple[int, int]:
+    """``(u, v)`` as ints; raises :class:`GraphError` on a negative one."""
+    u, v = int(u), int(v)
+    if u < 0 or v < 0:
+        raise GraphError(
+            f"edge endpoints must be non-negative, got ({u}, {v})"
+        )
+    return u, v
 
 
 class GraphDelta:
@@ -60,7 +70,8 @@ class GraphDelta:
 
     __slots__ = ("_base", "_num_vertices", "_extra_out", "_extra_in",
                  "_extra_sets", "_delta_src", "_delta_dst",
-                 "_removed_out", "_removed_in", "_num_removed", "_csr")
+                 "_removed_out", "_removed_in", "_num_removed", "_csr",
+                 "_stale")
 
     def __init__(self, base: DiGraph) -> None:
         self._base = base
@@ -74,7 +85,10 @@ class GraphDelta:
         self._removed_out: dict[int, dict[int, int]] = {}
         self._removed_in: dict[int, dict[int, int]] = {}
         self._num_removed = 0
-        self._csr: tuple[np.ndarray, np.ndarray] | None = None
+        #: The merged CSR, patched lazily: rows mutated since it was last
+        #: read are ``_stale`` and get spliced in by csr_out_adjacency().
+        self._csr: tuple[np.ndarray, np.ndarray] = base.csr_out_adjacency()
+        self._stale: set[int] = set()
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -120,11 +134,7 @@ class GraphDelta:
         duplicate check spans both the base graph and earlier additions, so
         the merged adjacency gains at most one copy of any streamed edge.
         """
-        u, v = int(u), int(v)
-        if u < 0 or v < 0:
-            raise GraphError(
-                f"edge endpoints must be non-negative, got ({u}, {v})"
-            )
+        u, v = _endpoints(u, v)
         if self._edge_known(u, v):
             return False
         grown = max(u, v) + 1
@@ -135,17 +145,18 @@ class GraphDelta:
         self._extra_sets.setdefault(u, set()).add(v)
         self._delta_src.append(u)
         self._delta_dst.append(v)
-        self._csr = None
+        self._stale.add(u)
         return True
 
     def add_edges(self, edges: Iterable[tuple[int, int]]
                   ) -> list[tuple[int, int]]:
-        """Absorb a batch of edges; returns the ones actually added."""
-        added: list[tuple[int, int]] = []
-        for u, v in edges:
-            if self.add_edge(u, v):
-                added.append((int(u), int(v)))
-        return added
+        """Absorb a batch of edges; returns the ones actually added.
+
+        The whole batch is validated first, so a bad edge raises
+        :class:`GraphError` with nothing applied.
+        """
+        batch = [_endpoints(u, v) for u, v in edges]
+        return [edge for edge in batch if self.add_edge(*edge)]
 
     def remove_edge(self, u: int, v: int) -> bool:
         """Remove one occurrence of ``u -> v``; ``False`` when absent.
@@ -157,11 +168,7 @@ class GraphDelta:
         :meth:`add_edge` of the same pair round-trips to the original
         multiset.  The vertex range never shrinks.
         """
-        u, v = int(u), int(v)
-        if u < 0 or v < 0:
-            raise GraphError(
-                f"edge endpoints must be non-negative, got ({u}, {v})"
-            )
+        u, v = _endpoints(u, v)
         if u >= self._num_vertices or v >= self._num_vertices:
             return False
         if v in self._extra_sets.get(u, ()):
@@ -181,7 +188,7 @@ class GraphDelta:
                     del self._delta_src[position]
                     del self._delta_dst[position]
                     break
-            self._csr = None
+            self._stale.add(u)
             return True
         remaining = (self._base_multiplicity(u, v)
                      - self._removed_out.get(u, {}).get(v, 0))
@@ -194,17 +201,17 @@ class GraphDelta:
             self._removed_in.get(v, {}).get(u, 0) + 1
         )
         self._num_removed += 1
-        self._csr = None
+        self._stale.add(u)
         return True
 
     def remove_edges(self, edges: Iterable[tuple[int, int]]
                      ) -> list[tuple[int, int]]:
-        """Remove a batch of edges; returns the ones actually removed."""
-        removed: list[tuple[int, int]] = []
-        for u, v in edges:
-            if self.remove_edge(u, v):
-                removed.append((int(u), int(v)))
-        return removed
+        """Remove a batch of edges; returns the ones actually removed.
+
+        Validated whole before anything is removed, like :meth:`add_edges`.
+        """
+        batch = [_endpoints(u, v) for u, v in edges]
+        return [edge for edge in batch if self.remove_edge(*edge)]
 
     def compact(self) -> DiGraph:
         """Fold the delta into a fresh base :class:`DiGraph` and clear it.
@@ -213,7 +220,8 @@ class GraphDelta:
         ``(src, dst)`` exactly like the overlay's merge, and tombstoned base
         occurrences are dropped from the edge arrays before the rebuild — so
         any consumer of ``csr_out_adjacency()`` sees byte-identical arrays
-        before and after.  Returns the new base graph.
+        before and after, and the cached merged CSR survives.  Returns the
+        new base graph.
         """
         src, dst = self._base.edge_arrays()
         if self._num_removed:
@@ -239,7 +247,6 @@ class GraphDelta:
         self._removed_out.clear()
         self._removed_in.clear()
         self._num_removed = 0
-        self._csr = None
         return self._base
 
     # ------------------------------------------------------------------
@@ -353,42 +360,24 @@ class GraphDelta:
     def csr_out_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """Merged ``(indptr, indices)``, identical to a compacted rebuild.
 
-        Untouched base rows are copied in bulk; only rows with pending extras
-        re-sort.  The result is cached until the next mutation.
+        The cached arrays are patched on read: only the rows mutated since
+        the last read are re-merged and spliced in (vertex growth appends
+        empty rows), so a read after one ingest costs the changed row plus
+        one bulk copy, not a rebuild.  Returned arrays are never modified
+        afterwards.
         """
-        if self._csr is None:
-            self._csr = self._merged_csr()
+        if self._stale:
+            rows = np.fromiter(sorted(self._stale), dtype=np.int64,
+                               count=len(self._stale))
+            merged = [self.out_neighbors(u) for u in rows.tolist()]
+            counts = np.fromiter((row.size for row in merged),
+                                 dtype=np.int64, count=len(merged))
+            indptr, (indices,) = splice_rows(
+                self._csr[0], (self._csr[1],), rows, counts,
+                (np.concatenate(merged),), self._num_vertices)
+            self._csr = (indptr, indices)
+            self._stale.clear()
         return self._csr
-
-    def _merged_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        base = self._base
-        n = self._num_vertices
-        base_indptr, base_indices = base.csr_out_adjacency()
-        base_counts = np.zeros(n, dtype=np.int64)
-        base_counts[:base.num_vertices] = np.diff(base_indptr)
-        counts = base_counts.copy()
-        for u, extras in self._extra_out.items():
-            counts[u] += len(extras)
-        for u, tombstones in self._removed_out.items():
-            counts[u] -= sum(tombstones.values())
-        indptr = indptr_from_counts(counts)
-        indices = np.empty(int(indptr[-1]), dtype=np.int64)
-        touched_rows = set(self._extra_out) | set(self._removed_out)
-        if not touched_rows:
-            indices[:base_indices.size] = base_indices
-            return indptr, indices
-        untouched = np.ones(n, dtype=bool)
-        touched = np.fromiter(touched_rows, dtype=np.int64,
-                              count=len(touched_rows))
-        untouched[touched] = False
-        rows = np.flatnonzero(untouched & (base_counts > 0))
-        indices[gather_slices(indptr[rows], base_counts[rows])] = (
-            base_indices[gather_slices(base_indptr[rows], base_counts[rows])]
-        )
-        for u in touched.tolist():
-            row = self.out_neighbors(u)
-            indices[indptr[u]:indptr[u + 1]] = row
-        return indptr, indices
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"GraphDelta(|V|={self._num_vertices}, "

@@ -24,6 +24,15 @@ k-hop dirty set — through the same vectorized kernel calls a batch run uses
 order), which is why the result is bit-identical to a cold batch ``predict``
 on the final graph with the parallel ``gas`` backend.
 
+The state the phases read lives in whole-graph arrays: Γ̂ is one
+:class:`~repro.snaple.kernel.NeighborhoodCSR` (with its pair bitmap) and the
+kept neighbors one :class:`~repro.snaple.kernel.KeptNeighbors`.  A refresh
+splices only the dirty rows into them
+(:func:`repro.runtime.state.splice_rows`; the bitmap is patched in place),
+so an update costs the dirty region plus one bulk copy of each array, not a
+rebuild.  The cold build is the same splice over every row of an empty
+state.  Predictions and score rows are still per-vertex lists.
+
 :class:`PairSimilarityCache` persists the expensive unordered-pair
 intersections across refreshes through the ``pair_cache`` hook of
 :func:`repro.snaple.kernel.edge_similarities`, invalidating only the pairs
@@ -39,7 +48,7 @@ import numpy as np
 
 from repro.errors import VertexNotFoundError
 from repro.graph.digraph import DiGraph
-from repro.runtime.state import indptr_from_counts
+from repro.runtime.state import indptr_from_counts, splice_rows
 from repro.serving.delta import GraphDelta
 from repro.snaple import kernel
 from repro.snaple.config import SnapleConfig
@@ -163,13 +172,15 @@ class _ScoresView(Mapping):
 class IncrementalIndex:
     """Maintains every vertex's Γ̂, kept neighbors, and ranked predictions.
 
-    Construction runs a cold build (equivalent to a batch run over the whole
-    graph); :meth:`apply_edges` / :meth:`apply_removals` then keep the state
-    exact under streamed edge additions and deletions by rescoring only the
-    dirty closure.  All randomness is per-vertex (``rng_mode="per_vertex"``,
-    GAS fold order), so the maintained predictions and scores are
-    bit-identical to a cold batch ``predict(backend="gas", workers=N)`` on
-    the current merged graph.
+    Γ̂ and the kept neighbors are one whole-graph CSR each; predictions and
+    score rows are per-vertex lists.  Construction runs a cold build (every
+    row spliced into an empty state, equivalent to a batch run over the
+    whole graph); :meth:`apply_edges` / :meth:`apply_removals` then keep the
+    state exact under streamed edge additions and deletions by rescoring
+    only the dirty closure and splicing its rows in.  All randomness is
+    per-vertex (``rng_mode="per_vertex"``, GAS fold order), so the
+    maintained predictions and scores are bit-identical to a cold batch
+    ``predict(backend="gas", workers=N)`` on the current merged graph.
     """
 
     def __init__(self, graph: DiGraph | GraphDelta, config: SnapleConfig,
@@ -180,9 +191,11 @@ class IncrementalIndex:
         self.pair_cache = PairSimilarityCache() if use_pair_cache else None
         self.rescored_total = 0
         self.refreshes = 0
-        self._gamma_rows: list[np.ndarray] = []
-        self._kept_ids: list[np.ndarray] = []
-        self._kept_sims: list[np.ndarray] = []
+        empty = np.empty(0, dtype=np.int64)
+        self._gamma = kernel.NeighborhoodCSR.from_rows(0, empty, empty)
+        self._kept = kernel.KeptNeighbors(
+            indptr=np.zeros(1, dtype=np.int64), ids=empty,
+            sims=np.empty(0, dtype=np.float64))
         self._pred_rows: list[list[int]] = []
         self._score_ids: list[np.ndarray] = []
         self._score_vals: list[np.ndarray] = []
@@ -293,10 +306,7 @@ class IncrementalIndex:
     # Internals
     # ------------------------------------------------------------------
     def _grow_to(self, n: int) -> None:
-        while len(self._gamma_rows) < n:
-            self._gamma_rows.append(np.empty(0, dtype=np.int64))
-            self._kept_ids.append(np.empty(0, dtype=np.int64))
-            self._kept_sims.append(np.empty(0, dtype=np.float64))
+        while len(self._pred_rows) < n:
             self._pred_rows.append([])
             self._score_ids.append(np.empty(0, dtype=np.int64))
             self._score_vals.append(np.empty(0, dtype=np.float64))
@@ -309,54 +319,34 @@ class IncrementalIndex:
                                     dtype=np.int64))
         return np.unique(np.concatenate(parts))
 
-    def _build_gamma(self) -> kernel.NeighborhoodCSR:
-        n = self._graph.num_vertices
-        counts = np.fromiter((row.size for row in self._gamma_rows),
-                             dtype=np.int64, count=n)
-        flat = (np.concatenate(self._gamma_rows) if n
-                else np.empty(0, dtype=np.int64))
-        return kernel.NeighborhoodCSR.from_rows(n, counts, flat)
-
-    def _build_kept(self) -> kernel.KeptNeighbors:
-        n = self._graph.num_vertices
-        counts = np.fromiter((row.size for row in self._kept_ids),
-                             dtype=np.int64, count=n)
-        if n:
-            ids = np.concatenate(self._kept_ids)
-            sims = np.concatenate(self._kept_sims)
-        else:
-            ids = np.empty(0, dtype=np.int64)
-            sims = np.empty(0, dtype=np.float64)
-        return kernel.KeptNeighbors(indptr=indptr_from_counts(counts),
-                                    ids=ids, sims=sims)
-
     def _refresh(self, gamma_dirty: np.ndarray, sims_dirty: np.ndarray,
                  targets: np.ndarray) -> None:
         """Recompute phases 1/2+3a/3b for the given (nested) dirty sets."""
         graph, config = self._graph, self._config
+        n = graph.num_vertices
         counts, flat, _gathers = kernel.gas_sample_step_columnar(
             graph, config, gamma_dirty
         )
-        offsets = indptr_from_counts(counts)
-        for position, u in enumerate(gamma_dirty.tolist()):
-            self._gamma_rows[u] = flat[offsets[position]:
-                                       offsets[position + 1]].copy()
         if self.pair_cache is not None:
             self.pair_cache.invalidate(gamma_dirty.tolist())
-        gamma = self._build_gamma()
+        # The index is the gamma's only holder, so the in-place bitmap patch
+        # of replace_rows is safe.
+        self._gamma = gamma = self._gamma.replace_rows(gamma_dirty, counts,
+                                                       flat, n)
         edges = kernel.edge_similarities(graph, gamma, config,
                                          rows=sims_dirty,
                                          pair_cache=self.pair_cache)
         kept = kernel.select_klocal(edges, config, rng_mode="per_vertex",
                                     rows=sims_dirty)
-        for u in sims_dirty.tolist():
-            start, end = int(kept.indptr[u]), int(kept.indptr[u + 1])
-            self._kept_ids[u] = kept.ids[start:end].copy()
-            self._kept_sims[u] = kept.sims[start:end].copy()
-        kept_full = self._build_kept()
+        # Rows outside sims_dirty are empty in ``kept``, so its payload is
+        # exactly the dirty rows in ascending order.
+        indptr, (ids, sims) = splice_rows(
+            self._kept.indptr, (self._kept.ids, self._kept.sims), sims_dirty,
+            np.diff(kept.indptr)[sims_dirty], (kept.ids, kept.sims), n)
+        self._kept = kernel.KeptNeighbors(indptr=indptr, ids=ids, sims=sims)
         (pred_counts, pred_flat, score_counts, score_candidates,
          score_values) = kernel.combine_and_rank_columnar(
-            graph, gamma, kept_full, config, targets, neighbor_order="csr"
+            graph, gamma, self._kept, config, targets, neighbor_order="csr"
         )
         pred_offsets = indptr_from_counts(pred_counts)
         score_offsets = indptr_from_counts(score_counts)

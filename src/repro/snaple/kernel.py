@@ -67,6 +67,7 @@ from repro.graph.sampling import bernoulli_truncate, reservoir_sample, truncate_
 # CSR indexing helpers shared with the columnar state plane.
 from repro.runtime.state import gather_slices as _gather_slices
 from repro.runtime.state import indptr_from_counts as _indptr_from_counts
+from repro.runtime.state import splice_rows
 from repro.snaple.aggregators import (
     GeometricMeanAggregator,
     MaxAggregator,
@@ -283,6 +284,18 @@ def _dedup_sorted_rows(counts: np.ndarray, flat: np.ndarray
 _BITMAP_LIMIT_BITS = 1 << 28
 
 
+def _byte_masks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(bytes, masks)``: the pair-bitmap bytes sorted ``keys`` touch and
+    the OR of their bits in each (equal bytes are adjacent, so one
+    ``reduceat`` replaces a slow ``ufunc.at`` scatter)."""
+    byte_of = keys >> 3
+    bit_of = np.uint8(1) << (keys & 7).astype(np.uint8)
+    first = np.ones(byte_of.size, dtype=bool)
+    first[1:] = byte_of[1:] != byte_of[:-1]
+    starts = np.flatnonzero(first)
+    return byte_of[starts], np.bitwise_or.reduceat(bit_of, starts)
+
+
 @dataclass
 class NeighborhoodCSR:
     """All truncated neighborhoods ``Γ̂`` as one CSR structure.
@@ -305,15 +318,52 @@ class NeighborhoodCSR:
     @classmethod
     def from_rows(cls, num_vertices: int, counts: np.ndarray,
                   flat: np.ndarray) -> "NeighborhoodCSR":
+        """Build from every row's (sorted, possibly repeating) values."""
+        empty = np.empty(0, dtype=np.int64)
+        return cls(num_vertices=0, indptr=np.zeros(1, dtype=np.int64),
+                   indices=empty, keys=empty, sizes=empty).replace_rows(
+            np.arange(num_vertices, dtype=np.int64), counts, flat,
+            num_vertices)
+
+    def replace_rows(self, rows: np.ndarray, counts: np.ndarray,
+                     flat: np.ndarray, num_vertices: int
+                     ) -> "NeighborhoodCSR":
+        """The structure with ``rows`` (ascending, unique) replaced.
+
+        ``flat`` concatenates the new rows, each sorted but possibly
+        repeating values (the sample step keeps duplicate edges); they are
+        deduplicated here.  Other rows are spliced over unchanged.  A built
+        pair bitmap is handed to the result and patched in place — the old
+        rows' bits cleared, then the new rows' bits set — so this object is
+        dead after the call and must not be queried again.  Growing
+        ``num_vertices`` changes the key space ``u * n + v``: keys are
+        recomputed and the bitmap is dropped, to be rebuilt lazily.
+        """
         counts, flat, row_id = _dedup_sorted_rows(counts, flat)
-        keys = row_id * np.int64(num_vertices) + flat if flat.size else flat
-        return cls(
-            num_vertices=num_vertices,
-            indptr=_indptr_from_counts(counts),
-            indices=flat,
-            keys=keys,
-            sizes=counts,
-        )
+        n = np.int64(num_vertices)
+        # Replacing every row means rows is 0..n-1: skip one |E|-long gather.
+        new_keys = (row_id if rows.size == num_vertices else rows[row_id]) * n
+        new_keys += flat
+        indptr, (indices, keys) = splice_rows(
+            self.indptr, (self.indices, self.keys), rows, counts,
+            (flat, new_keys), num_vertices)
+        sizes = np.diff(indptr)
+        if num_vertices != self.num_vertices:
+            if self.num_vertices:
+                keys = np.repeat(np.arange(num_vertices, dtype=np.int64),
+                                 sizes) * n + indices
+            return NeighborhoodCSR(num_vertices, indptr, indices, keys, sizes)
+        bitmap = self._bitmap
+        if bitmap is not None:
+            cleared = rows[rows < self.indptr.size - 1]
+            old_keys = self.keys[_gather_slices(self.indptr[cleared],
+                                                self.sizes[cleared])]
+            byte, mask = _byte_masks(old_keys)
+            bitmap[byte] &= ~mask
+            byte, mask = _byte_masks(new_keys)
+            bitmap[byte] |= mask
+        return NeighborhoodCSR(num_vertices, indptr, indices, keys, sizes,
+                               bitmap, self._bitmap_tried)
 
     def contains(self, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Vectorized membership test ``values[i] in Γ̂(rows[i])``."""
@@ -338,14 +388,8 @@ class NeighborhoodCSR:
             total_bits = self.num_vertices * self.num_vertices
             if 0 < total_bits <= _BITMAP_LIMIT_BITS:
                 bitmap = np.zeros((total_bits + 7) // 8, dtype=np.uint8)
-                byte_of = self.keys >> 3
-                bit_of = (np.uint8(1) << (self.keys & 7).astype(np.uint8))
-                # keys are sorted, so equal bytes are adjacent: OR-reduce each
-                # run and store once (no slow ufunc.at scatter).
-                first = np.ones(byte_of.size, dtype=bool)
-                first[1:] = byte_of[1:] != byte_of[:-1]
-                starts = np.flatnonzero(first)
-                bitmap[byte_of[starts]] = np.bitwise_or.reduceat(bit_of, starts)
+                byte, mask = _byte_masks(self.keys)
+                bitmap[byte] = mask
                 self._bitmap = bitmap
         return self._bitmap
 
@@ -827,17 +871,25 @@ def _top_k_rounds(scores: np.ndarray, candidates: np.ndarray,
     return picks
 
 
-def _path_edges_sampler_order(kept: KeptNeighbors, targets: np.ndarray
-                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kept edges of each target in selection order (local reference parity)."""
+def _kept_rows_of(kept: KeptNeighbors, targets: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray | slice]:
+    """``(counts, positions)`` of the targets' kept rows, laid out per target.
+
+    A full-graph run (``targets`` is ``0..|V|-1``) reads the kept payload in
+    place: its positions are the whole array.
+    """
     num_rows = kept.indptr.size - 1
     if targets.size == num_rows and np.array_equal(
             targets, np.arange(num_rows, dtype=np.int64)):
-        # Full-graph run: the kept CSR payload already is the edge list.
-        rank = np.repeat(targets, np.diff(kept.indptr))
-        return kept.ids, kept.sims, rank
+        return np.diff(kept.indptr), slice(None)
     counts = np.diff(kept.indptr)[targets]
-    positions = _gather_slices(kept.indptr[targets], counts)
+    return counts, _gather_slices(kept.indptr[targets], counts)
+
+
+def _path_edges_sampler_order(kept: KeptNeighbors, targets: np.ndarray
+                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kept edges of each target in selection order (local reference parity)."""
+    counts, positions = _kept_rows_of(kept, targets)
     rank = np.repeat(np.arange(targets.size, dtype=np.int64), counts)
     return kept.ids[positions], kept.sims[positions], rank
 
@@ -849,28 +901,30 @@ def _path_edges_csr_order(graph: DiGraph, kept: KeptNeighbors,
 
     The GAS gather walks the full adjacency (duplicates included) and skips
     neighbors outside ``sims(u)``; the kept value is looked up through a
-    sorted view of the kept keys.
+    sorted view of the targets' own kept rows, keyed by position in
+    ``targets``, so the lookup costs O(targets), not O(|E|).
     """
     indptr, indices = graph.csr_out_adjacency()
     degrees = np.diff(indptr)[targets]
     neighbor = indices[_gather_slices(indptr[targets], degrees)]
     rank = np.repeat(np.arange(targets.size, dtype=np.int64), degrees)
-    num_vertices = graph.num_vertices
+    num_vertices = np.int64(graph.num_vertices)
 
-    kept_rows = np.repeat(
-        np.arange(num_vertices, dtype=np.int64), np.diff(kept.indptr)
-    )
-    kept_keys = kept_rows * np.int64(num_vertices) + kept.ids
+    kept_counts, positions = _kept_rows_of(kept, targets)
+    kept_rank = np.repeat(np.arange(targets.size, dtype=np.int64),
+                          kept_counts)
+    kept_keys = kept_rank * num_vertices + kept.ids[positions]
     key_order = np.argsort(kept_keys)
     sorted_keys = kept_keys[key_order]
-    probe = targets[rank] * np.int64(num_vertices) + neighbor
+    probe = rank * num_vertices + neighbor
     loc = np.searchsorted(sorted_keys, probe)
     if sorted_keys.size:
         loc[loc == sorted_keys.size] = 0
         found = sorted_keys[loc] == probe
     else:
         found = np.zeros(probe.shape, dtype=bool)
-    return (neighbor[found], kept.sims[key_order[loc[found]]], rank[found])
+    sims = kept.sims[positions][key_order[loc[found]]]
+    return neighbor[found], sims, rank[found]
 
 
 def _combine_core(

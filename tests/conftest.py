@@ -19,13 +19,26 @@ from repro.snaple.config import SnapleConfig
 # worker processes are slow by nature, so the suite-wide profile disables
 # the per-example deadline and the too_slow health check instead of every
 # test file repeating them.  Select another profile (e.g. hypothesis's
-# built-in "ci") with HYPOTHESIS_PROFILE=<name>.
+# built-in "ci") with HYPOTHESIS_PROFILE=<name>; "thorough" runs 4x the
+# examples, including in tests that size themselves through examples().
 hypothesis_settings.register_profile(
     "snaple",
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+hypothesis_settings.register_profile(
+    "thorough",
+    hypothesis_settings.get_profile("snaple"),
+    max_examples=4 * hypothesis_settings.get_profile("snaple").max_examples,
+)
 hypothesis_settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "snaple"))
+
+
+def examples(count: int) -> int:
+    """``count`` Hypothesis examples, scaled like the loaded profile's
+    ``max_examples`` (so ``thorough`` multiplies it by 4)."""
+    default = hypothesis_settings.get_profile("snaple").max_examples
+    return count * hypothesis_settings.default.max_examples // default
 
 
 @pytest.fixture

@@ -23,6 +23,7 @@ from repro.graph.generators import powerlaw_cluster
 from repro.serving import IncrementalIndex
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
+from tests.conftest import examples
 
 graphs = st.builds(
     powerlaw_cluster,
@@ -77,7 +78,7 @@ def _assert_bit_identical(index, other):
         assert index.scores(u) == other.scores(u)
 
 
-@settings(max_examples=25)
+@settings(max_examples=examples(25))
 @given(data=st.data(), graph=graphs, config=configs)
 def test_incremental_equals_batch_on_final_graph(data, graph, config):
     stream = _draw_stream(data.draw, graph)
@@ -101,7 +102,7 @@ def test_incremental_equals_batch_on_final_graph(data, graph, config):
     _assert_bit_identical(index, cold)
 
 
-@settings(max_examples=15)
+@settings(max_examples=examples(15))
 @given(
     data=st.data(),
     graph=graphs,

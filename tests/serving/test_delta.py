@@ -108,6 +108,19 @@ class TestIngest:
         with pytest.raises(GraphError):
             delta.add_edge(0, -3)
 
+    def test_bad_batch_is_rejected_whole(self, triangle_graph):
+        delta = GraphDelta(triangle_graph)
+        before = delta.csr_out_adjacency()
+        with pytest.raises(GraphError):
+            delta.add_edges([(0, 2), (-1, 2)])
+        with pytest.raises(GraphError):
+            delta.remove_edges([(0, 1), (1, -2)])
+        assert delta.num_delta_edges == 0
+        assert delta.num_removed_edges == 0
+        after = delta.csr_out_adjacency()
+        np.testing.assert_array_equal(before[0], after[0])
+        np.testing.assert_array_equal(before[1], after[1])
+
     def test_unknown_vertex_rejected_on_reads(self, triangle_graph):
         delta = GraphDelta(triangle_graph)
         with pytest.raises(VertexNotFoundError):

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.errors import ConfigurationError, ServingError
+from repro.errors import ConfigurationError, GraphError, ServingError
+from repro.graph.generators import powerlaw_cluster
 from repro.serving import (
     IncrementalIndex,
     PredictorService,
@@ -207,6 +208,32 @@ class TestIngest:
             assert repeat.requested == 1
             assert repeat.added == []
             assert repeat.rescored == 0
+
+    @pytest.mark.parametrize("op", ["ingest", "remove"])
+    def test_batch_with_a_bad_edge_applies_nothing(self, op):
+        """A batch is validated whole: one negative endpoint rejects it
+        before any edge lands, so no answer goes stale."""
+        graph = powerlaw_cluster(300, 4, 0.5, seed=3)
+        config = SnapleConfig.paper_default(seed=3, k_local=5)
+        if op == "ingest":
+            good = _absent_edge(graph)
+        else:
+            src, dst = graph.edge_arrays()
+            good = (int(src[0]), int(dst[0]))
+        apply = (PredictorService.ingest if op == "ingest"
+                 else PredictorService.remove)
+        with PredictorService(graph, config) as service:
+            for w in range(graph.num_vertices):
+                service.top_k(w)  # warm the result cache
+            with pytest.raises(GraphError):
+                apply(service, [good, (-1, 5)])
+            cold = IncrementalIndex(graph, config)
+            for w in range(graph.num_vertices):
+                assert service.top_k(w).predicted == cold.predictions(w)
+            # The good edge was not applied, so applying it alone does so.
+            outcome = apply(service, [good])
+            applied = outcome.added if op == "ingest" else outcome.removed
+            assert applied == [good]
 
     def test_compaction_cadence(self, small_social_graph, config):
         serving = ServingConfig(workers=1, compact_every=2)
