@@ -14,11 +14,10 @@ Run only the GAS leg of the engine ablation and emit machine-readable JSON::
 
     snaple ablation-engines --engine gas --json
 
-Run the engine ablation in 4 worker processes with superstep checkpoints,
-then resume from the newest checkpoint after an interruption::
+Run the engine ablation in 4 worker processes (a crashed worker is
+respawned and the run replayed, with an identical result)::
 
-    snaple ablation-engines --engine gas --workers 4 --checkpoint-dir ckpt
-    snaple ablation-engines --engine gas --workers 4 --checkpoint-dir ckpt --resume
+    snaple ablation-engines --engine gas --workers 4
 
 Serve predictions from a long-lived process, ingest an edge, and watch the
 answer change (the online-serving demo loop)::
@@ -146,36 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
             "segments) or 'memmap' (out-of-core: on-disk containers and "
             "spool files, equivalent to SNAPLE_OOC=1, bounding peak RSS "
             "on graphs larger than memory)"
-        ),
-    )
-    parser.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "persist superstep-boundary checkpoints of parallel (--workers) "
-            "runs under this directory, enabling crash recovery and --resume "
-            "(only experiments taking a 'checkpoint_dir' parameter, e.g. "
-            "ablation-engines)"
-        ),
-    )
-    parser.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "checkpoint cadence in supersteps (default 1; requires "
-            "--checkpoint-dir)"
-        ),
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "resume each run from the newest checkpoint in its "
-            "--checkpoint-dir subdirectory, e.g. after an interrupted "
-            "invocation; results are bit-identical to an uninterrupted run"
         ),
     )
     parser.add_argument(
@@ -350,13 +319,9 @@ def _run_serve(args: argparse.Namespace,
     )
     from repro.snaple.config import SnapleConfig
 
-    for flag, value in (("--engine", args.engine), ("--mode", args.mode),
-                        ("--checkpoint-dir", args.checkpoint_dir),
-                        ("--checkpoint-every", args.checkpoint_every)):
+    for flag, value in (("--engine", args.engine), ("--mode", args.mode)):
         if value is not None:
             parser.error(f"{flag} is not supported by 'serve'")
-    if args.resume:
-        parser.error("--resume is not supported by 'serve'")
 
     # Up-front validation (ConfigurationError), before any graph work.
     serving_config = ServingConfig(
@@ -689,25 +654,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             os.environ["SNAPLE_OOC"] = "1"
         else:
             os.environ.pop("SNAPLE_OOC", None)
-    if args.checkpoint_dir is not None:
-        if "checkpoint_dir" not in parameters:
-            parser.error(
-                f"--checkpoint-dir is not supported by experiment "
-                f"{args.experiment!r}"
-            )
-        if args.workers is None:
-            parser.error("--checkpoint-dir requires --workers")
-        kwargs["checkpoint_dir"] = args.checkpoint_dir
-    if args.checkpoint_every is not None:
-        if args.checkpoint_dir is None:
-            parser.error("--checkpoint-every requires --checkpoint-dir")
-        if args.checkpoint_every < 1:
-            parser.error("--checkpoint-every must be a positive integer")
-        kwargs["checkpoint_every"] = args.checkpoint_every
-    if args.resume:
-        if args.checkpoint_dir is None:
-            parser.error("--resume requires --checkpoint-dir")
-        kwargs["resume"] = True
     if args.mode is not None:
         if "mode" not in parameters:
             parser.error(

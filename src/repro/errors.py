@@ -60,17 +60,7 @@ class WorkerCrashError(EngineError):
 
     The parallel executor raises this only after exhausting its restart
     budget (see ``max_restarts``); within the budget it respawns the worker
-    pool and resumes from the last checkpoint transparently.
-    """
-
-
-class CheckpointError(ReproError):
-    """Raised when a checkpoint cannot be written, read, or verified.
-
-    Covers missing or truncated manifests, shard checksum mismatches, and
-    resuming against an incompatible graph/configuration/worker count.  A
-    corrupted checkpoint always surfaces as this error — never as silently
-    wrong predictions.
+    pool and replays the run from superstep 0 transparently.
     """
 
 

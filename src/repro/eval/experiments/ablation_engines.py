@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Any
 
 from repro.errors import ConfigurationError
@@ -120,9 +119,6 @@ def run_ablation_engines(
     k_local: float = 20,
     engines: tuple[str, ...] | None = None,
     workers: int | None = None,
-    checkpoint_dir: str | None = None,
-    checkpoint_every: int | None = None,
-    resume: bool = False,
 ) -> AblationEnginesResult:
     """Run the same SNAPLE configuration on the selected execution engines.
 
@@ -137,14 +133,6 @@ def run_ablation_engines(
     simulated cluster time.  The partitioner of each spec (e.g. the greedy
     vertex-cut) then controls partition locality rather than simulated
     placement.
-
-    ``checkpoint_dir`` (requires ``workers``) persists superstep-boundary
-    checkpoints for every run, each under its own
-    ``<checkpoint_dir>/<dataset>-<engine>`` subdirectory, at a
-    ``checkpoint_every`` cadence; with ``resume=True`` a run whose
-    subdirectory already holds checkpoints restores from the newest one
-    before executing — the CLI's ``--resume`` after an interrupted
-    invocation.  Results are bit-identical with and without resume.
     """
     if engines is None:
         engines = tuple(ENGINE_SPECS)
@@ -154,15 +142,6 @@ def run_ablation_engines(
                 f"unknown engine {engine!r}; available engines: "
                 f"{', '.join(sorted(ENGINE_SPECS))}"
             )
-    if checkpoint_dir is not None and workers is None:
-        raise ConfigurationError(
-            "checkpoint_dir requires workers=N; the simulated engines do "
-            "not checkpoint"
-        )
-    if (checkpoint_every is not None or resume) and checkpoint_dir is None:
-        raise ConfigurationError(
-            "checkpoint_every/resume require a checkpoint_dir"
-        )
     runner = ExperimentRunner(scale=scale, seed=seed)
     if workers is None:
         cluster_options: dict[str, Any] = {
@@ -178,21 +157,10 @@ def run_ablation_engines(
         predictor = SnapleLinkPredictor(config)
         for engine in engines:
             display_name, backend, make_options = ENGINE_SPECS[engine]
-            fault_tolerance: dict[str, Any] = {}
-            if checkpoint_dir is not None:
-                from repro.runtime.checkpoint import list_checkpoint_dirs
-
-                run_dir = Path(checkpoint_dir) / f"{dataset}-{engine}"
-                fault_tolerance["checkpoint_dir"] = run_dir
-                if checkpoint_every is not None:
-                    fault_tolerance["checkpoint_every"] = checkpoint_every
-                if resume and list_checkpoint_dirs(run_dir):
-                    fault_tolerance["resume_from"] = run_dir
             report = predictor.predict(
                 split.train_graph,
                 backend=backend,
                 **cluster_options,
-                **fault_tolerance,
                 **make_options(),
             )
             quality = evaluate_predictions(report.predictions, split)

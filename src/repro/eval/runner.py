@@ -158,8 +158,6 @@ class ExperimentRunner:
                     label: str | None = None,
                     removed_edges_per_vertex: int | None = None,
                     workers: int | None = None,
-                    checkpoint_dir=None, checkpoint_every: int | None = None,
-                    resume_from=None,
                     **options) -> ExperimentRun:
         """Run any registered execution backend against a dataset split.
 
@@ -169,10 +167,8 @@ class ExperimentRunner:
         :class:`~repro.runtime.report.RunReport` accounting into an
         :class:`ExperimentRun`.  ``workers`` executes partitions in
         shared-nothing worker processes on backends that support it (the
-        per-partition accounting lands in ``extra``); ``checkpoint_dir`` /
-        ``checkpoint_every`` / ``resume_from`` add checkpointed fault
-        tolerance to such runs (checkpoint bytes/seconds and any worker
-        restarts land in ``extra`` too).
+        per-partition accounting and any worker restarts land in
+        ``extra``).
         """
         split = self.split(dataset_name,
                            removed_edges_per_vertex=removed_edges_per_vertex)
@@ -182,12 +178,6 @@ class ExperimentRunner:
             options["workers"] = workers
             if label is None:
                 predictor_label += f" x{workers} workers"
-        if checkpoint_dir is not None:
-            options["checkpoint_dir"] = checkpoint_dir
-        if checkpoint_every is not None:
-            options["checkpoint_every"] = checkpoint_every
-        if resume_from is not None:
-            options["resume_from"] = resume_from
         if self._mode is not None and backend == "local":
             options.setdefault("mode", self._mode)
         predictor = SnapleLinkPredictor(config)

@@ -8,9 +8,10 @@ RSS stays bounded by the working set, not the graph.
 
 On-disk layout
 --------------
-One container is one directory, mirroring the checkpoint shard/manifest
-format of :mod:`repro.runtime.checkpoint` (SHA-256 digests per region,
-atomic tmp-dir + ``os.replace`` publication)::
+One container is one directory: a JSON manifest beside one data file.  The
+manifest holds a SHA-256 digest per array region, and a container becomes
+visible only through an atomic tmp-dir + ``os.replace`` publication, so a
+build that dies halfway never leaves a loadable half-written container::
 
     <container>/
         manifest.json     # format version, |V|, |E|, per-array region table

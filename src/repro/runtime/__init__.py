@@ -87,13 +87,7 @@ __all__ = [
     "StateSchema",
     "StateField",
     "FieldKind",
-    "CheckpointData",
     "FaultSpec",
-    "save_checkpoint",
-    "load_checkpoint",
-    "resolve_checkpoint",
-    "latest_valid_checkpoint",
-    "list_checkpoint_dirs",
 ]
 
 #: Lazily-resolved exports (PEP 562): name -> defining submodule.
@@ -112,13 +106,7 @@ _LAZY_EXPORTS = {
     "StateSchema": "repro.runtime.state",
     "StateField": "repro.runtime.state",
     "FieldKind": "repro.runtime.state",
-    "CheckpointData": "repro.runtime.checkpoint",
-    "FaultSpec": "repro.runtime.checkpoint",
-    "save_checkpoint": "repro.runtime.checkpoint",
-    "load_checkpoint": "repro.runtime.checkpoint",
-    "resolve_checkpoint": "repro.runtime.checkpoint",
-    "latest_valid_checkpoint": "repro.runtime.checkpoint",
-    "list_checkpoint_dirs": "repro.runtime.checkpoint",
+    "FaultSpec": "repro.runtime.parallel",
 }
 
 

@@ -52,18 +52,18 @@ def _reject_cluster_with_workers(cluster: ClusterConfig | None,
 
 
 def _fault_tolerance_options(workers: int | None, **options) -> dict:
-    """Validate and collect the checkpoint/recovery options of a backend.
+    """Validate and collect the crash-recovery options of a backend.
 
-    Checkpointing and crash recovery only exist on the shared-nothing
-    parallel path — the simulated serial engines have no worker processes
-    to lose — so every option here requires ``workers=N``.
+    Crash recovery only exists on the shared-nothing parallel path — the
+    simulated serial engines have no worker processes to lose — so every
+    option here requires ``workers=N``.
     """
     given = {name: value for name, value in options.items()
              if value is not None}
     if given and workers is None:
         raise ConfigurationError(
             f"the {', '.join(sorted(given))} option(s) require workers=N: "
-            "checkpointing and crash recovery apply to the shared-nothing "
+            "crash recovery applies to the shared-nothing "
             "parallel executor, not the simulated serial engines"
         )
     return given
@@ -110,21 +110,12 @@ def _parallel_report(backend_name: str,
     ``extra`` records the executor's state plane — the peak live column
     payload (``state_plane_peak_bytes``) and the coordinator routing time,
     with per-superstep breakdowns — and the segment plane and transport
-    bytes.  Fault tolerance rides along: ``worker_restarts`` (always),
-    ``checkpoints_written`` / ``checkpoint_bytes`` / ``checkpoint_seconds``
-    when snapshots were persisted, and ``resumed_from_superstep`` when the
-    run resumed (``0`` marks a from-scratch replay after a crash without a
-    usable checkpoint).
+    bytes.  Fault tolerance rides along as ``worker_restarts``: the number
+    of pool respawns, each of which replayed the run from superstep 0.
     """
     extra: dict[str, float] = {
         "worker_restarts": float(outcome.worker_restarts),
     }
-    if outcome.checkpoints_written:
-        extra["checkpoints_written"] = float(outcome.checkpoints_written)
-        extra["checkpoint_bytes"] = float(outcome.checkpoint_bytes)
-        extra["checkpoint_seconds"] = float(outcome.checkpoint_seconds)
-    if outcome.resumed_from is not None:
-        extra["resumed_from_superstep"] = float(outcome.resumed_from)
     if outcome.state_plane_bytes:
         extra["state_plane_peak_bytes"] = float(max(outcome.state_plane_bytes))
         extra["routing_seconds"] = float(sum(outcome.routing_seconds))
@@ -277,8 +268,7 @@ class GasBackend(ExecutionBackend):
                  partitioner: Partitioner | None = None,
                  enforce_memory: bool = True,
                  workers: int | None = None,
-                 checkpoint_dir=None, checkpoint_every: int | None = None,
-                 resume_from=None, worker_timeout: float | None = None,
+                 worker_timeout: float | None = None,
                  max_restarts: int | None = None, fault=None,
                  pool=None) -> None:
         super().__init__()
@@ -291,9 +281,6 @@ class GasBackend(ExecutionBackend):
         self._pool = pool
         self._fault_tolerance = _fault_tolerance_options(
             self._workers,
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every,
-            resume_from=resume_from,
             worker_timeout=worker_timeout,
             max_restarts=max_restarts,
             fault=fault,
@@ -309,7 +296,6 @@ class GasBackend(ExecutionBackend):
             incremental=False,
             parallel=True,
             options=("cluster", "partitioner", "enforce_memory", "workers",
-                     "checkpoint_dir", "checkpoint_every", "resume_from",
                      "worker_timeout", "max_restarts", "fault", "pool"),
         )
 

@@ -37,9 +37,9 @@ segment object (``name``/``buf``/``size``/``close``/``unlink`` plus the
 ``_buf``/``_mmap`` attributes the BufferError disarm path pokes), and
 :class:`~repro.runtime.shm.ShmColumnAllocator` allocates state columns
 over either registry.  Results and deterministic accounting are
-bit-identical on both planes — the parity grid asserts it — and
-checkpoints carry the ``columnar`` flavour on both, so resume works across
-planes in both directions.
+bit-identical on both planes — the parity grid asserts it — so a
+crash-recovered run on either plane equals an uninterrupted run on the
+other.
 
 The spool directory is removed on registry close (``finally``-driven, like
 the shm plane); there is no resource-tracker backstop for plain files, so
@@ -87,8 +87,7 @@ def segment_plane() -> type[ShmRegistry]:
     :class:`~repro.runtime.shm.ShmRegistry` when the platform can create
     shared-memory segments and ``SNAPLE_OOC`` is unset, otherwise
     :class:`MemmapRegistry`.  This is the only place the plane is chosen.
-    Results are bit-identical on both, so the choice is not part of any
-    checkpoint fingerprint.
+    Results are bit-identical on both.
     """
     if shm_available() and not ooc_enabled():
         return ShmRegistry

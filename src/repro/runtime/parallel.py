@@ -36,20 +36,22 @@ Fault tolerance
 Worker failure is treated as the common case, not the exception.  A superstep
 is *atomic*: the coordinator merges a superstep's results only after every
 partition's task returned, so a worker dying mid-superstep can never leave
-half-merged state behind.  With ``checkpoint_dir`` set the coordinator
-persists the loop state at superstep boundaries (every ``checkpoint_every``
-supersteps, default 1) through :mod:`repro.runtime.checkpoint` — atomic
-directory renames, SHA-256-verified shards.  When a worker process dies
-(detected immediately through the broken pool) or exceeds
-``worker_timeout`` seconds (treated as hung; the stragglers are killed), the
-coordinator discards the pool, spawns a fresh one, reloads the newest valid
-checkpoint — or restarts from scratch when none exists — and replays from
-that superstep.  Up to ``max_restarts`` recoveries are attempted before a
+half-merged state behind.  When a worker process dies (detected
+immediately through the broken pool) or exceeds ``worker_timeout`` seconds
+(treated as hung; the stragglers are killed), the coordinator discards the
+pool, spawns a fresh one and replays the run from superstep 0.  Up to
+``max_restarts`` recoveries are attempted before a
 :class:`~repro.errors.WorkerCrashError` propagates.  Because every random
-draw comes from a per-vertex ``(seed, step, vertex)`` stream, a replayed
-superstep repeats *exactly* the draws of the lost one: resumed runs are
+draw comes from a per-vertex ``(seed, step, vertex)`` stream, a replay
+repeats *exactly* the draws of the lost run: recovered runs are
 bit-identical to uninterrupted runs, predictions and deterministic
 accounting counters alike.
+
+Nothing is persisted between supersteps.  A run is three short,
+deterministic supersteps, so restoring a saved superstep boundary could
+spare at most two of them, and a recovered run's cost is dominated by
+spawning the fresh pool either way (the README's fault-tolerance section
+has the measurement).
 
 Determinism
 -----------
@@ -88,30 +90,13 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from repro.errors import (
-    CheckpointError,
-    ConfigurationError,
-    EngineError,
-    WorkerCrashError,
-)
+from repro.errors import ConfigurationError, EngineError, WorkerCrashError
 from repro.gas.vertex_program import EdgeDirection, VertexProgram
 from repro.graph.digraph import DiGraph
-from repro.runtime.checkpoint import (
-    CheckpointData,
-    CheckpointStats,
-    FaultSpec,
-    checkpoint_fingerprint,
-    latest_valid_checkpoint,
-    maybe_crash,
-    resolve_checkpoint,
-    save_checkpoint,
-    vertices_digest,
-)
 from repro.runtime.ooc import MemmapGraphHandle, segment_plane
 from repro.runtime.partition import partition_graph
 from repro.runtime.shm import (
@@ -126,6 +111,7 @@ from repro.runtime.state import StateStore, gather_slices
 from repro.snaple.config import SnapleConfig
 
 __all__ = [
+    "FaultSpec",
     "PartitionReport",
     "ParallelRunOutcome",
     "ParallelExecutor",
@@ -139,7 +125,7 @@ __all__ = [
 #: hundreds of interpreters.
 MAX_WORKERS = 64
 
-#: Default number of pool respawn + resume attempts after a worker crash.
+#: Default number of pool respawn + replay attempts after a worker crash.
 DEFAULT_MAX_RESTARTS = 2
 
 #: Algorithm 2's GAS steps: sample, similarity, recommendation.
@@ -157,6 +143,44 @@ def validate_workers(workers: Any) -> int:
             f"workers must be between 1 and {MAX_WORKERS}, got {workers}"
         )
     return workers
+
+
+# ----------------------------------------------------------------------
+# Fault injection (test harness)
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class FaultSpec:
+    """Deterministic one-shot crash injection for worker processes.
+
+    The worker executing ``partition``'s task at ``superstep`` hard-exits
+    (``os._exit``) *once*: the first process to trigger atomically creates
+    ``token_path`` (``O_CREAT | O_EXCL``) before dying, and every later
+    attempt — including the respawned worker re-running the same task after
+    recovery — sees the token and proceeds normally.  The token file makes
+    "kill worker N at superstep K" reproducible across pool restarts without
+    any shared in-memory state.
+    """
+
+    superstep: int
+    partition: int
+    token_path: str
+    exit_code: int = 13
+
+
+def maybe_crash(fault: FaultSpec | None, superstep: int, partition: int) -> None:
+    """Crash the current process if ``fault`` targets this (step, partition)."""
+    if fault is None:
+        return
+    if fault.superstep != superstep or fault.partition != partition:
+        return
+    try:
+        fd = os.open(fault.token_path,
+                     os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        return  # already fired once; behave normally on retry
+    os.write(fd, b"crashed\n")
+    os.close(fd)
+    os._exit(fault.exit_code)
 
 
 # ----------------------------------------------------------------------
@@ -190,21 +214,17 @@ class ParallelRunOutcome:
     superstep (coordinator time spent slicing and merging state, and the
     live columnar payload after the step).
 
-    ``checkpoints_written`` / ``checkpoint_bytes`` / ``checkpoint_seconds``
-    account the snapshots persisted during the run; ``worker_restarts``
-    counts pool respawns after worker crashes and ``resumed_from`` is the
-    superstep the run (last) resumed at — ``0`` for a from-scratch replay,
-    ``None`` when the run never resumed.
+    ``worker_restarts`` counts pool respawns after worker crashes; each one
+    replayed the run from superstep 0.
 
     ``shm_enabled`` records whether the run hosted graph + state columns in
     shared memory and ``ooc_enabled`` whether they lived in on-disk spool
     files instead (exactly one of the two is set);
     ``transport_bytes`` carries the bytes that actually crossed the process
-    boundary per executed superstep (descriptors + row indices).  Unlike the
+    boundary per superstep (descriptors + row indices).  Unlike the
     deterministic ``shipped``/``exchanged`` accounting — which is
     plane-independent by design — transport bytes are a measurement of the
-    wire, so they are *not* checkpointed: a resumed run reports entries only
-    for the supersteps it replayed.
+    wire.
     """
 
     predictions: dict[int, list[int]]
@@ -217,11 +237,7 @@ class ParallelRunOutcome:
     exchanged_bytes: int
     routing_seconds: list[float] = field(default_factory=list)
     state_plane_bytes: list[int] = field(default_factory=list)
-    checkpoints_written: int = 0
-    checkpoint_bytes: int = 0
-    checkpoint_seconds: float = 0.0
     worker_restarts: int = 0
-    resumed_from: int | None = None
     shm_enabled: bool = False
     ooc_enabled: bool = False
     transport_bytes: list[int] = field(default_factory=list)
@@ -236,9 +252,9 @@ class _Accounting:
     """The per-run counters a parallel run accumulates.
 
     Everything except the timing fields is deterministic, which is what lets
-    a checkpointed resume reproduce the uninterrupted run's accounting
-    exactly: the counters are snapshotted at the superstep boundary and the
-    replayed supersteps re-add exactly what the lost ones would have.
+    a replay after a crash reproduce the uninterrupted run's accounting
+    exactly: the lost attempt's counters are discarded with it and the
+    replay re-adds exactly what the uninterrupted run would have.
     """
 
     compute_seconds: list[float]
@@ -252,35 +268,6 @@ class _Accounting:
     @classmethod
     def fresh(cls, workers: int) -> "_Accounting":
         return cls([0.0] * workers, [0] * workers, [0] * workers, [0] * workers)
-
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "compute_seconds": list(self.compute_seconds),
-            "gathers": list(self.gathers),
-            "applies": list(self.applies),
-            "shipped": list(self.shipped),
-            "sync_overhead": float(self.sync_overhead),
-            "routing": list(self.routing),
-            "plane": list(self.plane),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any], workers: int) -> "_Accounting":
-        acct = cls(
-            compute_seconds=[float(v) for v in payload["compute_seconds"]],
-            gathers=[int(v) for v in payload["gathers"]],
-            applies=[int(v) for v in payload["applies"]],
-            shipped=[int(v) for v in payload["shipped"]],
-            sync_overhead=float(payload.get("sync_overhead", 0.0)),
-            routing=[float(v) for v in payload.get("routing", [])],
-            plane=[int(v) for v in payload.get("plane", [])],
-        )
-        if len(acct.gathers) != workers:
-            raise EngineError(
-                f"checkpoint accounting covers {len(acct.gathers)} partitions "
-                f"but the executor runs {workers}"
-            )
-        return acct
 
 
 # ----------------------------------------------------------------------
@@ -672,25 +659,14 @@ class ParallelExecutor:
         shipped, never the predictions.
     seed:
         Partitioner seed; defaults to the configuration's seed.
-    checkpoint_dir:
-        Directory for superstep-boundary checkpoints (see
-        :mod:`repro.runtime.checkpoint`).  ``None`` disables checkpointing;
-        crash recovery then replays from scratch.
-    checkpoint_every:
-        Checkpoint cadence in supersteps (default 1 when ``checkpoint_dir``
-        is set).  Requires ``checkpoint_dir``.
-    resume_from:
-        A checkpoint step directory — or a checkpoint root, resolving to its
-        newest step — to restore before executing.  Corruption or a
-        graph/config/workers mismatch raises
-        :class:`~repro.errors.CheckpointError`.
     max_restarts:
-        Crash recoveries attempted before the failure propagates.
+        Crash recoveries (pool respawn + replay from superstep 0) attempted
+        before the failure propagates.
     worker_timeout:
         Seconds a superstep may take before its workers are declared hung,
         killed and recovered (``None`` disables the watchdog).
     fault:
-        A :class:`~repro.runtime.checkpoint.FaultSpec` crash injection used
+        A :class:`FaultSpec` crash injection used
         by the fault-tolerance test harness; never set in production.
     pool:
         An optional :class:`WorkerPoolLease` to reuse the worker pool (and
@@ -701,9 +677,6 @@ class ParallelExecutor:
     def __init__(self, graph: DiGraph, config: SnapleConfig | None = None, *,
                  workers: int, partitioner: Any = None,
                  seed: int | None = None,
-                 checkpoint_dir: str | Path | None = None,
-                 checkpoint_every: int | None = None,
-                 resume_from: str | Path | None = None,
                  max_restarts: int = DEFAULT_MAX_RESTARTS,
                  worker_timeout: float | None = None,
                  fault: FaultSpec | None = None,
@@ -711,18 +684,6 @@ class ParallelExecutor:
         self._graph = graph
         self._config = config if config is not None else SnapleConfig()
         self._workers = validate_workers(workers)
-        if checkpoint_every is not None:
-            if (isinstance(checkpoint_every, bool)
-                    or not isinstance(checkpoint_every, int)
-                    or checkpoint_every < 1):
-                raise ConfigurationError(
-                    f"checkpoint_every must be a positive integer, got "
-                    f"{checkpoint_every!r}"
-                )
-            if checkpoint_dir is None:
-                raise ConfigurationError(
-                    "checkpoint_every requires a checkpoint_dir to write to"
-                )
         if isinstance(max_restarts, bool) or not isinstance(max_restarts, int) \
                 or max_restarts < 0:
             raise ConfigurationError(
@@ -736,21 +697,11 @@ class ParallelExecutor:
                 f"worker_timeout must be a positive number of seconds, got "
                 f"{worker_timeout!r}"
             )
-        self._checkpoint_dir = (
-            None if checkpoint_dir is None else Path(checkpoint_dir)
-        )
-        self._checkpoint_every = (
-            checkpoint_every if checkpoint_every is not None
-            else (1 if self._checkpoint_dir is not None else None)
-        )
-        self._resume_from = None if resume_from is None else Path(resume_from)
         self._max_restarts = max_restarts
         self._worker_timeout = (
             None if worker_timeout is None else float(worker_timeout)
         )
         self._fault = fault
-        self._ckpt_stats = CheckpointStats()
-        self._vertices_digest = "all"  # stamped per run() from its vertices
         # Each partition's vertex-cut masters are the vertices it owns.
         owner = [int(m) for m in partition_graph(
             graph, self._workers, partitioner=partitioner,
@@ -806,62 +757,6 @@ class ParallelExecutor:
                 f"{self._worker_timeout}s; treating its workers as hung"
             ) from exc
 
-    def _fingerprint(self) -> dict[str, Any]:
-        return checkpoint_fingerprint(
-            self._graph, self._config, workers=self._workers,
-            vertices=self._vertices_digest,
-        )
-
-    def _validate_resume(self, data: CheckpointData) -> None:
-        expected = self._fingerprint()
-        mismatched = {
-            key: (data.fingerprint.get(key), value)
-            for key, value in expected.items()
-            if data.fingerprint.get(key) != value
-        }
-        if mismatched:
-            detail = ", ".join(
-                f"{key}: checkpoint={found!r} != run={wanted!r}"
-                for key, (found, wanted) in sorted(mismatched.items())
-            )
-            raise CheckpointError(
-                f"checkpoint is not resumable by this run ({detail})"
-            )
-
-    def _checkpoint_due(self, next_step: int) -> bool:
-        """Whether the boundary after superstep ``next_step - 1`` persists.
-
-        A checkpoint is never written after the final superstep: the merged
-        prediction arrays of the final step live outside the vertex state,
-        so such a snapshot could not be resumed into a complete result.
-
-        Call sites gate on this *before* materializing the snapshot payload
-        (``store.snapshot()`` copies every state column), so runs without a
-        ``checkpoint_dir`` pay nothing on the hot path.
-        """
-        if self._checkpoint_dir is None or next_step >= _NUM_STEPS:
-            return False
-        return next_step % self._checkpoint_every == 0
-
-    def _write_checkpoint(self, next_step: int, *,
-                          state: Any, acct: _Accounting) -> None:
-        """Persist the loop state at a due superstep boundary."""
-        start = time.perf_counter()
-        data = CheckpointData(
-            superstep=next_step,
-            workers=self._workers,
-            fingerprint=self._fingerprint(),
-            state=state,
-            accounting=acct.to_payload(),
-            rng={
-                "seed": int(self._config.seed),
-                "scheme": "per-vertex (seed, step, vertex) streams",
-            },
-        )
-        self._ckpt_stats.bytes += save_checkpoint(self._checkpoint_dir, data)
-        self._ckpt_stats.written += 1
-        self._ckpt_stats.seconds += time.perf_counter() - start
-
     # ------------------------------------------------------------------
     def run(self, vertices: list[int] | None = None) -> ParallelRunOutcome:
         """Execute the program and merge per-partition results.
@@ -873,25 +768,14 @@ class ParallelExecutor:
 
         Graph and state columns live on the segment plane
         :func:`~repro.runtime.ooc.segment_plane` picks, for every scoring
-        configuration; tasks receive descriptors into it.  The plane is not
-        part of the checkpoint fingerprint: checkpoints resume across planes
-        in either direction.
+        configuration; tasks receive descriptors into it.
 
         Fault handling: a worker death or watchdog timeout discards the
-        pool, respawns it, and replays from the newest valid checkpoint
-        (from scratch when there is none) up to ``max_restarts`` times; the
-        returned outcome is bit-identical to an uninterrupted run.
+        pool, respawns it, and replays the run from superstep 0 up to
+        ``max_restarts`` times; the returned outcome is bit-identical to an
+        uninterrupted run.
         """
         start = time.perf_counter()
-        self._ckpt_stats = CheckpointStats()
-        self._vertices_digest = vertices_digest(vertices)
-        resume: CheckpointData | None = None
-        external_resume: CheckpointData | None = None
-        resumed_from: int | None = None
-        if self._resume_from is not None:
-            resume = external_resume = resolve_checkpoint(self._resume_from)
-            self._validate_resume(resume)
-            resumed_from = resume.superstep
         restarts = 0
         plane = segment_plane()
         # Fault-injected runs bypass the lease: crash tests must exercise
@@ -919,7 +803,7 @@ class ParallelExecutor:
                                        self._config, self._fault)
                 crashed = False
                 try:
-                    outcome = self._run_gas(pool, vertices, resume)
+                    outcome = self._run_gas(pool, vertices)
                     break
                 except WorkerCrashError:
                     crashed = True
@@ -935,18 +819,6 @@ class ParallelExecutor:
                     if self._graph_handle is None:
                         self._graph_handle = self._registry.host_graph(
                             self._graph)
-                    resume = None
-                    if self._checkpoint_dir is not None:
-                        resume = latest_valid_checkpoint(self._checkpoint_dir)
-                        if resume is not None:
-                            self._validate_resume(resume)
-                    # An explicitly supplied resume point stays valid: never
-                    # replay the work before it when nothing newer exists.
-                    if external_resume is not None and (
-                            resume is None
-                            or resume.superstep < external_resume.superstep):
-                        resume = external_resume
-                    resumed_from = 0 if resume is None else resume.superstep
                 finally:
                     if not leased:
                         self._shutdown_pool(pool, kill=crashed)
@@ -962,10 +834,6 @@ class ParallelExecutor:
         outcome.shm_enabled = plane is ShmRegistry
         outcome.ooc_enabled = not outcome.shm_enabled
         outcome.worker_restarts = restarts
-        outcome.resumed_from = resumed_from
-        outcome.checkpoints_written = self._ckpt_stats.written
-        outcome.checkpoint_bytes = self._ckpt_stats.bytes
-        outcome.checkpoint_seconds = self._ckpt_stats.seconds
         return outcome
 
     # ------------------------------------------------------------------
@@ -995,15 +863,15 @@ class ParallelExecutor:
 
         Computed from the live column's lengths so both segment planes
         account *identically* — ``shipped`` is the logical boundary payload,
-        part of the deterministic accounting the parity and resume suites
+        part of the deterministic accounting the parity and recovery suites
         compare bit-for-bit across planes.
         """
         column = store._column(name)
         per_element = 8 if column._vals is None else 16
         return per_element * int(column.lengths[rows[~own_mask]].sum())
 
-    def _run_gas(self, pool, vertices: list[int] | None,
-                 resume: CheckpointData | None) -> ParallelRunOutcome:
+    def _run_gas(self, pool,
+                 vertices: list[int] | None) -> ParallelRunOutcome:
         """Algorithm 2's three GAS steps over the columnar state plane.
 
         The coordinator keeps one segment-backed
@@ -1028,11 +896,6 @@ class ParallelExecutor:
                            allocator=ShmColumnAllocator(self._registry))
         transport: list[int] = []
         acct = _Accounting.fresh(self._workers)
-        start_step = 0
-        if resume is not None:
-            start_step = resume.superstep
-            store.merge(resume.state)
-            acct = _Accounting.from_payload(resume.accounting, self._workers)
         indptr, indices = graph.csr_out_adjacency()
         degrees = np.diff(indptr)
         owner = self._owner_array
@@ -1041,7 +904,7 @@ class ParallelExecutor:
         prediction_parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         score_parts: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
 
-        for step_index in range(start_step, _NUM_STEPS):
+        for step_index in range(_NUM_STEPS):
             step_start = time.perf_counter()
             route_seconds = 0.0
             step_transport = 0
@@ -1109,9 +972,6 @@ class ParallelExecutor:
             acct.sync_overhead += max(
                 0.0, (time.perf_counter() - step_start) - slowest
             )
-            if self._checkpoint_due(step_index + 1):
-                self._write_checkpoint(step_index + 1, state=store.snapshot(),
-                                       acct=acct)
 
         predictions_all: dict[int, list[int]] = {}
         for rows, counts, flat in prediction_parts:
@@ -1204,9 +1064,8 @@ def run_parallel_gas(graph: DiGraph, config: SnapleConfig | None = None, *,
                      **fault_tolerance: Any) -> ParallelRunOutcome:
     """Run Algorithm 2's GAS steps with partitions in parallel processes.
 
-    ``fault_tolerance`` forwards the checkpoint/recovery options
-    (``checkpoint_dir``, ``checkpoint_every``, ``resume_from``,
-    ``max_restarts``, ``worker_timeout``, ``fault``) to
+    ``fault_tolerance`` forwards the crash-recovery options
+    (``max_restarts``, ``worker_timeout``, ``fault``) to
     :class:`ParallelExecutor`; ``pool`` optionally reuses a
     :class:`WorkerPoolLease` across runs.
     """

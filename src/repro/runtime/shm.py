@@ -26,14 +26,9 @@ Every segment is created by the coordinator through a context-managed
 SIGKILLed worker can never leak one.  The registry unlinks all outstanding
 segments on ``close()`` (run in a ``finally``), and every segment name
 carries the :data:`SEGMENT_PREFIX` so tests — and the CI leak check — can
-assert ``/dev/shm`` is clean after success, crash and resume alike.  If the
+assert ``/dev/shm`` is clean after success, crash and replay alike.  If the
 coordinator itself dies, Python's ``resource_tracker`` unlinks whatever the
 registry could not, as a last-resort backstop.
-
-Checkpoint interplay: :meth:`~repro.runtime.state.StateStore.snapshot`
-always *copies* rows out of the columns (its extracts are index gathers),
-so checkpoints never persist live shared-memory views — a snapshot outlives
-the segments it was taken from, which the resume tests assert.
 """
 
 from __future__ import annotations

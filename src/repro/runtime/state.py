@@ -9,7 +9,7 @@ Every field is a ragged column (flat value buffer + per-vertex offsets)
 with CSR-shaped bulk access for the vectorized kernel.  Column buffers come
 from an :class:`ArrayAllocator`, which is how the segment plane
 (:mod:`repro.runtime.shm`) hosts them in shared memory or spool files;
-:class:`StateSlice` is the unit tasks read and checkpoints persist.
+:class:`StateSlice` is the unit tasks read.
 
 The simulated serial engine (:mod:`repro.gas.engine`) does not use this
 module: it keeps plain per-vertex dicts.
@@ -347,8 +347,7 @@ class StateSlice:
 
     ``ragged`` maps a field name to ``(counts, ids, vals, present)`` arrays
     aligned with ``rows``.  Workers materialize slices out of the segment
-    plane and checkpoints persist them — a handful of flat arrays regardless
-    of vertex count.
+    plane — a handful of flat arrays regardless of vertex count.
     """
 
     num_vertices: int
@@ -369,7 +368,7 @@ class StateStore:
     """Structure-of-arrays vertex state for one ``workers=N`` run.
 
     One ragged column per schema field, accessed in bulk through
-    :meth:`set_rows` / :meth:`field_csr` / :meth:`extract` / :meth:`merge`.
+    :meth:`set_rows` / :meth:`field_csr` / :meth:`extract`.
     """
 
     def __init__(self, num_vertices: int, schema: StateSchema,
@@ -430,34 +429,6 @@ class StateStore:
         for name in fields:
             out.ragged[name] = self._column(name).gather(rows)
         return out
-
-    def snapshot(self) -> StateSlice:
-        """A :class:`StateSlice` of every field for every vertex.
-
-        This is the unit the checkpoint subsystem persists: restoring into a
-        fresh store via :meth:`merge` reproduces the live state exactly
-        (present masks included), which is what makes a resumed run
-        bit-identical to an uninterrupted one.
-        """
-        rows = np.arange(self._num_vertices, dtype=np.int64)
-        return self.extract(rows, self._schema.names())
-
-    def merge(self, state_slice: StateSlice) -> None:
-        """Write a slice's fields back into the store (bulk, per field)."""
-        rows = state_slice.rows
-        for name, (counts, ids, vals, present) in state_slice.ragged.items():
-            column = self._column(name)
-            if bool(present.all()):
-                column.set_rows(rows, counts, ids, vals)
-            else:
-                kept = present
-                positions = gather_slices(
-                    indptr_from_counts(counts)[:-1][kept], counts[kept]
-                )
-                column.set_rows(
-                    rows[kept], counts[kept], ids[positions],
-                    vals[positions] if vals is not None else None,
-                )
 
     # -- accounting ----------------------------------------------------
     def nbytes(self) -> int:

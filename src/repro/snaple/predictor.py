@@ -89,9 +89,7 @@ class SnapleLinkPredictor:
     # ------------------------------------------------------------------
     def predict(self, graph: DiGraph, *, backend: str | None = None,
                 mode: str | None = None, vertices: list[int] | None = None,
-                workers: int | None = None,
-                checkpoint_dir=None, checkpoint_every: int | None = None,
-                resume_from=None, **options):
+                workers: int | None = None, **options):
         """Run SNAPLE scoring on the named execution backend.
 
         Parameters
@@ -117,16 +115,9 @@ class SnapleLinkPredictor:
             accept it — among the built-ins that is ``gas`` alone; every
             other backend raises
             :class:`~repro.errors.ConfigurationError` before any graph
-            work.  Predictions are identical for every worker count.
-        checkpoint_dir, checkpoint_every, resume_from:
-            Fault tolerance for ``workers=N`` runs (see
-            :mod:`repro.runtime.checkpoint`): persist the loop state to
-            ``checkpoint_dir`` every ``checkpoint_every`` supersteps
-            (default 1), and/or restore from ``resume_from`` (a checkpoint
-            step directory or a checkpoint root, which resolves to its
-            newest snapshot) before executing.  A resumed run's predictions
-            are bit-identical to an uninterrupted one; corrupt checkpoints
-            raise :class:`~repro.errors.CheckpointError`.
+            work.  Predictions are identical for every worker count, and
+            a run that recovers from a worker crash replays from superstep
+            0 to the same answer.
         **options:
             Backend-specific options (e.g. ``cluster=`` / ``partitioner=`` /
             ``enforce_memory=`` for the simulated engines).  Unknown backends
@@ -146,12 +137,6 @@ class SnapleLinkPredictor:
             # the executor bypasses the lease for fault-injected runs and
             # invalidates it after worker crashes.
             options.setdefault("pool", self._worker_pool())
-        if checkpoint_dir is not None:
-            options["checkpoint_dir"] = checkpoint_dir
-        if checkpoint_every is not None:
-            options["checkpoint_every"] = checkpoint_every
-        if resume_from is not None:
-            options["resume_from"] = resume_from
         if mode is not None:
             # An execution mode for the (possibly defaulted) backend, e.g.
             # mode="vectorized" / mode="reference" on the local backend.

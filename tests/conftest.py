@@ -12,7 +12,7 @@ from hypothesis import settings as hypothesis_settings
 from repro.graph import generators
 from repro.graph.builder import GraphBuilder
 from repro.graph.digraph import DiGraph
-from repro.runtime.checkpoint import FaultSpec, list_checkpoint_dirs
+from repro.runtime.parallel import FaultSpec
 from repro.snaple.config import SnapleConfig
 
 # Property-test settings are registered centrally: examples that spawn real
@@ -173,7 +173,7 @@ def scalar_reference(graph: DiGraph, config: SnapleConfig
 
     Serial :class:`~repro.gas.engine.GasEngine` over Algorithm 2's steps,
     with the per-vertex RNG streams ``workers=N`` uses — so every parallel
-    run, on any worker count, partitioner, transport or resume point, must
+    run, on any worker count, partitioner, transport or crash point, must
     equal it exactly.
     """
     from repro.gas.engine import GasEngine
@@ -190,7 +190,7 @@ def scalar_reference(graph: DiGraph, config: SnapleConfig
 
 #: The placements every parallel grid crosses: PowerGraph's random
 #: vertex-cut (the default) and the greedy vertex-cut.  Placement changes
-#: shipped bytes and checkpoint accounting, never the answer.
+#: shipped bytes, never the answer.
 PARTITIONERS = ("random", "greedy")
 
 
@@ -209,19 +209,12 @@ def assert_matches_reference(report, reference) -> None:
 
 
 class FaultInjector:
-    """Drives deterministic failures against the parallel execution stack.
+    """Drives deterministic worker crashes against the parallel stack.
 
-    Three failure modes, matching what commodity clusters actually do:
-
-    * :meth:`kill_worker` — a one-shot
-      :class:`~repro.runtime.checkpoint.FaultSpec` that hard-kills the
-      worker running partition N's task at superstep K (pass it as the
-      ``fault=`` option of a parallel backend/executor);
-    * :meth:`corrupt_shard` — flips a byte in a written checkpoint shard,
-      which must surface as a checksum
-      :class:`~repro.errors.CheckpointError` on resume;
-    * :meth:`truncate_manifest` — cuts a checkpoint manifest short, which
-      must surface as a parse :class:`~repro.errors.CheckpointError`.
+    :meth:`kill_worker` returns a one-shot
+    :class:`~repro.runtime.parallel.FaultSpec` that hard-kills the worker
+    running partition N's task at superstep K (pass it as the ``fault=``
+    option of a parallel backend/executor).
     """
 
     def __init__(self, tmp_path: Path) -> None:
@@ -235,35 +228,8 @@ class FaultInjector:
         return FaultSpec(superstep=superstep, partition=partition,
                          token_path=str(token))
 
-    @staticmethod
-    def _step_dir(checkpoint_root: Path, step: int | None) -> Path:
-        steps = list_checkpoint_dirs(checkpoint_root)
-        assert steps, f"no checkpoints under {checkpoint_root}"
-        if step is None:
-            return steps[-1]
-        by_number = {int(path.name.split("-")[-1]): path for path in steps}
-        return by_number[step]
-
-    def corrupt_shard(self, checkpoint_root: Path, *,
-                      shard: str = "state.bin",
-                      step: int | None = None) -> Path:
-        """Flip one byte in the middle of a checkpoint shard."""
-        path = self._step_dir(Path(checkpoint_root), step) / shard
-        blob = bytearray(path.read_bytes())
-        blob[len(blob) // 2] ^= 0xFF
-        path.write_bytes(bytes(blob))
-        return path
-
-    def truncate_manifest(self, checkpoint_root: Path, *,
-                          step: int | None = None,
-                          keep_bytes: int = 25) -> Path:
-        """Cut a checkpoint manifest down to ``keep_bytes`` bytes."""
-        path = self._step_dir(Path(checkpoint_root), step) / "manifest.json"
-        path.write_bytes(path.read_bytes()[:keep_bytes])
-        return path
-
 
 @pytest.fixture
 def fault_injector(tmp_path: Path) -> FaultInjector:
-    """Crash/corruption injection harness for fault-tolerance tests."""
+    """Crash injection harness for fault-tolerance tests."""
     return FaultInjector(tmp_path)

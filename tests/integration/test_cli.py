@@ -149,11 +149,23 @@ class TestServeMain:
 
     def test_batch_flags_rejected_for_serve(self):
         for argv in (["serve", "--engine", "gas"],
-                     ["serve", "--mode", "reference"],
-                     ["serve", "--checkpoint-dir", "/tmp/ckpt"],
-                     ["serve", "--resume"]):
+                     ["serve", "--mode", "reference"]):
             with pytest.raises(SystemExit):
                 main(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--checkpoint-dir", "snapshots"],
+        ["serve", "--checkpoint-every", "1"],
+        ["serve", "--resume"],
+        ["ablation-engines", "--workers", "2", "--checkpoint-dir",
+         "snapshots"],
+        ["ablation-engines", "--workers", "2", "--checkpoint-every", "1"],
+        ["ablation-engines", "--workers", "2", "--resume"],
+    ])
+    def test_removed_snapshot_flags_are_unknown(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
 
     @pytest.mark.parametrize("argv", [
         ["serve", "--queue-bound", "0"],

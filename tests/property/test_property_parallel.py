@@ -1,6 +1,6 @@
 """Hypothesis properties of the shared-nothing parallel execution layer.
 
-Three properties pin down what makes parallel execution trustworthy:
+Four properties pin down what makes parallel execution trustworthy:
 
 * **determinism** — for a fixed seed, running the same parallel
   configuration twice produces bit-identical predictions and scores;
@@ -8,20 +8,30 @@ Three properties pin down what makes parallel execution trustworthy:
   (``tests.conftest.scalar_reference``) in predictions and scores;
 * **partition independence** — the number of partitions/workers (and the
   vertex-cut placing them) never changes the predictions, only the
-  accounting.
+  accounting;
+* **crash transparency** — a run that loses a worker at any superstep and
+  recovers by respawning the pool and replaying from superstep 0 is
+  bit-identical to an uninterrupted run: predictions, candidate scores and
+  deterministic accounting counters.  The per-vertex ``(seed, step,
+  vertex)`` RNG streams make the replay exact.
 
 Each example spins up real worker processes, so the graphs stay small and
-the example counts low; the parity suite covers larger fixed graphs.
+the example counts low; the parity suite covers larger fixed graphs, and
+``tests/runtime/test_crash_recovery.py`` the full fixed crash grid.
 """
 
 from __future__ import annotations
 
 import math
+import tempfile
+import uuid
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.generators import powerlaw_cluster
+from repro.runtime.parallel import FaultSpec
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
 from tests.conftest import (
@@ -111,3 +121,35 @@ class TestPartitionIndependence:
         assert sum(
             partition.num_vertices for partition in report.partition_reports
         ) == graph.num_vertices
+
+
+class TestCrashAtAnySuperstep:
+    @settings(max_examples=6, deadline=None)
+    @given(graph=graphs, config=configs,
+           partitioner=st.sampled_from(PARTITIONERS),
+           crash_step=st.integers(min_value=0, max_value=2),
+           partition=st.integers(min_value=0, max_value=1))
+    def test_recovered_run_is_bit_identical(self, graph, config, partitioner,
+                                            crash_step, partition):
+        with SnapleLinkPredictor(config) as predictor, \
+                tempfile.TemporaryDirectory() as scratch:
+            baseline = predictor.predict(graph, backend="gas", workers=2,
+                                         **partitioner_option(partitioner))
+            # A fresh token per example keeps every drawn fault one-shot.
+            fault = FaultSpec(
+                superstep=crash_step, partition=partition,
+                token_path=str(Path(scratch) / f"token-{uuid.uuid4().hex}"),
+            )
+            recovered = predictor.predict(
+                graph, backend="gas", workers=2, fault=fault,
+                **partitioner_option(partitioner),
+            )
+        assert recovered.extra["worker_restarts"] == 1.0
+        assert recovered.predictions == baseline.predictions
+        assert dict(recovered.scores) == dict(baseline.scores)
+        assert recovered.supersteps == baseline.supersteps
+        for expected, actual in zip(baseline.partition_reports,
+                                    recovered.partition_reports):
+            assert actual.gather_invocations == expected.gather_invocations
+            assert actual.apply_invocations == expected.apply_invocations
+            assert actual.shipped_bytes == expected.shipped_bytes

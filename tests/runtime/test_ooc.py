@@ -5,13 +5,13 @@ file-backed mappings instead of POSIX shared memory — to bound peak RSS
 (``SNAPLE_OOC=1``) and on platforms without shared memory.  Pinned here:
 
 * **lifecycle** — every spool directory a run creates is removed again
-  (success, crash, or resume), and predictors release their pool lease on
+  (success, crash, or recovery), and predictors release their pool lease on
   ``close()``;
 * **fallback** — with no shared memory, ``workers=N`` runs land on spool
   files and still equal the scalar reference (the {shm, spool} parity grid
   itself lives in ``test_shm.py``);
-* **portability** — checkpoints name no plane, so a run checkpointed under
-  one resumes under the other.
+* **portability** — a run that recovers from a worker crash on one plane
+  equals the uninterrupted run on the other.
 """
 
 from __future__ import annotations
@@ -325,46 +325,43 @@ class TestNoShmPlatform:
         assert_no_leaked_spools()
 
 
-class TestCrossTierResume:
-    """A checkpoint written under one tier resumes under another."""
+class TestCrossTierRecovery:
+    """A crash recovered on one tier equals the other tier's clean run."""
 
-    def _crash_then_resume(self, write_env, resume_env, monkeypatch,
-                           fault_injector, tmp_path, random_graph):
+    def _crash_on(self, crash_env, baseline_env, superstep, monkeypatch,
+                  fault_injector, random_graph):
         graph = parity_graph(random_graph)
         predictor = SnapleLinkPredictor(parity_config())
+        for name, value in baseline_env.items():
+            monkeypatch.setenv(name, value)
         baseline = predictor.predict(graph, backend="gas", workers=2)
         predictor.close()
-        checkpoint_dir = tmp_path / "ckpt"
-
-        for name, value in write_env.items():
-            monkeypatch.setenv(name, value)
-        fault = fault_injector.kill_worker(2, partition=0)
-        with pytest.raises(WorkerCrashError):
-            predictor.predict(graph, backend="gas", workers=2,
-                              checkpoint_dir=checkpoint_dir,
-                              max_restarts=0, fault=fault)
-        predictor.close()
-        for name in write_env:
+        for name in baseline_env:
             monkeypatch.delenv(name)
 
-        for name, value in resume_env.items():
+        for name, value in crash_env.items():
             monkeypatch.setenv(name, value)
-        resumed = predictor.predict(graph, backend="gas", workers=2,
-                                    resume_from=checkpoint_dir)
+        fault = fault_injector.kill_worker(superstep, partition=0)
+        recovered = predictor.predict(graph, backend="gas", workers=2,
+                                      fault=fault)
         predictor.close()
-        assert resumed.predictions == baseline.predictions
-        assert dict(resumed.scores) == dict(baseline.scores)
+        assert recovered.extra["worker_restarts"] == 1.0
+        assert recovered.extra["ooc_enabled"] == float(bool(crash_env))
+        assert recovered.predictions == baseline.predictions
+        assert dict(recovered.scores) == dict(baseline.scores)
         assert_no_leaked_spools()
 
-    def test_checkpoint_under_shm_resumes_under_memmap(
-            self, monkeypatch, fault_injector, tmp_path, random_graph):
-        self._crash_then_resume({}, {"SNAPLE_OOC": "1"}, monkeypatch,
-                                fault_injector, tmp_path, random_graph)
+    @pytest.mark.parametrize("superstep", range(3))
+    def test_crash_under_memmap_equals_shm_baseline(
+            self, superstep, monkeypatch, fault_injector, random_graph):
+        self._crash_on({"SNAPLE_OOC": "1"}, {}, superstep, monkeypatch,
+                       fault_injector, random_graph)
 
-    def test_checkpoint_under_memmap_resumes_under_shm(
-            self, monkeypatch, fault_injector, tmp_path, random_graph):
-        self._crash_then_resume({"SNAPLE_OOC": "1"}, {}, monkeypatch,
-                                fault_injector, tmp_path, random_graph)
+    @pytest.mark.parametrize("superstep", range(3))
+    def test_crash_under_shm_equals_memmap_baseline(
+            self, superstep, monkeypatch, fault_injector, random_graph):
+        self._crash_on({}, {"SNAPLE_OOC": "1"}, superstep, monkeypatch,
+                       fault_injector, random_graph)
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,8 @@
 CLI's ``--json`` output, the benchmark JSON records, and anything a driver
 persists.  These tests pin that the payload (a) survives a real
 ``json.dumps``/``json.loads`` round trip without loss, and (b) carries the
-accounting added by the parallel/state-plane/checkpoint layers: the PR 4
-``extra`` state-plane keys and the checkpoint/recovery fields.
+accounting added by the parallel/state-plane layers: the ``extra``
+state-plane keys and the crash-recovery restart count.
 """
 
 from __future__ import annotations
@@ -47,7 +47,12 @@ def graph(request):
 
 @pytest.fixture(scope="module")
 def predictor():
-    return SnapleLinkPredictor(SnapleConfig.paper_default(seed=3, k_local=6))
+    # Closed explicitly: after a crash-recovery run the predictor's pool
+    # lease can sit in a reference cycle, so garbage collection would
+    # release its segments only at some later collection.
+    with SnapleLinkPredictor(
+            SnapleConfig.paper_default(seed=3, k_local=6)) as predictor:
+        yield predictor
 
 
 class TestSerialReportRoundtrip:
@@ -106,25 +111,15 @@ class TestParallelReportRoundtrip:
             assert f"routing_seconds_step{step}" in restored["extra"]
         assert restored["extra"]["worker_restarts"] == 0.0
 
-    def test_checkpointed_report_fields(self, graph, predictor, tmp_path):
-        report = predictor.predict(graph, backend="gas", workers=2,
-                                   checkpoint_dir=tmp_path / "ckpt")
-        restored = roundtrip(report.to_dict())
-        assert restored["extra"]["checkpoints_written"] == 2.0
-        assert restored["extra"]["checkpoint_bytes"] > 0.0
-        assert restored["extra"]["checkpoint_seconds"] >= 0.0
-        assert "resumed_from_superstep" not in restored["extra"]
-
-    def test_resumed_report_fields(self, graph, predictor, tmp_path):
-        first = predictor.predict(graph, backend="gas", workers=2,
-                                  checkpoint_dir=tmp_path / "ckpt")
-        resumed = predictor.predict(graph, backend="gas", workers=2,
-                                    resume_from=tmp_path / "ckpt")
-        restored = roundtrip(resumed.to_dict())
-        # The newest snapshot precedes the (never-checkpointed) final step.
-        assert restored["extra"]["resumed_from_superstep"] == float(
-            first.supersteps - 1
+    def test_recovered_report_fields(self, graph, predictor,
+                                     fault_injector):
+        first = predictor.predict(graph, backend="gas", workers=2)
+        recovered = predictor.predict(
+            graph, backend="gas", workers=2,
+            fault=fault_injector.kill_worker(2, partition=1),
         )
+        restored = roundtrip(recovered.to_dict())
+        assert restored["extra"]["worker_restarts"] == 1.0
         assert restored["predictions"] == {
             str(u): targets for u, targets in first.predictions.items()
         }

@@ -88,24 +88,27 @@ class TestStateStore:
             1: [10, 11], 3: [], 4: [20, 21, 22],
         }
 
-    def test_extract_merge_roundtrip_preserves_presence(self):
-        schema = snaple_like_schema()
-        source = StateStore(6, schema)
-        source.set_rows("gamma", np.array([1]), np.array([2]),
-                        np.array([4, 5], dtype=np.int64))
-        # Insertion order of a kept map survives the round trip.
-        source.set_rows("sims", np.array([2]), np.array([3]),
-                        np.array([7, 2, 9], dtype=np.int64),
-                        np.array([0.5, 0.25, 1.0]))
-        state_slice = source.extract(np.array([1, 2, 3, 4]),
-                                     ("gamma", "sims"))
-        destination = StateStore(6, schema)
-        destination.merge(state_slice)
-        assert rows_of(destination, range(6), "gamma") == {1: [4, 5]}
-        sims = rows_of(destination, range(6), "sims")
-        assert list(sims[2].items()) == [(7, 0.5), (2, 0.25), (9, 1.0)]
-        assert set(sims) == {2}
-        assert destination.nbytes() == source.nbytes() == 2 * 8 + 3 * 16
+    def test_extract_preserves_presence_and_order(self):
+        store = StateStore(6, snaple_like_schema())
+        store.set_rows("gamma", np.array([1]), np.array([2]),
+                       np.array([4, 5], dtype=np.int64))
+        # Insertion order of a kept map survives the extract.
+        store.set_rows("sims", np.array([2]), np.array([3]),
+                       np.array([7, 2, 9], dtype=np.int64),
+                       np.array([0.5, 0.25, 1.0]))
+        state_slice = store.extract(np.array([4, 1, 3, 2]),
+                                    ("gamma", "sims"))
+        assert state_slice.rows.tolist() == [1, 2, 3, 4]
+        counts, ids, vals, present = state_slice.ragged["gamma"]
+        assert present.tolist() == [True, False, False, False]
+        assert counts.tolist() == [2, 0, 0, 0]
+        assert ids.tolist() == [4, 5] and vals is None
+        counts, ids, vals, present = state_slice.ragged["sims"]
+        assert present.tolist() == [False, True, False, False]
+        assert counts.tolist() == [0, 3, 0, 0]
+        assert ids.tolist() == [7, 2, 9]
+        assert vals.tolist() == [0.5, 0.25, 1.0]
+        assert store.nbytes() == 2 * 8 + 3 * 16
 
 
     def test_slices_decode_into_the_serial_engines_dicts(self):

@@ -40,7 +40,7 @@ def _absent_edge(graph, seed=0):
 
 def test_import_leaves_the_parallel_executor_unloaded():
     """Serving runs in threads: importing it must not pull in the process
-    pool executor (and with it the checkpoint and segment-plane modules)."""
+    pool executor (and with it the segment-plane modules)."""
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
