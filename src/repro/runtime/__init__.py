@@ -3,9 +3,9 @@
 One scoring framework, many engines: this package defines the
 :class:`~repro.runtime.backend.ExecutionBackend` protocol, the string-keyed
 backend registry, the normalized :class:`~repro.runtime.report.RunReport`
-accounting shared by every engine, and the columnar state plane
-(:mod:`repro.runtime.state`) the ``workers=N`` executor keeps its vertex
-state in.  The first registry lookup registers the five built-in backends:
+accounting shared by every engine, and the ``workers=N`` executor
+(:mod:`repro.runtime.parallel`).  The first registry lookup registers the
+five built-in backends:
 
 ========================  =====================================================
 ``local``                 single-process scoring (vectorized CSR kernel)
@@ -83,10 +83,6 @@ __all__ = [
     "ParallelRunOutcome",
     "PartitionReport",
     "run_parallel_gas",
-    "StateStore",
-    "StateSchema",
-    "StateField",
-    "FieldKind",
     "FaultSpec",
 ]
 
@@ -102,10 +98,6 @@ _LAZY_EXPORTS = {
     "ParallelRunOutcome": "repro.runtime.parallel",
     "PartitionReport": "repro.runtime.parallel",
     "run_parallel_gas": "repro.runtime.parallel",
-    "StateStore": "repro.runtime.state",
-    "StateSchema": "repro.runtime.state",
-    "StateField": "repro.runtime.state",
-    "FieldKind": "repro.runtime.state",
     "FaultSpec": "repro.runtime.parallel",
 }
 

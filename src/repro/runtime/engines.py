@@ -107,11 +107,11 @@ def _parallel_report(backend_name: str,
     wall-clock parallelism, not the analytical cluster model.  The totals
     are derived from the per-partition reports so they cannot drift.
 
-    ``extra`` records the executor's state plane — the peak live column
-    payload (``state_plane_peak_bytes``) and the coordinator routing time,
-    with per-superstep breakdowns — and the segment plane and transport
-    bytes.  Fault tolerance rides along as ``worker_restarts``: the number
-    of pool respawns, each of which replayed the run from superstep 0.
+    ``extra`` records the phase outputs hosted on the segment plane (peak
+    ``state_plane_peak_bytes``), the coordinator routing time and the
+    transport bytes, with per-phase breakdowns, and which plane ran.  Fault
+    tolerance rides along as ``worker_restarts``: the number of pool
+    respawns, each of which replayed the run from phase 0.
     """
     extra: dict[str, float] = {
         "worker_restarts": float(outcome.worker_restarts),

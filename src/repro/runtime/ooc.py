@@ -15,7 +15,7 @@ On the spool plane:
   container (:mod:`repro.graph.storage`) each worker maps read-only in
   O(1), reusing a pre-existing container (``DiGraph.load_memmap``) without
   copying a byte;
-* state columns and message blocks live in *spool files* created by a
+* each phase's assembled output lives in *spool files* created by a
   :class:`MemmapRegistry` under one run-scoped spool directory
   (``$TMPDIR/snaple-ooc-*``, override the parent with ``SNAPLE_OOC_DIR``);
 * what crosses the process boundary is unchanged — the same
@@ -24,7 +24,7 @@ On the spool plane:
   and maps read-only.
 
 Because file-backed ``MAP_SHARED`` pages are reclaimable page cache rather
-than anonymous memory, the kernel can evict cold graph and column pages
+than anonymous memory, the kernel can evict cold graph and phase-output pages
 under pressure: peak RSS stays bounded while the on-disk working set grows
 (``benchmarks/bench_out_of_core.py`` gates on exactly this).  Coherence
 needs no flushing — coordinator writes and worker reads meet in the same
@@ -34,9 +34,9 @@ Everything else is shared with the shm plane: :class:`MemmapRegistry`
 reuses the shm registry's packing, release and accounting logic because
 :class:`FileSegment` duck-types ``multiprocessing.shared_memory``'s
 segment object (``name``/``buf``/``size``/``close``/``unlink`` plus the
-``_buf``/``_mmap`` attributes the BufferError disarm path pokes), and
-:class:`~repro.runtime.shm.ShmColumnAllocator` allocates state columns
-over either registry.  Results and deterministic accounting are
+``_buf``/``_mmap`` attributes the BufferError disarm path pokes), so
+``share_arrays`` hosts a phase's output on either plane.  Results and
+deterministic accounting are
 bit-identical on both planes — the parity grid asserts it — so a
 crash-recovered run on either plane equals an uninterrupted run on the
 other.

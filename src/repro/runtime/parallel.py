@@ -1,45 +1,47 @@
-"""Shared-nothing parallel execution of SNAPLE across graph partitions.
+"""Parallel execution of SNAPLE across vertex partitions.
 
 The simulated GAS engine only *models* distribution in one Python process.
-This module makes the partitions real: the graph is split into ``workers``
-partitions, each partition is mapped to a worker process of a process pool,
-and the coordinator exchanges gather state between Algorithm 2's three GAS
-steps, merging the per-partition vertex state and accounting back into one
-:class:`~repro.runtime.report.RunReport`.  It is the execution path of
+This module makes the partitions real: the vertices are split into
+``workers`` partitions, each partition is mapped to a worker process of a
+process pool, and the per-partition results and accounting merge back into
+one :class:`~repro.runtime.report.RunReport`.  It is the execution path of
 ``backend="gas", workers=N``.
 
 Execution model
 ---------------
-Workers are stateless between supersteps: for every superstep the
-coordinator ships each partition the snapshot slice it needs (its own
-vertices plus the boundary vertices its gathers read), the worker runs the
-step over its owned vertices, and the coordinator merges the returned
-updates.  This gives *superstep-snapshot* semantics: a vertex program must
-not read vertex-data fields written during the same superstep.  SNAPLE's
-Algorithm 2 satisfies this by construction (each step only reads keys
-written by earlier steps), which is why serial and parallel runs produce
-identical predictions.
+Algorithm 2 writes each vertex's Γ̂, kept ``sims`` and predictions exactly
+once, in three phases, and each phase only reads what earlier phases wrote.
+So every phase is a map over the partitions followed by one assembly step,
+and the map runs the kernel (:mod:`repro.snaple.kernel`) unchanged:
 
-Graph and state live on one segment plane per run — POSIX shared memory,
-or spool files where there is none (:func:`repro.runtime.ooc.segment_plane`
-chooses).  Vertex state is a coordinator-side
-:class:`~repro.runtime.state.StateStore` whose columns are segments; a task
-receives only descriptors: a :class:`~repro.runtime.shm.ShmSliceHandle`
-(column handles plus the rows it reads) per state field group.  Workers
-gather those rows out of the mapped segments and return their updates as
-flat arrays.  There is one coordinator loop; a scoring configuration
-outside the vectorized kernel runs the scalar step programs inside the same
-worker task, over the same columns.
+1. each worker returns ``gas_sample_step_columnar`` rows for the vertices
+   it owns; the coordinator scatters them into one Γ̂
+   :class:`~repro.snaple.kernel.NeighborhoodCSR` and hosts it once;
+2. each worker reads that Γ̂ read-only and returns the kept rows of its
+   vertices (``edge_similarities`` + ``select_klocal(rng_mode=
+   "per_vertex")``); the coordinator hosts the assembled kept CSR the same
+   way;
+3. each worker ranks its target vertices with ``combine_and_rank_columnar``
+   in the GAS gather's fold order (any combinator or aggregator); the
+   coordinator concatenates predictions and scores.
+
+Graph and phase outputs live on one segment plane per run — POSIX shared
+memory, or spool files where there is none
+(:func:`repro.runtime.ooc.segment_plane` chooses).  A task carries its
+partition's row ids and the :class:`~repro.runtime.shm.BlockHandle`
+descriptors of the phase outputs it reads; it returns its rows as flat
+arrays.  Nothing that crosses a process boundary is a per-vertex Python
+object.
 
 Fault tolerance
 ---------------
-Worker failure is treated as the common case, not the exception.  A superstep
-is *atomic*: the coordinator merges a superstep's results only after every
-partition's task returned, so a worker dying mid-superstep can never leave
-half-merged state behind.  When a worker process dies (detected
+Worker failure is treated as the common case, not the exception.  A phase
+is *atomic*: the coordinator assembles a phase only after every
+partition's task returned, so a worker dying mid-phase can never leave
+half-assembled state behind.  When a worker process dies (detected
 immediately through the broken pool) or exceeds ``worker_timeout`` seconds
 (treated as hung; the stragglers are killed), the coordinator discards the
-pool, spawns a fresh one and replays the run from superstep 0.  Up to
+pool, spawns a fresh one and replays the run from phase 0.  Up to
 ``max_restarts`` recoveries are attempted before a
 :class:`~repro.errors.WorkerCrashError` propagates.  Because every random
 draw comes from a per-vertex ``(seed, step, vertex)`` stream, a replay
@@ -47,11 +49,10 @@ repeats *exactly* the draws of the lost run: recovered runs are
 bit-identical to uninterrupted runs, predictions and deterministic
 accounting counters alike.
 
-Nothing is persisted between supersteps.  A run is three short,
-deterministic supersteps, so restoring a saved superstep boundary could
-spare at most two of them, and a recovered run's cost is dominated by
-spawning the fresh pool either way (the README's fault-tolerance section
-has the measurement).
+Nothing is persisted between phases.  A run is three short, deterministic
+phases, so restoring a saved phase boundary could spare at most two of
+them, and a recovered run's cost is dominated by spawning the fresh pool
+either way (the README's fault-tolerance section has the measurement).
 
 Determinism
 -----------
@@ -60,15 +61,16 @@ Results are bit-identical for any worker count and any partitioner because
 * every vertex draws randomness from its own stream derived from
   ``(seed, step, vertex)`` (see :func:`repro.snaple.program.vertex_rng`),
   never from a shared sequential stream;
-* gathers combine in edge (CSR) order per vertex, exactly as the serial
-  engine does on a single simulated machine.
+* phase 3 folds each target's paths in edge (CSR) order, exactly as the
+  serial engine's gather does.
 
 Ownership comes from the partitioner the simulated GAS engine uses:
 :func:`repro.runtime.partition.partition_graph` masters every vertex (a
 vertex-cut ``GraphPartition``; each partition's masters go to one worker
-process).  A locality aware partitioner (e.g.
-:class:`~repro.runtime.partition.GreedyVertexCut`) therefore reduces the
-boundary state shipped between supersteps.
+process).  Placement never changes an answer; it changes the logical
+boundary payload each partition reads (``shipped_bytes``), which a
+locality aware partitioner (e.g.
+:class:`~repro.runtime.partition.GreedyVertexCut`) reduces.
 
 Worker processes use an explicit ``forkserver`` start method (``spawn``
 where forkserver is unavailable), never plain ``fork``: forking a threaded
@@ -79,13 +81,10 @@ runs — broken, hung or healthy — through a kill-then-shutdown path.
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 import os
 import threading
 import time
-from collections import defaultdict
-from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
@@ -95,19 +94,16 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ConfigurationError, EngineError, WorkerCrashError
-from repro.gas.vertex_program import EdgeDirection, VertexProgram
 from repro.graph.digraph import DiGraph
 from repro.runtime.ooc import MemmapGraphHandle, segment_plane
 from repro.runtime.partition import partition_graph
 from repro.runtime.shm import (
-    ShmColumnAllocator,
+    BlockHandle,
     ShmGraphHandle,
     ShmRegistry,
-    ShmSliceHandle,
     attachment_cache,
-    state_slice_handle,
 )
-from repro.runtime.state import StateStore, gather_slices
+from repro.runtime.state import gather_slices, indptr_from_counts
 from repro.snaple.config import SnapleConfig
 
 __all__ = [
@@ -128,8 +124,8 @@ MAX_WORKERS = 64
 #: Default number of pool respawn + replay attempts after a worker crash.
 DEFAULT_MAX_RESTARTS = 2
 
-#: Algorithm 2's GAS steps: sample, similarity, recommendation.
-_NUM_STEPS = 3
+#: Algorithm 2's phases: sample, similarity + klocal, recommendation.
+_NUM_PHASES = 3
 
 
 def validate_workers(workers: Any) -> int:
@@ -208,23 +204,28 @@ class PartitionReport:
 
 @dataclass
 class ParallelRunOutcome:
-    """Merged result of one shared-nothing parallel run.
+    """Merged result of one parallel run.
 
-    ``routing_seconds`` and ``state_plane_bytes`` carry one entry per
-    superstep (coordinator time spent slicing and merging state, and the
-    live columnar payload after the step).
+    ``routing_seconds``, ``state_plane_bytes`` and ``transport_bytes``
+    carry one entry per phase (superstep):
+
+    * ``routing_seconds`` — coordinator time outside the workers' map:
+      building the tasks, assembling the returned rows and hosting them;
+    * ``state_plane_bytes`` — bytes of phase outputs hosted on the segment
+      plane after the phase (the Γ̂ CSR, then also the kept CSR);
+    * ``transport_bytes`` — array bytes that crossed the process boundary
+      through the pool: each task's row ids plus the rows it returned.
+      Hosted outputs are read in place and not counted.
+
+    Both byte counts, like the ``shipped``/``exchanged`` accounting, are
+    plane-independent: shm and spool runs report the same numbers.
 
     ``worker_restarts`` counts pool respawns after worker crashes; each one
-    replayed the run from superstep 0.
+    replayed the run from phase 0.
 
-    ``shm_enabled`` records whether the run hosted graph + state columns in
-    shared memory and ``ooc_enabled`` whether they lived in on-disk spool
-    files instead (exactly one of the two is set);
-    ``transport_bytes`` carries the bytes that actually crossed the process
-    boundary per superstep (descriptors + row indices).  Unlike the
-    deterministic ``shipped``/``exchanged`` accounting — which is
-    plane-independent by design — transport bytes are a measurement of the
-    wire.
+    ``shm_enabled`` records whether the run hosted graph and phase outputs
+    in shared memory and ``ooc_enabled`` whether they lived in on-disk
+    spool files instead (exactly one of the two is set).
     """
 
     predictions: dict[int, list[int]]
@@ -264,6 +265,7 @@ class _Accounting:
     sync_overhead: float = 0.0
     routing: list[float] = field(default_factory=list)
     plane: list[int] = field(default_factory=list)
+    transport: list[int] = field(default_factory=list)
 
     @classmethod
     def fresh(cls, workers: int) -> "_Accounting":
@@ -320,217 +322,50 @@ def _worker_state() -> tuple[DiGraph, SnapleConfig]:
     return _WORKER_GRAPH, _WORKER_CONFIG
 
 
-def _collect_segments(payload: Any, names: set[str]) -> None:
-    if isinstance(payload, tuple):
-        for part in payload:
-            _collect_segments(part, names)
-    elif isinstance(payload, ShmSliceHandle):
-        names |= payload.segments()
+def _attach_blocks(blocks: tuple[BlockHandle, ...]
+                   ) -> list[dict[str, np.ndarray]]:
+    """Read-only views of the hosted phase outputs a task reads.
 
-
-def _materialize_payload(payload: Any) -> Any:
-    """Resolve the descriptors in a task payload into arrays.
-
-    A payload is ``None``, a :class:`~repro.runtime.shm.ShmSliceHandle` or a
-    tuple of these; each handle becomes the
-    :class:`~repro.runtime.state.StateSlice` it describes.  Before
-    materializing, attachments to segments the payload no longer references
-    are dropped (state columns migrate to fresh segments when they grow).
+    Attachments to segments no block references any more (an earlier
+    run's outputs) are dropped first.
     """
-    names: set[str] = set()
-    _collect_segments(payload, names)
-    if not names:
-        return payload
     cache = attachment_cache()
-    cache.retain(names)
-    return _resolve_payload(payload, cache)
+    cache.retain({block.segment for block in blocks})
+    return [{key: cache.view(spec) for key, spec in block.specs.items()}
+            for block in blocks]
 
 
-def _resolve_payload(payload: Any, cache) -> Any:
-    if isinstance(payload, tuple):
-        return tuple(_resolve_payload(part, cache) for part in payload)
-    if isinstance(payload, ShmSliceHandle):
-        return payload.materialize(cache)
-    return payload
+def _phase_task(task):
+    """One (partition, phase) unit of work, run in a worker process.
 
-
-def _transport_nbytes(payload: Any) -> int:
-    """Bytes a task payload actually ships across the process boundary.
-
-    The row indices; the segment names are ignored, as is pickle framing.
-    The per-superstep totals surface as ``transport_bytes`` in the run
-    report.
-    """
-    if payload is None:
-        return 0
-    if isinstance(payload, tuple):
-        return sum(_transport_nbytes(part) for part in payload)
-    return payload.transport_nbytes()
-
-
-def _gather_neighbors(graph: DiGraph, vertex: int,
-                      direction: EdgeDirection) -> list[int]:
-    """Incident neighbors in the order the serial engine gathers them."""
-    if direction is EdgeDirection.OUT:
-        return graph.out_neighbors(vertex).tolist()
-    if direction is EdgeDirection.IN:
-        return graph.in_neighbors(vertex).tolist()
-    if direction is EdgeDirection.BOTH:
-        return (graph.out_neighbors(vertex).tolist()
-                + graph.in_neighbors(vertex).tolist())
-    return []
-
-
-def _run_gas_step(step: VertexProgram, graph: DiGraph, active: list[int],
-                  data: Mapping[int, Mapping[str, Any]]) -> int:
-    """Run one GAS superstep over ``active`` against the snapshot ``data``.
-
-    Returns the number of gather invocations.
-    """
-    if step.scatter_direction is not EdgeDirection.NONE:
-        raise EngineError(
-            "the shared-nothing parallel executor does not support scatter "
-            f"phases (step {step.name!r})"
-        )
-    gathers = 0
-    empty: dict[str, Any] = {}
-    for u in active:
-        u_data = data[u]
-        gathered: Any = None
-        has_value = False
-        for v in _gather_neighbors(graph, u, step.gather_direction):
-            value = step.gather(u, v, u_data, data.get(v, empty))
-            gathers += 1
-            if value is None:
-                continue
-            if has_value:
-                gathered = step.sum(gathered, value)
-            else:
-                gathered = value
-                has_value = True
-        step.apply(u, u_data, gathered if has_value else None)
-    return gathers
-
-
-def _slice_dicts(payload: Any) -> defaultdict[int, dict[str, Any]]:
-    """Per-vertex data dicts decoded from the shipped slices.
-
-    A field is present in a vertex's dict exactly when its row is present
-    in the slice, so the step programs read what the serial engine's dicts
-    would hold.
-    """
-    data: defaultdict[int, dict[str, Any]] = defaultdict(dict)
-    for state_slice in payload if isinstance(payload, tuple) else (payload,):
-        if state_slice is None:
-            continue
-        rows = state_slice.rows.tolist()
-        for name, (counts, ids, vals, present) in state_slice.ragged.items():
-            ids = ids.tolist()
-            vals = None if vals is None else vals.tolist()
-            position = 0
-            for u, count, here in zip(rows, counts.tolist(), present.tolist()):
-                end = position + count
-                if here:
-                    data[u][name] = (
-                        ids[position:end] if vals is None
-                        else dict(zip(ids[position:end], vals[position:end]))
-                    )
-                position = end
-    return data
-
-
-def _scalar_gas_step(graph: DiGraph, config: SnapleConfig, step_index: int,
-                     active: np.ndarray, payload: Any) -> tuple[tuple, int]:
-    """One GAS step through the scalar step program, columns in and out.
-
-    Serves scoring configurations outside the vectorized kernel (custom
-    callables).  The shipped slices decode into per-vertex dicts that the
-    program reads and writes as the serial engine's; the field the step
-    writes is encoded back into the same arrays the kernel branch returns,
-    so the coordinator cannot tell the two apart.
-    """
-    from repro.snaple.program import build_snaple_steps
-
-    data = _slice_dicts(payload)
-    # Steps are rebuilt per task: with per-vertex RNG they carry no state
-    # across vertices, so a fresh instance keeps workers stateless and the
-    # outcome independent of which tasks land on which process.
-    step = build_snaple_steps(config, graph, per_vertex_rng=True)[step_index]
-    vertices = active.tolist()
-    gathers = _run_gas_step(step, graph, vertices, data)
-    written = [data[u][("gamma", "sims", "predicted")[step_index]]
-               for u in vertices]
-    counts = np.fromiter(map(len, written), dtype=np.int64,
-                         count=len(written))
-    ids = np.fromiter(itertools.chain.from_iterable(written), dtype=np.int64,
-                      count=int(counts.sum()))
-    if step_index == 0:
-        return (counts, ids), gathers
-    if step_index == 1:
-        vals = np.fromiter(
-            itertools.chain.from_iterable(row.values() for row in written),
-            dtype=np.float64, count=ids.size,
-        )
-        return (counts, ids, vals), gathers
-    maps = [step.collected_scores[u] for u in vertices]
-    score_counts = np.asarray([len(scores) for scores in maps], dtype=np.int64)
-    candidates = np.asarray([z for scores in maps for z in scores],
-                            dtype=np.int64)
-    values = np.asarray([s for scores in maps for s in scores.values()],
-                        dtype=np.float64)
-    return (counts, ids, score_counts, candidates, values), gathers
-
-
-def _gas_step_task_columnar(task):
-    """One (partition, superstep) unit of GAS work, run in a worker process.
-
-    ``task`` is ``(partition, step_index, active owned vertices (array),
-    payload)`` where the payload is the slice handle (or pair of handles)
-    of the state the step reads, ``None`` for the first step.  Results
-    return as a handful of flat arrays.  When the scoring configuration is
-    inside the vectorized design space
-    (:func:`repro.snaple.kernel.kernel_supports`) the kernel consumes the
-    materialized slices without per-vertex marshalling; it replicates the
-    scalar gather fold order and per-vertex RNG draws, so both branches,
-    serial engines and every worker count agree exactly.
+    ``task`` is ``(partition, phase, rows, blocks)``: the partition's
+    vertices (ascending) and the descriptors of the earlier phases' hosted
+    outputs.  Returns the rows' output as flat arrays aligned with ``rows``
+    plus the compute seconds.
     """
     from repro.snaple import kernel
 
-    partition, step_index, active, payload = task
-    maybe_crash(_WORKER_FAULT, step_index, partition)
+    partition, phase, rows, blocks = task
+    maybe_crash(_WORKER_FAULT, phase, partition)
     graph, config = _worker_state()
     start = time.perf_counter()
-    payload = _materialize_payload(payload)
-    num_vertices = graph.num_vertices
-    if not kernel.kernel_supports(config):
-        result, gathers = _scalar_gas_step(graph, config, step_index, active,
-                                           payload)
-    elif step_index == 0:
-        counts, flat, gathers = kernel.gas_sample_step_columnar(
-            graph, config, active
-        )
-        result: tuple = (counts, flat)
-    elif step_index == 1:
-        rows, counts, ids, _vals = payload.field_rows("gamma")
-        gamma = kernel.columns_to_neighborhood_csr(num_vertices, rows,
-                                                   counts, ids)
-        counts, ids, vals, gathers = kernel.gas_similarity_step_columnar(
-            graph, config, active, gamma
-        )
-        result = (counts, ids, vals)
+    views = _attach_blocks(blocks)
+    if phase == 0:
+        result: tuple = kernel.gas_sample_step_columnar(graph, config, rows)
     else:
-        gamma_slice, sims_slice = payload
-        rows, counts, ids, _vals = gamma_slice.field_rows("gamma")
-        gamma = kernel.columns_to_neighborhood_csr(num_vertices, rows,
-                                                   counts, ids)
-        rows, counts, ids, vals = sims_slice.field_rows("sims")
-        kept = kernel.columns_to_kept(num_vertices, rows, counts, ids, vals)
-        (pred_counts, pred_flat, score_counts, candidates, values,
-         gathers) = kernel.gas_recommendation_step_columnar(
-            graph, config, active, gamma, kept
-        )
-        result = (pred_counts, pred_flat, score_counts, candidates, values)
-    return result, gathers, int(active.size), time.perf_counter() - start
+        gamma = kernel.NeighborhoodCSR(graph.num_vertices, **views[0])
+        if phase == 1:
+            edges = kernel.edge_similarities(graph, gamma, config, rows=rows)
+            kept = kernel.select_klocal(edges, config, rng_mode="per_vertex",
+                                        rows=rows)
+            # Rows outside ``rows`` are empty, so the payload is exactly the
+            # partition's rows in ascending order.
+            result = (np.diff(kept.indptr)[rows], kept.ids, kept.sims)
+        else:
+            kept = kernel.KeptNeighbors(**views[1])
+            result = kernel.combine_and_rank_columnar(
+                graph, gamma, kept, config, rows, neighbor_order="csr")
+    return result, time.perf_counter() - start
 
 
 # ----------------------------------------------------------------------
@@ -644,7 +479,7 @@ class WorkerPoolLease:
 
 
 class ParallelExecutor:
-    """Coordinates one shared-nothing parallel run over a worker pool.
+    """Coordinates one parallel run over a worker pool.
 
     Parameters
     ----------
@@ -655,15 +490,15 @@ class ParallelExecutor:
     partitioner:
         Optional placement strategy: a
         :class:`~repro.runtime.partition.Partitioner` (vertex-cut; masters
-        become owners).  Placement only affects how much boundary state is
-        shipped, never the predictions.
+        become owners).  Placement only affects how much boundary payload
+        each partition reads, never the predictions.
     seed:
         Partitioner seed; defaults to the configuration's seed.
     max_restarts:
-        Crash recoveries (pool respawn + replay from superstep 0) attempted
+        Crash recoveries (pool respawn + replay from phase 0) attempted
         before the failure propagates.
     worker_timeout:
-        Seconds a superstep may take before its workers are declared hung,
+        Seconds a phase may take before its workers are declared hung,
         killed and recovered (``None`` disables the watchdog).
     fault:
         A :class:`FaultSpec` crash injection used
@@ -703,14 +538,12 @@ class ParallelExecutor:
         )
         self._fault = fault
         # Each partition's vertex-cut masters are the vertices it owns.
-        owner = [int(m) for m in partition_graph(
+        self._owner = np.asarray(partition_graph(
             graph, self._workers, partitioner=partitioner,
             seed=self._config.seed if seed is None else seed,
-        ).vertex_master]
-        self._owned: list[list[int]] = [[] for _ in range(self._workers)]
-        for u in range(graph.num_vertices):
-            self._owned[owner[u]].append(u)
-        self._owner_array = np.asarray(owner, dtype=np.int64)
+        ).vertex_master, dtype=np.int64)
+        self._owned = [np.flatnonzero(self._owner == w)
+                       for w in range(self._workers)]
         if pool is not None and not isinstance(pool, WorkerPoolLease):
             raise ConfigurationError(
                 f"pool must be a WorkerPoolLease, got {pool!r}"
@@ -739,11 +572,11 @@ class ParallelExecutor:
         pool.shutdown(wait=True, cancel_futures=True)
 
     def _map(self, pool: ProcessPoolExecutor, fn, tasks: list) -> list:
-        """Run one superstep's tasks; dead/hung workers raise ``WorkerCrashError``.
+        """Run one phase's tasks; dead/hung workers raise ``WorkerCrashError``.
 
         The results are materialized in full before the caller merges
-        anything, which is what makes a superstep atomic: a crash mid-map
-        loses the whole superstep, never half of it.
+        anything, which is what makes a phase atomic: a crash mid-map loses
+        the whole phase, never half of it.
         """
         try:
             return list(pool.map(fn, tasks, timeout=self._worker_timeout))
@@ -761,17 +594,17 @@ class ParallelExecutor:
     def run(self, vertices: list[int] | None = None) -> ParallelRunOutcome:
         """Execute the program and merge per-partition results.
 
-        ``vertices`` restricts the recommendation step and the merged
+        ``vertices`` restricts the recommendation phase and the merged
         predictions/scores (all vertices by default); the sampling and
-        similarity steps always run over every owned vertex, because the
-        recommendations read the neighbours' state.
+        similarity phases always run over every vertex, because the
+        recommendations read the neighbours' outputs.
 
-        Graph and state columns live on the segment plane
+        Graph and phase outputs live on the segment plane
         :func:`~repro.runtime.ooc.segment_plane` picks, for every scoring
         configuration; tasks receive descriptors into it.
 
         Fault handling: a worker death or watchdog timeout discards the
-        pool, respawns it, and replays the run from superstep 0 up to
+        pool, respawns it, and replays the run from phase 0 up to
         ``max_restarts`` times; the returned outcome is bit-identical to an
         uninterrupted run.
         """
@@ -793,7 +626,7 @@ class ParallelExecutor:
                 leased = lease is not None
                 if leased:
                     # The lease hosts the graph plane (its own registry) and
-                    # the pool; this run's registry only holds state columns.
+                    # the pool; this run's registry only holds phase outputs.
                     pool = lease.acquire(
                         graph=self._graph, config=self._config,
                         workers=self._workers, plane=plane,
@@ -803,7 +636,7 @@ class ParallelExecutor:
                                        self._config, self._fault)
                 crashed = False
                 try:
-                    outcome = self._run_gas(pool, vertices)
+                    outcome = self._run_phases(pool, vertices)
                     break
                 except WorkerCrashError:
                     crashed = True
@@ -837,199 +670,110 @@ class ParallelExecutor:
         return outcome
 
     # ------------------------------------------------------------------
-    # GAS coordination
+    # Phase coordination
     # ------------------------------------------------------------------
-    @staticmethod
-    def _boundary(active: np.ndarray, indptr: np.ndarray,
-                  indices: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-        """Vectorized out-edge boundary: the vertices the gathers read
-        besides ``active`` itself.
+    def _remote_rows(self, w: int, rows: np.ndarray) -> np.ndarray:
+        """Out-neighbours of ``rows`` that partition ``w`` does not own: the
+        boundary rows its task reads from another partition's output."""
+        indptr, indices = self._graph.csr_out_adjacency()
+        neighbors = indices[gather_slices(indptr[rows],
+                                          np.diff(indptr)[rows])]
+        return np.unique(neighbors[self._owner[neighbors] != w])
 
-        On a full run ``active`` is everything a worker owns, so these are
-        its remote neighbours; a vertex subset adds the owned neighbours
-        outside the subset.
-        """
-        if active.size == 0:
-            return np.empty(0, dtype=np.int64)
-        neighbors = indices[gather_slices(indptr[active], degrees[active])]
-        in_task = np.zeros(degrees.size, dtype=bool)
-        in_task[active] = True
-        return np.unique(neighbors[~in_task[neighbors]])
-
-    @staticmethod
-    def _boundary_bytes(store: StateStore, name: str, rows: np.ndarray,
-                        own_mask: np.ndarray) -> int:
-        """Payload bytes of the boundary (not owned) rows of one field.
-
-        Computed from the live column's lengths so both segment planes
-        account *identically* — ``shipped`` is the logical boundary payload,
-        part of the deterministic accounting the parity and recovery suites
-        compare bit-for-bit across planes.
-        """
-        column = store._column(name)
-        per_element = 8 if column._vals is None else 16
-        return per_element * int(column.lengths[rows[~own_mask]].sum())
-
-    def _run_gas(self, pool,
-                 vertices: list[int] | None) -> ParallelRunOutcome:
-        """Algorithm 2's three GAS steps over the columnar state plane.
-
-        The coordinator keeps one segment-backed
-        :class:`~repro.runtime.state.StateStore`; per (step, partition) it
-        ships handles to the owned+boundary rows the step reads and
-        bulk-merges the returned column rows.  Nothing that crosses a
-        process boundary is a per-vertex Python object.
-        """
-        from repro.snaple.kernel import LazyScores
-        from repro.snaple.program import snaple_state_schema
+    def _run_phases(self, pool,
+                    vertices: list[int] | None) -> ParallelRunOutcome:
+        """Algorithm 2's three phases, each a map over the partitions and
+        one assembly of the returned rows."""
+        from repro.snaple.kernel import LazyScores, NeighborhoodCSR
 
         graph = self._graph
         num_vertices = graph.num_vertices
+        degrees = np.diff(graph.csr_out_adjacency()[0])
         targets = list(graph.vertices()) if vertices is None else list(vertices)
-        active_set = set(targets)
-        all_owned = [np.asarray(owned, dtype=np.int64) for owned in self._owned]
-        target_owned = [
-            np.asarray([u for u in owned if u in active_set], dtype=np.int64)
-            for owned in self._owned
-        ]
-        store = StateStore(num_vertices, snaple_state_schema(),
-                           allocator=ShmColumnAllocator(self._registry))
-        transport: list[int] = []
+        target_array = np.asarray(targets, dtype=np.int64)
+        target_owned = (self._owned if vertices is None
+                        else [rows[np.isin(rows, target_array)]
+                              for rows in self._owned])
         acct = _Accounting.fresh(self._workers)
-        indptr, indices = graph.csr_out_adjacency()
-        degrees = np.diff(indptr)
-        owner = self._owner_array
+        hosted: list[BlockHandle] = []
+        plane_bytes = 0
+        # Logical payload per row of the last hosted output, which the
+        # next phase's boundary reads: 8 B per Γ̂ id (duplicates included,
+        # as sampled), then 16 B per kept (id, sim) entry.
+        row_bytes = np.zeros(0, dtype=np.int64)
 
-        workers = self._workers
-        prediction_parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        score_parts: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-
-        for step_index in range(_NUM_STEPS):
-            step_start = time.perf_counter()
-            route_seconds = 0.0
-            step_transport = 0
-            active_owned = (target_owned if step_index == _NUM_STEPS - 1
-                            else all_owned)
-            tasks = []
-            for w in range(workers):
-                owned_active = active_owned[w]
-                if step_index == 0:
-                    payload: Any = None
-                else:
-                    boundary = self._boundary(owned_active, indptr, indices,
-                                              degrees)
-                    rows = np.concatenate([owned_active, boundary])
-                    rows.sort()
-                    own_mask = owner[rows] == w
-                    if step_index == 1:
-                        payload = state_slice_handle(store, rows, ("gamma",))
-                        acct.shipped[w] += self._boundary_bytes(
-                            store, "gamma", rows, own_mask
-                        )
-                    else:
-                        # The recommendation step probes only the targets'
-                        # own Γ̂ but reads every neighbor's kept map.
-                        payload = (
-                            state_slice_handle(store, owned_active,
-                                               ("gamma",)),
-                            state_slice_handle(store, rows, ("sims",)),
-                        )
-                        acct.shipped[w] += self._boundary_bytes(
-                            store, "sims", rows, own_mask
-                        )
-                step_transport += _transport_nbytes(payload)
-                tasks.append((w, step_index, owned_active, payload))
-            route_seconds += time.perf_counter() - step_start
-            results = self._map(pool, _gas_step_task_columnar, tasks)
-            merge_start = time.perf_counter()
+        for phase, phase_rows in enumerate((self._owned, self._owned,
+                                            target_owned)):
+            start = time.perf_counter()
+            for w, rows in enumerate(phase_rows if phase else ()):
+                acct.shipped[w] += int(row_bytes[self._remote_rows(w, rows)]
+                                       .sum())
+            tasks = [(w, phase, rows, tuple(hosted))
+                     for w, rows in enumerate(phase_rows)]
+            map_start = time.perf_counter()
+            results = self._map(pool, _phase_task, tasks)
+            assemble_start = time.perf_counter()
             slowest = 0.0
-            for w, (result, n_gather, n_apply, elapsed) in enumerate(results):
-                owned_active = active_owned[w]
-                if step_index == 0:
-                    counts, flat = result
-                    store.set_rows("gamma", owned_active, counts, flat)
-                elif step_index == 1:
-                    counts, ids, vals = result
-                    store.set_rows("sims", owned_active, counts, ids, vals)
-                else:
-                    pred_counts, pred_flat, score_counts, candidates, values = result
-                    store.set_rows("predicted", owned_active, pred_counts,
-                                   pred_flat)
-                    prediction_parts.append(
-                        (owned_active, pred_counts, pred_flat)
-                    )
-                    score_parts.append(
-                        (owned_active, score_counts, candidates, values)
-                    )
-                acct.gathers[w] += n_gather
-                acct.applies[w] += n_apply
+            transport = 0
+            for w, (rows, (arrays, elapsed)) in enumerate(zip(phase_rows,
+                                                              results)):
+                acct.gathers[w] += int(degrees[rows].sum())
+                acct.applies[w] += int(rows.size)
                 acct.compute_seconds[w] += elapsed
                 slowest = max(slowest, elapsed)
-            route_seconds += time.perf_counter() - merge_start
-            acct.routing.append(route_seconds)
-            acct.plane.append(store.nbytes())
-            transport.append(step_transport)
-            acct.sync_overhead += max(
-                0.0, (time.perf_counter() - step_start) - slowest
-            )
+                transport += rows.nbytes + sum(a.nbytes for a in arrays)
+            blocks = [arrays for arrays, _ in results]
+            if phase == 0:
+                counts, starts, (flat,) = _concat_rows(num_vertices,
+                                                       phase_rows, blocks)
+                gamma = NeighborhoodCSR.from_rows(
+                    num_vertices, counts, flat[gather_slices(starts, counts)])
+                outputs = {"indptr": gamma.indptr, "indices": gamma.indices,
+                           "keys": gamma.keys, "sizes": gamma.sizes}
+                row_bytes = 8 * counts
+            elif phase == 1:
+                counts, starts, (ids, sims) = _concat_rows(num_vertices,
+                                                           phase_rows, blocks)
+                in_order = gather_slices(starts, counts)
+                outputs = {"indptr": indptr_from_counts(counts),
+                           "ids": ids[in_order], "sims": sims[in_order]}
+                row_bytes = 16 * counts
+            else:
+                pred_counts, pred_starts, (pred_flat,) = _concat_rows(
+                    num_vertices, phase_rows, [block[:2] for block in blocks])
+                score_counts, score_starts, (candidates, values) = (
+                    _concat_rows(num_vertices, phase_rows,
+                                 [block[2:] for block in blocks]))
+                outputs = {}
+            if outputs:
+                hosted.append(self._registry.share_arrays(outputs))
+                plane_bytes += sum(a.nbytes for a in outputs.values())
+            end = time.perf_counter()
+            acct.routing.append((map_start - start) + (end - assemble_start))
+            acct.plane.append(plane_bytes)
+            acct.transport.append(transport)
+            acct.sync_overhead += max(0.0, (end - start) - slowest)
 
-        predictions_all: dict[int, list[int]] = {}
-        for rows, counts, flat in prediction_parts:
-            values = flat.tolist()
-            position = 0
-            for u, count in zip(rows.tolist(), counts.tolist()):
-                predictions_all[u] = values[position:position + count]
-                position += count
-        predictions = {u: predictions_all.get(u, []) for u in targets}
-
-        # One LazyScores view over the concatenated per-partition arrays:
-        # per-vertex score dicts materialize only if somebody reads them.
-        all_targets: list[int] = []
-        starts_parts: list[np.ndarray] = []
-        counts_parts: list[np.ndarray] = []
-        candidate_parts: list[np.ndarray] = []
-        value_parts: list[np.ndarray] = []
-        offset = 0
-        for rows, score_counts, candidates, values in score_parts:
-            starts_parts.append(offset + np.cumsum(score_counts) - score_counts)
-            counts_parts.append(score_counts)
-            candidate_parts.append(candidates)
-            value_parts.append(values)
-            all_targets.extend(rows.tolist())
-            offset += int(candidates.size)
-        if all_targets:
-            starts_all = np.concatenate(starts_parts)
-            counts_all = np.concatenate(counts_parts)
-            position_of = {u: i for i, u in enumerate(all_targets)}
-            target_rows = np.asarray(
-                [position_of.get(u, -1) for u in targets], dtype=np.int64
-            )
-            known = target_rows >= 0
-            target_starts = np.where(known, starts_all[target_rows], 0)
-            target_counts = np.where(known, counts_all[target_rows], 0)
-            scores: Any = LazyScores(
-                list(targets), target_starts, target_counts,
-                np.concatenate(candidate_parts), np.concatenate(value_parts),
-            )
-        else:
-            scores = {u: {} for u in targets}
-
-        outcome = self._merge_outcome(predictions, scores, acct)
-        outcome.transport_bytes = transport
-        return outcome
+        flat = pred_flat.tolist()
+        predictions = {
+            u: flat[start:start + count] for u, start, count in zip(
+                targets, pred_starts[target_array].tolist(),
+                pred_counts[target_array].tolist())
+        }
+        scores = LazyScores(targets, score_starts[target_array],
+                            score_counts[target_array], candidates, values)
+        return self._merge_outcome(predictions, scores, acct)
 
     # ------------------------------------------------------------------
     def _merge_outcome(self, predictions, scores,
                        acct: _Accounting) -> ParallelRunOutcome:
         """Build per-partition reports and derive the merged totals from them."""
         partitions = []
-        for w in range(self._workers):
-            owned_predictions = [
-                u for u in self._owned[w] if u in predictions
-            ]
+        for w, owned in enumerate(self._owned):
+            owned_predictions = [u for u in owned.tolist() if u in predictions]
             partitions.append(PartitionReport(
                 partition=w,
-                num_vertices=len(self._owned[w]),
+                num_vertices=int(owned.size),
                 num_predictions=len(owned_predictions),
                 num_predicted_edges=sum(
                     len(predictions[u]) for u in owned_predictions
@@ -1043,14 +787,37 @@ class ParallelExecutor:
             predictions=predictions,
             scores=scores,
             workers=self._workers,
-            supersteps=_NUM_STEPS,
+            supersteps=_NUM_PHASES,
             partitions=partitions,
             wall_clock_seconds=0.0,  # stamped by run()
             sync_overhead_seconds=acct.sync_overhead,
             exchanged_bytes=sum(acct.shipped),
             routing_seconds=list(acct.routing),
             state_plane_bytes=list(acct.plane),
+            transport_bytes=list(acct.transport),
         )
+
+
+def _concat_rows(num_vertices: int, rows: list[np.ndarray],
+                 blocks: list[tuple[np.ndarray, ...]]
+                 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Concatenate per-partition row blocks, indexed per vertex.
+
+    ``blocks[w]`` is ``(counts, *payloads)`` aligned with ``rows[w]``; the
+    row sets are disjoint.  Returns ``(counts, starts, payloads)``: each
+    payload concatenated in partition order, and every vertex's row count
+    and start in it (0 and 0 for rows no block covers).
+    """
+    counts = np.zeros(num_vertices, dtype=np.int64)
+    starts = np.zeros(num_vertices, dtype=np.int64)
+    offset = 0
+    for owned, (owned_counts, *_) in zip(rows, blocks):
+        counts[owned] = owned_counts
+        starts[owned] = offset + np.cumsum(owned_counts) - owned_counts
+        offset += int(owned_counts.sum())
+    payloads = [np.concatenate([block[i] for block in blocks])
+                for i in range(1, len(blocks[0]))]
+    return counts, starts, payloads
 
 
 # ----------------------------------------------------------------------

@@ -44,10 +44,11 @@ class RunReport:
 
     * the ``local`` backend's ``prepare_seconds`` / ``kernel_vectorized``
       and the random-walk backends' ``walk_steps``;
-    * on ``workers=N`` runs, the state plane's ``state_plane_peak_bytes`` /
-      ``state_plane_bytes_step*``, ``routing_seconds``, the segment plane
-      and transport bytes, and ``worker_restarts`` (pool respawns, each
-      replaying the run from superstep 0);
+    * on ``workers=N`` runs, the hosted phase-output bytes
+      (``state_plane_peak_bytes`` / ``state_plane_bytes_step*``),
+      ``routing_seconds``, the segment plane and transport bytes, and
+      ``worker_restarts`` (pool respawns, each replaying the run from
+      phase 0);
     * on the online ``serving`` backend, ``requests_served``,
       ``edges_ingested``, ``dirty_vertices_rescored``, ``cache_hits`` /
       ``cache_misses``, ``pair_cache_hits`` / ``pair_cache_misses``,

@@ -1,22 +1,22 @@
 """Segment plane: zero-copy segments for parallel execution.
 
 Every ``workers=N`` run (:mod:`repro.runtime.parallel`) hosts its graph and
-state on one segment plane.  This module is the plane's machinery and its
-POSIX shared memory substrate (:mod:`multiprocessing.shared_memory`):
+each phase's output on one segment plane.  This module is the plane's
+machinery and its POSIX shared memory substrate
+(:mod:`multiprocessing.shared_memory`):
 
-* the CSR adjacency of the graph and the columnar
-  :class:`~repro.runtime.state.StateStore` columns live in segments created
-  by the coordinator and mapped once by every worker;
-* what crosses the process boundary per superstep is only *descriptors* —
-  ``(segment, dtype, length)`` handles plus the boundary row-index arrays —
-  never the column payloads themselves;
-* workers gather the rows they need directly out of the mapped columns into
-  the same :class:`~repro.runtime.state.StateSlice` arrays
-  :meth:`~repro.runtime.state.StateStore.extract` would build.
+* the CSR adjacency of the graph, and after each phase the assembled CSR
+  of that phase's output (Γ̂, then the kept rows), are packed into segments
+  created by the coordinator (:meth:`ShmRegistry.share_arrays`) and mapped
+  read-only by every worker;
+* what crosses the process boundary is only *descriptors* —
+  :class:`BlockHandle` s of ``(segment, dtype, length, offset)`` entries —
+  plus each task's own row ids and its returned rows, never a shared
+  array's payload.
 
 The other substrate is spool files (:mod:`repro.runtime.ooc`), whose
 registry, segments and graph handle duck-type the ones here, so the
-descriptors, the allocator and the attachment cache serve both.
+descriptors and the attachment cache serve both.
 :func:`repro.runtime.ooc.segment_plane` chooses between them.
 
 Lifecycle and crash safety
@@ -35,30 +35,26 @@ from __future__ import annotations
 
 import os
 import secrets
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Any
 
 import numpy as np
 
 from repro.errors import EngineError
-from repro.runtime.state import StateSlice, StateStore, gather_slices
 
 __all__ = [
     "SEGMENT_PREFIX",
     "ArrayHandle",
     "AttachmentCache",
     "BlockHandle",
-    "ShmColumnAllocator",
     "ShmGraphHandle",
     "ShmRegistry",
-    "ShmSliceHandle",
     "attach_graph",
     "attachment_cache",
     "list_segments",
     "share_graph",
     "shm_available",
-    "state_slice_handle",
 ]
 
 #: Every segment name starts with this, so leak checks can find strays.
@@ -144,19 +140,17 @@ class ShmRegistry:
         return segment
 
     def release(self, name: str) -> None:
-        """Unlink one segment now (e.g. a column buffer that grew)."""
+        """Unlink one segment now."""
         segment = self._segments.pop(name, None)
         if segment is None:
             return
         try:
             segment.close()
         except BufferError:
-            # A NumPy view of the segment is still alive (e.g. the
-            # coordinator replaced a column buffer while a caller holds the
-            # old one).  Disarm the segment object — its __del__ would
-            # re-raise — and let the mapping be reclaimed when the last
-            # view is garbage-collected.  Unlinking below removes the name
-            # right away regardless.
+            # A NumPy view of the segment is still alive.  Disarm the
+            # segment object — its __del__ would re-raise — and let the
+            # mapping be reclaimed when the last view is garbage-collected.
+            # Unlinking below removes the name right away regardless.
             segment._buf = None
             segment._mmap = None
         try:
@@ -263,9 +257,9 @@ class AttachmentCache:
 
     Attachments are made lazily per handle and cached; the graph segment is
     *pinned* for the process lifetime, everything else is dropped by
-    :meth:`retain` once a newer superstep references different segments
-    (state columns migrate to new segments when they grow).  Dropping closes
-    the mapping; unlinking stays with the coordinator's registry.
+    :meth:`retain` once a task references different segments (every run
+    hosts its phase outputs in fresh segments).  Dropping closes the
+    mapping; unlinking stays with the coordinator's registry.
     """
 
     def __init__(self) -> None:
@@ -327,49 +321,6 @@ def attachment_cache() -> AttachmentCache:
     if _worker_cache is None:
         _worker_cache = AttachmentCache()
     return _worker_cache
-
-
-# ----------------------------------------------------------------------
-# Column allocator: StateStore columns backed by shared segments
-# ----------------------------------------------------------------------
-class ShmColumnAllocator:
-    """A :class:`~repro.runtime.state.StateStore` allocator over a registry.
-
-    Every column buffer becomes one segment of the registry's plane (shared
-    memory or a spool file); buffers that grow get a
-    fresh segment and the old one is unlinked immediately (workers drop
-    stale attachments at their next task).  :meth:`describe` turns a live
-    buffer into the picklable :class:`ArrayHandle` the coordinator ships
-    instead of the data.
-    """
-
-    def __init__(self, registry: ShmRegistry) -> None:
-        self._registry = registry
-        self._by_array: dict[int, str] = {}
-
-    def empty(self, length: int, dtype: Any) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        segment = self._registry.create(int(length) * dtype.itemsize)
-        array = np.frombuffer(segment.buf, dtype=dtype, count=int(length))
-        self._by_array[id(array)] = segment.name
-        return array
-
-    def free(self, array: np.ndarray) -> None:
-        name = self._by_array.pop(id(array), None)
-        if name is not None:
-            self._registry.release(name)
-
-    def describe(self, array: np.ndarray,
-                 length: int | None = None) -> ArrayHandle:
-        name = self._by_array.get(id(array))
-        if name is None:
-            raise EngineError(
-                "array is not backed by this allocator's shared memory"
-            )
-        return ArrayHandle(
-            name, array.dtype.str,
-            int(array.size if length is None else length),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -444,75 +395,3 @@ def attach_graph(handle: ShmGraphHandle, cache: AttachmentCache) -> Any:
         edge_src=views["edge_src"],
         edge_dst=views["edge_dst"],
     )
-
-
-# ----------------------------------------------------------------------
-# State-slice handles (per-superstep boundary exchange)
-# ----------------------------------------------------------------------
-@dataclass
-class ShmSliceHandle:
-    """A :class:`StateSlice` by reference: column handles + row indices.
-
-    The only array payload shipped is ``rows`` — the owned+boundary vertex
-    ids the task reads.  ``materialize`` gathers those rows out of the
-    mapped columns in the worker, producing arrays element-identical to
-    what :meth:`StateStore.extract` returns in the coordinator.
-    """
-
-    num_vertices: int
-    rows: np.ndarray
-    ragged: dict[str, tuple[ArrayHandle, ArrayHandle, ArrayHandle,
-                            ArrayHandle | None]] = field(default_factory=dict)
-
-    def segments(self) -> set[str]:
-        names: set[str] = set()
-        for starts, lengths, ids, vals in self.ragged.values():
-            names.update((starts.segment, lengths.segment, ids.segment))
-            if vals is not None:
-                names.add(vals.segment)
-        return names
-
-    def transport_nbytes(self) -> int:
-        """Actual bytes this handle ships across the process boundary."""
-        return int(self.rows.nbytes)
-
-    def materialize(self, cache: AttachmentCache) -> StateSlice:
-        rows = self.rows
-        out = StateSlice(num_vertices=self.num_vertices, rows=rows)
-        for name, (h_starts, h_lengths, h_ids, h_vals) in self.ragged.items():
-            starts = cache.view(h_starts)[rows]
-            counts = cache.view(h_lengths)[rows]
-            present = starts >= 0
-            positions = gather_slices(np.maximum(starts, 0), counts)
-            ids = cache.view(h_ids)[positions]
-            vals = (cache.view(h_vals)[positions]
-                    if h_vals is not None else None)
-            out.ragged[name] = (counts, ids, vals, present)
-        return out
-
-
-def state_slice_handle(store: StateStore, rows: np.ndarray,
-                       fields: tuple[str, ...]) -> ShmSliceHandle:
-    """Descriptors for ``fields`` × ``rows`` of a segment-backed store.
-
-    The equivalent of :meth:`StateStore.extract`, except no column data is
-    copied or pickled — only the (sorted) row-index array ships.
-    """
-    allocator = store.allocator
-    if not isinstance(allocator, ShmColumnAllocator):
-        raise EngineError(
-            "state_slice_handle needs a StateStore allocated on a segment "
-            "plane (ShmColumnAllocator)"
-        )
-    rows = np.sort(np.asarray(rows, dtype=np.int64))
-    handle = ShmSliceHandle(num_vertices=store.num_vertices, rows=rows)
-    for name in fields:
-        column = store._column(name)
-        handle.ragged[name] = (
-            allocator.describe(column.starts),
-            allocator.describe(column.lengths),
-            allocator.describe(column._ids, length=column._used),
-            (allocator.describe(column._vals, length=column._used)
-             if column._vals is not None else None),
-        )
-    return handle

@@ -324,7 +324,7 @@ class IncrementalIndex:
         """Recompute phases 1/2+3a/3b for the given (nested) dirty sets."""
         graph, config = self._graph, self._config
         n = graph.num_vertices
-        counts, flat, _gathers = kernel.gas_sample_step_columnar(
+        counts, flat = kernel.gas_sample_step_columnar(
             graph, config, gamma_dirty
         )
         if self.pair_cache is not None:

@@ -1,8 +1,8 @@
 """SNAPLE's Algorithm 2, written once: CSR-native phases 1–3.
 
-Every single-process caller — the ``local`` backend in both modes, the
-K-hop and the content-aware predictors — runs the same three phases over
-the graph's CSR adjacency:
+Every caller — the ``local`` backend in both modes, the K-hop and the
+content-aware predictors, the ``workers=N`` executor and the serving index
+— runs the same three phases over the graph's CSR adjacency:
 
 1. :func:`build_truncated_neighborhoods` materializes every truncated
    neighborhood ``Γ̂(u)`` once as a CSR ``(indptr, indices)`` pair, drawing
@@ -23,6 +23,13 @@ the graph's CSR adjacency:
    exact tie repair instead of full sorts), while :func:`fold_paths` is the
    scalar fold over the same kept neighbors — any combinator or aggregator,
    and paths longer than two hops.
+
+The ``workers=N`` executor and the serving index run the phases over vertex
+blocks with the GAS program's semantics: per-vertex random streams
+(:func:`gas_sample_step_columnar`, ``select_klocal(rng_mode="per_vertex")``)
+and the gather's fold order (:func:`combine_and_rank_columnar` with
+``neighbor_order="csr"``, which takes :func:`fold_paths` for a custom
+combinator or aggregator).
 
 Bit-parity contract
 -------------------
@@ -64,7 +71,7 @@ import numpy as np
 
 from repro.graph.digraph import DiGraph
 from repro.graph.sampling import bernoulli_truncate, reservoir_sample, truncate_neighborhood
-# CSR indexing helpers shared with the columnar state plane.
+# CSR indexing helpers shared with the runtime and the serving index.
 from repro.runtime.state import gather_slices as _gather_slices
 from repro.runtime.state import indptr_from_counts as _indptr_from_counts
 from repro.runtime.state import splice_rows
@@ -102,11 +109,7 @@ __all__ = [
     "fold_paths",
     "LazyScores",
     "combine_and_rank_columnar",
-    "columns_to_neighborhood_csr",
-    "columns_to_kept",
     "gas_sample_step_columnar",
-    "gas_similarity_step_columnar",
-    "gas_recommendation_step_columnar",
 ]
 
 #: Relative score tolerance documented for the parity suite.  With the
@@ -246,6 +249,12 @@ def _similarities_supported(score) -> bool:
     )
 
 
+def _fold_supported(score) -> bool:
+    """Whether ``⊗`` and ``⊕`` of ``score`` are stock (exact types)."""
+    return (type(score.combinator) in _COMBINATOR_TYPES
+            and type(score.aggregator) in _AGGREGATOR_UFUNCS)
+
+
 def kernel_supports(config: SnapleConfig) -> bool:
     """Whether the whole scoring configuration has a vectorized form.
 
@@ -253,13 +262,9 @@ def kernel_supports(config: SnapleConfig) -> bool:
     a known name (or a subclass overriding ``combine``/``pre``) would compute
     something else, so only the stock registry entries qualify.
     """
-    score = config.score
-    return (
-        _similarities_supported(score)
-        and type(score.combinator) in _COMBINATOR_TYPES
-        and type(score.aggregator) in _AGGREGATOR_UFUNCS
-        and type(config.sampler) in _SAMPLER_TYPES
-    )
+    return (_similarities_supported(config.score)
+            and _fold_supported(config.score)
+            and type(config.sampler) in _SAMPLER_TYPES)
 
 
 def _dedup_sorted_rows(counts: np.ndarray, flat: np.ndarray
@@ -1076,6 +1081,8 @@ def fold_paths(
     targets: list[int],
     *,
     hops: int = 2,
+    neighbor_order: str = "sampler",
+    graph: DiGraph | None = None,
 ) -> tuple[dict[int, list[int]], dict[int, dict[int, float]], dict[int, int]]:
     """Phase 3, scalar: fold every kept-neighbor path of each target.
 
@@ -1085,7 +1092,13 @@ def fold_paths(
     paths are the *simple* paths of length 2 .. ``hops`` (no vertex
     repeats), the combinator folded left along the path (the paper's
     footnote 2).  Contributions are aggregated with ``⊕pre`` in arrival
-    order (kept neighbors in selection order), then ``⊕post`` and top-``k``.
+    order, then ``⊕post`` and top-``k``.
+
+    ``neighbor_order`` fixes the arrival order of each target's own kept
+    neighbors, as in :func:`combine_and_rank`: ``"sampler"`` walks them in
+    selection order; ``"csr"`` walks ``graph``'s raw out-adjacency
+    (duplicates included) and skips neighbors outside the kept row, as the
+    GAS gather does.
 
     Returns ``(predictions, scores, paths_per_length)``, the last counting
     the contributing paths per length.
@@ -1105,6 +1118,16 @@ def fold_paths(
                                      kept.sims[start:end].tolist()))
         return row
 
+    if neighbor_order == "csr":
+        out_indptr, out_indices = graph.csr_out_adjacency()
+
+        def first_hop(u: int) -> list[tuple[int, float]]:
+            sims = dict(kept_of(u))
+            adjacency = out_indices[out_indptr[u]:out_indptr[u + 1]].tolist()
+            return [(v, sims[v]) for v in adjacency if v in sims]
+    else:
+        first_hop = kept_of
+
     paths_per_length = dict.fromkeys(range(2, hops + 1), 0)
     predictions: dict[int, list[int]] = {}
     scores: dict[int, dict[int, float]] = {}
@@ -1114,7 +1137,8 @@ def fold_paths(
 
         def visit(vertex: int, on_path: frozenset, partial: float,
                   length: int) -> None:
-            for z, sim_edge in kept_of(vertex):
+            for z, sim_edge in (kept_of(vertex) if length
+                                else first_hop(vertex)):
                 if z in on_path:
                     continue
                 value = combinator.combine(partial, sim_edge) if length else sim_edge
@@ -1139,33 +1163,8 @@ def fold_paths(
 
 
 # ----------------------------------------------------------------------
-# Columnar per-partition GAS supersteps (state-plane executor)
+# Array-in, array-out entry points of the parallel executor and the index
 # ----------------------------------------------------------------------
-def columns_to_neighborhood_csr(num_vertices: int, rows: np.ndarray,
-                                counts: np.ndarray,
-                                ids: np.ndarray) -> NeighborhoodCSR:
-    """A :class:`NeighborhoodCSR` from a state-plane column slice.
-
-    ``ids`` concatenates the (sorted, possibly duplicate-containing) rows in
-    ascending ``rows`` order — exactly the layout
-    :meth:`repro.runtime.state.StateStore.extract` produces — so no
-    per-vertex marshalling happens here; ``from_rows`` only runs its usual
-    dedup pass.
-    """
-    full_counts = np.zeros(num_vertices, dtype=np.int64)
-    full_counts[rows] = counts
-    return NeighborhoodCSR.from_rows(num_vertices, full_counts, ids)
-
-
-def columns_to_kept(num_vertices: int, rows: np.ndarray, counts: np.ndarray,
-                    ids: np.ndarray, vals: np.ndarray) -> KeptNeighbors:
-    """A :class:`KeptNeighbors` view over a ``sims`` column slice (zero-copy)."""
-    full_counts = np.zeros(num_vertices, dtype=np.int64)
-    full_counts[rows] = counts
-    return KeptNeighbors(indptr=_indptr_from_counts(full_counts), ids=ids,
-                         sims=vals)
-
-
 def combine_and_rank_columnar(
     graph: DiGraph,
     gamma: NeighborhoodCSR,
@@ -1175,13 +1174,17 @@ def combine_and_rank_columnar(
     *,
     neighbor_order: str = "csr",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Phase 3b with array outputs for the shared-nothing executor.
+    """Phase 3b with array outputs, for any scoring configuration.
 
     Returns ``(pred_counts, pred_flat, score_counts, score_candidates,
-    score_values)``, all aligned with ``targets`` (scores laid out
-    consecutively per target) — the coordinator merges these straight into
-    the state plane and a :class:`LazyScores` view without ever building
+    score_values)``, all aligned with ``targets``; each target's scores are
+    laid out consecutively, candidates ascending.  The parallel executor
+    and the incremental index assemble these rows without building
     per-vertex dicts.
+
+    A stock combinator and aggregator run the vectorized core; any other
+    pair runs :func:`fold_paths` with the same ``neighbor_order``, so both
+    branches fold in the same order.
     """
     target_array = np.asarray(targets, dtype=np.int64)
     empty_ids = np.empty(0, dtype=np.int64)
@@ -1189,6 +1192,20 @@ def combine_and_rank_columnar(
         return (np.zeros(0, dtype=np.int64), empty_ids,
                 np.zeros(0, dtype=np.int64), empty_ids,
                 np.empty(0, dtype=np.float64))
+    if not _fold_supported(config.score):
+        target_list = target_array.tolist()
+        predictions, scores, _ = fold_paths(
+            gamma, kept, config, target_list,
+            neighbor_order=neighbor_order, graph=graph)
+        picked = [predictions[u] for u in target_list]
+        ranked = [sorted(scores[u].items()) for u in target_list]
+        pairs = list(itertools.chain.from_iterable(ranked))
+        return (np.array([len(row) for row in picked], dtype=np.int64),
+                np.array(list(itertools.chain.from_iterable(picked)),
+                         dtype=np.int64),
+                np.array([len(row) for row in ranked], dtype=np.int64),
+                np.array([z for z, _ in pairs], dtype=np.int64),
+                np.array([value for _, value in pairs], dtype=np.float64))
     seg_counts, _seg_indptr, nonempty, group_candidate, final, picks = (
         _combine_core(graph, gamma, kept, config, target_array,
                       neighbor_order)
@@ -1207,14 +1224,14 @@ def combine_and_rank_columnar(
 
 def gas_sample_step_columnar(
     graph: DiGraph, config: SnapleConfig, active: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Columnar ``sample-neighborhood`` partition task: arrays in, arrays out.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Phase 1 for the rows ``active`` under per-vertex RNG: arrays out.
 
     Draw-for-draw identical to
     :class:`~repro.snaple.program.NeighborhoodSampleStep` under per-vertex
     RNG (Bernoulli draws only for vertices over the threshold; exact
     truncation reservoir-samples the full neighborhood from the same
-    stream).  Returns ``(counts, flat, gathers)`` aligned with ``active`` —
+    stream).  Returns ``(counts, flat)`` aligned with ``active`` —
     under-threshold rows are copied from the CSR adjacency in bulk, only
     truncated rows run Python.
     """
@@ -1225,7 +1242,6 @@ def gas_sample_step_columnar(
     degrees = np.diff(indptr)
     deg = degrees[act]
     threshold = config.truncation_threshold
-    gathers = int(deg.sum())
 
     if math.isinf(threshold):
         loop_mask = np.zeros(act.size, dtype=bool)
@@ -1258,41 +1274,4 @@ def gas_sample_step_columnar(
     for position, row in zip(loop_positions.tolist(), replaced):
         start = out_indptr[position]
         flat[start:start + row.size] = row
-    return counts, flat, gathers
-
-
-def gas_similarity_step_columnar(
-    graph: DiGraph, config: SnapleConfig, active: np.ndarray,
-    gamma: NeighborhoodCSR,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Columnar ``estimate-similarities`` task over a gamma column slice.
-
-    Returns ``(counts, ids, sims, gathers)`` aligned with ``active`` — the
-    kept-neighbor column rows in selection order, ready for a bulk write
-    into the ``sims`` column.
-    """
-    act = np.asarray(active, dtype=np.int64)
-    edges = edge_similarities(graph, gamma, config, rows=act)
-    kept = select_klocal(edges, config, rng_mode="per_vertex", rows=act)
-    counts = np.diff(kept.indptr)[act]
-    positions = _gather_slices(kept.indptr[act], counts)
-    gathers = int(np.diff(graph.csr_out_adjacency()[0])[act].sum())
-    return counts, kept.ids[positions], kept.sims[positions], gathers
-
-
-def gas_recommendation_step_columnar(
-    graph: DiGraph, config: SnapleConfig, active: np.ndarray,
-    gamma: NeighborhoodCSR, kept: KeptNeighbors,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """Columnar ``compute-recommendations`` task (GAS gather fold order).
-
-    Returns ``(pred_counts, pred_flat, score_counts, score_candidates,
-    score_values, gathers)`` aligned with ``active``.
-    """
-    act = np.asarray(active, dtype=np.int64)
-    pred_counts, pred_flat, score_counts, candidates, values = (
-        combine_and_rank_columnar(graph, gamma, kept, config, act,
-                                  neighbor_order="csr")
-    )
-    gathers = int(np.diff(graph.csr_out_adjacency()[0])[act].sum())
-    return pred_counts, pred_flat, score_counts, candidates, values, gathers
+    return counts, flat

@@ -26,9 +26,11 @@ sequential stream seeded from the configuration, consumed in vertex order —
 the historical behaviour, which ties the outcome to the engine's iteration
 order.  With ``per_vertex_rng=True`` every vertex draws from its own stream
 derived from ``(seed, step, vertex)`` via :func:`vertex_rng`, making the
-outcome independent of the order vertices are processed in — which is what
-allows :mod:`repro.runtime.parallel` to execute partitions concurrently and
-still produce results identical for any worker or partition count.
+outcome independent of the order vertices are processed in.  These steps
+only run on the serial simulated engine; with ``per_vertex_rng=True`` they
+are the scalar oracle the ``workers=N`` executor and the serving index are
+tested against — both run :mod:`repro.snaple.kernel` over vertex blocks,
+drawing from the same per-vertex streams.
 
 The full candidate score maps are *not* stored in the vertex data: in
 Algorithm 2 they are a temporary of the apply phase, so they are neither
@@ -55,33 +57,9 @@ __all__ = [
     "SimilarityStep",
     "RecommendationStep",
     "build_snaple_steps",
-    "snaple_state_schema",
     "top_k_predictions",
     "vertex_rng",
 ]
-
-_STATE_SCHEMA = None
-
-
-def snaple_state_schema():
-    """The columnar state schema of the three SNAPLE GAS steps.
-
-    The ``workers=N`` executor keeps the steps' vertex data in a
-    :class:`~repro.runtime.state.StateStore` of this schema, which the
-    vectorized kernel reads without per-vertex marshalling.  Built lazily to
-    avoid importing :mod:`repro.runtime` at module-import time.
-    """
-    global _STATE_SCHEMA
-    if _STATE_SCHEMA is None:
-        from repro.runtime.state import FieldKind, StateField, StateSchema
-
-        _STATE_SCHEMA = StateSchema((
-            StateField("gamma", FieldKind.INT_LIST),
-            StateField("sims", FieldKind.INT_FLOAT_MAP),
-            StateField("predicted", FieldKind.INT_LIST),
-        ))
-    return _STATE_SCHEMA
-
 
 def top_k_predictions(scores: dict[int, float], k: int) -> list[int]:
     """Top-``k`` candidates by score, ties broken by ascending vertex id.
@@ -291,7 +269,7 @@ def build_snaple_steps(config: SnapleConfig, graph: DiGraph,
 
     ``per_vertex_rng=True`` derives all randomness per vertex instead of from
     one sequential stream, making the outcome independent of vertex
-    processing order (required by the shared-nothing parallel executor).
+    processing order: the serial oracle of the ``workers=N`` executor.
     """
     return [
         NeighborhoodSampleStep(config, graph, per_vertex_rng=per_vertex_rng),

@@ -13,6 +13,7 @@ from repro.graph import generators
 from repro.graph.builder import GraphBuilder
 from repro.graph.digraph import DiGraph
 from repro.runtime.parallel import FaultSpec
+from repro.snaple.aggregators import SumAggregator
 from repro.snaple.config import SnapleConfig
 
 # Property-test settings are registered centrally: examples that spawn real
@@ -161,6 +162,33 @@ def unsupported_kernel_config() -> SnapleConfig:
     return SnapleConfig(score=custom, k_local=8, seed=5)
 
 
+class HalfWeightSumAggregator(SumAggregator):
+    """A ``Sum`` subclass outside the kernel: later paths count half.
+
+    Its ``pre`` is not commutative, so any change of fold order changes
+    the scores.  Module level, so worker processes unpickle it by reference.
+    """
+
+    def pre(self, left: float, right: float) -> float:
+        return left + 0.5 * right
+
+
+def custom_aggregator_config() -> SnapleConfig:
+    """Stock similarity and combinator, custom aggregator, truncating: the
+    phase-3 fold runs the scalar ``fold_paths`` in GAS gather order."""
+    from repro.snaple.combinators import get_combinator
+    from repro.snaple.scoring import ScoreConfig
+
+    custom = ScoreConfig(
+        name="custom-aggregator",
+        similarity_name="jaccard",
+        combinator=get_combinator("linear"),
+        aggregator=HalfWeightSumAggregator(),
+    )
+    return SnapleConfig(score=custom, k_local=6, truncation_threshold=5,
+                        seed=9)
+
+
 def truncating_config() -> SnapleConfig:
     """Truncation and klocal sampling both fire on the parity graph."""
     return SnapleConfig.paper_default(seed=9, k_local=6,
@@ -199,6 +227,26 @@ def partitioner_option(name: str) -> dict:
     from repro.runtime.partition import GreedyVertexCut
 
     return {"random": {}, "greedy": {"partitioner": GreedyVertexCut()}}[name]
+
+
+@pytest.fixture(params=["shm", "spool"])
+def plane(request, monkeypatch, tmp_path):
+    """Run ``workers=N`` on shared memory or on spool files (``SNAPLE_OOC``),
+    and leave neither a segment nor a spool directory behind."""
+    from repro.runtime.ooc import list_spool_dirs
+    from repro.runtime.shm import list_segments, shm_available
+
+    if request.param == "shm" and not shm_available():
+        pytest.skip("platform lacks POSIX shared memory")
+    monkeypatch.setenv("SNAPLE_OOC_DIR", str(tmp_path))
+    if request.param == "spool":
+        monkeypatch.setenv("SNAPLE_OOC", "1")
+    else:
+        monkeypatch.delenv("SNAPLE_OOC", raising=False)
+    before = list_segments()
+    yield request.param
+    assert list_spool_dirs() == []
+    assert list_segments() == before
 
 
 def assert_matches_reference(report, reference) -> None:

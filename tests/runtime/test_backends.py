@@ -11,7 +11,11 @@ from repro.gas.cluster import TYPE_I, cluster_of
 from repro.runtime import get_backend
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
-from tests.conftest import truncating_config, unsupported_kernel_config
+from tests.conftest import (
+    custom_aggregator_config,
+    truncating_config,
+    unsupported_kernel_config,
+)
 
 
 @pytest.fixture
@@ -114,11 +118,13 @@ SUBSET_BACKENDS = [("local", {}), ("gas", {}), ("gas", {"workers": 2})]
 SUBSET_IDS = ["local", "gas", "gas-workers2"]
 
 #: Subset configurations: the paper default, truncation and klocal sampling
-#: firing, and a custom callable (scalar step programs inside the workers).
+#: firing, and a custom similarity and a custom aggregator (the kernel's
+#: scalar branches).
 SUBSET_CONFIGS = {
     "paper": lambda: SnapleConfig.paper_default(seed=1),
     "truncating": truncating_config,
     "custom": unsupported_kernel_config,
+    "custom-aggregator": custom_aggregator_config,
 }
 
 

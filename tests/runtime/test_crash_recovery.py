@@ -7,7 +7,7 @@ The acceptance bar of the fault-tolerance layer, asserted here:
   recovered run whose predictions, candidate scores (bit-exact floats) and
   deterministic accounting counters are identical to an uninterrupted run
   with the same placement — for custom-callable configurations too, whose
-  workers run the scalar step programs on the same columnar plane;
+  workers run the kernel's scalar branches over the same hosted outputs;
 * any worker's death recovers, including one that dies in user code inside
   a leased pool (the lease is invalidated, never reused);
 * a worker that hangs past ``worker_timeout`` is killed by the watchdog and
@@ -37,12 +37,14 @@ from repro.eval.experiments.ablation_engines import run_ablation_engines
 from repro.eval.runner import ExperimentRunner
 from repro.runtime import get_backend
 from repro.runtime.parallel import FaultSpec, ParallelExecutor, maybe_crash
-from repro.runtime.shm import list_segments, shm_available
+from repro.runtime.ooc import segment_plane
+from repro.runtime.shm import ShmRegistry, list_segments
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
 from tests.conftest import (
     PARTITIONERS,
     assert_matches_reference,
+    custom_aggregator_config,
     half_jaccard,
     partitioner_option,
     scalar_reference,
@@ -59,7 +61,7 @@ def grid_config() -> SnapleConfig:
 
 
 #: The crash grid's configurations: one the vectorized kernel runs, and a
-#: custom callable whose GAS workers run the scalar step programs.
+#: custom similarity the workers score in the kernel's per-edge loop.
 GRID_CONFIGS = {
     "paper": grid_config,
     "custom": unsupported_kernel_config,
@@ -131,13 +133,12 @@ class TestKillWorkerReplayParity:
         assert recovered.extra["worker_restarts"] == 1.0
         assert_bit_identical(baseline, recovered)
 
-    @pytest.mark.skipif(not shm_available(),
-                        reason="platform lacks POSIX shared memory")
-    def test_custom_config_recovers_on_the_columnar_plane(
+    def test_custom_config_recovers_on_the_chosen_plane(
             self, fault_injector, random_graph):
-        # A configuration outside the vectorized kernel runs the scalar step
-        # programs inside the columnar GAS task; a crash mid-run must still
-        # recover bit-identically, on the shared-memory plane.
+        # A configuration outside the vectorized kernel runs the kernel's
+        # scalar branches inside the phase task; a crash mid-run must still
+        # recover bit-identically, on whichever plane the environment
+        # selects (shared memory by default, spool files with SNAPLE_OOC=1).
         graph = grid_graph(random_graph)
         config = unsupported_kernel_config()
         fault = fault_injector.kill_worker(1, partition=3)
@@ -145,7 +146,23 @@ class TestKillWorkerReplayParity:
         recovered = predictor.predict(graph, backend="gas", workers=4,
                                       fault=fault)
         assert recovered.extra["worker_restarts"] == 1.0
-        assert recovered.extra["shm_enabled"] == 1.0
+        assert recovered.extra["shm_enabled"] == float(
+            segment_plane() is ShmRegistry)
+        assert_matches_reference(recovered, scalar_reference(graph, config))
+
+    @pytest.mark.parametrize("superstep", [1, 2])
+    def test_custom_aggregator_recovers_bit_identically(
+            self, superstep, fault_injector, random_graph):
+        # Phase 3 of this configuration folds in fold_paths (GAS gather
+        # order); a crash in the phase that builds its kept rows or in the
+        # fold itself replays to the scalar reference.
+        graph = grid_graph(random_graph)
+        config = custom_aggregator_config()
+        fault = fault_injector.kill_worker(superstep, partition=1)
+        with SnapleLinkPredictor(config) as predictor:
+            recovered = predictor.predict(graph, backend="gas", workers=2,
+                                          fault=fault)
+        assert recovered.extra["worker_restarts"] == 1.0
         assert_matches_reference(recovered, scalar_reference(graph, config))
 
     def test_recovered_report_carries_only_the_restart_count(

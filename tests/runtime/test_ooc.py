@@ -9,7 +9,7 @@ file-backed mappings instead of POSIX shared memory — to bound peak RSS
   ``close()``;
 * **fallback** — with no shared memory, ``workers=N`` runs land on spool
   files and still equal the scalar reference (the {shm, spool} parity grid
-  itself lives in ``test_shm.py``);
+  itself lives in ``test_parallel_parity.py``);
 * **portability** — a run that recovers from a worker crash on one plane
   equals the uninterrupted run on the other.
 """
@@ -30,19 +30,7 @@ from repro.runtime.ooc import (
     spool_graph,
 )
 from repro.runtime.parallel import WorkerPoolLease
-from repro.runtime.shm import (
-    AttachmentCache,
-    ShmColumnAllocator,
-    ShmRegistry,
-    list_segments,
-    state_slice_handle,
-)
-from repro.runtime.state import (
-    FieldKind,
-    StateField,
-    StateSchema,
-    StateStore,
-)
+from repro.runtime.shm import AttachmentCache, ShmRegistry, list_segments
 from repro.graph.digraph import CSR_ARRAY_NAMES
 from repro.graph.storage import load_graph_memmap, save_graph_memmap
 from repro.snaple.config import SnapleConfig
@@ -168,26 +156,21 @@ class TestMemmapRegistry:
                 del view
             cache.retain(set())
 
-    def test_allocator_descriptors_carry_spool_paths(self):
+    def test_block_descriptors_carry_spool_paths(self):
         cache = AttachmentCache()
         with MemmapRegistry() as registry:
-            schema = StateSchema([StateField("gamma", FieldKind.INT_LIST)])
-            store = StateStore(8, schema,
-                               allocator=ShmColumnAllocator(registry))
-            store.set_rows("gamma", np.array([2]), np.array([3]),
-                           np.array([5, 6, 7], dtype=np.int64))
-            rows = np.array([1, 2], dtype=np.int64)
-            handle = state_slice_handle(store, rows, ("gamma",))
+            block = registry.share_arrays({
+                "indptr": np.array([0, 0, 3], dtype=np.int64),
+                "indices": np.array([5, 6, 7], dtype=np.int64),
+            })
             # Descriptors carry spool-file paths, which is what makes them
             # self-routing through the worker-side attachment cache.
-            for spec in handle.ragged["gamma"]:
-                if spec is not None:
-                    assert spec.segment.startswith(str(registry.spool_dir))
-            expected = store.extract(rows, ("gamma",))
-            actual = handle.materialize(cache)
-            np.testing.assert_array_equal(actual.rows, expected.rows)
-            np.testing.assert_array_equal(actual.ragged["gamma"][1],
-                                          expected.ragged["gamma"][1])
+            assert block.segment.startswith(str(registry.spool_dir))
+            for spec in block.specs.values():
+                assert spec.segment == block.segment
+            view = cache.view(block.specs["indices"])
+            np.testing.assert_array_equal(view, [5, 6, 7])
+            del view
             cache.retain(set())
 
     def test_attachment_cache_missing_file_raises(self):

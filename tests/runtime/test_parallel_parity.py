@@ -10,6 +10,13 @@ reports, for serial and parallel runs alike.
 
 The CI parity job sets ``SNAPLE_PARITY_WORKERS`` to restrict the worker
 counts exercised (e.g. ``2``); locally both 2 and 4 run.
+
+:class:`TestScalarReferenceParity` is the acceptance grid: every
+``workers=N`` run equals the serial scalar reference
+(``tests.conftest.scalar_reference``) in predictions and scores, for
+{paper, truncating, custom-similarity, custom-aggregator} × workers {1, 2,
+4} × {random, greedy} × {shm, spool}, and both planes report the same
+deterministic accounting.
 """
 
 from __future__ import annotations
@@ -25,6 +32,15 @@ from repro.runtime import available_backends, backend_capabilities, get_backend
 from repro.runtime.report import RunReport
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
+from tests.conftest import (
+    PARTITIONERS,
+    assert_matches_reference,
+    custom_aggregator_config,
+    partitioner_option,
+    scalar_reference,
+    truncating_config,
+    unsupported_kernel_config,
+)
 
 
 def _parity_worker_counts() -> list[int]:
@@ -208,6 +224,124 @@ class TestPartitionAccounting:
         assert payload["sync_overhead_seconds"] >= 0.0
         assert len(payload["partitions"]) == 2
         assert all("shipped_bytes" in entry for entry in payload["partitions"])
+
+    #: ``network_bytes`` and per-partition ``(gather_invocations,
+    #: apply_invocations, shipped_bytes)`` of the paper config on the parity
+    #: graph.  ``shipped_bytes`` is the logical boundary payload: 8 B per
+    #: Γ̂ id and 16 B per kept entry of the rows a partition reads from
+    #: another partition's output.
+    PINNED = {
+        (2, "random"): (16808, [(1560, 309, 6544), (1086, 141, 10264)]),
+        (2, "greedy"): (16592, [(1428, 231, 8000), (1218, 219, 8592)]),
+        (4, "random"): (42568, [(939, 168, 10600), (576, 123, 10776),
+                                (786, 114, 11608), (345, 45, 9584)]),
+        (4, "greedy"): (38568, [(1056, 147, 10032), (828, 108, 10424),
+                                (327, 81, 8648), (435, 114, 9464)]),
+    }
+
+    @pytest.mark.parametrize(("workers", "partitioner"), sorted(PINNED))
+    def test_accounting_is_pinned(self, workers, partitioner, small_graph):
+        config = SnapleConfig.paper_default(seed=3, k_local=10)
+        with SnapleLinkPredictor(config) as predictor:
+            run = predictor.predict(small_graph, backend="gas",
+                                    workers=workers,
+                                    **partitioner_option(partitioner))
+        network_bytes, partitions = self.PINNED[(workers, partitioner)]
+        assert run.supersteps == 3
+        assert run.network_bytes == network_bytes
+        assert [(p.gather_invocations, p.apply_invocations, p.shipped_bytes)
+                for p in run.partition_reports] == partitions
+
+
+# ----------------------------------------------------------------------
+# The acceptance grid against the serial scalar reference
+# ----------------------------------------------------------------------
+#: The last two run the kernel's scalar branches inside the workers: the
+#: per-edge similarity loop, and ``fold_paths`` in GAS gather order.
+REFERENCE_CONFIGS = {
+    "paper": lambda: SnapleConfig.paper_default(seed=3, k_local=10),
+    "truncating": truncating_config,
+    "custom-similarity": unsupported_kernel_config,
+    "custom-aggregator": custom_aggregator_config,
+}
+
+
+class TestScalarReferenceParity:
+    _references: dict[str, tuple] = {}
+    _accounting: dict[tuple[str, str, int], list] = {}
+
+    @pytest.mark.parametrize("partitioner", PARTITIONERS)
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("config_name", sorted(REFERENCE_CONFIGS))
+    def test_parallel_run_equals_scalar_reference(self, config_name,
+                                                  partitioner, workers,
+                                                  plane, small_graph):
+        config = REFERENCE_CONFIGS[config_name]()
+        if config_name not in self._references:
+            self._references[config_name] = scalar_reference(small_graph,
+                                                             config)
+        with SnapleLinkPredictor(config) as predictor:
+            report = predictor.predict(small_graph, backend="gas",
+                                       workers=workers,
+                                       **partitioner_option(partitioner))
+        assert_matches_reference(report, self._references[config_name])
+        assert report.extra["shm_enabled"] == float(plane == "shm")
+        assert report.extra["ooc_enabled"] == float(plane == "spool")
+        # Deterministic accounting, byte counts included, does not depend
+        # on the plane: both must report exactly the same numbers.
+        accounting = [
+            (p.gather_invocations, p.apply_invocations, p.shipped_bytes)
+            for p in report.partition_reports
+        ] + [report.extra[key] for key in ("transport_bytes",
+                                           "state_plane_peak_bytes",
+                                           "worker_restarts")]
+        expected = self._accounting.setdefault(
+            (config_name, partitioner, workers), accounting)
+        assert accounting == expected
+
+
+class TestStatePlaneReporting:
+    def test_reports_record_the_segment_plane(self, small_graph):
+        with SnapleLinkPredictor(truncating_config()) as predictor:
+            serial = predictor.predict(small_graph, backend="gas")
+            parallel = predictor.predict(small_graph, backend="gas",
+                                         workers=2)
+        assert serial.extra == {}
+        assert parallel.extra["state_plane_peak_bytes"] > 0
+        assert parallel.extra["transport_bytes"] > 0
+
+    def test_serial_engine_keeps_plain_dicts(self, small_graph):
+        from repro.gas.engine import GasEngine
+        from repro.snaple.program import build_snaple_steps
+
+        config = truncating_config()
+        graph = small_graph
+        gas = GasEngine(graph=graph).run(build_snaple_steps(config, graph))
+        assert type(gas.vertex_data) is list
+        assert len(gas.vertex_data) == graph.num_vertices
+        assert all(type(state) is dict for state in gas.vertex_data)
+        assert set(gas.data_of(0)) == {"gamma", "sims", "predicted"}
+
+    def test_gas_package_exports_runtime_partition(self):
+        import repro.gas as gas
+        import repro.runtime.partition as runtime_partition
+
+        for name in ("GraphPartition", "Partitioner", "RandomVertexCut",
+                     "GreedyVertexCut", "HdrfVertexCut", "partition_graph"):
+            assert name in gas.__all__
+            assert getattr(gas, name) is getattr(runtime_partition, name)
+
+    def test_parallel_reports_routing_overhead_per_superstep(self,
+                                                             small_graph):
+        with SnapleLinkPredictor(truncating_config()) as predictor:
+            report = predictor.predict(small_graph, backend="gas",
+                                       workers=2)
+        supersteps = report.supersteps
+        assert report.extra["routing_seconds"] >= 0.0
+        for index in range(supersteps):
+            assert f"routing_seconds_step{index}" in report.extra
+            assert f"state_plane_bytes_step{index}" in report.extra
+            assert f"transport_bytes_step{index}" in report.extra
 
 
 class TestWorkersValidation:

@@ -1,17 +1,19 @@
-"""Lifecycle and parity tests for the segment plane.
+"""Lifecycle tests for the segment plane.
 
-The segment plane (:mod:`repro.runtime.shm`) maps the CSR graph and the
-columnar state columns into ``multiprocessing.shared_memory`` segments — or
-spool files (:mod:`repro.runtime.ooc`) — so parallel supersteps exchange
-descriptors, never arrays.  Two guarantees are pinned here:
+The segment plane (:mod:`repro.runtime.shm`) maps the CSR graph and each
+phase's assembled output into ``multiprocessing.shared_memory`` segments —
+or spool files (:mod:`repro.runtime.ooc`) — so parallel tasks exchange
+descriptors, never shared arrays.  Pinned here:
 
 * **lifecycle** — every segment the coordinator creates is unlinked again,
   whether the run succeeds, a worker crashes, or the run recovers by
   replay; ``list_segments()`` doubles as the CI leak check;
-* **parity** — predictions and scores equal the serial scalar reference,
-  and deterministic accounting is identical, on both planes (shm, spool)
-  and across worker counts and partitioners, for kernel-supported and
-  custom-callable configurations alike.
+* **descriptors** — a task carries its row ids and the
+  :class:`~repro.runtime.shm.BlockHandle` s of the outputs it reads, on
+  either plane.
+
+The {shm, spool} parity grid against the scalar reference lives in
+``test_parallel_parity.py``.
 """
 
 from __future__ import annotations
@@ -25,32 +27,17 @@ from repro.runtime.ooc import MemmapGraphHandle, MemmapRegistry, list_spool_dirs
 from repro.runtime.parallel import ParallelExecutor
 from repro.runtime.shm import (
     AttachmentCache,
-    ShmColumnAllocator,
+    BlockHandle,
     ShmGraphHandle,
     ShmRegistry,
-    ShmSliceHandle,
     attach_graph,
     list_segments,
     share_graph,
     shm_available,
-    state_slice_handle,
-)
-from repro.runtime.state import (
-    FieldKind,
-    StateField,
-    StateSchema,
-    StateSlice,
-    StateStore,
 )
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
-from tests.conftest import (
-    PARTITIONERS,
-    assert_matches_reference,
-    partitioner_option,
-    scalar_reference,
-    unsupported_kernel_config,
-)
+from tests.conftest import PARTITIONERS, partitioner_option
 
 pytestmark = pytest.mark.skipif(
     not shm_available(), reason="platform lacks POSIX shared memory"
@@ -225,79 +212,6 @@ class TestGraphSharing:
 
 
 # ----------------------------------------------------------------------
-# Shm-backed StateStore columns and slice handles
-# ----------------------------------------------------------------------
-def _parity_schema() -> StateSchema:
-    return StateSchema([
-        StateField("gamma", FieldKind.INT_LIST),
-        StateField("sims", FieldKind.INT_FLOAT_MAP),
-    ])
-
-
-def _fill_store(store: StateStore, seed: int = 5) -> None:
-    rng = np.random.default_rng(seed)
-    for vertex in range(store.num_vertices):
-        size = int(rng.integers(0, 9))
-        ids = np.sort(rng.choice(200, size=size, replace=False))
-        store.set_rows("gamma", np.array([vertex]), np.array([size]),
-                       ids.astype(np.int64))
-        store.set_rows("sims", np.array([vertex]), np.array([size]),
-                       ids.astype(np.int64), rng.random(size))
-
-
-class TestShmStateStore:
-    def _store(self, registry: ShmRegistry) -> StateStore:
-        return StateStore(40, _parity_schema(),
-                          allocator=ShmColumnAllocator(registry))
-
-    def test_slice_handle_materializes_like_extract(self):
-        cache = AttachmentCache()
-        with ShmRegistry() as registry:
-            store = self._store(registry)
-            _fill_store(store)
-            rows = np.array([3, 7, 11, 29], dtype=np.int64)
-            expected = store.extract(rows, ("gamma", "sims"))
-            handle = state_slice_handle(store, rows, ("gamma", "sims"))
-            actual = handle.materialize(cache)
-            np.testing.assert_array_equal(actual.rows, expected.rows)
-            for name in ("gamma", "sims"):
-                exp_counts, exp_ids, exp_vals, exp_present = \
-                    expected.ragged[name]
-                act_counts, act_ids, act_vals, act_present = \
-                    actual.ragged[name]
-                np.testing.assert_array_equal(act_counts, exp_counts)
-                np.testing.assert_array_equal(act_present, exp_present)
-                np.testing.assert_array_equal(act_ids, exp_ids)
-                if exp_vals is None:
-                    assert act_vals is None
-                else:
-                    np.testing.assert_array_equal(act_vals, exp_vals)
-            # Descriptors travel, not arrays: the transport payload is just
-            # the row-index vector.
-            assert handle.transport_nbytes() == rows.nbytes
-            cache.retain(set())
-            del store
-
-    def test_growth_migrates_buffers_without_leaking(self):
-        with ShmRegistry() as registry:
-            store = self._store(registry)
-            rng = np.random.default_rng(9)
-            # Repeated writes force _reserve/_maybe_compact to reallocate
-            # buffers many times over; every stale segment must be released.
-            for _ in range(6):
-                for vertex in range(40):
-                    size = int(rng.integers(1, 40))
-                    ids = np.sort(rng.choice(500, size=size, replace=False))
-                    store.set_rows("sims", np.array([vertex]),
-                                   np.array([size]), ids.astype(np.int64),
-                                   rng.random(size))
-            # Only the registry's live segments remain in /dev/shm.
-            assert set(list_segments()) == set(registry._segments)
-            del store
-        assert_no_leaked_segments()
-
-
-# ----------------------------------------------------------------------
 # End-to-end lifecycle through the parallel executor
 # ----------------------------------------------------------------------
 class TestRunLifecycle:
@@ -347,80 +261,13 @@ class TestRunLifecycle:
         assert_no_leaked_segments()
 
 
-# ----------------------------------------------------------------------
-# Plane parity grid
-# ----------------------------------------------------------------------
-@pytest.fixture(params=["shm", "spool"])
-def transport(request, monkeypatch, tmp_path):
-    """Columnar state on shared-memory segments or spool files."""
-    monkeypatch.setenv("SNAPLE_OOC_DIR", str(tmp_path))
-    if request.param == "spool":
-        monkeypatch.setenv("SNAPLE_OOC", "1")
-    else:
-        monkeypatch.delenv("SNAPLE_OOC", raising=False)
-    yield request.param
-    assert list_spool_dirs() == []
-
-
-#: A configuration the vectorized kernel runs, and a custom callable whose
-#: GAS workers run the scalar step programs over the same shipped columns.
-GRID_CONFIGS = {
-    "paper": parity_config,
-    "custom": unsupported_kernel_config,
-}
-
-
-class TestTransportParityGrid:
-    """{paper, custom} × {shm, spool} × {random, greedy cut} × {1, 4 workers}
-    == scalar reference."""
-
-    _references: dict[str, tuple] = {}
-    _accounting: dict[tuple[str, str, int], list] = {}
-
-    @pytest.mark.parametrize("partitioner", PARTITIONERS)
-    @pytest.mark.parametrize("workers", [1, 4])
-    @pytest.mark.parametrize("config_name", sorted(GRID_CONFIGS))
-    def test_grid_cell_matches_reference(self, config_name, partitioner,
-                                         workers, transport, random_graph):
-        graph = parity_graph(random_graph)
-        config = GRID_CONFIGS[config_name]()
-        if config_name not in self._references:
-            self._references[config_name] = scalar_reference(graph, config)
-        with SnapleLinkPredictor(config) as predictor:
-            run = predictor.predict(graph, backend="gas", workers=workers,
-                                    **partitioner_option(partitioner))
-        assert_matches_reference(run, self._references[config_name])
-        # Deterministic accounting, shipped boundary bytes included, is
-        # plane-independent, and both planes ship the same descriptors:
-        # they must agree exactly.
-        accounting = [
-            (p.gather_invocations, p.apply_invocations, p.shipped_bytes)
-            for p in run.partition_reports
-        ] + [run.extra["transport_bytes"]]
-        expected = self._accounting.setdefault(
-            (config_name, partitioner, workers), accounting)
-        assert accounting == expected
-        assert run.extra["shm_enabled"] == float(transport == "shm")
-        assert run.extra["ooc_enabled"] == float(transport == "spool")
-        assert_no_leaked_segments()
-
-
-def _assert_descriptor(payload) -> None:
-    if isinstance(payload, tuple):
-        for part in payload:
-            _assert_descriptor(part)
-    else:
-        assert payload is None or isinstance(payload, ShmSliceHandle), \
-            type(payload)
-
-
 class TestTaskPayloads:
-    """Only descriptors cross the process boundary: every task's state
-    payload is ``None``, a ``ShmSliceHandle`` or a tuple of these, on
+    """Only descriptors cross the process boundary: besides its row ids, a
+    task carries the ``BlockHandle`` s of the phase outputs it reads, on
     either plane."""
 
     @pytest.mark.parametrize("partitioner", PARTITIONERS)
-    def test_payloads_are_descriptors(self, partitioner, transport,
+    def test_payloads_are_descriptors(self, partitioner, plane,
                                       monkeypatch, random_graph):
         shipped = []
         original = ParallelExecutor._map
@@ -434,15 +281,13 @@ class TestTaskPayloads:
         with SnapleLinkPredictor(parity_config()) as predictor:
             predictor.predict(graph, backend="gas", workers=2,
                               **partitioner_option(partitioner))
-        assert shipped
-        seen = set()
-        for task in shipped:
-            # A task is ``(partition, step, owned vertices, state payload)``.
-            payload = task[3]
-            _assert_descriptor(payload)
-            parts = payload if isinstance(payload, tuple) else (payload,)
-            seen.update(type(part) for part in parts)
-            for part in task:
-                assert not isinstance(part, (StateSlice, DiGraph))
-        assert ShmSliceHandle in seen
+        # A task is ``(partition, phase, owned row ids, hosted blocks)``;
+        # phase p reads the p outputs hosted before it.
+        assert sorted({task[1] for task in shipped}) == [0, 1, 2]
+        for partition, phase, rows, blocks in shipped:
+            assert isinstance(rows, np.ndarray) and rows.dtype == np.int64
+            assert len(blocks) == phase
+            assert all(type(block) is BlockHandle for block in blocks)
+            for part in (partition, phase, *blocks):
+                assert not isinstance(part, (np.ndarray, DiGraph))
         assert_no_leaked_segments()

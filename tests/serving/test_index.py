@@ -8,7 +8,10 @@ import pytest
 from repro.errors import VertexNotFoundError
 from repro.graph.digraph import DiGraph
 from repro.serving import GraphDelta, IncrementalIndex
+from repro.serving.service import PredictorService
 from repro.snaple.config import SnapleConfig
+from repro.snaple.predictor import SnapleLinkPredictor
+from tests.conftest import custom_aggregator_config
 
 
 def _absent_edges(graph, count, seed):
@@ -87,6 +90,34 @@ class TestIncrementalEqualsCold:
             cached.apply_edges([edge])
             uncached.apply_edges([edge])
         _assert_same_state(cached, uncached)
+
+
+class TestCustomFold:
+    """An aggregator outside the kernel ranks through ``fold_paths``."""
+
+    def test_cold_index_equals_parallel_run_and_survives_an_update(
+            self, random_graph):
+        config = custom_aggregator_config()
+        base = random_graph(90, 3, 0.3, seed=7)
+        with SnapleLinkPredictor(config) as predictor:
+            parallel = predictor.predict(base, backend="gas", workers=2)
+        index = IncrementalIndex(base, config)
+        assert index.all_predictions() == parallel.predictions
+        for u in range(base.num_vertices):
+            assert index.scores(u) == dict(parallel.scores[u])
+            assert index.prediction_scores(u) == [
+                parallel.scores[u][z] for z in parallel.predictions[u]]
+        stream = _absent_edges(base, 1, seed=4)
+        index.apply_edges(stream)
+        _assert_same_state(index, IncrementalIndex(_final_graph(base, stream),
+                                                   config))
+
+    def test_service_serves_a_custom_aggregator(self, random_graph):
+        config = custom_aggregator_config()
+        base = random_graph(90, 3, 0.3, seed=7)
+        expected = IncrementalIndex(base, config).predictions(5)
+        with PredictorService(base, config) as service:
+            assert service.top_k(5).predicted == expected
 
 
 class TestDirtyTracking:

@@ -67,7 +67,7 @@ def _assert_same_gamma(spliced: kernel.NeighborhoodCSR,
 def test_spliced_gamma_equals_from_rows(config):
     index, final = _run_stream(config)
     n = final.num_vertices
-    counts, flat, _ = kernel.gas_sample_step_columnar(
+    counts, flat = kernel.gas_sample_step_columnar(
         final, config, np.arange(n, dtype=np.int64))
     built = kernel.NeighborhoodCSR.from_rows(n, counts, flat)
     spliced = index._gamma
@@ -85,7 +85,7 @@ def test_binary_search_side_matches_bitmap_side(config, monkeypatch):
     monkeypatch.setattr(kernel, "_BITMAP_LIMIT_BITS", 0)
     searched, final = _run_stream(config)
     assert searched._gamma._bitmap is None
-    counts, flat, _ = kernel.gas_sample_step_columnar(
+    counts, flat = kernel.gas_sample_step_columnar(
         final, config, np.arange(final.num_vertices, dtype=np.int64))
     _assert_same_gamma(searched._gamma, kernel.NeighborhoodCSR.from_rows(
         final.num_vertices, counts, flat))
