@@ -14,11 +14,6 @@ Run only the GAS leg of the engine ablation and emit machine-readable JSON::
 
     snaple ablation-engines --engine gas --json
 
-Run the engine ablation in 4 worker processes (a crashed worker is
-respawned and the run replayed, with an identical result)::
-
-    snaple ablation-engines --engine gas --workers 4
-
 Serve predictions from a long-lived process, ingest an edge, and watch the
 answer change (the online-serving demo loop)::
 
@@ -42,7 +37,6 @@ import argparse
 import dataclasses
 import inspect
 import json
-import os
 import sys
 from collections.abc import Sequence
 from typing import Any
@@ -53,7 +47,6 @@ from repro.eval.experiments.ablation_engines import ENGINE_SPECS
 from repro.graph.datasets import dataset_names, dataset_spec
 from repro.runtime import available_backends, backend_capabilities
 from repro.runtime.engines import LOCAL_MODES
-from repro.runtime.parallel import validate_workers
 
 __all__ = ["main", "build_parser"]
 
@@ -125,29 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "execute graph partitions in N shared-nothing worker processes "
-            "instead of the simulated cluster (only experiments taking a "
-            "'workers' parameter, e.g. ablation-engines)"
-        ),
-    )
-    parser.add_argument(
-        "--graph-format",
-        choices=("memory", "memmap"),
-        default=None,
-        help=(
-            "where parallel (--workers) runs host the graph and state "
-            "columns: 'memory' (the default; RAM and shared-memory "
-            "segments) or 'memmap' (out-of-core: on-disk containers and "
-            "spool files, equivalent to SNAPLE_OOC=1, bounding peak RSS "
-            "on graphs larger than memory)"
-        ),
-    )
-    parser.add_argument(
         "--mode",
         choices=LOCAL_MODES,
         default=None,
@@ -168,6 +138,13 @@ def build_parser() -> argparse.ArgumentParser:
         "run a long-lived predictor service over a generated graph; "
         "--workers sets the service's worker-thread count and --scale/--seed "
         "size and seed the graph",
+    )
+    serving.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        metavar="N",
+        help="worker-thread count of the service (default 2)",
     )
     serving.add_argument(
         "--queue-bound",
@@ -597,6 +574,7 @@ def _run_suite_command(argv: Sequence[str]) -> int:
 
 #: Serve-only flags rejected for batch experiments (dest, rendered flag).
 _SERVE_ONLY_FLAGS = (
+    ("workers", "--workers"),
     ("queue_bound", "--queue-bound"),
     ("compact_every", "--compact-every"),
     ("vertex", "--vertex"),
@@ -636,24 +614,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"--engine is not supported by experiment {args.experiment!r}"
             )
         kwargs["engines"] = (args.engine,)
-    if args.workers is not None:
-        if "workers" not in parameters:
-            parser.error(
-                f"--workers is not supported by experiment {args.experiment!r}"
-            )
-        try:
-            kwargs["workers"] = validate_workers(args.workers)
-        except ConfigurationError as error:
-            parser.error(f"--workers: {error}")
-    if args.graph_format is not None:
-        if args.workers is None:
-            parser.error("--graph-format requires --workers")
-        # The coordinator reads the flag from the environment when it picks
-        # the segment plane, so the CLI only has to set it here.
-        if args.graph_format == "memmap":
-            os.environ["SNAPLE_OOC"] = "1"
-        else:
-            os.environ.pop("SNAPLE_OOC", None)
     if args.mode is not None:
         if "mode" not in parameters:
             parser.error(

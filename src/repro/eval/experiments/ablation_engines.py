@@ -11,8 +11,6 @@ and reports network traffic, simulated time and recall for each.  The shape
 to check: both produce the same recall (the algorithm is unchanged) and the
 greedy vertex-cut ships fewer bytes — the GAS formulation's traffic
 advantage materializes through the partitioner, not for free.
-
-With ``workers=N`` both rows run in real worker processes instead.
 """
 
 from __future__ import annotations
@@ -69,7 +67,6 @@ class AblationEnginesResult:
 
     rows: list[EngineRow] = field(default_factory=list)
     num_machines: int = 8
-    workers: int | None = None
 
     def row(self, dataset: str, engine: str) -> EngineRow:
         """The row for one (dataset, engine) pair."""
@@ -82,17 +79,13 @@ class AblationEnginesResult:
         """JSON-serializable view of the ablation."""
         return {
             "num_machines": self.num_machines,
-            "workers": self.workers,
             "rows": [asdict(row) for row in self.rows],
         }
 
     def render(self) -> str:
-        if self.workers is not None:
-            flavour = f"{self.workers} worker processes, wall-clock"
-        else:
-            flavour = f"{self.num_machines} type-I machines"
         table = TextTable(
-            title=f"Ablation — GAS vertex-cuts for SNAPLE ({flavour})",
+            title=("Ablation — GAS vertex-cuts for SNAPLE "
+                   f"({self.num_machines} type-I machines)"),
             columns=[
                 "dataset", "engine", "network MiB", "sim time (s)",
                 "recall", "steps",
@@ -118,21 +111,11 @@ def run_ablation_engines(
     num_machines: int = 8,
     k_local: float = 20,
     engines: tuple[str, ...] | None = None,
-    workers: int | None = None,
 ) -> AblationEnginesResult:
     """Run the same SNAPLE configuration on the selected execution engines.
 
     ``engines`` selects from :data:`ENGINE_SPECS` (by default both);
     unknown names raise :class:`~repro.errors.ConfigurationError`.
-
-    ``workers`` switches the GAS engines from the simulated ``num_machines``
-    cluster to real shared-nothing parallelism (see
-    :mod:`repro.runtime.parallel`): partitions execute in that many worker
-    processes, the network column reports the state actually shipped between
-    partitions, and the time column reports wall-clock seconds instead of
-    simulated cluster time.  The partitioner of each spec (e.g. the greedy
-    vertex-cut) then controls partition locality rather than simulated
-    placement.
     """
     if engines is None:
         engines = tuple(ENGINE_SPECS)
@@ -143,14 +126,8 @@ def run_ablation_engines(
                 f"{', '.join(sorted(ENGINE_SPECS))}"
             )
     runner = ExperimentRunner(scale=scale, seed=seed)
-    if workers is None:
-        cluster_options: dict[str, Any] = {
-            "cluster": cluster_of(TYPE_I, num_machines),
-            "enforce_memory": False,
-        }
-    else:
-        cluster_options = {"workers": workers}
-    result = AblationEnginesResult(num_machines=num_machines, workers=workers)
+    cluster = cluster_of(TYPE_I, num_machines)
+    result = AblationEnginesResult(num_machines=num_machines)
     for dataset in datasets:
         split = runner.split(dataset)
         config = SnapleConfig.paper_default("linearSum", k_local=k_local, seed=seed)
@@ -160,7 +137,8 @@ def run_ablation_engines(
             report = predictor.predict(
                 split.train_graph,
                 backend=backend,
-                **cluster_options,
+                cluster=cluster,
+                enforce_memory=False,
                 **make_options(),
             )
             quality = evaluate_predictions(report.predictions, split)
@@ -168,10 +146,8 @@ def run_ablation_engines(
                 EngineRow(
                     dataset=dataset,
                     engine=display_name,
-                    network_mebibytes=(report.network_bytes or 0) / 1024**2,
-                    # Simulated cluster time for simulated runs, real wall
-                    # clock for workers= runs (the report has no simulation).
-                    simulated_seconds=report.time_seconds,
+                    network_mebibytes=report.network_bytes / 1024**2,
+                    simulated_seconds=report.simulated_seconds,
                     recall=quality.recall,
                     supersteps=report.supersteps or 0,
                 )

@@ -40,14 +40,20 @@ from repro.snaple.program import build_snaple_steps
 __all__ = ["LocalBackend", "GasBackend", "LOCAL_MODES"]
 
 
-def _reject_cluster_with_workers(cluster: ClusterConfig | None,
-                                 workers: int | None) -> None:
-    """A simulated cluster and real worker processes cannot be combined."""
-    if cluster is not None and workers is not None:
+def _reject_cluster_with_workers(workers: int | None, **options) -> None:
+    """Simulated-cluster options and real worker processes cannot be combined.
+
+    ``cluster``, ``partitioner`` and ``enforce_memory`` configure the
+    simulated engine; ``workers=N`` has no simulated cluster to apply them
+    to, so any of them given alongside it is an error rather than ignored.
+    """
+    given = sorted(name for name, value in options.items()
+                   if value is not None)
+    if given and workers is not None:
         raise ConfigurationError(
             "the 'workers' option runs partitions in real worker processes "
-            "and cannot be combined with a simulated 'cluster'; drop one of "
-            "the two options"
+            f"and cannot be combined with the simulated-cluster option(s) "
+            f"{', '.join(repr(name) for name in given)}; drop one of the two"
         )
 
 
@@ -95,7 +101,6 @@ def _serial_partition_report(predictions: dict[int, list[int]],
         gather_invocations=gather_invocations,
         apply_invocations=apply_invocations,
         compute_seconds=wall,
-        shipped_bytes=0,
     )
 
 
@@ -103,9 +108,10 @@ def _parallel_report(backend_name: str,
                      outcome: ParallelRunOutcome) -> RunReport:
     """Normalize a parallel outcome into the shared report type.
 
-    Simulated-cluster fields stay ``None``: a parallel run measures real
-    wall-clock parallelism, not the analytical cluster model.  The totals
-    are derived from the per-partition reports so they cannot drift.
+    Simulated-cluster fields (``network_bytes`` included) stay ``None``: a
+    parallel run measures real wall-clock parallelism and simulates no
+    network.  The totals are derived from the per-partition reports so they
+    cannot drift.
 
     ``extra`` records the phase outputs hosted on the segment plane (peak
     ``state_plane_peak_bytes``), the coordinator routing time and the
@@ -134,7 +140,6 @@ def _parallel_report(backend_name: str,
         predictions=outcome.predictions,
         scores=outcome.scores,
         wall_clock_seconds=outcome.wall_clock_seconds,
-        network_bytes=outcome.exchanged_bytes,
         supersteps=outcome.supersteps,
         workers=outcome.workers,
         per_partition_seconds=outcome.per_partition_seconds,
@@ -251,10 +256,12 @@ class GasBackend(ExecutionBackend):
     """Algorithm 2 on the simulated gather-apply-scatter engine.
 
     With ``workers=N`` the simulated cluster is replaced by real
-    shared-nothing parallelism: the vertex-cut's masters are mapped onto
-    ``N`` worker processes through :mod:`repro.runtime.parallel`, and the
-    report carries per-partition accounting instead of simulated cluster
-    time.  Predictions are identical for every worker count.
+    shared-nothing parallelism: vertices are hashed onto ``N`` worker
+    processes through :mod:`repro.runtime.parallel`, and the report carries
+    per-partition accounting instead of simulated cluster time or traffic.
+    The simulated-cluster options (``cluster``, ``partitioner``,
+    ``enforce_memory``) are rejected alongside ``workers``.  Predictions
+    are identical for every worker count.
 
     ``vertices`` restricts only the recommendation step: the sampling and
     similarity steps always cover the whole graph, because a target's
@@ -266,16 +273,20 @@ class GasBackend(ExecutionBackend):
 
     def __init__(self, cluster: ClusterConfig | None = None,
                  partitioner: Partitioner | None = None,
-                 enforce_memory: bool = True,
+                 enforce_memory: bool | None = None,
                  workers: int | None = None,
                  worker_timeout: float | None = None,
                  max_restarts: int | None = None, fault=None,
                  pool=None) -> None:
         super().__init__()
-        _reject_cluster_with_workers(cluster, workers)
+        _reject_cluster_with_workers(workers, cluster=cluster,
+                                     partitioner=partitioner,
+                                     enforce_memory=enforce_memory)
         self._cluster = cluster
         self._partitioner = partitioner
-        self._enforce_memory = enforce_memory
+        # Not given (``None``): the serial engine enforces memory limits.
+        self._enforce_memory = (True if enforce_memory is None
+                                else enforce_memory)
         self._workers = None if workers is None else validate_workers(workers)
         _reject_pool_without_workers(pool, self._workers)
         self._pool = pool
@@ -307,7 +318,6 @@ class GasBackend(ExecutionBackend):
                 graph,
                 config,
                 workers=self._workers,
-                partitioner=self._partitioner,
                 vertices=None if vertices is None else targets,
                 pool=self._pool,
                 **self._fault_tolerance,

@@ -6,8 +6,8 @@ chosen by :func:`segment_plane` and nowhere else:
 * **shm** — POSIX shared memory (:mod:`repro.runtime.shm`), when the
   platform can create segments and ``SNAPLE_OOC`` is unset;
 * **spool** — plain files mapped with ``mmap`` (this module), everywhere
-  else: with ``SNAPLE_OOC=1`` (or ``snaple --graph-format memmap``) to
-  bound peak RSS, and on platforms without shared memory.
+  else: with ``SNAPLE_OOC=1`` to bound peak RSS, and on platforms without
+  shared memory.
 
 On the spool plane:
 

@@ -56,7 +56,7 @@ either way (the README's fault-tolerance section has the measurement).
 
 Determinism
 -----------
-Results are bit-identical for any worker count and any partitioner because
+Results are bit-identical for any worker count because
 
 * every vertex draws randomness from its own stream derived from
   ``(seed, step, vertex)`` (see :func:`repro.snaple.program.vertex_rng`),
@@ -64,13 +64,11 @@ Results are bit-identical for any worker count and any partitioner because
 * phase 3 folds each target's paths in edge (CSR) order, exactly as the
   serial engine's gather does.
 
-Ownership comes from the partitioner the simulated GAS engine uses:
-:func:`repro.runtime.partition.partition_graph` masters every vertex (a
-vertex-cut ``GraphPartition``; each partition's masters go to one worker
-process).  Placement never changes an answer; it changes the logical
-boundary payload each partition reads (``shipped_bytes``), which a
-locality aware partitioner (e.g.
-:class:`~repro.runtime.partition.GreedyVertexCut`) reduces.
+Each worker owns the vertices
+:func:`~repro.runtime.partition.partition_vertices` hashes onto it (seeded
+by the configuration's seed).  The simulated GAS engine's vertex-cut
+models PowerGraph's edge placement for its traffic accounting; no answer
+or count here depends on placement, so none is built.
 
 Worker processes use an explicit ``forkserver`` start method (``spawn``
 where forkserver is unavailable), never plain ``fork``: forking a threaded
@@ -96,7 +94,7 @@ import numpy as np
 from repro.errors import ConfigurationError, EngineError, WorkerCrashError
 from repro.graph.digraph import DiGraph
 from repro.runtime.ooc import MemmapGraphHandle, segment_plane
-from repro.runtime.partition import partition_graph
+from repro.runtime.partition import partition_vertices
 from repro.runtime.shm import (
     BlockHandle,
     ShmGraphHandle,
@@ -199,7 +197,6 @@ class PartitionReport:
     gather_invocations: int
     apply_invocations: int
     compute_seconds: float
-    shipped_bytes: int
 
 
 @dataclass
@@ -217,8 +214,8 @@ class ParallelRunOutcome:
       through the pool: each task's row ids plus the rows it returned.
       Hosted outputs are read in place and not counted.
 
-    Both byte counts, like the ``shipped``/``exchanged`` accounting, are
-    plane-independent: shm and spool runs report the same numbers.
+    Both byte counts are plane-independent: shm and spool runs report the
+    same numbers.
 
     ``worker_restarts`` counts pool respawns after worker crashes; each one
     replayed the run from phase 0.
@@ -235,7 +232,6 @@ class ParallelRunOutcome:
     partitions: list[PartitionReport]
     wall_clock_seconds: float
     sync_overhead_seconds: float
-    exchanged_bytes: int
     routing_seconds: list[float] = field(default_factory=list)
     state_plane_bytes: list[int] = field(default_factory=list)
     worker_restarts: int = 0
@@ -261,7 +257,6 @@ class _Accounting:
     compute_seconds: list[float]
     gathers: list[int]
     applies: list[int]
-    shipped: list[int]
     sync_overhead: float = 0.0
     routing: list[float] = field(default_factory=list)
     plane: list[int] = field(default_factory=list)
@@ -269,7 +264,7 @@ class _Accounting:
 
     @classmethod
     def fresh(cls, workers: int) -> "_Accounting":
-        return cls([0.0] * workers, [0] * workers, [0] * workers, [0] * workers)
+        return cls([0.0] * workers, [0] * workers, [0] * workers)
 
 
 # ----------------------------------------------------------------------
@@ -487,13 +482,6 @@ class ParallelExecutor:
         The input graph and SNAPLE configuration.
     workers:
         Number of partitions / worker processes (1..``MAX_WORKERS``).
-    partitioner:
-        Optional placement strategy: a
-        :class:`~repro.runtime.partition.Partitioner` (vertex-cut; masters
-        become owners).  Placement only affects how much boundary payload
-        each partition reads, never the predictions.
-    seed:
-        Partitioner seed; defaults to the configuration's seed.
     max_restarts:
         Crash recoveries (pool respawn + replay from phase 0) attempted
         before the failure propagates.
@@ -510,8 +498,7 @@ class ParallelExecutor:
     """
 
     def __init__(self, graph: DiGraph, config: SnapleConfig | None = None, *,
-                 workers: int, partitioner: Any = None,
-                 seed: int | None = None,
+                 workers: int,
                  max_restarts: int = DEFAULT_MAX_RESTARTS,
                  worker_timeout: float | None = None,
                  fault: FaultSpec | None = None,
@@ -537,12 +524,9 @@ class ParallelExecutor:
             None if worker_timeout is None else float(worker_timeout)
         )
         self._fault = fault
-        # Each partition's vertex-cut masters are the vertices it owns.
-        self._owner = np.asarray(partition_graph(
-            graph, self._workers, partitioner=partitioner,
-            seed=self._config.seed if seed is None else seed,
-        ).vertex_master, dtype=np.int64)
-        self._owned = [np.flatnonzero(self._owner == w)
+        owner = partition_vertices(graph, self._workers,
+                                   seed=self._config.seed).vertex_machine
+        self._owned = [np.flatnonzero(owner == w)
                        for w in range(self._workers)]
         if pool is not None and not isinstance(pool, WorkerPoolLease):
             raise ConfigurationError(
@@ -672,14 +656,6 @@ class ParallelExecutor:
     # ------------------------------------------------------------------
     # Phase coordination
     # ------------------------------------------------------------------
-    def _remote_rows(self, w: int, rows: np.ndarray) -> np.ndarray:
-        """Out-neighbours of ``rows`` that partition ``w`` does not own: the
-        boundary rows its task reads from another partition's output."""
-        indptr, indices = self._graph.csr_out_adjacency()
-        neighbors = indices[gather_slices(indptr[rows],
-                                          np.diff(indptr)[rows])]
-        return np.unique(neighbors[self._owner[neighbors] != w])
-
     def _run_phases(self, pool,
                     vertices: list[int] | None) -> ParallelRunOutcome:
         """Algorithm 2's three phases, each a map over the partitions and
@@ -697,17 +673,10 @@ class ParallelExecutor:
         acct = _Accounting.fresh(self._workers)
         hosted: list[BlockHandle] = []
         plane_bytes = 0
-        # Logical payload per row of the last hosted output, which the
-        # next phase's boundary reads: 8 B per Γ̂ id (duplicates included,
-        # as sampled), then 16 B per kept (id, sim) entry.
-        row_bytes = np.zeros(0, dtype=np.int64)
 
         for phase, phase_rows in enumerate((self._owned, self._owned,
                                             target_owned)):
             start = time.perf_counter()
-            for w, rows in enumerate(phase_rows if phase else ()):
-                acct.shipped[w] += int(row_bytes[self._remote_rows(w, rows)]
-                                       .sum())
             tasks = [(w, phase, rows, tuple(hosted))
                      for w, rows in enumerate(phase_rows)]
             map_start = time.perf_counter()
@@ -730,14 +699,12 @@ class ParallelExecutor:
                     num_vertices, counts, flat[gather_slices(starts, counts)])
                 outputs = {"indptr": gamma.indptr, "indices": gamma.indices,
                            "keys": gamma.keys, "sizes": gamma.sizes}
-                row_bytes = 8 * counts
             elif phase == 1:
                 counts, starts, (ids, sims) = _concat_rows(num_vertices,
                                                            phase_rows, blocks)
                 in_order = gather_slices(starts, counts)
                 outputs = {"indptr": indptr_from_counts(counts),
                            "ids": ids[in_order], "sims": sims[in_order]}
-                row_bytes = 16 * counts
             else:
                 pred_counts, pred_starts, (pred_flat,) = _concat_rows(
                     num_vertices, phase_rows, [block[:2] for block in blocks])
@@ -781,7 +748,6 @@ class ParallelExecutor:
                 gather_invocations=acct.gathers[w],
                 apply_invocations=acct.applies[w],
                 compute_seconds=acct.compute_seconds[w],
-                shipped_bytes=acct.shipped[w],
             ))
         return ParallelRunOutcome(
             predictions=predictions,
@@ -791,7 +757,6 @@ class ParallelExecutor:
             partitions=partitions,
             wall_clock_seconds=0.0,  # stamped by run()
             sync_overhead_seconds=acct.sync_overhead,
-            exchanged_bytes=sum(acct.shipped),
             routing_seconds=list(acct.routing),
             state_plane_bytes=list(acct.plane),
             transport_bytes=list(acct.transport),
@@ -824,9 +789,8 @@ def _concat_rows(num_vertices: int, rows: list[np.ndarray],
 # Convenience entry points used by the backends
 # ----------------------------------------------------------------------
 def run_parallel_gas(graph: DiGraph, config: SnapleConfig | None = None, *,
-                     workers: int, partitioner: Any = None,
+                     workers: int,
                      vertices: list[int] | None = None,
-                     seed: int | None = None,
                      pool: WorkerPoolLease | None = None,
                      **fault_tolerance: Any) -> ParallelRunOutcome:
     """Run Algorithm 2's GAS steps with partitions in parallel processes.
@@ -836,7 +800,6 @@ def run_parallel_gas(graph: DiGraph, config: SnapleConfig | None = None, *,
     :class:`ParallelExecutor`; ``pool`` optionally reuses a
     :class:`WorkerPoolLease` across runs.
     """
-    executor = ParallelExecutor(graph, config, workers=workers,
-                                partitioner=partitioner, seed=seed,
-                                pool=pool, **fault_tolerance)
+    executor = ParallelExecutor(graph, config, workers=workers, pool=pool,
+                                **fault_tolerance)
     return executor.run(vertices=vertices)

@@ -36,10 +36,12 @@ class VertexPrediction:
 class RunReport:
     """Predictions plus normalized accounting for one backend run.
 
-    ``simulated_seconds``, ``network_bytes``, ``peak_memory_bytes`` and
-    ``supersteps`` are ``None`` for backends that do not simulate a cluster
-    (e.g. ``local``); ``native`` keeps the backend's own result object for
-    callers that need engine internals.  ``extra`` carries backend-specific
+    ``simulated_seconds``, ``network_bytes`` and ``peak_memory_bytes`` are
+    ``None`` for backends that do not simulate a cluster (``local``, and
+    ``gas`` with ``workers=N``, whose processes exchange no simulated
+    network traffic); ``supersteps`` is ``None`` for backends without
+    supersteps (e.g. ``local``); ``native`` keeps the backend's own result
+    object for callers that need engine internals.  ``extra`` carries backend-specific
     counters:
 
     * the ``local`` backend's ``prepare_seconds`` / ``kernel_vectorized``

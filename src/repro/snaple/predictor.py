@@ -120,8 +120,8 @@ class SnapleLinkPredictor:
             0 to the same answer.
         **options:
             Backend-specific options (e.g. ``cluster=`` / ``partitioner=`` /
-            ``enforce_memory=`` for the simulated engines).  Unknown backends
-            and unsupported options raise
+            ``enforce_memory=`` for the simulated engines, which ``workers``
+            rejects).  Unknown backends and unsupported options raise
             :class:`~repro.errors.ConfigurationError` up front.
 
         Returns

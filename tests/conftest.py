@@ -201,8 +201,8 @@ def scalar_reference(graph: DiGraph, config: SnapleConfig
 
     Serial :class:`~repro.gas.engine.GasEngine` over Algorithm 2's steps,
     with the per-vertex RNG streams ``workers=N`` uses — so every parallel
-    run, on any worker count, partitioner, transport or crash point, must
-    equal it exactly.
+    run, on any worker count, transport or crash point, must equal it
+    exactly.
     """
     from repro.gas.engine import GasEngine
     from repro.snaple.program import build_snaple_steps
@@ -214,19 +214,6 @@ def scalar_reference(graph: DiGraph, config: SnapleConfig
                    for u in graph.vertices()}
     scores = {u: dict(collected.get(u, {})) for u in graph.vertices()}
     return predictions, scores
-
-
-#: The placements every parallel grid crosses: PowerGraph's random
-#: vertex-cut (the default) and the greedy vertex-cut.  Placement changes
-#: shipped bytes, never the answer.
-PARTITIONERS = ("random", "greedy")
-
-
-def partitioner_option(name: str) -> dict:
-    """The ``predict`` options that select the partitioner ``name``."""
-    from repro.runtime.partition import GreedyVertexCut
-
-    return {"random": {}, "greedy": {"partitioner": GreedyVertexCut()}}[name]
 
 
 @pytest.fixture(params=["shm", "spool"])

@@ -119,15 +119,6 @@ class TestAblationEngines:
         with pytest.raises(ConfigurationError, match="unknown engine"):
             run_ablation_engines(scale=SCALE, seed=SEED, engines=("spark",))
 
-    def test_workers_run_both_gas_engines(self):
-        result = run_ablation_engines(scale=SCALE, seed=SEED, workers=2)
-        assert [row.engine for row in result.rows] == [
-            "GAS (random cut)", "GAS (greedy cut)",
-        ]
-        # Placement moves shipped bytes, never the answer.
-        assert len({row.recall for row in result.rows}) == 1
-        assert result.to_dict()["workers"] == 2
-
     def test_to_dict_round_trips_through_json(self, result):
         import json
 

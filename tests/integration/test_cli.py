@@ -143,13 +143,15 @@ class TestServeMain:
                      ["figure9", "--vertex", "1"],
                      ["figure9", "--ingest", "1:2"],
                      ["figure9", "--load-clients", "2"],
+                     ["ablation-engines", "--workers", "2"],
                      ["figure9", "--demo"]):
             with pytest.raises(SystemExit):
                 main(argv + ["--scale", "0.2"])
 
     def test_batch_flags_rejected_for_serve(self):
         for argv in (["serve", "--engine", "gas"],
-                     ["serve", "--mode", "reference"]):
+                     ["serve", "--mode", "reference"],
+                     ["serve", "--graph-format", "memmap"]):
             with pytest.raises(SystemExit):
                 main(argv)
 

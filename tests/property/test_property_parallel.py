@@ -6,9 +6,8 @@ Four properties pin down what makes parallel execution trustworthy:
   configuration twice produces bit-identical predictions and scores;
 * **one reference** — every parallel run equals the serial scalar engine
   (``tests.conftest.scalar_reference``) in predictions and scores;
-* **partition independence** — the number of partitions/workers (and the
-  vertex-cut placing them) never changes the predictions, only the
-  accounting;
+* **partition independence** — the number of partitions/workers never
+  changes the predictions, only the accounting;
 * **crash transparency** — a run that loses a worker at any superstep and
   recovers by respawning the pool and replaying from superstep 0 is
   bit-identical to an uninterrupted run: predictions, candidate scores and
@@ -34,12 +33,7 @@ from repro.graph.generators import powerlaw_cluster
 from repro.runtime.parallel import FaultSpec
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
-from tests.conftest import (
-    PARTITIONERS,
-    assert_matches_reference,
-    partitioner_option,
-    scalar_reference,
-)
+from tests.conftest import assert_matches_reference, scalar_reference
 
 graphs = st.builds(
     powerlaw_cluster,
@@ -64,15 +58,11 @@ configs = st.builds(
 class TestParallelDeterminism:
     @settings(max_examples=5, deadline=None)
     @given(graph=graphs, config=configs,
-           partitioner=st.sampled_from(PARTITIONERS),
            workers=st.integers(min_value=1, max_value=3))
-    def test_fixed_seed_is_deterministic(self, graph, config, partitioner,
-                                         workers):
+    def test_fixed_seed_is_deterministic(self, graph, config, workers):
         predictor = SnapleLinkPredictor(config)
-        first = predictor.predict(graph, backend="gas", workers=workers,
-                                  **partitioner_option(partitioner))
-        second = predictor.predict(graph, backend="gas", workers=workers,
-                                   **partitioner_option(partitioner))
+        first = predictor.predict(graph, backend="gas", workers=workers)
+        second = predictor.predict(graph, backend="gas", workers=workers)
         assert first.predictions == second.predictions
         assert first.scores == second.scores
         assert first.supersteps == second.supersteps
@@ -81,28 +71,24 @@ class TestParallelDeterminism:
 class TestScalarReference:
     @settings(max_examples=5, deadline=None)
     @given(graph=graphs, config=configs,
-           partitioner=st.sampled_from(PARTITIONERS),
            workers=st.sampled_from([1, 4]))
     def test_parallel_run_equals_serial_scalar_engine(self, graph, config,
-                                                      partitioner, workers):
+                                                      workers):
         with SnapleLinkPredictor(config) as predictor:
             report = predictor.predict(graph, backend="gas",
-                                       workers=workers,
-                                       **partitioner_option(partitioner))
+                                       workers=workers)
         assert_matches_reference(report, scalar_reference(graph, config))
 
 
 class TestPartitionIndependence:
     @settings(max_examples=5, deadline=None)
     @given(graph=graphs, config=configs,
-           partitioner=st.sampled_from(PARTITIONERS),
            workers=st.integers(min_value=2, max_value=4))
     def test_worker_count_never_changes_predictions(self, graph, config,
-                                                    partitioner, workers):
+                                                    workers):
         predictor = SnapleLinkPredictor(config)
         single = predictor.predict(graph, backend="gas", workers=1)
-        many = predictor.predict(graph, backend="gas", workers=workers,
-                                 **partitioner_option(partitioner))
+        many = predictor.predict(graph, backend="gas", workers=workers)
         assert single.predictions == many.predictions
         assert single.scores == many.scores
         assert single.supersteps == many.supersteps
@@ -126,24 +112,20 @@ class TestPartitionIndependence:
 class TestCrashAtAnySuperstep:
     @settings(max_examples=6, deadline=None)
     @given(graph=graphs, config=configs,
-           partitioner=st.sampled_from(PARTITIONERS),
            crash_step=st.integers(min_value=0, max_value=2),
            partition=st.integers(min_value=0, max_value=1))
-    def test_recovered_run_is_bit_identical(self, graph, config, partitioner,
-                                            crash_step, partition):
+    def test_recovered_run_is_bit_identical(self, graph, config, crash_step,
+                                            partition):
         with SnapleLinkPredictor(config) as predictor, \
                 tempfile.TemporaryDirectory() as scratch:
-            baseline = predictor.predict(graph, backend="gas", workers=2,
-                                         **partitioner_option(partitioner))
+            baseline = predictor.predict(graph, backend="gas", workers=2)
             # A fresh token per example keeps every drawn fault one-shot.
             fault = FaultSpec(
                 superstep=crash_step, partition=partition,
                 token_path=str(Path(scratch) / f"token-{uuid.uuid4().hex}"),
             )
-            recovered = predictor.predict(
-                graph, backend="gas", workers=2, fault=fault,
-                **partitioner_option(partitioner),
-            )
+            recovered = predictor.predict(graph, backend="gas", workers=2,
+                                          fault=fault)
         assert recovered.extra["worker_restarts"] == 1.0
         assert recovered.predictions == baseline.predictions
         assert dict(recovered.scores) == dict(baseline.scores)
@@ -152,4 +134,3 @@ class TestCrashAtAnySuperstep:
                                     recovered.partition_reports):
             assert actual.gather_invocations == expected.gather_invocations
             assert actual.apply_invocations == expected.apply_invocations
-            assert actual.shipped_bytes == expected.shipped_bytes

@@ -3,11 +3,11 @@
 The acceptance bar of the fault-tolerance layer, asserted here:
 
 * killing worker N at *every* superstep K, across {paper, custom}
-  configurations × {random, greedy} vertex-cuts × {1, 4 workers}, yields a
-  recovered run whose predictions, candidate scores (bit-exact floats) and
-  deterministic accounting counters are identical to an uninterrupted run
-  with the same placement — for custom-callable configurations too, whose
-  workers run the kernel's scalar branches over the same hosted outputs;
+  configurations × {1, 4 workers}, yields a recovered run whose
+  predictions, candidate scores (bit-exact floats) and deterministic
+  accounting counters are identical to an uninterrupted run — for
+  custom-callable configurations too, whose workers run the kernel's
+  scalar branches over the same hosted outputs;
 * any worker's death recovers, including one that dies in user code inside
   a leased pool (the lease is invalidated, never reused);
 * a worker that hangs past ``worker_timeout`` is killed by the watchdog and
@@ -42,11 +42,9 @@ from repro.runtime.shm import ShmRegistry, list_segments
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
 from tests.conftest import (
-    PARTITIONERS,
     assert_matches_reference,
     custom_aggregator_config,
     half_jaccard,
-    partitioner_option,
     scalar_reference,
     unsupported_kernel_config,
 )
@@ -67,20 +65,17 @@ GRID_CONFIGS = {
     "custom": unsupported_kernel_config,
 }
 
-#: Uninterrupted baselines, computed once per (config, partitioner, workers)
-#: cell of the grid — every kill-at-K case compares against the same
-#: baseline.
-_BASELINES: dict[tuple[str, str, int], object] = {}
+#: Uninterrupted baselines, computed once per (config, workers) cell of the
+#: grid — every kill-at-K case compares against the same baseline.
+_BASELINES: dict[tuple[str, int], object] = {}
 
 
-def baseline_report(graph, workers: int, config_name="paper",
-                    partitioner="random"):
-    key = (config_name, partitioner, workers)
+def baseline_report(graph, workers: int, config_name="paper"):
+    key = (config_name, workers)
     if key not in _BASELINES:
         with SnapleLinkPredictor(GRID_CONFIGS[config_name]()) as predictor:
-            _BASELINES[key] = predictor.predict(
-                graph, backend="gas", workers=workers,
-                **partitioner_option(partitioner))
+            _BASELINES[key] = predictor.predict(graph, backend="gas",
+                                                workers=workers)
     return _BASELINES[key]
 
 
@@ -96,7 +91,6 @@ def assert_bit_identical(baseline, recovered) -> None:
         assert actual.num_predicted_edges == expected.num_predicted_edges
         assert actual.gather_invocations == expected.gather_invocations
         assert actual.apply_invocations == expected.apply_invocations
-        assert actual.shipped_bytes == expected.shipped_bytes
 
 
 class TestKillWorkerReplayParity:
@@ -104,18 +98,15 @@ class TestKillWorkerReplayParity:
 
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("superstep", range(3))
-    @pytest.mark.parametrize("partitioner", PARTITIONERS)
     @pytest.mark.parametrize("config_name", sorted(GRID_CONFIGS))
-    def test_kill_at_superstep(self, config_name, partitioner, superstep,
-                               workers, fault_injector, random_graph):
+    def test_kill_at_superstep(self, config_name, superstep, workers,
+                               fault_injector, random_graph):
         graph = grid_graph(random_graph)
-        baseline = baseline_report(graph, workers, config_name, partitioner)
+        baseline = baseline_report(graph, workers, config_name)
         fault = fault_injector.kill_worker(superstep, partition=workers - 1)
         predictor = SnapleLinkPredictor(GRID_CONFIGS[config_name]())
-        recovered = predictor.predict(
-            graph, backend="gas", workers=workers, fault=fault,
-            **partitioner_option(partitioner),
-        )
+        recovered = predictor.predict(graph, backend="gas", workers=workers,
+                                      fault=fault)
         assert recovered.extra["worker_restarts"] == 1.0
         assert_bit_identical(baseline, recovered)
 
@@ -190,24 +181,6 @@ class TestKillWorkerReplayParity:
         with pytest.raises(WorkerCrashError, match="died mid-superstep"):
             predictor.predict(graph, backend="gas", workers=2,
                               max_restarts=0, fault=fault)
-
-    @pytest.mark.parametrize("superstep", range(3))
-    def test_partitioner_choice_survives_recovery(self, superstep,
-                                                  fault_injector,
-                                                  random_graph):
-        # A greedy-cut run recovers to the random-cut run's answer: placement
-        # only moves shipped bytes.
-        graph = grid_graph(random_graph)
-        baseline = baseline_report(graph, 2)
-        fault = fault_injector.kill_worker(superstep, partition=1)
-        predictor = SnapleLinkPredictor(grid_config())
-        recovered = predictor.predict(
-            graph, backend="gas", workers=2, fault=fault,
-            **partitioner_option("greedy"),
-        )
-        assert recovered.extra["worker_restarts"] == 1.0
-        assert recovered.predictions == baseline.predictions
-        assert dict(recovered.scores) == dict(baseline.scores)
 
     @pytest.mark.parametrize("superstep", range(3))
     def test_crash_in_subset_run_equals_full_run(self, superstep,
@@ -429,8 +402,7 @@ class TestOptionValidation:
     def test_engine_ablation_rejects_removed_snapshot_options(self, option):
         # Rejected by the signature, before any dataset is built.
         with pytest.raises(TypeError, match=option):
-            run_ablation_engines(scale=0.12, seed=42, workers=2,
-                                 **{option: 1})
+            run_ablation_engines(scale=0.12, seed=42, **{option: 1})
 
     @pytest.mark.parametrize("value", [-1, 1.5, True])
     def test_invalid_max_restarts_rejected(self, value, random_graph):

@@ -35,12 +35,7 @@ from repro.graph.digraph import CSR_ARRAY_NAMES
 from repro.graph.storage import load_graph_memmap, save_graph_memmap
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
-from tests.conftest import (
-    PARTITIONERS,
-    assert_matches_reference,
-    partitioner_option,
-    scalar_reference,
-)
+from tests.conftest import assert_matches_reference, scalar_reference
 
 
 def parity_graph(random_graph):
@@ -294,14 +289,11 @@ def no_shm(monkeypatch):
 
 
 class TestNoShmPlatform:
-    @pytest.mark.parametrize("partitioner", PARTITIONERS)
-    def test_workers_fall_back_to_spool_files(self, partitioner, no_shm,
-                                              random_graph):
+    def test_workers_fall_back_to_spool_files(self, no_shm, random_graph):
         graph = parity_graph(random_graph)
         config = parity_config()
         with SnapleLinkPredictor(config) as predictor:
-            run = predictor.predict(graph, backend="gas", workers=2,
-                                    **partitioner_option(partitioner))
+            run = predictor.predict(graph, backend="gas", workers=2)
         assert_matches_reference(run, scalar_reference(graph, config))
         assert run.extra["ooc_enabled"] == 1.0
         assert run.extra["shm_enabled"] == 0.0

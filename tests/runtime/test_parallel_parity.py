@@ -15,28 +15,32 @@ counts exercised (e.g. ``2``); locally both 2 and 4 run.
 ``workers=N`` run equals the serial scalar reference
 (``tests.conftest.scalar_reference``) in predictions and scores, for
 {paper, truncating, custom-similarity, custom-aggregator} × workers {1, 2,
-4} × {random, greedy} × {shm, spool}, and both planes report the same
-deterministic accounting.
+4} × {shm, spool}, and both planes report the same deterministic
+accounting.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.gas.cluster import TYPE_I, cluster_of
-from repro.runtime.partition import GreedyVertexCut
 from repro.runtime import available_backends, backend_capabilities, get_backend
+from repro.runtime.partition import (
+    GreedyVertexCut,
+    partition_graph,
+    partition_vertices,
+)
 from repro.runtime.report import RunReport
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
 from tests.conftest import (
-    PARTITIONERS,
     assert_matches_reference,
     custom_aggregator_config,
-    partitioner_option,
     scalar_reference,
     truncating_config,
     unsupported_kernel_config,
@@ -92,7 +96,6 @@ def assert_partition_totals(report: RunReport) -> None:
     for partition in report.partition_reports:
         assert partition.num_predictions <= partition.num_vertices
         assert partition.compute_seconds >= 0.0
-        assert partition.shipped_bytes >= 0
 
 
 class TestWorkersParity:
@@ -149,28 +152,6 @@ class TestWorkersParity:
                                      workers=min(PARITY_WORKERS))
         assert_reports_identical(serial, parallel)
 
-    def test_partitioner_does_not_change_predictions(self, small_graph):
-        """Ownership placement affects traffic only, never the answer."""
-        graph = small_graph
-        config = SnapleConfig.paper_default(seed=3, k_local=10)
-        predictor = SnapleLinkPredictor(config)
-        random_cut = predictor.predict(graph, backend="gas", workers=2)
-        greedy_cut = predictor.predict(graph, backend="gas", workers=2,
-                                       partitioner=GreedyVertexCut())
-        assert_reports_identical(random_cut, greedy_cut)
-
-    def test_greedy_cut_ships_less_boundary_state(self, small_graph):
-        """A locality-aware cut lowers the shipped bytes, not the answer."""
-        config = SnapleConfig.paper_default(seed=3, k_local=10)
-        with SnapleLinkPredictor(config) as predictor:
-            random_cut = predictor.predict(small_graph, backend="gas",
-                                           workers=4)
-            greedy_cut = predictor.predict(small_graph, backend="gas",
-                                           workers=4,
-                                           partitioner=GreedyVertexCut())
-        assert_reports_identical(random_cut, greedy_cut)
-        assert 0 < greedy_cut.network_bytes < random_cut.network_bytes
-
     def test_gas_vertex_subset_parity(self, small_graph):
         graph = small_graph
         subset = list(range(40))
@@ -223,34 +204,48 @@ class TestPartitionAccounting:
         assert len(payload["per_partition_seconds"]) == 2
         assert payload["sync_overhead_seconds"] >= 0.0
         assert len(payload["partitions"]) == 2
-        assert all("shipped_bytes" in entry for entry in payload["partitions"])
+        assert payload["network_bytes"] is None
 
-    #: ``network_bytes`` and per-partition ``(gather_invocations,
-    #: apply_invocations, shipped_bytes)`` of the paper config on the parity
-    #: graph.  ``shipped_bytes`` is the logical boundary payload: 8 B per
-    #: Γ̂ id and 16 B per kept entry of the rows a partition reads from
-    #: another partition's output.
+    #: Per-partition ``(gather_invocations, apply_invocations)`` of the
+    #: paper config on the parity graph under the hash placement.  Their
+    #: totals do not depend on placement: 2646 gathers (every vertex's
+    #: out-degree, once per phase) and 450 applies (3 phases x 150 vertices).
     PINNED = {
-        (2, "random"): (16808, [(1560, 309, 6544), (1086, 141, 10264)]),
-        (2, "greedy"): (16592, [(1428, 231, 8000), (1218, 219, 8592)]),
-        (4, "random"): (42568, [(939, 168, 10600), (576, 123, 10776),
-                                (786, 114, 11608), (345, 45, 9584)]),
-        (4, "greedy"): (38568, [(1056, 147, 10032), (828, 108, 10424),
-                                (327, 81, 8648), (435, 114, 9464)]),
+        2: [(1335, 225), (1311, 225)],
+        4: [(702, 114), (603, 111), (633, 111), (708, 114)],
     }
 
-    @pytest.mark.parametrize(("workers", "partitioner"), sorted(PINNED))
-    def test_accounting_is_pinned(self, workers, partitioner, small_graph):
+    @pytest.mark.parametrize("workers", sorted(PINNED))
+    def test_accounting_is_pinned(self, workers, small_graph):
         config = SnapleConfig.paper_default(seed=3, k_local=10)
         with SnapleLinkPredictor(config) as predictor:
             run = predictor.predict(small_graph, backend="gas",
-                                    workers=workers,
-                                    **partitioner_option(partitioner))
-        network_bytes, partitions = self.PINNED[(workers, partitioner)]
+                                    workers=workers)
+        partitions = [(p.gather_invocations, p.apply_invocations)
+                      for p in run.partition_reports]
         assert run.supersteps == 3
-        assert run.network_bytes == network_bytes
-        assert [(p.gather_invocations, p.apply_invocations, p.shipped_bytes)
-                for p in run.partition_reports] == partitions
+        assert run.network_bytes is None
+        assert partitions == self.PINNED[workers]
+        assert [sum(counts) for counts in zip(*partitions)] == [2646, 450]
+
+    def test_ownership_is_the_hash_placement(self, small_graph, monkeypatch):
+        """``workers=N`` never builds the simulated vertex-cut: each
+        partition owns the vertices ``partition_vertices`` hashes onto it."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("workers=N built a vertex-cut")
+
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("repro")
+                    and getattr(module, "partition_graph", None)
+                    is partition_graph):
+                monkeypatch.setattr(module, "partition_graph", refuse)
+        config = SnapleConfig.paper_default(seed=3, k_local=10)
+        with SnapleLinkPredictor(config) as predictor:
+            run = predictor.predict(small_graph, backend="gas", workers=2)
+        owners = partition_vertices(small_graph, 2,
+                                    seed=config.seed).vertex_machine
+        assert [p.num_vertices for p in run.partition_reports] == (
+            np.bincount(owners, minlength=2).tolist())
 
 
 # ----------------------------------------------------------------------
@@ -268,35 +263,33 @@ REFERENCE_CONFIGS = {
 
 class TestScalarReferenceParity:
     _references: dict[str, tuple] = {}
-    _accounting: dict[tuple[str, str, int], list] = {}
+    _accounting: dict[tuple[str, int], list] = {}
 
-    @pytest.mark.parametrize("partitioner", PARTITIONERS)
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("config_name", sorted(REFERENCE_CONFIGS))
     def test_parallel_run_equals_scalar_reference(self, config_name,
-                                                  partitioner, workers,
-                                                  plane, small_graph):
+                                                  workers, plane,
+                                                  small_graph):
         config = REFERENCE_CONFIGS[config_name]()
         if config_name not in self._references:
             self._references[config_name] = scalar_reference(small_graph,
                                                              config)
         with SnapleLinkPredictor(config) as predictor:
             report = predictor.predict(small_graph, backend="gas",
-                                       workers=workers,
-                                       **partitioner_option(partitioner))
+                                       workers=workers)
         assert_matches_reference(report, self._references[config_name])
         assert report.extra["shm_enabled"] == float(plane == "shm")
         assert report.extra["ooc_enabled"] == float(plane == "spool")
         # Deterministic accounting, byte counts included, does not depend
         # on the plane: both must report exactly the same numbers.
         accounting = [
-            (p.gather_invocations, p.apply_invocations, p.shipped_bytes)
+            (p.gather_invocations, p.apply_invocations)
             for p in report.partition_reports
         ] + [report.extra[key] for key in ("transport_bytes",
                                            "state_plane_peak_bytes",
                                            "worker_restarts")]
         expected = self._accounting.setdefault(
-            (config_name, partitioner, workers), accounting)
+            (config_name, workers), accounting)
         assert accounting == expected
 
 
@@ -357,10 +350,20 @@ class TestWorkersValidation:
         with pytest.raises(ConfigurationError):
             get_backend("gas", workers=workers)
 
-    @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
-    def test_workers_and_cluster_conflict(self, backend):
-        with pytest.raises(ConfigurationError, match="cluster"):
-            get_backend(backend, workers=2, cluster=cluster_of(TYPE_I, 4))
+    @pytest.mark.parametrize(("option", "make_value"), [
+        ("cluster", lambda: cluster_of(TYPE_I, 4)),
+        ("partitioner", GreedyVertexCut),
+        ("enforce_memory", lambda: False),
+    ])
+    def test_simulated_cluster_options_conflict(self, option, make_value,
+                                                small_graph):
+        """Each simulated-cluster option is rejected alongside workers,
+        before any run, instead of being silently ignored."""
+        predictor = SnapleLinkPredictor(SnapleConfig.paper_default(seed=3))
+        message = f"simulated-cluster option\\(s\\) '{option}'"
+        with pytest.raises(ConfigurationError, match=message):
+            predictor.predict(small_graph, backend="gas", workers=2,
+                              **{option: make_value()})
 
     @pytest.mark.parametrize("backend", PARALLEL_BACKENDS)
     def test_capability_advertised(self, backend):

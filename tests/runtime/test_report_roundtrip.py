@@ -102,8 +102,11 @@ class TestParallelReportRoundtrip:
             assert set(entry) >= {
                 "partition", "num_vertices", "num_predictions",
                 "num_predicted_edges", "gather_invocations",
-                "apply_invocations", "compute_seconds", "shipped_bytes",
+                "apply_invocations", "compute_seconds",
             }
+            assert "shipped_bytes" not in entry
+        # Real worker processes simulate no network traffic.
+        assert restored["network_bytes"] is None
         # The executor's per-superstep state-plane accounting.
         assert restored["extra"]["state_plane_peak_bytes"] > 0.0
         for step in range(restored["supersteps"]):

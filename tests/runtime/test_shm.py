@@ -37,7 +37,6 @@ from repro.runtime.shm import (
 )
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
-from tests.conftest import PARTITIONERS, partitioner_option
 
 pytestmark = pytest.mark.skipif(
     not shm_available(), reason="platform lacks POSIX shared memory"
@@ -266,9 +265,8 @@ class TestTaskPayloads:
     task carries the ``BlockHandle`` s of the phase outputs it reads, on
     either plane."""
 
-    @pytest.mark.parametrize("partitioner", PARTITIONERS)
-    def test_payloads_are_descriptors(self, partitioner, plane,
-                                      monkeypatch, random_graph):
+    def test_payloads_are_descriptors(self, plane, monkeypatch,
+                                      random_graph):
         shipped = []
         original = ParallelExecutor._map
 
@@ -279,8 +277,7 @@ class TestTaskPayloads:
         monkeypatch.setattr(ParallelExecutor, "_map", recording_map)
         graph = parity_graph(random_graph)
         with SnapleLinkPredictor(parity_config()) as predictor:
-            predictor.predict(graph, backend="gas", workers=2,
-                              **partitioner_option(partitioner))
+            predictor.predict(graph, backend="gas", workers=2)
         # A task is ``(partition, phase, owned row ids, hosted blocks)``;
         # phase p reads the p outputs hosted before it.
         assert sorted({task[1] for task in shipped}) == [0, 1, 2]

@@ -3,7 +3,7 @@
 The acceptance contract of the serving subsystem: at any point in an edge
 stream the service's predictions *and scores* are bit-identical to a cold
 batch ``predict`` over the merged graph — for the parallel ``gas`` backend
-(the per-vertex-RNG path), on one worker or four, under either vertex-cut.
+(the per-vertex-RNG path), on one worker or four.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from repro.graph.digraph import DiGraph
 from repro.serving import PredictorService, ServingConfig
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
-from tests.conftest import PARTITIONERS, partitioner_option
 
 #: A plain configuration (no truncation on these degrees) and a config where
 #: truncation and klocal sampling are active — the RNG-bearing phases.
@@ -70,14 +69,11 @@ def streamed_service(random_graph):
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-@pytest.mark.parametrize("partitioner", PARTITIONERS)
 @pytest.mark.parametrize("workers", [1, 4])
-def test_stream_matches_cold_batch(streamed_service, name, partitioner,
-                                   workers):
+def test_stream_matches_cold_batch(streamed_service, name, workers):
     service, merged = streamed_service[name]
     with SnapleLinkPredictor(CONFIGS[name]) as predictor:
-        report = predictor.predict(merged, backend="gas", workers=workers,
-                                   **partitioner_option(partitioner))
+        report = predictor.predict(merged, backend="gas", workers=workers)
     served = service.report()
     assert served.predictions == report.predictions
     for u in range(merged.num_vertices):
