@@ -3,8 +3,8 @@
 The acceptance bar of the fault-tolerance layer, asserted here:
 
 * killing worker N at *every* superstep K, across {paper, custom}
-  configurations × {1, 4 workers}, yields a recovered run whose
-  predictions, candidate scores (bit-exact floats) and deterministic
+  configurations × seeds {3, 8} × {1, 4 workers}, yields a recovered run
+  whose predictions, candidate scores (bit-exact floats) and deterministic
   accounting counters are identical to an uninterrupted run — for
   custom-callable configurations too, whose workers run the kernel's
   scalar branches over the same hosted outputs;
@@ -45,6 +45,8 @@ from tests.conftest import (
     assert_matches_reference,
     custom_aggregator_config,
     half_jaccard,
+    over_seeds,
+    reseeded,
     scalar_reference,
     unsupported_kernel_config,
 )
@@ -65,15 +67,25 @@ GRID_CONFIGS = {
     "custom": unsupported_kernel_config,
 }
 
-#: Uninterrupted baselines, computed once per (config, workers) cell of the
-#: grid — every kill-at-K case compares against the same baseline.
-_BASELINES: dict[tuple[str, int], object] = {}
+#: Uninterrupted baselines, computed once per (config, seed, workers) cell
+#: of the grid — every kill-at-K case compares against the same baseline.
+_BASELINES: dict[tuple[str, int | None, int], object] = {}
 
 
-def baseline_report(graph, workers: int, config_name="paper"):
-    key = (config_name, workers)
+def grid_config_named(config_name: str, seed: int | None = None
+                      ) -> SnapleConfig:
+    """The grid configuration ``config_name``, reseeded when ``seed`` is
+    given."""
+    config = GRID_CONFIGS[config_name]()
+    return config if seed is None else reseeded(config, seed)
+
+
+def baseline_report(graph, workers: int, config_name="paper",
+                    seed: int | None = None):
+    key = (config_name, seed, workers)
     if key not in _BASELINES:
-        with SnapleLinkPredictor(GRID_CONFIGS[config_name]()) as predictor:
+        config = grid_config_named(config_name, seed)
+        with SnapleLinkPredictor(config) as predictor:
             _BASELINES[key] = predictor.predict(graph, backend="gas",
                                                 workers=workers)
     return _BASELINES[key]
@@ -98,13 +110,14 @@ class TestKillWorkerReplayParity:
 
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("superstep", range(3))
+    @over_seeds
     @pytest.mark.parametrize("config_name", sorted(GRID_CONFIGS))
-    def test_kill_at_superstep(self, config_name, superstep, workers,
+    def test_kill_at_superstep(self, config_name, seed, superstep, workers,
                                fault_injector, random_graph):
         graph = grid_graph(random_graph)
-        baseline = baseline_report(graph, workers, config_name)
+        baseline = baseline_report(graph, workers, config_name, seed)
         fault = fault_injector.kill_worker(superstep, partition=workers - 1)
-        predictor = SnapleLinkPredictor(GRID_CONFIGS[config_name]())
+        predictor = SnapleLinkPredictor(grid_config_named(config_name, seed))
         recovered = predictor.predict(graph, backend="gas", workers=workers,
                                       fault=fault)
         assert recovered.extra["worker_restarts"] == 1.0
@@ -181,6 +194,23 @@ class TestKillWorkerReplayParity:
         with pytest.raises(WorkerCrashError, match="died mid-superstep"):
             predictor.predict(graph, backend="gas", workers=2,
                               max_restarts=0, fault=fault)
+
+    @pytest.mark.parametrize("superstep", range(3))
+    def test_recovery_matches_another_worker_count(self, superstep,
+                                                   fault_injector,
+                                                   random_graph):
+        # A 4-worker run that loses a worker recovers to the 2-worker run's
+        # answer: ownership never changes the predictions, recovery
+        # included.
+        graph = grid_graph(random_graph)
+        baseline = baseline_report(graph, 2)
+        fault = fault_injector.kill_worker(superstep, partition=3)
+        predictor = SnapleLinkPredictor(grid_config())
+        recovered = predictor.predict(graph, backend="gas", workers=4,
+                                      fault=fault)
+        assert recovered.extra["worker_restarts"] == 1.0
+        assert recovered.predictions == baseline.predictions
+        assert dict(recovered.scores) == dict(baseline.scores)
 
     @pytest.mark.parametrize("superstep", range(3))
     def test_crash_in_subset_run_equals_full_run(self, superstep,

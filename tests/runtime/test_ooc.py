@@ -35,7 +35,12 @@ from repro.graph.digraph import CSR_ARRAY_NAMES
 from repro.graph.storage import load_graph_memmap, save_graph_memmap
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
-from tests.conftest import assert_matches_reference, scalar_reference
+from tests.conftest import (
+    assert_matches_reference,
+    over_seeds,
+    reseeded,
+    scalar_reference,
+)
 
 
 def parity_graph(random_graph):
@@ -289,9 +294,11 @@ def no_shm(monkeypatch):
 
 
 class TestNoShmPlatform:
-    def test_workers_fall_back_to_spool_files(self, no_shm, random_graph):
+    @over_seeds
+    def test_workers_fall_back_to_spool_files(self, seed, no_shm,
+                                              random_graph):
         graph = parity_graph(random_graph)
-        config = parity_config()
+        config = reseeded(parity_config(), seed)
         with SnapleLinkPredictor(config) as predictor:
             run = predictor.predict(graph, backend="gas", workers=2)
         assert_matches_reference(run, scalar_reference(graph, config))

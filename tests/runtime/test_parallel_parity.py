@@ -15,8 +15,8 @@ counts exercised (e.g. ``2``); locally both 2 and 4 run.
 ``workers=N`` run equals the serial scalar reference
 (``tests.conftest.scalar_reference``) in predictions and scores, for
 {paper, truncating, custom-similarity, custom-aggregator} × workers {1, 2,
-4} × {shm, spool}, and both planes report the same deterministic
-accounting.
+4} × seeds {3, 8} × {shm, spool}, and both planes report the same
+deterministic accounting.
 """
 
 from __future__ import annotations
@@ -39,8 +39,11 @@ from repro.runtime.report import RunReport
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
 from tests.conftest import (
+    SEEDS,
     assert_matches_reference,
     custom_aggregator_config,
+    over_seeds,
+    reseeded,
     scalar_reference,
     truncating_config,
     unsupported_kernel_config,
@@ -207,17 +210,22 @@ class TestPartitionAccounting:
         assert payload["network_bytes"] is None
 
     #: Per-partition ``(gather_invocations, apply_invocations)`` of the
-    #: paper config on the parity graph under the hash placement.  Their
-    #: totals do not depend on placement: 2646 gathers (every vertex's
-    #: out-degree, once per phase) and 450 applies (3 phases x 150 vertices).
+    #: paper config on the parity graph under the hash placement, by
+    #: ``(workers, seed)``.  Their totals do not depend on placement: 2646
+    #: gathers (every vertex's out-degree, once per phase) and 450 applies
+    #: (3 phases x 150 vertices).  On a power-of-two worker count the
+    #: seed only rotates which partition owns which block.
     PINNED = {
-        2: [(1335, 225), (1311, 225)],
-        4: [(702, 114), (603, 111), (633, 111), (708, 114)],
+        (2, 3): [(1335, 225), (1311, 225)],
+        (2, 8): [(1311, 225), (1335, 225)],
+        (4, 3): [(702, 114), (603, 111), (633, 111), (708, 114)],
+        (4, 8): [(708, 114), (702, 114), (603, 111), (633, 111)],
     }
 
-    @pytest.mark.parametrize("workers", sorted(PINNED))
-    def test_accounting_is_pinned(self, workers, small_graph):
-        config = SnapleConfig.paper_default(seed=3, k_local=10)
+    @pytest.mark.parametrize("workers", [2, 4])
+    @over_seeds
+    def test_accounting_is_pinned(self, workers, seed, small_graph):
+        config = SnapleConfig.paper_default(seed=seed, k_local=10)
         with SnapleLinkPredictor(config) as predictor:
             run = predictor.predict(small_graph, backend="gas",
                                     workers=workers)
@@ -225,7 +233,7 @@ class TestPartitionAccounting:
                       for p in run.partition_reports]
         assert run.supersteps == 3
         assert run.network_bytes is None
-        assert partitions == self.PINNED[workers]
+        assert partitions == self.PINNED[(workers, seed)]
         assert [sum(counts) for counts in zip(*partitions)] == [2646, 450]
 
     def test_ownership_is_the_hash_placement(self, small_graph, monkeypatch):
@@ -247,6 +255,15 @@ class TestPartitionAccounting:
         assert [p.num_vertices for p in run.partition_reports] == (
             np.bincount(owners, minlength=2).tolist())
 
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_seeds_place_vertices_differently(self, workers, small_graph):
+        """The seed axis of the parallel grids is not a no-op for
+        placement: the seeds hand some vertex to a different worker."""
+        first, second = (partition_vertices(small_graph, workers,
+                                            seed=seed).vertex_machine
+                         for seed in SEEDS)
+        assert np.any(first != second)
+
 
 # ----------------------------------------------------------------------
 # The acceptance grid against the serial scalar reference
@@ -262,22 +279,24 @@ REFERENCE_CONFIGS = {
 
 
 class TestScalarReferenceParity:
-    _references: dict[str, tuple] = {}
-    _accounting: dict[tuple[str, int], list] = {}
+    _references: dict[tuple[str, int], tuple] = {}
+    _accounting: dict[tuple[str, int, int], list] = {}
 
+    @over_seeds
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("config_name", sorted(REFERENCE_CONFIGS))
     def test_parallel_run_equals_scalar_reference(self, config_name,
-                                                  workers, plane,
+                                                  workers, seed, plane,
                                                   small_graph):
-        config = REFERENCE_CONFIGS[config_name]()
-        if config_name not in self._references:
-            self._references[config_name] = scalar_reference(small_graph,
-                                                             config)
+        config = reseeded(REFERENCE_CONFIGS[config_name](), seed)
+        if (config_name, seed) not in self._references:
+            self._references[(config_name, seed)] = scalar_reference(
+                small_graph, config)
         with SnapleLinkPredictor(config) as predictor:
             report = predictor.predict(small_graph, backend="gas",
                                        workers=workers)
-        assert_matches_reference(report, self._references[config_name])
+        assert_matches_reference(report,
+                                 self._references[(config_name, seed)])
         assert report.extra["shm_enabled"] == float(plane == "shm")
         assert report.extra["ooc_enabled"] == float(plane == "spool")
         # Deterministic accounting, byte counts included, does not depend
@@ -289,7 +308,7 @@ class TestScalarReferenceParity:
                                            "state_plane_peak_bytes",
                                            "worker_restarts")]
         expected = self._accounting.setdefault(
-            (config_name, workers), accounting)
+            (config_name, workers, seed), accounting)
         assert accounting == expected
 
 

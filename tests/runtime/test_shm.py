@@ -25,6 +25,7 @@ from repro.errors import EngineError, WorkerCrashError
 from repro.graph.digraph import CSR_ARRAY_NAMES, DiGraph
 from repro.runtime.ooc import MemmapGraphHandle, MemmapRegistry, list_spool_dirs
 from repro.runtime.parallel import ParallelExecutor
+from repro.runtime.partition import partition_vertices
 from repro.runtime.shm import (
     AttachmentCache,
     BlockHandle,
@@ -37,6 +38,7 @@ from repro.runtime.shm import (
 )
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
+from tests.conftest import over_seeds, reseeded
 
 pytestmark = pytest.mark.skipif(
     not shm_available(), reason="platform lacks POSIX shared memory"
@@ -265,7 +267,8 @@ class TestTaskPayloads:
     task carries the ``BlockHandle`` s of the phase outputs it reads, on
     either plane."""
 
-    def test_payloads_are_descriptors(self, plane, monkeypatch,
+    @over_seeds
+    def test_payloads_are_descriptors(self, seed, plane, monkeypatch,
                                       random_graph):
         shipped = []
         original = ParallelExecutor._map
@@ -276,13 +279,16 @@ class TestTaskPayloads:
 
         monkeypatch.setattr(ParallelExecutor, "_map", recording_map)
         graph = parity_graph(random_graph)
-        with SnapleLinkPredictor(parity_config()) as predictor:
+        with SnapleLinkPredictor(reseeded(parity_config(), seed)) as predictor:
             predictor.predict(graph, backend="gas", workers=2)
+        owners = partition_vertices(graph, 2, seed=seed).vertex_machine
         # A task is ``(partition, phase, owned row ids, hosted blocks)``;
         # phase p reads the p outputs hosted before it.
         assert sorted({task[1] for task in shipped}) == [0, 1, 2]
         for partition, phase, rows, blocks in shipped:
             assert isinstance(rows, np.ndarray) and rows.dtype == np.int64
+            assert rows.tolist() == np.flatnonzero(
+                owners == partition).tolist()
             assert len(blocks) == phase
             assert all(type(block) is BlockHandle for block in blocks)
             for part in (partition, phase, *blocks):

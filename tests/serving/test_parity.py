@@ -3,10 +3,12 @@
 The acceptance contract of the serving subsystem: at any point in an edge
 stream the service's predictions *and scores* are bit-identical to a cold
 batch ``predict`` over the merged graph — for the parallel ``gas`` backend
-(the per-vertex-RNG path), on one worker or four.
+(the per-vertex-RNG path), on one worker or four, under either seed.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from repro.graph.digraph import DiGraph
 from repro.serving import PredictorService, ServingConfig
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
+from tests.conftest import SEEDS, over_seeds, reseeded
 
 #: A plain configuration (no truncation on these degrees) and a config where
 #: truncation and klocal sampling are active — the RNG-bearing phases.
@@ -50,29 +53,31 @@ def _merged(graph, stream):
 
 @pytest.fixture(scope="module")
 def streamed_service(random_graph):
-    """One service per config, fed a 15-edge stream crossing a compaction."""
+    """One service per (config, seed), fed a 15-edge stream crossing a
+    compaction."""
     base = random_graph(150, 3, 0.3, seed=11)
     built = {}
-    for name, config in CONFIGS.items():
+    for (name, config), seed in itertools.product(CONFIGS.items(), SEEDS):
         stream = _stream(base, 15, seed=17)
         service = PredictorService(
-            base, config,
+            base, reseeded(config, seed),
             serving=ServingConfig(workers=2, compact_every=8),
         ).start()
         for edge in stream:
             service.ingest([edge])
         assert service.stats().compactions >= 1
-        built[name] = (service, _merged(base, stream))
+        built[(name, seed)] = (service, _merged(base, stream))
     yield built
     for service, _ in built.values():
         service.stop()
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
+@over_seeds
 @pytest.mark.parametrize("workers", [1, 4])
-def test_stream_matches_cold_batch(streamed_service, name, workers):
-    service, merged = streamed_service[name]
-    with SnapleLinkPredictor(CONFIGS[name]) as predictor:
+def test_stream_matches_cold_batch(streamed_service, name, seed, workers):
+    service, merged = streamed_service[(name, seed)]
+    with SnapleLinkPredictor(reseeded(CONFIGS[name], seed)) as predictor:
         report = predictor.predict(merged, backend="gas", workers=workers)
     served = service.report()
     assert served.predictions == report.predictions
@@ -81,9 +86,10 @@ def test_stream_matches_cold_batch(streamed_service, name, workers):
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_top_k_answers_match_cold_batch(streamed_service, name):
-    service, merged = streamed_service[name]
-    report = SnapleLinkPredictor(CONFIGS[name]).predict(
+@over_seeds
+def test_top_k_answers_match_cold_batch(streamed_service, name, seed):
+    service, merged = streamed_service[(name, seed)]
+    report = SnapleLinkPredictor(reseeded(CONFIGS[name], seed)).predict(
         merged, backend="gas", workers=1
     )
     for u in range(0, merged.num_vertices, 13):
