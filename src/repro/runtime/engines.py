@@ -2,21 +2,26 @@
 
 The local backend runs the single-process Algorithm 2 of
 :mod:`repro.snaple.kernel` — its vectorized branches by default, the scalar
-ones behind ``mode="reference"``; the GAS backend drives the simulated
-distributed engine (or, with ``workers=N``, real worker processes).  Both
-produce identical predictions for the same configuration and seed whenever
-no probabilistic truncation is involved — the cross-backend parity tests
-rely on this.
+ones behind ``mode="reference"``.  The GAS backend simulates the
+distributed engine: it computes the answers with the same kernel, in the
+GAS program's draw and fold order, and derives the simulated cluster's
+work, traffic and memory from the kernel's arrays and the vertex-cut
+(:mod:`repro.snaple.accounting`); with ``workers=N`` it maps the kernel
+over real worker processes instead.  ``local`` and the serial GAS backend
+draw from the same sequential streams, so their predictions are identical
+for every configuration and seed; ``workers=N`` draws per vertex and
+matches them whenever no truncation or ``Γrnd`` randomness is involved.
 """
 
 from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.gas.cluster import ClusterConfig, TYPE_II, cluster_of
-from repro.gas.engine import GasEngine
-from repro.runtime.partition import Partitioner
+from repro.runtime.partition import Partitioner, partition_graph
 from repro.graph.digraph import DiGraph
 from repro.runtime.backend import BackendCapabilities, ExecutionBackend
 from repro.runtime.parallel import (
@@ -27,15 +32,18 @@ from repro.runtime.parallel import (
 )
 from repro.runtime.report import RunReport
 from repro.snaple.config import SnapleConfig
+from repro.snaple.accounting import PathTally, SimulatedRun, superstep_metrics
 from repro.snaple.kernel import (
+    NeighborhoodCSR,
     build_truncated_neighborhoods,
     combine_and_rank,
+    combine_and_rank_blocks,
     edge_similarities,
     fold_paths,
     kernel_supports,
+    sample_neighborhoods,
     select_klocal,
 )
-from repro.snaple.program import build_snaple_steps
 
 __all__ = ["LocalBackend", "GasBackend", "LOCAL_MODES"]
 
@@ -255,6 +263,19 @@ class LocalBackend(ExecutionBackend):
 class GasBackend(ExecutionBackend):
     """Algorithm 2 on the simulated gather-apply-scatter engine.
 
+    A serial run places the graph with the vertex-cut
+    (:func:`~repro.runtime.partition.partition_graph`), computes the
+    answers with the kernel — phase 1 replaying the GAS gather's draws on
+    the sequential stream (:func:`~repro.snaple.kernel.sample_neighborhoods`),
+    phase 2 with ``rng_mode="sequential"`` and phase 3b in gather (CSR)
+    order over target blocks — and charges each superstep from the arrays
+    (:func:`~repro.snaple.accounting.superstep_metrics`).  The charges,
+    simulated seconds and ``ResourceExhaustedError`` are those of the
+    serial engine (:mod:`repro.gas.engine`) running
+    :mod:`repro.snaple.program`; scores fold in CSR order on every cluster,
+    where the engine would fold each mirror's partial first.
+    ``report.native`` is a :class:`~repro.snaple.accounting.SimulatedRun`.
+
     With ``workers=N`` the simulated cluster is replaced by real
     shared-nothing parallelism: vertices are hashed onto ``N`` worker
     processes through :mod:`repro.runtime.parallel`, and the report carries
@@ -323,32 +344,47 @@ class GasBackend(ExecutionBackend):
                 **self._fault_tolerance,
             )
             return _parallel_report(self.name, outcome)
+        return self._simulate(graph, config, targets)
+
+    def _simulate(self, graph: DiGraph, config: SnapleConfig,
+                  targets: list[int]) -> RunReport:
+        """The serial run: kernel answers plus array-derived accounting."""
         cluster = self._cluster if self._cluster is not None else cluster_of(TYPE_II, 1)
-        engine = GasEngine(
-            graph=graph,
-            cluster=cluster,
-            partitioner=self._partitioner,
-            enforce_memory=self._enforce_memory,
-            seed=config.seed,
-        )
-        steps = build_snaple_steps(config, graph)
-        recommendation_step = steps[-1]
+        partition = partition_graph(graph, cluster.num_machines,
+                                    partitioner=self._partitioner,
+                                    seed=config.seed)
         start = time.perf_counter()
-        run = engine.run(steps, vertices=targets)
+        everyone = np.arange(graph.num_vertices, dtype=np.int64)
+        gamma_sizes, sample, gathered = sample_neighborhoods(graph, config,
+                                                             everyone)
+        gamma = NeighborhoodCSR.from_rows(graph.num_vertices, gamma_sizes,
+                                          sample)
+        kept = select_klocal(
+            edge_similarities(graph, gamma, config), config,
+            rng_mode="sequential")
+        target_array = np.asarray(targets, dtype=np.int64)
+        paths = PathTally(graph, partition)
+        predictions, scores = combine_and_rank_blocks(
+            graph, gamma, kept, config, target_array, on_trace=paths)
+        metrics = superstep_metrics(
+            graph, cluster, partition, paths,
+            gamma_sizes=gamma_sizes,
+            gathered=gathered,
+            kept_sizes=np.diff(kept.indptr),
+            targets=target_array,
+            predicted_sizes=np.fromiter(
+                (len(predictions[u]) for u in targets), dtype=np.int64,
+                count=len(targets)),
+            enforce_memory=self._enforce_memory,
+        )
         wall = time.perf_counter() - start
-        predictions: dict[int, list[int]] = {}
-        scores: dict[int, dict[int, float]] = {}
-        for u in targets:
-            data = run.data_of(u)
-            predictions[u] = list(data.get("predicted", []))
-            scores[u] = dict(recommendation_step.collected_scores.get(u, {}))
-        metrics = run.metrics
+        metrics.wall_clock_seconds = wall
         return RunReport(
             backend=self.name,
             predictions=predictions,
             scores=scores,
             wall_clock_seconds=wall,
-            simulated_seconds=run.simulated_seconds,
+            simulated_seconds=metrics.simulated_seconds,
             network_bytes=metrics.total_network_bytes,
             peak_memory_bytes=metrics.peak_machine_memory_bytes,
             supersteps=len(metrics.steps),
@@ -357,5 +393,6 @@ class GasBackend(ExecutionBackend):
                 predictions, metrics.total_gather_invocations,
                 sum(step.apply_invocations for step in metrics.steps), wall,
             )],
-            native=run,
+            native=SimulatedRun(metrics=metrics, partition=partition,
+                                cluster=cluster),
         )

@@ -297,8 +297,8 @@ def partition_graph(
     """Partition ``graph`` onto ``num_machines`` simulated machines.
 
     Returns a :class:`GraphPartition` with edge placements, vertex masters
-    (the machine holding most of a vertex's edges, ties broken by hash) and
-    the replica sets implied by the vertex-cut.
+    (the machine holding most of a vertex's edges, the lowest id on ties)
+    and the replica sets implied by the vertex-cut.
     """
     _check_num_machines(num_machines)
     if partitioner is None:
@@ -307,34 +307,54 @@ def partition_graph(
     _validate_assignment(edge_machine, graph.num_edges, num_machines,
                          unit="an edge")
 
-    replicas: list[set[int]] = [set() for _ in range(graph.num_vertices)]
-    per_vertex_counts: list[dict[int, int]] = [dict() for _ in range(graph.num_vertices)]
-    src, dst = graph.edge_arrays()
-    for index in range(graph.num_edges):
-        machine = int(edge_machine[index])
-        for vertex in (int(src[index]), int(dst[index])):
-            replicas[vertex].add(machine)
-            counts = per_vertex_counts[vertex]
-            counts[machine] = counts.get(machine, 0) + 1
-
-    vertex_master = np.zeros(graph.num_vertices, dtype=np.int64)
-    for vertex in range(graph.num_vertices):
-        counts = per_vertex_counts[vertex]
-        if counts:
-            # Master = machine with the most incident edges (stable tie-break).
-            vertex_master[vertex] = min(
-                counts, key=lambda m: (-counts[m], m)
-            )
-            replicas[vertex].add(int(vertex_master[vertex]))
-        else:
-            vertex_master[vertex] = vertex % num_machines
-            replicas[vertex].add(int(vertex_master[vertex]))
+    vertex_master, vertex_replicas = _masters_and_replicas(
+        graph, num_machines, np.asarray(edge_machine, dtype=np.int64))
     return GraphPartition(
         num_machines=num_machines,
         edge_machine=edge_machine,
         vertex_master=vertex_master,
-        vertex_replicas=replicas,
+        vertex_replicas=vertex_replicas,
     )
+
+
+def _masters_and_replicas(graph: DiGraph, num_machines: int,
+                          edge_machine: np.ndarray
+                          ) -> tuple[np.ndarray, list[set[int]]]:
+    """Master machine and replica set of every vertex of a vertex-cut.
+
+    A vertex is replicated on every machine holding one of its edges (both
+    endpoints count).  Its master is the machine holding the most of its
+    edges, the lowest machine id on ties; an isolated vertex lives on
+    ``vertex % num_machines`` alone.
+    """
+    num_vertices = graph.num_vertices
+    machines = np.int64(num_machines)
+    src, dst = graph.edge_arrays()
+    pairs, counts = np.unique(
+        np.concatenate([src * machines + edge_machine,
+                        dst * machines + edge_machine]),
+        return_counts=True)
+    pair_vertex = pairs // machines
+    pair_machine = pairs % machines
+    vertex_master = np.arange(num_vertices, dtype=np.int64) % machines
+    # Per vertex, most edges first, then lowest machine: the first row wins.
+    order = np.lexsort((pair_machine, -counts, pair_vertex))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = pair_vertex[order][1:] != pair_vertex[order][:-1]
+    winners = order[first]
+    vertex_master[pair_vertex[winners]] = pair_machine[winners]
+
+    # Pairs are vertex-major, so each vertex's machines are one slice.
+    bounds = np.searchsorted(pair_vertex,
+                             np.arange(num_vertices + 1, dtype=np.int64))
+    replica_machines = pair_machine.tolist()
+    vertex_replicas = [
+        set(replica_machines[start:end]) if end > start else {master}
+        for start, end, master in zip(bounds[:-1].tolist(),
+                                      bounds[1:].tolist(),
+                                      vertex_master.tolist())
+    ]
+    return vertex_master, vertex_replicas
 
 
 class _SingleMachine(Partitioner):

@@ -1,14 +1,18 @@
 """SNAPLE's Algorithm 2, written once: CSR-native phases 1–3.
 
-Every caller — the ``local`` backend in both modes, the K-hop and the
-content-aware predictors, the ``workers=N`` executor and the serving index
-— runs the same three phases over the graph's CSR adjacency:
+Every caller — the ``local`` backend in both modes, the serial simulated
+GAS backend, the K-hop and the content-aware predictors, the ``workers=N``
+executor and the serving index — runs the same three phases over the
+graph's CSR adjacency:
 
 1. :func:`build_truncated_neighborhoods` materializes every truncated
-   neighborhood ``Γ̂(u)`` once as a CSR ``(indptr, indices)`` pair, drawing
-   from one sequential stream in ascending vertex order (the parallel GAS
-   tasks use :func:`gas_sample_step_columnar`, which replays the per-vertex
-   streams of the GAS gather instead);
+   neighborhood ``Γ̂(u)`` once as a CSR ``(indptr, indices)`` pair.  It
+   replays the GAS sample step's draws (:func:`sample_neighborhoods`: one
+   Bernoulli test per out-edge of a vertex over ``thrΓ``, then, under
+   exact truncation, the reservoir sample) from one sequential stream in
+   ascending vertex order; the parallel GAS tasks use
+   :func:`gas_sample_step_columnar`, the same draws from per-vertex
+   streams;
 2. :func:`edge_similarities` computes the raw similarity of *all* edges in
    one pass.  Every similarity in :data:`repro.snaple.similarity.SIMILARITIES`
    is a function of ``(|Γ̂u ∩ Γ̂v|, |Γ̂u|, |Γ̂v|)``, so the vectorized branch
@@ -29,12 +33,19 @@ blocks with the GAS program's semantics: per-vertex random streams
 (:func:`gas_sample_step_columnar`, ``select_klocal(rng_mode="per_vertex")``)
 and the gather's fold order (:func:`combine_and_rank_columnar` with
 ``neighbor_order="csr"``, which takes :func:`fold_paths` for a custom
-combinator or aggregator).
+combinator or aggregator).  The serial simulated engine runs them with the
+sequential streams and folds in gather order over target blocks
+(:func:`combine_and_rank_blocks`), whose :class:`PathTrace` feeds its
+accounting (:mod:`repro.snaple.accounting`).
 
 Bit-parity contract
 -------------------
 The vectorized branches reproduce the scalar ones *bit-exactly*, not just
-approximately:
+approximately — and with them Algorithm 2's GAS vertex programs
+(:mod:`repro.snaple.program`) on the serial engine, for every
+configuration, exact truncation included: the same draws from the same
+streams, and, in gather order, the same fold order as the engine on one
+machine (on several, the engine folds each mirror's partial first):
 
 * float-fold order is preserved — path contributions are aggregated
   left-to-right in the same arrival order the scalar fold uses (a
@@ -70,7 +81,7 @@ from typing import Any
 import numpy as np
 
 from repro.graph.digraph import DiGraph
-from repro.graph.sampling import bernoulli_truncate, reservoir_sample, truncate_neighborhood
+from repro.graph.sampling import reservoir_sample
 # CSR indexing helpers shared with the runtime and the serving index.
 from repro.runtime.state import gather_slices as _gather_slices
 from repro.runtime.state import indptr_from_counts as _indptr_from_counts
@@ -102,6 +113,7 @@ __all__ = [
     "NeighborhoodCSR",
     "EdgeSimilarities",
     "KeptNeighbors",
+    "sample_neighborhoods",
     "build_truncated_neighborhoods",
     "edge_similarities",
     "select_klocal",
@@ -109,6 +121,9 @@ __all__ = [
     "fold_paths",
     "LazyScores",
     "combine_and_rank_columnar",
+    "PathTrace",
+    "BLOCK_PATHS",
+    "combine_and_rank_blocks",
     "gas_sample_step_columnar",
 ]
 
@@ -402,6 +417,74 @@ class NeighborhoodCSR:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
 
+def sample_neighborhoods(
+    graph: DiGraph, config: SnapleConfig, active: np.ndarray, *,
+    rng_mode: str = "sequential",
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Phase 1 for the rows ``active``, replaying the GAS sample step's draws.
+
+    The GAS gather of step 1 draws one Bernoulli test per out-edge of every
+    vertex whose degree exceeds ``thrΓ`` (Algorithm 2, line 3); with
+    ``exact_truncation`` the apply then reservoir-samples the *full*
+    neighbourhood from the same stream.  This routine draws exactly those
+    numbers in that order: from one stream seeded ``seed`` and consumed in
+    the order of ``active`` (``rng_mode="sequential"``, the serial engine),
+    or from each vertex's own stream (``"per_vertex"``, ``workers=N`` and
+    the serving index).
+
+    Returns ``(counts, flat, gathered)``: each row's sample, sorted with
+    duplicate edges kept, as counts aligned with ``active`` and one flat
+    payload; and a mask over the rows' out-edges (CSR order) of the edges
+    the gather kept — the ids it shipped, which equal the sample unless
+    truncation is exact.  Under-threshold rows are copied from the CSR
+    adjacency in bulk; only truncated rows run Python.
+    """
+    from repro.snaple.program import vertex_rng
+
+    act = np.asarray(active, dtype=np.int64)
+    indptr, indices = graph.csr_out_adjacency()
+    deg = np.diff(indptr)[act]
+    threshold = config.truncation_threshold
+    if math.isinf(threshold):
+        loop_mask = np.zeros(act.size, dtype=bool)
+    else:
+        loop_mask = deg > threshold
+
+    counts = deg.copy()
+    edge_indptr = _indptr_from_counts(deg)
+    gathered = np.ones(int(edge_indptr[-1]), dtype=bool)
+    shared_rng = random.Random(config.seed)
+    replaced: list[np.ndarray] = []
+    loop_positions = np.flatnonzero(loop_mask)
+    for position, u in zip(loop_positions.tolist(), act[loop_mask].tolist()):
+        row = indices[indptr[u]:indptr[u + 1]]
+        rng = (shared_rng if rng_mode == "sequential"
+               else vertex_rng(config.seed, 0, u))
+        draws = np.fromiter((rng.random() for _ in range(row.size)),
+                            dtype=np.float64, count=row.size)
+        keep = draws <= threshold / row.size
+        gathered[edge_indptr[position]:edge_indptr[position + 1]] = keep
+        if config.exact_truncation:
+            sample = np.asarray(reservoir_sample(row.tolist(), threshold,
+                                                 rng=rng), dtype=np.int64)
+        else:
+            sample = row[keep]
+        sample = np.sort(sample)
+        replaced.append(sample)
+        counts[position] = sample.size
+
+    out_indptr = _indptr_from_counts(counts)
+    flat = np.empty(int(counts.sum()), dtype=np.int64)
+    copy_mask = ~loop_mask
+    flat[_gather_slices(out_indptr[:-1][copy_mask], counts[copy_mask])] = (
+        indices[_gather_slices(indptr[act[copy_mask]], deg[copy_mask])]
+    )
+    for position, row in zip(loop_positions.tolist(), replaced):
+        start = out_indptr[position]
+        flat[start:start + row.size] = row
+    return counts, flat, gathered
+
+
 def build_truncated_neighborhoods(
     graph: DiGraph,
     config: SnapleConfig,
@@ -411,58 +494,24 @@ def build_truncated_neighborhoods(
     """Phase 1: every ``Γ̂(u)`` in one CSR, for every configuration.
 
     Randomness comes from one shared stream seeded ``seed`` and consumed in
-    ascending vertex order, and only vertices whose degree exceeds ``thrΓ``
-    consume draws — replaying
-    :func:`~repro.graph.sampling.truncate_neighborhood` draw for draw, as
-    the serial GAS engine's sequential stream does.  (The parallel GAS tasks use
-    :func:`gas_sample_step_columnar` instead, which replicates the
-    per-vertex-stream draw pattern of the scalar gather and keeps duplicate
-    neighbors in the vertex data.)
+    ascending vertex order, drawn as the serial GAS engine's sample step
+    draws it (:func:`sample_neighborhoods`): one Bernoulli test per
+    out-edge of every vertex over ``thrΓ``, then, under exact truncation,
+    the reservoir sample.  (The parallel GAS tasks and the serving index
+    use :func:`gas_sample_step_columnar`, the same draws from per-vertex
+    streams.)
 
     ``vertices`` restricts the computed rows (others stay empty).
     """
     num_vertices = graph.num_vertices
-    indptr, indices = graph.csr_out_adjacency()
-    degrees = np.diff(indptr)
-    threshold = config.truncation_threshold
-
-    active_mask = np.zeros(num_vertices, dtype=bool)
     if vertices is None:
-        active_mask[:] = True
-    elif len(vertices):
-        active_mask[np.asarray(vertices, dtype=np.int64)] = True
-
-    truncates = (
-        np.zeros(num_vertices, dtype=bool)
-        if math.isinf(threshold)
-        else (degrees > threshold) & active_mask
-    )
-    shared_rng = random.Random(config.seed)
-
-    replaced: dict[int, np.ndarray] = {}
-    for u in np.flatnonzero(truncates).tolist():
-        neighbors = indices[indptr[u]:indptr[u + 1]].tolist()
-        sample = truncate_neighborhood(
-            neighbors, threshold, rng=shared_rng,
-            exact=config.exact_truncation,
-        )
-        replaced[u] = np.unique(np.asarray(sample, dtype=np.int64))
-
-    counts = np.where(active_mask, degrees, 0)
-    for u, sample in replaced.items():
-        counts[u] = sample.size
-    counts = counts.astype(np.int64)
-
-    flat = np.empty(int(counts.sum()), dtype=np.int64)
-    new_indptr = _indptr_from_counts(counts)
-    copied = active_mask & ~truncates
-    rows = np.flatnonzero(copied)
-    flat[_gather_slices(new_indptr[rows], counts[rows])] = (
-        indices[_gather_slices(indptr[rows], degrees[rows])]
-    )
-    for u, sample in replaced.items():
-        flat[new_indptr[u]:new_indptr[u] + sample.size] = sample
-    return NeighborhoodCSR.from_rows(num_vertices, counts, flat)
+        rows = np.arange(num_vertices, dtype=np.int64)
+    else:
+        rows = np.unique(np.asarray(vertices, dtype=np.int64))
+    sample_counts, sample, _ = sample_neighborhoods(graph, config, rows)
+    counts = np.zeros(num_vertices, dtype=np.int64)
+    counts[rows] = sample_counts
+    return NeighborhoodCSR.from_rows(num_vertices, counts, sample)
 
 
 # ----------------------------------------------------------------------
@@ -755,10 +804,12 @@ class LazyScores(Mapping):
     actually reads them (evaluation code reads predictions; the score maps
     serve inspection, supervision, and the parity suite).  Content equality
     with the eagerly-built reference dicts is exact — ``==`` against any
-    mapping compares the materialized values.
+    mapping compares the materialized values.  Once every row has been
+    read, the flat arrays are released and only the dicts remain; their
+    keys are one shared ``int`` per distinct candidate, not one per entry.
     """
 
-    __slots__ = ("_offsets", "_candidates", "_values", "_cache")
+    __slots__ = ("_offsets", "_candidates", "_values", "_cache", "_ids")
 
     def __init__(self, targets: list[int], starts: np.ndarray,
                  counts: np.ndarray, candidates: np.ndarray,
@@ -773,6 +824,8 @@ class LazyScores(Mapping):
         self._candidates = candidates
         self._values = values
         self._cache: dict[int, dict[int, float]] = {}
+        #: Candidate id -> its ``int`` object, built on the first read.
+        self._ids: np.ndarray | None = None
 
     def __getitem__(self, u: int) -> dict[int, float]:
         cached = self._cache.get(u)
@@ -780,9 +833,15 @@ class LazyScores(Mapping):
             return cached
         start, count = self._offsets[u]  # raises KeyError for unknown targets
         end = start + count
-        entry = dict(zip(self._candidates[start:end].tolist(),
+        if self._ids is None:
+            bound = int(self._candidates.max()) + 1 if self._candidates.size else 0
+            self._ids = np.arange(bound).astype(object)
+        entry = dict(zip(self._ids[self._candidates[start:end]].tolist(),
                          self._values[start:end].tolist()))
         self._cache[u] = entry
+        if len(self._cache) == len(self._offsets):
+            # Every row is a dict now: the arrays are dead weight.
+            self._candidates = self._values = self._ids = None
         return entry
 
     def __iter__(self):
@@ -901,17 +960,20 @@ def _path_edges_sampler_order(kept: KeptNeighbors, targets: np.ndarray
 
 def _path_edges_csr_order(graph: DiGraph, kept: KeptNeighbors,
                           targets: np.ndarray
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                     np.ndarray]:
     """Kept out-edges of each target in raw CSR order (GAS gather parity).
 
     The GAS gather walks the full adjacency (duplicates included) and skips
     neighbors outside ``sims(u)``; the kept value is looked up through a
     sorted view of the targets' own kept rows, keyed by position in
-    ``targets``, so the lookup costs O(targets), not O(|E|).
+    ``targets``, so the lookup costs O(targets), not O(|E|).  The fourth
+    array holds each kept edge's position in the graph's CSR out-adjacency.
     """
     indptr, indices = graph.csr_out_adjacency()
     degrees = np.diff(indptr)[targets]
-    neighbor = indices[_gather_slices(indptr[targets], degrees)]
+    edge = _gather_slices(indptr[targets], degrees)
+    neighbor = indices[edge]
     rank = np.repeat(np.arange(targets.size, dtype=np.int64), degrees)
     num_vertices = np.int64(graph.num_vertices)
 
@@ -929,39 +991,66 @@ def _path_edges_csr_order(graph: DiGraph, kept: KeptNeighbors,
     else:
         found = np.zeros(probe.shape, dtype=bool)
     sims = kept.sims[positions][key_order[loc[found]]]
-    return neighbor[found], sims, rank[found]
+    return neighbor[found], sims, rank[found], edge[found]
 
 
-def _combine_core(
-    graph: DiGraph,
-    gamma: NeighborhoodCSR,
-    kept: KeptNeighbors,
-    config: SnapleConfig,
-    target_array: np.ndarray,
-    neighbor_order: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[list[int]]]:
-    """The array core of phase 3b, shared by dict and columnar callers.
+def _csr_fanout(graph: DiGraph, kept: KeptNeighbors,
+               targets: np.ndarray) -> np.ndarray:
+    """Paths phase 3b expands per target in GAS gather order.
 
-    Returns ``(seg_counts, seg_indptr, nonempty, group_candidate, final,
-    picks)``: per-target candidate counts, their indptr, the indices of
-    targets with at least one candidate, the candidate/score arrays laid out
-    consecutively per target, and the top-``k`` picks per nonempty target.
+    The sum of ``|kept(v)|`` over the target's out-edges ``u -> v`` with
+    ``v`` kept (duplicate edges counted), known before any expansion.
+    """
+    via, _sims, rank, _edge = _path_edges_csr_order(graph, kept, targets)
+    fanout = np.diff(kept.indptr)[via]
+    return np.bincount(rank, weights=fanout,
+                       minlength=targets.size).astype(np.int64)
+
+
+@dataclass
+class PathTrace:
+    """Where the 2-hop paths of a phase-3b call entered, for accounting.
+
+    One entry per path that survived the ``z != u, z ∉ Γ̂(u)`` filter, in
+    fold order: ``key`` is ``rank * |V| + z`` (``rank`` the target's
+    position in the call's ``targets``, ``z`` the candidate) and ``edge``
+    the CSR out-position of the path's first hop ``u -> v``.
+    """
+
+    key: np.ndarray
+    edge: np.ndarray
+
+
+def _surviving_paths(graph: DiGraph, gamma: NeighborhoodCSR,
+                     kept: KeptNeighbors, target_array: np.ndarray,
+                     neighbor_order: str, *, combinator=None,
+                     trace: bool = False
+                     ) -> tuple[np.ndarray, np.ndarray | None,
+                                PathTrace | None]:
+    """Expand each target's kept edges into 2-hop paths, filter, group.
+
+    Returns ``(key, combined, trace)`` over the surviving paths, grouped by
+    ``key = rank * |V| + candidate`` (ascending) in arrival order inside
+    each group: ``sim(u, v) ⊗ sim(v, z)`` when a ``combinator`` is given,
+    and the :class:`PathTrace` when ``trace`` is set (CSR order only).
     """
     num_targets = target_array.size
+    edge = None
     if neighbor_order == "sampler":
         via, sim_uv, rank = _path_edges_sampler_order(kept, target_array)
     else:
-        via, sim_uv, rank = _path_edges_csr_order(graph, kept, target_array)
+        via, sim_uv, rank, edge = _path_edges_csr_order(graph, kept,
+                                                        target_array)
 
     # Expand each kept edge (u -> v) into the candidate list kept(v).
-    kept_counts = np.diff(kept.indptr)
-    fanout = kept_counts[via]
+    fanout = np.diff(kept.indptr)[via]
     positions = _gather_slices(kept.indptr[via], fanout)
     candidate = kept.ids[positions]
-    sim_vz = kept.sims[positions]
+    combined = None
+    if combinator is not None:
+        combined = _combine_arrays(combinator, np.repeat(sim_uv, fanout),
+                                   kept.sims[positions])
     path_rank = np.repeat(rank, fanout)
-    combined = _combine_arrays(config.score.combinator,
-                               np.repeat(sim_uv, fanout), sim_vz)
 
     # Drop self-candidates and already-known neighbors (z ∈ Γ̂(u)).  When the
     # targets are 0..T-1 (the common full-graph run) the grouping key doubles
@@ -982,8 +1071,8 @@ def _combine_core(
     # encode the arrival position into the sort key (in place, before the
     # filter compresses it) so one unstable O(n log n) value sort both
     # groups and orders, and the surviving positions index straight into the
-    # unfiltered value array.  Falls back to a stable argsort when the
-    # packed key would overflow 63 bits.
+    # unfiltered arrays.  Falls back to a stable argsort when the packed key
+    # would overflow 63 bits.
     n_all = candidate.size
     shift = max(int(n_all - 1).bit_length(), 1)
     key_bound = int(num_targets) * int(num_vertices)
@@ -992,14 +1081,47 @@ def _combine_core(
         group_key |= np.arange(n_all, dtype=np.int64)
         packed = group_key[keep]
         packed.sort()
-        combined = combined[packed & ((1 << shift) - 1)]
+        arrival = packed & ((1 << shift) - 1)
         group_key = packed >> shift
     else:
-        group_key = group_key[keep]
-        combined = combined[keep]
+        arrival = np.flatnonzero(keep)
+        group_key = group_key[arrival]
         order = np.argsort(group_key, kind="stable")
+        arrival = arrival[order]
         group_key = group_key[order]
-        combined = combined[order]
+    if combined is not None:
+        combined = combined[arrival]
+    path_trace = None
+    if trace:
+        path_trace = PathTrace(key=group_key,
+                               edge=np.repeat(edge, fanout)[arrival])
+    return group_key, combined, path_trace
+
+
+def _combine_core(
+    graph: DiGraph,
+    gamma: NeighborhoodCSR,
+    kept: KeptNeighbors,
+    config: SnapleConfig,
+    target_array: np.ndarray,
+    neighbor_order: str,
+    *,
+    trace: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+           list[list[int]], PathTrace | None]:
+    """The array core of phase 3b, shared by dict and columnar callers.
+
+    Returns ``(seg_counts, seg_indptr, nonempty, group_candidate, final,
+    picks, trace)``: per-target candidate counts, their indptr, the indices
+    of targets with at least one candidate, the candidate/score arrays laid
+    out consecutively per target, the top-``k`` picks per nonempty target,
+    and the :class:`PathTrace` of the folded paths when ``trace`` is set.
+    """
+    num_targets = target_array.size
+    num_vertices = np.int64(graph.num_vertices)
+    group_key, combined, path_trace = _surviving_paths(
+        graph, gamma, kept, target_array, neighbor_order,
+        combinator=config.score.combinator, trace=trace)
     n_paths = group_key.size
 
     boundary = np.ones(n_paths, dtype=bool)
@@ -1019,7 +1141,8 @@ def _combine_core(
     picks = _top_k_rounds(final, group_candidate,
                           seg_indptr[nonempty], seg_counts[nonempty],
                           config.k)
-    return seg_counts, seg_indptr, nonempty, group_candidate, final, picks
+    return (seg_counts, seg_indptr, nonempty, group_candidate, final, picks,
+            path_trace)
 
 
 def combine_and_rank(
@@ -1051,7 +1174,7 @@ def combine_and_rank(
     if num_targets == 0:
         return predictions, {}
 
-    seg_counts, seg_indptr, nonempty, group_candidate, final, picks = (
+    seg_counts, seg_indptr, nonempty, group_candidate, final, picks, _ = (
         _combine_core(graph, gamma, kept, config, target_array,
                       neighbor_order)
     )
@@ -1186,12 +1309,24 @@ def combine_and_rank_columnar(
     pair runs :func:`fold_paths` with the same ``neighbor_order``, so both
     branches fold in the same order.
     """
-    target_array = np.asarray(targets, dtype=np.int64)
+    rows, _ = _columnar(graph, gamma, kept, config,
+                        np.asarray(targets, dtype=np.int64), neighbor_order,
+                        trace=False)
+    return rows
+
+
+def _columnar(graph: DiGraph, gamma: NeighborhoodCSR, kept: KeptNeighbors,
+              config: SnapleConfig, target_array: np.ndarray,
+              neighbor_order: str, *, trace: bool
+              ) -> tuple[tuple[np.ndarray, ...], PathTrace | None]:
+    """:func:`combine_and_rank_columnar`, plus the :class:`PathTrace` of
+    the call when ``trace`` is set (CSR order only)."""
     empty_ids = np.empty(0, dtype=np.int64)
     if target_array.size == 0:
-        return (np.zeros(0, dtype=np.int64), empty_ids,
-                np.zeros(0, dtype=np.int64), empty_ids,
-                np.empty(0, dtype=np.float64))
+        return ((np.zeros(0, dtype=np.int64), empty_ids,
+                 np.zeros(0, dtype=np.int64), empty_ids,
+                 np.empty(0, dtype=np.float64)),
+                PathTrace(key=empty_ids, edge=empty_ids) if trace else None)
     if not _fold_supported(config.score):
         target_list = target_array.tolist()
         predictions, scores, _ = fold_paths(
@@ -1200,16 +1335,19 @@ def combine_and_rank_columnar(
         picked = [predictions[u] for u in target_list]
         ranked = [sorted(scores[u].items()) for u in target_list]
         pairs = list(itertools.chain.from_iterable(ranked))
-        return (np.array([len(row) for row in picked], dtype=np.int64),
+        rows = (np.array([len(row) for row in picked], dtype=np.int64),
                 np.array(list(itertools.chain.from_iterable(picked)),
                          dtype=np.int64),
                 np.array([len(row) for row in ranked], dtype=np.int64),
                 np.array([z for z, _ in pairs], dtype=np.int64),
                 np.array([value for _, value in pairs], dtype=np.float64))
-    seg_counts, _seg_indptr, nonempty, group_candidate, final, picks = (
-        _combine_core(graph, gamma, kept, config, target_array,
-                      neighbor_order)
-    )
+        # The scalar fold keeps no arrays: trace the same paths apart.
+        return rows, (_surviving_paths(graph, gamma, kept, target_array,
+                                       neighbor_order, trace=True)[2]
+                      if trace else None)
+    (seg_counts, _seg_indptr, nonempty, group_candidate, final, picks,
+     path_trace) = _combine_core(graph, gamma, kept, config, target_array,
+                                 neighbor_order, trace=trace)
     pred_counts = np.zeros(target_array.size, dtype=np.int64)
     if nonempty.size:
         pred_counts[nonempty] = np.fromiter(
@@ -1219,7 +1357,65 @@ def combine_and_rank_columnar(
     pred_flat = (np.fromiter(itertools.chain.from_iterable(picks),
                              dtype=np.int64, count=total)
                  if total else empty_ids)
-    return pred_counts, pred_flat, seg_counts, group_candidate, final
+    return ((pred_counts, pred_flat, seg_counts, group_candidate, final),
+            path_trace)
+
+
+#: Most 2-hop paths one block of :func:`combine_and_rank_blocks` expands.
+#: Bounds the transient arrays of phase 3b (tens of bytes per path) on
+#: large target sets; a target over the bound is a block of its own.
+BLOCK_PATHS = 1 << 16
+
+
+def combine_and_rank_blocks(
+    graph: DiGraph,
+    gamma: NeighborhoodCSR,
+    kept: KeptNeighbors,
+    config: SnapleConfig,
+    targets: np.ndarray,
+    *,
+    on_trace: Callable[[np.ndarray, PathTrace], None] | None = None,
+) -> tuple[dict[int, list[int]], LazyScores]:
+    """Phase 3b in GAS gather order, over blocks of ``targets``.
+
+    Consecutive targets are grouped so that a block expands at most
+    :data:`BLOCK_PATHS` paths (known before expansion),
+    and each block runs :func:`combine_and_rank_columnar` with
+    ``neighbor_order="csr"``.  Blocking changes no answer: every target's
+    paths are folded inside one block.  ``on_trace(block, trace)`` receives
+    each block's :class:`PathTrace` before the next block runs.
+
+    Returns the predictions (one list per target) and one
+    :class:`LazyScores` over every block's score rows.
+    """
+    target_array = np.asarray(targets, dtype=np.int64)
+    ends = np.cumsum(_csr_fanout(graph, kept, target_array))
+    rows: list[tuple[np.ndarray, ...]] = []
+    start = 0
+    while start < target_array.size:
+        base = int(ends[start - 1]) if start else 0
+        stop = max(int(np.searchsorted(ends, base + BLOCK_PATHS,
+                                       side="right")), start + 1)
+        block = target_array[start:stop]
+        block_rows, trace = _columnar(graph, gamma, kept, config, block,
+                                      "csr", trace=on_trace is not None)
+        if on_trace is not None:
+            on_trace(block, trace)
+        rows.append(block_rows)
+        start = stop
+    if not rows:  # no targets: the empty block's rows
+        rows.append(_columnar(graph, gamma, kept, config, target_array,
+                              "csr", trace=False)[0])
+    pred_counts, pred_flat, score_counts, candidates, values = (
+        np.concatenate(column) for column in zip(*rows))
+    del rows
+    target_list = target_array.tolist()
+    picked = iter(pred_flat.tolist())
+    predictions = {u: list(itertools.islice(picked, count))
+                   for u, count in zip(target_list, pred_counts.tolist())}
+    scores = LazyScores(target_list, _indptr_from_counts(score_counts)[:-1],
+                        score_counts, candidates, values)
+    return predictions, scores
 
 
 def gas_sample_step_columnar(
@@ -1229,49 +1425,9 @@ def gas_sample_step_columnar(
 
     Draw-for-draw identical to
     :class:`~repro.snaple.program.NeighborhoodSampleStep` under per-vertex
-    RNG (Bernoulli draws only for vertices over the threshold; exact
-    truncation reservoir-samples the full neighborhood from the same
-    stream).  Returns ``(counts, flat)`` aligned with ``active`` —
-    under-threshold rows are copied from the CSR adjacency in bulk, only
-    truncated rows run Python.
+    RNG (see :func:`sample_neighborhoods`).  Returns ``(counts, flat)``
+    aligned with ``active``.
     """
-    from repro.snaple.program import vertex_rng
-
-    act = np.asarray(active, dtype=np.int64)
-    indptr, indices = graph.csr_out_adjacency()
-    degrees = np.diff(indptr)
-    deg = degrees[act]
-    threshold = config.truncation_threshold
-
-    if math.isinf(threshold):
-        loop_mask = np.zeros(act.size, dtype=bool)
-    else:
-        loop_mask = deg > threshold
-
-    counts = deg.copy()
-    replaced: list[np.ndarray] = []
-    loop_positions = np.flatnonzero(loop_mask)
-    for position, u in zip(loop_positions.tolist(),
-                           act[loop_mask].tolist()):
-        neighbors = indices[indptr[u]:indptr[u + 1]].tolist()
-        rng = vertex_rng(config.seed, 0, u)
-        sample = bernoulli_truncate(neighbors, threshold, rng=rng)
-        if config.exact_truncation:
-            # The scalar path draws the Bernoulli stream first and then
-            # reservoir-samples the *full* neighborhood from the same
-            # stream; replicate both so the draws line up exactly.
-            sample = reservoir_sample(neighbors, threshold, rng=rng)
-        row = np.asarray(sorted(sample), dtype=np.int64)
-        replaced.append(row)
-        counts[position] = row.size
-
-    out_indptr = _indptr_from_counts(counts)
-    flat = np.empty(int(counts.sum()), dtype=np.int64)
-    copy_mask = ~loop_mask
-    flat[_gather_slices(out_indptr[:-1][copy_mask], counts[copy_mask])] = (
-        indices[_gather_slices(indptr[act[copy_mask]], deg[copy_mask])]
-    )
-    for position, row in zip(loop_positions.tolist(), replaced):
-        start = out_indptr[position]
-        flat[start:start + row.size] = row
+    counts, flat, _ = sample_neighborhoods(graph, config, active,
+                                           rng_mode="per_vertex")
     return counts, flat

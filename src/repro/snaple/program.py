@@ -1,5 +1,11 @@
 """Algorithm 2 of the paper: SNAPLE's link prediction as three GAS steps.
 
+These vertex programs are the test oracle, not a production path: no
+backend runs them.  Run on the serial :class:`~repro.gas.engine.GasEngine`,
+they are the independent reference the kernel (:mod:`repro.snaple.kernel`)
+is held to — its answers, and the accounting the serial simulated backend
+derives from the kernel's arrays (:mod:`repro.snaple.accounting`).
+
 Step 1 (*NeighborhoodSampleStep*) — each vertex gathers the ids of its
 out-neighbors, probabilistically truncated to ``thrΓ`` elements, and stores
 the sample ``Γ̂(u)`` in its vertex data.
@@ -24,13 +30,13 @@ The vertex-data keys written by the steps are:
 Randomness comes in two flavours.  By default each step draws from one
 sequential stream seeded from the configuration, consumed in vertex order —
 the historical behaviour, which ties the outcome to the engine's iteration
-order.  With ``per_vertex_rng=True`` every vertex draws from its own stream
+order; the ``local`` and serial ``gas`` backends are tested against it.
+With ``per_vertex_rng=True`` every vertex draws from its own stream
 derived from ``(seed, step, vertex)`` via :func:`vertex_rng`, making the
-outcome independent of the order vertices are processed in.  These steps
-only run on the serial simulated engine; with ``per_vertex_rng=True`` they
-are the scalar oracle the ``workers=N`` executor and the serving index are
-tested against — both run :mod:`repro.snaple.kernel` over vertex blocks,
-drawing from the same per-vertex streams.
+outcome independent of the order vertices are processed in: the scalar
+oracle the ``workers=N`` executor and the serving index are tested
+against — both run :mod:`repro.snaple.kernel` over vertex blocks, drawing
+from the same per-vertex streams.
 
 The full candidate score maps are *not* stored in the vertex data: in
 Algorithm 2 they are a temporary of the apply phase, so they are neither

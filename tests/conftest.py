@@ -217,6 +217,35 @@ def scalar_reference(graph: DiGraph, config: SnapleConfig
     return predictions, scores
 
 
+def serial_program_reference(graph: DiGraph, config: SnapleConfig,
+                             cluster=None, partitioner=None, *,
+                             vertices=None):
+    """``(predictions, scores, run)`` of Algorithm 2's GAS program.
+
+    Serial :class:`~repro.gas.engine.GasEngine` over the vertex programs of
+    :mod:`repro.snaple.program`, drawing from the sequential streams, on
+    ``cluster`` (one type-II machine by default) placed by
+    ``partitioner``: the independent oracle of the serial ``gas`` backend
+    and of ``local``, which share the kernel.  ``run`` is the engine's
+    :class:`~repro.gas.engine.GasRunResult` (metrics, partition).
+    """
+    from repro.gas.cluster import TYPE_II, cluster_of
+    from repro.gas.engine import GasEngine
+    from repro.snaple.program import build_snaple_steps
+
+    engine = GasEngine(graph=graph,
+                       cluster=cluster or cluster_of(TYPE_II, 1),
+                       partitioner=partitioner, seed=config.seed)
+    steps = build_snaple_steps(config, graph)
+    run = engine.run(steps, vertices=vertices)
+    targets = graph.vertices() if vertices is None else vertices
+    collected = steps[-1].collected_scores
+    predictions = {u: list(run.data_of(u).get("predicted", []))
+                   for u in targets}
+    scores = {u: dict(collected.get(u, {})) for u in targets}
+    return predictions, scores, run
+
+
 #: The configuration seeds every parallel grid crosses.  The seed picks the
 #: per-vertex RNG streams (truncation, klocal sampling) and offsets the hash
 #: placement of ``workers=N``, so the two seeds give different draws and a

@@ -8,6 +8,7 @@ import pytest
 from repro.errors import PartitionError
 from repro.runtime.partition import (
     GreedyVertexCut,
+    HdrfVertexCut,
     Partitioner,
     RandomVertexCut,
     partition_graph,
@@ -96,3 +97,61 @@ class TestGreedyVersusRandom:
         first = partition_graph(small_social_graph, 4, seed=9)
         second = partition_graph(small_social_graph, 4, seed=9)
         assert np.array_equal(first.edge_machine, second.edge_machine)
+
+
+def loop_masters_and_replicas(graph, num_machines, edge_machine):
+    """The per-edge Python loop ``partition_graph`` ran before it was
+    vectorized, kept verbatim as the reference."""
+    replicas = [set() for _ in range(graph.num_vertices)]
+    per_vertex_counts = [dict() for _ in range(graph.num_vertices)]
+    src, dst = graph.edge_arrays()
+    for index in range(graph.num_edges):
+        machine = int(edge_machine[index])
+        for vertex in (int(src[index]), int(dst[index])):
+            replicas[vertex].add(machine)
+            counts = per_vertex_counts[vertex]
+            counts[machine] = counts.get(machine, 0) + 1
+
+    vertex_master = np.zeros(graph.num_vertices, dtype=np.int64)
+    for vertex in range(graph.num_vertices):
+        counts = per_vertex_counts[vertex]
+        if counts:
+            vertex_master[vertex] = min(
+                counts, key=lambda m: (-counts[m], m)
+            )
+            replicas[vertex].add(int(vertex_master[vertex]))
+        else:
+            vertex_master[vertex] = vertex % num_machines
+            replicas[vertex].add(int(vertex_master[vertex]))
+    return vertex_master, replicas
+
+
+def graph_with_isolated_and_duplicate_edges():
+    """A clustered graph plus repeated edges, self-loops and ten vertices
+    that touch no edge."""
+    from repro.graph.generators import powerlaw_cluster
+
+    base = powerlaw_cluster(120, 3, 0.4, seed=6)
+    src, dst = base.edge_arrays()
+    return DiGraph(base.num_vertices + 10,
+                   np.concatenate([src, src[::3], [4, 9, 9]]),
+                   np.concatenate([dst, dst[::3], [4, 9, 9]]))
+
+
+class TestVectorizedMastersAndReplicas:
+    @pytest.mark.parametrize("machines", [1, 2, 3, 8, 33])
+    @pytest.mark.parametrize("partitioner", [None, RandomVertexCut(),
+                                             GreedyVertexCut(),
+                                             HdrfVertexCut()],
+                             ids=["default", "random", "greedy", "hdrf"])
+    def test_matches_the_per_edge_loop(self, partitioner, machines):
+        graph = graph_with_isolated_and_duplicate_edges()
+        partition = partition_graph(graph, machines, partitioner=partitioner,
+                                    seed=5)
+        master, replicas = loop_masters_and_replicas(
+            graph, machines, partition.edge_machine)
+        assert partition.vertex_master.tolist() == master.tolist()
+        assert partition.vertex_replicas == replicas
+        isolated = range(graph.num_vertices - 10, graph.num_vertices)
+        assert all(partition.vertex_replicas[v] == {v % machines}
+                   for v in isolated)

@@ -13,6 +13,7 @@ from repro.eval.protocol import remove_random_edges
 from repro.gas.cluster import TYPE_I, cluster_of
 from repro.graph.io import read_edge_list, write_edge_list
 from repro.snaple import SnapleConfig, SnapleLinkPredictor
+from repro.snaple.kernel import REL_TOL
 
 
 class TestPublicApi:
@@ -88,3 +89,9 @@ class TestFullPipeline:
         local = predictor.predict(graph)
         gas = predictor.predict(graph, backend="gas", cluster=cluster_of(TYPE_I, 4))
         assert local.predictions == gas.predictions
+        # ``local`` folds each candidate's paths in selection order, the GAS
+        # gather in CSR order: equal within REL_TOL.
+        local_scores, gas_scores = dict(local.scores), dict(gas.scores)
+        assert local_scores.keys() == gas_scores.keys()
+        for u, expected in gas_scores.items():
+            assert local_scores[u] == pytest.approx(expected, rel=REL_TOL)

@@ -39,6 +39,8 @@ class TestCrossBackendParity:
             small_social_graph, backend="gas", cluster=cluster_of(TYPE_I, 8)
         )
         assert single.predictions == distributed.predictions
+        # Scores fold in CSR order on any cluster.
+        assert dict(single.scores) == dict(distributed.scores)
 
 
 class TestRunReportNormalization:

@@ -10,12 +10,14 @@ documented fallback for platforms whose ``pow`` is not correctly rounded.
 
 ``mode="reference"`` shares phase 1 (truncation) and the ``klocal``
 selection with the vectorized mode, so those two are checked a second time
-against the serial ``gas`` engine, whose vertex programs
+against Algorithm 2's GAS program on the serial engine
+(``serial_program_reference``), whose vertex programs
 (:mod:`repro.snaple.program`) truncate and select in their own code.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -23,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.graph.generators import erdos_renyi
+from repro.graph.generators import erdos_renyi, powerlaw_cluster
 from repro.runtime import get_backend
 from repro.snaple import kernel
 from repro.snaple.aggregators import get_aggregator
@@ -33,6 +35,7 @@ from repro.snaple.kernel import REL_TOL, LazyScores, kernel_supports
 from repro.snaple.sampler import TopSimilaritySampler, get_sampler
 from repro.snaple.scoring import PAPER_SCORES, ScoreConfig
 from repro.snaple.similarity import SIMILARITIES
+from tests.conftest import serial_program_reference
 
 
 def run_mode(graph, config, mode, vertices=None):
@@ -159,14 +162,27 @@ ORACLE_GRAPHS = {
 
 
 class TestIndependentOracle:
-    """Vectorized ``local`` against the serial ``gas`` engine.
+    """Vectorized ``local`` against Algorithm 2's GAS program.
 
-    Both draw truncation from one sequential stream seeded ``seed`` and the
-    ``Γrnd`` selection from one seeded ``seed + 1``, consumed in ascending
-    vertex order, so predictions must match exactly.  The two fold the path
+    The oracle is ``serial_program_reference``: the serial engine running
+    the vertex programs of :mod:`repro.snaple.program`, which truncate and
+    select in their own code (the ``gas`` backend shares the kernel with
+    ``local``, so it cannot serve).  Both draw truncation from one
+    sequential stream seeded ``seed`` — the gather's Bernoulli tests first,
+    then, under exact truncation, the reservoir sample — and the ``Γrnd``
+    selection from one seeded ``seed + 1``, consumed in ascending vertex
+    order, so predictions must match exactly.  The two fold the path
     contributions in different orders (selection order vs. CSR order), so
     scores match within ``REL_TOL``.
     """
+
+    @staticmethod
+    def check(graph, config):
+        local = run_mode(graph, config, "vectorized")
+        assert local.extra["kernel_vectorized"] == 1.0
+        predictions, scores, _ = serial_program_reference(graph, config)
+        assert local.predictions == predictions
+        assert_scores_match(local.scores, scores)
 
     @pytest.mark.parametrize("graph_name", sorted(ORACLE_GRAPHS))
     @pytest.mark.parametrize("threshold,k_local", ORACLE_LIMITS,
@@ -177,20 +193,47 @@ class TestIndependentOracle:
                                                  sampler_name, threshold,
                                                  k_local, graph_name,
                                                  random_graph):
-        graph = ORACLE_GRAPHS[graph_name](random_graph)
-        config = SnapleConfig(
+        self.check(ORACLE_GRAPHS[graph_name](random_graph), SnapleConfig(
             k=5,
             score=PAPER_SCORES[score_name],
             truncation_threshold=threshold,
             k_local=k_local,
             sampler=get_sampler(sampler_name),
             seed=3,
-        )
-        local = run_mode(graph, config, "vectorized")
-        assert local.extra["kernel_vectorized"] == 1.0
-        gas = get_backend("gas").prepare(graph, config).run()
-        assert local.predictions == gas.predictions
-        assert_scores_match(local.scores, gas.scores)
+        ))
+
+    @pytest.mark.parametrize("graph_name", sorted(ORACLE_GRAPHS))
+    @pytest.mark.parametrize("threshold,k_local", ORACLE_LIMITS,
+                             ids=["thr8-klocal5", "unbounded", "thr12-klocal3"])
+    @pytest.mark.parametrize("sampler_name", ["max", "min", "rnd"])
+    @pytest.mark.parametrize("score_name", sorted(PAPER_SCORES))
+    def test_exact_truncation_matches_serial_gas(self, score_name,
+                                                 sampler_name, threshold,
+                                                 k_local, graph_name,
+                                                 random_graph):
+        """Exact truncation: the gather's Bernoulli draws come first."""
+        self.check(ORACLE_GRAPHS[graph_name](random_graph), SnapleConfig(
+            k=5,
+            score=PAPER_SCORES[score_name],
+            truncation_threshold=threshold,
+            k_local=k_local,
+            sampler=get_sampler(sampler_name),
+            exact_truncation=True,
+            seed=3,
+        ))
+
+    def test_exact_truncation_agrees_on_a_truncating_graph(self):
+        """Exact truncation on a graph where most vertices truncate."""
+        graph = powerlaw_cluster(300, 4, 0.3, seed=5)
+        config = dataclasses.replace(
+            SnapleConfig.paper_default(seed=3, k_local=6,
+                                       truncation_threshold=5),
+            exact_truncation=True)
+        predictions, scores, _ = serial_program_reference(graph, config)
+        for mode in ("vectorized", "reference"):
+            local = run_mode(graph, config, mode)
+            assert local.predictions == predictions
+            assert_scores_match(local.scores, scores)
 
 
 class TestReferenceModeIsScalar:
@@ -353,3 +396,16 @@ class TestLazyScores:
         smaller = dict(reference.scores)
         smaller.popitem()
         assert vectorized.scores != smaller
+
+    def test_arrays_are_released_once_every_row_is_read(self, reports):
+        vectorized, reference = reports
+        scores = vectorized.scores
+        assert scores._candidates is not None
+        first = dict(scores)
+        assert scores._candidates is None and scores._values is None
+        assert first == reference.scores
+        for u in reference.scores:
+            assert scores[u] == reference.scores[u]
+        assert scores == reference.scores
+        assert scores.materialize() == reference.scores
+        assert dict(scores) == first

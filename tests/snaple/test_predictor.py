@@ -85,6 +85,8 @@ class TestGasPrediction:
         distributed = predictor.predict(small_social_graph, backend="gas",
                                         cluster=cluster_of(TYPE_I, 8))
         assert single.predictions == distributed.predictions
+        # Scores fold in CSR order on any cluster.
+        assert dict(single.scores) == dict(distributed.scores)
 
     def test_gas_result_has_accounting(self, small_social_graph):
         result = SnapleLinkPredictor().predict(
