@@ -37,7 +37,6 @@ from repro.snaple.kernel import (
     NeighborhoodCSR,
     build_truncated_neighborhoods,
     combine_and_rank,
-    combine_and_rank_blocks,
     edge_similarities,
     fold_paths,
     kernel_supports,
@@ -364,8 +363,9 @@ class GasBackend(ExecutionBackend):
             rng_mode="sequential")
         target_array = np.asarray(targets, dtype=np.int64)
         paths = PathTally(graph, partition)
-        predictions, scores = combine_and_rank_blocks(
-            graph, gamma, kept, config, target_array, on_trace=paths)
+        predictions, scores = combine_and_rank(
+            graph, gamma, kept, config, target_array, neighbor_order="csr",
+            materialize_scores=False, on_trace=paths)
         metrics = superstep_metrics(
             graph, cluster, partition, paths,
             gamma_sizes=gamma_sizes,

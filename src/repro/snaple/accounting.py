@@ -124,9 +124,10 @@ class PathTally:
     """Step-3 gather charges, summed over the blocks of phase 3b.
 
     Pass an instance as ``on_trace`` to
-    :func:`~repro.snaple.kernel.combine_and_rank_blocks`: each surviving
-    path costs one compute unit on its first hop's machine, and each
-    distinct (target, mirror, candidate) a partial entry.
+    :func:`~repro.snaple.kernel.combine_and_rank` with
+    ``neighbor_order="csr"``: each surviving path costs one compute unit
+    on its first hop's machine, and each distinct (target, mirror,
+    candidate) a partial entry.
     """
 
     def __init__(self, graph: DiGraph, partition: GraphPartition) -> None:

@@ -28,15 +28,24 @@ graph's CSR adjacency:
    scalar fold over the same kept neighbors — any combinator or aggregator,
    and paths longer than two hops.
 
+Phase 3b runs in bounded memory for every caller: one loop
+(:func:`_rank_blocks`) computes the targets' kept path edges once, cuts the
+targets into consecutive blocks of at most :data:`BLOCK_PATHS` expanded
+paths (a target is never split), and expands, filters, folds and ranks one
+block at a time, so its transient arrays grow with the block, not with the
+target set.  :func:`combine_and_rank` returns the rows as dict predictions
+plus a :class:`LazyScores`; :func:`combine_and_rank_columnar` returns them
+as arrays.
+
 The ``workers=N`` executor and the serving index run the phases over vertex
 blocks with the GAS program's semantics: per-vertex random streams
 (:func:`gas_sample_step_columnar`, ``select_klocal(rng_mode="per_vertex")``)
 and the gather's fold order (:func:`combine_and_rank_columnar` with
 ``neighbor_order="csr"``, which takes :func:`fold_paths` for a custom
 combinator or aggregator).  The serial simulated engine runs them with the
-sequential streams and folds in gather order over target blocks
-(:func:`combine_and_rank_blocks`), whose :class:`PathTrace` feeds its
-accounting (:mod:`repro.snaple.accounting`).
+sequential streams and folds in gather order (``combine_and_rank(...,
+neighbor_order="csr", on_trace=...)``); each block's :class:`PathTrace`
+feeds its accounting (:mod:`repro.snaple.accounting`).
 
 Bit-parity contract
 -------------------
@@ -123,7 +132,6 @@ __all__ = [
     "combine_and_rank_columnar",
     "PathTrace",
     "BLOCK_PATHS",
-    "combine_and_rank_blocks",
     "gas_sample_step_columnar",
 ]
 
@@ -799,14 +807,17 @@ class LazyScores(Mapping):
 
     Algorithm 2 treats the full candidate score map as a temporary of the
     apply phase — only the top-``k`` predictions are the program's output.
-    The vectorized kernel therefore keeps the scores as flat arrays and
-    builds the per-vertex ``{candidate: score}`` dicts only when someone
-    actually reads them (evaluation code reads predictions; the score maps
-    serve inspection, supervision, and the parity suite).  Content equality
-    with the eagerly-built reference dicts is exact — ``==`` against any
-    mapping compares the materialized values.  Once every row has been
-    read, the flat arrays are released and only the dicts remain; their
-    keys are one shared ``int`` per distinct candidate, not one per entry.
+    The vectorized kernel therefore keeps the scores as flat arrays (every
+    phase-3b block's rows, concatenated once) and builds the per-vertex
+    ``{candidate: score}`` dicts only when someone actually reads them
+    (evaluation code reads predictions; the score maps serve inspection,
+    supervision, and the parity suite); :meth:`materialize` builds them
+    all, as ``combine_and_rank(materialize_scores=True)`` does.  Content
+    equality with the eagerly-built reference dicts is exact — ``==``
+    against any mapping compares the materialized values.  Once every row
+    has been read, the flat arrays are released and only the dicts remain;
+    their keys are one shared ``int`` per distinct candidate, not one per
+    entry.
     """
 
     __slots__ = ("_offsets", "_candidates", "_values", "_cache", "_ids")
@@ -903,36 +914,38 @@ def _fold_groups(ufunc, values: np.ndarray, starts: np.ndarray,
 
 def _top_k_rounds(scores: np.ndarray, candidates: np.ndarray,
                   seg_starts: np.ndarray, seg_sizes: np.ndarray,
-                  k: int) -> list[list[int]]:
+                  k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-``k`` per segment by ``(-score, candidate)``, without full sorts.
 
     Candidates are id-ascending inside each segment, so the *first* maximum
     of a segment is exactly the scalar tie-break (highest score, smallest
-    id).  Each round extracts every segment's current maximum at once.
+    id).  Each round extracts every segment's current maximum at once; a
+    segment of ``s`` candidates is hit in rounds ``0 .. min(s, k) - 1``,
+    so round ``r``'s pick lands at offset ``r`` of its segment's row.
+    Returns ``(counts, picks)``: picks per segment and, concatenated in
+    segment order, each segment's picks best first.
     """
-    num_segments = seg_starts.size
-    picks: list[list[int]] = [[] for _ in range(num_segments)]
-    if scores.size == 0 or num_segments == 0:
-        return picks
+    counts = np.minimum(seg_sizes, k).astype(np.int64)
+    picks = np.empty(int(counts.sum()), dtype=np.int64)
+    if picks.size == 0:
+        return counts, picks
+    offsets = _indptr_from_counts(counts)[:-1]
     working = scores.copy()
-    segment_of = np.repeat(np.arange(num_segments, dtype=np.int64), seg_sizes)
-    for round_index in range(k):
+    segment_of = np.repeat(np.arange(seg_starts.size, dtype=np.int64),
+                           seg_sizes)
+    for round_index in range(int(counts.max())):
         best = np.maximum.reduceat(working, seg_starts)
         is_best = working == best[segment_of]
         if round_index:  # scores are finite, so -inf only marks extractions
             is_best &= working != -np.inf
         hits = np.flatnonzero(is_best)
-        if hits.size == 0:
-            break
         hit_segments = segment_of[hits]
         first = np.ones(hits.size, dtype=bool)
         first[1:] = hit_segments[1:] != hit_segments[:-1]
         chosen = hits[first]
-        for segment, z in zip(hit_segments[first].tolist(),
-                              candidates[chosen].tolist()):
-            picks[segment].append(z)
+        picks[offsets[hit_segments[first]] + round_index] = candidates[chosen]
         working[chosen] = -np.inf
-    return picks
+    return counts, picks
 
 
 def _kept_rows_of(kept: KeptNeighbors, targets: np.ndarray
@@ -994,56 +1007,43 @@ def _path_edges_csr_order(graph: DiGraph, kept: KeptNeighbors,
     return neighbor[found], sims, rank[found], edge[found]
 
 
-def _csr_fanout(graph: DiGraph, kept: KeptNeighbors,
-               targets: np.ndarray) -> np.ndarray:
-    """Paths phase 3b expands per target in GAS gather order.
-
-    The sum of ``|kept(v)|`` over the target's out-edges ``u -> v`` with
-    ``v`` kept (duplicate edges counted), known before any expansion.
-    """
-    via, _sims, rank, _edge = _path_edges_csr_order(graph, kept, targets)
-    fanout = np.diff(kept.indptr)[via]
-    return np.bincount(rank, weights=fanout,
-                       minlength=targets.size).astype(np.int64)
-
-
 @dataclass
 class PathTrace:
-    """Where the 2-hop paths of a phase-3b call entered, for accounting.
+    """Where the 2-hop paths of one phase-3b block entered, for accounting.
 
     One entry per path that survived the ``z != u, z ∉ Γ̂(u)`` filter, in
     fold order: ``key`` is ``rank * |V| + z`` (``rank`` the target's
-    position in the call's ``targets``, ``z`` the candidate) and ``edge``
-    the CSR out-position of the path's first hop ``u -> v``.
+    position in the block, ``z`` the candidate) and ``edge`` the CSR
+    out-position of the path's first hop ``u -> v``.
     """
 
     key: np.ndarray
     edge: np.ndarray
 
 
+#: Most 2-hop paths one block of phase 3b expands.  Bounds the transient
+#: arrays of phase 3b (tens of bytes per path) on large target sets; a
+#: target over the bound is a block of its own.
+BLOCK_PATHS = 1 << 16
+
+
 def _surviving_paths(graph: DiGraph, gamma: NeighborhoodCSR,
-                     kept: KeptNeighbors, target_array: np.ndarray,
-                     neighbor_order: str, *, combinator=None,
-                     trace: bool = False
+                     kept: KeptNeighbors, block: np.ndarray,
+                     via: np.ndarray, sim_uv: np.ndarray, fanout: np.ndarray,
+                     rank: np.ndarray, edge: np.ndarray | None, *,
+                     combinator=None, trace: bool = False
                      ) -> tuple[np.ndarray, np.ndarray | None,
                                 PathTrace | None]:
-    """Expand each target's kept edges into 2-hop paths, filter, group.
+    """Expand a block's kept edges into 2-hop paths, filter, group.
 
-    Returns ``(key, combined, trace)`` over the surviving paths, grouped by
-    ``key = rank * |V| + candidate`` (ascending) in arrival order inside
-    each group: ``sim(u, v) ⊗ sim(v, z)`` when a ``combinator`` is given,
-    and the :class:`PathTrace` when ``trace`` is set (CSR order only).
+    ``via``, ``sim_uv``, ``fanout``, ``rank`` (block-local) and ``edge``
+    (CSR order only, else ``None``) describe the block's kept edges
+    ``u -> v`` and ``|kept(v)|``.  Returns ``(key, combined, trace)`` over
+    the surviving paths, grouped by ``key = rank * |V| + candidate``
+    (ascending) in arrival order inside each group: ``sim(u, v) ⊗ sim(v,
+    z)`` when a ``combinator`` is given, and the :class:`PathTrace` when
+    ``trace`` is set (CSR order only).
     """
-    num_targets = target_array.size
-    edge = None
-    if neighbor_order == "sampler":
-        via, sim_uv, rank = _path_edges_sampler_order(kept, target_array)
-    else:
-        via, sim_uv, rank, edge = _path_edges_csr_order(graph, kept,
-                                                        target_array)
-
-    # Expand each kept edge (u -> v) into the candidate list kept(v).
-    fanout = np.diff(kept.indptr)[via]
     positions = _gather_slices(kept.indptr[via], fanout)
     candidate = kept.ids[positions]
     combined = None
@@ -1053,16 +1053,18 @@ def _surviving_paths(graph: DiGraph, gamma: NeighborhoodCSR,
     path_rank = np.repeat(rank, fanout)
 
     # Drop self-candidates and already-known neighbors (z ∈ Γ̂(u)).  When the
-    # targets are 0..T-1 (the common full-graph run) the grouping key doubles
-    # as the membership probe, saving two full-length passes.
+    # block's targets are consecutive ids first..first+T-1 (every block of a
+    # full-graph run) the grouping key shifted by first·|V| is the
+    # membership probe, saving a gather and a multiply.
     num_vertices = np.int64(graph.num_vertices)
     group_key = path_rank * num_vertices + candidate
-    if num_targets and np.array_equal(
-            target_array, np.arange(num_targets, dtype=np.int64)):
-        source = path_rank
-        probe = group_key
+    first = int(block[0])
+    if np.array_equal(block, np.arange(first, first + block.size,
+                                       dtype=np.int64)):
+        source = path_rank + first if first else path_rank
+        probe = group_key + first * num_vertices if first else group_key
     else:
-        source = target_array[path_rank]
+        source = block[path_rank]
         probe = source * num_vertices + candidate
     keep = candidate != source
     keep &= ~gamma.contains_keys(probe)
@@ -1075,7 +1077,7 @@ def _surviving_paths(graph: DiGraph, gamma: NeighborhoodCSR,
     # would overflow 63 bits.
     n_all = candidate.size
     shift = max(int(n_all - 1).bit_length(), 1)
-    key_bound = int(num_targets) * int(num_vertices)
+    key_bound = int(block.size) * int(num_vertices)
     if shift < 62 and key_bound < (1 << (62 - shift)):
         group_key <<= shift
         group_key |= np.arange(n_all, dtype=np.int64)
@@ -1098,51 +1100,140 @@ def _surviving_paths(graph: DiGraph, gamma: NeighborhoodCSR,
     return group_key, combined, path_trace
 
 
-def _combine_core(
-    graph: DiGraph,
-    gamma: NeighborhoodCSR,
-    kept: KeptNeighbors,
-    config: SnapleConfig,
-    target_array: np.ndarray,
-    neighbor_order: str,
-    *,
-    trace: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-           list[list[int]], PathTrace | None]:
-    """The array core of phase 3b, shared by dict and columnar callers.
+def _combine_core(graph: DiGraph, gamma: NeighborhoodCSR,
+                  kept: KeptNeighbors, config: SnapleConfig,
+                  block: np.ndarray, paths: tuple, *, trace: bool
+                  ) -> tuple[tuple[np.ndarray, ...], PathTrace | None]:
+    """One block of phase 3b, vectorized: expand, filter, group, fold, top-k.
 
-    Returns ``(seg_counts, seg_indptr, nonempty, group_candidate, final,
-    picks, trace)``: per-target candidate counts, their indptr, the indices
-    of targets with at least one candidate, the candidate/score arrays laid
-    out consecutively per target, the top-``k`` picks per nonempty target,
-    and the :class:`PathTrace` of the folded paths when ``trace`` is set.
+    ``paths`` is the block's ``(via, sim_uv, fanout, rank, edge)`` (see
+    :func:`_surviving_paths`).  Returns the block's five row arrays (as
+    :func:`combine_and_rank_columnar` lays them out) and its
+    :class:`PathTrace` when ``trace`` is set.
     """
-    num_targets = target_array.size
+    score = config.score
     num_vertices = np.int64(graph.num_vertices)
     group_key, combined, path_trace = _surviving_paths(
-        graph, gamma, kept, target_array, neighbor_order,
-        combinator=config.score.combinator, trace=trace)
+        graph, gamma, kept, block, *paths, combinator=score.combinator,
+        trace=trace)
     n_paths = group_key.size
 
     boundary = np.ones(n_paths, dtype=bool)
     boundary[1:] = group_key[1:] != group_key[:-1]
     starts = np.flatnonzero(boundary)
     sizes = np.diff(starts, append=n_paths)
-    pre_ufunc = _AGGREGATOR_UFUNCS[type(config.score.aggregator)]
+    pre_ufunc = _AGGREGATOR_UFUNCS[type(score.aggregator)]
     accumulated = _fold_groups(pre_ufunc, combined, starts, sizes)
-    final = _aggregator_post(config.score.aggregator, accumulated, sizes)
+    final = _aggregator_post(score.aggregator, accumulated, sizes)
     group_rank = group_key[starts] // num_vertices
     group_candidate = group_key[starts] % num_vertices
 
     # Rank per target.
-    seg_counts = np.bincount(group_rank, minlength=num_targets)
-    seg_indptr = _indptr_from_counts(seg_counts)
+    seg_counts = np.bincount(group_rank, minlength=block.size)
     nonempty = np.flatnonzero(seg_counts)
-    picks = _top_k_rounds(final, group_candidate,
-                          seg_indptr[nonempty], seg_counts[nonempty],
-                          config.k)
-    return (seg_counts, seg_indptr, nonempty, group_candidate, final, picks,
+    pick_counts, pred_flat = _top_k_rounds(
+        final, group_candidate, _indptr_from_counts(seg_counts)[nonempty],
+        seg_counts[nonempty], config.k)
+    pred_counts = np.zeros(block.size, dtype=np.int64)
+    pred_counts[nonempty] = pick_counts
+    return ((pred_counts, pred_flat, seg_counts, group_candidate, final),
             path_trace)
+
+
+def _fold_rows(graph: DiGraph, gamma: NeighborhoodCSR, kept: KeptNeighbors,
+               config: SnapleConfig, block: np.ndarray, neighbor_order: str
+               ) -> tuple[np.ndarray, ...]:
+    """One block's five row arrays from the scalar :func:`fold_paths` (a
+    custom combinator or aggregator), candidates ascending per target."""
+    target_list = block.tolist()
+    predictions, scores, _ = fold_paths(gamma, kept, config, target_list,
+                                        neighbor_order=neighbor_order,
+                                        graph=graph)
+    picked = [predictions[u] for u in target_list]
+    ranked = [sorted(scores[u].items()) for u in target_list]
+    pairs = list(itertools.chain.from_iterable(ranked))
+    return (np.array([len(row) for row in picked], dtype=np.int64),
+            np.array(list(itertools.chain.from_iterable(picked)),
+                     dtype=np.int64),
+            np.array([len(row) for row in ranked], dtype=np.int64),
+            np.array([z for z, _ in pairs], dtype=np.int64),
+            np.array([value for _, value in pairs], dtype=np.float64))
+
+
+def _rank_blocks(
+    graph: DiGraph,
+    gamma: NeighborhoodCSR,
+    kept: KeptNeighbors,
+    config: SnapleConfig,
+    targets: np.ndarray,
+    neighbor_order: str,
+    on_trace: Callable[[np.ndarray, PathTrace], None] | None = None,
+) -> tuple[np.ndarray, ...]:
+    """Phase 3b over consecutive blocks of ``targets``: the one loop.
+
+    The targets' kept path edges are computed once, in ``neighbor_order``;
+    a target's fan-out (the paths it expands) is known from them before any
+    expansion.  A block is a run of consecutive targets whose fan-outs sum
+    to at most :data:`BLOCK_PATHS`; a target over the bound is a block of
+    its own, and no target is split, so blocking changes no answer.  Each
+    block runs :func:`_combine_core` (or :func:`_fold_rows` for a custom
+    combinator or aggregator) on its slice of the path edges, and
+    ``on_trace(block, trace)`` receives its :class:`PathTrace` (CSR order
+    only) before the next block runs.  Returns the five row arrays of
+    :func:`combine_and_rank_columnar`, aligned with ``targets``.
+    """
+    num_targets = targets.size
+    edge = None
+    if neighbor_order == "sampler":
+        via, sim_uv, rank = _path_edges_sampler_order(kept, targets)
+    else:
+        via, sim_uv, rank, edge = _path_edges_csr_order(graph, kept, targets)
+    fanout = np.diff(kept.indptr)[via]
+    path_ends = np.cumsum(np.bincount(rank, weights=fanout,
+                                      minlength=num_targets)).astype(np.int64)
+    edge_ends = np.cumsum(np.bincount(rank, minlength=num_targets))
+    vectorized = _fold_supported(config.score)
+    rows: list[tuple[np.ndarray, ...]] = []
+    start = 0
+    while start < num_targets:
+        base = int(path_ends[start - 1]) if start else 0
+        stop = max(int(np.searchsorted(path_ends, base + BLOCK_PATHS,
+                                       side="right")), start + 1)
+        low = int(edge_ends[start - 1]) if start else 0
+        high = int(edge_ends[stop - 1])
+        block = targets[start:stop]
+        paths = (via[low:high], sim_uv[low:high], fanout[low:high],
+                 rank[low:high] - start,
+                 None if edge is None else edge[low:high])
+        if vectorized:
+            block_rows, trace = _combine_core(graph, gamma, kept, config,
+                                              block, paths,
+                                              trace=on_trace is not None)
+        else:
+            block_rows = _fold_rows(graph, gamma, kept, config, block,
+                                    neighbor_order)
+            # The scalar fold keeps no arrays: trace the same paths apart.
+            trace = (_surviving_paths(graph, gamma, kept, block, *paths,
+                                      trace=True)[2]
+                     if on_trace is not None else None)
+        if on_trace is not None:
+            on_trace(block, trace)
+        rows.append(block_rows)
+        start = stop
+    if len(rows) == 1:
+        return rows[0]
+    if not rows:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty, empty, np.empty(0, dtype=np.float64)
+    # Concatenate column by column, dropping each column's block pieces as
+    # it goes: the rows are held about once, not twice.
+    columns = [list(column) for column in zip(*rows)]
+    rows.clear()
+    joined = []
+    for column in columns:
+        joined.append(np.concatenate(column))
+        column.clear()
+    return tuple(joined)
 
 
 def combine_and_rank(
@@ -1154,47 +1245,37 @@ def combine_and_rank(
     *,
     neighbor_order: str = "sampler",
     materialize_scores: bool = True,
+    on_trace: Callable[[np.ndarray, PathTrace], None] | None = None,
 ) -> tuple[dict[int, list[int]], Mapping]:
-    """Phase 3b: all 2-hop paths combined, aggregated, and ranked at once.
+    """Phase 3b: 2-hop paths combined, aggregated, and ranked in blocks.
 
     ``neighbor_order`` selects whose float fold order to reproduce:
     ``"sampler"`` iterates each target's kept neighbors in selection order
     (the ``local`` reference), ``"csr"`` iterates the raw adjacency and
     filters (the GAS gather).  Aggregation per candidate is a left-to-right
     fold in path arrival order either way, so scores match the scalar dict
-    merges bit-for-bit.
+    merges bit-for-bit.  The targets run in consecutive blocks of at most
+    :data:`BLOCK_PATHS` expanded paths (:func:`_rank_blocks`), so the
+    transient arrays are bounded by the block, not by ``targets``;
+    ``on_trace(block, trace)`` receives each block's :class:`PathTrace`
+    (CSR order only).
 
-    With ``materialize_scores=False`` the returned score maps are a
-    :class:`LazyScores` view over the kernel's arrays (identical content,
-    built on access) — predictions are always materialized eagerly.
+    Predictions are one list per target.  The score maps are one
+    :class:`LazyScores` over every block's rows (identical content, built
+    on access), or, with ``materialize_scores=True``, that view
+    materialized into plain dicts.
     """
     target_array = np.asarray(targets, dtype=np.int64)
-    num_targets = target_array.size
-    predictions: dict[int, list[int]] = {}
-    if num_targets == 0:
-        return predictions, {}
-
-    seg_counts, seg_indptr, nonempty, group_candidate, final, picks, _ = (
-        _combine_core(graph, gamma, kept, config, target_array,
-                      neighbor_order)
-    )
+    pred_counts, pred_flat, score_counts, candidates, values = _rank_blocks(
+        graph, gamma, kept, config, target_array, neighbor_order, on_trace)
     target_list = target_array.tolist()
-    for u in target_list:
-        predictions[u] = []
-    for segment, u in enumerate(target_array[nonempty].tolist()):
-        predictions[u] = picks[segment]
-    if not materialize_scores:
-        return predictions, LazyScores(target_list, seg_indptr[:-1],
-                                       seg_counts, group_candidate, final)
-    scores: dict[int, dict[int, float]] = {u: {} for u in target_list}
-    # Segments are laid out consecutively, so one global pair iterator sliced
-    # per segment materializes every score dict without intermediate copies.
-    pairs = zip(group_candidate.tolist(), final.tolist())
-    islice = itertools.islice
-    for u, count in zip(target_array[nonempty].tolist(),
-                        seg_counts[nonempty].tolist()):
-        scores[u] = dict(islice(pairs, count))
-    return predictions, scores
+    picked = iter(pred_flat.tolist())
+    predictions = {u: list(itertools.islice(picked, count))
+                   for u, count in zip(target_list, pred_counts.tolist())}
+    scores = LazyScores(target_list, _indptr_from_counts(score_counts)[:-1],
+                        score_counts, candidates, values)
+    return predictions, (scores.materialize() if materialize_scores
+                         else scores)
 
 
 def fold_paths(
@@ -1285,6 +1366,7 @@ def fold_paths(
     return predictions, scores, paths_per_length
 
 
+
 # ----------------------------------------------------------------------
 # Array-in, array-out entry points of the parallel executor and the index
 # ----------------------------------------------------------------------
@@ -1305,117 +1387,14 @@ def combine_and_rank_columnar(
     and the incremental index assemble these rows without building
     per-vertex dicts.
 
-    A stock combinator and aggregator run the vectorized core; any other
-    pair runs :func:`fold_paths` with the same ``neighbor_order``, so both
+    The targets run in the blocks of :func:`combine_and_rank` (at most
+    :data:`BLOCK_PATHS` expanded paths each).  A stock combinator and
+    aggregator run the vectorized block body; any other pair runs
+    :func:`fold_paths` per block with the same ``neighbor_order``, so both
     branches fold in the same order.
     """
-    rows, _ = _columnar(graph, gamma, kept, config,
-                        np.asarray(targets, dtype=np.int64), neighbor_order,
-                        trace=False)
-    return rows
-
-
-def _columnar(graph: DiGraph, gamma: NeighborhoodCSR, kept: KeptNeighbors,
-              config: SnapleConfig, target_array: np.ndarray,
-              neighbor_order: str, *, trace: bool
-              ) -> tuple[tuple[np.ndarray, ...], PathTrace | None]:
-    """:func:`combine_and_rank_columnar`, plus the :class:`PathTrace` of
-    the call when ``trace`` is set (CSR order only)."""
-    empty_ids = np.empty(0, dtype=np.int64)
-    if target_array.size == 0:
-        return ((np.zeros(0, dtype=np.int64), empty_ids,
-                 np.zeros(0, dtype=np.int64), empty_ids,
-                 np.empty(0, dtype=np.float64)),
-                PathTrace(key=empty_ids, edge=empty_ids) if trace else None)
-    if not _fold_supported(config.score):
-        target_list = target_array.tolist()
-        predictions, scores, _ = fold_paths(
-            gamma, kept, config, target_list,
-            neighbor_order=neighbor_order, graph=graph)
-        picked = [predictions[u] for u in target_list]
-        ranked = [sorted(scores[u].items()) for u in target_list]
-        pairs = list(itertools.chain.from_iterable(ranked))
-        rows = (np.array([len(row) for row in picked], dtype=np.int64),
-                np.array(list(itertools.chain.from_iterable(picked)),
-                         dtype=np.int64),
-                np.array([len(row) for row in ranked], dtype=np.int64),
-                np.array([z for z, _ in pairs], dtype=np.int64),
-                np.array([value for _, value in pairs], dtype=np.float64))
-        # The scalar fold keeps no arrays: trace the same paths apart.
-        return rows, (_surviving_paths(graph, gamma, kept, target_array,
-                                       neighbor_order, trace=True)[2]
-                      if trace else None)
-    (seg_counts, _seg_indptr, nonempty, group_candidate, final, picks,
-     path_trace) = _combine_core(graph, gamma, kept, config, target_array,
-                                 neighbor_order, trace=trace)
-    pred_counts = np.zeros(target_array.size, dtype=np.int64)
-    if nonempty.size:
-        pred_counts[nonempty] = np.fromiter(
-            (len(p) for p in picks), dtype=np.int64, count=len(picks)
-        )
-    total = int(pred_counts.sum())
-    pred_flat = (np.fromiter(itertools.chain.from_iterable(picks),
-                             dtype=np.int64, count=total)
-                 if total else empty_ids)
-    return ((pred_counts, pred_flat, seg_counts, group_candidate, final),
-            path_trace)
-
-
-#: Most 2-hop paths one block of :func:`combine_and_rank_blocks` expands.
-#: Bounds the transient arrays of phase 3b (tens of bytes per path) on
-#: large target sets; a target over the bound is a block of its own.
-BLOCK_PATHS = 1 << 16
-
-
-def combine_and_rank_blocks(
-    graph: DiGraph,
-    gamma: NeighborhoodCSR,
-    kept: KeptNeighbors,
-    config: SnapleConfig,
-    targets: np.ndarray,
-    *,
-    on_trace: Callable[[np.ndarray, PathTrace], None] | None = None,
-) -> tuple[dict[int, list[int]], LazyScores]:
-    """Phase 3b in GAS gather order, over blocks of ``targets``.
-
-    Consecutive targets are grouped so that a block expands at most
-    :data:`BLOCK_PATHS` paths (known before expansion),
-    and each block runs :func:`combine_and_rank_columnar` with
-    ``neighbor_order="csr"``.  Blocking changes no answer: every target's
-    paths are folded inside one block.  ``on_trace(block, trace)`` receives
-    each block's :class:`PathTrace` before the next block runs.
-
-    Returns the predictions (one list per target) and one
-    :class:`LazyScores` over every block's score rows.
-    """
-    target_array = np.asarray(targets, dtype=np.int64)
-    ends = np.cumsum(_csr_fanout(graph, kept, target_array))
-    rows: list[tuple[np.ndarray, ...]] = []
-    start = 0
-    while start < target_array.size:
-        base = int(ends[start - 1]) if start else 0
-        stop = max(int(np.searchsorted(ends, base + BLOCK_PATHS,
-                                       side="right")), start + 1)
-        block = target_array[start:stop]
-        block_rows, trace = _columnar(graph, gamma, kept, config, block,
-                                      "csr", trace=on_trace is not None)
-        if on_trace is not None:
-            on_trace(block, trace)
-        rows.append(block_rows)
-        start = stop
-    if not rows:  # no targets: the empty block's rows
-        rows.append(_columnar(graph, gamma, kept, config, target_array,
-                              "csr", trace=False)[0])
-    pred_counts, pred_flat, score_counts, candidates, values = (
-        np.concatenate(column) for column in zip(*rows))
-    del rows
-    target_list = target_array.tolist()
-    picked = iter(pred_flat.tolist())
-    predictions = {u: list(itertools.islice(picked, count))
-                   for u, count in zip(target_list, pred_counts.tolist())}
-    scores = LazyScores(target_list, _indptr_from_counts(score_counts)[:-1],
-                        score_counts, candidates, values)
-    return predictions, scores
+    return _rank_blocks(graph, gamma, kept, config,
+                        np.asarray(targets, dtype=np.int64), neighbor_order)
 
 
 def gas_sample_step_columnar(

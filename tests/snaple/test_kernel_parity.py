@@ -19,7 +19,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +38,12 @@ from repro.snaple.kernel import REL_TOL, LazyScores, kernel_supports
 from repro.snaple.sampler import TopSimilaritySampler, get_sampler
 from repro.snaple.scoring import PAPER_SCORES, ScoreConfig
 from repro.snaple.similarity import SIMILARITIES
-from tests.conftest import serial_program_reference
+from tests.conftest import (
+    custom_aggregator_config,
+    examples,
+    serial_program_reference,
+    truncating_config,
+)
 
 
 def run_mode(graph, config, mode, vertices=None):
@@ -309,8 +317,120 @@ class TestMembershipFallback:
         assert searched.scores == with_bitmap.scores
 
 
+#: Above any test graph's path count: phase 3b runs as one block.
+ONE_BLOCK = 1 << 40
+
+BLOCK_CONFIGS = {
+    "paper_default": lambda: SnapleConfig.paper_default(seed=3),
+    "truncating": truncating_config,
+    "custom_aggregator": custom_aggregator_config,
+}
+
+
+def phase_3b_inputs(graph, config):
+    gamma = kernel.build_truncated_neighborhoods(graph, config)
+    edges = kernel.edge_similarities(graph, gamma, config)
+    return gamma, kernel.select_klocal(edges, config)
+
+
+class TestBlockInvariance:
+    """Phase 3b cut into blocks of a few paths (or of one target each,
+    most of them over the bound) gives the one-block answers bit for bit,
+    through both entry points, in both fold orders."""
+
+    TARGETS = {
+        "all": lambda n: list(range(n)),
+        "subset": lambda n: [97, 3, 40, 3, 0, n - 1, 12, 64],
+        "empty": lambda n: [],
+    }
+
+    @staticmethod
+    def run_both(graph, config, targets, neighbor_order):
+        gamma, kept = phase_3b_inputs(graph, config)
+        predictions, scores = kernel.combine_and_rank(
+            graph, gamma, kept, config, targets,
+            neighbor_order=neighbor_order)
+        rows = kernel.combine_and_rank_columnar(
+            graph, gamma, kept, config, np.asarray(targets, dtype=np.int64),
+            neighbor_order=neighbor_order)
+        return (list(predictions.items()),
+                [(u, list(row.items())) for u, row in scores.items()],
+                [column.tolist() for column in rows])
+
+    @pytest.mark.parametrize("config_name", sorted(BLOCK_CONFIGS))
+    @pytest.mark.parametrize("targets", sorted(TARGETS))
+    @pytest.mark.parametrize("neighbor_order", ["sampler", "csr"])
+    @pytest.mark.parametrize("block_paths", [1, 40, kernel.BLOCK_PATHS])
+    def test_blocks_change_no_answer(self, block_paths, neighbor_order,
+                                     targets, config_name, random_graph,
+                                     monkeypatch):
+        graph = random_graph(120, 3, 0.3, seed=7)
+        config = BLOCK_CONFIGS[config_name]()
+        target_list = self.TARGETS[targets](graph.num_vertices)
+        monkeypatch.setattr(kernel, "BLOCK_PATHS", ONE_BLOCK)
+        expected = self.run_both(graph, config, target_list, neighbor_order)
+        monkeypatch.setattr(kernel, "BLOCK_PATHS", block_paths)
+        assert self.run_both(graph, config, target_list,
+                             neighbor_order) == expected
+
+    @pytest.mark.parametrize("config_name", sorted(BLOCK_CONFIGS))
+    @pytest.mark.parametrize("block_paths", [1, 40])
+    def test_blocks_are_the_longest_runs_under_the_bound(
+            self, block_paths, config_name, random_graph, monkeypatch):
+        """Each block takes targets in order while their fan-outs (the
+        paths a target expands, counted here from the graph) fit the
+        bound; a target over the bound is a block of its own."""
+        graph = random_graph(120, 3, 0.3, seed=7)
+        config = BLOCK_CONFIGS[config_name]()
+        gamma, kept = phase_3b_inputs(graph, config)
+        sizes = np.diff(kept.indptr)
+
+        def fanout(u):
+            row = set(kept.ids[kept.indptr[u]:kept.indptr[u + 1]].tolist())
+            return sum(int(sizes[v]) for v in graph.out_neighbors(u).tolist()
+                       if v in row)
+
+        targets = list(range(graph.num_vertices)) + [97, 3, 3]
+        blocks = []
+        monkeypatch.setattr(kernel, "BLOCK_PATHS", block_paths)
+        kernel.combine_and_rank(
+            graph, gamma, kept, config, targets, neighbor_order="csr",
+            on_trace=lambda block, trace: blocks.append(block.tolist()))
+        assert sum(blocks, []) == targets
+        assert len(blocks) > 1
+        for block, after in zip(blocks, blocks[1:] + [None]):
+            paths = sum(fanout(u) for u in block)
+            assert len(block) == 1 or paths <= block_paths
+            if after is not None:
+                assert paths + fanout(after[0]) > block_paths
+
+
+class TestBlockMemory:
+    def test_blocks_bound_the_phase_3b_peak(self, monkeypatch):
+        """Blocks of 4,096 paths at most halve the one-block peak of
+        ``combine_and_rank`` over every target (the score rows, which
+        every block keeps, are most of what remains)."""
+        graph = powerlaw_cluster(4000, 5, 0.5, seed=1)
+        config = SnapleConfig.paper_default()
+        gamma, kept = phase_3b_inputs(graph, config)
+        gamma.contains_keys(gamma.keys[:1])  # build the bitmap up front
+        targets = list(graph.vertices())
+
+        def peak(block_paths):
+            monkeypatch.setattr(kernel, "BLOCK_PATHS", block_paths)
+            tracemalloc.start()
+            try:
+                kernel.combine_and_rank(graph, gamma, kept, config, targets,
+                                        materialize_scores=False)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1 << 12) <= peak(ONE_BLOCK) / 2
+
+
 class TestKernelParityProperty:
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     @given(
         num_vertices=st.integers(min_value=5, max_value=60),
         edge_probability=st.floats(min_value=0.02, max_value=0.3),
@@ -319,10 +439,12 @@ class TestKernelParityProperty:
         threshold=st.sampled_from([math.inf, 2, 3, 5]),
         k_local=st.sampled_from([math.inf, 2, 4]),
         sampler_name=st.sampled_from(["max", "min", "rnd"]),
+        block_paths=st.sampled_from([1, 16, kernel.BLOCK_PATHS]),
     )
     def test_random_graphs_random_configs(self, num_vertices, edge_probability,
                                           graph_seed, similarity_name,
-                                          threshold, k_local, sampler_name):
+                                          threshold, k_local, sampler_name,
+                                          block_paths):
         graph = erdos_renyi(num_vertices, edge_probability, seed=graph_seed)
         config = SnapleConfig(
             k=3,
@@ -333,7 +455,8 @@ class TestKernelParityProperty:
             seed=graph_seed % 101,
         )
         reference = run_mode(graph, config, "reference")
-        vectorized = run_mode(graph, config, "vectorized")
+        with mock.patch.object(kernel, "BLOCK_PATHS", block_paths):
+            vectorized = run_mode(graph, config, "vectorized")
         assert vectorized.predictions == reference.predictions
         assert_scores_match(vectorized.scores, reference.scores)
 
