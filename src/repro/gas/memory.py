@@ -53,9 +53,7 @@ class MemoryTracker:
             raise ResourceExhaustedError(
                 f"machine {machine} exhausted its simulated memory: "
                 f"{current / 1024**2:.2f} MiB requested, capacity "
-                f"{self.capacity_bytes / 1024**2:.2f} MiB "
-                "(the naive neighborhood-propagation approach hits this on "
-                "large graphs, as reported in the paper)",
+                f"{self.capacity_bytes / 1024**2:.2f} MiB",
                 machine=machine,
                 requested_bytes=current,
                 capacity_bytes=int(self.capacity_bytes),

@@ -59,12 +59,14 @@ class RunReport:
     The serial simulated engine (``gas`` without ``workers``) carries no
     ``extra`` keys.
 
-    ``scores`` is a mapping from vertex to its candidate score map.  Most
-    backends return a plain dict; the vectorized ``local`` mode returns a
-    read-only :class:`~repro.snaple.kernel.LazyScores` view that
-    materializes each per-vertex dict on access (equality and iteration
-    behave like the dict it replaces; call ``dict(report.scores)`` to force
-    everything, or use :meth:`to_dict` for JSON).
+    ``scores`` is a mapping from vertex to its candidate score map.  The
+    vectorized ``local`` mode, serial ``gas`` and ``gas`` with ``workers=N``
+    return a read-only :class:`~repro.snaple.kernel.LazyScores` view over
+    flat score arrays; the other backends return a plain dict.  The view
+    keeps its arrays and nothing else: each read builds a fresh per-vertex
+    dict that belongs to the caller (equality and iteration behave like the
+    dict it replaces; ``dict(report.scores)`` builds every row, and
+    :meth:`to_dict` gives JSON).
 
     Partition accounting: ``workers`` is the worker-process count of a
     shared-nothing parallel run (``None`` for serial runs),

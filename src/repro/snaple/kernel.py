@@ -34,8 +34,8 @@ targets into consecutive blocks of at most :data:`BLOCK_PATHS` expanded
 paths (a target is never split), and expands, filters, folds and ranks one
 block at a time, so its transient arrays grow with the block, not with the
 target set.  :func:`combine_and_rank` returns the rows as dict predictions
-plus a :class:`LazyScores`; :func:`combine_and_rank_columnar` returns them
-as arrays.
+plus a :class:`LazyScores`, a read-only view over the score arrays that
+caches no row; :func:`combine_and_rank_columnar` returns them as arrays.
 
 The ``workers=N`` executor and the serving index run the phases over vertex
 blocks with the GAS program's semantics: per-vertex random streams
@@ -803,24 +803,23 @@ def select_klocal(edges: EdgeSimilarities, config: SnapleConfig, *,
 # Phase 3b: fused path combination + aggregation + top-k
 # ----------------------------------------------------------------------
 class LazyScores(Mapping):
-    """Per-target candidate score maps, materialized on first access.
+    """Per-target candidate score maps: a read-only view over flat arrays.
 
     Algorithm 2 treats the full candidate score map as a temporary of the
     apply phase — only the top-``k`` predictions are the program's output.
-    The vectorized kernel therefore keeps the scores as flat arrays (every
-    phase-3b block's rows, concatenated once) and builds the per-vertex
-    ``{candidate: score}`` dicts only when someone actually reads them
-    (evaluation code reads predictions; the score maps serve inspection,
-    supervision, and the parity suite); :meth:`materialize` builds them
-    all, as ``combine_and_rank(materialize_scores=True)`` does.  Content
-    equality with the eagerly-built reference dicts is exact — ``==``
-    against any mapping compares the materialized values.  Once every row
-    has been read, the flat arrays are released and only the dicts remain;
-    their keys are one shared ``int`` per distinct candidate, not one per
-    entry.
+    The kernel therefore keeps the scores as flat arrays (every phase-3b
+    block's rows, concatenated once) and builds a per-vertex ``{candidate:
+    score}`` dict only when someone reads a row (evaluation code reads
+    predictions; the score maps serve inspection, supervision, and the
+    parity suite).  The view caches no row: each read builds a fresh dict
+    that belongs to the caller, as does every dict :meth:`materialize`
+    returns, so once the caller drops them the view holds nothing but its
+    arrays.  A row's keys are one shared ``int`` per distinct candidate, not
+    one per entry.  Content equality with the eagerly-built reference dicts
+    is exact; ``==`` compares one row at a time, against any mapping.
     """
 
-    __slots__ = ("_offsets", "_candidates", "_values", "_cache", "_ids")
+    __slots__ = ("_offsets", "_candidates", "_values", "_ids")
 
     def __init__(self, targets: list[int], starts: np.ndarray,
                  counts: np.ndarray, candidates: np.ndarray,
@@ -834,26 +833,17 @@ class LazyScores(Mapping):
         }
         self._candidates = candidates
         self._values = values
-        self._cache: dict[int, dict[int, float]] = {}
         #: Candidate id -> its ``int`` object, built on the first read.
         self._ids: np.ndarray | None = None
 
     def __getitem__(self, u: int) -> dict[int, float]:
-        cached = self._cache.get(u)
-        if cached is not None:
-            return cached
         start, count = self._offsets[u]  # raises KeyError for unknown targets
         end = start + count
         if self._ids is None:
             bound = int(self._candidates.max()) + 1 if self._candidates.size else 0
             self._ids = np.arange(bound).astype(object)
-        entry = dict(zip(self._ids[self._candidates[start:end]].tolist(),
-                         self._values[start:end].tolist()))
-        self._cache[u] = entry
-        if len(self._cache) == len(self._offsets):
-            # Every row is a dict now: the arrays are dead weight.
-            self._candidates = self._values = self._ids = None
-        return entry
+        return dict(zip(self._ids[self._candidates[start:end]].tolist(),
+                        self._values[start:end].tolist()))
 
     def __iter__(self):
         return iter(self._offsets)
@@ -869,8 +859,6 @@ class LazyScores(Mapping):
         return {u: self[u] for u in self._offsets}
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, LazyScores):
-            other = other.materialize()
         if not isinstance(other, Mapping):
             return NotImplemented
         if len(other) != len(self._offsets):
@@ -879,12 +867,6 @@ class LazyScores(Mapping):
             return all(self[u] == other[u] for u in self._offsets)
         except KeyError:
             return False
-
-    def __ne__(self, other) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
 
     def __repr__(self) -> str:
         return f"LazyScores(<{len(self._offsets)} targets>)"
@@ -1261,9 +1243,9 @@ def combine_and_rank(
     (CSR order only).
 
     Predictions are one list per target.  The score maps are one
-    :class:`LazyScores` over every block's rows (identical content, built
-    on access), or, with ``materialize_scores=True``, that view
-    materialized into plain dicts.
+    :class:`LazyScores` over every block's rows (identical content, a fresh
+    dict on each read, no row cached), or, with ``materialize_scores=True``,
+    that view materialized into plain dicts.
     """
     target_array = np.asarray(targets, dtype=np.int64)
     pred_counts, pred_flat, score_counts, candidates, values = _rank_blocks(

@@ -5,7 +5,8 @@ CLI's ``--json`` output, the benchmark JSON records, and anything a driver
 persists.  These tests pin that the payload (a) survives a real
 ``json.dumps``/``json.loads`` round trip without loss, and (b) carries the
 accounting added by the parallel/state-plane layers: the ``extra``
-state-plane keys and the crash-recovery restart count.
+state-plane keys and the crash-recovery restart count.  They also pin that
+``report.scores`` is read-only: a row a caller reads is the caller's own.
 """
 
 from __future__ import annotations
@@ -133,6 +134,23 @@ class TestParallelReportRoundtrip:
         once = roundtrip(payload)
         twice = roundtrip(once)
         assert once == twice
+
+
+@pytest.mark.parametrize("backend, options", [
+    ("local", {}), ("gas", {}), ("gas", {"workers": 2}),
+], ids=["local", "gas", "gas-workers2"])
+def test_a_read_row_belongs_to_the_caller(graph, predictor, backend,
+                                          options):
+    """Clearing a row from ``scores[u]`` or ``dict(scores)`` changes
+    nothing the report answers afterwards."""
+    report = predictor.predict(graph, backend=backend, **options)
+    reference = {u: dict(row) for u, row in report.scores.items()}
+    u, v = [w for w, row in reference.items() if row][:2]
+    report.scores[u].clear()
+    dict(report.scores)[v].clear()
+    assert report.scores[u] == reference[u]
+    assert report.scores[v] == reference[v]
+    assert report.scores == reference
 
 
 class TestServingReportRoundtrip:

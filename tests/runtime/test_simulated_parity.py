@@ -222,6 +222,7 @@ def test_memory_exhaustion_matches_the_engine(step):
         get_backend("gas", cluster=tiny, partitioner=partitioner).prepare(
             graph, config).run()
     assert str(got.value) == str(expected.value)
+    assert "naive" not in str(got.value)
     assert (got.value.machine, got.value.requested_bytes,
             got.value.capacity_bytes) == (expected.value.machine,
                                           expected.value.requested_bytes,

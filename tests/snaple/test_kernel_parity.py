@@ -514,21 +514,34 @@ class TestLazyScores:
         assert dict(scores) == reference.scores
         assert scores.materialize() == reference.scores
 
+    def test_two_views_compare_row_by_row(self, random_graph):
+        graph = random_graph(80, 3, 0.3, seed=4)
+        left, right, other = (
+            run_mode(graph, SnapleConfig.paper_default(seed=4, k_local=k),
+                     "vectorized").scores for k in (6, 6, 3))
+        with mock.patch.object(LazyScores, "materialize",
+                               side_effect=AssertionError("materialized")):
+            assert left == right
+            assert left != other
+
     def test_length_mismatch_not_equal(self, reports):
         vectorized, reference = reports
         smaller = dict(reference.scores)
         smaller.popitem()
         assert vectorized.scores != smaller
 
-    def test_arrays_are_released_once_every_row_is_read(self, reports):
-        vectorized, reference = reports
-        scores = vectorized.scores
-        assert scores._candidates is not None
-        first = dict(scores)
-        assert scores._candidates is None and scores._values is None
-        assert first == reference.scores
-        for u in reference.scores:
-            assert scores[u] == reference.scores[u]
-        assert scores == reference.scores
-        assert scores.materialize() == reference.scores
-        assert dict(scores) == first
+    def test_a_dropped_read_leaves_only_the_arrays(self):
+        """Once the caller drops ``dict(report.scores)``, the report keeps
+        at most a tenth of its score arrays' bytes more than before the
+        read: the view caches no row."""
+        graph = powerlaw_cluster(4000, 5, 0.5, seed=1)
+        report = run_mode(graph, SnapleConfig.paper_default(), "vectorized")
+        scores = report.scores
+        arrays = scores._candidates.nbytes + scores._values.nbytes
+        tracemalloc.start()
+        try:
+            dict(scores)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept <= arrays / 10
