@@ -242,7 +242,7 @@ class GasEngine:
             new_bytes = payload_size_bytes(u_data)
             self._vertex_data_bytes[u] = new_bytes
             delta = new_bytes - previous_bytes
-            replicas = self._partition.vertex_replicas[u]
+            replicas = self._partition.machines_of(u)
             for machine in replicas:
                 if delta > 0:
                     self._memory.charge(machine, delta)

@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.errors import PartitionError
 from repro.graph.digraph import DiGraph
+from repro.runtime.state import indptr_from_counts
 
 __all__ = [
     "GraphPartition",
@@ -100,15 +101,18 @@ class GraphPartition:
         Array with one entry per edge giving the machine that owns it.
     vertex_master:
         Array with one entry per vertex giving its master machine.
-    vertex_replicas:
-        For each vertex, the set of machines holding a replica (always
-        includes the master).
+    replica_indptr, replica_machine:
+        The machines holding a replica of each vertex, as one CSR pair:
+        vertex ``u``'s machines, ascending, are
+        ``replica_machine[replica_indptr[u]:replica_indptr[u + 1]]``
+        (always at least one, and always including the master).
     """
 
     num_machines: int
     edge_machine: np.ndarray
     vertex_master: np.ndarray
-    vertex_replicas: list[set[int]]
+    replica_indptr: np.ndarray
+    replica_machine: np.ndarray
 
     @property
     def num_vertices(self) -> int:
@@ -120,12 +124,9 @@ class GraphPartition:
 
     def replication_factor(self) -> float:
         """Average number of replicas per vertex (PowerGraph's key metric)."""
-        if not self.vertex_replicas:
+        if not self.num_vertices:
             return 0.0
-        replicated = [len(reps) for reps in self.vertex_replicas if reps]
-        if not replicated:
-            return 0.0
-        return sum(replicated) / len(replicated)
+        return int(self.replica_machine.size) / self.num_vertices
 
     def edges_per_machine(self) -> np.ndarray:
         """Number of edges placed on each machine."""
@@ -137,7 +138,9 @@ class GraphPartition:
 
     def machines_of(self, vertex: int) -> set[int]:
         """Machines holding a replica of ``vertex``."""
-        return self.vertex_replicas[vertex]
+        return set(self.replica_machine[self.replica_indptr[vertex]:
+                                        self.replica_indptr[vertex + 1]]
+                   .tolist())
 
     def is_local_edge(self, source: int, target: int, edge_index: int) -> bool:
         """True when both endpoint masters live on the edge's machine."""
@@ -307,25 +310,27 @@ def partition_graph(
     _validate_assignment(edge_machine, graph.num_edges, num_machines,
                          unit="an edge")
 
-    vertex_master, vertex_replicas = _masters_and_replicas(
+    vertex_master, replica_indptr, replica_machine = _masters_and_replicas(
         graph, num_machines, np.asarray(edge_machine, dtype=np.int64))
     return GraphPartition(
         num_machines=num_machines,
         edge_machine=edge_machine,
         vertex_master=vertex_master,
-        vertex_replicas=vertex_replicas,
+        replica_indptr=replica_indptr,
+        replica_machine=replica_machine,
     )
 
 
 def _masters_and_replicas(graph: DiGraph, num_machines: int,
                           edge_machine: np.ndarray
-                          ) -> tuple[np.ndarray, list[set[int]]]:
-    """Master machine and replica set of every vertex of a vertex-cut.
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Master machine and replica machines of every vertex of a vertex-cut.
 
     A vertex is replicated on every machine holding one of its edges (both
     endpoints count).  Its master is the machine holding the most of its
     edges, the lowest machine id on ties; an isolated vertex lives on
-    ``vertex % num_machines`` alone.
+    ``vertex % num_machines`` alone.  Returns ``(vertex_master,
+    replica_indptr, replica_machine)`` (see :class:`GraphPartition`).
     """
     num_vertices = graph.num_vertices
     machines = np.int64(num_machines)
@@ -344,17 +349,15 @@ def _masters_and_replicas(graph: DiGraph, num_machines: int,
     winners = order[first]
     vertex_master[pair_vertex[winners]] = pair_machine[winners]
 
-    # Pairs are vertex-major, so each vertex's machines are one slice.
-    bounds = np.searchsorted(pair_vertex,
-                             np.arange(num_vertices + 1, dtype=np.int64))
-    replica_machines = pair_machine.tolist()
-    vertex_replicas = [
-        set(replica_machines[start:end]) if end > start else {master}
-        for start, end, master in zip(bounds[:-1].tolist(),
-                                      bounds[1:].tolist(),
-                                      vertex_master.tolist())
-    ]
-    return vertex_master, vertex_replicas
+    # Pairs are vertex-major, so each vertex's machines are one slice; an
+    # isolated vertex's slice is its master, inserted in vertex order.
+    replica_counts = np.bincount(pair_vertex, minlength=num_vertices)
+    isolated = np.flatnonzero(replica_counts == 0)
+    replica_machine = np.insert(pair_machine,
+                                np.searchsorted(pair_vertex, isolated),
+                                vertex_master[isolated])
+    replica_counts[isolated] = 1
+    return vertex_master, indptr_from_counts(replica_counts), replica_machine
 
 
 class _SingleMachine(Partitioner):

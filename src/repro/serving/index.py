@@ -25,13 +25,14 @@ order), which is why the result is bit-identical to a cold batch ``predict``
 on the final graph with the parallel ``gas`` backend.
 
 The state the phases read lives in whole-graph arrays: Γ̂ is one
-:class:`~repro.snaple.kernel.NeighborhoodCSR` (with its pair bitmap) and the
-kept neighbors one :class:`~repro.snaple.kernel.KeptNeighbors`.  A refresh
-splices only the dirty rows into them
-(:func:`repro.runtime.state.splice_rows`; the bitmap is patched in place),
-so an update costs the dirty region plus one bulk copy of each array, not a
+:class:`~repro.snaple.kernel.NeighborhoodCSR` and the kept neighbors one
+:class:`~repro.snaple.kernel.KeptNeighbors`.  A refresh splices only the
+dirty rows into them (:func:`repro.runtime.state.splice_rows`), so an
+update costs the dirty region plus one bulk copy of each array, not a
 rebuild.  The cold build is the same splice over every row of an empty
-state.  Predictions and score rows are still per-vertex lists.
+state.  Membership probes need no whole-graph index: like every caller's,
+each refresh's kernel blocks build a structure for their own rows.
+Predictions and score rows are still per-vertex lists.
 
 :class:`PairSimilarityCache` persists the expensive unordered-pair
 intersections across refreshes through the ``pair_cache`` hook of
@@ -329,8 +330,6 @@ class IncrementalIndex:
         )
         if self.pair_cache is not None:
             self.pair_cache.invalidate(gamma_dirty.tolist())
-        # The index is the gamma's only holder, so the in-place bitmap patch
-        # of replace_rows is safe.
         self._gamma = gamma = self._gamma.replace_rows(gamma_dirty, counts,
                                                        flat, n)
         edges = kernel.edge_similarities(graph, gamma, config,

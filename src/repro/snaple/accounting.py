@@ -29,7 +29,6 @@ step's end; only then is the step replayed vertex by vertex to raise the
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,11 +170,8 @@ def superstep_metrics(
     placement = paths.placement
     machine = placement.edge_machine
     source = placement.edge_source
-    replica_counts = np.fromiter(map(len, partition.vertex_replicas),
-                                 dtype=np.int64, count=graph.num_vertices)
-    replica_machine = np.fromiter(
-        itertools.chain.from_iterable(partition.vertex_replicas),
-        dtype=np.int64, count=int(replica_counts.sum()))
+    replica_counts = np.diff(partition.replica_indptr)
+    replica_machine = partition.replica_machine
     replica_vertex = np.repeat(np.arange(graph.num_vertices, dtype=np.int64),
                                replica_counts)
     everyone = np.arange(graph.num_vertices, dtype=np.int64)
@@ -252,6 +248,6 @@ def _raise_first_overflow(memory: MemoryTracker, partition: GraphPartition,
         seen.add(u)
         delta = int(grown[u])
         if delta:
-            for machine in partition.vertex_replicas[u]:
+            for machine in partition.machines_of(u):
                 memory.charge(machine, delta)
     raise AssertionError("a step-end overflow must overflow on replay")

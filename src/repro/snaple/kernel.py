@@ -16,11 +16,12 @@ graph's CSR adjacency:
 2. :func:`edge_similarities` computes the raw similarity of *all* edges in
    one pass.  Every similarity in :data:`repro.snaple.similarity.SIMILARITIES`
    is a function of ``(|Γ̂u ∩ Γ̂v|, |Γ̂u|, |Γ̂v|)``, so the vectorized branch
-   reduces the whole table to one batched sorted-array intersection (a
-   galloping binary search of the smaller neighborhood into the global key
-   array), cached per *unordered* vertex pair so ``sim(u, v)`` is never
-   intersected twice; custom similarity callables and per-edge blends (the
-   content hybrid) take the scalar per-edge loop instead;
+   reduces the whole table to one intersection per *unordered* vertex pair
+   (``sim(u, v)`` is never intersected twice): each element of the smaller
+   neighborhood is probed for membership in the larger one, in blocks of
+   at most :data:`BLOCK_PATHS` probes; custom similarity callables and
+   per-edge blends (the content hybrid) take the scalar per-edge loop
+   instead;
 3. :func:`select_klocal` keeps ``klocal`` neighbors per vertex, then
    :func:`combine_and_rank` fuses the 2-hop path combination, aggregation,
    and top-``k`` ranking into array operations (``np.argpartition`` plus an
@@ -28,14 +29,18 @@ graph's CSR adjacency:
    scalar fold over the same kept neighbors — any combinator or aggregator,
    and paths longer than two hops.
 
-Phase 3b runs in bounded memory for every caller: one loop
+Phases 2 and 3b run in bounded memory for every caller.  Phase 2 cuts the
+vertex pairs, ordered by the row they probe into, into consecutive blocks
+of at most :data:`BLOCK_PATHS` membership probes.  Phase 3b's one loop
 (:func:`_rank_blocks`) computes the targets' kept path edges once, cuts the
 targets into consecutive blocks of at most :data:`BLOCK_PATHS` expanded
 paths (a target is never split), and expands, filters, folds and ranks one
-block at a time, so its transient arrays grow with the block, not with the
-target set.  :func:`combine_and_rank` returns the rows as dict predictions
-plus a :class:`LazyScores`, a read-only view over the score arrays that
-caches no row; :func:`combine_and_rank_columnar` returns them as arrays.
+block at a time.  The transient arrays grow with the block, not with the
+graph, and so does the structure that answers "is ``z`` in ``Γ̂(u)``?"
+(:func:`_members`).  :func:`combine_and_rank` returns the rows as dict
+predictions plus a :class:`LazyScores`, a read-only view over the score
+arrays that caches no row; :func:`combine_and_rank_columnar` returns them
+as arrays.
 
 The ``workers=N`` executor and the serving index run the phases over vertex
 blocks with the GAS program's semantics: per-vertex random streams
@@ -308,14 +313,10 @@ def _dedup_sorted_rows(counts: np.ndarray, flat: np.ndarray
     return new_counts, flat, row_id
 
 
-#: Largest pair-bitmap a NeighborhoodCSR will allocate (bits), 32 MiB.
-_BITMAP_LIMIT_BITS = 1 << 28
-
-
 def _byte_masks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(bytes, masks)``: the pair-bitmap bytes sorted ``keys`` touch and
-    the OR of their bits in each (equal bytes are adjacent, so one
-    ``reduceat`` replaces a slow ``ufunc.at`` scatter)."""
+    """``(bytes, masks)``: the bitmap bytes sorted ``keys`` touch and the OR
+    of their bits in each (equal bytes are adjacent, so one ``reduceat``
+    replaces a slow ``ufunc.at`` scatter)."""
     byte_of = keys >> 3
     bit_of = np.uint8(1) << (keys & 7).astype(np.uint8)
     first = np.ones(byte_of.size, dtype=bool)
@@ -329,10 +330,8 @@ class NeighborhoodCSR:
     """All truncated neighborhoods ``Γ̂`` as one CSR structure.
 
     ``indices`` rows are sorted and duplicate-free, so sizes are set sizes
-    and ``keys`` (``u * num_vertices + neighbor``) is globally sorted —
-    membership of any ``(u, z)`` pair is one binary search, or one bit probe
-    once the dense pair bitmap has been built (small graphs only; the first
-    bulk membership query builds it lazily).
+    and ``keys`` (``u * num_vertices + neighbor``) is globally sorted: the
+    keys of a run of rows are one slice, which :func:`_members` searches.
     """
 
     num_vertices: int
@@ -340,8 +339,6 @@ class NeighborhoodCSR:
     indices: np.ndarray
     keys: np.ndarray
     sizes: np.ndarray
-    _bitmap: np.ndarray | None = None
-    _bitmap_tried: bool = False
 
     @classmethod
     def from_rows(cls, num_vertices: int, counts: np.ndarray,
@@ -356,16 +353,13 @@ class NeighborhoodCSR:
     def replace_rows(self, rows: np.ndarray, counts: np.ndarray,
                      flat: np.ndarray, num_vertices: int
                      ) -> "NeighborhoodCSR":
-        """The structure with ``rows`` (ascending, unique) replaced.
+        """A new structure with ``rows`` (ascending, unique) replaced.
 
         ``flat`` concatenates the new rows, each sorted but possibly
         repeating values (the sample step keeps duplicate edges); they are
-        deduplicated here.  Other rows are spliced over unchanged.  A built
-        pair bitmap is handed to the result and patched in place — the old
-        rows' bits cleared, then the new rows' bits set — so this object is
-        dead after the call and must not be queried again.  Growing
-        ``num_vertices`` changes the key space ``u * n + v``: keys are
-        recomputed and the bitmap is dropped, to be rebuilt lazily.
+        deduplicated here.  Other rows are spliced over unchanged, and this
+        object is left as it was.  Growing ``num_vertices`` changes the key
+        space ``u * n + v``, so every key is recomputed.
         """
         counts, flat, row_id = _dedup_sorted_rows(counts, flat)
         n = np.int64(num_vertices)
@@ -376,53 +370,57 @@ class NeighborhoodCSR:
             self.indptr, (self.indices, self.keys), rows, counts,
             (flat, new_keys), num_vertices)
         sizes = np.diff(indptr)
-        if num_vertices != self.num_vertices:
-            if self.num_vertices:
-                keys = np.repeat(np.arange(num_vertices, dtype=np.int64),
-                                 sizes) * n + indices
-            return NeighborhoodCSR(num_vertices, indptr, indices, keys, sizes)
-        bitmap = self._bitmap
-        if bitmap is not None:
-            cleared = rows[rows < self.indptr.size - 1]
-            old_keys = self.keys[_gather_slices(self.indptr[cleared],
-                                                self.sizes[cleared])]
-            byte, mask = _byte_masks(old_keys)
-            bitmap[byte] &= ~mask
-            byte, mask = _byte_masks(new_keys)
-            bitmap[byte] |= mask
-        return NeighborhoodCSR(num_vertices, indptr, indices, keys, sizes,
-                               bitmap, self._bitmap_tried)
-
-    def contains(self, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Vectorized membership test ``values[i] in Γ̂(rows[i])``."""
-        return self.contains_keys(rows * np.int64(self.num_vertices) + values)
-
-    def contains_keys(self, probe: np.ndarray) -> np.ndarray:
-        """Membership test for precomputed ``row * num_vertices + value`` keys."""
-        if self.keys.size == 0:
-            return np.zeros(probe.shape, dtype=bool)
-        bitmap = self._pair_bitmap()
-        if bitmap is not None:
-            bits = bitmap[probe >> 3] >> (probe & 7).astype(np.uint8)
-            return (bits & 1).astype(bool)
-        loc = np.searchsorted(self.keys, probe)
-        loc[loc == self.keys.size] = 0  # any valid index; mismatch filters it
-        return self.keys[loc] == probe
-
-    def _pair_bitmap(self) -> np.ndarray | None:
-        """Dense one-bit-per-(row, value) table, built lazily for small graphs."""
-        if not self._bitmap_tried:
-            self._bitmap_tried = True
-            total_bits = self.num_vertices * self.num_vertices
-            if 0 < total_bits <= _BITMAP_LIMIT_BITS:
-                bitmap = np.zeros((total_bits + 7) // 8, dtype=np.uint8)
-                byte, mask = _byte_masks(self.keys)
-                bitmap[byte] = mask
-                self._bitmap = bitmap
-        return self._bitmap
+        if num_vertices != self.num_vertices and self.num_vertices:
+            keys = np.repeat(np.arange(num_vertices, dtype=np.int64),
+                             sizes) * n + indices
+        return NeighborhoodCSR(num_vertices, indptr, indices, keys, sizes)
 
     def row(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
+
+
+def _first_of_run(rows: np.ndarray) -> int | None:
+    """``rows[0]`` if the non-empty ``rows`` are consecutive ids, else None."""
+    first = int(rows[0])
+    run = np.arange(first, first + rows.size, dtype=np.int64)
+    return first if np.array_equal(rows, run) else None
+
+
+def _members(gamma: NeighborhoodCSR, rows: np.ndarray,
+             probe: np.ndarray) -> np.ndarray:
+    """Whether ``z ∈ Γ̂(rows[r])`` for each ``probe = r * |V| + z``.
+
+    ``rows`` are one block's table rows, in any order (a row may repeat),
+    and the structure is built for them alone: a bitmap over ``len(rows) ×
+    |V|`` bits when it is no larger than a full block's path arrays
+    (:data:`BLOCK_PATHS` paths of eight ``int64``, 512 bits each), else a
+    binary search in the rows' sorted keys — the slice of ``gamma.keys``
+    when ``rows`` are consecutive ids, else the rows' keys gathered.
+    """
+    n = np.int64(gamma.num_vertices)
+    first = _first_of_run(rows)
+    if first is not None:
+        keys = gamma.keys[gamma.indptr[first]:gamma.indptr[first + rows.size]]
+        offset = first * n
+    else:
+        counts = gamma.sizes[rows]
+        keys = np.repeat(np.arange(rows.size, dtype=np.int64), counts) * n
+        keys += gamma.indices[_gather_slices(gamma.indptr[rows], counts)]
+        offset = 0
+    if rows.size * gamma.num_vertices <= 512 * BLOCK_PATHS:
+        bitmap = np.zeros((rows.size * gamma.num_vertices + 7) // 8,
+                          dtype=np.uint8)
+        byte, mask = _byte_masks(keys - offset if offset else keys)
+        bitmap[byte] = mask
+        bits = bitmap[probe >> 3] >> (probe & 7).astype(np.uint8)
+        return (bits & 1).astype(bool)
+    if keys.size == 0:
+        return np.zeros(probe.shape, dtype=bool)
+    if offset:
+        probe = probe + offset
+    loc = np.searchsorted(keys, probe)
+    loc[loc == keys.size] = 0  # any valid index; mismatch filters it
+    return keys[loc] == probe
 
 
 def sample_neighborhoods(
@@ -525,6 +523,25 @@ def build_truncated_neighborhoods(
 # ----------------------------------------------------------------------
 # Phase 2: batched edge similarities
 # ----------------------------------------------------------------------
+#: Most 2-hop paths one block of phase 3b expands, and most membership
+#: probes one block of phase 2 makes: bounds both phases' transient arrays
+#: (tens of bytes per path or probe).  A target or a vertex pair over the
+#: bound is a block of its own.
+BLOCK_PATHS = 1 << 16
+
+
+def _block_bounds(ends: np.ndarray):
+    """``(start, stop)`` of the consecutive runs of items whose sizes (with
+    running total ``ends``) sum to at most :data:`BLOCK_PATHS`."""
+    start = 0
+    while start < ends.size:
+        base = int(ends[start - 1]) if start else 0
+        stop = max(int(np.searchsorted(ends, base + BLOCK_PATHS,
+                                       side="right")), start + 1)
+        yield start, stop
+        start = stop
+
+
 @dataclass
 class EdgeSimilarities:
     """Raw similarities for the (deduplicated) out-edges of selected rows.
@@ -541,24 +558,34 @@ class EdgeSimilarities:
 
 def _pairwise_intersections(gamma: NeighborhoodCSR, left: np.ndarray,
                             right: np.ndarray) -> np.ndarray:
-    """``|Γ̂(left[i]) ∩ Γ̂(right[i])|`` for each vertex pair, batched.
+    """``|Γ̂(left[i]) ∩ Γ̂(right[i])|`` for each vertex pair, in blocks.
 
-    Probes every element of the smaller neighborhood against the global
-    sorted key array (galloping binary search), then counts hits per pair.
+    Each pair probes every element of its smaller neighborhood for
+    membership in the other, its table row.  The pairs run in table-row
+    order, in consecutive blocks of at most :data:`BLOCK_PATHS` probes (a
+    pair over the bound is a block of its own), so a block's table rows are
+    one ascending run, which :func:`_members` answers for alone.
     """
-    if left.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    sizes_left = gamma.sizes[left]
-    sizes_right = gamma.sizes[right]
-    probe_is_left = sizes_left <= sizes_right
-    probe = np.where(probe_is_left, left, right)
-    table = np.where(probe_is_left, right, left)
-    probe_counts = np.minimum(sizes_left, sizes_right)
-    positions = _gather_slices(gamma.indptr[probe], probe_counts)
-    values = gamma.indices[positions]
-    pair_of = np.repeat(np.arange(left.size, dtype=np.int64), probe_counts)
-    found = gamma.contains(table[pair_of], values)
-    return np.bincount(pair_of[found], minlength=left.size).astype(np.int64)
+    n = np.int64(gamma.num_vertices)
+    swap = gamma.sizes[left] > gamma.sizes[right]  # probe right, look up left
+    probe = np.where(swap, right, left)
+    table = np.where(swap, left, right)
+    del swap
+    counts = gamma.sizes[probe]
+    pairs = np.flatnonzero(counts)  # an empty side meets nothing
+    pairs = pairs[np.argsort(table[pairs])]
+    probe, table, counts = probe[pairs], table[pairs], counts[pairs]
+    inter = np.zeros(left.size, dtype=np.int64)
+    for start, stop in _block_bounds(np.cumsum(counts)):
+        rows, rank = np.unique(table[start:stop], return_inverse=True)
+        block_counts = counts[start:stop]
+        key = np.repeat(rank * n, block_counts)
+        key += gamma.indices[_gather_slices(gamma.indptr[probe[start:stop]],
+                                            block_counts)]
+        found = _members(gamma, rows, key)
+        inter[pairs[start:stop]] = np.add.reduceat(
+            found, _indptr_from_counts(block_counts)[:-1], dtype=np.int64)
+    return inter
 
 
 def edge_similarities(graph: DiGraph, gamma: NeighborhoodCSR,
@@ -595,7 +622,7 @@ def edge_similarities(graph: DiGraph, gamma: NeighborhoodCSR,
     if rows is None:
         rows = np.arange(num_vertices, dtype=np.int64)
     else:
-        rows = np.sort(np.asarray(rows, dtype=np.int64))
+        rows = np.unique(np.asarray(rows, dtype=np.int64))
     counts = np.zeros(num_vertices, dtype=np.int64)
     counts[rows] = degrees[rows]
     flat = indices[_gather_slices(indptr[rows], degrees[rows])]
@@ -622,33 +649,26 @@ def _vectorized_edge_values(gamma: NeighborhoodCSR, score, row_id: np.ndarray,
                             flat: np.ndarray, pair_cache: Any | None
                             ) -> tuple[np.ndarray, np.ndarray]:
     """``(path_sim, selection_sim)`` of the edges ``row_id[i] -> flat[i]``."""
-    num_vertices = gamma.num_vertices
-    inter = np.zeros(flat.size, dtype=np.int64)
-    if flat.size:
-        low = np.minimum(row_id, flat)
-        high = np.maximum(row_id, flat)
-        pair_keys = low * np.int64(num_vertices) + high
-        distinct, representative, inverse = np.unique(
-            pair_keys, return_index=True, return_inverse=True
-        )
-        rep_low = low[representative]
-        rep_high = high[representative]
-        if pair_cache is None:
-            rep_inter = _pairwise_intersections(gamma, rep_low, rep_high)
-        else:
-            rep_inter, known = pair_cache.lookup(rep_low, rep_high)
-            missing = np.flatnonzero(~known)
-            if missing.size:
-                computed = _pairwise_intersections(
-                    gamma, rep_low[missing], rep_high[missing]
-                )
-                rep_inter[missing] = computed
-                pair_cache.store(rep_low[missing], rep_high[missing],
-                                 computed)
-        inter = rep_inter[inverse]
-
-    size_u = gamma.sizes[row_id] if flat.size else np.zeros(0, dtype=np.int64)
-    size_v = gamma.sizes[flat] if flat.size else np.zeros(0, dtype=np.int64)
+    n = np.int64(gamma.num_vertices)
+    pair_keys = np.minimum(row_id, flat) * n
+    pair_keys += np.maximum(row_id, flat)
+    distinct, inverse = np.unique(pair_keys, return_inverse=True)
+    del pair_keys
+    rep_low, rep_high = np.divmod(distinct, n)
+    del distinct
+    if pair_cache is None:
+        rep_inter = _pairwise_intersections(gamma, rep_low, rep_high)
+    else:
+        rep_inter, known = pair_cache.lookup(rep_low, rep_high)
+        missing = np.flatnonzero(~known)
+        if missing.size:
+            computed = _pairwise_intersections(gamma, rep_low[missing],
+                                               rep_high[missing])
+            rep_inter[missing] = computed
+            pair_cache.store(rep_low[missing], rep_high[missing], computed)
+    inter = rep_inter[inverse]
+    size_u = gamma.sizes[row_id]
+    size_v = gamma.sizes[flat]
     selection_fn = _VECTORIZED_SIMILARITIES[score.selection_similarity_name]
     selection_sim = selection_fn(inter, size_u, size_v)
     if score.selection_similarity is score.similarity:
@@ -872,7 +892,6 @@ class LazyScores(Mapping):
         return f"LazyScores(<{len(self._offsets)} targets>)"
 
 
-
 def _fold_groups(ufunc, values: np.ndarray, starts: np.ndarray,
                  sizes: np.ndarray) -> np.ndarray:
     """Left-to-right ``ufunc`` fold of each group — exact scalar fold order.
@@ -1003,12 +1022,6 @@ class PathTrace:
     edge: np.ndarray
 
 
-#: Most 2-hop paths one block of phase 3b expands.  Bounds the transient
-#: arrays of phase 3b (tens of bytes per path) on large target sets; a
-#: target over the bound is a block of its own.
-BLOCK_PATHS = 1 << 16
-
-
 def _surviving_paths(graph: DiGraph, gamma: NeighborhoodCSR,
                      kept: KeptNeighbors, block: np.ndarray,
                      via: np.ndarray, sim_uv: np.ndarray, fanout: np.ndarray,
@@ -1034,22 +1047,15 @@ def _surviving_paths(graph: DiGraph, gamma: NeighborhoodCSR,
                                    kept.sims[positions])
     path_rank = np.repeat(rank, fanout)
 
-    # Drop self-candidates and already-known neighbors (z ∈ Γ̂(u)).  When the
-    # block's targets are consecutive ids first..first+T-1 (every block of a
-    # full-graph run) the grouping key shifted by first·|V| is the
-    # membership probe, saving a gather and a multiply.
+    # Drop self-candidates and already-known neighbors (z ∈ Γ̂(u)); the
+    # grouping key is the membership probe.  For consecutive targets (every
+    # block of a full-graph run) a path's source is its rank shifted.
     num_vertices = np.int64(graph.num_vertices)
     group_key = path_rank * num_vertices + candidate
-    first = int(block[0])
-    if np.array_equal(block, np.arange(first, first + block.size,
-                                       dtype=np.int64)):
-        source = path_rank + first if first else path_rank
-        probe = group_key + first * num_vertices if first else group_key
-    else:
-        source = block[path_rank]
-        probe = source * num_vertices + candidate
+    first = _first_of_run(block)
+    source = block[path_rank] if first is None else path_rank + first
     keep = candidate != source
-    keep &= ~gamma.contains_keys(probe)
+    keep &= ~_members(gamma, block, group_key)
 
     # Group by (target, candidate) preserving arrival order inside groups:
     # encode the arrival position into the sort key (in place, before the
@@ -1176,11 +1182,7 @@ def _rank_blocks(
     edge_ends = np.cumsum(np.bincount(rank, minlength=num_targets))
     vectorized = _fold_supported(config.score)
     rows: list[tuple[np.ndarray, ...]] = []
-    start = 0
-    while start < num_targets:
-        base = int(path_ends[start - 1]) if start else 0
-        stop = max(int(np.searchsorted(path_ends, base + BLOCK_PATHS,
-                                       side="right")), start + 1)
+    for start, stop in _block_bounds(path_ends):
         low = int(edge_ends[start - 1]) if start else 0
         high = int(edge_ends[stop - 1])
         block = targets[start:stop]
@@ -1201,7 +1203,6 @@ def _rank_blocks(
         if on_trace is not None:
             on_trace(block, trace)
         rows.append(block_rows)
-        start = stop
     if len(rows) == 1:
         return rows[0]
     if not rows:
@@ -1346,7 +1347,6 @@ def fold_paths(
         scores[u] = final
         predictions[u] = top_k_predictions(final, config.k)
     return predictions, scores, paths_per_length
-
 
 
 # ----------------------------------------------------------------------

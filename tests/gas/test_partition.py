@@ -151,7 +151,12 @@ class TestVectorizedMastersAndReplicas:
         master, replicas = loop_masters_and_replicas(
             graph, machines, partition.edge_machine)
         assert partition.vertex_master.tolist() == master.tolist()
-        assert partition.vertex_replicas == replicas
+        assert [partition.machines_of(v)
+                for v in range(graph.num_vertices)] == replicas
+        assert partition.replica_machine.tolist() == [
+            machine for row in replicas for machine in sorted(row)]
+        assert partition.replication_factor() == (
+            sum(map(len, replicas)) / graph.num_vertices)
         isolated = range(graph.num_vertices - 10, graph.num_vertices)
-        assert all(partition.vertex_replicas[v] == {v % machines}
+        assert all(partition.machines_of(v) == {v % machines}
                    for v in isolated)

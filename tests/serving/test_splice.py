@@ -1,10 +1,9 @@
-"""Splicing dirty rows equals rebuilding: Γ̂, its pair bitmap, kept rows.
+"""Splicing dirty rows equals rebuilding: Γ̂ and the kept rows.
 
 The index keeps one whole-graph :class:`NeighborhoodCSR` and one
 :class:`KeptNeighbors` and splices only the dirty rows into them per
 update; these tests hold the spliced state to a one-shot build on the
-final graph, byte for byte, on both membership sides (pair bitmap and
-binary search).
+final graph, byte for byte.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ def _run_stream(config) -> tuple[IncrementalIndex, DiGraph]:
     graph = powerlaw_cluster(120, 4, 0.5, seed=5)
     n = graph.num_vertices
     index = IncrementalIndex(graph, config)
-    index.apply_edges([(3, n)])  # growth drops the bitmap; it rebuilds
+    index.apply_edges([(3, n)])  # growth recomputes every key
     rng = np.random.default_rng(6)
     applied = 1
     while applied < UPDATES:
@@ -72,26 +71,10 @@ def test_spliced_gamma_equals_from_rows(config):
     built = kernel.NeighborhoodCSR.from_rows(n, counts, flat)
     spliced = index._gamma
     _assert_same_gamma(spliced, built)
-    assert spliced._bitmap is not None  # patched in place, not rebuilt
-    assert built._pair_bitmap().tobytes() == spliced._bitmap.tobytes()
     cold = IncrementalIndex(final, config)
     for name in ("indptr", "ids", "sims"):
         assert (getattr(index._kept, name).tobytes()
                 == getattr(cold._kept, name).tobytes()), name
-
-
-def test_binary_search_side_matches_bitmap_side(config, monkeypatch):
-    with_bitmap, _ = _run_stream(config)
-    monkeypatch.setattr(kernel, "_BITMAP_LIMIT_BITS", 0)
-    searched, final = _run_stream(config)
-    assert searched._gamma._bitmap is None
-    counts, flat = kernel.gas_sample_step_columnar(
-        final, config, np.arange(final.num_vertices, dtype=np.int64))
-    _assert_same_gamma(searched._gamma, kernel.NeighborhoodCSR.from_rows(
-        final.num_vertices, counts, flat))
-    assert searched.all_predictions() == with_bitmap.all_predictions()
-    for u in range(final.num_vertices):
-        assert searched.scores(u) == with_bitmap.scores(u)
 
 
 def test_combine_on_a_target_subset_equals_full_graph_rows(config):

@@ -29,12 +29,15 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.graph.generators import erdos_renyi, powerlaw_cluster
-from repro.runtime import get_backend
+from repro.runtime import get_backend, parallel
+from repro.runtime.shm import AttachmentCache
+from repro.serving import IncrementalIndex
 from repro.snaple import kernel
 from repro.snaple.aggregators import get_aggregator
 from repro.snaple.combinators import get_combinator
 from repro.snaple.config import SnapleConfig
 from repro.snaple.kernel import REL_TOL, LazyScores, kernel_supports
+from repro.snaple.predictor import SnapleLinkPredictor
 from repro.snaple.sampler import TopSimilaritySampler, get_sampler
 from repro.snaple.scoring import PAPER_SCORES, ScoreConfig
 from repro.snaple.similarity import SIMILARITIES
@@ -294,29 +297,6 @@ class TestCustomSampler:
         assert kept.sims.tolist() == expected.sims.tolist()
 
 
-class TestMembershipFallback:
-    """Above ``_BITMAP_LIMIT_BITS`` a :class:`NeighborhoodCSR` answers
-    membership by binary search over its sorted keys, not a pair bitmap."""
-
-    @pytest.mark.parametrize("case", ["full", "subset", "truncating"])
-    def test_binary_search_matches_the_bitmap(self, case, random_graph,
-                                              monkeypatch):
-        graph = random_graph(150, 3, 0.3, seed=11)
-        if case == "truncating":
-            config = SnapleConfig.paper_default(seed=9, k_local=6,
-                                                truncation_threshold=5)
-        else:
-            config = SnapleConfig.paper_default(seed=3, k_local=10)
-        vertices = list(range(0, 150, 4)) if case == "subset" else None
-        with_bitmap = run_mode(graph, config, "vectorized", vertices)
-        monkeypatch.setattr(kernel, "_BITMAP_LIMIT_BITS", 0)
-        gamma = kernel.build_truncated_neighborhoods(graph, config)
-        assert gamma._pair_bitmap() is None
-        searched = run_mode(graph, config, "vectorized", vertices)
-        assert searched.predictions == with_bitmap.predictions
-        assert searched.scores == with_bitmap.scores
-
-
 #: Above any test graph's path count: phase 3b runs as one block.
 ONE_BLOCK = 1 << 40
 
@@ -405,6 +385,126 @@ class TestBlockInvariance:
                 assert paths + fanout(after[0]) > block_paths
 
 
+#: Each per-block membership structure and the block size that forces it
+#: on a graph over 512 vertices: one block over everything always holds its
+#: ``len(rows) × |V|`` bitmap; blocks of one path (or one vertex pair) never
+#: can, so they binary-search.
+BRANCHES = {"bitmap": ONE_BLOCK, "search": 1}
+
+
+def branch_inputs():
+    """A graph over 512 vertices (see :data:`BRANCHES`), and a configuration
+    whose truncation makes Γ̂ differ from the adjacency."""
+    return (powerlaw_cluster(600, 3, 0.4, seed=5),
+            SnapleConfig.paper_default(seed=3, k_local=5,
+                                       truncation_threshold=8))
+
+
+def answers_of(report):
+    return report.predictions, dict(report.scores)
+
+
+def serving_answers(graph, config):
+    """The answers of a serving stream: one growing edge, additions and a
+    few removals, with a compaction halfway."""
+    index = IncrementalIndex(graph, config)
+    n = graph.num_vertices
+    index.apply_edges([(3, n)])
+    rng = np.random.default_rng(6)
+    src, dst = graph.edge_arrays()
+    for step in range(24):
+        if step == 12:
+            index.compact()
+        if step % 6 == 5:
+            pick = int(rng.integers(src.size))
+            index.apply_removals([(int(src[pick]), int(dst[pick]))])
+        else:
+            u, v = (int(x) for x in rng.integers(n, size=2))
+            index.apply_edges([(u, v)])
+    return (index.all_predictions(),
+            {u: index.scores(u) for u in range(index.num_vertices)})
+
+
+class TestMembershipBranches:
+    """Every caller of phases 2 and 3b gives its default answers with each
+    per-block membership structure forced through ``BLOCK_PATHS``."""
+
+    @staticmethod
+    def run_caller(caller, graph, config):
+        if caller == "serving":
+            return serving_answers(graph, config)
+        if caller == "local":
+            return answers_of(run_mode(graph, config, "vectorized"))
+        if caller == "gas":
+            return answers_of(get_backend("gas").prepare(graph, config).run())
+        with SnapleLinkPredictor(config) as predictor:
+            return answers_of(predictor.predict(graph, backend="gas",
+                                                workers=2))
+
+    @staticmethod
+    def run_tasks_here(monkeypatch):
+        """Run ``workers=N`` phase tasks in this process, so that the
+        patched block size and the spies reach their kernel calls."""
+        cache = AttachmentCache()
+        monkeypatch.setattr("repro.runtime.shm._worker_cache", cache)
+
+        def run_here(executor, pool, fn, tasks):
+            monkeypatch.setattr(parallel, "_WORKER_GRAPH", executor._graph)
+            monkeypatch.setattr(parallel, "_WORKER_CONFIG", executor._config)
+            results = [fn(task) for task in tasks]
+            cache.retain(set())  # the results are copies, not views
+            return results
+
+        monkeypatch.setattr(parallel.ParallelExecutor, "_map", run_here)
+
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    @pytest.mark.parametrize("rows", [[5, 6, 7], [0], [9, 2, 9, 40]],
+                             ids=["run", "one", "scattered"])
+    def test_members_is_set_membership(self, rows, branch, monkeypatch):
+        """Every ``(rank, z)`` probe of a block's rows — a run of ids, or
+        ids in any order with repeats — on either branch."""
+        graph, config = branch_inputs()
+        gamma = kernel.build_truncated_neighborhoods(graph, config)
+        n = graph.num_vertices
+        rows = np.array(rows, dtype=np.int64)
+        rank = np.repeat(np.arange(rows.size), n)
+        z = np.tile(np.arange(n), rows.size)
+        monkeypatch.setattr(kernel, "BLOCK_PATHS", BRANCHES[branch])
+        found = kernel._members(gamma, rows, rank * n + z)
+        sets = [set(gamma.row(u).tolist()) for u in rows.tolist()]
+        assert found.tolist() == [value in sets[r]
+                                  for r, value in zip(rank.tolist(),
+                                                      z.tolist())]
+
+    @pytest.mark.parametrize("caller", ["local", "gas", "workers=2",
+                                        "serving"])
+    def test_each_branch_gives_the_default_answers(self, caller,
+                                                   monkeypatch):
+        graph, config = branch_inputs()
+        expected = self.run_caller(caller, graph, config)
+        if caller == "workers=2":
+            self.run_tasks_here(monkeypatch)
+        calls = {"probes": 0, "bitmaps": 0}
+
+        def counting(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            return wrapper
+
+        monkeypatch.setattr(kernel, "_members",
+                            counting("probes", kernel._members))
+        monkeypatch.setattr(kernel, "_byte_masks",
+                            counting("bitmaps", kernel._byte_masks))
+        for branch, block_paths in BRANCHES.items():
+            calls.update(probes=0, bitmaps=0)
+            monkeypatch.setattr(kernel, "BLOCK_PATHS", block_paths)
+            assert self.run_caller(caller, graph, config) == expected, branch
+            assert calls["probes"] > 0
+            assert calls["bitmaps"] == (calls["probes"]
+                                        if branch == "bitmap" else 0)
+
+
 class TestBlockMemory:
     def test_blocks_bound_the_phase_3b_peak(self, monkeypatch):
         """Blocks of 4,096 paths at most halve the one-block peak of
@@ -413,7 +513,6 @@ class TestBlockMemory:
         graph = powerlaw_cluster(4000, 5, 0.5, seed=1)
         config = SnapleConfig.paper_default()
         gamma, kept = phase_3b_inputs(graph, config)
-        gamma.contains_keys(gamma.keys[:1])  # build the bitmap up front
         targets = list(graph.vertices())
 
         def peak(block_paths):
@@ -427,6 +526,69 @@ class TestBlockMemory:
                 tracemalloc.stop()
 
         assert peak(1 << 12) <= peak(ONE_BLOCK) / 2
+
+    def test_blocks_bound_the_phase_2_peak(self, monkeypatch):
+        """Blocks of 4,096 probes at most halve the one-block peak of
+        ``edge_similarities`` (its output and the per-edge arrays it
+        deduplicates into vertex pairs are most of what remains)."""
+        graph = powerlaw_cluster(4000, 5, 0.5, seed=1)
+        config = SnapleConfig.paper_default()
+        gamma = kernel.build_truncated_neighborhoods(graph, config)
+
+        def peak(block_paths):
+            monkeypatch.setattr(kernel, "BLOCK_PATHS", block_paths)
+            tracemalloc.start()
+            try:
+                kernel.edge_similarities(graph, gamma, config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1 << 12) <= peak(ONE_BLOCK) / 2
+
+
+class TestEdgeSimilarityRows:
+    def test_repeated_rows_count_once(self, random_graph):
+        graph = random_graph(60, 3, 0.3, seed=2)
+        config = SnapleConfig.paper_default(seed=2)
+        gamma = kernel.build_truncated_neighborhoods(graph, config)
+        once = kernel.edge_similarities(graph, gamma, config,
+                                        rows=np.array([3, 9]))
+        repeated = kernel.edge_similarities(graph, gamma, config,
+                                            rows=np.array([9, 3, 3, 9]))
+        for name in ("indptr", "neighbor", "path_sim", "selection_sim"):
+            assert (getattr(repeated, name).tolist()
+                    == getattr(once, name).tolist()), name
+
+
+class TestPhase2Property:
+    @settings(max_examples=examples(25), deadline=None)
+    @given(
+        num_vertices=st.integers(min_value=2, max_value=60),
+        edge_probability=st.floats(min_value=0.02, max_value=0.4),
+        graph_seed=st.integers(min_value=0, max_value=2**20),
+        threshold=st.sampled_from([math.inf, 2, 5]),
+        block_paths=st.sampled_from([1, 16, kernel.BLOCK_PATHS]),
+    )
+    def test_intersections_are_set_intersections(
+            self, num_vertices, edge_probability, graph_seed, threshold,
+            block_paths):
+        """Phase 2's intersection count of every edge ``u -> v`` (the
+        common-neighbors similarity) is ``|Γ̂(u) ∩ Γ̂(v)|``, whatever the
+        blocks and whichever membership structure each block holds."""
+        graph = erdos_renyi(num_vertices, edge_probability, seed=graph_seed)
+        config = SnapleConfig(
+            score=score_for_similarity("common_neighbors"),
+            truncation_threshold=threshold, seed=graph_seed % 101)
+        gamma = kernel.build_truncated_neighborhoods(graph, config)
+        with mock.patch.object(kernel, "BLOCK_PATHS", block_paths):
+            edges = kernel.edge_similarities(graph, gamma, config)
+        rows = [set(gamma.row(u).tolist()) for u in graph.vertices()]
+        for u in graph.vertices():
+            start, end = edges.indptr[u], edges.indptr[u + 1]
+            for v, inter in zip(edges.neighbor[start:end].tolist(),
+                                edges.path_sim[start:end].tolist()):
+                assert inter == len(rows[u] & rows[v])
 
 
 class TestKernelParityProperty:
