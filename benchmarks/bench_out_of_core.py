@@ -1,11 +1,12 @@
 """Out-of-core execution: peak RSS stays bounded while the graph grows.
 
 The claim under test is the tentpole of the memmap tier
-(:mod:`repro.runtime.ooc` + :mod:`repro.graph.storage`): because the CSR
-arrays live in file-backed ``MAP_SHARED`` pages — reclaimable page cache,
-not anonymous memory — building and loading a graph 1000x larger only
-costs a bounded amount of resident memory, and predictions computed over
-the memmap tier are bit-identical to the in-RAM ones.
+(:mod:`repro.graph.storage`, hosted for workers by
+:mod:`repro.runtime.shm`): because the CSR arrays live in file-backed
+``MAP_SHARED`` pages — reclaimable page cache, not anonymous memory —
+building and loading a graph 1000x larger only costs a bounded amount of
+resident memory, and predictions computed over the memmap tier are
+bit-identical to the in-RAM ones.
 
 Two legs:
 
@@ -14,8 +15,9 @@ Two legs:
   (``ru_maxrss`` is a lifetime high-water mark, so each scale must be
   measured in isolation) and gate that peak RSS grows by less than 2x
   while the edge count grows 100x (100k → 10M).
-* **parity** — one small graph scored on the in-RAM and memmap tiers must
-  produce identical predictions and scores.
+* **parity** — one small graph scored with ``workers=2`` as an in-RAM
+  graph and as ``DiGraph.load_memmap`` of the same graph must produce
+  identical predictions and scores.
 
 Writes ``results/BENCH_ooc.json``.
 """
@@ -63,8 +65,7 @@ def _generate_in_subprocess(path: Path, vertices: int, edges: int) -> dict:
     return json.loads(result.stdout)
 
 
-def test_bench_out_of_core(save_json, save_result, tmp_path, monkeypatch,
-                           bench_graph):
+def test_bench_out_of_core(save_json, save_result, tmp_path, bench_graph):
     rows = []
     for edges in EDGE_SCALES:
         vertices = VERTICES_PER_SCALE[edges]
@@ -97,19 +98,17 @@ def test_bench_out_of_core(save_json, save_result, tmp_path, monkeypatch,
 
     # Parity leg: the memmap tier is an execution detail, not a model
     # change — predictions and scores must be bit-identical.
+    from repro.graph.digraph import DiGraph
     from repro.snaple.config import SnapleConfig
     from repro.snaple.predictor import SnapleLinkPredictor
 
     graph = bench_graph(600)
     config = SnapleConfig.paper_default(seed=BENCH_SEED, k_local=10)
-    monkeypatch.delenv("SNAPLE_OOC", raising=False)
-    in_ram = SnapleLinkPredictor(config).predict(graph, backend="gas",
-                                                 workers=2)
-    monkeypatch.setenv("SNAPLE_OOC", "1")
+    graph.save_memmap(tmp_path / "parity")
     with SnapleLinkPredictor(config) as predictor:
-        memmap = predictor.predict(graph, backend="gas", workers=2)
-    monkeypatch.delenv("SNAPLE_OOC")
-    assert memmap.extra["ooc_enabled"] == 1.0
+        in_ram = predictor.predict(graph, backend="gas", workers=2)
+        memmap = predictor.predict(DiGraph.load_memmap(tmp_path / "parity"),
+                                   backend="gas", workers=2)
     assert memmap.predictions == in_ram.predictions
     assert dict(memmap.scores) == dict(in_ram.scores)
 

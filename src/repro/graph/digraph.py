@@ -130,11 +130,10 @@ class DiGraph:
     ) -> "DiGraph":
         """Adopt prebuilt CSR arrays without re-deriving them.
 
-        This is how parallel workers reconstruct the graph over
-        shared-memory views (:func:`repro.runtime.shm.attach_graph`) and how
-        :meth:`load_memmap` adopts on-disk views: the arrays are adopted
-        as-is — no copy, no sort — so the caller guarantees they came from a
-        real :class:`DiGraph`.  Dtypes and shapes are always validated;
+        This is how :meth:`load_memmap` adopts on-disk views, in parallel
+        workers too (:func:`repro.runtime.shm.attach_graph`): the arrays
+        are adopted as-is — no copy, no sort — so the caller guarantees
+        they came from a real :class:`DiGraph`.  Dtypes and shapes are always validated;
         with ``read_only=True`` every array must additionally be a
         non-writable view (a writable array would let callers silently
         mutate a graph that advertises itself as immutable and shared), and
@@ -224,7 +223,7 @@ class DiGraph:
         """Path of the on-disk container backing this graph, if any.
 
         Set by :meth:`load_memmap`; the parallel executor uses it to hand
-        workers the existing container instead of re-spooling the arrays.
+        workers the existing container instead of saving the arrays again.
         """
         return self._memmap_path
 

@@ -122,7 +122,7 @@ def _parallel_report(backend_name: str,
 
     ``extra`` records the phase outputs hosted on the segment plane (peak
     ``state_plane_peak_bytes``), the coordinator routing time and the
-    transport bytes, with per-phase breakdowns, and which plane ran.  Fault
+    transport bytes, with per-phase breakdowns.  Fault
     tolerance rides along as ``worker_restarts``: the number of pool
     respawns, each of which replayed the run from phase 0.
     """
@@ -136,8 +136,6 @@ def _parallel_report(backend_name: str,
             extra[f"state_plane_bytes_step{index}"] = float(num_bytes)
         for index, seconds in enumerate(outcome.routing_seconds):
             extra[f"routing_seconds_step{index}"] = float(seconds)
-        extra["shm_enabled"] = float(outcome.shm_enabled)
-        extra["ooc_enabled"] = float(outcome.ooc_enabled)
         extra["transport_bytes"] = float(sum(outcome.transport_bytes))
         for index, num_bytes in enumerate(outcome.transport_bytes):
             extra[f"transport_bytes_step{index}"] = float(num_bytes)

@@ -25,13 +25,12 @@ and the map runs the kernel (:mod:`repro.snaple.kernel`) unchanged:
    in the GAS gather's fold order (any combinator or aggregator); the
    coordinator concatenates predictions and scores.
 
-Graph and phase outputs live on one segment plane per run — POSIX shared
-memory, or spool files where there is none
-(:func:`repro.runtime.ooc.segment_plane` chooses).  A task carries its
-partition's row ids and the :class:`~repro.runtime.shm.BlockHandle`
-descriptors of the phase outputs it reads; it returns its rows as flat
-arrays.  Nothing that crosses a process boundary is a per-vertex Python
-object.
+Graph and phase outputs live on the segment plane
+(:mod:`repro.runtime.shm`): files in one run-scoped directory that workers
+map read-only.  A task carries its partition's row ids and the
+:class:`~repro.runtime.shm.BlockHandle` descriptors of the phase outputs it
+reads; it returns its rows as flat arrays.  Nothing that crosses a process
+boundary is a per-vertex Python object.
 
 Fault tolerance
 ---------------
@@ -93,13 +92,13 @@ import numpy as np
 
 from repro.errors import ConfigurationError, EngineError, WorkerCrashError
 from repro.graph.digraph import DiGraph
-from repro.runtime.ooc import MemmapGraphHandle, segment_plane
 from repro.runtime.partition import partition_vertices
 from repro.runtime.shm import (
     BlockHandle,
-    ShmGraphHandle,
     ShmRegistry,
+    attach_graph,
     attachment_cache,
+    share_graph,
 )
 from repro.runtime.state import gather_slices, indptr_from_counts
 from repro.snaple.config import SnapleConfig
@@ -214,15 +213,8 @@ class ParallelRunOutcome:
       through the pool: each task's row ids plus the rows it returned.
       Hosted outputs are read in place and not counted.
 
-    Both byte counts are plane-independent: shm and spool runs report the
-    same numbers.
-
     ``worker_restarts`` counts pool respawns after worker crashes; each one
     replayed the run from phase 0.
-
-    ``shm_enabled`` records whether the run hosted graph and phase outputs
-    in shared memory and ``ooc_enabled`` whether they lived in on-disk
-    spool files instead (exactly one of the two is set).
     """
 
     predictions: dict[int, list[int]]
@@ -235,8 +227,6 @@ class ParallelRunOutcome:
     routing_seconds: list[float] = field(default_factory=list)
     state_plane_bytes: list[int] = field(default_factory=list)
     worker_restarts: int = 0
-    shm_enabled: bool = False
-    ooc_enabled: bool = False
     transport_bytes: list[int] = field(default_factory=list)
 
     @property
@@ -294,17 +284,15 @@ def _watch_parent() -> None:
     os._exit(3)
 
 
-def _init_worker(graph: ShmGraphHandle | MemmapGraphHandle,
-                 config: SnapleConfig,
+def _init_worker(graph: str, config: SnapleConfig,
                  fault: FaultSpec | None = None) -> None:
     """Pool initializer: install the graph, config and fault spec once.
 
-    The graph arrives as the handle of the coordinator's graph plane — a
-    shared-memory segment or an on-disk container — which the worker maps
-    once as read-only views, pinned for the process lifetime.
+    The graph arrives as the path of the container the coordinator hosted,
+    which the worker maps once, read-only, for the process lifetime.
     """
     global _WORKER_GRAPH, _WORKER_CONFIG, _WORKER_FAULT
-    _WORKER_GRAPH = graph.attach()
+    _WORKER_GRAPH = attach_graph(graph)
     _WORKER_CONFIG = config
     _WORKER_FAULT = fault
     threading.Thread(target=_watch_parent, name="snaple-parent-watchdog",
@@ -390,8 +378,7 @@ def _pool_context():
     return multiprocessing.get_context("spawn")
 
 
-def _spawn_pool(workers: int, graph: ShmGraphHandle | MemmapGraphHandle,
-                config: SnapleConfig,
+def _spawn_pool(workers: int, graph: str, config: SnapleConfig,
                 fault: FaultSpec | None) -> ProcessPoolExecutor:
     """A worker pool whose processes attach ``graph`` once at startup."""
     return ProcessPoolExecutor(
@@ -403,14 +390,14 @@ def _spawn_pool(workers: int, graph: ShmGraphHandle | MemmapGraphHandle,
 
 
 class WorkerPoolLease:
-    """A worker pool (plus its graph plane) reused across parallel runs.
+    """A worker pool (plus its hosted graph) reused across parallel runs.
 
     Spawning a pool is the fixed cost of every ``workers=N`` run: N process
-    creations, hosting the graph on the segment plane (shm packing or
-    container spooling), and the workers' first-import warmup.
+    creations, hosting the graph on the segment plane (saving an in-RAM
+    graph as a container), and the workers' first-import warmup.
     A lease amortizes that cost: the first run materializes the pool and
-    the graph plane, and later runs with the *same* (graph, config,
-    workers, plane) key reuse both — ``spawns`` counts how often the
+    the hosted graph, and later runs with the *same* (graph, config,
+    workers) key reuse both — ``spawns`` counts how often the
     expensive path actually ran.  The lease holds the keyed graph and
     config and matches them by identity, so a new graph allocated where a
     dropped one lived never inherits its workers.  :class:`ParallelExecutor`
@@ -418,8 +405,8 @@ class WorkerPoolLease:
     fault-injected runs, and invalidates it when a worker crashes so
     recovery always replays on a fresh self-managed pool.
 
-    The lease owns real resources (processes, shared segments or spool
-    files): call :meth:`close` — or use it as a context manager — when done.
+    The lease owns real resources (processes, a run directory): call
+    :meth:`close` — or use it as a context manager — when done.
     :class:`~repro.snaple.predictor.SnapleLinkPredictor` holds one lease
     per predictor and forwards ``close()``.
     """
@@ -431,23 +418,23 @@ class WorkerPoolLease:
         #: How many times a pool was actually spawned (cache misses).
         self.spawns = 0
 
-    def acquire(self, *, graph: DiGraph, config: SnapleConfig, workers: int,
-                plane: type[ShmRegistry]) -> ProcessPoolExecutor:
+    def acquire(self, *, graph: DiGraph, config: SnapleConfig,
+                workers: int) -> ProcessPoolExecutor:
         """The pool for this run key, spawning or respawning as needed."""
         held = self._key
         if (self._pool is not None and held is not None and held[0] is graph
-                and held[1] is config and held[2:] == (workers, plane)):
+                and held[1] is config and held[2] == workers):
             return self._pool
         self.invalidate()
-        self._registry = plane()
-        self._pool = _spawn_pool(workers, self._registry.host_graph(graph),
+        self._registry = ShmRegistry()
+        self._pool = _spawn_pool(workers, share_graph(self._registry, graph),
                                  config, None)
-        self._key = (graph, config, workers, plane)
+        self._key = (graph, config, workers)
         self.spawns += 1
         return self._pool
 
     def invalidate(self, *, kill: bool = False) -> None:
-        """Discard the pool and its graph plane (``kill`` after a crash)."""
+        """Discard the pool and its hosted graph (``kill`` after a crash)."""
         pool, self._pool = self._pool, None
         registry, self._registry = self._registry, None
         self._key = None
@@ -457,7 +444,7 @@ class WorkerPoolLease:
             registry.close()
 
     def close(self) -> None:
-        """Release the pool and every segment/spool file.  Idempotent."""
+        """Release the pool and its run directory.  Idempotent."""
         self.invalidate()
 
     def __enter__(self) -> "WorkerPoolLease":
@@ -533,10 +520,9 @@ class ParallelExecutor:
                 f"pool must be a WorkerPoolLease, got {pool!r}"
             )
         self._pool_lease = pool
-        # The run's segment plane (shm segments or spool files), alive only
-        # inside run().
+        # The run's segments, alive only inside run().
         self._registry: ShmRegistry | None = None
-        self._graph_handle: ShmGraphHandle | MemmapGraphHandle | None = None
+        self._graph_handle: str | None = None
 
     # ------------------------------------------------------------------
     # Pool lifecycle and fault handling
@@ -583,9 +569,8 @@ class ParallelExecutor:
         similarity phases always run over every vertex, because the
         recommendations read the neighbours' outputs.
 
-        Graph and phase outputs live on the segment plane
-        :func:`~repro.runtime.ooc.segment_plane` picks, for every scoring
-        configuration; tasks receive descriptors into it.
+        Graph and phase outputs live on the segment plane, for every
+        scoring configuration; tasks receive descriptors into it.
 
         Fault handling: a worker death or watchdog timeout discards the
         pool, respawns it, and replays the run from phase 0 up to
@@ -594,26 +579,25 @@ class ParallelExecutor:
         """
         start = time.perf_counter()
         restarts = 0
-        plane = segment_plane()
         # Fault-injected runs bypass the lease: crash tests must exercise
-        # the full self-managed pool + plane lifecycle.
+        # the full self-managed pool + segment lifecycle.
         lease = (self._pool_lease
                  if self._pool_lease is not None and self._fault is None
                  else None)
         try:
             # One registry per run owns every segment; the graph is hosted
             # once and survives pool respawns after crashes.
-            self._registry = plane()
+            self._registry = ShmRegistry()
             if lease is None:
-                self._graph_handle = self._registry.host_graph(self._graph)
+                self._graph_handle = share_graph(self._registry, self._graph)
             while True:
                 leased = lease is not None
                 if leased:
-                    # The lease hosts the graph plane (its own registry) and
-                    # the pool; this run's registry only holds phase outputs.
+                    # The lease hosts the graph (its own registry) and the
+                    # pool; this run's registry only holds phase outputs.
                     pool = lease.acquire(
                         graph=self._graph, config=self._config,
-                        workers=self._workers, plane=plane,
+                        workers=self._workers,
                     )
                 else:
                     pool = _spawn_pool(self._workers, self._graph_handle,
@@ -626,7 +610,7 @@ class ParallelExecutor:
                     crashed = True
                     restarts += 1
                     if leased:
-                        # The leased pool (and its graph plane) died with
+                        # The leased pool (and its hosted graph) died with
                         # the crash: drop it so no later run reuses a broken
                         # pool; recovery replays on self-managed pools.
                         lease.invalidate(kill=True)
@@ -634,13 +618,13 @@ class ParallelExecutor:
                     if restarts > self._max_restarts:
                         raise
                     if self._graph_handle is None:
-                        self._graph_handle = self._registry.host_graph(
-                            self._graph)
+                        self._graph_handle = share_graph(self._registry,
+                                                         self._graph)
                 finally:
                     if not leased:
                         self._shutdown_pool(pool, kill=crashed)
         finally:
-            # Crash-safe cleanup: every segment is unlinked here no matter
+            # Crash-safe cleanup: every segment is removed here no matter
             # how the run ended (success, exhausted restarts, KeyboardInterrupt).
             registry = self._registry
             self._registry = None
@@ -648,8 +632,6 @@ class ParallelExecutor:
             if registry is not None:
                 registry.close()
         outcome.wall_clock_seconds = time.perf_counter() - start
-        outcome.shm_enabled = plane is ShmRegistry
-        outcome.ooc_enabled = not outcome.shm_enabled
         outcome.worker_restarts = restarts
         return outcome
 

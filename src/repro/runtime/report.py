@@ -48,7 +48,7 @@ class RunReport:
       and the random-walk backends' ``walk_steps``;
     * on ``workers=N`` runs, the hosted phase-output bytes
       (``state_plane_peak_bytes`` / ``state_plane_bytes_step*``),
-      ``routing_seconds``, the segment plane and transport bytes, and
+      ``routing_seconds``, the transport bytes, and
       ``worker_restarts`` (pool respawns, each replaying the run from
       phase 0);
     * on the online ``serving`` backend, ``requests_served``,

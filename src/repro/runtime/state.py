@@ -4,28 +4,20 @@ Every per-vertex output of Algorithm 2 — truncated neighbourhoods, kept
 similarity rows, predictions, candidate scores — travels as one ragged CSR
 structure: an ``indptr`` (or per-row counts) plus flat payload arrays.  The
 helpers here gather, build and splice such rows without per-vertex Python
-work.  :func:`env_flag` reads the boolean ``SNAPLE_*`` switches.
+work.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 
 import numpy as np
 
 __all__ = [
-    "env_flag",
     "gather_slices",
     "indptr_from_counts",
     "splice_rows",
 ]
-
-
-def env_flag(name: str) -> bool:
-    """A boolean environment flag: set and not one of ``'' / 0 / false / no``."""
-    value = os.environ.get(name, "")
-    return value.strip().lower() not in ("", "0", "false", "no")
 
 
 def gather_slices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -36,9 +36,9 @@ class SnapleLinkPredictor:
     -----
     ``workers=N`` runs hold a reusable worker-pool lease on the predictor:
     repeated :meth:`predict` calls with the same graph, configuration and
-    segment plane reuse the spawned pool and its hosted graph instead of
+    worker count reuse the spawned pool and its hosted graph instead of
     paying the spawn cost per call (``pool_spawns`` counts the actual
-    spawns).  The lease owns processes and shared segments/spool files —
+    spawns).  The lease owns processes and a run directory of segments —
     call :meth:`close` when done, or use the predictor as a context
     manager::
 
@@ -61,7 +61,7 @@ class SnapleLinkPredictor:
         return 0 if self._pool is None else self._pool.spawns
 
     def close(self) -> None:
-        """Release the worker-pool lease (processes, segments, spool files).
+        """Release the worker-pool lease (processes and segments).
 
         Idempotent; a predictor that never ran with ``workers=N`` holds
         nothing.  Garbage collection is the backstop, but explicit closing

@@ -262,24 +262,25 @@ def reseeded(config: SnapleConfig, seed: int) -> SnapleConfig:
     return dataclasses.replace(config, seed=seed)
 
 
-@pytest.fixture(params=["shm", "spool"])
-def plane(request, monkeypatch, tmp_path):
-    """Run ``workers=N`` on shared memory or on spool files (``SNAPLE_OOC``),
-    and leave neither a segment nor a spool directory behind."""
-    from repro.runtime.ooc import list_spool_dirs
-    from repro.runtime.shm import list_segments, shm_available
+@pytest.fixture(params=["in-ram", "container"])
+def graph_source(request, tmp_path_factory):
+    """Hand ``workers=N`` either the graph itself or the same graph loaded
+    from a storage container: the two graph inputs of the segment plane.
 
-    if request.param == "shm" and not shm_available():
-        pytest.skip("platform lacks POSIX shared memory")
-    monkeypatch.setenv("SNAPLE_OOC_DIR", str(tmp_path))
-    if request.param == "spool":
-        monkeypatch.setenv("SNAPLE_OOC", "1")
-    else:
-        monkeypatch.delenv("SNAPLE_OOC", raising=False)
-    before = list_segments()
-    yield request.param
-    assert list_spool_dirs() == []
-    assert list_segments() == before
+    The fixture's value maps a graph to the form the test passes on.  An
+    in-RAM graph is saved into the run directory by the coordinator; a
+    container graph ships its own path, so its files must outlive the run.
+    """
+    from repro.graph.storage import load_graph_memmap, save_graph_memmap
+
+    def source(graph: DiGraph) -> DiGraph:
+        if request.param == "in-ram":
+            return graph
+        directory = tmp_path_factory.mktemp("container")
+        return load_graph_memmap(save_graph_memmap(graph, directory / "g"))
+
+    source.kind = request.param
+    return source
 
 
 def assert_matches_reference(report, reference) -> None:

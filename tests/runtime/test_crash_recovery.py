@@ -37,8 +37,7 @@ from repro.eval.experiments.ablation_engines import run_ablation_engines
 from repro.eval.runner import ExperimentRunner
 from repro.runtime import get_backend
 from repro.runtime.parallel import FaultSpec, ParallelExecutor, maybe_crash
-from repro.runtime.ooc import segment_plane
-from repro.runtime.shm import ShmRegistry, list_segments
+from repro.runtime.shm import list_segments
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
 from tests.conftest import (
@@ -137,12 +136,11 @@ class TestKillWorkerReplayParity:
         assert recovered.extra["worker_restarts"] == 1.0
         assert_bit_identical(baseline, recovered)
 
-    def test_custom_config_recovers_on_the_chosen_plane(
+    def test_custom_similarity_recovers_bit_identically(
             self, fault_injector, random_graph):
         # A configuration outside the vectorized kernel runs the kernel's
         # scalar branches inside the phase task; a crash mid-run must still
-        # recover bit-identically, on whichever plane the environment
-        # selects (shared memory by default, spool files with SNAPLE_OOC=1).
+        # recover bit-identically.
         graph = grid_graph(random_graph)
         config = unsupported_kernel_config()
         fault = fault_injector.kill_worker(1, partition=3)
@@ -150,8 +148,6 @@ class TestKillWorkerReplayParity:
         recovered = predictor.predict(graph, backend="gas", workers=4,
                                       fault=fault)
         assert recovered.extra["worker_restarts"] == 1.0
-        assert recovered.extra["shm_enabled"] == float(
-            segment_plane() is ShmRegistry)
         assert_matches_reference(recovered, scalar_reference(graph, config))
 
     @pytest.mark.parametrize("superstep", [1, 2])
@@ -343,16 +339,21 @@ class TestCrashOutsideTheHook:
     """Workers that die in user code recover like injected kills."""
 
     def test_crash_in_a_leased_pool_invalidates_the_lease(self, tmp_path,
+                                                          graph_source,
                                                           random_graph):
+        # The recovery replays on a self-managed pool, which hosts the
+        # graph again in the run's own registry: an in-RAM graph is saved
+        # afresh, a container graph ships its path again.
         graph = grid_graph(random_graph)
         baseline = baseline_report(graph, 2, "custom")
         config = similarity_config(CrashOnce(str(tmp_path / "crash-token")))
+        hosted = graph_source(graph)
         with SnapleLinkPredictor(config) as predictor:
-            recovered = predictor.predict(graph, backend="gas", workers=2)
+            recovered = predictor.predict(hosted, backend="gas", workers=2)
             assert recovered.extra["worker_restarts"] == 1.0
             assert_bit_identical(baseline, recovered)
             # The broken leased pool is never handed out again.
-            after = predictor.predict(graph, backend="gas", workers=2)
+            after = predictor.predict(hosted, backend="gas", workers=2)
             assert predictor.pool_spawns == 2
         assert after.extra["worker_restarts"] == 0.0
         assert_bit_identical(baseline, after)

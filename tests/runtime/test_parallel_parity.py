@@ -15,8 +15,8 @@ counts exercised (e.g. ``2``); locally both 2 and 4 run.
 ``workers=N`` run equals the serial scalar reference
 (``tests.conftest.scalar_reference``) in predictions and scores, for
 {paper, truncating, custom-similarity, custom-aggregator} × workers {1, 2,
-4} × seeds {3, 8} × {shm, spool}, and both planes report the same
-deterministic accounting.
+4} × seeds {3, 8} × {in-RAM, container} graph inputs, and both inputs
+report the same deterministic accounting.
 """
 
 from __future__ import annotations
@@ -222,6 +222,17 @@ class TestPartitionAccounting:
         (4, 8): [(708, 114), (702, 114), (603, 111), (633, 111)],
     }
 
+    #: ``(transport_bytes, state_plane_peak_bytes)`` of the same runs, by
+    #: ``(workers, seed)``: what crossed the pool's pipes and the largest
+    #: hosted phase output.  Neither depends on placement or on where the
+    #: segments live.
+    PINNED_BYTES = {
+        (2, 3): (86_432, 29_568),
+        (2, 8): (86_432, 29_568),
+        (4, 3): (86_432, 29_568),
+        (4, 8): (86_432, 29_568),
+    }
+
     @pytest.mark.parametrize("workers", [2, 4])
     @over_seeds
     def test_accounting_is_pinned(self, workers, seed, small_graph):
@@ -235,6 +246,9 @@ class TestPartitionAccounting:
         assert run.network_bytes is None
         assert partitions == self.PINNED[(workers, seed)]
         assert [sum(counts) for counts in zip(*partitions)] == [2646, 450]
+        assert (run.extra["transport_bytes"],
+                run.extra["state_plane_peak_bytes"]) == (
+            self.PINNED_BYTES[(workers, seed)])
 
     def test_ownership_is_the_hash_placement(self, small_graph, monkeypatch):
         """``workers=N`` never builds the simulated vertex-cut: each
@@ -286,21 +300,21 @@ class TestScalarReferenceParity:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("config_name", sorted(REFERENCE_CONFIGS))
     def test_parallel_run_equals_scalar_reference(self, config_name,
-                                                  workers, seed, plane,
+                                                  workers, seed,
+                                                  graph_source,
                                                   small_graph):
         config = reseeded(REFERENCE_CONFIGS[config_name](), seed)
         if (config_name, seed) not in self._references:
             self._references[(config_name, seed)] = scalar_reference(
                 small_graph, config)
         with SnapleLinkPredictor(config) as predictor:
-            report = predictor.predict(small_graph, backend="gas",
-                                       workers=workers)
+            report = predictor.predict(graph_source(small_graph),
+                                       backend="gas", workers=workers)
         assert_matches_reference(report,
                                  self._references[(config_name, seed)])
-        assert report.extra["shm_enabled"] == float(plane == "shm")
-        assert report.extra["ooc_enabled"] == float(plane == "spool")
         # Deterministic accounting, byte counts included, does not depend
-        # on the plane: both must report exactly the same numbers.
+        # on whether the graph was in RAM or in a container: both inputs
+        # must report exactly the same numbers.
         accounting = [
             (p.gather_invocations, p.apply_invocations)
             for p in report.partition_reports
