@@ -14,7 +14,6 @@ Run it with::
 
 from __future__ import annotations
 
-from repro.baselines import GasBaselinePredictor
 from repro.errors import ResourceExhaustedError
 from repro.eval.protocol import remove_random_edges
 from repro.gas.cluster import TYPE_I, TYPE_II, ClusterConfig, MachineSpec, cluster_of
@@ -60,9 +59,9 @@ def main() -> None:
     # pick a capacity that sits between them: the naive BASELINE no longer
     # fits, while SNAPLE's compact per-vertex state still does.
     relaxed = cluster_of(TYPE_II, 4)
-    baseline_peak = GasBaselinePredictor().predict_gas(
-        train, cluster=relaxed, enforce_memory=False
-    ).gas_result.metrics.peak_machine_memory_bytes
+    baseline_peak = SnapleLinkPredictor().predict(
+        train, backend="gas_baseline", cluster=relaxed, enforce_memory=False
+    ).peak_memory_bytes
     snaple_peak = SnapleLinkPredictor(config).predict(
         train, backend="gas", cluster=relaxed, enforce_memory=False
     ).peak_memory_bytes
@@ -72,7 +71,8 @@ def main() -> None:
     constrained = ClusterConfig(machine=TYPE_II, num_machines=4,
                                 memory_scale=capacity / TYPE_II.memory_bytes)
     try:
-        GasBaselinePredictor().predict_gas(train, cluster=constrained)
+        SnapleLinkPredictor().predict(train, backend="gas_baseline",
+                                      cluster=constrained)
         print("  BASELINE fits (unexpected at this capacity)")
     except ResourceExhaustedError as exc:
         print(f"  BASELINE fails: {exc}")

@@ -21,7 +21,7 @@ from repro.eval.metrics import evaluate_predictions
 from repro.eval.protocol import remove_random_edges
 from repro.graph.attributes import generate_profiles
 from repro.graph.datasets import load_dataset
-from repro.snaple import ContentAwareLinkPredictor, ContentConfig, SnapleConfig
+from repro.snaple import SnapleConfig, SnapleLinkPredictor
 
 
 def main() -> None:
@@ -49,12 +49,9 @@ def main() -> None:
         print(f"  mean tags/vertex: {profiles.mean_profile_size():.1f}, "
               f"edge-vs-random tag overlap: {profiles.homophily(split.train_graph):+.3f}")
         for weight in weights:
-            config = ContentConfig(
-                snaple=snaple, content_weight=weight,
-                profile_similarity_name="jaccard",
-            )
-            result = ContentAwareLinkPredictor(config).predict(
-                split.train_graph, profiles
+            result = SnapleLinkPredictor(snaple).predict(
+                split.train_graph, backend="content", profiles=profiles,
+                content_weight=weight, profile_similarity="jaccard",
             )
             recall = evaluate_predictions(result.predictions, split).recall
             marker = "  <- paper's purely topological score" if weight == 0.0 else ""

@@ -15,7 +15,6 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-from repro.baselines import RandomWalkConfig, RandomWalkPPRPredictor, TopologicalPredictor
 from repro.eval.metrics import evaluate_predictions
 from repro.eval.protocol import remove_random_edges
 from repro.graph.generators import social_graph
@@ -43,26 +42,26 @@ def main() -> None:
     print(f"{'predictor':32s} {'recall':>8s} {'time(s)':>8s}")
     print("-" * 52)
 
-    snaple = SnapleLinkPredictor(
+    # One predictor, three engines: each returns the same RunReport.
+    predictor = SnapleLinkPredictor(
         SnapleConfig.paper_default("linearSum", k_local=20, seed=3)
-    ).predict(split.train_graph, backend="local")
-    quality = evaluate_predictions(snaple.predictions, split)
-    print(f"{'SNAPLE linearSum (klocal=20)':32s} {quality.recall:8.3f} "
-          f"{snaple.wall_clock_seconds:8.2f}")
-
-    classic = TopologicalPredictor("jaccard", k=5).predict(split.train_graph)
-    quality = evaluate_predictions(classic.predictions, split)
-    print(f"{'classic 2-hop Jaccard':32s} {quality.recall:8.3f} "
-          f"{classic.wall_clock_seconds:8.2f}")
-
-    walker = RandomWalkPPRPredictor(
-        RandomWalkConfig(num_walks=100, depth=3, seed=3)
-    ).predict(split.train_graph)
-    quality = evaluate_predictions(walker.predictions, split)
-    print(f"{'random-walk PPR (w=100, d=3)':32s} {quality.recall:8.3f} "
-          f"{walker.wall_clock_seconds:8.2f}")
+    )
+    runs = {
+        "SNAPLE linearSum (klocal=20)": dict(backend="local"),
+        "classic 2-hop Jaccard": dict(backend="topological", score="jaccard"),
+        "random-walk PPR (w=100, d=3)": dict(backend="random_walk_ppr",
+                                             num_walks=100, depth=3),
+    }
+    reports = {}
+    for label, options in runs.items():
+        report = reports[label] = predictor.predict(split.train_graph,
+                                                    **options)
+        quality = evaluate_predictions(report.predictions, split)
+        print(f"{label:32s} {quality.recall:8.3f} "
+              f"{report.wall_clock_seconds:8.2f}")
 
     # Export SNAPLE's predicted edges for downstream use.
+    snaple = reports["SNAPLE linearSum (klocal=20)"]
     output_file = workdir / "predicted_edges.tsv"
     write_edge_list(output_file, sorted(snaple.predicted_edges()),
                     header="predicted (source<TAB>recommended target)")

@@ -18,7 +18,6 @@ Run it with::
 
 from __future__ import annotations
 
-from repro.baselines import GasBaselinePredictor
 from repro.eval.metrics import evaluate_predictions
 from repro.eval.protocol import remove_random_edges
 from repro.gas.cluster import TYPE_II, cluster_of
@@ -47,14 +46,14 @@ def main() -> None:
 
     print("Predictors (simulated cluster accounting):")
 
-    baseline = GasBaselinePredictor().predict_gas(
-        split.train_graph, cluster=cluster, enforce_memory=False
+    baseline = SnapleLinkPredictor().predict(
+        split.train_graph, backend="gas_baseline", cluster=cluster,
+        enforce_memory=False
     )
     baseline_quality = evaluate_predictions(baseline.predictions, split)
-    metrics = baseline.gas_result.metrics
     describe_run("BASELINE (4 × type-II)", baseline_quality.recall,
-                 baseline.simulated_seconds, metrics.total_network_bytes,
-                 metrics.peak_machine_memory_bytes)
+                 baseline.simulated_seconds, baseline.network_bytes,
+                 baseline.peak_memory_bytes)
 
     snaple_cluster = SnapleLinkPredictor(config).predict(
         split.train_graph, backend="gas", cluster=cluster, enforce_memory=False

@@ -1,30 +1,16 @@
-"""Baselines: naive GAS 2-hop prediction, Cassovary-like walks, classic scores."""
+"""Baselines: naive GAS 2-hop prediction, Cassovary-like walks, classic scores.
+
+Each one runs as a registry engine (:mod:`repro.runtime.baselines`):
+``gas_baseline``, ``cassovary``, ``random_walk_ppr`` and ``topological``.
+"""
 
 from repro.baselines.cassovary import InMemoryGraph, WalkStats
-from repro.baselines.gas_baseline import (
-    BaselinePredictionResult,
-    GasBaselinePredictor,
-)
-from repro.baselines.random_walk_ppr import (
-    RandomWalkConfig,
-    RandomWalkPPRPredictor,
-    RandomWalkPredictionResult,
-)
-from repro.baselines.topological import (
-    TOPOLOGICAL_SCORES,
-    TopologicalPredictionResult,
-    TopologicalPredictor,
-)
+from repro.baselines.random_walk_ppr import RandomWalkConfig
+from repro.baselines.topological import TOPOLOGICAL_SCORES
 
 __all__ = [
-    "GasBaselinePredictor",
-    "BaselinePredictionResult",
     "InMemoryGraph",
     "WalkStats",
     "RandomWalkConfig",
-    "RandomWalkPPRPredictor",
-    "RandomWalkPredictionResult",
-    "TopologicalPredictor",
-    "TopologicalPredictionResult",
     "TOPOLOGICAL_SCORES",
 ]

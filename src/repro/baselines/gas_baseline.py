@@ -19,22 +19,21 @@ The implementation below expresses that naive strategy as two GAS steps:
    forwarded map of ``v``'s neighbors' neighborhoods, computes
    ``jaccard(Γ(u), Γ(z))`` for every 2-hop candidate ``z`` and keeps the
    top-``k``.
+
+The ``gas_baseline`` engine (:class:`~repro.runtime.baselines.GasBaselineBackend`)
+runs the two steps on :class:`~repro.gas.engine.GasEngine`.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from typing import Any
 
-from repro.gas.cluster import ClusterConfig, TYPE_II, cluster_of
-from repro.gas.engine import GasEngine, GasRunResult
 from repro.gas.vertex_program import EdgeDirection, VertexProgram
 from repro.graph.digraph import DiGraph
 from repro.snaple.program import top_k_predictions
-from repro.snaple.similarity import SimilarityFn, jaccard
+from repro.snaple.similarity import jaccard
 
-__all__ = ["BaselinePredictionResult", "GasBaselinePredictor"]
+__all__ = ["NeighborhoodPropagationStep", "DirectScoringStep"]
 
 
 class NeighborhoodPropagationStep(VertexProgram):
@@ -66,14 +65,13 @@ class NeighborhoodPropagationStep(VertexProgram):
 
 
 class DirectScoringStep(VertexProgram):
-    """Step 2 of BASELINE: score every 2-hop candidate directly."""
+    """Step 2 of BASELINE: score every 2-hop candidate by Jaccard."""
 
     name = "direct-2hop-scoring"
     gather_direction = EdgeDirection.OUT
 
-    def __init__(self, k: int, similarity: SimilarityFn) -> None:
+    def __init__(self, k: int) -> None:
         self._k = k
-        self._similarity = similarity
         #: Candidate scores per vertex, kept outside the vertex data (they
         #: are an apply-phase temporary, as in SNAPLE's step 3).
         self.collected_scores: dict[int, dict[int, float]] = {}
@@ -97,7 +95,7 @@ class DirectScoringStep(VertexProgram):
             for z, gamma_z in gathered.items():
                 if z == u or z in direct:
                     continue
-                scores[z] = self._similarity(gamma_u, gamma_z)
+                scores[z] = jaccard(gamma_u, gamma_z)
         self.collected_scores[u] = scores
         u_data["predicted"] = top_k_predictions(scores, self._k)
 
@@ -105,86 +103,3 @@ class DirectScoringStep(VertexProgram):
         if not value:
             return 1
         return 1 + sum(len(neighbors) for neighbors in value.values())
-
-
-@dataclass
-class BaselinePredictionResult:
-    """Predictions plus accounting for the naive BASELINE run."""
-
-    predictions: dict[int, list[int]]
-    scores: dict[int, dict[int, float]]
-    wall_clock_seconds: float
-    simulated_seconds: float
-    gas_result: GasRunResult
-
-    def predicted_edges(self) -> set[tuple[int, int]]:
-        """All predicted edges as ``(source, predicted target)`` pairs."""
-        return {
-            (u, z) for u, targets in self.predictions.items() for z in targets
-        }
-
-
-class GasBaselinePredictor:
-    """Naive 2-hop Jaccard link prediction expressed directly on GAS.
-
-    Parameters
-    ----------
-    k:
-        Number of predictions per vertex (paper default 5).
-    similarity:
-        Raw similarity used to score candidates (Jaccard by default).
-    """
-
-    def __init__(self, k: int = 5, *, similarity: SimilarityFn = jaccard) -> None:
-        self._k = k
-        self._similarity = similarity
-
-    @property
-    def k(self) -> int:
-        return self._k
-
-    def predict_gas(
-        self,
-        graph: DiGraph,
-        *,
-        cluster: ClusterConfig | None = None,
-        enforce_memory: bool = True,
-        vertices: list[int] | None = None,
-        seed: int = 0,
-    ) -> BaselinePredictionResult:
-        """Run BASELINE on the simulated GAS engine.
-
-        On large graphs (or small simulated memory capacities) this raises
-        :class:`~repro.errors.ResourceExhaustedError`, reproducing the
-        paper's observation that the naive approach cannot handle orkut or
-        twitter-rv.
-        """
-        if cluster is None:
-            cluster = cluster_of(TYPE_II, 1)
-        engine = GasEngine(
-            graph=graph,
-            cluster=cluster,
-            enforce_memory=enforce_memory,
-            seed=seed,
-        )
-        scoring_step = DirectScoringStep(self._k, self._similarity)
-        steps: list[VertexProgram] = [
-            NeighborhoodPropagationStep(graph),
-            scoring_step,
-        ]
-        start = time.perf_counter()
-        run = engine.run(steps, vertices=vertices)
-        wall = time.perf_counter() - start
-        predictions: dict[int, list[int]] = {}
-        scores: dict[int, dict[int, float]] = {}
-        for u in (vertices if vertices is not None else graph.vertices()):
-            data = run.data_of(u)
-            predictions[u] = list(data.get("predicted", []))
-            scores[u] = dict(scoring_step.collected_scores.get(u, {}))
-        return BaselinePredictionResult(
-            predictions=predictions,
-            scores=scores,
-            wall_clock_seconds=wall,
-            simulated_seconds=run.simulated_seconds,
-            gas_result=run,
-        )

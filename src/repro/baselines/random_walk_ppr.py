@@ -5,20 +5,18 @@ vertex, run ``w`` random walks of depth ``d`` on an in-memory graph and
 recommend the ``k`` most-visited vertices that are not already neighbors.
 Increasing ``w`` improves recall at a steep cost in time, while increasing
 ``d`` beyond 3 brings little benefit — the trade-off reproduced by
-Figure 11 and Table 6.
+Figure 11 and Table 6.  The ``cassovary`` and ``random_walk_ppr`` engines
+(:mod:`repro.runtime.baselines`) run it; :class:`RandomWalkConfig` is the
+experiments' value object for its knobs.
 """
 
 from __future__ import annotations
 
-import random
-import time
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.baselines.cassovary import InMemoryGraph
-from repro.graph.digraph import DiGraph
 
-__all__ = ["RandomWalkConfig", "RandomWalkPredictionResult", "RandomWalkPPRPredictor"]
+__all__ = ["RandomWalkConfig"]
 
 
 @dataclass(frozen=True)
@@ -41,65 +39,3 @@ class RandomWalkConfig:
     def describe(self) -> str:
         """One-line description used by the Figure 11 report."""
         return f"PPR w={self.num_walks} d={self.depth} k={self.k}"
-
-
-@dataclass
-class RandomWalkPredictionResult:
-    """Predictions and accounting for a random-walk PPR run."""
-
-    predictions: dict[int, list[int]]
-    visit_counts: dict[int, dict[int, int]]
-    config: RandomWalkConfig
-    wall_clock_seconds: float
-    total_walk_steps: int
-
-    def predicted_edges(self) -> set[tuple[int, int]]:
-        """All predicted edges as ``(source, predicted target)`` pairs."""
-        return {
-            (u, z) for u, targets in self.predictions.items() for z in targets
-        }
-
-
-class RandomWalkPPRPredictor:
-    """Single-machine link prediction via random-walk PPR approximation."""
-
-    def __init__(self, config: RandomWalkConfig | None = None) -> None:
-        self._config = config if config is not None else RandomWalkConfig()
-
-    @property
-    def config(self) -> RandomWalkConfig:
-        return self._config
-
-    def predict(self, graph: DiGraph, *,
-                vertices: list[int] | None = None) -> RandomWalkPredictionResult:
-        """Predict ``k`` links per vertex by counting random-walk visits."""
-        config = self._config
-        memory_graph = InMemoryGraph(graph)
-        rng = random.Random(config.seed)
-        target_vertices = list(graph.vertices()) if vertices is None else list(vertices)
-        predictions: dict[int, list[int]] = {}
-        visit_counts: dict[int, dict[int, int]] = {}
-        total_steps = 0
-        start = time.perf_counter()
-        for u in target_vertices:
-            visits, stats = memory_graph.run_walks(
-                u, config.num_walks, config.depth, rng
-            )
-            total_steps += stats.steps_taken
-            direct = set(memory_graph.out_neighbors(u).tolist())
-            candidate_visits = {
-                z: count for z, count in visits.items()
-                if z != u and z not in direct
-            }
-            ranked = sorted(candidate_visits.items(),
-                            key=lambda item: (-item[1], item[0]))
-            predictions[u] = [z for z, _ in ranked[:config.k]]
-            visit_counts[u] = candidate_visits
-        wall = time.perf_counter() - start
-        return RandomWalkPredictionResult(
-            predictions=predictions,
-            visit_counts=visit_counts,
-            config=config,
-            wall_clock_seconds=wall,
-            total_walk_steps=total_steps,
-        )

@@ -1,8 +1,9 @@
 """Classic standalone topological link predictors (Liben-Nowell & Kleinberg).
 
-These predictors implement the single-machine version of Algorithm 1 with the
-2-hop restriction of equation (2): candidates are the vertices two hops away
-and the score is a closed-form topological metric computed from the full
+The ``topological`` engine (:class:`~repro.runtime.baselines.TopologicalBackend`)
+runs the single-machine version of Algorithm 1 with the 2-hop restriction of
+equation (2): candidates are the vertices two hops away and the score is one
+of the closed-form topological metrics below, computed from the full
 (untruncated) neighborhoods.  They serve as quality references in tests and
 examples — the paper's section 5.9 notes that this direct approach is neither
 fast nor accurate enough compared to SNAPLE or walk-based PPR on the large
@@ -12,17 +13,11 @@ datasets.
 from __future__ import annotations
 
 import math
-import time
 from collections.abc import Callable
-from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
 from repro.graph.digraph import DiGraph
-from repro.snaple.program import top_k_predictions
 
 __all__ = [
-    "TopologicalPredictionResult",
-    "TopologicalPredictor",
     "common_neighbors_score",
     "jaccard_score",
     "adamic_adar_score",
@@ -85,61 +80,3 @@ TOPOLOGICAL_SCORES: dict[str, ScoreFn] = {
     "preferential_attachment": preferential_attachment_score,
     "resource_allocation": resource_allocation_score,
 }
-
-
-@dataclass
-class TopologicalPredictionResult:
-    """Predictions of a standalone topological predictor."""
-
-    predictions: dict[int, list[int]]
-    scores: dict[int, dict[int, float]]
-    wall_clock_seconds: float
-
-    def predicted_edges(self) -> set[tuple[int, int]]:
-        """All predicted edges as ``(source, predicted target)`` pairs."""
-        return {
-            (u, z) for u, targets in self.predictions.items() for z in targets
-        }
-
-
-class TopologicalPredictor:
-    """Single-machine Algorithm 1 with the 2-hop candidate restriction."""
-
-    def __init__(self, score_name: str = "jaccard", *, k: int = 5) -> None:
-        if score_name not in TOPOLOGICAL_SCORES:
-            raise ConfigurationError(
-                f"unknown topological score {score_name!r}; available: "
-                f"{', '.join(sorted(TOPOLOGICAL_SCORES))}"
-            )
-        if k < 1:
-            raise ConfigurationError("k must be >= 1")
-        self._score_name = score_name
-        self._score = TOPOLOGICAL_SCORES[score_name]
-        self._k = k
-
-    @property
-    def score_name(self) -> str:
-        return self._score_name
-
-    @property
-    def k(self) -> int:
-        return self._k
-
-    def predict(self, graph: DiGraph, *,
-                vertices: list[int] | None = None) -> TopologicalPredictionResult:
-        """Score every 2-hop candidate of every (selected) vertex."""
-        target_vertices = list(graph.vertices()) if vertices is None else list(vertices)
-        predictions: dict[int, list[int]] = {}
-        all_scores: dict[int, dict[int, float]] = {}
-        start = time.perf_counter()
-        for u in target_vertices:
-            candidates = graph.two_hop_neighbors(u)
-            scores = {z: self._score(graph, u, z) for z in candidates}
-            all_scores[u] = scores
-            predictions[u] = top_k_predictions(scores, self._k)
-        wall = time.perf_counter() - start
-        return TopologicalPredictionResult(
-            predictions=predictions,
-            scores=all_scores,
-            wall_clock_seconds=wall,
-        )

@@ -17,12 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.eval.metrics import evaluate_predictions
 from repro.eval.report import FigureReport
 from repro.eval.runner import ExperimentRunner
 from repro.graph.attributes import generate_profiles
 from repro.snaple.config import SnapleConfig
-from repro.snaple.content import ContentAwareLinkPredictor, ContentConfig
 
 __all__ = ["AblationContentResult", "run_ablation_content", "CONTENT_WEIGHTS"]
 
@@ -79,11 +77,8 @@ def run_ablation_content(
             seed=seed,
         )
         for weight in weights:
-            config = ContentConfig(snaple=snaple, content_weight=weight)
-            prediction = ContentAwareLinkPredictor(config).predict(
-                split.train_graph, profiles
-            )
-            quality = evaluate_predictions(prediction.predictions, split)
-            report.add_point(regime, weight, quality.recall)
-            result.recalls[(regime, weight)] = quality.recall
+            run = runner.run_backend(dataset, backend="content", config=snaple,
+                                     profiles=profiles, content_weight=weight)
+            report.add_point(regime, weight, run.recall)
+            result.recalls[(regime, weight)] = run.recall
     return result

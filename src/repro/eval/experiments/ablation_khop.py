@@ -3,7 +3,7 @@
 The paper fixes ``K = 2`` and justifies it with the high clustering of field
 graphs; footnote 2 notes the scoring framework extends to longer paths by
 folding the combinator.  This ablation quantifies the trade-off: recall,
-explored-path counts and wall-clock time of the K-hop predictor for
+explored-path counts and wall-clock time of the ``khop`` engine for
 ``K ∈ {2, 3}`` at two ``klocal`` budgets.
 
 The shape to check: moving to ``K = 3`` multiplies the explored paths by
@@ -16,11 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.eval.metrics import evaluate_predictions
 from repro.eval.report import TextTable
 from repro.eval.runner import ExperimentRunner
 from repro.snaple.config import SnapleConfig
-from repro.snaple.khop import KHopLinkPredictor
 
 __all__ = ["KHopRow", "AblationKHopResult", "run_ablation_khop"]
 
@@ -79,22 +77,21 @@ def run_ablation_khop(
     runner = ExperimentRunner(scale=scale, seed=seed)
     result = AblationKHopResult()
     for dataset in datasets:
-        split = runner.split(dataset)
         for k_local in k_locals:
             config = SnapleConfig.paper_default("linearSum", k_local=k_local, seed=seed)
             for num_hops in hops:
-                prediction = KHopLinkPredictor(config, num_hops=num_hops).predict(
-                    split.train_graph
-                )
-                quality = evaluate_predictions(prediction.predictions, split)
+                run = runner.run_backend(dataset, backend="khop", config=config,
+                                         num_hops=num_hops)
                 result.rows.append(
                     KHopRow(
                         dataset=dataset,
                         num_hops=num_hops,
                         k_local=int(k_local),
-                        recall=quality.recall,
-                        explored_paths=prediction.total_paths,
-                        wall_clock_seconds=prediction.wall_clock_seconds,
+                        recall=run.recall,
+                        explored_paths=int(sum(
+                            count for key, count in run.extra.items()
+                            if key.startswith("paths_length"))),
+                        wall_clock_seconds=run.wall_clock_seconds,
                     )
                 )
     return result

@@ -2,9 +2,10 @@
 
 Every table/figure experiment in :mod:`repro.eval.experiments` is ultimately a
 set of :class:`ExperimentRun` records produced by this runner: load (or reuse)
-a dataset analog, split it with the edge-removal protocol, run a predictor
-(SNAPLE local, SNAPLE on the simulated GAS cluster, the naive BASELINE, or
-the random-walk PPR baseline), and measure recall plus timing.
+a dataset analog, split it with the edge-removal protocol, run one registry
+engine (SNAPLE local, SNAPLE on the simulated GAS cluster, the naive
+BASELINE, the random-walk PPR baseline, ...), and measure recall plus
+timing.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.baselines.gas_baseline import GasBaselinePredictor
 from repro.baselines.random_walk_ppr import RandomWalkConfig
 from repro.errors import ResourceExhaustedError
 from repro.eval.metrics import QualityReport, evaluate_predictions
@@ -252,33 +252,14 @@ class ExperimentRunner:
                          *, k: int = 5,
                          enforce_memory: bool = True) -> ExperimentRun:
         """The naive 2-hop Jaccard BASELINE on the simulated GAS engine."""
-        split = self.split(dataset_name)
-        predictor = GasBaselinePredictor(k=k)
-        try:
-            result = predictor.predict_gas(
-                split.train_graph, cluster=cluster, enforce_memory=enforce_memory
-            )
-        except ResourceExhaustedError as exc:
-            return ExperimentRun(
-                dataset=dataset_name,
-                predictor=f"BASELINE on {cluster.name}",
-                quality=None,
-                wall_clock_seconds=0.0,
-                failed=True,
-                failure_reason=str(exc),
-            )
-        quality = evaluate_predictions(result.predictions, split)
-        run = ExperimentRun(
-            dataset=dataset_name,
-            predictor=f"BASELINE on {cluster.name}",
-            quality=quality,
-            wall_clock_seconds=result.wall_clock_seconds,
-            simulated_seconds=result.simulated_seconds,
+        return self.run_backend(
+            dataset_name,
+            backend="gas_baseline",
+            label=f"BASELINE on {cluster.name}",
+            cluster=cluster,
+            enforce_memory=enforce_memory,
+            k=k,
         )
-        metrics = result.gas_result.metrics
-        run.extra["network_bytes"] = float(metrics.total_network_bytes)
-        run.extra["peak_memory_bytes"] = float(metrics.peak_machine_memory_bytes)
-        return run
 
     def run_random_walk(self, dataset_name: str,
                         config: RandomWalkConfig) -> ExperimentRun:

@@ -5,11 +5,14 @@ One scoring framework, many engines: this package defines the
 backend registry, the normalized :class:`~repro.runtime.report.RunReport`
 accounting shared by every engine, and the ``workers=N`` executor
 (:mod:`repro.runtime.parallel`).  The first registry lookup registers the
-five built-in backends:
+eight built-in backends:
 
 ========================  =====================================================
 ``local``                 single-process scoring (vectorized CSR kernel)
 ``gas``                   simulated distributed GAS engine (vertex-cut)
+``khop``                  ``local`` over paths of up to ``num_hops`` hops
+``content``               ``local`` with a profile-blended raw similarity
+``gas_baseline``          the naive 2-hop Jaccard BASELINE on simulated GAS
 ``cassovary``             random-walk PPR competitor, simulated-time accounting
 ``random_walk_ppr``       random-walk PPR, wall-clock accounting
 ``topological``           classic 2-hop topological scores
@@ -76,6 +79,9 @@ __all__ = [
     "LocalBackend",
     "LOCAL_MODES",
     "GasBackend",
+    "KHopBackend",
+    "ContentBackend",
+    "GasBaselineBackend",
     "CassovaryBackend",
     "RandomWalkPprBackend",
     "TopologicalBackend",
@@ -91,6 +97,9 @@ _LAZY_EXPORTS = {
     "LocalBackend": "repro.runtime.engines",
     "LOCAL_MODES": "repro.runtime.engines",
     "GasBackend": "repro.runtime.engines",
+    "KHopBackend": "repro.runtime.engines",
+    "ContentBackend": "repro.runtime.engines",
+    "GasBaselineBackend": "repro.runtime.baselines",
     "CassovaryBackend": "repro.runtime.baselines",
     "RandomWalkPprBackend": "repro.runtime.baselines",
     "TopologicalBackend": "repro.runtime.baselines",

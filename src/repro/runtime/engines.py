@@ -1,8 +1,10 @@
-"""Backend adapters for the two SNAPLE execution paths (local, GAS).
+"""The SNAPLE engines: ``local``, ``gas`` and the two extensions on ``local``.
 
 The local backend runs the single-process Algorithm 2 of
 :mod:`repro.snaple.kernel` — its vectorized branches by default, the scalar
-ones behind ``mode="reference"``.  The GAS backend simulates the
+ones behind ``mode="reference"``.  ``khop`` (paths longer than two hops)
+and ``content`` (a profile-blended raw similarity) reuse its preparation
+and change one phase each.  The GAS backend simulates the
 distributed engine: it computes the answers with the same kernel, in the
 GAS program's draw and fold order, and derives the simulated cluster's
 work, traffic and memory from the kernel's arrays and the vertex-cut
@@ -21,6 +23,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.gas.cluster import ClusterConfig, TYPE_II, cluster_of
+from repro.graph.attributes import VertexProfiles
 from repro.runtime.partition import Partitioner, partition_graph
 from repro.graph.digraph import DiGraph
 from repro.runtime.backend import BackendCapabilities, ExecutionBackend
@@ -32,6 +35,7 @@ from repro.runtime.parallel import (
 )
 from repro.runtime.report import RunReport
 from repro.snaple.config import SnapleConfig
+from repro.snaple.content import get_profile_similarity
 from repro.snaple.accounting import PathTally, SimulatedRun, superstep_metrics
 from repro.snaple.kernel import (
     NeighborhoodCSR,
@@ -44,7 +48,8 @@ from repro.snaple.kernel import (
     select_klocal,
 )
 
-__all__ = ["LocalBackend", "GasBackend", "LOCAL_MODES"]
+__all__ = ["LocalBackend", "GasBackend", "KHopBackend", "ContentBackend",
+           "LOCAL_MODES"]
 
 
 def _reject_cluster_with_workers(workers: int | None, **options) -> None:
@@ -209,16 +214,21 @@ class LocalBackend(ExecutionBackend):
         super().prepare(graph, config)
         config = self._config
         assert config is not None
+        blend = self._blend(graph)
         start = time.perf_counter()
         self._vectorized = (self._mode == "vectorized"
                             and kernel_supports(config))
         self._gamma = build_truncated_neighborhoods(graph, config)
         edges = edge_similarities(graph, self._gamma, config,
-                                  vectorized=self._vectorized)
+                                  vectorized=self._vectorized, blend=blend)
         self._kept = select_klocal(edges, config)
         self._prepare_seconds = time.perf_counter() - start
         self._prepare_billed = False
         return self
+
+    def _blend(self, graph: DiGraph):
+        """Phase 2's per-edge blend (``None``: the configured similarity)."""
+        return None
 
     def run(self, vertices: list[int] | None = None) -> RunReport:
         """Score ``vertices`` and report timings.
@@ -255,6 +265,104 @@ class LocalBackend(ExecutionBackend):
                 "kernel_vectorized": 1.0 if self._vectorized else 0.0,
             },
         )
+
+
+class KHopBackend(LocalBackend):
+    """SNAPLE scoring over paths of length 2 up to ``num_hops``.
+
+    The paper restricts path combination to 2-hop paths and notes
+    (footnote 2, Section 3.1) that the combinator ``⊗`` folds along longer
+    paths.  Phases 1, 2 and 3a are the local backend's; phase 3 is
+    :func:`~repro.snaple.kernel.fold_paths` with ``hops=num_hops``: the
+    simple paths of length 2 .. ``num_hops`` through kept neighbours each
+    contribute the fold of their edge similarities, and ``⊕`` reduces the
+    paths reaching one candidate.  ``num_hops=2`` is exactly Algorithm 2.
+    The candidate space grows as ``klocal ** num_hops``.
+
+    ``extra["paths_length<L>"]`` counts the contributing paths of each
+    length ``L``.
+    """
+
+    name = "khop"
+
+    def __init__(self, num_hops: int = 2) -> None:
+        super().__init__()
+        if num_hops < 2:
+            raise ConfigurationError("num_hops must be at least 2")
+        self._num_hops = num_hops
+
+    def capabilities(self) -> BackendCapabilities:
+        return BackendCapabilities(
+            name=self.name,
+            description="Algorithm 2 over paths of up to num_hops hops",
+            incremental=True,
+            options=("num_hops",),
+        )
+
+    def run(self, vertices: list[int] | None = None) -> RunReport:
+        graph, config = self._require_prepared()
+        targets = self._target_vertices(vertices)
+        start = time.perf_counter()
+        predictions, scores, paths = fold_paths(
+            self._gamma, self._kept, config, targets, hops=self._num_hops)
+        wall = time.perf_counter() - start
+        if not self._prepare_billed:
+            wall += self._prepare_seconds
+            self._prepare_billed = True
+        extra = {"prepare_seconds": self._prepare_seconds}
+        for length, count in paths.items():
+            extra[f"paths_length{length}"] = float(count)
+        return RunReport(backend=self.name, predictions=predictions,
+                         scores=scores, wall_clock_seconds=wall, extra=extra)
+
+
+class ContentBackend(LocalBackend):
+    """SNAPLE scoring with a hybrid topology + content raw similarity.
+
+    Phase 2 blends each edge's similarities with the profile similarity of
+    its two endpoints: ``(1 - w)·sim_topo + w·sim_profile`` for
+    ``w = content_weight``.  Every other phase is the local backend's, so
+    ``content_weight=0`` is the ``local`` engine.  ``profiles`` must cover
+    every vertex of the graph.
+    """
+
+    name = "content"
+
+    def __init__(self, profiles: VertexProfiles, content_weight: float = 0.5,
+                 profile_similarity: str = "jaccard") -> None:
+        super().__init__()
+        if not 0.0 <= content_weight <= 1.0:
+            raise ConfigurationError("content_weight must be in [0, 1]")
+        self._profile_similarity = get_profile_similarity(profile_similarity)
+        self._profiles = profiles
+        self._content_weight = content_weight
+
+    @classmethod
+    def capabilities(cls) -> BackendCapabilities:
+        return BackendCapabilities(
+            name=cls.name,
+            description="Algorithm 2 with a profile-blended raw similarity",
+            incremental=True,
+            options=("profiles", "content_weight", "profile_similarity"),
+        )
+
+    def _blend(self, graph: DiGraph):
+        profiles = self._profiles
+        if profiles.num_vertices < graph.num_vertices:
+            raise ConfigurationError(
+                f"profiles cover {profiles.num_vertices} vertices but the "
+                f"graph has {graph.num_vertices}"
+            )
+        weight = self._content_weight
+        if weight == 0.0:
+            return None
+        similarity = self._profile_similarity
+
+        def hybrid(u: int, v: int, topo: float) -> float:
+            content = similarity(profiles.of(u), profiles.of(v))
+            return (1.0 - weight) * topo + weight * content
+
+        return hybrid
 
 
 class GasBackend(ExecutionBackend):

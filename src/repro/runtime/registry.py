@@ -21,9 +21,10 @@ the user's factory and *reverts* to the built-in one, which is re-seeded
 lazily on the next lookup — a built-in can be shadowed but never lost.
 
 Option validation happens here, up front: passing an option the factory
-does not accept raises a :class:`~repro.errors.ConfigurationError` naming
-the component and the offending option instead of a bare ``TypeError``
-from deep inside the component.
+does not accept, or leaving out one it requires, raises a
+:class:`~repro.errors.ConfigurationError` naming the component and the
+offending option instead of a bare ``TypeError`` from deep inside the
+component.
 
 Name normalization is unified at the registry level: ``_`` and ``-`` are
 interchangeable in lookups (``random-walk-ppr`` resolves the built-in
@@ -338,6 +339,11 @@ def _validate_options(spec: _Family, name: str, factory: Callable[..., Any],
                 f"{spec.label} {name!r} does not support option "
                 f"{option!r}; it accepts: {accepted}"
             )
+    missing = sorted(_required_options(factory) - set(options))
+    if missing:
+        raise ConfigurationError(
+            f"{spec.label} {name!r} requires option(s) {', '.join(missing)}"
+        )
 
 
 def _fingerprint(options: Mapping[str, Any]) -> str:
@@ -420,14 +426,20 @@ def component(family: str, name: str | None = None, *, value: bool = False,
 def _load_engines() -> None:
     from repro.runtime.baselines import (
         CassovaryBackend,
+        GasBaselineBackend,
         RandomWalkPprBackend,
         TopologicalBackend,
     )
-    from repro.runtime.engines import GasBackend, LocalBackend
+    from repro.runtime.engines import (
+        ContentBackend,
+        GasBackend,
+        KHopBackend,
+        LocalBackend,
+    )
 
-    for backend_cls in (LocalBackend, GasBackend,
+    for backend_cls in (LocalBackend, GasBackend, KHopBackend, ContentBackend,
                         CassovaryBackend, RandomWalkPprBackend,
-                        TopologicalBackend):
+                        TopologicalBackend, GasBaselineBackend):
         register_component("engine", backend_cls.name, backend_cls,
                            replace=True, builtin=True)
 

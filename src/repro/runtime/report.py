@@ -1,12 +1,10 @@
 """Unified run accounting shared by every execution backend.
 
-Each engine in this reproduction historically returned its own result type
-(:class:`~repro.baselines.random_walk_ppr.RandomWalkPredictionResult`,
-:class:`~repro.snaple.khop.KHopPredictionResult`, ...) with subtly
-different accounting fields.  :class:`RunReport` normalizes them:
-every backend reports predictions, candidate scores, wall-clock time, and —
-when the backend simulates a cluster — simulated seconds, network traffic,
-peak memory, and the number of (super)steps, all under the same names.
+:class:`RunReport` is the one result type of every engine, the SNAPLE
+engines and the baselines alike: every backend reports predictions,
+candidate scores, wall-clock time, and — when the backend simulates a
+cluster — simulated seconds, network traffic, peak memory, and the number
+of (super)steps, all under the same names.
 """
 
 from __future__ import annotations
@@ -44,8 +42,10 @@ class RunReport:
     object for callers that need engine internals.  ``extra`` carries backend-specific
     counters:
 
-    * the ``local`` backend's ``prepare_seconds`` / ``kernel_vectorized``
-      and the random-walk backends' ``walk_steps``;
+    * the ``local`` and ``content`` backends' ``prepare_seconds`` /
+      ``kernel_vectorized``, the ``khop`` backend's ``prepare_seconds`` and
+      ``paths_length<L>`` (contributing paths of length ``L``), and the
+      random-walk backends' ``walk_steps``;
     * on ``workers=N`` runs, the hosted phase-output bytes
       (``state_plane_peak_bytes`` / ``state_plane_bytes_step*``),
       ``routing_seconds``, the transport bytes, and
@@ -56,11 +56,12 @@ class RunReport:
       ``cache_misses``, ``pair_cache_hits`` / ``pair_cache_misses``,
       ``compactions`` and ``delta_edges``.
 
-    The serial simulated engine (``gas`` without ``workers``) carries no
-    ``extra`` keys.
+    The serial simulated engines (``gas`` without ``workers``, and
+    ``gas_baseline``) carry no ``extra`` keys.
 
     ``scores`` is a mapping from vertex to its candidate score map.  The
-    vectorized ``local`` mode, serial ``gas`` and ``gas`` with ``workers=N``
+    vectorized ``local`` and ``content`` modes, serial ``gas`` and ``gas``
+    with ``workers=N``
     return a read-only :class:`~repro.snaple.kernel.LazyScores` view over
     flat score arrays; the other backends return a plain dict.  The view
     keeps its arrays and nothing else: each read builds a fresh per-vertex

@@ -20,13 +20,7 @@ from repro.snaple.combinators import (
     get_combinator,
 )
 from repro.snaple.config import SnapleConfig
-from repro.snaple.content import (
-    ContentAwareLinkPredictor,
-    ContentConfig,
-    ContentPredictionResult,
-)
 from repro.snaple.kernel import LazyScores, kernel_supports
-from repro.snaple.khop import KHopLinkPredictor, KHopPredictionResult
 from repro.snaple.predictor import SnapleLinkPredictor
 from repro.snaple.program import (
     NeighborhoodSampleStep,
@@ -62,11 +56,6 @@ from repro.snaple.similarity import (
 __all__ = [
     "SnapleConfig",
     "SnapleLinkPredictor",
-    "KHopLinkPredictor",
-    "KHopPredictionResult",
-    "ContentAwareLinkPredictor",
-    "ContentConfig",
-    "ContentPredictionResult",
     "ScoreConfig",
     "score_config",
     "paper_score_names",

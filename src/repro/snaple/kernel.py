@@ -1,7 +1,7 @@
 """SNAPLE's Algorithm 2, written once: CSR-native phases 1–3.
 
 Every caller — the ``local`` backend in both modes, the serial simulated
-GAS backend, the K-hop and the content-aware predictors, the ``workers=N``
+GAS backend, the ``khop`` and ``content`` engines, the ``workers=N``
 executor and the serving index — runs the same three phases over the
 graph's CSR adjacency:
 

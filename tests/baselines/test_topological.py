@@ -1,4 +1,4 @@
-"""Unit tests for the classic topological predictors."""
+"""Unit tests for the classic topological scores and the ``topological`` engine."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.baselines.topological import (
     TOPOLOGICAL_SCORES,
-    TopologicalPredictor,
     adamic_adar_score,
     common_neighbors_score,
     jaccard_score,
@@ -15,6 +14,14 @@ from repro.baselines.topological import (
     resource_allocation_score,
 )
 from repro.graph.digraph import DiGraph
+from repro.runtime import get_backend
+from repro.snaple.config import SnapleConfig
+from repro.snaple.predictor import SnapleLinkPredictor
+
+
+def _topological(graph: DiGraph, **options):
+    return SnapleLinkPredictor().predict(graph, backend="topological",
+                                         **options)
 
 
 @pytest.fixture
@@ -61,35 +68,36 @@ class TestScores:
 
 class TestPredictor:
     def test_candidates_are_two_hop(self, small_social_graph):
-        result = TopologicalPredictor("jaccard", k=5).predict(
-            small_social_graph, vertices=list(range(20))
-        )
+        result = _topological(small_social_graph, score="jaccard", k=5,
+                              vertices=list(range(20)))
         for vertex in range(20):
             assert set(result.scores[vertex]) == small_social_graph.two_hop_neighbors(vertex)
 
     def test_k_bound(self, small_social_graph):
-        result = TopologicalPredictor("common_neighbors", k=2).predict(
-            small_social_graph, vertices=list(range(10))
-        )
+        result = _topological(small_social_graph, score="common_neighbors",
+                              k=2, vertices=list(range(10)))
         assert all(len(targets) <= 2 for targets in result.predictions.values())
 
     def test_unknown_score_rejected(self):
-        with pytest.raises(ConfigurationError):
-            TopologicalPredictor("pagerank")
+        with pytest.raises(ConfigurationError, match="pagerank"):
+            get_backend("topological", score="pagerank")
 
     def test_invalid_k_rejected(self):
         with pytest.raises(ConfigurationError):
-            TopologicalPredictor("jaccard", k=0)
+            get_backend("topological", score="jaccard", k=0)
 
-    def test_properties(self):
-        predictor = TopologicalPredictor("adamic_adar", k=7)
-        assert predictor.score_name == "adamic_adar"
-        assert predictor.k == 7
+    def test_score_and_k_options(self, small_social_graph):
+        # k falls back to the config's; score picks the closed form.
+        result = SnapleLinkPredictor(SnapleConfig(k=7)).predict(
+            small_social_graph, backend="topological", score="adamic_adar",
+            vertices=[0, 1])
+        assert max(len(targets) for targets in result.predictions.values()) <= 7
+        for z, value in result.scores[0].items():
+            assert value == adamic_adar_score(small_social_graph, 0, z)
 
     def test_predicted_edges_helper(self, small_social_graph):
-        result = TopologicalPredictor("jaccard").predict(
-            small_social_graph, vertices=[0, 1]
-        )
+        result = _topological(small_social_graph, score="jaccard",
+                              vertices=[0, 1])
         for u, z in result.predicted_edges():
             assert u in (0, 1)
             assert isinstance(z, int)

@@ -145,6 +145,14 @@ class TestAblationKHop:
         three = result.row("livejournal", 3, 5)
         assert three.recall > 0.3 * two.recall
 
+    def test_rows_are_pinned(self, result):
+        # Read at this scale before the ablation ran the khop engine.
+        assert [(row.num_hops, row.recall, row.explored_paths)
+                for row in result.rows] == [
+            (2, 0.20694444444444443, 10445),
+            (3, 0.14722222222222223, 57114),
+        ]
+
     def test_render_lists_both_path_lengths(self, result):
         rendered = result.render()
         assert " 2 " in rendered or "2  " in rendered
@@ -175,6 +183,21 @@ class TestAblationContent:
         topo = result.recall("homophilous profiles", 0.0)
         blended = result.recall("homophilous profiles", 0.5)
         assert blended > 0.85 * topo
+
+    def test_recalls_are_pinned(self, result):
+        # Read at this scale before the ablation ran the content engine.
+        assert result.recalls == {
+            ("homophilous profiles", 0.0): 0.20555555555555555,
+            ("homophilous profiles", 0.25): 0.21805555555555556,
+            ("homophilous profiles", 0.5): 0.20694444444444443,
+            ("homophilous profiles", 0.75): 0.20694444444444443,
+            ("homophilous profiles", 1.0): 0.2013888888888889,
+            ("random profiles", 0.0): 0.20555555555555555,
+            ("random profiles", 0.25): 0.2152777777777778,
+            ("random profiles", 0.5): 0.19305555555555556,
+            ("random profiles", 0.75): 0.17777777777777778,
+            ("random profiles", 1.0): 0.16527777777777777,
+        }
 
     def test_render_contains_both_regimes(self, result):
         rendered = result.render()

@@ -65,6 +65,16 @@ class TestTable5:
         unsampled = result.speedup("gowalla", "linearSum", math.inf, math.inf)
         assert sampled >= unsampled > 1.0
 
+    def test_baseline_row_is_pinned(self, result):
+        # Read at this scale before BASELINE became the gas_baseline engine.
+        baseline = result.baseline["gowalla"]
+        assert not baseline.failed
+        assert baseline.recall == 0.15466666666666667
+        assert baseline.simulated_seconds == pytest.approx(0.7346222233333333,
+                                                           rel=1e-12)
+        assert baseline.extra == {"network_bytes": 3616220.0,
+                                  "peak_memory_bytes": 359156.0}
+
     def test_render_contains_baseline_and_blocks(self, result):
         text = result.render()
         assert "BASELINE" in text

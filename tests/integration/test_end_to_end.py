@@ -7,7 +7,6 @@ import math
 import pytest
 
 import repro
-from repro.baselines import GasBaselinePredictor, RandomWalkConfig, RandomWalkPPRPredictor
 from repro.eval.metrics import evaluate_predictions
 from repro.eval.protocol import remove_random_edges
 from repro.gas.cluster import TYPE_I, cluster_of
@@ -60,12 +59,13 @@ class TestFullPipeline:
         snaple = SnapleLinkPredictor(
             SnapleConfig.paper_default("linearSum", k_local=20, seed=9)
         ).predict(split.train_graph)
-        baseline = GasBaselinePredictor().predict_gas(
-            split.train_graph, enforce_memory=False
+        baseline = SnapleLinkPredictor().predict(
+            split.train_graph, backend="gas_baseline", enforce_memory=False
         )
-        walker = RandomWalkPPRPredictor(
-            RandomWalkConfig(num_walks=50, depth=3, seed=9)
-        ).predict(split.train_graph)
+        walker = SnapleLinkPredictor().predict(
+            split.train_graph, backend="random_walk_ppr", num_walks=50,
+            depth=3, seed=9
+        )
         recalls = {
             "snaple": evaluate_predictions(snaple.predictions, split).recall,
             "baseline": evaluate_predictions(baseline.predictions, split).recall,
@@ -80,7 +80,8 @@ class TestFullPipeline:
 
         tiny = ClusterConfig(machine=TYPE_II, num_machines=2, memory_scale=1e-9)
         with pytest.raises(ResourceExhaustedError):
-            GasBaselinePredictor().predict_gas(medium_social_graph, cluster=tiny)
+            SnapleLinkPredictor().predict(medium_social_graph,
+                                          backend="gas_baseline", cluster=tiny)
 
     def test_local_and_gas_modes_agree_end_to_end(self):
         graph = repro.load_dataset("gowalla", scale=0.25, seed=11)

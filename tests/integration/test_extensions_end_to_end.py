@@ -3,8 +3,8 @@
 These tests exercise the full pipeline a downstream user of the extensions
 would run — dataset analog, edge-removal protocol, predictor, metrics — and
 pin the cross-implementation guarantees the library documents: every
-execution path of the same configuration (local, GAS, K-hop at K = 2,
-content-aware at weight 0) returns identical predictions.
+execution path of the same configuration (``local``, ``gas``, ``khop`` at
+K = 2, ``content`` at weight 0) returns identical predictions.
 """
 
 from __future__ import annotations
@@ -19,13 +19,7 @@ from repro.gas.cluster import TYPE_I, cluster_of
 from repro.runtime.partition import HdrfVertexCut
 from repro.graph.attributes import generate_profiles
 from repro.graph.datasets import load_dataset
-from repro.snaple import (
-    ContentAwareLinkPredictor,
-    ContentConfig,
-    KHopLinkPredictor,
-    SnapleConfig,
-    SnapleLinkPredictor,
-)
+from repro.snaple import SnapleConfig, SnapleLinkPredictor
 
 
 @pytest.fixture(scope="module")
@@ -57,14 +51,17 @@ class TestAllExecutionPathsAgree:
         assert gas.predictions == local_result.predictions
 
     def test_two_hop_khop_matches_local(self, split, config, local_result):
-        khop = KHopLinkPredictor(config, num_hops=2).predict(split.train_graph)
+        khop = SnapleLinkPredictor(config).predict(
+            split.train_graph, backend="khop", num_hops=2
+        )
         assert khop.predictions == local_result.predictions
 
     def test_content_with_zero_weight_matches_local(self, split, config, local_result):
         profiles = generate_profiles(split.train_graph, seed=21)
-        content = ContentAwareLinkPredictor(
-            ContentConfig(snaple=config, content_weight=0.0)
-        ).predict(split.train_graph, profiles)
+        content = SnapleLinkPredictor(config).predict(
+            split.train_graph, backend="content", profiles=profiles,
+            content_weight=0.0
+        )
         assert content.predictions == local_result.predictions
 
     def test_shared_recall_is_non_trivial(self, split, local_result):
@@ -81,9 +78,10 @@ class TestExtensionInteroperability:
             split.train_graph, homophily=0.9, tags_per_vertex=6, seed=22
         )
         snaple = SnapleConfig.paper_default("linearSum", k_local=10, seed=22)
-        content = ContentAwareLinkPredictor(
-            ContentConfig(snaple=snaple, content_weight=0.25)
-        ).predict(split.train_graph, profiles)
+        content = SnapleLinkPredictor(snaple).predict(
+            split.train_graph, backend="content", profiles=profiles,
+            content_weight=0.25
+        )
         quality = evaluate_predictions(content.predictions, split)
         assert 0.0 < quality.recall <= 1.0
         assert quality.precision <= 1.0

@@ -8,7 +8,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.gas.cluster import TYPE_I, cluster_of
-from repro.runtime import get_backend
+from repro.graph.attributes import generate_profiles
+from repro.runtime import available_backends, get_backend
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
 from tests.conftest import (
@@ -115,9 +116,30 @@ class TestRunReportNormalization:
         json.dumps(with_scores)
 
 
-#: Every SNAPLE backend that takes a vertex subset, parallel GAS included.
-SUBSET_BACKENDS = [("local", {}), ("gas", {}), ("gas", {"workers": 2})]
-SUBSET_IDS = ["local", "gas", "gas-workers2"]
+def _profiles(graph):
+    return generate_profiles(graph, seed=1)
+
+
+#: Every deterministic engine, parallel GAS included: a subset run equals
+#: the full run restricted to the subset.  A callable option is built from
+#: the test's graph.
+SUBSET_BACKENDS = [("local", {}), ("gas", {}), ("gas", {"workers": 2}),
+                   ("khop", {"num_hops": 3}), ("content", {"profiles": _profiles}),
+                   ("topological", {}),
+                   ("gas_baseline", {"enforce_memory": False})]
+SUBSET_IDS = ["local", "gas", "gas-workers2", "khop", "content",
+              "topological", "gas_baseline"]
+
+#: Every built-in engine.  The walk engines draw from one stream in target
+#: order, so a subset run is not the full run restricted; only their id
+#: checks apply.
+ALL_BACKENDS = SUBSET_BACKENDS + [("cassovary", {}), ("random_walk_ppr", {})]
+ALL_IDS = SUBSET_IDS + ["cassovary", "random_walk_ppr"]
+
+
+def _build(options, graph):
+    return {name: value(graph) if callable(value) else value
+            for name, value in options.items()}
 
 #: Subset configurations: the paper default, truncation and klocal sampling
 #: firing, and a custom similarity and a custom aggregator (the kernel's
@@ -151,6 +173,7 @@ class TestVertexSubsets:
         # every backend must compute those for the whole graph.
         graph = random_graph(200, 3, 0.3, seed=1)
         subset = [1, 2, 3]
+        options = _build(options, graph)
         with SnapleLinkPredictor(SUBSET_CONFIGS[config_name]()) as predictor:
             full = predictor.predict(graph, backend=backend, **options)
             restricted = predictor.predict(graph, backend=backend,
@@ -162,12 +185,15 @@ class TestVertexSubsets:
             u: dict(full.scores[u]) for u in subset
         }
 
-    @pytest.mark.parametrize("bad", [-1, 200, True, 1.5, "3"])
-    @pytest.mark.parametrize("backend,options", SUBSET_BACKENDS,
-                             ids=SUBSET_IDS)
+    def test_every_builtin_engine_is_covered(self):
+        assert {name for name, _ in ALL_BACKENDS} == set(available_backends())
+
+    @pytest.mark.parametrize("bad", [-1, 200, 10**6, True, 1.5, "3"])
+    @pytest.mark.parametrize("backend,options", ALL_BACKENDS, ids=ALL_IDS)
     def test_bad_vertex_ids_rejected(self, backend, options, bad,
                                      random_graph):
         graph = random_graph(200, 3, 0.3, seed=1)
+        options = _build(options, graph)
         config = SnapleConfig.paper_default(seed=1)
         with SnapleLinkPredictor(config) as predictor:
             with pytest.raises(ConfigurationError, match="vertices must be"):

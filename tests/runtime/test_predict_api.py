@@ -7,7 +7,7 @@ import math
 import pytest
 
 import repro
-from repro.baselines.gas_baseline import GasBaselinePredictor
+import repro.baselines
 from repro.errors import ConfigurationError
 from repro.runtime.report import VertexPrediction
 from repro.snaple.config import SnapleConfig
@@ -112,9 +112,10 @@ class TestPredictIter:
 
 
 class TestResultHelpers:
-    def test_baseline_result_predicted_edges(self, small_social_graph):
-        result = GasBaselinePredictor(k=3).predict_gas(small_social_graph,
-                                                       enforce_memory=False)
+    def test_baseline_report_predicted_edges(self, small_social_graph):
+        result = SnapleLinkPredictor().predict(
+            small_social_graph, backend="gas_baseline", k=3,
+            enforce_memory=False)
         edges = result.predicted_edges()
         assert edges == {(u, z) for u, targets in result.predictions.items()
                          for z in targets}
@@ -124,3 +125,9 @@ class TestResultHelpers:
         for name in ("predict_local", "predict_gas"):
             assert not hasattr(SnapleLinkPredictor, name)
         assert not hasattr(repro, "PredictionResult")
+        for name in ("KHopLinkPredictor", "ContentAwareLinkPredictor",
+                     "ContentConfig"):
+            assert not hasattr(repro.snaple, name), name
+        for name in ("GasBaselinePredictor", "TopologicalPredictor",
+                     "RandomWalkPPRPredictor"):
+            assert not hasattr(repro.baselines, name), name

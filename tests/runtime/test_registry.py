@@ -48,7 +48,7 @@ class _DummyBackend(ExecutionBackend):
 class TestBuiltinRegistry:
     def test_builtin_backends_are_registered(self):
         names = available_backends()
-        for expected in ("local", "gas",
+        for expected in ("local", "gas", "khop", "content", "gas_baseline",
                          "cassovary", "random_walk_ppr", "topological"):
             assert expected in names
         assert "bsp" not in names
@@ -205,6 +205,9 @@ class TestCapabilitiesWithoutConstruction:
         try:
             with pytest.raises(ConfigurationError, match="cluster"):
                 backend_capabilities("needs-cluster")
+            with pytest.raises(ConfigurationError,
+                               match="'needs-cluster' requires option"):
+                get_backend("needs-cluster")
         finally:
             unregister_backend("needs-cluster")
 

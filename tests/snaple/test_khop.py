@@ -1,4 +1,4 @@
-"""Tests for the K-hop path-length generalization of SNAPLE."""
+"""Tests for the ``khop`` engine: SNAPLE scoring over paths longer than two hops."""
 
 from __future__ import annotations
 
@@ -11,8 +11,8 @@ from repro.errors import ConfigurationError
 from repro.eval.metrics import evaluate_predictions
 from repro.eval.protocol import remove_random_edges
 from repro.graph.digraph import DiGraph
+from repro.runtime import backend_capabilities, get_backend
 from repro.snaple.config import SnapleConfig
-from repro.snaple.khop import KHopLinkPredictor
 from repro.snaple.predictor import SnapleLinkPredictor
 
 
@@ -36,33 +36,43 @@ def _config(**overrides) -> SnapleConfig:
     return SnapleConfig(**defaults)
 
 
+def _khop(graph: DiGraph, config: SnapleConfig, num_hops: int, **options):
+    return SnapleLinkPredictor(config).predict(graph, backend="khop",
+                                               num_hops=num_hops, **options)
+
+
 class TestKHopConfiguration:
     def test_rejects_fewer_than_two_hops(self):
-        with pytest.raises(ConfigurationError):
-            KHopLinkPredictor(_config(), num_hops=1)
+        with pytest.raises(ConfigurationError, match="num_hops"):
+            get_backend("khop", num_hops=1)
 
-    def test_exposes_configuration(self):
-        predictor = KHopLinkPredictor(_config(), num_hops=3)
-        assert predictor.num_hops == 3
-        assert math.isinf(predictor.config.k_local)
+    def test_capabilities(self):
+        capabilities = backend_capabilities("khop")
+        assert capabilities.options == ("num_hops",)
+        assert capabilities.incremental and capabilities.vertex_subset
 
-    def test_default_configuration_is_two_hops(self):
-        assert KHopLinkPredictor().num_hops == 2
+    def test_default_configuration_is_two_hops(self, small_social_graph):
+        config = _config(k_local=5)
+        default = SnapleLinkPredictor(config).predict(small_social_graph,
+                                                      backend="khop")
+        assert set(default.extra) == {"prepare_seconds", "paths_length2"}
+        assert default.predictions == _khop(small_social_graph, config,
+                                            2).predictions
 
 
 class TestTwoHopEquivalence:
-    """With ``num_hops = 2`` the K-hop predictor is exactly Algorithm 2."""
+    """With ``num_hops = 2`` the ``khop`` engine is exactly ``local``."""
 
     def test_predictions_match_the_standard_predictor(self, small_social_graph):
         config = _config()
         standard = SnapleLinkPredictor(config).predict(small_social_graph)
-        khop = KHopLinkPredictor(config, num_hops=2).predict(small_social_graph)
+        khop = _khop(small_social_graph, config, 2)
         assert khop.predictions == standard.predictions
 
     def test_scores_match_the_standard_predictor(self, small_social_graph):
         config = _config()
         standard = SnapleLinkPredictor(config).predict(small_social_graph)
-        khop = KHopLinkPredictor(config, num_hops=2).predict(small_social_graph)
+        khop = _khop(small_social_graph, config, 2)
         for u in small_social_graph.vertices():
             assert set(khop.scores[u]) == set(standard.scores[u])
             for z, value in khop.scores[u].items():
@@ -73,13 +83,13 @@ class TestTwoHopEquivalence:
                                                       score_name):
         config = _config().with_score(score_name)
         standard = SnapleLinkPredictor(config).predict(small_social_graph)
-        khop = KHopLinkPredictor(config, num_hops=2).predict(small_social_graph)
+        khop = _khop(small_social_graph, config, 2)
         assert khop.predictions == standard.predictions
 
     def test_equivalence_with_klocal_sampling(self, small_social_graph):
         config = _config(k_local=5)
         standard = SnapleLinkPredictor(config).predict(small_social_graph)
-        khop = KHopLinkPredictor(config, num_hops=2).predict(small_social_graph)
+        khop = _khop(small_social_graph, config, 2)
         assert khop.predictions == standard.predictions
 
     def test_equivalence_on_a_graph_with_self_loops(self):
@@ -88,7 +98,7 @@ class TestTwoHopEquivalence:
         graph = _self_loop_graph()
         config = _config(k_local=4, truncation_threshold=10)
         standard = SnapleLinkPredictor(config).predict(graph)
-        khop = KHopLinkPredictor(config, num_hops=2).predict(graph)
+        khop = _khop(graph, config, 2)
         assert khop.predictions == standard.predictions
         assert khop.scores == standard.scores
 
@@ -100,9 +110,9 @@ class TestVertexValidation:
     def test_bad_vertex_ids_rejected(self, bad, small_social_graph):
         if bad is None:
             bad = small_social_graph.num_vertices
-        predictor = KHopLinkPredictor(_config(k_local=5), num_hops=3)
         with pytest.raises(ConfigurationError, match="vertices must be"):
-            predictor.predict(small_social_graph, vertices=[0, bad])
+            _khop(small_social_graph, _config(k_local=5), 3,
+                  vertices=[0, bad])
 
 
 class TestLongerPaths:
@@ -110,32 +120,32 @@ class TestLongerPaths:
         # Chain 0 -> 1 -> 2 -> 3 plus a side edge so vertex 0 has degree > 1.
         graph = DiGraph(5, [0, 1, 2, 0], [1, 2, 3, 4])
         config = _config(k=3)
-        two_hop = KHopLinkPredictor(config, num_hops=2).predict(graph)
-        three_hop = KHopLinkPredictor(config, num_hops=3).predict(graph)
+        two_hop = _khop(graph, config, 2)
+        three_hop = _khop(graph, config, 3)
         assert 3 not in two_hop.scores[0]
         assert 3 in three_hop.scores[0]
 
     def test_candidate_space_grows_with_num_hops(self, small_social_graph):
         config = _config(k_local=5)
-        two = KHopLinkPredictor(config, num_hops=2).predict(small_social_graph)
-        three = KHopLinkPredictor(config, num_hops=3).predict(small_social_graph)
+        two = _khop(small_social_graph, config, 2)
+        three = _khop(small_social_graph, config, 3)
         candidates_two = sum(len(s) for s in two.scores.values())
         candidates_three = sum(len(s) for s in three.scores.values())
         assert candidates_three > candidates_two
 
     def test_paths_per_length_accounting(self, small_social_graph):
         config = _config(k_local=5)
-        result = KHopLinkPredictor(config, num_hops=3).predict(small_social_graph)
-        assert set(result.paths_per_length) == {2, 3}
-        assert result.paths_per_length[2] > 0
-        assert result.paths_per_length[3] > 0
-        assert result.total_paths == sum(result.paths_per_length.values())
+        result = _khop(small_social_graph, config, 3)
+        assert set(result.extra) == {"prepare_seconds", "paths_length2",
+                                     "paths_length3"}
+        assert result.extra["paths_length2"] > 0
+        assert result.extra["paths_length3"] > 0
 
     def test_paths_are_simple_no_candidate_is_an_existing_neighbor(
         self, small_social_graph
     ):
         config = _config(k_local=5)
-        result = KHopLinkPredictor(config, num_hops=3).predict(small_social_graph)
+        result = _khop(small_social_graph, config, 3)
         for u, candidates in result.scores.items():
             existing = small_social_graph.neighbor_set(u)
             assert u not in candidates
@@ -143,10 +153,21 @@ class TestLongerPaths:
 
     def test_vertices_argument_restricts_scored_sources(self, small_social_graph):
         config = _config(k_local=5)
-        result = KHopLinkPredictor(config, num_hops=3).predict(
-            small_social_graph, vertices=[0, 1, 2]
-        )
+        result = _khop(small_social_graph, config, 3, vertices=[0, 1, 2])
         assert set(result.predictions) == {0, 1, 2}
+
+    def test_streamed_batches_equal_one_run(self, small_social_graph):
+        # prepare caches Γ̂ and the kept neighbours, so predict_iter runs
+        # phase 3 per batch of 7 targets.
+        config = _config(k_local=5)
+        whole = _khop(small_social_graph, config, 3)
+        streamed = list(SnapleLinkPredictor(config).predict_iter(
+            small_social_graph, backend="khop", batch_size=7, num_hops=3))
+        assert [record.vertex for record in streamed] == \
+            list(small_social_graph.vertices())
+        for record in streamed:
+            assert record.predicted == whole.predictions[record.vertex]
+            assert record.scores == whole.scores[record.vertex]
 
     def test_recall_with_three_hops_remains_useful(self, medium_social_graph):
         # Longer paths add weaker candidates; on a clustered graph recall
@@ -154,14 +175,14 @@ class TestLongerPaths:
         # than collapse (the ablation benchmark reports the exact trade-off).
         split = remove_random_edges(medium_social_graph, seed=3)
         config = SnapleConfig.paper_default("linearSum", k_local=10, seed=3)
-        two = KHopLinkPredictor(config, num_hops=2).predict(split.train_graph)
-        three = KHopLinkPredictor(config, num_hops=3).predict(split.train_graph)
+        two = _khop(split.train_graph, config, 2)
+        three = _khop(split.train_graph, config, 3)
         recall_two = evaluate_predictions(two.predictions, split).recall
         recall_three = evaluate_predictions(three.predictions, split).recall
         assert recall_two > 0.1
         assert recall_three > 0.5 * recall_two
 
     def test_predicted_edges_helper(self, small_social_graph):
-        result = KHopLinkPredictor(_config(), num_hops=2).predict(small_social_graph)
+        result = _khop(small_social_graph, _config(), 2)
         edges = result.predicted_edges()
         assert len(edges) == sum(len(t) for t in result.predictions.values())
