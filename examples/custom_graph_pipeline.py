@@ -23,7 +23,12 @@ from repro.snaple import SnapleConfig, SnapleLinkPredictor
 
 
 def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="snaple-example-"))
+    # The files live in a temporary directory, removed when the run ends.
+    with tempfile.TemporaryDirectory(prefix="snaple-example-") as workdir:
+        pipeline(Path(workdir))
+
+
+def pipeline(workdir: Path) -> None:
     edge_file = workdir / "my_graph.tsv"
 
     # Stand-in for "your" data: a directed social graph written to disk in

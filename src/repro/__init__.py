@@ -5,7 +5,7 @@ Edges and Beyond" (Kermarrec, Taïani, Tirado, 2015).  The public API re-exports
 the most commonly used entry points; see the subpackages for the full surface:
 
 * :mod:`repro.graph` — compact directed graphs, generators, dataset analogs;
-* :mod:`repro.gas` — the simulated gather-apply-scatter engine and cluster model;
+* :mod:`repro.gas` — the simulated gather-apply-scatter cluster, cost and memory model;
 * :mod:`repro.snaple` — the SNAPLE scoring framework and link predictor;
 * :mod:`repro.baselines` — the naive GAS baseline and the random-walk PPR baseline;
 * :mod:`repro.runtime` — the pluggable execution-backend registry and RunReport;

@@ -1,10 +1,13 @@
-"""Simulated gather-apply-scatter (GAS) engine substrate.
+"""The simulated gather-apply-scatter (GAS) platform model.
 
-This package models the distributed graph engine the paper builds on
-(GraphLab/PowerGraph): a vertex-program API, a synchronous super-step engine,
-a vertex-cut partitioner, a cluster hardware model (type-I / type-II nodes),
-and an analytical cost model that converts accounted work, traffic, and
-memory into simulated execution times.
+This package models the cluster the paper's engine (GraphLab/PowerGraph)
+runs on: a hardware model (type-I / type-II nodes), per-machine memory
+accounting, per-superstep metrics, and an analytical cost model that
+converts accounted work, traffic and memory into simulated execution
+times.  The vertex-cut partitioners live in :mod:`repro.runtime.partition`
+and are re-exported here.  The simulated engines (serial ``gas`` and
+``gas_baseline``) charge their supersteps from arrays
+(:mod:`repro.snaple.accounting`); no engine runs vertex programs.
 """
 
 from repro.gas.cluster import (
@@ -16,7 +19,6 @@ from repro.gas.cluster import (
     cluster_of,
 )
 from repro.gas.cost_model import CostBreakdown, CostModel
-from repro.gas.engine import GasEngine, GasRunResult
 from repro.gas.memory import MemoryTracker
 from repro.gas.metrics import RunMetrics, StepMetrics
 from repro.runtime.partition import (
@@ -27,7 +29,6 @@ from repro.runtime.partition import (
     RandomVertexCut,
     partition_graph,
 )
-from repro.gas.vertex_program import EdgeDirection, VertexProgram, payload_size_bytes
 
 __all__ = [
     "MachineSpec",
@@ -36,11 +37,6 @@ __all__ = [
     "TYPE_I",
     "TYPE_II",
     "SINGLE_MACHINE",
-    "VertexProgram",
-    "EdgeDirection",
-    "payload_size_bytes",
-    "GasEngine",
-    "GasRunResult",
     "GraphPartition",
     "Partitioner",
     "RandomVertexCut",

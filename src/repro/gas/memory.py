@@ -2,9 +2,9 @@
 
 The paper reports that the naive BASELINE implementation "fails due to
 resource exhaustion" on orkut and twitter-rv because it replicates full
-neighborhood lists across 2-hop paths.  The simulated engine reproduces that
-behaviour: each machine has a (scaled) memory capacity and the engine tracks
-the byte footprint of all vertex data hosted on it, raising
+neighborhood lists across 2-hop paths.  The simulated engines reproduce that
+behaviour: each machine has a (scaled) memory capacity and the accounting
+tracks the byte footprint of all vertex data hosted on it, raising
 :class:`~repro.errors.ResourceExhaustedError` when the footprint exceeds the
 capacity.
 """
@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from repro.errors import ResourceExhaustedError
 from repro.gas.cluster import ClusterConfig
-from repro.gas.vertex_program import payload_size_bytes
 
 __all__ = ["MemoryTracker"]
 
@@ -64,12 +63,6 @@ class MemoryTracker:
         self._per_machine_bytes[machine] = max(
             0, self._per_machine_bytes[machine] - num_bytes
         )
-
-    def charge_value(self, machine: int, value: object) -> int:
-        """Charge the estimated size of ``value``; returns the bytes charged."""
-        size = payload_size_bytes(value)
-        self.charge(machine, size)
-        return size
 
     def usage_bytes(self, machine: int) -> int:
         """Current footprint of ``machine``."""

@@ -3,9 +3,9 @@
 Four baselines plug into the same registry as the SNAPLE engines:
 
 * ``gas_baseline`` — the Section 5.3 BASELINE: naive 2-hop Jaccard
-  prediction expressed directly on the simulated GAS engine
-  (:mod:`repro.baselines.gas_baseline`), with the engine's simulated
-  accounting;
+  prediction expressed directly as GAS supersteps
+  (:mod:`repro.baselines.gas_baseline`), answered from the CSR and charged
+  to the simulated cluster from array lengths and the vertex-cut;
 * ``cassovary`` — the Section 5.9 competitor: random-walk personalized
   PageRank on a Cassovary-like in-memory graph, with its walk steps converted
   to simulated seconds on one type-II machine (the same currency as the GAS
@@ -26,30 +26,32 @@ import random
 import time
 
 from repro.baselines.cassovary import InMemoryGraph
-from repro.baselines.gas_baseline import DirectScoringStep, NeighborhoodPropagationStep
+from repro.baselines.gas_baseline import run_baseline
 from repro.baselines.random_walk_ppr import RandomWalkConfig
 from repro.baselines.topological import TOPOLOGICAL_SCORES
 from repro.errors import ConfigurationError
 from repro.gas.cluster import ClusterConfig, TYPE_II, cluster_of
-from repro.gas.engine import GasEngine
 from repro.runtime.backend import BackendCapabilities, ExecutionBackend
+from repro.runtime.partition import partition_graph
 from repro.runtime.report import RunReport
-from repro.snaple.program import top_k_predictions
+from repro.snaple.accounting import SimulatedRun
+from repro.snaple.kernel import top_k_predictions
 
 __all__ = ["CassovaryBackend", "GasBaselineBackend", "RandomWalkPprBackend",
            "TopologicalBackend"]
 
 
 class GasBaselineBackend(ExecutionBackend):
-    """The naive 2-hop Jaccard BASELINE on the simulated GAS engine.
+    """The naive 2-hop Jaccard BASELINE on the simulated GAS cluster.
 
     Every vertex gathers its neighbours' full adjacency lists, then their
-    forwarded maps, and scores each 2-hop candidate by Jaccard.  On large
-    graphs (or small simulated memory capacities) the run raises
+    forwarded maps, and scores each 2-hop candidate by Jaccard
+    (:func:`~repro.baselines.gas_baseline.run_baseline`).  On large graphs
+    (or small simulated memory capacities) the run raises
     :class:`~repro.errors.ResourceExhaustedError`, reproducing the paper's
     observation that the naive approach cannot handle orkut or twitter-rv.
-    ``report.native`` is the engine's
-    :class:`~repro.gas.engine.GasRunResult`.
+    The partition is the random vertex-cut seeded by the configuration.
+    ``report.native`` is a :class:`~repro.snaple.accounting.SimulatedRun`.
     """
 
     name = "gas_baseline"
@@ -73,29 +75,28 @@ class GasBaselineBackend(ExecutionBackend):
     def run(self, vertices: list[int] | None = None) -> RunReport:
         graph, config = self._require_prepared()
         targets = self._target_vertices(vertices)
-        engine = GasEngine(
-            graph=graph,
-            cluster=self._cluster if self._cluster is not None else cluster_of(TYPE_II, 1),
-            enforce_memory=self._enforce_memory,
-            seed=config.seed,
-        )
-        scoring = DirectScoringStep(self._k if self._k is not None else config.k)
+        cluster = (self._cluster if self._cluster is not None
+                   else cluster_of(TYPE_II, 1))
+        partition = partition_graph(graph, cluster.num_machines,
+                                    seed=config.seed)
         start = time.perf_counter()
-        run = engine.run([NeighborhoodPropagationStep(graph), scoring],
-                         vertices=targets)
+        predictions, scores, metrics = run_baseline(
+            graph, cluster, partition, targets,
+            self._k if self._k is not None else config.k,
+            enforce_memory=self._enforce_memory)
         wall = time.perf_counter() - start
-        metrics = run.metrics
+        metrics.wall_clock_seconds = wall
         return RunReport(
             backend=self.name,
-            predictions={u: list(run.data_of(u).get("predicted", []))
-                         for u in targets},
-            scores={u: scoring.collected_scores.get(u, {}) for u in targets},
+            predictions=predictions,
+            scores=scores,
             wall_clock_seconds=wall,
             simulated_seconds=metrics.simulated_seconds,
             network_bytes=metrics.total_network_bytes,
             peak_memory_bytes=metrics.peak_machine_memory_bytes,
             supersteps=len(metrics.steps),
-            native=run,
+            native=SimulatedRun(metrics=metrics, partition=partition,
+                                cluster=cluster),
         )
 
 

@@ -375,10 +375,10 @@ class GasBackend(ExecutionBackend):
     phase 2 with ``rng_mode="sequential"`` and phase 3b in gather (CSR)
     order over target blocks — and charges each superstep from the arrays
     (:func:`~repro.snaple.accounting.superstep_metrics`).  The charges,
-    simulated seconds and ``ResourceExhaustedError`` are those of the
-    serial engine (:mod:`repro.gas.engine`) running
-    :mod:`repro.snaple.program`; scores fold in CSR order on every cluster,
-    where the engine would fold each mirror's partial first.
+    simulated seconds and ``ResourceExhaustedError`` are those of
+    Algorithm 2's vertex programs run edge by edge (the oracle in
+    ``tests/oracle``); scores fold in CSR order on every cluster, where
+    that engine would fold each mirror's partial first.
     ``report.native`` is a :class:`~repro.snaple.accounting.SimulatedRun`.
 
     With ``workers=N`` the simulated cluster is replaced by real

@@ -58,7 +58,7 @@ Determinism
 Results are bit-identical for any worker count because
 
 * every vertex draws randomness from its own stream derived from
-  ``(seed, step, vertex)`` (see :func:`repro.snaple.program.vertex_rng`),
+  ``(seed, step, vertex)`` (see :func:`repro.snaple.kernel.vertex_rng`),
   never from a shared sequential stream;
 * phase 3 folds each target's paths in edge (CSR) order, exactly as the
   serial engine's gather does.

@@ -1,4 +1,4 @@
-"""SNAPLE core: the paper's scoring framework and GAS link-prediction program."""
+"""SNAPLE core: the paper's scoring framework and Algorithm 2's kernel."""
 
 from repro.snaple.aggregators import (
     AGGREGATORS,
@@ -20,15 +20,8 @@ from repro.snaple.combinators import (
     get_combinator,
 )
 from repro.snaple.config import SnapleConfig
-from repro.snaple.kernel import LazyScores, kernel_supports
+from repro.snaple.kernel import LazyScores, kernel_supports, top_k_predictions
 from repro.snaple.predictor import SnapleLinkPredictor
-from repro.snaple.program import (
-    NeighborhoodSampleStep,
-    RecommendationStep,
-    SimilarityStep,
-    build_snaple_steps,
-    top_k_predictions,
-)
 from repro.snaple.sampler import (
     SAMPLERS,
     BottomSimilaritySampler,
@@ -90,9 +83,5 @@ __all__ = [
     "NeighborhoodSetCache",
     "LazyScores",
     "kernel_supports",
-    "build_snaple_steps",
     "top_k_predictions",
-    "NeighborhoodSampleStep",
-    "SimilarityStep",
-    "RecommendationStep",
 ]

@@ -56,7 +56,7 @@ Bit-parity contract
 -------------------
 The vectorized branches reproduce the scalar ones *bit-exactly*, not just
 approximately — and with them Algorithm 2's GAS vertex programs
-(:mod:`repro.snaple.program`) on the serial engine, for every
+(the oracle in ``tests/oracle``) on the serial engine, for every
 configuration, exact truncation included: the same draws from the same
 streams, and, in gather order, the same fold order as the engine on one
 machine (on several, the engine folds each mirror's partial first):
@@ -85,6 +85,7 @@ combinator, aggregator, sampler) is in the vectorized design space; the
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -138,6 +139,8 @@ __all__ = [
     "PathTrace",
     "BLOCK_PATHS",
     "gas_sample_step_columnar",
+    "top_k_predictions",
+    "vertex_rng",
 ]
 
 #: Relative score tolerance documented for the parity suite.  With the
@@ -145,6 +148,37 @@ __all__ = [
 #: platforms CI runs on; the tolerance only covers non-correctly-rounded
 #: ``pow`` implementations (geometric-mean normalization).
 REL_TOL = 1e-12
+
+
+def top_k_predictions(scores: dict[int, float], k: int) -> list[int]:
+    """Top-``k`` candidates by score, ties broken by ascending vertex id.
+
+    ``heapq.nsmallest`` on ``(-score, vertex)`` is documented to equal
+    ``sorted(...)[:k]`` — same ranking and tie-breaking as the historical
+    full sort, in O(n log k) instead of O(n log n).
+    """
+    ranked = heapq.nsmallest(k, scores.items(),
+                             key=lambda item: (-item[1], item[0]))
+    return [vertex for vertex, _ in ranked]
+
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def vertex_rng(seed: int, salt: int, vertex: int) -> random.Random:
+    """A :class:`random.Random` derived deterministically from ``(seed, salt, vertex)``.
+
+    The splitmix64-style finalizer decorrelates nearby ``(seed, vertex)``
+    pairs without relying on :func:`hash`, whose value for strings changes
+    between processes — per-vertex streams must agree across worker
+    processes.
+    """
+    x = ((seed & _MASK64)
+         ^ ((salt * 0x9E3779B97F4A7C15) & _MASK64)
+         ^ ((vertex * 0xBF58476D1CE4E5B9) & _MASK64))
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return random.Random(x ^ (x >> 31))
 
 
 # ----------------------------------------------------------------------
@@ -445,8 +479,6 @@ def sample_neighborhoods(
     truncation is exact.  Under-threshold rows are copied from the CSR
     adjacency in bulk; only truncated rows run Python.
     """
-    from repro.snaple.program import vertex_rng
-
     act = np.asarray(active, dtype=np.int64)
     indptr, indices = graph.csr_out_adjacency()
     deg = np.diff(indptr)[act]
@@ -760,8 +792,6 @@ def select_klocal(edges: EdgeSimilarities, config: SnapleConfig, *,
     stream, matching ``rng_mode``).  Any other sampling policy sees *every*
     row, in ascending vertex order, through its own ``select``.
     """
-    from repro.snaple.program import vertex_rng
-
     k_local = config.k_local
     counts = np.diff(edges.indptr)
     num_vertices = counts.size
@@ -1203,8 +1233,15 @@ def _rank_blocks(
         if on_trace is not None:
             on_trace(block, trace)
         rows.append(block_rows)
+    return _join_blocks(rows)
+
+
+def _join_blocks(rows: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """One block loop's five row arrays (see
+    :func:`combine_and_rank_columnar`), joined over its blocks; ``rows`` is
+    emptied."""
     if len(rows) == 1:
-        return rows[0]
+        return rows.pop()
     if not rows:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty, empty, np.empty(0, dtype=np.float64)
@@ -1217,6 +1254,21 @@ def _rank_blocks(
         joined.append(np.concatenate(column))
         column.clear()
     return tuple(joined)
+
+
+def _answers(targets: np.ndarray, pred_counts: np.ndarray,
+             pred_flat: np.ndarray, score_counts: np.ndarray,
+             candidates: np.ndarray, values: np.ndarray
+             ) -> tuple[dict[int, list[int]], LazyScores]:
+    """Row arrays aligned with ``targets`` as one prediction list per
+    target plus a :class:`LazyScores` over the score rows."""
+    target_list = targets.tolist()
+    picked = iter(pred_flat.tolist())
+    predictions = {u: list(itertools.islice(picked, count))
+                   for u, count in zip(target_list, pred_counts.tolist())}
+    return predictions, LazyScores(
+        target_list, _indptr_from_counts(score_counts)[:-1], score_counts,
+        candidates, values)
 
 
 def combine_and_rank(
@@ -1249,14 +1301,8 @@ def combine_and_rank(
     that view materialized into plain dicts.
     """
     target_array = np.asarray(targets, dtype=np.int64)
-    pred_counts, pred_flat, score_counts, candidates, values = _rank_blocks(
-        graph, gamma, kept, config, target_array, neighbor_order, on_trace)
-    target_list = target_array.tolist()
-    picked = iter(pred_flat.tolist())
-    predictions = {u: list(itertools.islice(picked, count))
-                   for u, count in zip(target_list, pred_counts.tolist())}
-    scores = LazyScores(target_list, _indptr_from_counts(score_counts)[:-1],
-                        score_counts, candidates, values)
+    predictions, scores = _answers(target_array, *_rank_blocks(
+        graph, gamma, kept, config, target_array, neighbor_order, on_trace))
     return predictions, (scores.materialize() if materialize_scores
                          else scores)
 
@@ -1290,8 +1336,6 @@ def fold_paths(
     Returns ``(predictions, scores, paths_per_length)``, the last counting
     the contributing paths per length.
     """
-    from repro.snaple.program import top_k_predictions
-
     combinator = config.score.combinator
     aggregator = config.score.aggregator
     simple = hops > 2
@@ -1384,9 +1428,8 @@ def gas_sample_step_columnar(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Phase 1 for the rows ``active`` under per-vertex RNG: arrays out.
 
-    Draw-for-draw identical to
-    :class:`~repro.snaple.program.NeighborhoodSampleStep` under per-vertex
-    RNG (see :func:`sample_neighborhoods`).  Returns ``(counts, flat)``
+    Draw-for-draw identical to the GAS sample step under per-vertex RNG
+    (see :func:`sample_neighborhoods`).  Returns ``(counts, flat)``
     aligned with ``active``.
     """
     counts, flat, _ = sample_neighborhoods(graph, config, active,

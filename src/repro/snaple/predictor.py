@@ -154,10 +154,11 @@ class SnapleLinkPredictor:
 
         Yields :class:`~repro.runtime.report.VertexPrediction` records in
         ``vertices`` order (all vertices by default).  On incremental
-        backends (``local``) the graph-global phases run once and the
-        per-vertex phase is executed in batches of ``batch_size``, bounding
-        the score memory held at any time; other backends run once and the
-        results are streamed from the finished report.
+        backends (``local``, ``khop`` and ``content``) the graph-global
+        phases run once and the per-vertex phase is executed in batches of
+        ``batch_size``, bounding the score memory held at any time; other
+        backends run once and the results are streamed from the finished
+        report.
         """
         from repro.runtime import get_backend
 

@@ -1,15 +1,32 @@
-"""Unit tests for the ``gas_baseline`` engine: the naive 2-hop BASELINE on GAS."""
+"""Unit tests for the ``gas_baseline`` engine: the naive 2-hop BASELINE on GAS.
+
+The parity grid holds the engine, which answers from the CSR and charges
+from arrays, to the two BASELINE vertex programs run edge by edge on the
+oracle :class:`~tests.oracle.engine.GasEngine`: predictions, scores, every
+:class:`~repro.gas.metrics.StepMetrics` field but wall time, the simulated
+seconds, and the raised error, cell for cell.
+"""
 
 from __future__ import annotations
+
+import itertools
 
 import pytest
 
 from repro.errors import ConfigurationError, ResourceExhaustedError
 from repro.gas.cluster import TYPE_I, TYPE_II, ClusterConfig, cluster_of
-from repro.gas.engine import GasRunResult
 from repro.graph.digraph import DiGraph
+from repro.graph.generators import erdos_renyi, powerlaw_cluster
+from repro.runtime import get_backend
+from repro.snaple.accounting import SimulatedRun
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
+from tests.oracle import DirectScoringStep, GasEngine, NeighborhoodPropagationStep
+from tests.runtime.test_simulated_parity import (
+    SUBSET,
+    assert_same_accounting,
+    multigraph,
+)
 
 
 def _baseline(graph: DiGraph, **options):
@@ -72,7 +89,7 @@ class TestBaselineReport:
     def test_report_carries_the_run_metrics(self, small_social_graph):
         report = _baseline(small_social_graph, cluster=cluster_of(TYPE_I, 4),
                            enforce_memory=False)
-        assert isinstance(report.native, GasRunResult)
+        assert isinstance(report.native, SimulatedRun)
         metrics = report.native.metrics
         assert report.simulated_seconds == metrics.simulated_seconds > 0
         assert report.network_bytes == metrics.total_network_bytes > 0
@@ -82,8 +99,8 @@ class TestBaselineReport:
 
     def test_out_of_range_vertex_is_a_configuration_error(self,
                                                          random_graph):
-        # The engine checks ids before building its GAS engine, where an
-        # unknown id used to fail as a bare IndexError.
+        # The engine checks ids before any graph work, where an unknown id
+        # used to fail as a bare IndexError.
         graph = random_graph(200, 3, 0.3, seed=1)
         with pytest.raises(ConfigurationError, match="vertices must be"):
             _baseline(graph, vertices=[10**6])
@@ -140,3 +157,80 @@ class TestBaselineCost:
             enforce_memory=True
         )
         assert snaple.predictions
+
+
+#: The grid's graphs: conftest's ``small_social_graph``, an Erdős–Rényi
+#: graph, and a multigraph with duplicate edges and self-loops.
+GRAPHS = {
+    "social": powerlaw_cluster(300, 4, 0.5, seed=7),
+    "erdos-renyi": erdos_renyi(120, 0.05, seed=3),
+    "multigraph": multigraph(),
+}
+CLUSTERS = {
+    "1-machine": cluster_of(TYPE_II, 1),
+    "4-machines": cluster_of(TYPE_I, 4),
+    "3-machines": cluster_of(TYPE_I, 3),
+}
+CELLS = list(itertools.product(sorted(GRAPHS), sorted(CLUSTERS),
+                               (False, True), ("all", "subset")))
+
+
+def baseline_reference(graph, cluster, config, *, enforce_memory,
+                       vertices=None):
+    """``(predictions, scores, run)`` of the two BASELINE programs on the
+    oracle engine, placed as the ``gas_baseline`` engine places them."""
+    engine = GasEngine(graph=graph, cluster=cluster,
+                       enforce_memory=enforce_memory, seed=config.seed)
+    scoring = DirectScoringStep(config.k)
+    run = engine.run([NeighborhoodPropagationStep(graph), scoring],
+                     vertices=vertices)
+    targets = graph.vertices() if vertices is None else vertices
+    return ({u: run.data_of(u)["predicted"] for u in targets},
+            {u: scoring.collected_scores[u] for u in targets}, run)
+
+
+def run_engine(graph, cluster, config, *, enforce_memory, vertices=None):
+    return get_backend("gas_baseline", cluster=cluster,
+                       enforce_memory=enforce_memory).prepare(
+        graph, config).run(vertices=vertices)
+
+
+@pytest.mark.parametrize("cell", CELLS, ids=["-".join(
+    [graph, cluster, "enforced" if enforce else "recorded", targets])
+    for graph, cluster, enforce, targets in CELLS])
+def test_baseline_matches_the_gas_programs(cell):
+    graph_name, cluster_name, enforce, targets = cell
+    graph, cluster = GRAPHS[graph_name], CLUSTERS[cluster_name]
+    config = SnapleConfig(seed=3)
+    vertices = SUBSET if targets == "subset" else None
+    report = run_engine(graph, cluster, config, enforce_memory=enforce,
+                        vertices=vertices)
+    predictions, scores, run = baseline_reference(
+        graph, cluster, config, enforce_memory=enforce, vertices=vertices)
+    assert report.predictions == predictions
+    assert dict(report.scores) == scores
+    assert_same_accounting(report, run)
+
+
+@pytest.mark.parametrize("step,scale", [(0, 3.0e-7), (1, 2.365e-6)],
+                         ids=["propagate-neighborhoods",
+                              "direct-2hop-scoring"])
+def test_memory_exhaustion_matches_the_gas_programs(step, scale):
+    """On 4 type-II machines, the engine raises in the step the programs
+    raise in, on the same machine with the same requested bytes and
+    capacity."""
+    graph = GRAPHS["social"]
+    cluster = ClusterConfig(TYPE_II, 4, memory_scale=scale)
+    config = SnapleConfig(seed=0)
+    with pytest.raises(ResourceExhaustedError) as expected:
+        baseline_reference(graph, cluster, config, enforce_memory=True)
+    with pytest.raises(ResourceExhaustedError) as got:
+        run_engine(graph, cluster, config, enforce_memory=True)
+    assert (got.value.machine, got.value.requested_bytes,
+            got.value.capacity_bytes) == (expected.value.machine,
+                                          expected.value.requested_bytes,
+                                          expected.value.capacity_bytes)
+    footprints = [max(s.vertex_data_bytes_per_machine) for s in run_engine(
+        graph, cluster, config, enforce_memory=False).native.metrics.steps]
+    floor = footprints[step - 1] if step else 0
+    assert floor <= got.value.capacity_bytes < footprints[step]

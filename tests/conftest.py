@@ -200,13 +200,12 @@ def scalar_reference(graph: DiGraph, config: SnapleConfig
                      ) -> tuple[dict[int, list[int]], dict[int, dict]]:
     """``(predictions, scores)`` of the serial scalar GAS engine.
 
-    Serial :class:`~repro.gas.engine.GasEngine` over Algorithm 2's steps,
-    with the per-vertex RNG streams ``workers=N`` uses — so every parallel
-    run, on any worker count, transport or crash point, must equal it
-    exactly.
+    Serial :class:`~tests.oracle.engine.GasEngine` over Algorithm 2's
+    steps, with the per-vertex RNG streams ``workers=N`` uses — so every
+    parallel run, on any worker count, transport or crash point, must equal
+    it exactly.
     """
-    from repro.gas.engine import GasEngine
-    from repro.snaple.program import build_snaple_steps
+    from tests.oracle import GasEngine, build_snaple_steps
 
     steps = build_snaple_steps(config, graph, per_vertex_rng=True)
     state = GasEngine(graph=graph).run(steps).vertex_data
@@ -222,16 +221,15 @@ def serial_program_reference(graph: DiGraph, config: SnapleConfig,
                              vertices=None):
     """``(predictions, scores, run)`` of Algorithm 2's GAS program.
 
-    Serial :class:`~repro.gas.engine.GasEngine` over the vertex programs of
-    :mod:`repro.snaple.program`, drawing from the sequential streams, on
-    ``cluster`` (one type-II machine by default) placed by
+    Serial :class:`~tests.oracle.engine.GasEngine` over the vertex programs
+    of :mod:`tests.oracle.snaple_program`, drawing from the sequential
+    streams, on ``cluster`` (one type-II machine by default) placed by
     ``partitioner``: the independent oracle of the serial ``gas`` backend
     and of ``local``, which share the kernel.  ``run`` is the engine's
-    :class:`~repro.gas.engine.GasRunResult` (metrics, partition).
+    :class:`~tests.oracle.engine.GasRunResult` (metrics, partition).
     """
     from repro.gas.cluster import TYPE_II, cluster_of
-    from repro.gas.engine import GasEngine
-    from repro.snaple.program import build_snaple_steps
+    from tests.oracle import GasEngine, build_snaple_steps
 
     engine = GasEngine(graph=graph,
                        cluster=cluster or cluster_of(TYPE_II, 1),

@@ -37,12 +37,6 @@ class TestCharging:
         assert tracker.peak_bytes(1) == 500
         assert tracker.usage_bytes(1) == 200
 
-    def test_charge_value_estimates_size(self):
-        tracker = _tracker()
-        charged = tracker.charge_value(0, [1, 2, 3])
-        assert charged == 24
-        assert tracker.usage_bytes(0) == 24
-
     def test_per_machine_isolation(self):
         tracker = _tracker(machines=3)
         tracker.charge(0, 100)

@@ -1,114 +1,44 @@
-"""Algorithm 2 of the paper: SNAPLE's link prediction as three GAS steps.
+"""Algorithm 2 of the paper as three GAS vertex programs, for reference.
 
-These vertex programs are the test oracle, not a production path: no
-backend runs them.  Run on the serial :class:`~repro.gas.engine.GasEngine`,
-they are the independent reference the kernel (:mod:`repro.snaple.kernel`)
-is held to — its answers, and the accounting the serial simulated backend
-derives from the kernel's arrays (:mod:`repro.snaple.accounting`).
+Run on the serial :class:`~tests.oracle.engine.GasEngine`, they are the
+independent oracle the kernel (:mod:`repro.snaple.kernel`) and the serial
+``gas`` accounting (:mod:`repro.snaple.accounting`) are held to.
 
-Step 1 (*NeighborhoodSampleStep*) — each vertex gathers the ids of its
-out-neighbors, probabilistically truncated to ``thrΓ`` elements, and stores
-the sample ``Γ̂(u)`` in its vertex data.
+1. *NeighborhoodSampleStep* stores the sample ``Γ̂(u)`` of the out-neighbour
+   ids, probabilistically truncated to ``thrΓ`` (``"gamma"``);
+2. *SimilarityStep* gathers ``(v, sim(u, v))`` per out-neighbour and keeps
+   the ``klocal`` pairs the sampler selects (``"sims"``);
+3. *RecommendationStep* gathers, from every kept neighbour ``v``, the
+   candidates ``z ∈ Γmax(v) \\ Γ̂(u)`` with the path similarity and a path
+   counter, merges them with ``⊕pre``, and applies ``⊕post`` and top-``k``
+   (``"predicted"``).  The full score maps are an apply-phase temporary,
+   kept on the side in ``collected_scores``.
 
-Step 2 (*SimilarityStep*) — each vertex gathers ``(v, sim(u, v))`` pairs for
-its out-neighbors, computed from the truncated neighborhoods, and keeps only
-the ``klocal`` pairs selected by the sampling policy (``Γmax`` by default) in
-a dictionary ``sims``.
-
-Step 3 (*RecommendationStep*) — each vertex gathers, from every kept neighbor
-``v``, the candidates ``z ∈ Γmax(v) \\ Γ̂(u)`` together with the path
-similarity ``sims[v] ⊗ v.sims[z]`` and a path counter; the gather sum merges
-candidates with the aggregator's ``pre`` operator, and apply finishes with
-``post`` and keeps the top-``k`` scores as predictions.
-
-The vertex-data keys written by the steps are:
-
-* ``"gamma"`` — the truncated neighborhood sample (list of vertex ids);
-* ``"sims"`` — dict mapping kept neighbors to raw similarities;
-* ``"predicted"`` — the top-``k`` predicted vertex ids (list).
-
-Randomness comes in two flavours.  By default each step draws from one
-sequential stream seeded from the configuration, consumed in vertex order —
-the historical behaviour, which ties the outcome to the engine's iteration
-order; the ``local`` and serial ``gas`` backends are tested against it.
-With ``per_vertex_rng=True`` every vertex draws from its own stream
-derived from ``(seed, step, vertex)`` via :func:`vertex_rng`, making the
-outcome independent of the order vertices are processed in: the scalar
-oracle the ``workers=N`` executor and the serving index are tested
-against — both run :mod:`repro.snaple.kernel` over vertex blocks, drawing
-from the same per-vertex streams.
-
-The full candidate score maps are *not* stored in the vertex data: in
-Algorithm 2 they are a temporary of the apply phase, so they are neither
-replicated to mirrors nor counted against machine memory.  The
-:class:`RecommendationStep` keeps them on the side (``collected_scores``) so
-callers can still inspect them.
+By default each step draws from one sequential stream in vertex order
+(the ``local`` and serial ``gas`` engines); with ``per_vertex_rng=True``
+every vertex draws from :func:`~repro.snaple.kernel.vertex_rng` streams
+(``workers=N`` and the serving index).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from typing import Any
 
-from repro.gas.vertex_program import EdgeDirection, VertexProgram
 from repro.graph.digraph import DiGraph
 from repro.graph.sampling import truncate_neighborhood
 from repro.snaple.config import SnapleConfig
+from repro.snaple.kernel import top_k_predictions, vertex_rng
 from repro.snaple.similarity import NeighborhoodSetCache
-
-__all__ = [
-    "NeighborhoodSampleStep",
-    "SimilarityStep",
-    "RecommendationStep",
-    "build_snaple_steps",
-    "top_k_predictions",
-    "vertex_rng",
-]
-
-def top_k_predictions(scores: dict[int, float], k: int) -> list[int]:
-    """Top-``k`` candidates by score, ties broken by ascending vertex id.
-
-    ``heapq.nsmallest`` on ``(-score, vertex)`` is documented to equal
-    ``sorted(...)[:k]`` — same ranking and tie-breaking as the historical
-    full sort, in O(n log k) instead of O(n log n).
-    """
-    ranked = heapq.nsmallest(k, scores.items(),
-                             key=lambda item: (-item[1], item[0]))
-    return [vertex for vertex, _ in ranked]
-
-
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-def vertex_rng(seed: int, salt: int, vertex: int) -> random.Random:
-    """A :class:`random.Random` derived deterministically from ``(seed, salt, vertex)``.
-
-    The splitmix64-style finalizer decorrelates nearby ``(seed, vertex)``
-    pairs without relying on :func:`hash`, whose value for strings changes
-    between processes — per-vertex streams must agree across worker
-    processes.
-    """
-    x = ((seed & _MASK64)
-         ^ ((salt * 0x9E3779B97F4A7C15) & _MASK64)
-         ^ ((vertex * 0xBF58476D1CE4E5B9) & _MASK64))
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return random.Random(x ^ (x >> 31))
+from tests.oracle.engine import VertexProgram
 
 
 class NeighborhoodSampleStep(VertexProgram):
-    """Step 1: build the truncated neighborhood sample ``Γ̂(u)``.
-
-    With ``per_vertex_rng=True`` the truncation draws come from the vertex's
-    own stream (derived once when the engine moves to a new vertex; gather
-    calls for one vertex are consecutive in every engine), so the sample does
-    not depend on the order vertices are processed in.
-    """
+    """Step 1: the truncated neighborhood sample ``Γ̂(u)``.  A vertex's
+    gathers are consecutive, so its own stream is derived once per vertex."""
 
     name = "sample-neighborhood"
-    gather_direction = EdgeDirection.OUT
 
     def __init__(self, config: SnapleConfig, graph: DiGraph,
                  *, per_vertex_rng: bool = False) -> None:
@@ -153,26 +83,16 @@ class NeighborhoodSampleStep(VertexProgram):
 
 
 class SimilarityStep(VertexProgram):
-    """Step 2: estimate raw similarities and keep the ``klocal`` best.
-
-    The gather produces, for each neighbor, both the *path* similarity (the
-    score configuration's raw ``sim``, which step 3 combines along 2-hop
-    paths) and the *selection* similarity (Jaccard on the truncated
-    neighborhoods, equation (11)) used to rank neighbors for the ``klocal``
-    sampling.  For the Jaccard-based Table 3 rows the two coincide.
-    """
+    """Step 2: the *path* similarity (the score's raw ``sim``) and the
+    *selection* similarity (equation (11)) per neighbour; keep ``klocal``."""
 
     name = "estimate-similarities"
-    gather_direction = EdgeDirection.OUT
 
     def __init__(self, config: SnapleConfig,
                  *, per_vertex_rng: bool = False) -> None:
         self._config = config
         self._per_vertex_rng = per_vertex_rng
         self._rng = random.Random(config.seed + 1)
-        #: Neighborhoods are fixed once step 1 ran, and each one is compared
-        #: against every neighbor's — cache the frozensets per vertex instead
-        #: of rebuilding them on every gather.
         self._sets = NeighborhoodSetCache()
 
     def gather(self, u: int, v: int, u_data: dict[str, Any],
@@ -203,23 +123,17 @@ class SimilarityStep(VertexProgram):
         u_data["sims"] = {v: pairs[v][0] for v in kept}
 
     def compute_cost(self, value: Any) -> int:
-        # A raw similarity touches both truncated neighborhoods; charge work
-        # proportional to a small constant so the cost model distinguishes
-        # this step from the cheap id-collection of step 1.
-        return 4
+        return 4  # a similarity touches both truncated neighborhoods
 
 
 class RecommendationStep(VertexProgram):
     """Step 3: combine and aggregate path similarities, emit predictions."""
 
     name = "compute-recommendations"
-    gather_direction = EdgeDirection.OUT
 
     def __init__(self, config: SnapleConfig) -> None:
         self._config = config
-        #: Candidate scores per vertex, kept outside the GAS vertex data so
-        #: they are not synchronized to replicas (they are an apply-phase
-        #: temporary in Algorithm 2).
+        #: Candidate scores per vertex: an apply-phase temporary, not ``Du``.
         self.collected_scores: dict[int, dict[int, float]] = {}
         self._sets = NeighborhoodSetCache()
 
@@ -263,20 +177,12 @@ class RecommendationStep(VertexProgram):
         u_data["predicted"] = top_k_predictions(scores, self._config.k)
 
     def compute_cost(self, value: Any) -> int:
-        if value is None:
-            return 1
-        # Work proportional to the number of candidate vertices emitted.
-        return 1 + len(value)
+        return 1 + len(value or ())
 
 
 def build_snaple_steps(config: SnapleConfig, graph: DiGraph,
                        *, per_vertex_rng: bool = False) -> list[VertexProgram]:
-    """The three GAS super-steps of Algorithm 2, in execution order.
-
-    ``per_vertex_rng=True`` derives all randomness per vertex instead of from
-    one sequential stream, making the outcome independent of vertex
-    processing order: the serial oracle of the ``workers=N`` executor.
-    """
+    """The three GAS super-steps of Algorithm 2, in execution order."""
     return [
         NeighborhoodSampleStep(config, graph, per_vertex_rng=per_vertex_rng),
         SimilarityStep(config, per_vertex_rng=per_vertex_rng),

@@ -1,4 +1,4 @@
-"""Unit tests for the synchronous GAS engine."""
+"""Unit tests for the oracle's synchronous GAS engine."""
 
 from __future__ import annotations
 
@@ -6,9 +6,7 @@ import pytest
 
 from repro.errors import EngineError, ResourceExhaustedError
 from repro.gas.cluster import TYPE_I, TYPE_II, ClusterConfig, cluster_of
-from repro.gas.engine import GasEngine
-from repro.gas.vertex_program import EdgeDirection, VertexProgram
-from repro.graph.digraph import DiGraph
+from tests.oracle.engine import GasEngine, VertexProgram
 
 
 class DegreeCountProgram(VertexProgram):
@@ -41,41 +39,6 @@ class NeighborIdProgram(VertexProgram):
         u_data["neighbors"] = sorted(gathered or [])
 
 
-class InDegreeProgram(VertexProgram):
-    """Counts in-neighbors, exercising the IN gather direction."""
-
-    name = "in-degree"
-    gather_direction = EdgeDirection.IN
-
-    def gather(self, u, v, u_data, v_data):
-        return 1
-
-    def sum(self, left, right):
-        return left + right
-
-    def apply(self, u, u_data, gathered):
-        u_data["in_degree"] = gathered if gathered is not None else 0
-
-
-class ScatterMarkProgram(VertexProgram):
-    """Marks outgoing edges in the scatter phase."""
-
-    name = "scatter-mark"
-    scatter_direction = EdgeDirection.OUT
-
-    def gather(self, u, v, u_data, v_data):
-        return 1
-
-    def sum(self, left, right):
-        return left + right
-
-    def apply(self, u, u_data, gathered):
-        u_data["count"] = gathered or 0
-
-    def scatter(self, u, v, u_data, edge_data):
-        edge_data["touched"] = True
-
-
 class TestEngineCorrectness:
     def test_degree_count_matches_graph(self, small_social_graph):
         engine = GasEngine(graph=small_social_graph)
@@ -93,11 +56,6 @@ class TestEngineCorrectness:
                 result_single.data_of(vertex)["neighbors"]
                 == result_distributed.data_of(vertex)["neighbors"]
             )
-
-    def test_in_direction_gather(self, star_graph):
-        engine = GasEngine(graph=star_graph)
-        result = engine.run([InDegreeProgram()])
-        assert result.data_of(0)["in_degree"] == 10
 
     def test_restricted_vertex_set(self, small_social_graph):
         engine = GasEngine(graph=small_social_graph)
@@ -129,11 +87,6 @@ class TestEngineCorrectness:
                 if "neighbor_degrees" in data] == [0, 1]
         for u in (0, 1):
             assert restricted.data_of(u) == full.data_of(u)
-
-    def test_scatter_updates_edge_data(self, triangle_graph):
-        engine = GasEngine(graph=triangle_graph)
-        engine.run([ScatterMarkProgram()])
-        assert engine._edge_data[(0, 1)]["touched"] is True
 
     def test_empty_step_list_rejected(self, triangle_graph):
         with pytest.raises(EngineError):

@@ -1,11 +1,11 @@
-"""Unit tests for the vertex-program API helpers."""
+"""Unit tests for the oracle's vertex-program API helpers."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.gas.vertex_program import EdgeDirection, VertexProgram, payload_size_bytes
+from tests.oracle.engine import VertexProgram, payload_size_bytes
 
 
 class TestPayloadSize:
@@ -56,11 +56,6 @@ class _MinimalProgram(VertexProgram):
 
 
 class TestVertexProgramDefaults:
-    def test_default_directions(self):
-        program = _MinimalProgram()
-        assert program.gather_direction is EdgeDirection.OUT
-        assert program.scatter_direction is EdgeDirection.NONE
-
     def test_default_compute_cost(self):
         assert _MinimalProgram().compute_cost(123) == 1
 
@@ -70,6 +65,3 @@ class TestVertexProgramDefaults:
     def test_sum_not_implemented_by_default(self):
         with pytest.raises(NotImplementedError):
             _MinimalProgram().sum(1, 2)
-
-    def test_scatter_is_noop_by_default(self):
-        assert _MinimalProgram().scatter(0, 1, {}, {}) is None

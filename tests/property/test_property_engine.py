@@ -1,4 +1,4 @@
-"""Hypothesis property tests for the GAS engine and predictor invariants."""
+"""Hypothesis property tests for the simulated GAS engines and predictor invariants."""
 
 from __future__ import annotations
 
@@ -6,25 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gas.cluster import TYPE_I, cluster_of
-from repro.gas.engine import GasEngine
 from repro.runtime.partition import partition_graph
-from repro.gas.vertex_program import VertexProgram
 from repro.graph.generators import powerlaw_cluster
 from repro.snaple.config import SnapleConfig
 from repro.snaple.predictor import SnapleLinkPredictor
-
-
-class _DegreeProgram(VertexProgram):
-    name = "degree"
-
-    def gather(self, u, v, u_data, v_data):
-        return 1
-
-    def sum(self, left, right):
-        return left + right
-
-    def apply(self, u, u_data, gathered):
-        u_data["degree"] = gathered if gathered is not None else 0
 
 
 graphs = st.builds(
@@ -60,23 +45,22 @@ class TestEngineProperties:
     @given(graphs, st.integers(min_value=1, max_value=6))
     @settings(max_examples=20, deadline=None)
     def test_engine_results_independent_of_machine_count(self, graph, machines):
-        single = GasEngine(graph=graph, cluster=cluster_of(TYPE_I, 1))
-        multi = GasEngine(graph=graph, cluster=cluster_of(TYPE_I, machines))
-        result_single = single.run([_DegreeProgram()])
-        result_multi = multi.run([_DegreeProgram()])
-        for vertex in graph.vertices():
-            assert (
-                result_single.data_of(vertex)["degree"]
-                == result_multi.data_of(vertex)["degree"]
-                == graph.out_degree(vertex)
-            )
+        predictor = SnapleLinkPredictor(SnapleConfig(k_local=8))
+        for backend in ("gas", "gas_baseline"):
+            single, multi = (
+                predictor.predict(graph, backend=backend,
+                                  cluster=cluster_of(TYPE_I, count),
+                                  enforce_memory=False)
+                for count in (1, machines))
+            assert single.predictions == multi.predictions, backend
 
     @given(graphs)
     @settings(max_examples=20, deadline=None)
     def test_gather_invocations_match_edge_count(self, graph):
-        engine = GasEngine(graph=graph)
-        result = engine.run([_DegreeProgram()])
-        assert result.metrics.steps[0].gather_invocations == graph.num_edges
+        report = SnapleLinkPredictor().predict(graph, backend="gas_baseline",
+                                               enforce_memory=False)
+        assert (report.native.metrics.steps[0].gather_invocations
+                == graph.num_edges)
 
 
 class TestPredictorProperties:

@@ -337,8 +337,7 @@ class TestStatePlaneReporting:
         assert parallel.extra["transport_bytes"] > 0
 
     def test_serial_engine_keeps_plain_dicts(self, small_graph):
-        from repro.gas.engine import GasEngine
-        from repro.snaple.program import build_snaple_steps
+        from tests.oracle import GasEngine, build_snaple_steps
 
         config = truncating_config()
         graph = small_graph

@@ -1,10 +1,11 @@
 """Pinned accounting of the serial simulated engine.
 
-The simulated-cluster numbers are reproduction outputs: the engines charge
-each vertex's data ``Du`` by
-:func:`~repro.gas.vertex_program.payload_size_bytes`, and the cost model
-turns the charges into simulated seconds.  A change to how the engine
-stores or charges vertex state must leave these values bit-identical.
+The simulated-cluster numbers are reproduction outputs: the serial engine
+charges each vertex's data ``Du`` from array lengths
+(:mod:`repro.snaple.accounting`), at the payload sizes of Algorithm 2's
+vertex programs, and the cost model turns the charges into simulated
+seconds.  A change to how the engine charges vertex state must leave these
+values bit-identical.
 """
 
 from __future__ import annotations

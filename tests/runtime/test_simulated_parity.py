@@ -2,8 +2,8 @@
 
 The backend computes its answers with the kernel and derives its
 accounting from arrays (:mod:`repro.snaple.accounting`); the oracle is the
-serial :class:`~repro.gas.engine.GasEngine` running the vertex programs of
-:mod:`repro.snaple.program` (``serial_program_reference``).  Predictions,
+serial :class:`~tests.oracle.engine.GasEngine` running the vertex programs
+of :mod:`tests.oracle.snaple_program` (``serial_program_reference``).  Predictions,
 every :class:`~repro.gas.metrics.StepMetrics` field and the simulated
 seconds must match exactly.  Scores match exactly on one machine; on a
 multi-machine cluster the engine folds each mirror's partial first, so

@@ -12,7 +12,7 @@ documented fallback for platforms whose ``pow`` is not correctly rounded.
 selection with the vectorized mode, so those two are checked a second time
 against Algorithm 2's GAS program on the serial engine
 (``serial_program_reference``), whose vertex programs
-(:mod:`repro.snaple.program`) truncate and select in their own code.
+(:mod:`tests.oracle.snaple_program`) truncate and select in their own code.
 """
 
 from __future__ import annotations
@@ -176,9 +176,9 @@ class TestIndependentOracle:
     """Vectorized ``local`` against Algorithm 2's GAS program.
 
     The oracle is ``serial_program_reference``: the serial engine running
-    the vertex programs of :mod:`repro.snaple.program`, which truncate and
-    select in their own code (the ``gas`` backend shares the kernel with
-    ``local``, so it cannot serve).  Both draw truncation from one
+    the vertex programs of :mod:`tests.oracle.snaple_program`, which
+    truncate and select in their own code (the ``gas`` backend shares the
+    kernel with ``local``, so it cannot serve).  Both draw truncation from one
     sequential stream seeded ``seed`` — the gather's Bernoulli tests first,
     then, under exact truncation, the reservoir sample — and the ``Γrnd``
     selection from one seeded ``seed + 1``, consumed in ascending vertex
