@@ -47,13 +47,12 @@ from repro.gas.cluster import ClusterConfig
 from repro.gas.metrics import RunMetrics
 from repro.graph.digraph import DiGraph
 from repro.runtime.partition import GraphPartition
-from repro.runtime.state import gather_slices, indptr_from_counts
-from repro.snaple.accounting import (
-    ID_BYTES,
-    Placement,
-    charge_supersteps,
+from repro.runtime.state import (
+    gather_slices,
+    indptr_from_counts,
     sorted_distinct,
 )
+from repro.snaple.accounting import ID_BYTES, Placement, charge_supersteps
 from repro.snaple.kernel import (
     LazyScores,
     NeighborhoodCSR,

@@ -186,27 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
             "edge, and show the changed answer"
         ),
     )
-    serving.add_argument(
-        "--load-clients",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run the closed-loop load generator with N clients",
-    )
-    serving.add_argument(
-        "--load-windows",
-        type=int,
-        default=3,
-        metavar="N",
-        help="instrumentation windows for --load-clients (default 3)",
-    )
-    serving.add_argument(
-        "--load-window-seconds",
-        type=float,
-        default=1.0,
-        metavar="S",
-        help="window length in seconds for --load-clients (default 1.0)",
-    )
     return parser
 
 
@@ -288,12 +267,7 @@ def _run_serve(args: argparse.Namespace,
                parser: argparse.ArgumentParser) -> int:
     """The ``snaple serve`` session: start, request, ingest, shut down."""
     from repro.graph.generators import powerlaw_cluster
-    from repro.serving import (
-        LoadConfig,
-        LoadGenerator,
-        PredictorService,
-        ServingConfig,
-    )
+    from repro.serving import PredictorService, ServingConfig
     from repro.snaple.config import SnapleConfig
 
     for flag, value in (("--engine", args.engine), ("--mode", args.mode)):
@@ -324,7 +298,6 @@ def _run_serve(args: argparse.Namespace,
             "from_cache": answer.from_cache,
         }
 
-    load_payload: dict[str, Any] | None = None
     with PredictorService(graph, config,
                           serving=serving_config) as service:
         if args.vertex is not None:
@@ -362,15 +335,6 @@ def _run_serve(args: argparse.Namespace,
                 "after": after.predicted,
                 "answer_changed": after.predicted != before.predicted,
             })
-        if args.load_clients is not None:
-            load_config = LoadConfig(
-                clients=args.load_clients,
-                windows=args.load_windows,
-                window_seconds=args.load_window_seconds,
-                warmup_windows=1 if args.load_windows > 1 else 0,
-                seed=args.seed,
-            )
-            load_payload = LoadGenerator(service, load_config).run().to_dict()
         stats = service.stats()
         report = service.report()
 
@@ -385,7 +349,6 @@ def _run_serve(args: argparse.Namespace,
                 "num_edges": graph.num_edges,
             },
             "events": events,
-            "load": load_payload,
             "stats": dataclasses.asdict(stats),
             "extra": report.extra,
             "uptime_seconds": report.wall_clock_seconds,
@@ -418,13 +381,6 @@ def _run_serve(args: argparse.Namespace,
                 f"{event['ingested_edge'][1]} -> {event['after']} "
                 f"(answer changed: {event['answer_changed']})"
             )
-    if load_payload is not None:
-        lines.append(
-            f"  load: {load_payload['offered_clients']} clients, "
-            f"stable {load_payload['stable_throughput_ops']:.0f} ops/s, "
-            f"p50 {load_payload['stable_p50_ms']:.3f} ms, "
-            f"p99 {load_payload['stable_p99_ms']:.3f} ms"
-        )
     lines.append(
         f"  stats: served={stats.requests_served} "
         f"ingested={stats.edges_ingested} "
@@ -579,7 +535,6 @@ _SERVE_ONLY_FLAGS = (
     ("compact_every", "--compact-every"),
     ("vertex", "--vertex"),
     ("ingest", "--ingest"),
-    ("load_clients", "--load-clients"),
 )
 
 

@@ -63,6 +63,7 @@ import numpy as np
 
 from repro.errors import GraphIOError
 from repro.graph.digraph import CSR_ARRAY_NAMES, DiGraph
+from repro.runtime.state import sorted_distinct
 
 __all__ = [
     "GRAPH_FORMAT_VERSION",
@@ -504,7 +505,7 @@ def _bucket_side(key_spool: Path, value_spool: Path, starts: np.ndarray,
                 )
             idx = np.arange(base, base + keys.size, dtype=np.int64)
             buckets = np.searchsorted(starts, keys, side="right") - 1
-            for b in np.unique(buckets):
+            for b in sorted_distinct(buckets):
                 sel = buckets == b
                 records = np.column_stack((keys[sel], values[sel], idx[sel]))
                 with open(paths[b], "ab") as handle:

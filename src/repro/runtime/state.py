@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "gather_slices",
     "indptr_from_counts",
+    "sorted_distinct",
     "splice_rows",
 ]
 
@@ -33,6 +34,20 @@ def gather_slices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     out = np.repeat(shift, counts)
     out += np.arange(total, dtype=np.int64)
     return out
+
+
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct ``values``, ascending: a sort and a neighbour comparison.
+
+    Plain ``np.unique`` (no ``return_*``, no ``axis``) takes a hash path in
+    NumPy 2.4 that is 2–57× slower on integer keys: 0.022 vs 0.009 ms on an
+    ingest's ~140-key reverse closure, 1145 vs 20 ms on 10^6 ``int64`` keys
+    from [0, 10^7) (2 vCPUs).
+    """
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def indptr_from_counts(counts: np.ndarray) -> np.ndarray:

@@ -1,14 +1,14 @@
-"""Online serving: delta overlay → incremental index → service → load gen.
+"""Online serving: delta overlay → incremental index → service → stages.
 
 Everything else in the repo is batch (build graph → predict → exit).  This
 package is the bridge to a long-lived system: a mutable edge overlay over
 the immutable CSR graph (:mod:`~repro.serving.delta`), an incrementally
 maintained SNAPLE index that rescores only dirty regions
 (:mod:`~repro.serving.index`), a request/worker service in the
-Queueing-middleware shape (:mod:`~repro.serving.service`), per-stage
-queue/service-time instrumentation with operational-law bottleneck analysis
-(:mod:`~repro.serving.stages`), and a closed-loop load generator with
-windowed instrumentation (:mod:`~repro.serving.loadgen`).
+Queueing-middleware shape (:mod:`~repro.serving.service`), and per-stage
+queue/service-time instrumentation (:mod:`~repro.serving.stages`).  The
+service only instruments itself; the load that drives it comes from outside
+(the benchmark's ``serve_mixed`` closed loop, ``benchmarks/e2e``).
 
 Parity contract: at any point in an edge stream (additions *and* removals),
 the service's answers are bit-identical (predictions *and* scores) to a
@@ -22,12 +22,6 @@ from repro.serving.index import (
     IncrementalIndex,
     PairSimilarityCache,
 )
-from repro.serving.loadgen import (
-    LoadConfig,
-    LoadGenerator,
-    LoadResult,
-    WindowStats,
-)
 from repro.serving.service import (
     IngestResult,
     PredictorService,
@@ -36,19 +30,13 @@ from repro.serving.service import (
     ServingConfig,
     TopKResult,
 )
-from repro.serving.stages import (
-    StageRecorder,
-    operational_analysis,
-)
+from repro.serving.stages import StageRecorder
 
 __all__ = [
     "AppliedUpdate",
     "GraphDelta",
     "IncrementalIndex",
     "IngestResult",
-    "LoadConfig",
-    "LoadGenerator",
-    "LoadResult",
     "PairSimilarityCache",
     "PredictorService",
     "RemovalResult",
@@ -56,6 +44,4 @@ __all__ = [
     "ServingConfig",
     "StageRecorder",
     "TopKResult",
-    "WindowStats",
-    "operational_analysis",
 ]

@@ -49,7 +49,11 @@ import numpy as np
 
 from repro.errors import VertexNotFoundError
 from repro.graph.digraph import DiGraph
-from repro.runtime.state import indptr_from_counts, splice_rows
+from repro.runtime.state import (
+    indptr_from_counts,
+    sorted_distinct,
+    splice_rows,
+)
 from repro.serving.delta import GraphDelta
 from repro.snaple import kernel
 from repro.snaple.config import SnapleConfig
@@ -289,7 +293,7 @@ class IncrementalIndex:
                        added: list[tuple[int, int]] | None = None,
                        removed: list[tuple[int, int]] | None = None
                        ) -> AppliedUpdate:
-        gamma_dirty = np.unique(sources)
+        gamma_dirty = sorted_distinct(sources)
         sims_dirty = self._reverse_closure(gamma_dirty)
         targets = self._reverse_closure(sims_dirty)
         self._refresh(gamma_dirty, sims_dirty, targets)
@@ -318,7 +322,7 @@ class IncrementalIndex:
         for u in vertices.tolist():
             parts.append(np.asarray(self._graph.in_neighbors(u),
                                     dtype=np.int64))
-        return np.unique(np.concatenate(parts))
+        return sorted_distinct(np.concatenate(parts))
 
     def _refresh(self, gamma_dirty: np.ndarray, sims_dirty: np.ndarray,
                  targets: np.ndarray) -> None:

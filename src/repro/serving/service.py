@@ -429,12 +429,6 @@ class PredictorService:
             return {name: recorder.snapshot()
                     for name, recorder in self._stage_recorders.items()}
 
-    def reset_stage_stats(self) -> None:
-        """Restart stage sampling (the load generator's warmup boundary)."""
-        with self._counters_lock:
-            for recorder in self._stage_recorders.values():
-                recorder.reset()
-
     def stats(self) -> ServiceStats:
         """Consistent counter snapshot (takes the read side of the lock)."""
         with self._lock.read():

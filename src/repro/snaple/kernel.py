@@ -100,7 +100,7 @@ from repro.graph.sampling import reservoir_sample
 # CSR indexing helpers shared with the runtime and the serving index.
 from repro.runtime.state import gather_slices as _gather_slices
 from repro.runtime.state import indptr_from_counts as _indptr_from_counts
-from repro.runtime.state import splice_rows
+from repro.runtime.state import sorted_distinct, splice_rows
 from repro.snaple.aggregators import (
     GeometricMeanAggregator,
     MaxAggregator,
@@ -218,7 +218,7 @@ def _v_adamic_adar(inter, size_u, size_v):
     if mask.any():
         # math.log over the distinct integer union sizes: np.log's SIMD
         # implementation can differ from libm in the last bit.
-        distinct = np.unique(union[mask])
+        distinct = sorted_distinct(union[mask])
         table = np.array([math.log(int(value) + 1) for value in distinct])
         out[mask] = inter[mask] / table[np.searchsorted(distinct, union[mask])]
     return out
@@ -545,7 +545,7 @@ def build_truncated_neighborhoods(
     if vertices is None:
         rows = np.arange(num_vertices, dtype=np.int64)
     else:
-        rows = np.unique(np.asarray(vertices, dtype=np.int64))
+        rows = sorted_distinct(np.asarray(vertices, dtype=np.int64))
     sample_counts, sample, _ = sample_neighborhoods(graph, config, rows)
     counts = np.zeros(num_vertices, dtype=np.int64)
     counts[rows] = sample_counts
@@ -654,7 +654,7 @@ def edge_similarities(graph: DiGraph, gamma: NeighborhoodCSR,
     if rows is None:
         rows = np.arange(num_vertices, dtype=np.int64)
     else:
-        rows = np.unique(np.asarray(rows, dtype=np.int64))
+        rows = sorted_distinct(np.asarray(rows, dtype=np.int64))
     counts = np.zeros(num_vertices, dtype=np.int64)
     counts[rows] = degrees[rows]
     flat = indices[_gather_slices(indptr[rows], degrees[rows])]

@@ -117,15 +117,6 @@ class TestServeParser:
         assert args.ingest == [(1, 2), (3, 4)]
         assert args.demo
 
-    def test_load_flags_parse(self):
-        args = build_parser().parse_args([
-            "serve", "--load-clients", "4", "--load-windows", "2",
-            "--load-window-seconds", "0.5",
-        ])
-        assert args.load_clients == 4
-        assert args.load_windows == 2
-        assert args.load_window_seconds == 0.5
-
     @pytest.mark.parametrize("edge", ["bad", "1:", ":2", "1:2:3", "a:b"])
     def test_malformed_ingest_edge_rejected(self, edge):
         with pytest.raises(SystemExit):
@@ -142,7 +133,6 @@ class TestServeMain:
                      ["figure9", "--compact-every", "4"],
                      ["figure9", "--vertex", "1"],
                      ["figure9", "--ingest", "1:2"],
-                     ["figure9", "--load-clients", "2"],
                      ["ablation-engines", "--workers", "2"],
                      ["figure9", "--demo"]):
             with pytest.raises(SystemExit):
@@ -204,18 +194,13 @@ class TestServeMain:
         assert payload["stats"]["edges_ingested"] == 1
         assert payload["extra"]["requests_served"] >= 2.0
 
-    def test_load_generator_json(self, capsys):
-        exit_code = main(["serve", "--json", "--scale", "0.08",
-                          "--load-clients", "2", "--load-windows", "2",
-                          "--load-window-seconds", "0.1"])
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        payload = json.loads(captured.out)
-        load = payload["load"]
-        assert load["offered_clients"] == 2
-        assert len(load["windows"]) == 2
-        assert load["stable_windows"] == 1
-        assert load["total_operations"] > 0
+    def test_load_generator_flag_is_unknown(self, capsys):
+        """The service drives no load of its own; the benchmark's
+        ``serve_mixed`` closed loop is the one load generator."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--load-clients", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSuiteCommand:

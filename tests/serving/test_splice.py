@@ -13,7 +13,7 @@ import pytest
 
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import powerlaw_cluster
-from repro.runtime.state import splice_rows
+from repro.runtime.state import sorted_distinct, splice_rows
 from repro.serving import IncrementalIndex
 from repro.snaple import kernel
 from repro.snaple.config import SnapleConfig
@@ -123,3 +123,25 @@ class TestSpliceRows:
         assert out_indptr.tolist() == [0, 1, 2, 2, 3, 3]
         assert out_ids.tolist() == [1, 0, 0]
         assert out_sims.tolist() == [0.5, 0.25, 1.0]
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+@pytest.mark.parametrize("values", [
+    np.empty(0, dtype=np.int64),
+    np.array([7], dtype=np.int64),
+    np.full(5, 3, dtype=np.int64),
+    np.array([-4, 2, -4, -1, 0, 2, -9], dtype=np.int64),
+    np.array([_INT64.max, _INT64.min, 0, _INT64.max, _INT64.min, -1],
+             dtype=np.int64),
+    np.random.default_rng(0).integers(0, 50, 2_000, dtype=np.int64),
+], ids=["empty", "one", "all-equal", "negative", "int64-extremes",
+        "random"])
+def test_sorted_distinct_equals_unique(values):
+    before = values.copy()
+    got = sorted_distinct(values)
+    expected = np.unique(values)
+    assert got.dtype == expected.dtype
+    assert got.tolist() == expected.tolist()
+    assert values.tolist() == before.tolist()  # input untouched
