@@ -193,12 +193,18 @@ class TestServeMain:
         assert demo["ingested_edge"][1] == demo["before"][0]
         assert payload["stats"]["edges_ingested"] == 1
         assert payload["extra"]["requests_served"] >= 2.0
+        assert "load" not in payload
 
-    def test_load_generator_flag_is_unknown(self, capsys):
+    @pytest.mark.parametrize("flag", [
+        ["--load-clients", "2"],
+        ["--load-windows", "2"],
+        ["--load-window-seconds", "0.5"],
+    ], ids=["load-clients", "load-windows", "load-window-seconds"])
+    def test_load_generator_flag_is_unknown(self, capsys, flag):
         """The service drives no load of its own; the benchmark's
         ``serve_mixed`` closed loop is the one load generator."""
         with pytest.raises(SystemExit) as excinfo:
-            main(["serve", "--load-clients", "2"])
+            main(["serve", *flag])
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 

@@ -20,6 +20,7 @@ from repro.serving import (
     PredictorService,
     ServingConfig,
 )
+from repro.serving.service import validate_ints, validate_k
 from repro.snaple.config import SnapleConfig
 
 
@@ -78,6 +79,41 @@ class TestConfigValidation:
 
     def test_compaction_can_be_disabled(self):
         assert ServingConfig(compact_every=None).compact_every is None
+
+
+class TestValidators:
+    @pytest.mark.parametrize("value", [2.0, 3.5, True, False, "2", None])
+    def test_validate_ints_rejects_non_int(self, value):
+        with pytest.raises(ConfigurationError,
+                           match="clients must be an integer"):
+            validate_ints(clients=value)
+
+    @pytest.mark.parametrize("value", [0, -1, 7, 2**63])
+    def test_validate_ints_leaves_bounds_to_the_caller(self, value):
+        validate_ints(clients=value)
+
+    def test_validate_ints_names_the_bad_value(self):
+        with pytest.raises(ConfigurationError,
+                           match="windows must be an integer, got 2.5"):
+            validate_ints(clients=1, windows=2.5)
+
+    @pytest.mark.parametrize("k", [0, -3, 2.5, True, "3"])
+    def test_validate_k_rejects(self, k):
+        with pytest.raises(ConfigurationError,
+                           match="k must be a positive integer or None"):
+            validate_k(k)
+
+    @pytest.mark.parametrize("k", [None, 1, 50])
+    def test_validate_k_accepts(self, k):
+        validate_k(k)
+
+    def test_bad_k_is_rejected_before_it_is_queued(self, small_social_graph,
+                                                   config):
+        with PredictorService(small_social_graph, config) as service:
+            with pytest.raises(ConfigurationError):
+                service.submit_top_k(0, k=0)
+            assert service.top_k(0, k=2) is not None
+        assert service.stage_stats()["query"]["count"] == 1
 
 
 class TestLifecycle:
@@ -351,6 +387,62 @@ class TestConcurrency:
 
 
 class TestStatsAndReport:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_stage_stats_count_a_concurrent_mix(self, small_social_graph,
+                                                config, workers):
+        """Client threads interleave queries and ingests; once the workers
+        join, each stage has counted exactly the requests sent to it."""
+        clients, queries_each = 3, 8
+        edges = []
+        rng = np.random.default_rng(11)
+        while len(edges) < clients * 2:
+            u, v = (int(x) for x in
+                    rng.integers(small_social_graph.num_vertices, size=2))
+            if (u != v and (u, v) not in edges
+                    and not small_social_graph.has_edge(u, v)):
+                edges.append((u, v))
+        errors = []
+
+        def client(slot):
+            try:
+                for i in range(queries_each):
+                    service.top_k((slot * 31 + i) % service.num_vertices)
+                    if i % 4 == 3:
+                        service.ingest([edges[2 * slot + i // 4]])
+            except BaseException as exc:  # surfaced in the main thread
+                errors.append(exc)
+
+        with PredictorService(small_social_graph, config,
+                              serving=ServingConfig(workers=workers)
+                              ) as service:
+            threads = [threading.Thread(target=client, args=(slot,))
+                       for slot in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        assert not errors
+        stages = service.stage_stats()
+        assert stages["query"]["count"] == clients * queries_each
+        assert stages["ingest"]["count"] == clients * 2
+        for stage in stages.values():
+            assert stage["servers"] == workers
+            assert stage["wait_total"] >= 0.0
+            assert stage["service_total"] > 0.0
+            assert len(stage["wait_samples"]) == stage["count"]
+            assert len(stage["depth_samples"]) == stage["count"]
+        assert service.stats().requests_served == clients * queries_each
+        assert service.stats().edges_ingested == clients * 2
+
+    def test_failed_query_still_counts_as_served_by_its_stage(
+            self, small_social_graph, config):
+        with PredictorService(small_social_graph, config) as service:
+            with pytest.raises(GraphError):
+                service.top_k(small_social_graph.num_vertices + 3)
+        query = service.stage_stats()["query"]
+        assert query["count"] == 1
+        assert service.stats().requests_served == 0
+
     def test_stats_snapshot(self, small_social_graph, config):
         with PredictorService(small_social_graph, config) as service:
             service.top_k(0)

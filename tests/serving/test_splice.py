@@ -136,8 +136,12 @@ _INT64 = np.iinfo(np.int64)
     np.array([_INT64.max, _INT64.min, 0, _INT64.max, _INT64.min, -1],
              dtype=np.int64),
     np.random.default_rng(0).integers(0, 50, 2_000, dtype=np.int64),
+    np.arange(-3, 12, dtype=np.int64),
+    np.arange(12, -3, -1, dtype=np.int64),
+    np.array([5, -2, 5, 7, -2], dtype=np.int32),
+    np.array([2**32 - 1, 0, 7, 2**32 - 1], dtype=np.uint32),
 ], ids=["empty", "one", "all-equal", "negative", "int64-extremes",
-        "random"])
+        "random", "ascending", "descending", "int32", "uint32"])
 def test_sorted_distinct_equals_unique(values):
     before = values.copy()
     got = sorted_distinct(values)

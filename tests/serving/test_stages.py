@@ -38,3 +38,38 @@ class TestStageRecorder:
         assert len(snap["service_samples"]) == len(snap["wait_samples"])
         assert len(snap["depth_samples"]) <= 4096
         assert len(snap["wait_samples"]) > 0
+
+    def test_fresh_recorder_snapshot_is_empty(self):
+        snap = StageRecorder("idle").snapshot()
+        assert snap["servers"] == 1
+        assert snap["count"] == 0
+        assert snap["wait_total"] == snap["service_total"] == 0.0
+        assert snap["busy_seconds"] == 0.0
+        assert snap["wait_samples"] == snap["service_samples"] == []
+        assert snap["depth_samples"] == []
+
+    def test_snapshot_is_a_copy(self):
+        recorder = StageRecorder("stage")
+        recorder.record(0.1, 0.2)
+        recorder.sample_depth(1)
+        snap = recorder.snapshot()
+        snap["wait_samples"].append(9.0)
+        snap["depth_samples"].clear()
+        recorder.record(0.3, 0.4)
+        again = recorder.snapshot()
+        assert again["wait_samples"] == [0.1, 0.3]
+        assert again["depth_samples"] == [1]
+        assert snap["count"] == 1
+
+    def test_decimated_samples_span_the_whole_run(self):
+        # Each record carries its own index, so the kept samples show which
+        # part of the run survived the thinning.
+        recorder = StageRecorder("hot")
+        total = 20_000
+        for i in range(total):
+            recorder.record(float(i), 0.0)
+        kept = recorder.snapshot()["wait_samples"]
+        assert kept == sorted(kept)
+        assert kept[0] == 0.0
+        assert kept[-1] >= total * 3 / 4
+        assert 4096 // 2 <= len(kept) <= 4096
