@@ -124,8 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "execution mode for local-backend scoring: 'vectorized' runs "
             "the kernel's array branches (default), 'reference' its scalar "
-            "ones (only experiments taking a 'mode' parameter, "
-            "e.g. figure6-figure10, ablation-alpha)"
+            "ones (figure6-figure10 and ablation-alpha; ablation-khop runs "
+            "the khop engine, which has no mode)"
         ),
     )
     parser.add_argument(

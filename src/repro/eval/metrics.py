@@ -76,12 +76,15 @@ def mean_average_precision(predictions: Mapping[int, list[int]],
     affected = split.affected_vertices()
     if not affected:
         return 0.0
+    # One pass groups the held-out targets; asking the split per vertex
+    # would rescan every removed edge for each affected vertex.
+    relevant_targets: dict[int, set[int]] = {}
+    for s, t in split.removed_edges:
+        relevant_targets.setdefault(s, set()).add(t)
     total = 0.0
     for u in affected:
-        relevant = split.removed_targets(u)
+        relevant = relevant_targets[u]
         ranked = predictions.get(u, [])
-        if not relevant:
-            continue
         hits = 0
         average = 0.0
         for rank, z in enumerate(ranked, start=1):

@@ -209,10 +209,9 @@ class PredictorService:
         self._started = False
         self._stopped = False
         self._started_at: float | None = None
-        workers = self._serving.workers
         self._stage_recorders = {
-            "query": StageRecorder("query", servers=workers),
-            "ingest": StageRecorder("ingest", servers=workers),
+            "query": StageRecorder("query"),
+            "ingest": StageRecorder("ingest"),
         }
 
     # ------------------------------------------------------------------

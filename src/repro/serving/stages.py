@@ -2,11 +2,11 @@
 
 The service is a set of stages: a request waits in the job queue, then a
 worker answers a query or rescores an ingest.  :class:`StageRecorder`
-collects, per stage, the request count, the total wait and service time,
-the busy time of its servers and bounded samples of each latency and of the
-queue length, with O(1) amortized cost.  ``PredictorService.stage_stats()``
-returns one snapshot per stage; a load driver outside the service (the
-benchmark's closed loop) reads them over its own measurement window.
+collects, per stage, the request count, the total wait and service time
+and bounded samples of each latency and of the queue length, with O(1)
+amortized cost.  ``PredictorService.stage_stats()`` returns one snapshot
+per stage; a load driver outside the service (the benchmark's closed loop)
+reads them over its own measurement window.
 """
 
 from __future__ import annotations
@@ -22,22 +22,18 @@ _MAX_SAMPLES = 4096
 class StageRecorder:
     """Collects wait/service-time and queue-depth samples for one stage.
 
-    ``servers`` is the stage's parallelism (worker threads), the divisor
-    that turns busy time into utilization.  Recorders are not thread-safe
-    by design — the service records under its own counters lock.
+    Recorders are not thread-safe by design — the service records under its
+    own counters lock.
     """
 
-    __slots__ = ("name", "servers", "count", "wait_total", "service_total",
-                 "busy_seconds", "_wait", "_service", "_depth", "_stride",
-                 "_pending")
+    __slots__ = ("name", "count", "wait_total", "service_total", "_wait",
+                 "_service", "_depth", "_stride", "_pending")
 
-    def __init__(self, name: str, *, servers: int = 1) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.servers = int(servers)
         self.count = 0
         self.wait_total = 0.0
         self.service_total = 0.0
-        self.busy_seconds = 0.0
         self._wait: list[float] = []
         self._service: list[float] = []
         self._depth: list[int] = []
@@ -49,7 +45,6 @@ class StageRecorder:
         self.count += 1
         self.wait_total += wait_seconds
         self.service_total += service_seconds
-        self.busy_seconds += service_seconds
         self._pending += 1
         if self._pending >= self._stride:
             self._pending = 0
@@ -70,11 +65,9 @@ class StageRecorder:
         """Picklable copy of the collected samples and totals."""
         return {
             "name": self.name,
-            "servers": self.servers,
             "count": self.count,
             "wait_total": self.wait_total,
             "service_total": self.service_total,
-            "busy_seconds": self.busy_seconds,
             "wait_samples": list(self._wait),
             "service_samples": list(self._service),
             "depth_samples": list(self._depth),

@@ -1,15 +1,15 @@
 """Suite-file loading: YAML or TOML in, :class:`SuiteSpec` out.
 
 The format is chosen by file extension (``.yaml``/``.yml`` vs ``.toml``).
-TOML always works (:mod:`tomllib` ships with Python); YAML needs PyYAML,
-which is an *optional* dependency — when it is missing the loader raises a
-:class:`~repro.errors.ConfigurationError` pointing at the TOML format
+TOML needs :mod:`tomllib`, which ships with Python 3.11 and later; YAML
+needs PyYAML, which is an *optional* dependency.  Both parsers are imported
+only when a file of their format is loaded, and a missing one raises a
+:class:`~repro.errors.ConfigurationError` pointing at the other format
 instead of an ``ImportError`` from deep inside the import machinery.
 """
 
 from __future__ import annotations
 
-import tomllib
 from pathlib import Path
 from typing import Any
 
@@ -39,6 +39,13 @@ def _parse_yaml(text: str, path: Path) -> Any:
 
 
 def _parse_toml(text: str, path: Path) -> Any:
+    try:
+        import tomllib
+    except ModuleNotFoundError:
+        raise ConfigurationError(
+            f"cannot load {path}: TOML suites need Python 3.11 or later "
+            "(tomllib); write the suite in YAML (.yaml) instead"
+        ) from None
     try:
         return tomllib.loads(text)
     except tomllib.TOMLDecodeError as error:

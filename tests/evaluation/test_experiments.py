@@ -11,16 +11,14 @@ import math
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.eval.experiments import EXPERIMENTS
 from repro.eval.experiments.figure5 import run_figure5
 from repro.eval.experiments.figure6 import run_figure6
-from repro.eval.experiments.figure7 import run_figure7
-from repro.eval.experiments.figure8 import run_figure8
-from repro.eval.experiments.figure9 import run_figure9
-from repro.eval.experiments.figure10 import run_figure10
 from repro.eval.experiments.figure11 import run_figure11
 from repro.eval.experiments.table5 import run_table5
 from repro.eval.experiments.table6 import run_table6
+from repro.eval.paper import PAPER_SUITES, paper_suite
 from repro.baselines.random_walk_ppr import RandomWalkConfig
 
 SCALE = 0.25
@@ -147,80 +145,163 @@ class TestFigure6:
         assert "livejournal" in text
 
 
+def _payloads(result) -> dict:
+    """A suite result's payloads keyed by ``(pack, experiment)``."""
+    return {(payload["pack"], payload["experiment"]): payload
+            for payload in result.results}
+
+
+def _recall(result, pack: str, experiment: str) -> float:
+    return _payloads(result)[(pack, experiment)]["quality"]["recall"]
+
+
+def _recalls(result) -> dict:
+    """Recall per experiment name (the tests keep one pack each)."""
+    return {payload["experiment"]: payload["quality"]["recall"]
+            for payload in result.results}
+
+
+class TestPaperSuites:
+    """The recall sweeps' grids, without running them."""
+
+    @pytest.mark.parametrize("name, size", [
+        ("figure7", 3 * 3 * 5), ("figure8", 2 * 11 * 5), ("figure9", 2 * 5 * 4),
+        ("figure10", 2 * 5 * 5), ("ablation-alpha", 2 * 6),
+        ("ablation-khop", 2 * 2),
+    ])
+    def test_grid_sizes(self, name, size):
+        spec = paper_suite(name, scale=SCALE, seed=SEED)
+        assert len(spec.experiments) == size
+        assert all((e.scale, e.seed) == (SCALE, SEED) for e in spec.experiments)
+
+    def test_mode_reaches_every_local_run(self):
+        spec = paper_suite("figure9", mode="reference")
+        assert {e.backend_options["mode"] for e in spec.experiments} == {
+            "reference"}
+        assert "mode" not in paper_suite("figure9").experiments[0].backend_options
+
+    def test_mode_refused_for_the_khop_suite(self):
+        with pytest.raises(ConfigurationError, match="no execution mode"):
+            paper_suite("ablation-khop", mode="reference")
+
+    def test_registry_entries_describe_their_suite(self):
+        assert EXPERIMENTS["figure9"].__doc__ == (
+            PAPER_SUITES["figure9"]["suite"]["description"])
+
+
 class TestFigure7:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_figure7(
-            dataset="livejournal",
-            scale=SCALE,
-            seed=SEED,
-            scores=("linearSum",),
-            k_locals=(5, 40),
-            policies=("max", "min", "rnd"),
+    def result(self, run_paper_grid):
+        return run_paper_grid(
+            "figure7", scale=SCALE, seed=SEED,
+            keep=lambda e: e.pack == "linearSum" and e.config["k_local"] in (5, 40),
         )
 
+    @staticmethod
+    def recall(result, policy: str, k_local: int) -> float:
+        return _recall(result, "linearSum", f"{policy}-klocal{k_local}")
+
     def test_three_policies_per_panel(self, result):
-        assert set(result.panels["linearSum"].series) == {"Γmax", "Γmin", "Γrnd"}
+        assert {name.split("-")[0] for pack, name in _payloads(result)
+                if pack == "linearSum"} == {"max", "min", "rnd"}
 
     def test_max_policy_at_least_as_good_as_min_at_small_klocal(self, result):
-        assert result.recall("linearSum", "max", 5) >= result.recall("linearSum", "min", 5)
+        assert self.recall(result, "max", 5) >= self.recall(result, "min", 5)
 
     def test_policies_converge_at_large_klocal(self, result):
         spread = abs(
-            result.recall("linearSum", "max", 40) - result.recall("linearSum", "min", 40)
+            self.recall(result, "max", 40) - self.recall(result, "min", 40)
         )
         small_spread = abs(
-            result.recall("linearSum", "max", 5) - result.recall("linearSum", "min", 5)
+            self.recall(result, "max", 5) - self.recall(result, "min", 5)
         )
         assert spread <= small_spread + 0.02
 
+    def test_recalls_are_pinned(self, result):
+        # Read at this scale from the bespoke figure 7 module the suite replaced.
+        assert _recalls(result) == {
+            "max-klocal5": 0.19133333333333333,
+            "max-klocal40": 0.19,
+            "min-klocal5": 0.126,
+            "min-klocal40": 0.19266666666666668,
+            "rnd-klocal5": 0.15133333333333332,
+            "rnd-klocal40": 0.196,
+        }
+
     def test_render_smoke(self, result):
-        assert "Figure 7" in result.render()
+        assert "figure7" in result.render()
 
 
 class TestFigure8:
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_figure8(
-            scale=SCALE,
-            seed=SEED,
-            datasets=("livejournal",),
-            k_locals=(5, 40),
-            families={"Sum": ("linearSum",), "Mean": ("linearMean",)},
+    def result(self, run_paper_grid):
+        return run_paper_grid(
+            "figure8", scale=SCALE, seed=SEED,
+            keep=lambda e: (e.pack, e.config["score"]) in {
+                ("livejournal-Sum", "linearSum"),
+                ("livejournal-Mean", "linearMean"),
+            } and e.config["k_local"] in (5, 40),
         )
 
     def test_points_per_configuration(self, result):
-        assert ("livejournal", "linearSum", 5) in result.points
-        assert ("livejournal", "linearMean", 40) in result.points
+        points = _payloads(result)
+        assert ("livejournal-Sum", "linearSum-klocal5") in points
+        assert ("livejournal-Mean", "linearMean-klocal40") in points
+        assert all(payload["run"]["wall_clock_seconds"] > 0
+                   for payload in points.values())
 
     def test_sum_recall_improves_with_klocal(self, result):
         # At the reduced test scale the trend can be noisy; the full-scale
         # benchmark checks the strict monotone shape.
-        series = dict(result.recall_series("livejournal", "linearSum"))
-        assert series[40] >= series[5] - 0.02
+        assert _recall(result, "livejournal-Sum", "linearSum-klocal40") >= (
+            _recall(result, "livejournal-Sum", "linearSum-klocal5") - 0.02
+        )
+
+    def test_recalls_are_pinned(self, result):
+        # Read at this scale from the bespoke figure 8 module the suite replaced.
+        assert _recalls(result) == {
+            "linearSum-klocal5": 0.19133333333333333,
+            "linearSum-klocal40": 0.19,
+            "linearMean-klocal5": 0.17133333333333334,
+            "linearMean-klocal40": 0.13266666666666665,
+        }
 
     def test_render_smoke(self, result):
-        assert "aggregator" in result.render()
+        assert "livejournal-Mean/linearMean-klocal40" in result.render()
 
 
 class TestFigure9And10:
-    def test_recall_increases_with_k(self):
-        result = run_figure9(
-            scale=SCALE, seed=SEED, datasets=("livejournal",),
-            ks=(5, 20), scores=("linearSum",), k_local=20,
+    def test_recall_increases_with_k(self, run_paper_grid):
+        result = run_paper_grid(
+            "figure9", scale=SCALE, seed=SEED, k_local=20,
+            keep=lambda e: (e.pack == "livejournal"
+                            and e.config["score"] == "linearSum"
+                            and e.config["k"] in (5, 20)),
         )
-        assert result.recall("livejournal", "linearSum", 20) >= result.recall(
-            "livejournal", "linearSum", 5
+        assert _recall(result, "livejournal", "linearSum-k20") >= _recall(
+            result, "livejournal", "linearSum-k5"
+        )
+        # Read at this scale from the bespoke figure 9 module the suite replaced.
+        assert _recall(result, "livejournal", "linearSum-k5") == 0.192
+        assert _recall(result, "livejournal", "linearSum-k20") == (
+            0.37666666666666665
         )
 
-    def test_recall_decreases_with_removed_edges(self):
-        result = run_figure10(
-            scale=SCALE, seed=SEED, datasets=("livejournal",),
-            removals=(1, 4), scores=("linearSum",), k_local=20,
+    def test_recall_decreases_with_removed_edges(self, run_paper_grid):
+        result = run_paper_grid(
+            "figure10", scale=SCALE, seed=SEED, k_local=20,
+            keep=lambda e: (e.pack == "livejournal"
+                            and e.config["score"] == "linearSum"
+                            and e.protocol["removed_edges_per_vertex"] in (1, 4)),
         )
-        assert result.recall("livejournal", "linearSum", 4) <= result.recall(
-            "livejournal", "linearSum", 1
+        assert _recall(result, "livejournal", "linearSum-removed4") <= _recall(
+            result, "livejournal", "linearSum-removed1"
         ) + 0.02
+        # Read at this scale from the bespoke figure 10 module the suite replaced.
+        assert _recall(result, "livejournal", "linearSum-removed1") == 0.192
+        assert _recall(result, "livejournal", "linearSum-removed4") == (
+            0.09087597887452195
+        )
 
 
 class TestFigure11AndTable6:

@@ -82,6 +82,14 @@ class TestMAP:
     def test_empty_split(self):
         assert mean_average_precision({0: [1]}, _make_split(set())) == 0.0
 
+    def test_each_vertex_ranks_against_its_own_targets(self):
+        split = _make_split({(0, 1), (0, 2), (3, 4), (5, 6)})
+        predictions = {0: [2, 9, 1], 3: [4], 5: [4]}
+        # Vertex 0: hits at ranks 1 and 3 of two targets; 3: rank 1; 5: none.
+        expected = ((1 / 1 + 2 / 3) / 2 + 1.0 + 0.0) / 3
+        assert mean_average_precision(predictions, split) == pytest.approx(
+            expected)
+
 
 class TestQualityReport:
     def test_report_fields_consistent(self):

@@ -36,12 +36,13 @@ class TestMain:
         assert "figure11" in captured.out
         assert "twitter-rv" in captured.out
 
-    def test_running_a_small_figure_prints_series(self, capsys):
+    def test_running_a_small_figure_prints_one_line_per_point(self, capsys):
         exit_code = main(["figure9", "--scale", "0.2", "--seed", "3"])
         captured = capsys.readouterr()
         assert exit_code == 0
-        assert "Figure 9" in captured.out
-        assert "recall" in captured.out
+        assert "Suite 'figure9' — 40 experiment(s)" in captured.out
+        assert "livejournal/linearSum-k20" in captured.out
+        assert captured.out.count("recall=") == 40
 
     def test_list_mentions_execution_backends(self, capsys):
         main(["list"])
@@ -100,6 +101,35 @@ class TestEngineAndJsonFlags:
         payload = json.loads(captured.out)
         assert payload["experiment"] == "figure9"
         assert "result" in payload
+
+
+class TestPaperSuiteCommands:
+    SUITES = ("figure7", "figure8", "figure9", "figure10", "ablation-alpha",
+              "ablation-khop")
+
+    def test_listing_shows_each_suite_description(self, capsys):
+        from repro.eval.paper import PAPER_SUITES
+
+        assert main(["list", "--json"]) == 0
+        listed = json.loads(capsys.readouterr().out)["experiments"]
+        for name in self.SUITES:
+            assert listed[name] == PAPER_SUITES[name]["suite"]["description"]
+            assert "partial" not in listed[name]
+
+    def test_figure9_json_has_one_result_per_grid_point(self, capsys):
+        assert main(["figure9", "--json", "--scale", "0.05"]) == 0
+        results = json.loads(capsys.readouterr().out)["result"]["results"]
+        # 2 datasets x 5 Sum-family scores x 4 values of k.
+        assert len(results) == 40
+        assert {r["pack"] for r in results} == {"livejournal", "pokec"}
+        assert len({r["experiment"] for r in results}) == 20
+        assert all(0.0 <= r["quality"]["recall"] <= 1.0 for r in results)
+
+    def test_mode_is_a_usage_error_for_the_khop_suite(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["ablation-khop", "--mode", "reference", "--scale", "0.05"])
+        assert raised.value.code == 2
+        assert "no execution mode" in capsys.readouterr().err
 
 
 class TestServeParser:

@@ -9,17 +9,15 @@ from repro.serving.stages import StageRecorder
 
 class TestStageRecorder:
     def test_totals_and_samples(self):
-        recorder = StageRecorder("stage", servers=2)
+        recorder = StageRecorder("stage")
         recorder.record(0.1, 0.2)
         recorder.record(0.3, 0.4)
         recorder.sample_depth(5)
         snap = recorder.snapshot()
         assert snap["name"] == "stage"
-        assert snap["servers"] == 2
         assert snap["count"] == 2
         assert snap["wait_total"] == pytest.approx(0.4)
         assert snap["service_total"] == pytest.approx(0.6)
-        assert snap["busy_seconds"] == pytest.approx(0.6)
         assert snap["wait_samples"] == [0.1, 0.3]
         assert snap["service_samples"] == [0.2, 0.4]
         assert snap["depth_samples"] == [5]
@@ -41,10 +39,8 @@ class TestStageRecorder:
 
     def test_fresh_recorder_snapshot_is_empty(self):
         snap = StageRecorder("idle").snapshot()
-        assert snap["servers"] == 1
         assert snap["count"] == 0
         assert snap["wait_total"] == snap["service_total"] == 0.0
-        assert snap["busy_seconds"] == 0.0
         assert snap["wait_samples"] == snap["service_samples"] == []
         assert snap["depth_samples"] == []
 

@@ -160,9 +160,6 @@ class TestOperations:
         service, ingests, _ = grid["services"][workers]
         stages = service.stage_stats()
         assert set(stages) == {"query", "ingest"}
-        # Every worker thread is a server of both stages.
-        assert stages["query"]["servers"] == workers
-        assert stages["ingest"]["servers"] == workers
         assert stages["query"]["count"] > 0
         # Each single-edge ingest plus the one removal batch.
         assert stages["ingest"]["count"] == len(ingests) + 1

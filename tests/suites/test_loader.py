@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import ConfigurationError
 from repro.suites import load_suite, parse_suite
 from repro.suites.schema import deep_merge
@@ -213,6 +218,7 @@ class TestSelection:
 
 class TestFileLoading:
     def test_toml_round_trip(self, tmp_path):
+        pytest.importorskip("tomllib")
         path = tmp_path / "suite.toml"
         path.write_text(textwrap.dedent("""\
             [suite]
@@ -249,6 +255,7 @@ class TestFileLoading:
         assert suite.experiments[0].dataset.source == "gowalla"
 
     def test_suite_name_defaults_to_file_stem(self, tmp_path):
+        pytest.importorskip("tomllib")
         path = tmp_path / "stem-name.toml"
         path.write_text(textwrap.dedent("""\
             [[packs]]
@@ -261,6 +268,7 @@ class TestFileLoading:
         assert load_suite(path).name == "stem-name"
 
     def test_malformed_toml_reports_the_file(self, tmp_path):
+        pytest.importorskip("tomllib")
         path = tmp_path / "broken.toml"
         path.write_text("[packs\n", encoding="utf-8")
         with pytest.raises(ConfigurationError, match="invalid TOML"):
@@ -274,6 +282,7 @@ class TestFileLoading:
             load_suite(path)
 
     def test_schema_error_includes_file_and_path(self, tmp_path):
+        pytest.importorskip("tomllib")
         path = tmp_path / "bad.toml"
         path.write_text(textwrap.dedent("""\
             [[packs]]
@@ -301,3 +310,40 @@ class TestFileLoading:
         path.write_text("{}", encoding="utf-8")
         with pytest.raises(ConfigurationError, match="extension"):
             load_suite(path)
+
+
+_WITHOUT_TOMLLIB = """\
+import sys
+sys.modules["tomllib"] = None  # as on Python 3.10: importing it fails
+from repro.errors import ConfigurationError
+from repro.runtime.registry import available_components
+from repro.suites import load_suite
+from repro.cli import main
+
+assert "batch" in available_components("workload")
+assert load_suite(sys.argv[1]).experiments
+assert main(["suite", "list", sys.argv[1]]) == 0
+try:
+    load_suite(sys.argv[2])
+except ConfigurationError as error:
+    assert "3.11" in str(error), error
+else:
+    raise AssertionError("a TOML suite loaded without tomllib")
+"""
+
+
+def test_suites_work_without_tomllib(tmp_path):
+    """Without tomllib only TOML suites fail, and with a ConfigurationError."""
+    pytest.importorskip("yaml")
+    examples = Path(__file__).resolve().parents[2] / "examples" / "suites"
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_TOMLLIB,
+         str(examples / "bipartite.yaml"), str(examples / "adversarial.toml")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert "linear-sum" in completed.stdout

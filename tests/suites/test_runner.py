@@ -206,10 +206,13 @@ class TestCheckedInSuites:
     def test_example_suite_loads(self, filename):
         if filename.endswith((".yaml", ".yml")):
             pytest.importorskip("yaml")
+        else:
+            pytest.importorskip("tomllib")
         suite = load_suite(EXAMPLES / filename)
         assert suite.experiments
 
     def test_adversarial_suite_runs(self):
+        pytest.importorskip("tomllib")
         suite = load_suite(EXAMPLES / "adversarial.toml")
         result = run_suite(suite, experiment="thr-10")
         (payload,) = result.results
