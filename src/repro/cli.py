@@ -159,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "fold the delta overlay back into the CSR base every N ingested "
-            "edges (default 1024)"
+            "fold the delta overlay back into the CSR base once N edge "
+            "additions and removals are pending (default 1024)"
         ),
     )
     serving.add_argument(

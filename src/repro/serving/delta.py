@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.errors import GraphError, VertexNotFoundError
 from repro.graph.digraph import DiGraph
-from repro.runtime.state import splice_rows
+from repro.runtime.state import gather_slices, splice_rows
 
 __all__ = ["GraphDelta"]
 
@@ -225,11 +225,21 @@ class GraphDelta:
         """
         src, dst = self._base.edge_arrays()
         if self._num_removed:
+            # The base CSR lists edges by ``(src, dst)``, duplicates in edge
+            # order, so each tombstone's first ``count`` occurrences start
+            # where its key lands among the sorted ``src * n + dst`` keys.
+            n = self._base.num_vertices
+            indptr, indices = self._base.csr_out_adjacency()
+            keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+            keys = keys * n + indices
+            dropped = [(u * n + v, count)
+                       for u, tombstones in self._removed_out.items()
+                       for v, count in tombstones.items()]
+            starts = np.searchsorted(keys, [key for key, _ in dropped])
+            counts = np.array([count for _, count in dropped], dtype=np.int64)
+            order = self._base.csr_out_order()
             keep = np.ones(src.size, dtype=bool)
-            for u, tombstones in self._removed_out.items():
-                for v, count in tombstones.items():
-                    hits = np.flatnonzero((src == u) & (dst == v))[:count]
-                    keep[hits] = False
+            keep[order[gather_slices(starts, counts)]] = False
             src, dst = src[keep], dst[keep]
         if self._delta_src:
             src = np.concatenate(

@@ -32,7 +32,15 @@ update costs the dirty region plus one bulk copy of each array, not a
 rebuild.  The cold build is the same splice over every row of an empty
 state.  Membership probes need no whole-graph index: like every caller's,
 each refresh's kernel blocks build a structure for their own rows.
-Predictions and score rows are still per-vertex lists.
+
+The index keeps only what it serves: each vertex's top-``k`` ids and
+scores, two ``(|V|, k)`` arrays plus one count per vertex — 16·``k`` bytes
+a vertex, of which a row shorter than ``k`` wastes the rest.  A refresh
+writes its targets' rows back in one scatter.  The full candidate score
+row is phase 3b's temporary, as in Algorithm 2:
+:meth:`IncrementalIndex.scores` reruns phase 3b for its vertex, which is
+exact because every row the index maintains equals a cold computation on
+the current graph.
 
 :class:`PairSimilarityCache` persists the expensive unordered-pair
 intersections across refreshes through the ``pair_cache`` hook of
@@ -42,7 +50,6 @@ touching a gamma-dirty vertex.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,33 +161,14 @@ class AppliedUpdate:
         return int(self.rescored.size)
 
 
-class _ScoresView(Mapping):
-    """Read-only ``vertex -> {candidate: score}`` view over the index arrays."""
-
-    __slots__ = ("_index",)
-
-    def __init__(self, index: "IncrementalIndex") -> None:
-        self._index = index
-
-    def __getitem__(self, u: int) -> dict[int, float]:
-        if not 0 <= u < self._index.num_vertices:
-            raise KeyError(u)
-        return self._index.scores(u)
-
-    def __iter__(self):
-        return iter(range(self._index.num_vertices))
-
-    def __len__(self) -> int:
-        return self._index.num_vertices
-
-
 class IncrementalIndex:
     """Maintains every vertex's Γ̂, kept neighbors, and ranked predictions.
 
-    Γ̂ and the kept neighbors are one whole-graph CSR each; predictions and
-    score rows are per-vertex lists.  Construction runs a cold build (every
-    row spliced into an empty state, equivalent to a batch run over the
-    whole graph); :meth:`apply_edges` / :meth:`apply_removals` then keep the
+    Γ̂ and the kept neighbors are one whole-graph CSR each; the top-``k``
+    ids and scores are two ``(|V|, k)`` arrays with one count per vertex.
+    Construction runs a cold build (every row spliced into an empty state,
+    equivalent to a batch run over the whole graph);
+    :meth:`apply_edges` / :meth:`apply_removals` then keep the
     state exact under streamed edge additions and deletions by rescoring
     only the dirty closure and splicing its rows in.  All randomness is
     per-vertex (``rng_mode="per_vertex"``, GAS fold order), so the
@@ -201,11 +189,11 @@ class IncrementalIndex:
         self._kept = kernel.KeptNeighbors(
             indptr=np.zeros(1, dtype=np.int64), ids=empty,
             sims=np.empty(0, dtype=np.float64))
-        self._pred_rows: list[list[int]] = []
-        self._score_ids: list[np.ndarray] = []
-        self._score_vals: list[np.ndarray] = []
-        self._grow_to(self._graph.num_vertices)
-        everything = np.arange(self._graph.num_vertices, dtype=np.int64)
+        n, k = self._graph.num_vertices, config.k
+        self._top_ids = np.zeros((n, k), dtype=np.int64)
+        self._top_scores = np.zeros((n, k), dtype=np.float64)
+        self._top_counts = np.zeros(n, dtype=np.int64)
+        everything = np.arange(n, dtype=np.int64)
         self._refresh(everything, everything, everything)
 
     # ------------------------------------------------------------------
@@ -230,32 +218,36 @@ class IncrementalIndex:
     def predictions(self, u: int) -> list[int]:
         """The ranked top-``k`` predicted targets of ``u``."""
         self._check_vertex(u)
-        return list(self._pred_rows[u])
-
-    def scores(self, u: int) -> dict[int, float]:
-        """The full candidate score map of ``u`` (materialized on demand)."""
-        self._check_vertex(u)
-        return dict(zip(self._score_ids[u].tolist(),
-                        self._score_vals[u].tolist()))
+        return self._top_ids[u, :self._top_counts[u]].tolist()
 
     def prediction_scores(self, u: int) -> list[float]:
-        """Scores aligned with :meth:`predictions` (candidates are sorted
-        ascending inside each score row, so each lookup is a binary search)."""
+        """Scores aligned with :meth:`predictions`, read from the same row."""
         self._check_vertex(u)
-        ids = self._score_ids[u]
-        vals = self._score_vals[u]
-        out: list[float] = []
-        for candidate in self._pred_rows[u]:
-            position = int(np.searchsorted(ids, candidate))
-            out.append(float(vals[position]))
-        return out
+        return self._top_scores[u, :self._top_counts[u]].tolist()
 
     def all_predictions(self) -> dict[int, list[int]]:
-        return {u: list(row) for u, row in enumerate(self._pred_rows)}
+        return {u: row[:count] for u, (row, count) in enumerate(
+            zip(self._top_ids.tolist(), self._top_counts.tolist()))}
 
-    def scores_view(self) -> Mapping:
-        """Lazy mapping over every vertex's score map (for RunReport)."""
-        return _ScoresView(self)
+    def scores(self, u: int) -> dict[int, float]:
+        """The full candidate score map of ``u``: phase 3b rerun for ``u``
+        alone, bit-identical to the row the last refresh ranked."""
+        self._check_vertex(u)
+        _, _, _, candidates, values = self._rank(
+            np.array([u], dtype=np.int64))
+        return dict(zip(candidates.tolist(), values.tolist()))
+
+    def scores_view(self) -> kernel.LazyScores:
+        """Every vertex's score map, from one blocked phase-3b pass.
+
+        The view holds its own arrays, so it is a snapshot: later updates
+        do not change it.
+        """
+        targets = np.arange(self.num_vertices, dtype=np.int64)
+        _, _, counts, candidates, values = self._rank(targets)
+        return kernel.LazyScores(targets.tolist(),
+                                 indptr_from_counts(counts)[:-1], counts,
+                                 candidates, values)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -263,13 +255,8 @@ class IncrementalIndex:
     def apply_edges(self, edges) -> AppliedUpdate:
         """Absorb streamed edges and rescore exactly the dirty closure."""
         added = self._graph.add_edges(edges)
-        if not added:
-            return AppliedUpdate(added=[],
-                                 gamma_dirty=np.empty(0, dtype=np.int64),
-                                 rescored=np.empty(0, dtype=np.int64))
         self._grow_to(self._graph.num_vertices)
-        sources = np.asarray([u for u, _ in added], dtype=np.int64)
-        return self._rescore_dirty(sources, added=added)
+        return self._rescore_dirty([u for u, _ in added], added=added)
 
     def apply_removals(self, edges) -> AppliedUpdate:
         """Remove streamed edges and rescore exactly the dirty closure.
@@ -282,18 +269,16 @@ class IncrementalIndex:
         is in every dirty set and no other vertex's adjacency changed.
         """
         removed = self._graph.remove_edges(edges)
-        if not removed:
-            return AppliedUpdate(added=[],
-                                 gamma_dirty=np.empty(0, dtype=np.int64),
-                                 rescored=np.empty(0, dtype=np.int64))
-        sources = np.asarray([u for u, _ in removed], dtype=np.int64)
-        return self._rescore_dirty(sources, removed=removed)
+        return self._rescore_dirty([u for u, _ in removed], removed=removed)
 
-    def _rescore_dirty(self, sources: np.ndarray, *,
+    def _rescore_dirty(self, sources: list[int], *,
                        added: list[tuple[int, int]] | None = None,
                        removed: list[tuple[int, int]] | None = None
                        ) -> AppliedUpdate:
-        gamma_dirty = sorted_distinct(sources)
+        gamma_dirty = sorted_distinct(np.asarray(sources, dtype=np.int64))
+        if not gamma_dirty.size:  # nothing changed
+            return AppliedUpdate(added=[], gamma_dirty=gamma_dirty,
+                                 rescored=gamma_dirty)
         sims_dirty = self._reverse_closure(gamma_dirty)
         targets = self._reverse_closure(sims_dirty)
         self._refresh(gamma_dirty, sims_dirty, targets)
@@ -311,10 +296,11 @@ class IncrementalIndex:
     # Internals
     # ------------------------------------------------------------------
     def _grow_to(self, n: int) -> None:
-        while len(self._pred_rows) < n:
-            self._pred_rows.append([])
-            self._score_ids.append(np.empty(0, dtype=np.int64))
-            self._score_vals.append(np.empty(0, dtype=np.float64))
+        grow = n - self._top_counts.size
+        if grow > 0:
+            self._top_ids = np.pad(self._top_ids, ((0, grow), (0, 0)))
+            self._top_scores = np.pad(self._top_scores, ((0, grow), (0, 0)))
+            self._top_counts = np.pad(self._top_counts, (0, grow))
 
     def _reverse_closure(self, vertices: np.ndarray) -> np.ndarray:
         """``vertices`` plus their in-neighbors on the merged graph, sorted."""
@@ -347,16 +333,25 @@ class IncrementalIndex:
             self._kept.indptr, (self._kept.ids, self._kept.sims), sims_dirty,
             np.diff(kept.indptr)[sims_dirty], (kept.ids, kept.sims), n)
         self._kept = kernel.KeptNeighbors(indptr=indptr, ids=ids, sims=sims)
-        (pred_counts, pred_flat, score_counts, score_candidates,
-         score_values) = kernel.combine_and_rank_columnar(
-            graph, gamma, self._kept, config, targets, neighbor_order="csr"
-        )
-        pred_offsets = indptr_from_counts(pred_counts)
-        score_offsets = indptr_from_counts(score_counts)
-        for position, u in enumerate(targets.tolist()):
-            self._pred_rows[u] = pred_flat[pred_offsets[position]:
-                                           pred_offsets[position + 1]].tolist()
-            start, end = score_offsets[position], score_offsets[position + 1]
-            self._score_ids[u] = score_candidates[start:end].copy()
-            self._score_vals[u] = score_values[start:end].copy()
+        (pred_counts, picks, score_counts, candidates,
+         values) = self._rank(targets)
+        # Score rows follow ``targets`` with candidates ascending, so the
+        # keys ``rank * n + candidate`` ascend and one search finds the
+        # score of every pick.
+        pick_rank = np.repeat(np.arange(targets.size), pred_counts)
+        score_keys = np.repeat(np.arange(targets.size), score_counts) * n
+        score_keys += candidates
+        found = np.searchsorted(score_keys, pick_rank * n + picks)
+        rows = targets[pick_rank]
+        columns = (np.arange(picks.size)
+                   - indptr_from_counts(pred_counts)[pick_rank])
+        self._top_ids[rows, columns] = picks
+        self._top_scores[rows, columns] = values[found]
+        self._top_counts[targets] = pred_counts
         self.refreshes += 1
+
+    def _rank(self, targets: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Phase 3b for ``targets`` on the current state (GAS fold order)."""
+        return kernel.combine_and_rank_columnar(
+            self._graph, self._gamma, self._kept, self._config, targets,
+            neighbor_order="csr")

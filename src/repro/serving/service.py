@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError, ServingError
 from repro.graph.digraph import DiGraph
 from repro.runtime.report import RunReport
-from repro.serving.index import IncrementalIndex
+from repro.serving.index import AppliedUpdate, IncrementalIndex
 from repro.serving.stages import StageRecorder
 from repro.snaple.config import SnapleConfig
 
@@ -62,6 +62,9 @@ def validate_k(k) -> None:
 class ServingConfig:
     """Service shape: worker count, queue bound, compaction cadence.
 
+    ``compact_every`` counts pending edits: delta edges plus base-edge
+    tombstones, so removal-only streams compact too.
+
     Validation happens up front at construction (the repo-wide convention):
     a service can only exist with a runnable configuration.
     """
@@ -84,7 +87,7 @@ class ServingConfig:
             )
         if self.compact_every is not None and self.compact_every < 1:
             raise ConfigurationError(
-                f"compaction cadence must be >= 1 delta edges (or None to "
+                f"compaction cadence must be >= 1 pending edits (or None to "
                 f"disable), got {self.compact_every}"
             )
 
@@ -116,6 +119,7 @@ class RemovalResult:
     requested: int
     removed: list[tuple[int, int]]
     rescored: int
+    compacted: bool
 
 
 @dataclass(frozen=True)
@@ -395,17 +399,9 @@ class PredictorService:
     def _handle_ingest(self, edges: list[tuple[int, int]]) -> IngestResult:
         with self._lock.write():
             update = self._index.apply_edges(edges)
-            compacted = False
-            cadence = self._serving.compact_every
-            if (cadence is not None
-                    and self._index.graph.num_delta_edges >= cadence):
-                self._index.compact()
-                compacted = True
-            for u in update.rescored.tolist():
-                self._result_cache.pop(u, None)
+            compacted = self._absorb(update)
         with self._counters_lock:
             self._edges_ingested += len(update.added)
-            self._compactions += int(compacted)
         return IngestResult(requested=len(edges), added=update.added,
                             rescored=update.num_rescored,
                             compacted=compacted)
@@ -413,10 +409,26 @@ class PredictorService:
     def _handle_remove(self, edges: list[tuple[int, int]]) -> RemovalResult:
         with self._lock.write():
             update = self._index.apply_removals(edges)
-            for u in update.rescored.tolist():
-                self._result_cache.pop(u, None)
+            compacted = self._absorb(update)
         return RemovalResult(requested=len(edges), removed=update.removed,
-                             rescored=update.num_rescored)
+                             rescored=update.num_rescored,
+                             compacted=compacted)
+
+    def _absorb(self, update: AppliedUpdate) -> bool:
+        """Drop the rescored vertices' cached answers, then compact once
+        the pending delta edges plus tombstones reach the cadence (caller
+        holds the write lock).  Returns whether it compacted."""
+        for u in update.rescored.tolist():
+            self._result_cache.pop(u, None)
+        cadence = self._serving.compact_every
+        graph = self._index.graph
+        if (cadence is None or graph.num_delta_edges
+                + graph.num_removed_edges < cadence):
+            return False
+        self._index.compact()
+        with self._counters_lock:
+            self._compactions += 1
+        return True
 
     # ------------------------------------------------------------------
     # Introspection
@@ -469,6 +481,8 @@ class PredictorService:
         stats = self.stats()
         uptime = (time.perf_counter() - self._started_at
                   if self._started_at is not None else 0.0)
+        # One phase-3b pass under the read lock: the scores are a snapshot
+        # taken with the predictions, not a live view of the index.
         with self._lock.read():
             predictions = self._index.all_predictions()
             scores = self._index.scores_view()

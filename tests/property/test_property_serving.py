@@ -75,7 +75,8 @@ def _merged(graph, stream):
 def _assert_bit_identical(index, other):
     assert index.all_predictions() == other.all_predictions()
     for u in range(index.num_vertices):
-        assert index.scores(u) == other.scores(u)
+        assert index.prediction_scores(u) == other.prediction_scores(u)
+    assert index.scores_view() == other.scores_view()
 
 
 @settings(max_examples=examples(25))
@@ -130,9 +131,10 @@ def test_incremental_matches_local_engine_without_rng(data, graph, config):
     # vectorized kernel, so this cross-check is exact on predictions and
     # ULP-tolerant on scores (the *bit-exact* contract is against the
     # parallel gas backend, asserted above and in tests/serving).
+    served = index.scores_view()
     for u in range(merged.num_vertices):
         expected = dict(report.scores[u])
-        actual = index.scores(u)
+        actual = served[u]
         assert actual.keys() == expected.keys()
         for candidate, value in actual.items():
             assert value == pytest.approx(expected[candidate], rel=1e-9)

@@ -128,7 +128,9 @@ class ServingMachine(RuleBasedStateMachine):
         cold = IncrementalIndex(self._merged(), self.config)
         assert self.index.all_predictions() == cold.all_predictions()
         for u in range(self.num_vertices):
-            assert self.index.scores(u) == cold.scores(u)
+            assert (self.index.prediction_scores(u)
+                    == cold.prediction_scores(u))
+        assert self.index.scores_view() == cold.scores_view()
 
 
 ServingMachine.TestCase.settings = settings(max_examples=examples(25),

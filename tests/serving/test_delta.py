@@ -242,6 +242,21 @@ class TestRemoval:
         np.testing.assert_array_equal(before[0], after[0])
         np.testing.assert_array_equal(before[1], after[1])
 
+    def test_compact_drops_repeated_tombstones_of_a_duplicated_edge(self):
+        base = DiGraph(4, [0, 2, 0, 1, 0, 3, 2],
+                       [1, 3, 1, 2, 1, 0, 3])
+        delta = GraphDelta(base)
+        for edge in [(0, 1), (2, 3), (0, 1), (3, 0)]:
+            assert delta.remove_edge(*edge)
+        compacted = delta.compact()
+        # One (0, 1) and one (2, 3) survive: the last occurrence of each.
+        rebuilt = DiGraph(4, [1, 0, 2], [2, 1, 3])
+        for got, want in zip(compacted.edge_arrays(), rebuilt.edge_arrays()):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(compacted.csr_out_adjacency(),
+                             rebuilt.csr_out_adjacency()):
+            np.testing.assert_array_equal(got, want)
+
     def test_invalid_removals(self, triangle_graph):
         delta = GraphDelta(triangle_graph)
         with pytest.raises(GraphError):

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.errors import VertexNotFoundError
 from repro.graph.digraph import DiGraph
+from repro.graph.generators import powerlaw_cluster
 from repro.serving import GraphDelta, IncrementalIndex
 from repro.serving.service import PredictorService
 from repro.snaple.config import SnapleConfig
@@ -39,7 +42,8 @@ def _final_graph(base: DiGraph, stream) -> DiGraph:
 def _assert_same_state(index: IncrementalIndex, other: IncrementalIndex):
     assert index.all_predictions() == other.all_predictions()
     for u in range(index.num_vertices):
-        assert index.scores(u) == other.scores(u)
+        assert index.prediction_scores(u) == other.prediction_scores(u)
+    assert index.scores_view() == other.scores_view()
 
 
 @pytest.fixture(scope="module")
@@ -245,3 +249,42 @@ class TestPairCache:
         assert view[3] == index.scores(3)
         with pytest.raises(KeyError):
             view[index.num_vertices]
+
+
+def _assert_top_k_reads_its_score_row(index: IncrementalIndex):
+    for u in range(index.num_vertices):
+        row = index.scores(u)
+        assert index.prediction_scores(u) == [
+            row[v] for v in index.predictions(u)
+        ]
+
+
+class TestIndexMemory:
+    def test_index_keeps_no_candidate_rows(self):
+        """The index retains its top-k rows, not every candidate's score."""
+        graph = powerlaw_cluster(2000, 5, 0.5, seed=1)
+        config = SnapleConfig.paper_default(seed=3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index = IncrementalIndex(graph, config, use_pair_cache=False)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        candidates = sum(len(row) for row in index.scores_view().values())
+        assert retained <= 0.5 * 16 * candidates
+
+    def test_top_k_scores_match_score_rows_across_updates(self, random_graph,
+                                                          config):
+        base = random_graph(90, 3, 0.3, seed=7)
+        stream = _absent_edges(base, 10, seed=5)
+        stream.insert(4, (3, base.num_vertices + 2))  # grows the vertex set
+        index = IncrementalIndex(base, config)
+        _assert_top_k_reads_its_score_row(index)
+        index.apply_edges(stream[:6])
+        index.compact()
+        _assert_top_k_reads_its_score_row(index)
+        for edge in stream[6:]:
+            index.apply_edges([edge])
+        assert index.num_vertices == base.num_vertices + 3
+        _assert_top_k_reads_its_score_row(index)

@@ -14,6 +14,7 @@ import pytest
 
 import repro
 from repro.errors import ConfigurationError, GraphError, ServingError
+from repro.graph.digraph import DiGraph
 from repro.graph.generators import powerlaw_cluster
 from repro.serving import (
     IncrementalIndex,
@@ -52,6 +53,28 @@ def test_import_leaves_the_parallel_executor_unloaded():
                                capture_output=True, text=True, timeout=60,
                                check=True)
     assert completed.stdout.strip() == "False"
+
+
+def test_batch_prediction_leaves_serving_unloaded():
+    """A batch ``local`` run imports no serving module, so a change that
+    touches only ``repro.serving`` cannot move a batch measurement."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    probe = (
+        "import sys\n"
+        "from repro import DiGraph, SnapleLinkPredictor, get_backend\n"
+        "graph = DiGraph(4, [0, 1, 2, 3], [1, 2, 3, 0])\n"
+        "report = SnapleLinkPredictor().predict(graph, backend='local')\n"
+        "assert len(report.predictions) == 4\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.serving')))"
+    )
+    completed = subprocess.run([sys.executable, "-c", probe], env=env,
+                               capture_output=True, text=True, timeout=60,
+                               check=True)
+    assert completed.stdout.strip() == "[]"
 
 
 class TestConfigValidation:
@@ -285,6 +308,32 @@ class TestIngest:
             assert service.stats().delta_edges < 2
 
 
+    def test_removal_only_stream_compacts(self, small_social_graph, config):
+        """Tombstones count toward the cadence like delta edges do."""
+        src, dst = small_social_graph.edge_arrays()
+        removals = sorted(set(zip(src.tolist(), dst.tolist())))[::7][:40]
+        serving = ServingConfig(workers=1, compact_every=8)
+        with PredictorService(small_social_graph, config,
+                              serving=serving) as service:
+            compacted = 0
+            for edge in removals:
+                outcome = service.remove([edge])
+                assert outcome.removed == [edge]
+                compacted += outcome.compacted
+            assert compacted == service.stats().compactions == 5
+            assert service._index.graph.num_removed_edges == 0
+            report = service.report()
+        survivors = list(zip(src.tolist(), dst.tolist()))
+        for edge in removals:
+            survivors.remove(edge)
+        cold = IncrementalIndex(
+            DiGraph(small_social_graph.num_vertices,
+                    [u for u, _ in survivors], [v for _, v in survivors]),
+            config)
+        assert report.predictions == cold.all_predictions()
+        assert report.scores == cold.scores_view()
+
+
 @contextlib.contextmanager
 def _saturated(service):
     """Hold the write lock so the single worker blocks and the one queue
@@ -466,3 +515,14 @@ class TestStatsAndReport:
             index = IncrementalIndex(small_social_graph, config)
             assert report.predictions == index.all_predictions()
             assert report.scores[5] == index.scores(5)
+
+    def test_report_is_a_snapshot(self, small_social_graph, config):
+        """A report's scores are those of the graph it was taken on, not
+        a live view that later ingests rewrite."""
+        with PredictorService(small_social_graph, config) as service:
+            report = service.report()
+            u, v = _absent_edge(small_social_graph, seed=5)
+            assert service.ingest_edge(u, v).rescored > 0
+        cold = IncrementalIndex(small_social_graph, config)
+        assert report.predictions == cold.all_predictions()
+        assert report.scores == cold.scores_view()  # row by row

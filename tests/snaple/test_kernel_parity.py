@@ -421,8 +421,7 @@ def serving_answers(graph, config):
         else:
             u, v = (int(x) for x in rng.integers(n, size=2))
             index.apply_edges([(u, v)])
-    return (index.all_predictions(),
-            {u: index.scores(u) for u in range(index.num_vertices)})
+    return index.all_predictions(), index.scores_view().materialize()
 
 
 class TestMembershipBranches:
